@@ -16,12 +16,12 @@ Commands
     ``case1`` ... ``case4``) through the sweep engine and report the
     cache hit count.  ``repro sweep --list`` enumerates the names.
 ``perf``
-    Benchmark the simulation engine (dispatch microbenchmark on every
-    kernel + full-case events/s with a per-subsystem event histogram)
-    and write ``BENCH_engine.json``.  ``--quick`` runs a CI-sized
-    smoke; ``--check`` ratchets the speedup ratios against the
-    committed baseline and exits 1 on regression; ``--cprofile`` adds
-    a cProfile top-N listing.  See docs/performance.md.
+    Benchmark the simulation engine (dispatch microbenchmark +
+    full-case events/s with a per-subsystem event histogram) and write
+    ``BENCH_engine.json``.  ``--quick`` runs a CI-sized smoke;
+    ``--check`` asserts the routing-dispatch and telemetry
+    byte-identity gates and exits 1 on failure; ``--cprofile`` adds a
+    cProfile top-N listing.  See docs/performance.md.
 ``telemetry NAME --scheme CCFIT --out DIR``
     Run one experiment cell with the telemetry sampler attached and
     render the bundle (JSONL / Prometheus text / SVG dashboard — pick
@@ -50,15 +50,13 @@ Common options: ``--scale`` (time compression, default 0.3),
 ``--jobs N`` (worker processes for the simulation grid),
 ``--routing NAME[,NAME..]`` (routing policy axis — ``det``, ``ecmp``,
 ``adaptive``, ``flowlet``; names match case-insensitively, see
-docs/routing.md), ``--kernel NAME`` (simulation kernel — ``bucket``,
-``heap``, ``batch``; byte-identical results, see docs/performance.md),
-``--cache-dir PATH`` / ``--no-cache`` (on-disk
+docs/routing.md), ``--cache-dir PATH`` / ``--no-cache`` (on-disk
 result cache; ``sweep`` caches by default, the other commands opt in
 via ``--cache-dir``), ``--faults SPEC`` (deterministic fault
 injection — link/switch failures and degradations, see
 docs/faults.md), ``--buffer-model NAME`` (switch buffer organisation —
-``static`` or ``shared``; unlike ``--kernel`` this changes results,
-see docs/buffers.md).  See docs/sweep.md for the job/cache model.
+``static`` or ``shared``, see docs/buffers.md).  See docs/sweep.md for
+the job/cache model.
 
 Resilience options (docs/robustness.md): ``--timeout SECONDS``
 (per-cell wall-clock budget), ``--retries N`` (bounded retries with
@@ -105,9 +103,7 @@ __all__ = ["main", "build_parser"]
 _SIM_COMMANDS = ("fig", "case", "trees", "sweep")
 
 
-def _add_engine_options(
-    p: argparse.ArgumentParser, suppress: bool = False, kernel: bool = True
-) -> None:
+def _add_engine_options(p: argparse.ArgumentParser, suppress: bool = False) -> None:
     """The sweep-engine knobs, shared by every simulation command.
 
     They live on the main parser (before the subcommand) *and*, with
@@ -126,13 +122,6 @@ def _add_engine_options(
                    help="routing policy (det|ecmp|adaptive|flowlet, "
                         "case-insensitive; default det).  `sweep` accepts a "
                         "comma-separated list forming a grid axis")
-    if kernel:
-        # `perf` opts out: its own --kernel selects which kernels to
-        # *measure* (a list), not which one to simulate on.
-        p.add_argument("--kernel", type=str, default=d(None), metavar="NAME",
-                       help="simulation kernel (bucket|heap|batch, case-insensitive; "
-                            "default: engine default / REPRO_SIM_KERNEL).  Kernels "
-                            "are byte-identical — this picks speed, not results")
     p.add_argument("--cache-dir", type=str, default=d(None), metavar="PATH",
                    help="on-disk result cache directory "
                         "(default: ~/.cache/repro-sweep for `sweep`, off otherwise)")
@@ -165,9 +154,8 @@ def _add_engine_options(
     p.add_argument("--buffer-model", type=str, default=d(None), metavar="NAME",
                    help="switch buffer organisation (static|shared, "
                         "case-insensitive; default static, the paper's "
-                        "per-port partitioning).  Unlike --kernel this "
-                        "changes results and is part of the cache key "
-                        "(docs/buffers.md)")
+                        "per-port partitioning; part of the cache key, "
+                        "docs/buffers.md)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -230,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     perf = sub.add_parser(
         "perf",
         help="benchmark the simulation engine and write BENCH_engine.json",
-        description="Dispatch microbenchmark on every kernel plus full figure "
-                    "cells with per-subsystem event histograms.",
+        description="Dispatch microbenchmark plus full figure cells with "
+                    "per-subsystem event histograms.",
     )
     perf.add_argument("--quick", action="store_true",
                       help="CI-sized smoke run (small microbench, one short case)")
@@ -239,22 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="figure cell to benchmark (case1..case4)")
     perf.add_argument("--schemes", type=str, default="CCFIT", metavar="A,B,..",
                       help="comma-separated schemes to benchmark (default CCFIT)")
-    perf.add_argument("--kernel", dest="perf_kernel", default="all",
-                      metavar="NAME[,NAME..]",
-                      help="engine kernel(s) to measure: a comma-separated subset of "
-                           "bucket|heap|batch (case-insensitive), 'both' "
-                           "(bucket+heap) or 'all' (default)")
     perf.add_argument("--events", type=int, default=300_000,
                       help="microbenchmark event count")
     perf.add_argument("--out", default="BENCH_engine.json",
                       help="JSON report path (default: ./BENCH_engine.json)")
     perf.add_argument("--check", action="store_true",
-                      help="compare the fresh run against the committed baseline "
-                           "(--baseline) and the hard speedup floors; exit 1 on "
-                           "regression (the perf ratchet, see docs/performance.md)")
-    perf.add_argument("--baseline", default="BENCH_engine.json", metavar="PATH",
-                      help="baseline report for --check (default: the committed "
-                           "./BENCH_engine.json; read before --out is rewritten)")
+                      help="assert the report's invariant gates (routing "
+                           "dispatch overhead, telemetry byte-identity); exit 1 "
+                           "on failure (see docs/performance.md)")
     perf.add_argument("--cprofile", action="store_true",
                       help="also run one case under cProfile and print the top functions")
 
@@ -370,9 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--json", action="store_true", dest="as_json",
                        help="emit machine-readable JSON instead of a table")
 
-    for sp in (fig, case, trees, sweep, tele):
+    for sp in (fig, case, trees, sweep, perf, tele):
         _add_engine_options(sp, suppress=True)
-    _add_engine_options(perf, suppress=True, kernel=False)
     return p
 
 
@@ -422,27 +401,11 @@ def _resolve_routings(args) -> Optional[tuple]:
     return tuple(out) if out else None
 
 
-def _resolve_kernel(args) -> Optional[str]:
-    """Parse/validate ``--kernel``: one simulation-kernel name, matched
-    case-insensitively.  Returns None when the flag was not given; a
-    typo prints a did-you-mean hint and exits 2 (same contract as
-    unknown schemes and routing policies)."""
-    raw = getattr(args, "kernel", None)
-    if not raw:
-        return None
-    from repro.sim.engine import KERNELS, resolve_kernel
-
-    try:
-        return resolve_kernel(raw)
-    except ValueError:
-        raise SystemExit(_unknown_name("simulator kernel", raw, KERNELS))
-
-
 def _resolve_buffer_model(args) -> Optional[str]:
     """Parse/validate ``--buffer-model``: one registered model name,
     matched case-insensitively.  Returns None when the flag was not
     given; a typo prints a did-you-mean hint and exits 2 (same contract
-    as unknown schemes, routing policies and kernels)."""
+    as unknown schemes and routing policies)."""
     raw = getattr(args, "buffer_model", None)
     if not raw:
         return None
@@ -495,7 +458,6 @@ def _options(
         time_scale=args.scale,
         seed=args.seed,
         routing=routing,
-        kernel=_resolve_kernel(args),
         jobs=args.jobs,
         cache_dir=cache_dir,
         use_cache=not args.no_cache,
@@ -717,26 +679,6 @@ def _cmd_perf(args) -> int:
         schemes.append(canonical)
     schemes = tuple(schemes)
     routing = _single_routing(args, "perf")
-    from repro.sim.engine import KERNELS, resolve_kernel
-
-    raw_kernels = args.perf_kernel
-    if raw_kernels == "all":
-        kernels = KERNELS
-    elif raw_kernels == "both":
-        kernels = ("bucket", "heap")
-    else:
-        kernels = []
-        for item in raw_kernels.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            try:
-                canonical = resolve_kernel(item)
-            except ValueError:
-                return _unknown_name("simulator kernel", item, KERNELS)
-            if canonical not in kernels:
-                kernels.append(canonical)
-        kernels = tuple(kernels) or KERNELS
     if args.quick:
         time_scale, micro_events, micro_repeats = 0.03, 60_000, 1
     else:
@@ -744,7 +686,6 @@ def _cmd_perf(args) -> int:
     report = run_perf(
         cases=(args.perf_case,),
         schemes=schemes,
-        kernels=kernels,
         time_scale=time_scale,
         seed=args.seed,
         micro_events=micro_events,
@@ -753,31 +694,20 @@ def _cmd_perf(args) -> int:
     )
     report["quick"] = bool(args.quick)
     print(render_report(report))
-    baseline = None
-    if args.check:
-        # read the committed baseline *before* --out may overwrite it
-        # (they default to the same path).
-        import json as _json
-
-        try:
-            with open(args.baseline) as fh:
-                baseline = _json.load(fh)
-        except (OSError, ValueError):
-            baseline = None
     write_report(report, args.out)
     print(f"wrote {args.out}")
     if args.cprofile:
-        print(cprofile_case(args.perf_case, schemes[0], kernel=kernels[0],
+        print(cprofile_case(args.perf_case, schemes[0],
                             time_scale=time_scale, seed=args.seed))
     if args.check:
         from repro.perf import check_report
 
-        ok, lines = check_report(report, baseline)
-        print("perf check vs " + (args.baseline if baseline is not None else "hard floors"))
+        ok, lines = check_report(report)
+        print("perf check")
         for line in lines:
             print("  " + line)
         if not ok:
-            print("perf check: REGRESSION", file=sys.stderr)
+            print("perf check: FAILED", file=sys.stderr)
             return 1
         print("perf check: ok")
     return 0
@@ -973,19 +903,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    env_kernel = os.environ.get("REPRO_SIM_KERNEL")
-    if env_kernel:
-        # fail fast with the did-you-mean contract instead of a
-        # ValueError traceback from deep inside the first simulation;
-        # rewrite the env to the canonical spelling so sweep workers
-        # inherit it resolved.
-        from repro.sim.engine import KERNELS, resolve_kernel
-
-        try:
-            os.environ["REPRO_SIM_KERNEL"] = resolve_kernel(env_kernel)
-        except ValueError:
-            return _unknown_name("simulator kernel (REPRO_SIM_KERNEL)",
-                                 env_kernel, KERNELS)
     if getattr(args, "validate", False):
         # environment (not a plumbed flag) so forked sweep workers and
         # every build_fabric call inherit guard mode (repro.sim.guard).

@@ -71,7 +71,6 @@ class Experiment:
         params=None,
         telemetry=None,
         routing: str = "det",
-        kernel=None,
         faults=None,
         buffer_model=None,
         **overrides,
@@ -103,7 +102,6 @@ class Experiment:
                 extra=tuple(sorted(extra.items())),
                 telemetry=telemetry,
                 routing=r,
-                kernel=kernel,
                 faults=f,
                 buffer_model=b,
             )
@@ -143,7 +141,6 @@ class Experiment:
             params=params if params is not None else opts.params,
             telemetry=opts.telemetry,
             routing=opts.routing,
-            kernel=opts.kernel,
             faults=getattr(opts, "faults", None),
             buffer_model=getattr(opts, "buffer_model", None),
             **overrides,

@@ -181,50 +181,7 @@ def _run(
         base = params if params is not None else CCParams()
         if base.buffer_model != buffer_model:
             params = base.with_overrides(buffer_model=buffer_model)
-    effective_model = (
-        params.buffer_model if params is not None else "static"
-    )
     sim = sim_factory() if sim_factory is not None else None
-    if effective_model != "static":
-        # Non-static models pace admissions with PAUSE/RESUME control
-        # events; the batched kernel's slot-fused sweep cannot honour
-        # mid-slot XOFF crossings, so fall back to the validated
-        # byte-identical ``bucket`` kernel — the same degradation path
-        # fault injection takes (docs/buffers.md).
-        from repro.sim.engine import Simulator
-
-        if sim is None:
-            sim = Simulator()
-        if sim.kernel == "batch":
-            import warnings
-
-            warnings.warn(
-                f"buffer model {effective_model!r} is not supported on the "
-                "'batch' kernel; falling back to the bucket kernel for "
-                "this cell",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            sim = Simulator(kernel="bucket")
-    if faults is not None:
-        # Fault injection needs the wire-drop hooks of the scalar
-        # kernels; the batched kernel's fused delivery path has no
-        # per-packet interception point, so fall back to the validated
-        # byte-identical ``bucket`` kernel (docs/faults.md).
-        from repro.sim.engine import Simulator
-
-        if sim is None:
-            sim = Simulator()
-        if sim.kernel == "batch":
-            import warnings
-
-            warnings.warn(
-                "fault injection is not supported on the 'batch' kernel; "
-                "falling back to the bucket kernel for this cell",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            sim = Simulator(kernel="bucket")
     fabric: Fabric = build_fabric(
         config.topo(),
         scheme=scheme,
@@ -422,7 +379,6 @@ def run_case(
     seed: Optional[int] = None,
     params: Optional[CCParams] = None,
     routing: Optional[str] = None,
-    kernel: Optional[str] = None,
     faults=None,
     buffer_model: Optional[str] = None,
     options=None,
@@ -441,19 +397,12 @@ def run_case(
     ``num_trees`` and ``duration_ms``) plus ``sim_factory`` — a
     zero-argument callable returning the
     :class:`repro.sim.engine.Simulator` to run on, which is how the
-    kernel golden tests and the :mod:`repro.perf` harness pin
-    ``kernel=``/``profile=``.  ``extra`` may also carry ``telemetry``
+    golden tests inject the heap reference queue and the
+    :mod:`repro.perf` harness pins ``profile=``.  ``extra`` may also
+    carry ``telemetry``
     — a :class:`repro.telemetry.TelemetryConfig` attaching the sampler
     (results stay byte-identical; the bundle rides on the result) —
     which otherwise defaults from ``options.telemetry``.
-
-    ``kernel`` names a simulation kernel (``bucket``/``heap``/``batch``,
-    resolved case-insensitively via
-    :func:`repro.sim.engine.resolve_kernel`; unknown names raise
-    ``ValueError`` with a did-you-mean hint).  ``None`` defers to the
-    engine default / ``REPRO_SIM_KERNEL``.  Kernels are byte-identical,
-    so this selects speed, never results.  An explicit ``sim_factory``
-    wins over ``kernel``.
 
     ``faults`` is a :class:`repro.sim.faults.FaultPlan` (or a spec
     string for :meth:`FaultPlan.parse`) injecting deterministic link/
@@ -467,9 +416,7 @@ def run_case(
     ``shared``, docs/buffers.md); it defaults from
     ``options.buffer_model`` and overrides ``params.buffer_model`` when
     given.  ``None`` with default params runs the ``static`` golden
-    reference, byte-identical to pre-buffer-model results.  Non-static
-    models degrade from the ``batch`` kernel to ``bucket`` with a
-    ``RuntimeWarning``, like fault plans do.
+    reference, byte-identical to pre-buffer-model results.
     """
     if case not in _CELLS:
         raise KeyError(f"unknown case {case!r}; choose from {sorted(_CELLS)}")
@@ -502,13 +449,6 @@ def run_case(
         telemetry = getattr(options, "telemetry", None)
         if telemetry is not None:
             extra["telemetry"] = telemetry
-    if kernel is None and options is not None:
-        kernel = getattr(options, "kernel", None)
-    if kernel is not None and extra.get("sim_factory") is None:
-        from repro.sim.engine import Simulator, resolve_kernel
-
-        resolved = resolve_kernel(kernel)
-        extra["sim_factory"] = lambda: Simulator(kernel=resolved)
     return _CELLS[case](
         scheme=scheme, time_scale=time_scale, seed=seed, params=params, routing=routing, **extra
     )

@@ -101,11 +101,6 @@ class SweepOptions:
     #: default routing policy for cells that don't pin one
     #: (docs/routing.md); "det" is the paper's deterministic routing.
     routing: str = "det"
-    #: simulation kernel for cells that don't pin one
-    #: (docs/performance.md); None defers to the engine default /
-    #: ``REPRO_SIM_KERNEL``.  All kernels are byte-identical, so this
-    #: is a speed knob, not a result knob.
-    kernel: Optional[str] = None
     #: worker processes; 1 = serial in-process execution.
     jobs: int = 1
     #: cache directory, or None for no on-disk cache.
@@ -186,35 +181,27 @@ class SimJob:
     #: routing policy the cell runs under (docs/routing.md); "det" is
     #: the paper's deterministic routing.
     routing: str = "det"
-    #: simulation kernel the cell runs on (docs/performance.md); None
-    #: defers to the engine default / ``REPRO_SIM_KERNEL``.  Canonical
-    #: at construction (case-insensitive, did-you-mean on typos).
-    kernel: Optional[str] = None
     #: deterministic fault plan (docs/faults.md), or None for a
     #: fault-free cell.  Times are at ``time_scale=1.0``; the runner
     #: scales them with the cell.
     faults: Optional[FaultPlan] = None
     #: switch buffer organisation (docs/buffers.md); None defers to
-    #: the params default ("static").  Unlike ``kernel`` this *is*
-    #: part of the cache key: a shared-buffer cell admits, pauses and
-    #: therefore delivers differently from a static one.
+    #: the params default ("static").  Part of the cache key: a
+    #: shared-buffer cell admits, pauses and therefore delivers
+    #: differently from a static one.
     buffer_model: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.case not in CASE_NAMES:
             raise KeyError(f"unknown case {self.case!r}; choose from {sorted(CASE_NAMES)}")
-        if self.kernel is not None:
-            from repro.sim.engine import resolve_kernel
-
-            object.__setattr__(self, "kernel", resolve_kernel(self.kernel))
 
     def __getattr__(self, name: str) -> Any:
-        # jobs pickled (or journaled) before the routing/kernel axes
-        # existed deserialize without the fields; they meant
-        # deterministic routing on the default kernel.
+        # jobs pickled (or journaled) before the routing/faults/
+        # buffer-model axes existed deserialize without the fields;
+        # they meant deterministic routing, fault-free, static buffers.
         if name == "routing":
             return "det"
-        if name in ("kernel", "faults", "buffer_model"):
+        if name in ("faults", "buffer_model"):
             return None
         raise AttributeError(name)
 
@@ -225,13 +212,7 @@ class SimJob:
         ``routing`` key only for non-default policies, and the
         ``buffer_model`` key only for non-static models, so
         pre-telemetry / pre-routing / pre-buffer-model cache entries
-        keep their keys.
-
-        ``kernel`` is deliberately **absent**: every kernel produces
-        byte-identical results (the golden-equivalence contract, see
-        docs/performance.md), so a cached bucket-kernel cell may serve
-        a batch-kernel run and vice versa — the kernel is a speed
-        knob, not part of the output's preimage."""
+        keep their keys."""
         out = {
             "version": __version__,
             "case": self.case,
@@ -268,7 +249,6 @@ class SimJob:
             params=self.params,
             telemetry=self.telemetry,
             routing=self.routing,
-            kernel=self.kernel,
             faults=self.faults,
             buffer_model=self.buffer_model,
             **dict(self.extra),
@@ -279,8 +259,6 @@ class SimJob:
         base = f"{self.case}/{self.scheme}"
         if self.routing != "det":
             base += f"@{self.routing}"
-        if self.kernel is not None:
-            base += f"#{self.kernel}"
         if self.faults is not None:
             base += f"+{self.faults.label()}"
         if self.buffer_model is not None and self.buffer_model != "static":

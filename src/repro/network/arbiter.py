@@ -29,14 +29,9 @@ pending requests.  A plain single-iteration greedy matcher
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Set
+from typing import Dict, Iterable, List, Mapping, Set
 
-try:  # numpy accelerates match_matrix; everything degrades without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None  # type: ignore[assignment]
-
-__all__ = ["ISlip", "RoundRobin", "SlotArbiter"]
+__all__ = ["ISlip", "RoundRobin"]
 
 
 class ISlip:
@@ -114,87 +109,6 @@ class ISlip:
                 self._commit(inp, choice, iteration)
         return matched_in
 
-    def match_matrix(self, requests: Sequence[Sequence[bool]]) -> Dict[int, int]:
-        """Vectorized :meth:`match` over a dense request matrix.
-
-        ``requests[i][o]`` is truthy when input ``i`` has an eligible
-        head packet for output ``o`` — the natural shape when a slot
-        driver batches arbitration across a whole fabric.  Produces the
-        exact matching and the exact post-call arbiter state of
-        ``match({i: [o for o if requests[i][o]]})``.
-
-        Vectorization rests on two structural facts about one LRG
-        iteration of :meth:`match`: every grant pick reads
-        iteration-*start* grant stamps (the grant loop completes before
-        any commit), and every accept pick reads a stamp row only its
-        *own* later commit could touch — so both picks batch into masked
-        argmins over integer keys ``stamp * n + index`` (monotone in the
-        ``(stamp, index)`` tie-break for ``0 <= index < n``).  Only the
-        commits are ordered: inputs in order of their first granting
-        output, matching the scalar grants-dict insertion order, so the
-        clock stamps land identically.  Pointer mode (and a missing
-        numpy) delegates to the scalar path — both pointer picks are
-        order-insensitive over the candidate set, so results agree.
-        """
-        if len(requests) != self.num_inputs:
-            raise ValueError(
-                f"request matrix has {len(requests)} rows, expected {self.num_inputs}"
-            )
-        if _np is None or self.mode == "pointer":
-            req: Dict[int, List[int]] = {}
-            for i, row in enumerate(requests):
-                outs = [o for o in range(self.num_outputs) if row[o]]
-                if outs:
-                    req[i] = outs
-            return self.match(req)
-
-        mask = _np.asarray(requests, dtype=bool)
-        if mask.shape != (self.num_inputs, self.num_outputs):
-            raise ValueError(
-                f"request matrix shape {mask.shape} != "
-                f"({self.num_inputs}, {self.num_outputs})"
-            )
-        ni, no = self.num_inputs, self.num_outputs
-        # Integer pick keys: stamp * n + index encodes the (stamp, index)
-        # lexicographic tie-break in one argmin-able value.
-        ikey = _np.asarray(self._grant_stamp, dtype=_np.int64) * ni + _np.arange(ni)
-        okey = _np.asarray(self._accept_stamp, dtype=_np.int64) * no + _np.arange(no)
-        big = _np.int64(1) << 62
-        avail_in = _np.ones(ni, dtype=bool)
-        avail_out = _np.ones(no, dtype=bool)
-        out_ids = _np.arange(no)
-        matched: Dict[int, int] = {}
-
-        for iteration in range(self.iterations):
-            live = mask & avail_in[:, None] & avail_out[None, :]
-            gmask = live.T  # (out, in): requesters per unmatched output
-            has_req = gmask.any(axis=1)
-            if not has_req.any():
-                break
-            # Grant: each output's least-recently-granted requester.
-            winners = _np.where(gmask, ikey, big).argmin(axis=1)
-            granting = _np.nonzero(has_req)[0]
-            G = _np.zeros((ni, no), dtype=bool)  # G[i, o]: o grants i
-            G[winners[granting], granting] = True
-            # Accept: each granted input's least-recently-used output.
-            # Iteration-start okey is sound here — only an input's own
-            # commit writes its accept row, and that happens post-pick.
-            choice = _np.where(G, okey, big).argmin(axis=1)
-            # Commit in scalar order: inputs by first granting output
-            # (distinct per input — an output grants one winner).
-            first_out = _np.where(G, out_ids, no).min(axis=1)
-            granted = _np.nonzero(G.any(axis=1))[0]
-            for inp in granted[_np.argsort(first_out[granted])]:
-                i, o = int(inp), int(choice[inp])
-                matched[i] = o
-                avail_in[i] = False
-                avail_out[o] = False
-                self._commit(i, o, iteration)
-                stamp = self._clock - 1
-                ikey[o, i] = stamp * ni + i
-                okey[i, o] = stamp * no + o
-        return matched
-
     def match_single(self, inp: int, outs: Iterable[int]) -> int:
         """Fast path for rounds where exactly one input requests.
 
@@ -264,70 +178,6 @@ class RoundRobin:
             taken.add(out)
             self.ptr[out] = (winner + 1) % self.num_inputs
         return matched_in
-
-
-class SlotArbiter:
-    """Slot-synchronous arbitration driver for a set of switches.
-
-    Where the event-driven path re-arbitrates one switch per ``kick``
-    event, a slot driver sweeps **all** switches once per MTU slot:
-    for each switch it pulls the request sets via
-    ``collect_requests()``, matches them (through the vectorized
-    :meth:`ISlip.match_matrix` when profitable), and starts the granted
-    transmissions via ``apply_matches()`` — repeating per switch until
-    the round is quiescent, exactly like the event path's re-kick loop.
-    Works over anything duck-typed like
-    :class:`~repro.network.switch.Switch` (``collect_requests``,
-    ``apply_matches``, ``arbiter`` attributes).
-
-    The driver produces the same matchings as the event path because it
-    runs the same phases in the same order with the same arbiter state;
-    it exists so the batch kernel (and the arbitration bench) can
-    amortize the per-event scheduling overhead across a whole fabric.
-    """
-
-    # Below this many requesting inputs the dict path beats building a
-    # dense matrix; measured crossover on 8-port switches.
-    matrix_min_requests = 3
-
-    def __init__(self, switches: Iterable[object]) -> None:
-        self.switches = list(switches)
-        self.rounds = 0
-        self.matches = 0
-
-    def arbitrate_slot(self) -> int:
-        """Run every switch's matching to quiescence; return the number
-        of transmissions started across the fabric this slot."""
-        started = 0
-        for sw in self.switches:
-            while True:
-                requests, candidates = sw.collect_requests()
-                self.rounds += 1
-                if not requests:
-                    break
-                matches = self._match_switch(sw, requests)
-                if not sw.apply_matches(matches, candidates):
-                    break
-                started += len(matches)
-        self.matches += started
-        return started
-
-    def _match_switch(self, sw: object, requests: Dict[int, List[int]]) -> Dict[int, int]:
-        arbiter = sw.arbiter
-        if len(requests) == 1:
-            (inp, outs), = requests.items()
-            return {inp: arbiter.match_single(inp, outs)}
-        if (
-            _np is not None
-            and len(requests) >= self.matrix_min_requests
-            and isinstance(arbiter, ISlip)
-            and arbiter.mode == "lrg"
-        ):
-            matrix = _np.zeros((arbiter.num_inputs, arbiter.num_outputs), dtype=bool)
-            for inp, outs in requests.items():
-                matrix[inp, list(outs)] = True
-            return arbiter.match_matrix(matrix)
-        return arbiter.match(requests)
 
 
 def _next_from(candidates: List[int], pointer: int) -> int:

@@ -348,9 +348,7 @@ class Switch:
         crossbar read budget, and returns ``(requests, candidates)``:
         ``requests`` maps each requesting input to its output list (the
         arbiter's input), ``candidates`` maps each (input, output) pair
-        to its head-packet choices.  Shared by the event-driven
-        :meth:`_match` and the slot-batched
-        :class:`~repro.network.arbiter.SlotArbiter` driver.
+        to its head-packet choices.
         """
         if self._min_link_bw is None:
             self._min_link_bw = min(

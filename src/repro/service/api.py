@@ -74,8 +74,6 @@ def job_to_spec(job: SimJob) -> Dict[str, Any]:
         spec["telemetry"] = job.telemetry.to_dict()
     if job.routing != "det":
         spec["routing"] = job.routing
-    if job.kernel is not None:
-        spec["kernel"] = job.kernel
     if job.faults is not None:
         spec["faults"] = {"name": job.faults.name, "plan": job.faults.to_dict()}
     if job.buffer_model is not None:
@@ -122,7 +120,6 @@ def job_from_spec(spec: Dict[str, Any]) -> SimJob:
         extra=tuple((k, v) for k, v in spec.get("extra", {}).items()),
         telemetry=telemetry,
         routing=spec.get("routing", "det"),
-        kernel=spec.get("kernel"),
         faults=faults,
         buffer_model=spec.get("buffer_model"),
     )

@@ -53,6 +53,14 @@ class _BadRequest(ValueError):
     """Maps to a 400 with the message in the JSON error body."""
 
 
+#: every top-level field ``POST /experiments`` reads; anything else is
+#: a typo or a removed knob and is rejected, never silently ignored.
+_SUBMISSION_FIELDS = frozenset({
+    "experiment", "schemes", "routings", "time_scale", "seed",
+    "buffer_model", "faults", "telemetry", "telemetry_interval", "extra",
+})
+
+
 def _resolve_submission(request: Dict[str, Any]) -> Tuple[Any, List[Any]]:
     """Expand a ``POST /experiments`` body into (experiment, jobs).
 
@@ -62,6 +70,12 @@ def _resolve_submission(request: Dict[str, Any]) -> Tuple[Any, List[Any]]:
     from repro.core.ccfit import SCHEMES
     from repro.experiments import registry
 
+    unknown = sorted(set(request) - _SUBMISSION_FIELDS)
+    if unknown:
+        raise _BadRequest(
+            f"unknown field(s) {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join(sorted(_SUBMISSION_FIELDS))}"
+        )
     name = request.get("experiment")
     if not name:
         raise _BadRequest("missing 'experiment'")
@@ -91,14 +105,6 @@ def _resolve_submission(request: Dict[str, Any]) -> Tuple[Any, List[Any]]:
                 raise _BadRequest(f"unknown routing policy {raw!r}")
             resolved.append(match)
         routings = tuple(resolved)
-    kernel = request.get("kernel")
-    if kernel is not None:
-        from repro.sim.engine import resolve_kernel
-
-        try:
-            kernel = resolve_kernel(kernel)
-        except ValueError as exc:
-            raise _BadRequest(str(exc))
     buffer_model = request.get("buffer_model")
     if buffer_model is not None:
         from repro.network.buffers import buffer_model_names
@@ -134,7 +140,6 @@ def _resolve_submission(request: Dict[str, Any]) -> Tuple[Any, List[Any]]:
             time_scale=float(request.get("time_scale", 1.0)),
             seed=int(request.get("seed", 1)),
             telemetry=telemetry,
-            kernel=kernel,
             faults=faults,
             buffer_model=buffer_model,
             **extra,

@@ -1,22 +1,12 @@
 """Discrete-event simulation substrate.
 
 The engine in :mod:`repro.sim.engine` is the clock and scheduler every
-other component of the reproduction runs on.  Two interchangeable
-kernels implement the same deterministic contract (events fire in
-``(time, seq)`` order): the default calendar/bucket queue with pooled
-entries, and the original binary-heap engine kept as the golden
-reference (``Simulator(kernel="heap")`` / ``REPRO_SIM_KERNEL=heap``).
-See docs/performance.md and :mod:`repro.perf`.
+other component of the reproduction runs on: a calendar/bucket queue
+with pooled entries that fires events in ``(time, seq)`` order.  See
+docs/performance.md.
 """
 
-from repro.sim.engine import (
-    DEFAULT_KERNEL,
-    KERNELS,
-    Event,
-    SimulationError,
-    Simulator,
-    resolve_kernel,
-)
+from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.faults import FaultEvent, FaultInjector, FaultPlan, FaultPlanError
 from repro.sim.rng import RngFactory
 
@@ -25,9 +15,6 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "RngFactory",
-    "KERNELS",
-    "DEFAULT_KERNEL",
-    "resolve_kernel",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",

@@ -5,70 +5,39 @@ instant fire in scheduling order (FIFO tie-break via a monotonically
 increasing sequence number), which makes every simulation in this
 repository bit-for-bit reproducible for a fixed seed.
 
-Three interchangeable kernels implement that contract (see
-docs/performance.md):
+The queue is a calendar/bucket queue covering a sliding near-future
+window, with a binary-heap overflow for events beyond the window.  The
+dominant event classes of a packet-grain interconnect simulation (link
+serialisation completions, deliveries, credit returns, matching rounds)
+land a few hundred nanoseconds to a few microseconds ahead, so almost
+every insertion is an O(1) list append; a bucket is sorted once
+(C-level, on ``(time, seq)``) when the clock enters it.  Queue entries
+are mutable lists recycled through a free-list, and the
+:meth:`Simulator.post` / :meth:`Simulator.schedule_pair` fast paths
+skip the cancellation handle entirely, so steady-state dispatch
+allocates nothing.  See docs/performance.md.
 
-* ``"bucket"`` (the default) — a calendar/bucket queue covering a
-  sliding near-future window, with a binary-heap overflow for events
-  beyond the window.  The dominant event classes of a packet-grain
-  interconnect simulation (link serialisation completions, deliveries,
-  credit returns, matching rounds) land a few hundred nanoseconds to a
-  few microseconds ahead, so almost every insertion is an O(1) list
-  append; a bucket is sorted once (C-level, on ``(time, seq)``) when
-  the clock enters it.  Queue entries are mutable lists recycled
-  through a free-list, and the :meth:`Simulator.post` /
-  :meth:`Simulator.schedule_pair` fast paths skip the cancellation
-  handle entirely, so steady-state dispatch allocates nothing.
-* ``"heap"`` — the original engine, faithfully: a ``heapq`` of
-  ``(time, seq, Event)`` tuples with one handle object allocated per
-  event (``post``/``schedule_pair`` degrade to plain ``schedule``
-  calls consuming the same sequence numbers).  Kept as the golden
-  reference and the benchmark baseline; ``Simulator(kernel="heap")``
-  (or ``REPRO_SIM_KERNEL=heap``) selects it, and the equivalence tests
-  assert byte-identical results against the bucket kernel across all
-  schemes.
-* ``"batch"`` — the struct-of-arrays slot kernel
-  (:mod:`repro.sim.batch`): pending events live in flat parallel
-  arrays keyed by MTU-slot index, each slot is ordered once with a
-  vectorised ``lexsort`` when the clock enters it, and homogeneous
-  recurring event populations can be promoted to vectorised
-  *channels* (:meth:`repro.sim.batch.BatchSimulator.add_channel`)
-  that advance a whole array of timers per slot instead of running
-  one Python callback per event.  ``Simulator(kernel="batch")`` (or
-  ``REPRO_SIM_KERNEL=batch``) transparently constructs a
-  :class:`~repro.sim.batch.BatchSimulator`.
-
-All kernels share the seq allocator and dispatch order ``(time,
-seq)``, so they fire the exact same callbacks in the exact same order:
-determinism is the contract, the kernel is an implementation detail.
+Dispatch order is ``(time, seq)`` and nothing else: the test suite
+runs every golden cell on a plain ``heapq`` reference queue
+(``tests/heap_oracle.py``, injected through ``run_case(sim_factory=)``)
+and requires byte-identical results.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Callable, Iterable, Optional
 
 __all__ = [
     "Event",
     "Simulator",
     "SimulationError",
-    "KERNELS",
-    "DEFAULT_KERNEL",
-    "resolve_kernel",
 ]
 
 
 class SimulationError(RuntimeError):
     """Raised on scheduler misuse (e.g. scheduling in the past)."""
 
-
-#: the available queue kernels (see module docstring).
-KERNELS = ("bucket", "heap", "batch")
-#: process-wide default kernel; the ``REPRO_SIM_KERNEL`` environment
-#: variable overrides it (inherited by sweep worker processes).
-DEFAULT_KERNEL = "bucket"
-_KERNEL_ENV = "REPRO_SIM_KERNEL"
 
 #: calendar-queue geometry defaults.  Buckets are kept *narrower* than
 #: the shortest recurring delay (the 40 ns wire delay): an event landing
@@ -86,31 +55,6 @@ DEFAULT_NUM_BUCKETS = 8192
 _ENTRY_POOL_MAX = 8192
 
 _INF = float("inf")
-
-
-def resolve_kernel(kernel: Optional[str] = None) -> str:
-    """``kernel`` argument > ``REPRO_SIM_KERNEL`` env > module default.
-
-    Names match case-insensitively (``"BATCH"`` resolves to
-    ``"batch"``); an unknown name raises :class:`ValueError` with a
-    did-you-mean hint — the CLI turns that into exit code 2, the same
-    contract as unknown scheme/routing names.
-    """
-    if kernel is None:
-        kernel = os.environ.get(_KERNEL_ENV) or DEFAULT_KERNEL
-    if kernel in KERNELS:
-        return kernel
-    folded = str(kernel).strip().casefold()
-    for known in KERNELS:
-        if folded == known:
-            return known
-    import difflib
-
-    close = difflib.get_close_matches(folded, KERNELS, n=1, cutoff=0.4)
-    hint = f" — did you mean {close[0]!r}?" if close else ""
-    raise ValueError(
-        f"unknown simulator kernel {kernel!r}{hint}; choose from {KERNELS}"
-    )
 
 
 def _noop(*_args: Any) -> None:
@@ -193,8 +137,8 @@ class Event:
         self.fn = fn
         self.args = args
         self.cancelled = False
-        # "still queued" marker: the bucket kernel's list entry, or the
-        # heap kernel's (time, seq, Event) tuple.  None once fired.
+        # "still queued" marker: the recyclable queue entry.  None
+        # once fired.
         self._entry: Any = None
         self._sim: Optional["Simulator"] = None
 
@@ -208,19 +152,16 @@ class Event:
         # state alive inside the queue until they are popped.
         self.fn = _noop
         self.args = ()
-        # ``_entry`` marks "still queued": the bucket kernel stores the
-        # recyclable list entry here (tombstoned below); the heap
-        # kernel stores its heap tuple, checked via ``cancelled`` at
-        # pop time.  Dispatch clears it, making a late cancel a no-op.
+        # ``_entry`` marks "still queued" (tombstoned below); dispatch
+        # clears it, making a late cancel a no-op.
         e = self._entry
         if e is not None:
             self._entry = None
-            if type(e) is list:
-                e[_FN] = _CANCELLED
-                e[_ARGS] = ()
-                e[_FN2] = None
-                e[_ARGS2] = None
-                e[_HANDLE] = None
+            e[_FN] = _CANCELLED
+            e[_ARGS] = ()
+            e[_FN2] = None
+            e[_ARGS2] = None
+            e[_HANDLE] = None
             sim = self._sim
             if sim is not None:
                 sim._live -= 1
@@ -250,13 +191,8 @@ class Simulator:
 
     Parameters
     ----------
-    kernel:
-        ``"bucket"`` (default), ``"heap"`` or ``"batch"``; ``None``
-        resolves through :func:`resolve_kernel` (``REPRO_SIM_KERNEL``
-        env override).  ``"batch"`` transparently constructs a
-        :class:`repro.sim.batch.BatchSimulator`.
     bucket_ns, num_buckets:
-        Calendar-queue geometry (bucket kernel only).
+        Calendar-queue geometry.
     profile:
         Maintain :attr:`event_counts`, a per-callback-qualname dispatch
         histogram consumed by :mod:`repro.perf`.  Off by default — it
@@ -269,8 +205,6 @@ class Simulator:
         "_heap",
         "_live",
         "events_dispatched",
-        "kernel",
-        "_bucketed",
         "_base",
         "_width",
         "_inv_width",
@@ -285,20 +219,8 @@ class Simulator:
         "event_counts",
     )
 
-    def __new__(cls, kernel: Optional[str] = None, *args: Any, **kwargs: Any):
-        # ``Simulator(kernel="batch")`` (or the env override) hands the
-        # whole construction to the struct-of-arrays kernel, so every
-        # call site — runner, sweep workers, guard, perf — selects it
-        # through the exact same ``kernel=`` plumbing as the others.
-        if cls is Simulator and resolve_kernel(kernel) == "batch":
-            from repro.sim.batch import BatchSimulator
-
-            return object.__new__(BatchSimulator)
-        return object.__new__(cls)
-
     def __init__(
         self,
-        kernel: Optional[str] = None,
         bucket_ns: float = DEFAULT_BUCKET_NS,
         num_buckets: int = DEFAULT_NUM_BUCKETS,
         profile: bool = False,
@@ -307,11 +229,9 @@ class Simulator:
             raise ValueError(f"bucket_ns must be positive, got {bucket_ns}")
         if num_buckets < 1:
             raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
-        self.kernel = resolve_kernel(kernel)
-        self._bucketed = self.kernel == "bucket"
         self.now: float = 0.0
         self._seq: int = 0
-        #: overflow heap (bucket kernel) / the whole queue (heap kernel).
+        #: overflow heap: events at or beyond the window end.
         self._heap: list = []
         #: live (non-cancelled, not-yet-fired) events — O(1) pending().
         self._live: int = 0
@@ -325,15 +245,14 @@ class Simulator:
         self._inv_width = 1.0 / float(bucket_ns)
         self._nbuckets = int(num_buckets)
         self._span = self._width * self._nbuckets
-        self._buckets: list = [[] for _ in range(self._nbuckets)] if self._bucketed else []
+        self._buckets: list = [[] for _ in range(self._nbuckets)]
         self._nbucketed = 0          # entries in _buckets (excludes _cur)
         self._bidx = 0               # next bucket index to scan
         #: bucket being consumed: sorted descending, popped from the end
         self._cur: list = []
         self._cur_bi = -1            # bucket index _cur was built from
-        #: entry free-list (bucket kernel only — the heap kernel keeps
-        #: the historical allocate-per-event behaviour as the baseline).
-        self._pool: Optional[list] = [] if self._bucketed else None
+        #: entry free-list
+        self._pool: list = []
 
     # ------------------------------------------------------------------
     # scheduling
@@ -382,23 +301,18 @@ class Simulator:
         ev = Event(time, seq, fn, args)
         ev._sim = self
         self._live += 1
-        if self._bucketed:
-            pool = self._pool
-            if pool:
-                e = pool.pop()
-                e[_TIME] = time
-                e[_SEQ] = seq
-                e[_FN] = fn
-                e[_ARGS] = args
-            else:
-                e = [time, seq, fn, args, 0.0, 0, None, None, None]
-            e[_HANDLE] = ev
-            ev._entry = e
-            self._file(e)
+        pool = self._pool
+        if pool:
+            e = pool.pop()
+            e[_TIME] = time
+            e[_SEQ] = seq
+            e[_FN] = fn
+            e[_ARGS] = args
         else:
-            # legacy kernel: the handle itself rides in the heap tuple.
-            ev._entry = e = (time, seq, ev)
-            heapq.heappush(self._heap, e)
+            e = [time, seq, fn, args, 0.0, 0, None, None, None]
+        e[_HANDLE] = ev
+        ev._entry = e
+        self._file(e)
         return ev
 
     def post(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -411,36 +325,28 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        if self._bucketed:
-            pool = self._pool
-            if pool:
-                e = pool.pop()
-                e[_TIME] = time
-                e[_SEQ] = seq
-                e[_FN] = fn
-                e[_ARGS] = args
-            else:
-                e = [time, seq, fn, args, 0.0, 0, None, None, None]
-            rel = time - self._base
-            if 0.0 <= rel < self._span:
-                i = int(rel * self._inv_width)
-                if i > self._cur_bi:
-                    if i < self._nbuckets:
-                        self._buckets[i].append(e)
-                        self._nbucketed += 1
-                    else:
-                        self._file(e)  # float edge at the window rim
-                else:
-                    _insort_desc(self._cur, e)
-            else:
-                self._file(e)
+        pool = self._pool
+        if pool:
+            e = pool.pop()
+            e[_TIME] = time
+            e[_SEQ] = seq
+            e[_FN] = fn
+            e[_ARGS] = args
         else:
-            # legacy kernel has no handle-free path: allocate the
-            # per-event handle exactly as the original engine did.
-            ev = Event(time, seq, fn, args)
-            ev._sim = self
-            ev._entry = e = (time, seq, ev)
-            heapq.heappush(self._heap, e)
+            e = [time, seq, fn, args, 0.0, 0, None, None, None]
+        rel = time - self._base
+        if 0.0 <= rel < self._span:
+            i = int(rel * self._inv_width)
+            if i > self._cur_bi:
+                if i < self._nbuckets:
+                    self._buckets[i].append(e)
+                    self._nbucketed += 1
+                else:
+                    self._file(e)  # float edge at the window rim
+            else:
+                _insort_desc(self._cur, e)
+        else:
+            self._file(e)
 
     def post_in(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Pooled relative-delay variant of :meth:`post`.  Standalone
@@ -451,34 +357,28 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        if self._bucketed:
-            pool = self._pool
-            if pool:
-                e = pool.pop()
-                e[_TIME] = time
-                e[_SEQ] = seq
-                e[_FN] = fn
-                e[_ARGS] = args
-            else:
-                e = [time, seq, fn, args, 0.0, 0, None, None, None]
-            rel = time - self._base
-            if 0.0 <= rel < self._span:
-                i = int(rel * self._inv_width)
-                if i > self._cur_bi:
-                    if i < self._nbuckets:
-                        self._buckets[i].append(e)
-                        self._nbucketed += 1
-                    else:
-                        self._file(e)  # float edge at the window rim
-                else:
-                    _insort_desc(self._cur, e)
-            else:
-                self._file(e)
+        pool = self._pool
+        if pool:
+            e = pool.pop()
+            e[_TIME] = time
+            e[_SEQ] = seq
+            e[_FN] = fn
+            e[_ARGS] = args
         else:
-            ev = Event(time, seq, fn, args)
-            ev._sim = self
-            ev._entry = e = (time, seq, ev)
-            heapq.heappush(self._heap, e)
+            e = [time, seq, fn, args, 0.0, 0, None, None, None]
+        rel = time - self._base
+        if 0.0 <= rel < self._span:
+            i = int(rel * self._inv_width)
+            if i > self._cur_bi:
+                if i < self._nbuckets:
+                    self._buckets[i].append(e)
+                    self._nbucketed += 1
+                else:
+                    self._file(e)  # float edge at the window rim
+            else:
+                _insort_desc(self._cur, e)
+        else:
+            self._file(e)
 
     def schedule_pair(
         self,
@@ -506,44 +406,32 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 2
         self._live += 2
-        if self._bucketed:
-            pool = self._pool
-            if pool:
-                e = pool.pop()
-                e[_TIME] = t1
-                e[_SEQ] = seq
-                e[_FN] = fn1
-                e[_ARGS] = args1
-                e[_T2] = t2
-                e[_S2] = seq + 1
-                e[_FN2] = fn2
-                e[_ARGS2] = args2
-            else:
-                e = [t1, seq, fn1, args1, t2, seq + 1, fn2, args2, None]
-            rel = t1 - self._base
-            if 0.0 <= rel < self._span:
-                i = int(rel * self._inv_width)
-                if i > self._cur_bi:
-                    if i < self._nbuckets:
-                        self._buckets[i].append(e)
-                        self._nbucketed += 1
-                    else:
-                        self._file(e)  # float edge at the window rim
-                else:
-                    _insort_desc(self._cur, e)
-            else:
-                self._file(e)
+        pool = self._pool
+        if pool:
+            e = pool.pop()
+            e[_TIME] = t1
+            e[_SEQ] = seq
+            e[_FN] = fn1
+            e[_ARGS] = args1
+            e[_T2] = t2
+            e[_S2] = seq + 1
+            e[_FN2] = fn2
+            e[_ARGS2] = args2
         else:
-            # legacy kernel: two independent schedules consuming the
-            # same (seq, seq+1) pair — bit-identical firing order.
-            ev1 = Event(t1, seq, fn1, args1)
-            ev1._sim = self
-            ev1._entry = e1 = (t1, seq, ev1)
-            ev2 = Event(t2, seq + 1, fn2, args2)
-            ev2._sim = self
-            ev2._entry = e2 = (t2, seq + 1, ev2)
-            heapq.heappush(self._heap, e1)
-            heapq.heappush(self._heap, e2)
+            e = [t1, seq, fn1, args1, t2, seq + 1, fn2, args2, None]
+        rel = t1 - self._base
+        if 0.0 <= rel < self._span:
+            i = int(rel * self._inv_width)
+            if i > self._cur_bi:
+                if i < self._nbuckets:
+                    self._buckets[i].append(e)
+                    self._nbucketed += 1
+                else:
+                    self._file(e)  # float edge at the window rim
+            else:
+                _insort_desc(self._cur, e)
+        else:
+            self._file(e)
 
     def schedule_in(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` after a relative ``delay`` (>= 0)."""
@@ -625,7 +513,20 @@ class Simulator:
             return self._refill()
         return False
 
-    def _run_bucket(self, until: Optional[float], max_events: Optional[int]) -> None:
+    def run(
+        self,
+        until: Optional[float] = None,
+        max_events: Optional[int] = None,
+    ) -> None:
+        """Run events until the queue drains, ``until`` is reached, or
+        ``max_events`` have been dispatched.
+
+        ``until`` is inclusive: events stamped exactly ``until`` run.
+        On return, :attr:`now` is ``until`` when the queue is drained or
+        every remaining event lies beyond ``until``; a stop on
+        ``max_events`` leaves the clock at the last event executed so a
+        subsequent :meth:`run` resumes without misordering.
+        """
         pool = self._pool
         pool_append = pool.append
         counts = self.event_counts
@@ -726,60 +627,6 @@ class Simulator:
         if until is not None and self.now < until and (hit_until or self._live == 0):
             self.now = until
 
-    def _run_heap(self, until: Optional[float], max_events: Optional[int]) -> None:
-        # The original engine's loop, preserved as the golden reference
-        # and benchmark baseline: peek the (time, seq, Event) tuple,
-        # skip tombstones via the handle's ``cancelled`` attribute,
-        # dispatch through the handle's fn/args.
-        heap = self._heap
-        counts = self.event_counts
-        pop = heapq.heappop
-        dispatched = 0
-        hit_until = False
-        while heap:
-            t, _s, ev = heap[0]
-            if ev.cancelled:
-                pop(heap)
-                continue
-            if until is not None and t > until:
-                hit_until = True
-                break
-            pop(heap)
-            self.now = t
-            self._live -= 1
-            # detach so a late cancel() is a true no-op
-            ev._entry = None
-            dispatched += 1
-            fn = ev.fn
-            if counts is not None:
-                key = getattr(fn, "__qualname__", None) or repr(fn)
-                counts[key] = counts.get(key, 0) + 1
-            fn(*ev.args)
-            if max_events is not None and dispatched >= max_events:
-                break
-        self.events_dispatched += dispatched
-        if until is not None and self.now < until and (hit_until or self._live == 0):
-            self.now = until
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` have been dispatched.
-
-        ``until`` is inclusive: events stamped exactly ``until`` run.
-        On return, :attr:`now` is ``until`` when the queue is drained or
-        every remaining event lies beyond ``until``; a stop on
-        ``max_events`` leaves the clock at the last event executed so a
-        subsequent :meth:`run` resumes without misordering.
-        """
-        if self._bucketed:
-            self._run_bucket(until, max_events)
-        else:
-            self._run_heap(until, max_events)
-
     def step(self) -> bool:
         """Run the single next pending event.  Returns False when idle."""
         before = self.events_dispatched
@@ -802,13 +649,8 @@ class Simulator:
                     if e[2] is not CANC and (best is None or e[0] < best):
                         best = e[0]
         heap = self._heap
-        if self._bucketed:
-            while heap and heap[0][2] is CANC:
-                heapq.heappop(heap)
-        else:
-            # legacy kernel: heap holds (time, seq, Event) tuples
-            while heap and heap[0][2].cancelled:
-                heapq.heappop(heap)
+        while heap and heap[0][2] is CANC:
+            heapq.heappop(heap)
         if heap and (best is None or heap[0][0] < best):
             best = heap[0][0]
         return best
@@ -818,8 +660,8 @@ class Simulator:
         via a counter maintained on schedule/cancel/dispatch.
 
         Exact whenever :meth:`run` is not on the stack (the place the
-        watchdog/robustness paths call it from); inside a callback the
-        bucket kernel may over-report by the events dispatched so far
+        watchdog/robustness paths call it from); inside a callback it
+        may over-report by the events dispatched so far
         in the current batch, whose debits are synced when the batch
         ends."""
         return self._live
@@ -843,24 +685,13 @@ class Simulator:
             key = getattr(fn, "__qualname__", None) or repr(fn)
             counts[key] = counts.get(key, 0) + 1
 
-        if self._bucketed:
-            CANC = _CANCELLED
-            buckets = [self._cur, *self._buckets]
-            for bucket in buckets:
-                for e in bucket:
-                    if e[_FN] is not CANC:
-                        _count(e[_FN])
-                        if e[_FN2] is not None:
-                            _count(e[_FN2])
-            for e in self._heap:
+        CANC = _CANCELLED
+        for bucket in (self._cur, *self._buckets, self._heap):
+            for e in bucket:
                 if e[_FN] is not CANC:
                     _count(e[_FN])
                     if e[_FN2] is not None:
                         _count(e[_FN2])
-        else:
-            for _t, _s, ev in self._heap:
-                if not ev.cancelled:
-                    _count(ev.fn)
         return counts
 
 

@@ -32,7 +32,7 @@ Three pieces:
 
 Determinism contract: with no plan nothing here is imported at all and
 results are byte-identical to a fault-free build; with a fixed plan and
-seed, every kernel event — including the probabilistic corruption drops
+seed, every simulator event — including the probabilistic corruption drops
 (seeded by :attr:`FaultPlan.seed`) — replays identically, so faulted
 cells are cacheable exactly like healthy ones.
 """

@@ -360,7 +360,6 @@ class FabricGuard:
         sim = f.sim
         dump = {
             "now": sim.now,
-            "kernel": sim.kernel,
             "pending_events": sim.pending(),
             "events_dispatched": sim.events_dispatched,
             "event_histogram": sim.queue_snapshot(),

@@ -16,7 +16,7 @@ a running fabric the way a production fabric manager would:
 
 Enable it on any run with ``TelemetryConfig`` (runner/sweep API) or
 ``--telemetry`` (CLI); results stay byte-identical with telemetry on
-or off, on both kernels.  See docs/telemetry.md.
+or off.  See docs/telemetry.md.
 """
 
 from repro.telemetry.export import (

@@ -12,8 +12,8 @@ switch input port, end node, link, plus one network-wide aggregate row
 Sampling is strictly read-only: it touches no RNG stream, mutates no
 device state and injects only its own periodic tick events, whose
 dispatch count the fabric subtracts from its ``events`` statistic —
-so CaseResults are byte-identical with telemetry on or off, on both
-kernels (the same contract the invariant guard keeps).
+so CaseResults are byte-identical with telemetry on or off (the same
+contract the invariant guard keeps).
 """
 
 from __future__ import annotations

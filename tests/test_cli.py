@@ -173,6 +173,22 @@ class TestCliErrors:
         assert exc.value.code == 2
         assert "unknown command" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kernel", "heap", "case", "1"],
+            ["case", "1", "--kernel", "heap"],
+            ["sweep", "fig9", "--kernel", "heap"],
+            ["perf", "--quick", "--kernel", "heap"],
+        ],
+    )
+    def test_removed_kernel_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        if argv[0] != "--kernel":  # up front, argparse blames the stray "heap" instead
+            assert "--kernel" in capsys.readouterr().err
+
     def test_other_parse_errors_keep_argparse_contract(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--scale", "not-a-float", "case", "1"])

@@ -1,54 +1,24 @@
-"""Bucket/heap kernel contract: identical dispatch order, pooled API
-semantics, and byte-identical figure results.
+"""Event-queue contract: dispatch order, pooled API semantics, window
+overflow, and byte-identical figure results.
 
-The bucket kernel is an implementation detail — these tests pin the
-contract that makes it invisible: both kernels share the sequence
-allocator and fire callbacks in ``(time, seq)`` order, so every
-simulation in the repository produces bit-for-bit identical results on
-either.  See docs/performance.md.
+Every test taking ``sim_cls`` runs on both the production calendar
+queue and the ``heapq`` reference (tests/heap_oracle.py): the two share
+the ``(time, seq)`` contract, so each assertion here holds on either,
+and the cross-checks at the bottom require identical dispatch traces
+and byte-identical ``CaseResult``s.  See docs/performance.md.
 """
 
 import json
 
 import pytest
 
-from repro.sim.engine import (
-    DEFAULT_KERNEL,
-    KERNELS,
-    SimulationError,
-    Simulator,
-    resolve_kernel,
-)
-
-
-@pytest.fixture(params=KERNELS)
-def kernel(request):
-    return request.param
+from repro.sim.engine import SimulationError, Simulator
+from tests.heap_oracle import HeapSimulator
 
 
 # ----------------------------------------------------------------------
-# kernel selection
+# construction
 # ----------------------------------------------------------------------
-def test_default_kernel_is_bucket():
-    assert DEFAULT_KERNEL == "bucket"
-    assert Simulator().kernel == "bucket"
-
-
-def test_kernel_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_KERNEL", "heap")
-    assert resolve_kernel() == "heap"
-    assert Simulator().kernel == "heap"
-    # an explicit argument wins over the environment
-    assert Simulator(kernel="bucket").kernel == "bucket"
-
-
-def test_unknown_kernel_rejected():
-    with pytest.raises(ValueError):
-        Simulator(kernel="splay")
-    with pytest.raises(ValueError):
-        resolve_kernel("fibonacci")
-
-
 def test_bad_geometry_rejected():
     with pytest.raises(ValueError):
         Simulator(bucket_ns=0.0)
@@ -59,8 +29,8 @@ def test_bad_geometry_rejected():
 # ----------------------------------------------------------------------
 # pooled scheduling APIs
 # ----------------------------------------------------------------------
-def test_post_orders_with_schedule(kernel):
-    sim = Simulator(kernel=kernel)
+def test_post_orders_with_schedule(sim_cls):
+    sim = sim_cls()
     fired = []
     sim.schedule(5.0, fired.append, "s1")
     sim.post(5.0, fired.append, "p1")
@@ -70,8 +40,8 @@ def test_post_orders_with_schedule(kernel):
     assert fired == ["p0", "s1", "p1", "s2"]
 
 
-def test_post_in_past_raises(kernel):
-    sim = Simulator(kernel=kernel)
+def test_post_in_past_raises(sim_cls):
+    sim = sim_cls()
     sim.post(4.0, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
@@ -80,11 +50,11 @@ def test_post_in_past_raises(kernel):
         sim.post_in(-0.5, lambda: None)
 
 
-def test_schedule_pair_equivalent_to_two_schedules(kernel):
+def test_schedule_pair_equivalent_to_two_schedules(sim_cls):
     # the pair must interleave with independently scheduled events
     # exactly as two separate schedules would (both seqs reserved at
     # schedule time)
-    sim = Simulator(kernel=kernel)
+    sim = sim_cls()
     fired = []
     sim.schedule_pair(10.0, fired.append, ("tx",), 12.0, fired.append, ("rx",))
     sim.schedule(10.0, fired.append, "after-tx")  # later seq, same time
@@ -95,8 +65,8 @@ def test_schedule_pair_equivalent_to_two_schedules(kernel):
     assert sim.events_dispatched == 5
 
 
-def test_schedule_pair_same_instant(kernel):
-    sim = Simulator(kernel=kernel)
+def test_schedule_pair_same_instant(sim_cls):
+    sim = sim_cls()
     fired = []
     sim.schedule_pair(7.0, fired.append, ("a",), 7.0, fired.append, ("b",))
     sim.schedule(7.0, fired.append, "c")
@@ -105,8 +75,8 @@ def test_schedule_pair_same_instant(kernel):
     assert fired == ["a", "b", "c"]
 
 
-def test_schedule_pair_validates_times(kernel):
-    sim = Simulator(kernel=kernel)
+def test_schedule_pair_validates_times(sim_cls):
+    sim = sim_cls()
     with pytest.raises(SimulationError):
         sim.schedule_pair(5.0, lambda: None, (), 4.0, lambda: None, ())
     sim.post(1.0, lambda: None)
@@ -115,8 +85,8 @@ def test_schedule_pair_validates_times(kernel):
         sim.schedule_pair(0.5, lambda: None, (), 2.0, lambda: None, ())
 
 
-def test_pending_counts_pairs_and_posts(kernel):
-    sim = Simulator(kernel=kernel)
+def test_pending_counts_pairs_and_posts(sim_cls):
+    sim = sim_cls()
     sim.post(1.0, lambda: None)
     sim.schedule_pair(2.0, lambda: None, (), 3.0, lambda: None, ())
     assert sim.pending() == 3
@@ -126,10 +96,10 @@ def test_pending_counts_pairs_and_posts(kernel):
     assert sim.pending() == 0
 
 
-def test_entry_recycling_keeps_order(kernel):
+def test_entry_recycling_keeps_order(sim_cls):
     # churn far more events than the pool cap with shifting times; a
     # recycled entry carrying stale state would misorder or drop events
-    sim = Simulator(kernel=kernel, bucket_ns=8.0, num_buckets=16)
+    sim = sim_cls(bucket_ns=8.0, num_buckets=16)
     fired = []
     count = 9000
 
@@ -146,8 +116,8 @@ def test_entry_recycling_keeps_order(kernel):
 # ----------------------------------------------------------------------
 # run()/clock semantics (satellite: no fast-forward on max_events)
 # ----------------------------------------------------------------------
-def test_max_events_break_does_not_fast_forward_clock(kernel):
-    sim = Simulator(kernel=kernel)
+def test_max_events_break_does_not_fast_forward_clock(sim_cls):
+    sim = sim_cls()
     fired = []
     for i in range(1, 11):
         sim.post(float(i), fired.append, i)
@@ -159,8 +129,8 @@ def test_max_events_break_does_not_fast_forward_clock(kernel):
     assert sim.now == 100.0  # drained -> clock advances to until
 
 
-def test_until_with_remaining_future_events_advances_clock(kernel):
-    sim = Simulator(kernel=kernel)
+def test_until_with_remaining_future_events_advances_clock(sim_cls):
+    sim = sim_cls()
     sim.post(50.0, lambda: None)
     sim.run(until=10.0)
     assert sim.now == 10.0
@@ -170,8 +140,8 @@ def test_until_with_remaining_future_events_advances_clock(kernel):
     assert sim.pending() == 0
 
 
-def test_peek_time_across_kernels(kernel):
-    sim = Simulator(kernel=kernel, bucket_ns=4.0, num_buckets=8)
+def test_peek_time_across_kernels(sim_cls):
+    sim = sim_cls(bucket_ns=4.0, num_buckets=8)
     assert sim.peek_time() is None
     ev = sim.schedule(3.0, lambda: None)
     sim.post(1000.0, lambda: None)  # beyond the bucket window -> overflow
@@ -183,7 +153,7 @@ def test_peek_time_across_kernels(kernel):
 def test_far_future_events_rebase_window():
     # events far beyond the bucket span must dispatch in order after
     # the window rebases onto the overflow heap (several times over)
-    sim = Simulator(kernel="bucket", bucket_ns=2.0, num_buckets=4)  # span = 8 ns
+    sim = Simulator(bucket_ns=2.0, num_buckets=4)  # span = 8 ns
     fired = []
     times = [1.0, 7.5, 100.0, 101.0, 5000.0, 5000.0, 123456.0]
     for i, t in enumerate(times):
@@ -193,8 +163,8 @@ def test_far_future_events_rebase_window():
     assert sim.now == 123456.0
 
 
-def test_cancel_after_fire_does_not_corrupt_live_count(kernel):
-    sim = Simulator(kernel=kernel)
+def test_cancel_after_fire_does_not_corrupt_live_count(sim_cls):
+    sim = sim_cls()
     ev = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
     sim.run(max_events=1)
@@ -205,7 +175,7 @@ def test_cancel_after_fire_does_not_corrupt_live_count(kernel):
 
 
 # ----------------------------------------------------------------------
-# cross-kernel parity (randomized)
+# calendar queue vs heap oracle (randomized)
 # ----------------------------------------------------------------------
 def _mixed_workload(sim, seed):
     """A deterministic schedule/post/pair/cancel storm; returns the
@@ -237,38 +207,36 @@ def _mixed_workload(sim, seed):
 
 def test_kernels_dispatch_identically_randomized():
     # small bucket window to force frequent rebases/overflow traffic
-    t_bucket = _mixed_workload(Simulator(kernel="bucket", bucket_ns=16.0, num_buckets=32), seed=7)
-    t_heap = _mixed_workload(Simulator(kernel="heap"), seed=7)
+    t_bucket = _mixed_workload(Simulator(bucket_ns=16.0, num_buckets=32), seed=7)
+    t_heap = _mixed_workload(HeapSimulator(), seed=7)
     assert len(t_bucket) > 100
     assert t_bucket == t_heap
 
 
 # ----------------------------------------------------------------------
-# golden test: byte-identical figure results across kernels
+# golden test: byte-identical figure results vs the heap oracle
 # ----------------------------------------------------------------------
 def test_case_results_byte_identical_across_kernels():
     from repro.experiments.runner import PAPER_SCHEMES, run_case
 
     for scheme in PAPER_SCHEMES:
-        blobs = {}
-        for k in KERNELS:
-            res = run_case(
-                "case1",
-                scheme=scheme,
-                time_scale=0.05,
-                seed=1,
-                sim_factory=lambda k=k: Simulator(kernel=k),
+        blobs = [
+            json.dumps(
+                run_case(
+                    "case1", scheme=scheme, time_scale=0.05, seed=1, sim_factory=factory
+                ).to_dict(),
+                sort_keys=True,
             )
-            blobs[k] = json.dumps(res.to_dict(), sort_keys=True)
-        assert blobs["bucket"] == blobs["heap"], f"kernel divergence under {scheme}"
-        assert blobs["batch"] == blobs["heap"], f"batch kernel divergence under {scheme}"
+            for factory in (Simulator, HeapSimulator)
+        ]
+        assert blobs[0] == blobs[1], f"calendar queue diverges from the heap oracle under {scheme}"
 
 
 # ----------------------------------------------------------------------
 # PeriodicTask edge cases (satellite)
 # ----------------------------------------------------------------------
-def test_periodic_cancel_from_own_callback(kernel):
-    sim = Simulator(kernel=kernel)
+def test_periodic_cancel_from_own_callback(sim_cls):
+    sim = sim_cls()
     fired = []
     holder = {}
 
@@ -283,18 +251,18 @@ def test_periodic_cancel_from_own_callback(kernel):
     assert sim.pending() == 0  # the chain left no dangling event
 
 
-def test_periodic_end_exactly_on_tick_boundary(kernel):
-    sim = Simulator(kernel=kernel)
+def test_periodic_end_exactly_on_tick_boundary(sim_cls):
+    sim = sim_cls()
     fired = []
     sim.call_every(10.0, lambda: fired.append(sim.now), start=10.0, end=30.0)
     sim.run(until=100.0)
     assert fired == [10.0, 20.0, 30.0]  # a tick landing on `end` fires
 
 
-def test_periodic_reentrant_call_every(kernel):
+def test_periodic_reentrant_call_every(sim_cls):
     # a periodic callback spawning another periodic chain must not
     # disturb either cadence
-    sim = Simulator(kernel=kernel)
+    sim = sim_cls()
     outer, inner = [], []
 
     def outer_cb():

@@ -2,16 +2,15 @@
 
 Covers the FaultPlan spec grammar and its serialization/scaling
 contract, injector validation and switch-target expansion, the guard's
-expected-loss ledger across a link flap (both scalar kernels), the
+expected-loss ledger across a link flap (production queue and heap
+oracle), the
 stall watchdog's fault snapshot, byte-identity of fault-free runs,
 cache-key semantics, the routing reaction (adaptive rides out a kill
 that makes det drop at the source; the delayed deterministic re-route
-recovers), the journal torn-line warning, error-context satellites and
-the batch-kernel fallback.
+recovers), the journal torn-line warning and error-context satellites.
 """
 
 import json
-import warnings
 
 import pytest
 
@@ -21,7 +20,6 @@ from repro.experiments.sweep import SimJob
 from repro.network.link import LinkError
 from repro.network.packet import Packet
 from repro.network.topology import TopologyError
-from repro.sim.engine import Simulator
 from repro.sim.faults import (
     DEFAULT_REROUTE_DELAY,
     FaultEvent,
@@ -43,8 +41,7 @@ DOWNLINK = "s1p0->n2"
 CASE1_LINK = "s0p3->s1p4"
 
 
-def tiny_fabric(faults=None, routing="det", validate=None, kernel=None, scheme="1Q"):
-    sim = Simulator(kernel=kernel) if kernel is not None else None
+def tiny_fabric(faults=None, routing="det", validate=None, sim=None, scheme="1Q"):
     return build_fabric(
         k_ary_n_tree(2, 2), scheme=scheme, seed=1, sim=sim,
         validate=validate, routing=routing, faults=faults,
@@ -147,13 +144,12 @@ class TestInjectorTargets:
 
 
 # ---------------------------------------------------------------------------
-# guard ledger across a flap (satellite: both scalar kernels)
+# guard ledger across a flap (production queue and heap oracle)
 # ---------------------------------------------------------------------------
 class TestGuardLedger:
-    @pytest.mark.parametrize("kernel", ["bucket", "heap"])
-    def test_flap_conserves_packets_under_guard(self, kernel):
+    def test_flap_conserves_packets_under_guard(self, sim_cls):
         plan = FaultPlan.parse(f"down:{UPLINK}@30us;up:{UPLINK}@60us;reroute=20us")
-        fabric = tiny_fabric(faults=plan, validate=True, kernel=kernel)
+        fabric = tiny_fabric(faults=plan, validate=True, sim=sim_cls())
         attach_traffic(fabric, flows=[
             FlowSpec("f02", src=0, dst=2, rate=2.5),
             FlowSpec("f13", src=1, dst=3, rate=2.5),
@@ -352,20 +348,6 @@ class TestJournalTornLine:
         with pytest.warns(RuntimeWarning, match="torn tail"):
             done = SweepJournal(path).load()
         assert set(done) == {"k1"}
-
-
-class TestBatchFallback:
-    def test_batch_kernel_falls_back_to_bucket_with_warning(self):
-        spec = f"kill:{CASE1_LINK}@0.5ms"
-        with pytest.warns(RuntimeWarning, match="batch"):
-            batch = run_case("case1", scheme="1Q", time_scale=SCALE, seed=1,
-                             kernel="batch", faults=spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            bucket = run_case("case1", scheme="1Q", time_scale=SCALE, seed=1,
-                              kernel="bucket", faults=spec)
-        assert (json.dumps(batch.to_dict(), sort_keys=True)
-                == json.dumps(bucket.to_dict(), sort_keys=True))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The runtime invariant guard (repro.sim.guard).
 
 Three properties matter: guard mode never changes results (bit-identical
-with the guard on or off, on both engine kernels), a corrupted
+with the guard on or off, also on the heap oracle), a corrupted
 simulation state is *detected* (tampering trips the matching check),
 and a frozen network raises a structured StallError instead of hanging.
 """
@@ -95,10 +95,12 @@ class TestBitIdentical:
         assert guarded.to_dict() == plain.to_dict()
         assert guarded.stats["events"] == plain.stats["events"]
 
-    def test_heap_kernel_identical_under_guard(self, monkeypatch):
+    def test_heap_kernel_identical_under_guard(self):
+        from tests.heap_oracle import HeapSimulator
+
         plain = run_case("case1", scheme="CCFIT", time_scale=SCALE)
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "heap")
-        guarded = run_case("case1", scheme="CCFIT", time_scale=SCALE, validate=True)
+        guarded = run_case("case1", scheme="CCFIT", time_scale=SCALE, validate=True,
+                           sim_factory=HeapSimulator)
         assert guarded.to_dict() == plain.to_dict()
 
     def test_guard_actually_ran(self):

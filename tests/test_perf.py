@@ -1,9 +1,11 @@
-"""The ``repro perf`` harness: JSON report shape and CLI smoke."""
+"""The ``repro perf`` harness: JSON report shape, the ``--check`` gates
+and CLI smoke."""
 
 import json
 
 from repro.cli import main
 from repro.perf import (
+    check_report,
     dispatch_microbench,
     render_report,
     run_perf,
@@ -13,7 +15,7 @@ from repro.perf import (
 
 
 def test_dispatch_microbench_counts_events():
-    m = dispatch_microbench("bucket", n_events=5_000, repeats=1)
+    m = dispatch_microbench(n_events=5_000, repeats=1)
     assert m["events"] == 5_000
     assert m["events_per_s"] > 0
     assert m["wall_s"] > 0
@@ -40,27 +42,22 @@ def test_subsystem_counts_folds_qualnames():
 def test_run_perf_report_shape():
     report = run_perf(
         cases=("case1",),
-        schemes=("1Q",),
-        kernels=("bucket", "heap"),
+        schemes=("1Q", "CCFIT"),
         time_scale=0.02,
         seed=1,
         micro_events=5_000,
         micro_repeats=1,
     )
-    assert report["schema"] == "repro.perf/1"
-    assert set(report["microbench"]) == {"bucket", "heap"}
-    assert report["speedup"] > 0
-    assert len(report["cases"]) == 2
+    assert report["schema"] == "repro.perf/2"
+    assert report["microbench"]["events"] == 5_000
+    assert "speedup" not in report and "speedup_batch" not in report
+    assert [row["scheme"] for row in report["cases"]] == ["1Q", "CCFIT"]
     for row in report["cases"]:
         assert row["events"] > 0
         assert row["events_per_s"] > 0
         assert "subsystems" in row and row["subsystems"]
-    # both kernels executed the exact same event sequence
-    a, b = report["cases"]
-    assert a["events"] == b["events"]
-    assert a["delivered_packets"] == b["delivered_packets"]
-    # the telemetry-overhead gate runs once per kernel
-    assert {row["kernel"] for row in report["telemetry"]} == {"bucket", "heap"}
+        assert "kernel" not in row
+    assert len(report["telemetry"]) == 1
     assert all(row["byte_identical"] for row in report["telemetry"])
     assert render_report(report)  # renders without blowing up
 
@@ -69,8 +66,7 @@ def test_telemetry_overhead_gate():
     """Sampling must leave the results byte-identical and report a
     finite overhead measurement."""
     row = telemetry_overhead(
-        "case1", "1Q", kernel="bucket", time_scale=0.02, seed=1,
-        interval=50_000.0, repeats=1,
+        "case1", "1Q", time_scale=0.02, seed=1, interval=50_000.0, repeats=1,
     )
     assert row["byte_identical"] is True
     assert row["samples"] > 0
@@ -79,14 +75,44 @@ def test_telemetry_overhead_gate():
     assert isinstance(row["overhead_pct"], float)
 
 
+def _report(**over):
+    base = {
+        "schema": "repro.perf/2",
+        "microbench": {"events": 300_000},
+        "routing": {"ok": True, "overhead_pct": 1.0, "gate_pct": 5.0},
+        "telemetry": [{"case": "case1", "scheme": "CCFIT", "byte_identical": True}],
+    }
+    base.update(over)
+    return base
+
+
+def test_check_report_passes_on_a_clean_report():
+    ok, lines = check_report(_report())
+    assert ok, lines
+    assert all(line.startswith("ok") for line in lines)
+
+
+def test_check_report_routing_and_telemetry_gates():
+    bad_routing = _report(routing={"ok": False, "overhead_pct": 9.0, "gate_pct": 5.0})
+    ok, lines = check_report(bad_routing)
+    assert not ok
+    assert any(line.startswith("FAIL routing") for line in lines)
+    bad_tele = _report(
+        telemetry=[{"case": "case1", "scheme": "CCFIT", "byte_identical": False}]
+    )
+    ok, lines = check_report(bad_tele)
+    assert not ok
+    assert any(line.startswith("FAIL telemetry") for line in lines)
+
+
 def test_cli_perf_quick_writes_valid_json(tmp_path, capsys):
     out = tmp_path / "BENCH_engine.json"
     rc = main(["perf", "--quick", "--out", str(out)])
     assert rc == 0
     report = json.loads(out.read_text())
-    assert report["schema"] == "repro.perf/1"
+    assert report["schema"] == "repro.perf/2"
     assert report["quick"] is True
-    assert "bucket" in report["microbench"] and "heap" in report["microbench"]
+    assert report["microbench"]["events_per_s"] > 0
     assert report["cases"], "expected at least one case row"
     assert capsys.readouterr().out.strip()
 

@@ -3,11 +3,12 @@
 Covers the three contracts of the shared-buffer PR:
 
 * the static model is the golden default — picking it explicitly is
-  byte-identical to not picking anything, on every kernel;
+  byte-identical to not picking anything, on the production queue and
+  on the heap oracle;
 * the PFC/PFC+RCM schemes and the shared model run end to end under
   the invariant guard, and the shared model actually pauses;
 * the plumbing edges: cache-key discipline, case-insensitive CLI
-  resolution with a did-you-mean exit, and the batch-kernel fallback.
+  resolution with a did-you-mean exit.
 """
 
 from argparse import Namespace
@@ -19,7 +20,6 @@ from repro.core.ccfit import SCHEMES
 from repro.core.params import CCParams
 from repro.experiments.runner import run_case
 from repro.experiments.sweep import SimJob
-from repro.sim.engine import KERNELS
 
 MTU = 2048
 
@@ -28,11 +28,10 @@ TIGHT = CCParams(memory_size=16 * MTU, shared_alpha=0.5)
 
 
 class TestStaticEquivalence:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_static_model_is_byte_identical(self, kernel):
-        base = run_case("case1", scheme="CCFIT", time_scale=0.05, kernel=kernel)
+    def test_static_model_is_byte_identical(self, sim_cls):
+        base = run_case("case1", scheme="CCFIT", time_scale=0.05, sim_factory=sim_cls)
         static = run_case(
-            "case1", scheme="CCFIT", time_scale=0.05, kernel=kernel,
+            "case1", scheme="CCFIT", time_scale=0.05, sim_factory=sim_cls,
             buffer_model="static",
         )
         assert static.to_dict() == base.to_dict()
@@ -91,14 +90,6 @@ class TestPlumbing:
         assert j_shared.key() != j0.key()
         assert j_shared.label().endswith("%shared")
         assert "%" not in j_static.label()
-
-    def test_batch_kernel_falls_back_to_bucket(self):
-        with pytest.warns(RuntimeWarning, match="batch"):
-            res = run_case(
-                "case1", scheme="CCFIT", time_scale=0.05,
-                kernel="batch", buffer_model="shared",
-            )
-        assert res.stats["delivered_packets"] > 0
 
     def test_datacenter_incast_registered(self):
         from repro.experiments import registry

@@ -3,9 +3,11 @@
 ``tests/golden/scheme_equivalence.json`` pins the canonical JSON (and
 its SHA-256) of every ``CaseResult`` produced by the paper schemes
 *before* the hook-based scheme architecture landed (commit ``a480e9c``).
-These tests recompute each cell on both engine kernels and require
-byte-identical output — any behavioural drift in the refactored
-switch/end-node/fabric path fails loudly, with the full dict diff.
+These tests recompute each cell on the production calendar queue and on
+the ``heapq`` reference (the ``sim_cls`` fixture, tests/conftest.py)
+and require byte-identical output — any behavioural drift in the
+refactored switch/end-node/fabric path, or in the event queue, fails
+loudly, with the full dict diff.
 """
 
 import hashlib
@@ -14,51 +16,69 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.params import CCParams
 from repro.experiments.runner import run_case
 from repro.sim.engine import Simulator
+from tests.conftest import SIM_CLASSES
+from tests.heap_oracle import HeapSimulator
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "scheme_equivalence.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 META = GOLDEN["_meta"]
 
-#: the kernels the golden cells must reproduce on: the two the golden
-#: file was pinned with, plus every kernel added since (the batch slot
-#: kernel) — the golden bytes are kernel-invariant by contract, so new
-#: kernels join the parametrization without touching the golden file.
-KERNELS_UNDER_TEST = tuple(META["kernels"]) + ("batch",)
+FLAP = "down:s0p4->s16p0@1.2ms;up:s0p4->s16p0@1.5ms"
 
-#: every registered routing policy (the batch × routing grid below).
-ROUTING_POLICIES = ("det", "ecmp", "adaptive", "flowlet")
+#: cells with no golden pin, on the paths the golden grid (static
+#: buffers, det routing, fault-free) never reaches: the shared pool (the
+#: Config #3 incast, and a tight pool that actually PAUSEs), the fault
+#: state machine, and every non-det routing policy.  The reference is a
+#: fresh heap-oracle run of the same cell.
+ORACLE_CELLS = {
+    "case4-pfc-shared": dict(
+        case="case4", scheme="PFC+RCM", num_trees=4, buffer_model="shared", time_scale=0.025
+    ),
+    "case1-pfc-shared-pausing": dict(
+        case="case1", scheme="PFC", buffer_model="shared", time_scale=0.05,
+        params=CCParams(memory_size=16 * 2048, shared_alpha=0.5),
+    ),
+    "case4-ccfit-adaptive-flap": dict(
+        case="case4", scheme="CCFIT", routing="adaptive", faults=FLAP, time_scale=0.025
+    ),
+    **{
+        f"case1-{routing}": dict(case="case1", scheme="CCFIT", routing=routing, time_scale=0.05)
+        for routing in ("ecmp", "adaptive", "flowlet")
+    },
+}
 
 
 def _canonical(res) -> str:
     return json.dumps(res.to_dict(), sort_keys=True)
 
 
-@pytest.mark.parametrize("kernel", KERNELS_UNDER_TEST)
+# explicit (indirect) so the ids stay "<cell>-<queue>"
+@pytest.mark.parametrize("sim_cls", sorted(SIM_CLASSES), indirect=True)
 @pytest.mark.parametrize("cell", sorted(GOLDEN["cells"]))
-def test_cell_matches_golden(cell, kernel):
+def test_cell_matches_golden(cell, sim_cls):
     case, scheme = cell.split("/")
     res = run_case(
         case,
         scheme=scheme,
         time_scale=META["grid"][case],
         seed=META["seed"],
-        sim_factory=lambda: Simulator(kernel=kernel),
+        sim_factory=sim_cls,
     )
     gold = GOLDEN["cells"][cell]
     # dict comparison first: on drift, pytest shows *which* field moved.
-    assert res.to_dict() == gold["result"], f"{cell} drifted on {kernel}"
+    assert res.to_dict() == gold["result"], f"{cell} drifted on {sim_cls.__name__}"
     blob = _canonical(res)
     digest = hashlib.sha256(blob.encode()).hexdigest()
-    assert digest == gold["sha256"], f"{cell} canonical JSON differs on {kernel}"
+    assert digest == gold["sha256"], f"{cell} canonical JSON differs on {sim_cls.__name__}"
 
 
-@pytest.mark.parametrize("kernel", KERNELS_UNDER_TEST)
-def test_det_policy_is_the_golden_reference(kernel):
+def test_det_policy_is_the_golden_reference(sim_cls):
     """Explicit ``routing="det"`` (the policy-layer path, not the
     default-resolution path) reproduces the pre-policy golden bytes —
-    on both kernels — proving the RoutingPolicy indirection is
+    on both event queues — proving the RoutingPolicy indirection is
     invisible to results."""
     cell = sorted(GOLDEN["cells"])[0]
     case, scheme = cell.split("/")
@@ -68,7 +88,7 @@ def test_det_policy_is_the_golden_reference(kernel):
         time_scale=META["grid"][case],
         seed=META["seed"],
         routing="det",
-        sim_factory=lambda: Simulator(kernel=kernel),
+        sim_factory=sim_cls,
     )
     gold = GOLDEN["cells"][cell]
     assert res.to_dict() == gold["result"]
@@ -77,45 +97,17 @@ def test_det_policy_is_the_golden_reference(kernel):
     assert "routing" not in res.to_dict()
 
 
-def _cross_kernel_blob(case, scheme, routing, kernel, time_scale):
-    res = run_case(
-        case,
-        scheme=scheme,
-        time_scale=time_scale,
-        seed=META["seed"],
-        routing=routing,
-        sim_factory=lambda: Simulator(kernel=kernel),
-    )
-    return _canonical(res)
-
-
-@pytest.mark.parametrize("routing", ROUTING_POLICIES)
-def test_batch_kernel_byte_identical_under_every_routing_policy(routing):
-    """The batch kernel must agree with the heap golden reference under
-    every routing policy, not only the golden det cells — non-det
-    results have no golden pin, so the reference is a fresh heap run
-    of the same cell (tier-1 sized: one scheme, the small case)."""
-    blobs = {
-        kernel: _cross_kernel_blob("case1", "CCFIT", routing, kernel, 0.05)
-        for kernel in ("heap", "batch")
-    }
-    assert blobs["batch"] == blobs["heap"], f"batch diverges under routing={routing}"
-
-
-@pytest.mark.tier2
-@pytest.mark.parametrize("routing", ROUTING_POLICIES)
-@pytest.mark.parametrize("scheme", META["schemes"])
-def test_batch_kernel_full_scheme_routing_grid(scheme, routing):
-    """Tier-2 big grid: every paper scheme × every routing policy,
-    batch vs heap, on the golden scenario sizes."""
-    for case, time_scale in META["grid"].items():
-        blobs = {
-            kernel: _cross_kernel_blob(case, scheme, routing, kernel, time_scale)
-            for kernel in ("heap", "batch")
-        }
-        assert blobs["batch"] == blobs["heap"], (
-            f"batch diverges: {case}/{scheme}@{routing}"
-        )
+@pytest.mark.parametrize("cell", sorted(ORACLE_CELLS))
+def test_heap_oracle_matches_calendar_queue(cell):
+    """Off the golden grid the calendar queue must still agree with the
+    heap oracle byte for byte (see :data:`ORACLE_CELLS`)."""
+    kw = dict(ORACLE_CELLS[cell])
+    case = kw.pop("case")
+    blobs = [
+        _canonical(run_case(case, seed=META["seed"], sim_factory=factory, **kw))
+        for factory in (Simulator, HeapSimulator)
+    ]
+    assert blobs[0] == blobs[1], f"calendar queue diverges from the heap oracle on {cell}"
 
 
 def test_golden_file_covers_declared_grid():

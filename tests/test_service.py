@@ -399,6 +399,21 @@ class TestService:
             with pytest.raises(ServiceError):
                 ServiceClient(srv.url).submit("not-an-experiment")
 
+    @pytest.mark.parametrize("field", ["routing", "kernel"])
+    def test_unknown_field_is_400_naming_it(self, tmp_path, field):
+        """A typo (``routing`` for ``routings``) or a removed knob
+        (``kernel``) is rejected, never silently dropped to run the
+        default grid."""
+        with ServiceServer(tmp_path / "broker", port=0,
+                           cache_dir=str(tmp_path / "cache")) as srv:
+            client = ServiceClient(srv.url)
+            with pytest.raises(ServiceError) as exc:
+                client.submit("fig7a", schemes=["CCFIT"], **{field: "adaptive"})
+            message = str(exc.value)
+            assert "400" in message
+            assert repr(field) in message and "routings" in message
+            assert client.runs() == []  # nothing was enqueued
+
 
 # ----------------------------------------------------------------------
 # multi-process end-to-end (tier2)

@@ -25,6 +25,7 @@ from repro.experiments.sweep import (
     SweepOptions,
     run_sweep,
 )
+from repro.sim.faults import FaultPlan
 
 SCALE = 0.02
 
@@ -107,6 +108,35 @@ class TestSimJob:
     def test_unknown_case_rejected(self):
         with pytest.raises(KeyError):
             SimJob(case="case9", scheme="1Q")
+
+    @pytest.mark.parametrize(
+        "kw, key",
+        [
+            (
+                dict(case="case1", scheme="CCFIT", time_scale=0.25),
+                "11eb434a25c6d3c1f58df1b47681605bd8b563549b0489907846542105e2e378",
+            ),
+            (
+                dict(case="case4", scheme="PFC+RCM", time_scale=0.025,
+                     extra=(("num_trees", 4),), buffer_model="shared"),
+                "0f9814208a3255233d38130f7f5decc0036b89e5f0b5869f13e45f9165af1264",
+            ),
+            (
+                dict(case="case4", scheme="CCFIT", time_scale=0.025,
+                     extra=(("num_trees", 1),), routing="adaptive",
+                     faults=FaultPlan.parse("down:s0p4->s16p0@1.2ms;up:s0p4->s16p0@1.5ms")),
+                "16d1ef1004c180bf984159f8cb203408f9c881309b05916a9f96646fa44b0607",
+            ),
+        ],
+        ids=["static-ccfit", "shared-pfc-rcm", "faulted-adaptive"],
+    )
+    def test_key_is_pinned(self, kw, key):
+        """Golden cache keys (the benchmark's three cell shapes, seed 1).
+        A refactor of the job/spec layer must not move them: every
+        populated cache and queued spec is addressed by these bytes.  A
+        deliberate move (a ``repro.__version__`` bump, a new preimage
+        field) updates the constants in the same change."""
+        assert SimJob(seed=1, **kw).key() == key
 
     def test_run_matches_direct_call(self, small):
         res = SimJob(case="case1", scheme="1Q", time_scale=SCALE).run()
@@ -233,6 +263,10 @@ class TestBackwardsCompatibleSignatures:
     def test_run_case_rejects_positional_scheme(self):
         with pytest.raises(TypeError):
             run_case("case1", "1Q")
+
+    def test_run_case_rejects_removed_kernel_argument(self):
+        with pytest.raises(TypeError, match="kernel"):
+            run_case("case1", scheme="1Q", kernel="heap")
 
     def test_duplicate_argument_rejected(self):
         with pytest.raises(TypeError):

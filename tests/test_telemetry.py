@@ -14,7 +14,6 @@ from repro.experiments.runner import run_case
 from repro.experiments.sweep import SimJob, SweepOptions, run_sweep
 from repro.metrics.trace import ProtocolTrace, TraceEvent
 from repro.network.fabric import build_fabric
-from repro.sim.engine import Simulator
 from repro.telemetry import TelemetryConfig, TelemetrySampler, TreeTracker
 from repro.telemetry.export import (
     TELEMETRY_FORMATS,
@@ -204,17 +203,17 @@ class TestSampler:
         with pytest.raises(RuntimeError):
             sampler.start()
 
-    @pytest.mark.parametrize("kernel", ["bucket", "heap"])
-    def test_results_byte_identical_with_telemetry(self, kernel):
+    def test_results_byte_identical_with_telemetry(self, sim_cls):
         """The acceptance gate: attaching the sampler changes no result
-        field on either kernel — the bundle is purely additive."""
+        field, on the production queue or the heap oracle — the bundle
+        is purely additive."""
         def run(telemetry):
             return run_case(
                 "case1",
                 scheme="CCFIT",
                 time_scale=SCALE,
                 seed=1,
-                sim_factory=lambda: Simulator(kernel=kernel),
+                sim_factory=sim_cls,
                 telemetry=telemetry,
             )
 
