@@ -5,7 +5,7 @@ subprocesses, real TCP — and checks the determinism contract:
 
 1. start ``repro serve`` on a free port with a scratch broker/cache;
 2. start two ``repro worker`` processes pointed at the HTTP endpoint;
-3. submit one fig7a cell over HTTP and poll the run to completion;
+3. submit one fig7a cell over HTTP and await the run (long-poll) to completion;
 4. assert the fetched ``CaseResult`` is byte-identical to the same
    cell run in-process via ``run_case``;
 5. exercise ``repro cache`` stats/prune against the shared namespace.

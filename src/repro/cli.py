@@ -312,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="heartbeat period while running a cell "
                              "(default: lease ttl / 4)")
     worker.add_argument("--poll-interval", type=float, default=0.5, metavar="S",
-                        help="idle sleep between claim attempts (default 0.5)")
+                        help="idle sleep between claim attempts on a broker "
+                             "directory (default 0.5); over HTTP the claim "
+                             "waits in the server instead")
     worker.add_argument("--max-cells", type=int, default=None, metavar="N",
                         help="exit after completing N cells")
     worker.add_argument("--idle-exit", type=float, default=None, metavar="S",
@@ -800,6 +802,7 @@ def _cmd_serve(args) -> int:
 def _cmd_worker(args) -> int:
     from repro.experiments.resilience import RetryPolicy
     from repro.service import Worker
+    from repro.service.api import ServiceError
 
     policy = RetryPolicy(max_retries=max(0, args.retries))
     worker = Worker(
@@ -818,6 +821,11 @@ def _cmd_worker(args) -> int:
     except KeyboardInterrupt:
         summary = {"worker": worker.id, "completed": worker.completed,
                    "failed": worker.failed, "elapsed": None}
+    except ServiceError as exc:
+        # a worker over HTTP is always inside a request, so it is the
+        # first to know when its server goes away
+        print(f"worker {worker.id}: lost the broker: {exc}", file=sys.stderr)
+        return 1
     print(
         f"worker {summary['worker']}: {summary['completed']} completed, "
         f"{summary['failed']} failed"

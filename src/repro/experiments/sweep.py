@@ -326,7 +326,11 @@ class ResultCache:
             stacklevel=3,
         )
 
-    def get(self, key: str) -> Optional[CaseResult]:
+    def get_dict(self, key: str) -> Optional[Dict[str, Any]]:
+        """The stored result dict, digest-verified: what
+        :meth:`put_dict` was given, for callers that send it on as JSON
+        (hydrating numpy arrays only to serialize them again would be
+        waste).  A corrupt entry is quarantined and reads as a miss."""
         try:
             text = self.path(key).read_text()
         except FileNotFoundError:
@@ -343,15 +347,21 @@ class ResultCache:
         except ValueError:
             self._discard(key, "invalid JSON (torn or truncated write)")
             return None
-        if not isinstance(data, dict) or "result" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("result"), dict):
             self._discard(key, "unrecognized entry schema")
             return None
         stored = data.get("sha256")
         if stored is not None and stored != self._digest(data["result"]):
             self._discard(key, "content digest mismatch")
             return None
+        return data["result"]
+
+    def get(self, key: str) -> Optional[CaseResult]:
+        result = self.get_dict(key)
+        if result is None:
+            return None
         try:
-            return CaseResult.from_dict(data["result"])
+            return CaseResult.from_dict(result)
         except (KeyError, TypeError, ValueError) as exc:
             # digest-valid but undecodable: written by an incompatible
             # schema version.  Loudly recompute rather than guess.

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import socket
 import time
 import uuid
@@ -51,6 +52,12 @@ __all__ = ["FsBroker", "Lease", "default_worker_id"]
 
 #: lease requeues tolerated before a cell is declared lost.
 DEFAULT_MAX_REQUEUES = 3
+
+#: how a record's kind reads in the event log, whose lines are compact
+#: JSON: a line can be told by it without being decoded.  (A quote
+#: inside a string value is escaped, so only the record's own key can
+#: read like this.)
+_EVENT_KIND = b'"kind":"%s"'
 
 
 def default_worker_id() -> str:
@@ -143,6 +150,10 @@ class FsBroker:
         self.cache = ResultCache(cache_dir if cache_dir is not None else self.root / "cache")
         self.events_path = self.root / "events.jsonl"
 
+    def close(self) -> None:
+        """Nothing stays open between calls; a broker can be closed
+        without asking which kind it is (``HttpBroker.close``)."""
+
     # -- paths ---------------------------------------------------------
     def _queued(self, key: str) -> Path:
         return self.root / "queue" / f"{key}.json"
@@ -174,20 +185,49 @@ class FsBroker:
         finally:
             os.close(fd)
 
-    def events(self) -> Iterator[Dict[str, Any]]:
-        """Decode the event log, skipping any torn trailing line."""
+    def _read_log(self, offset: int = 0) -> Tuple[bytes, int]:
+        """The whole lines of the event log from byte ``offset`` on, and
+        the offset of what follows them (a torn trailing line is left
+        for the next read)."""
         try:
-            text = self.events_path.read_text()
+            with open(self.events_path, "rb") as fh:
+                fh.seek(offset)
+                data = fh.read()
         except FileNotFoundError:
-            return
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
+            return b"", offset
+        end = data.rfind(b"\n") + 1
+        return data[:end], offset + end
+
+    def read_events(
+        self, offset: int = 0, kind: Optional[str] = None
+    ) -> Tuple[List[Dict[str, Any]], int]:
+        """The event log from byte ``offset`` on, decoded, and the
+        offset to resume from -- a tail reads only what is new.  With
+        ``kind``, lines of any other kind are skipped undecoded."""
+        data, offset = self._read_log(offset)
+        lines = data.splitlines()
+        if kind is not None:
+            marker = _EVENT_KIND % kind.encode("utf-8")
+            lines = [line for line in lines if marker in line]
+        records = []
+        for line in lines:
             try:
-                yield json.loads(line)
+                records.append(json.loads(line))
             except ValueError:
-                continue
+                continue  # blank, or two lines run together by a crash
+        return records, offset
+
+    def events(self) -> Iterator[Dict[str, Any]]:
+        """Decode the whole event log, skipping any torn line."""
+        return iter(self.read_events()[0])
+
+    def event_counts(self) -> Dict[str, int]:
+        """Events logged so far, by kind; no line is decoded."""
+        counts: Dict[str, int] = {}
+        for raw in re.findall(_EVENT_KIND % rb'([^"\\]*)', self._read_log()[0]):
+            kind = raw.decode("utf-8")
+            counts[kind] = counts.get(kind, 0) + 1
+        return counts
 
     # -- submission ----------------------------------------------------
     def submit(
@@ -215,7 +255,7 @@ class FsBroker:
             key = job.key()
             run.keys.append(key)
             run.labels[key] = job.label()
-            if self._done(key).exists() or self.cache.get(key) is not None:
+            if self._done(key).exists() or self.cache.get_dict(key) is not None:
                 run.cached.append(key)
                 self._event("cached", key, run=run.id, label=job.label())
                 continue
@@ -441,21 +481,28 @@ class FsBroker:
     def cell_state(self, key: str) -> str:
         """``done`` | ``failed`` | ``active`` | ``queued`` | ``cached``
         | ``unknown`` — in precedence order (a completed cell may still
-        have a stale queue copy for a moment)."""
-        if self._done(key).exists():
-            return "done"
-        if self._failed(key).exists():
-            return "failed"
-        if self._active(key).exists():
-            return "active"
-        if self._queued(key).exists():
-            return "queued"
-        if self.cache.get(key) is not None:
-            return "cached"
+        have a stale queue copy for a moment).  The probes are separate
+        system calls: a claim or a requeue that renames the cell between
+        two of them hides it from both, so a cell found nowhere is
+        looked for once more before it is called ``unknown``."""
+        for _ in range(2):
+            if self._done(key).exists():
+                return "done"
+            if self._failed(key).exists():
+                return "failed"
+            if self._active(key).exists():
+                return "active"
+            if self._queued(key).exists():
+                return "queued"
+            if self.cache.get_dict(key) is not None:
+                return "cached"
         return "unknown"
 
     def run_status(self, run_id: str) -> Optional[Dict[str, Any]]:
-        """Per-run progress: cell states, terminal flag, counts."""
+        """Per-run progress: cell states, terminal flag, counts.  A run
+        is ``done`` when every cell is ``done``, ``failed`` or
+        ``cached``; an ``unknown`` cell is not finished, it is not
+        accounted for."""
         run = self.run(run_id)
         if run is None:
             return None
@@ -463,9 +510,7 @@ class FsBroker:
         counts: Dict[str, int] = {}
         for state in states.values():
             counts[state] = counts.get(state, 0) + 1
-        finished = sum(
-            counts.get(s, 0) for s in ("done", "failed", "cached")
-        ) + counts.get("unknown", 0)
+        finished = sum(counts.get(s, 0) for s in ("done", "failed", "cached"))
         return {
             "run": run.id,
             "experiment": run.experiment,
@@ -506,8 +551,8 @@ class FsBroker:
                 failures.append(failure)
             cells.append(cell)
         requeues = [
-            ev for ev in self.events()
-            if ev.get("kind") == "requeue" and ev.get("key") in run.labels
+            ev for ev in self.read_events(kind="requeue")[0]
+            if ev.get("key") in run.labels
         ]
         ok = sum(1 for c in cells if c["status"] == "ok")
         return {

@@ -10,7 +10,9 @@ that requeues expired leases, and exposes:
 ``POST /experiments``         submit a registered experiment as a run
 ``GET  /experiments``         the experiment registry (the API surface)
 ``GET  /runs``                all runs with live progress counts
-``GET  /runs/<id>``           one run's status (terminal flag, states)
+``GET  /runs/<id>``           one run's status (terminal flag, states);
+                              ``?wait=S`` answers when the run ends or
+                              after ``S`` seconds, whichever is first
 ``GET  /runs/<id>/events``    cell-level progress as NDJSON (or SSE
                               with ``Accept: text/event-stream``);
                               ``?follow=1`` streams until the run ends
@@ -20,23 +22,35 @@ that requeues expired leases, and exposes:
 ``GET  /results/<key>/telemetry``  the cell's telemetry bundle
 ``GET  /metrics``             live Prometheus exposition: service
                               gauges + the freshest telemetry bundle
-``POST /broker/claim|heartbeat|complete|fail``   the worker protocol
+``POST /broker/claim|heartbeat|complete|fail``   the worker protocol;
+                              ``claim`` with ``"wait": S`` blocks until
+                              a cell is there or ``S`` seconds pass
 ``GET  /healthz``             liveness probe
 ============================  =========================================
 
 Workers may attach either directly to the broker directory
 (``repro worker --broker /path``) or over TCP through this server
 (``repro worker --broker http://host:8642``) — the protocol is the
-same four verbs either way.  See ``docs/service.md``.
+same four verbs either way.
+
+Nothing on the HTTP path polls: connections are kept alive, and a
+request that waits sleeps on one condition the server notifies after
+every mutation it performs (:meth:`ServiceServer.wait_for`).  Mutations
+by workers attached to the directory are invisible to the server, so a
+sleeping request also looks again every ``_DIRECTORY_PROBE`` seconds.
+See ``docs/service.md``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 from urllib.parse import parse_qs, urlparse
 
 from repro.service.broker import FsBroker
@@ -45,8 +59,14 @@ __all__ = ["ServiceServer", "serve", "DEFAULT_PORT"]
 
 DEFAULT_PORT = 8642
 
-#: how long a follow-mode event stream sleeps between log polls.
-_FOLLOW_POLL = 0.2
+#: how often a waiting request looks at the directory again without
+#: having been notified: workers attached to the directory change it
+#: behind the server's back.
+_DIRECTORY_PROBE = 0.2
+#: the longest one request may wait; clients re-ask.
+_MAX_WAIT = 30.0
+
+T = TypeVar("T")
 
 
 class _BadRequest(ValueError):
@@ -59,6 +79,20 @@ _SUBMISSION_FIELDS = frozenset({
     "experiment", "schemes", "routings", "time_scale", "seed",
     "buffer_model", "faults", "telemetry", "telemetry_interval", "extra",
 })
+
+
+def _wait_seconds(raw: Any) -> float:
+    """The ``wait`` a request carries, in seconds: absent means answer
+    now, anything over ``_MAX_WAIT`` means ``_MAX_WAIT``."""
+    if raw is None:
+        return 0.0
+    try:
+        wait = float(raw)
+    except (TypeError, ValueError):
+        wait = math.nan
+    if not 0.0 <= wait < math.inf:
+        raise _BadRequest(f"'wait' must be a number of seconds >= 0, not {raw!r}")
+    return min(wait, _MAX_WAIT)
 
 
 def _resolve_submission(request: Dict[str, Any]) -> Tuple[Any, List[Any]]:
@@ -152,24 +186,25 @@ def _resolve_submission(request: Dict[str, Any]) -> Tuple[Any, List[Any]]:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # One segment per reply, sent at once: on a kept-alive connection a
+    # reply split into header and body writes waits ~40 ms for the
+    # client's delayed ACK (Nagle), every request.
+    disable_nagle_algorithm = True
+    wbufsize = -1
 
     # -- response helpers ----------------------------------------------
     def _json(self, payload: Dict[str, Any], status: int = 200) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(json.dumps(payload).encode("utf-8"), "application/json", status)
 
     def _error(self, status: int, message: str) -> None:
         self._json({"error": message}, status=status)
 
-    def _text(self, text: str, content_type: str = "text/plain; charset=utf-8") -> None:
-        body = text.encode("utf-8")
-        self.send_response(200)
+    def _send(self, body: bytes, content_type: str, status: int = 200) -> None:
+        self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:  # the client asked, or the request went wrong
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -195,39 +230,42 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(fmt, *args)
 
     # -- routing -------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
+    def _dispatch(self, route: Callable[[], None]) -> None:
+        if self.svc.stopping:
+            # it raced the hang-up in: neither acted on nor answered, so
+            # the client may safely ask whoever listens next
+            self.close_connection = True
+            return
+        self.server.count_request()  # type: ignore[attr-defined]
         try:
-            self._route_get()
+            route()
         except _BadRequest as exc:
             self._error(400, str(exc))
-        except BrokenPipeError:
-            pass
+        except ConnectionError:
+            raise  # the client hung up: nobody to answer (_Httpd.handle_error)
         except Exception as exc:  # never kill the handler thread
+            # the request may not have been read to its end: what follows
+            # on this connection cannot be trusted to be a request
+            self.close_connection = True
             try:
                 self._error(500, f"{type(exc).__name__}: {exc}")
             except Exception:
                 pass
 
+    def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch(self._route_get)
+
     def do_POST(self) -> None:  # noqa: N802
-        try:
-            self._route_post()
-        except _BadRequest as exc:
-            self._error(400, str(exc))
-        except BrokenPipeError:
-            pass
-        except Exception as exc:
-            try:
-                self._error(500, f"{type(exc).__name__}: {exc}")
-            except Exception:
-                pass
+        self._dispatch(self._route_post)
 
     def _route_get(self) -> None:
         parsed = urlparse(self.path)
         parts = [p for p in parsed.path.split("/") if p]
         query = parse_qs(parsed.query)
-        broker = self.svc.broker
+        svc = self.svc
+        broker = svc.broker
         if parts == ["healthz"]:
-            self._json({"ok": True, "uptime_s": time.time() - self.svc.started})
+            self._json({"ok": True, "uptime_s": time.time() - svc.started})
         elif parts == ["experiments"]:
             from repro.experiments import registry
 
@@ -239,7 +277,11 @@ class _Handler(BaseHTTPRequestHandler):
                 ]
             })
         elif len(parts) == 2 and parts[0] == "runs":
-            status = broker.run_status(parts[1])
+            status = svc.wait_for(
+                lambda: broker.run_status(parts[1]),
+                lambda status: status is None or status["done"],
+                _wait_seconds(query.get("wait", [None])[0]),
+            )
             if status is None:
                 return self._error(404, f"unknown run {parts[1]!r}")
             self._json(status)
@@ -252,30 +294,33 @@ class _Handler(BaseHTTPRequestHandler):
             follow = query.get("follow", ["0"])[0] not in ("0", "", "false")
             self._stream_events(parts[1], follow)
         elif len(parts) == 2 and parts[0] == "results":
-            result = broker.cache.get(parts[1])
+            result = broker.cache.get_dict(parts[1])
             if result is None:
                 return self._error(404, f"no cached result for key {parts[1][:16]!r}")
-            self._json({"key": parts[1], "result": result.to_dict()})
+            self._json({"key": parts[1], "result": result})
         elif len(parts) == 3 and parts[0] == "results" and parts[2] == "telemetry":
-            result = broker.cache.get(parts[1])
+            result = broker.cache.get_dict(parts[1])
             if result is None:
                 return self._error(404, f"no cached result for key {parts[1][:16]!r}")
-            if result.telemetry is None:
+            if result.get("telemetry") is None:
                 return self._error(404, "cell ran without telemetry")
-            self._json({"key": parts[1], "telemetry": result.telemetry})
+            self._json({"key": parts[1], "telemetry": result["telemetry"]})
         elif parts == ["metrics"]:
-            self._text(self.svc.render_metrics(), "text/plain; version=0.0.4; charset=utf-8")
+            self._send(svc.render_metrics().encode("utf-8"),
+                       "text/plain; version=0.0.4; charset=utf-8")
         else:
             self._error(404, f"no such endpoint: GET {parsed.path}")
 
     def _route_post(self) -> None:
         parsed = urlparse(self.path)
         parts = [p for p in parsed.path.split("/") if p]
-        broker = self.svc.broker
+        svc = self.svc
+        broker = svc.broker
         if parts == ["experiments"]:
             request = self._body()
             exp, jobs = _resolve_submission(request)
             run = broker.submit(jobs, experiment=exp.name)
+            svc.notify()
             self._json({
                 "run": run.id,
                 "experiment": exp.name,
@@ -287,10 +332,15 @@ class _Handler(BaseHTTPRequestHandler):
         elif parts == ["broker", "claim"]:
             body = self._body()
             worker = body.get("worker") or "anonymous"
-            lease = broker.claim(worker)
+            lease = svc.wait_for(
+                lambda: broker.claim(worker),
+                lambda lease: lease is not None,
+                _wait_seconds(body.get("wait")),
+            )
             if lease is None:
                 self._json({"lease": None})
             else:
+                svc.notify()
                 self._json({
                     "lease": {
                         "key": lease.key,
@@ -313,6 +363,7 @@ class _Handler(BaseHTTPRequestHandler):
                 body["result"],
                 elapsed=body.get("elapsed"),
             )
+            svc.notify()
             self._json({"ok": True, "stored": stored})
         elif parts == ["broker", "fail"]:
             body = self._body()
@@ -322,13 +373,16 @@ class _Handler(BaseHTTPRequestHandler):
                 body["key"], body.get("worker", "anonymous"),
                 body.get("failure") or {},
             )
+            svc.notify()
             self._json({"ok": True})
         else:
+            self.close_connection = True  # its body, if any, is still unread
             self._error(404, f"no such endpoint: POST {parsed.path}")
 
     # -- event streaming -----------------------------------------------
     def _stream_events(self, run_id: str, follow: bool) -> None:
-        broker = self.svc.broker
+        svc = self.svc
+        broker = svc.broker
         run = broker.run(run_id)
         if run is None:
             return self._error(404, f"unknown run {run_id!r}")
@@ -339,53 +393,97 @@ class _Handler(BaseHTTPRequestHandler):
             "text/event-stream" if sse else "application/x-ndjson",
         )
         self.send_header("Cache-Control", "no-cache")
-        if follow:
-            self.send_header("Connection", "close")
+        # a stream has no length to announce: it ends where the connection does
+        self.send_header("Connection", "close")
         self.end_headers()
 
         keys = set(run.keys)
+        offset = 0
 
         def emit(rec: Dict[str, Any]) -> None:
             line = json.dumps(rec, separators=(",", ":"))
-            if sse:
-                self.wfile.write(f"data: {line}\n\n".encode("utf-8"))
-            else:
-                self.wfile.write((line + "\n").encode("utf-8"))
+            self.wfile.write(f"data: {line}\n\n".encode("utf-8") if sse
+                             else (line + "\n").encode("utf-8"))
+
+        def pump() -> None:
+            """Send what the log has gained since the last call."""
+            nonlocal offset
+            records, offset = broker.read_events(offset)
+            for rec in records:
+                if rec.get("run") == run_id or rec.get("key") in keys:
+                    emit(rec)
             self.wfile.flush()
 
-        def wanted(rec: Dict[str, Any]) -> bool:
-            return rec.get("run") == run_id or rec.get("key") in keys
+        if not follow:
+            pump()
+            if sse:
+                emit({"kind": "end-of-stream", "run": run_id})
+            return
 
-        sent = 0
-        for rec in broker.events():
-            if wanted(rec):
-                emit(rec)
-                sent += 1
-        if follow:
-            deadline = time.monotonic() + self.svc.follow_timeout
-            while time.monotonic() < deadline:
-                status = broker.run_status(run_id)
-                done = bool(status and status.get("done"))
-                seen = 0
-                for rec in broker.events():
-                    if not wanted(rec):
-                        continue
-                    seen += 1
-                    if seen > sent:
-                        emit(rec)
-                sent = max(sent, seen)
-                if done:
-                    break
-                time.sleep(_FOLLOW_POLL)
-            status = broker.run_status(run_id) or {}
-            emit({
-                "kind": "end-of-run",
-                "run": run_id,
-                "done": bool(status.get("done")),
-                "counts": status.get("counts", {}),
-            })
-        if not follow and sse:
-            emit({"kind": "end-of-stream", "run": run_id})
+        def ended() -> bool:
+            # status first, log second: the events that ended the run
+            # are then in what was sent
+            status = broker.run_status(run_id)
+            pump()
+            return bool(status and status["done"])
+
+        svc.wait_for(ended, bool, svc.follow_timeout)
+        status = broker.run_status(run_id) or {}
+        emit({
+            "kind": "end-of-run",
+            "run": run_id,
+            "done": bool(status.get("done")),
+            "counts": status.get("counts", {}),
+        })
+
+
+class _Httpd(ThreadingHTTPServer):
+    """The listening socket: counts what it accepts and remembers the
+    connections that are open, so that :meth:`hang_up` can end the
+    kept-alive ones (each holds a handler thread until its client
+    leaves)."""
+
+    daemon_threads = True
+
+    def __init__(self, address: Tuple[str, int], service: "ServiceServer") -> None:
+        super().__init__(address, _Handler)
+        self.service = service
+        self._lock = threading.Lock()
+        self._open: set = set()
+        #: connections accepted / requests answered since start.
+        self.connections = 0
+        self.requests = 0
+
+    def get_request(self):
+        request, address = super().get_request()
+        with self._lock:
+            self._open.add(request)
+            self.connections += 1
+        return request, address
+
+    def shutdown_request(self, request) -> None:
+        with self._lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def count_request(self) -> None:
+        with self._lock:
+            self.requests += 1
+
+    def hang_up(self) -> None:
+        """Stop reading from every open connection: an idle one ends
+        now, one in the middle of a request once that is answered."""
+        with self._lock:
+            connections = list(self._open)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # already gone
+
+    def handle_error(self, request, client_address) -> None:
+        if not isinstance(sys.exc_info()[1], ConnectionError):  # a client that left
+            super().handle_error(request, client_address)
 
 
 class ServiceServer:
@@ -412,10 +510,12 @@ class ServiceServer:
         self.reap_interval = (
             reap_interval if reap_interval is not None else max(0.5, lease_ttl / 4.0)
         )
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.service = self  # type: ignore[attr-defined]
-        self._reaper_stop = threading.Event()
+        self._httpd = _Httpd((host, port), self)
+        # what waiting requests sleep on: notified, with the generation
+        # bumped, after every broker mutation this process performs
+        self._changed = threading.Condition()
+        self._generation = 0
+        self._stopping = threading.Event()
         self._reaper = threading.Thread(target=self._reap_loop, daemon=True)
         self._thread: Optional[threading.Thread] = None
 
@@ -424,33 +524,80 @@ class ServiceServer:
         host, port = self._httpd.server_address[:2]
         return f"http://{host}:{port}"
 
+    @property
+    def stopping(self) -> bool:
+        return self._stopping.is_set()
+
+    @property
+    def connections(self) -> int:
+        """TCP connections accepted since start."""
+        return self._httpd.connections
+
+    @property
+    def requests(self) -> int:
+        """HTTP requests received since start."""
+        return self._httpd.requests
+
     def _reap_loop(self) -> None:
-        while not self._reaper_stop.wait(self.reap_interval):
+        while not self._stopping.wait(self.reap_interval):
             try:
-                self.broker.reap()
+                if any(self.broker.reap()):
+                    self.notify()
             except Exception:
                 pass
+
+    # -- waiting -------------------------------------------------------
+    def notify(self) -> None:
+        """Wake every waiting request: the broker has just changed."""
+        with self._changed:
+            self._generation += 1
+            self._changed.notify_all()
+
+    def wait_for(self, probe: Callable[[], T], ready: Callable[[T], bool], wait: float) -> T:
+        """``probe()`` the broker until ``ready(value)``, ``wait``
+        seconds have passed or the server stops; returns the last value
+        probed.  ``wait`` 0 is one probe.  Between probes the caller
+        sleeps until :meth:`notify` -- or, for what directory-attached
+        workers did, ``_DIRECTORY_PROBE`` seconds.  The broker directory
+        stays the only state: a wake-up says *look again*, not what
+        changed."""
+        deadline = time.monotonic() + wait
+        while True:
+            seen = self._generation
+            value = probe()
+            remaining = deadline - time.monotonic()
+            if ready(value) or remaining <= 0 or self.stopping:
+                return value
+            with self._changed:
+                if self._generation == seen:  # else: changed while probing, look again
+                    self._changed.wait(min(remaining, _DIRECTORY_PROBE))
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "ServiceServer":
         self._reaper.start()
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._thread.start()
         return self
+
+    def _accept_loop(self) -> None:
+        # the interval is how long stop() waits to be noticed, no more
+        self._httpd.serve_forever(poll_interval=0.05)
 
     def serve_forever(self) -> None:
         self._reaper.start()
         try:
-            self._httpd.serve_forever()
+            self._accept_loop()
         except KeyboardInterrupt:
             pass
         finally:
             self.stop()
 
     def stop(self) -> None:
-        self._reaper_stop.set()
+        self._stopping.set()
+        self.notify()  # waiting requests answer with what they have
         self._httpd.shutdown()
         self._httpd.server_close()
+        self._httpd.hang_up()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
@@ -470,10 +617,7 @@ class ServiceServer:
         from repro.telemetry.export import format_exposition, render_prometheus
 
         counts = self.broker.counts()
-        kinds: Dict[str, int] = {}
-        for rec in self.broker.events():
-            k = rec.get("kind", "?")
-            kinds[k] = kinds.get(k, 0) + 1
+        kinds = self.broker.event_counts()
         specs = [
             ("service_uptime_seconds", "Seconds since repro serve started", "gauge",
              [({}, round(time.time() - self.started, 3))]),
@@ -483,6 +627,10 @@ class ServiceServer:
              [({}, counts.get("runs", 0))]),
             ("service_events_total", "Broker events by kind", "counter",
              [({"kind": k}, n) for k, n in sorted(kinds.items())]),
+            ("service_http_connections_total", "TCP connections accepted", "counter",
+             [({}, self.connections)]),
+            ("service_http_requests_total", "HTTP requests received", "counter",
+             [({}, self.requests)]),
         ]
         text = format_exposition(specs)
         bundle = self._freshest_bundle()
@@ -501,9 +649,9 @@ class ServiceServer:
         except OSError:
             return None
         for marker in markers[:8]:  # bounded: scrapes must stay cheap
-            result = self.broker.cache.get(marker.stem)
-            if result is not None and result.telemetry is not None:
-                return result.telemetry
+            result = self.broker.cache.get_dict(marker.stem)
+            if result is not None and result.get("telemetry") is not None:
+                return result["telemetry"]
         return None
 
 

@@ -33,7 +33,7 @@ from typing import Any, Dict, Optional
 from repro.experiments.resilience import RetryPolicy, SweepJournal, execute_job, run_isolated
 from repro.experiments.runner import CaseResult
 from repro.service.api import connect_broker, job_from_spec
-from repro.service.broker import Lease, default_worker_id
+from repro.service.broker import FsBroker, Lease, default_worker_id
 
 __all__ = ["Worker"]
 
@@ -75,7 +75,13 @@ class Worker:
 
     ``broker`` is a broker client (:class:`~repro.service.broker.FsBroker`
     or :class:`~repro.service.api.HttpBroker`) or a ``--broker`` URL
-    string for :func:`~repro.service.api.connect_broker`.
+    string for :func:`~repro.service.api.connect_broker`; a broker
+    opened from a URL is closed when :meth:`run` returns.
+
+    ``poll_interval`` is the idle sleep between claims on a broker
+    *directory*, where nothing can wake the worker.  Over HTTP the
+    claim itself blocks in the server until a cell arrives, so there
+    is nothing to sleep for.
     """
 
     def __init__(
@@ -91,7 +97,8 @@ class Worker:
         max_cells: Optional[int] = None,
         idle_exit: Optional[float] = None,
     ) -> None:
-        self.broker = connect_broker(broker) if isinstance(broker, str) else broker
+        self._owns_broker = isinstance(broker, str)
+        self.broker = connect_broker(broker) if self._owns_broker else broker
         self.id = worker_id if worker_id is not None else default_worker_id()
         self.policy = policy if policy is not None else RetryPolicy()
         self.timeout = timeout
@@ -203,6 +210,21 @@ class Worker:
         reached, or the queue stays empty past ``idle_exit`` seconds.
         Returns a summary dict (cells completed/failed, elapsed)."""
         t0 = time.perf_counter()
+        try:
+            self._pull()
+        finally:
+            if self.journal is not None:
+                self.journal.close()
+            if self._owns_broker:
+                self.broker.close()
+        return {
+            "worker": self.id,
+            "completed": self.completed,
+            "failed": self.failed,
+            "elapsed": time.perf_counter() - t0,
+        }
+
+    def _pull(self) -> None:
         idle_since: Optional[float] = None
         while not self._stop.is_set():
             if self.max_cells is not None and self.completed + self.failed >= self.max_cells:
@@ -211,25 +233,18 @@ class Worker:
                 self.broker.reap()
             except Exception:
                 pass  # reaping is advisory; the server reaps too
+            asked = time.monotonic()
             lease = self.broker.claim(self.id)
             if lease is None:
-                now = time.monotonic()
                 if idle_since is None:
-                    idle_since = now
-                elif self.idle_exit is not None and now - idle_since >= self.idle_exit:
+                    idle_since = asked  # a blocking claim was idle time already
+                if self.idle_exit is not None and time.monotonic() - idle_since >= self.idle_exit:
                     break
-                self._stop.wait(self.poll_interval)
+                if isinstance(self.broker, FsBroker):
+                    self._stop.wait(self.poll_interval)
                 continue
             idle_since = None
             self.run_lease(lease)
-        if self.journal is not None:
-            self.journal.close()
-        return {
-            "worker": self.id,
-            "completed": self.completed,
-            "failed": self.failed,
-            "elapsed": time.perf_counter() - t0,
-        }
 
     # -- convenience ---------------------------------------------------
     def fetch_result(self, key: str) -> Optional[CaseResult]:

@@ -10,6 +10,8 @@ cells; the multi-process kill-a-worker end-to-end test is ``tier2``.
 import json
 import os
 import signal
+import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -33,7 +35,7 @@ from repro.service import (
     job_from_spec,
     job_to_spec,
 )
-from repro.service.api import ServiceError
+from repro.service.api import LONG_POLL_S, ServiceError
 
 SCALE = 0.02
 
@@ -207,6 +209,52 @@ class TestFsBroker:
         b.complete(lease.key, "w1", tiny_result.to_dict())
         kinds = [e["kind"] for e in b.events()]
         assert kinds == ["enqueue", "submit", "claim", "complete"]
+        assert b.event_counts() == dict.fromkeys(kinds, 1)
+
+    def test_event_log_is_read_from_an_offset_and_by_kind(self, tmp_path, tiny_job, tiny_result):
+        b = FsBroker(tmp_path)
+        assert b.read_events() == ([], 0)
+        b.submit([tiny_job], experiment="fig7a")
+        first, offset = b.read_events()
+        assert [e["kind"] for e in first] == ["enqueue", "submit"]
+        assert offset == b.events_path.stat().st_size
+        assert b.read_events(offset) == ([], offset)
+        lease = b.claim("w1")
+        with open(b.events_path, "ab") as fh:
+            fh.write(b'{"t":0,"kind":"complete","key":"torn')  # a writer mid-line
+        new, resume = b.read_events(offset)
+        assert [e["kind"] for e in new] == ["claim"]
+        assert resume < b.events_path.stat().st_size  # the torn tail waits
+        (claim,), _ = b.read_events(kind="claim")
+        assert claim["key"] == lease.key and claim["worker"] == "w1"
+        assert b.read_events(kind="requeue")[0] == []
+
+    def test_cell_claimed_between_two_probes_is_not_unknown(self, tmp_path, tiny_job, monkeypatch):
+        """``cell_state`` looks in ``active/`` and then in ``queue/``; a
+        claim that renames the cell in between hides it from both."""
+        b = FsBroker(tmp_path)
+        run = b.submit([tiny_job], experiment="fig7a")
+        queued = b._queued
+        leases = []
+
+        def claim_then_look(key):
+            if not leases:  # active/ has been probed already: claim now
+                leases.append(b.claim("racer"))
+            return queued(key)
+
+        monkeypatch.setattr(b, "_queued", claim_then_look)
+        assert b.cell_state(tiny_job.key()) == "active"
+        assert leases[0] is not None
+        status = b.run_status(run.id)
+        assert status["counts"] == {"active": 1} and not status["done"]
+
+    def test_unknown_cell_is_not_a_finished_cell(self, tmp_path, tiny_job):
+        b = FsBroker(tmp_path)
+        run = b.submit([tiny_job], experiment="fig7a")
+        (tmp_path / "queue" / f"{tiny_job.key()}.json").unlink()  # lost
+        status = b.run_status(run.id)
+        assert status["counts"] == {"unknown": 1}
+        assert not status["done"]
 
 
 # ----------------------------------------------------------------------
@@ -316,6 +364,22 @@ class TestCacheHygiene:
         assert entries[0][0] not in left  # oldest evicted
         assert entries[-1][0] in left
 
+    def test_get_dict_is_the_stored_dict_get_hydrates(self, tmp_path, tiny_job, tiny_result):
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(tiny_job.key(), tiny_result, job=tiny_job)
+        stored = cache.get_dict(tiny_job.key())
+        # what a server sends from it is byte for byte what it sent
+        # when it hydrated the result and serialized it again
+        assert json.dumps(stored) == json.dumps(tiny_result.to_dict())
+        assert json.dumps(stored) == json.dumps(cache.get(tiny_job.key()).to_dict())
+        assert cache.get_dict("0" * 64) is None
+        entry = json.loads(cache.path(tiny_job.key()).read_text())
+        entry["result"]["duration"] += 1.0
+        cache.path(tiny_job.key()).write_text(json.dumps(entry))
+        with pytest.warns(RuntimeWarning, match="digest mismatch"):
+            assert cache.get_dict(tiny_job.key()) is None
+        assert len(cache.quarantined()) == 1
+
     def test_quarantine_listed_and_pruned(self, tmp_path):
         cache = self._fill(tmp_path)
         path = cache.path(f"{1:064x}")
@@ -331,34 +395,50 @@ class TestCacheHygiene:
 # ----------------------------------------------------------------------
 # HTTP service end-to-end
 # ----------------------------------------------------------------------
+@pytest.fixture
+def srv(tmp_path):
+    with ServiceServer(tmp_path / "broker", port=0,
+                       cache_dir=str(tmp_path / "cache")) as server:
+        yield server
+
+
+@pytest.fixture
+def client(srv):
+    client = ServiceClient(srv.url)
+    yield client
+    client.close()
+
+
 class TestService:
-    def test_http_submit_workers_byte_identical(self, tmp_path, tiny_job, tiny_result):
+    def test_http_submit_workers_byte_identical(self, srv, client, tiny_job, tiny_result):
         """The acceptance path: submit over HTTP, two pull workers race,
         the fetched CaseResult is byte-identical to in-process."""
-        with ServiceServer(tmp_path / "broker", port=0,
-                           cache_dir=str(tmp_path / "cache")) as srv:
-            client = ServiceClient(srv.url)
-            names = [e["name"] for e in client.experiments()]
-            assert "fig7a" in names
-            sub = client.submit("fig7a", schemes=["CCFIT"],
-                                time_scale=SCALE, seed=1)
-            assert sub["cells"] == 1
-            workers = [Worker(srv.url, worker_id=f"w{i}", max_cells=1,
-                              idle_exit=10.0) for i in range(2)]
-            threads = [threading.Thread(target=w.run) for w in workers]
-            for t in threads:
-                t.start()
-            status = client.wait(sub["run"], timeout=60)
-            for t in threads:
-                t.join()
-            assert status["done"]
-            fetched = client.result(sub["keys"][0])["result"]
-            assert result_bytes(fetched) == result_bytes(tiny_result.to_dict())
-            manifest = client.manifest(sub["run"])
-            assert manifest["ok"] == 1
-            assert manifest["jobs"][0]["worker"] in ("w0", "w1")
-            kinds = [e["kind"] for e in client.events(sub["run"])]
-            assert "complete" in kinds
+        names = [e["name"] for e in client.experiments()]
+        assert "fig7a" in names
+        sub = client.submit("fig7a", schemes=["CCFIT"],
+                            time_scale=SCALE, seed=1)
+        assert sub["cells"] == 1
+        workers = [Worker(srv.url, worker_id=f"w{i}", max_cells=1,
+                          idle_exit=10.0) for i in range(2)]
+        threads = [threading.Thread(target=w.run) for w in workers]
+        for t in threads:
+            t.start()
+        status = client.wait(sub["run"], timeout=60)
+        # the loser idles until its idle_exit, waiting in the server:
+        # about one claim a second (100 at the old 20 ms poll)
+        before = srv.requests
+        time.sleep(2.0)
+        assert srv.requests - before <= 3
+        for t in threads:
+            t.join()
+        assert status["done"]
+        fetched = client.result(sub["keys"][0])["result"]
+        assert result_bytes(fetched) == result_bytes(tiny_result.to_dict())
+        manifest = client.manifest(sub["run"])
+        assert manifest["ok"] == 1
+        assert manifest["jobs"][0]["worker"] in ("w0", "w1")
+        kinds = [e["kind"] for e in client.events(sub["run"])]
+        assert "complete" in kinds
 
     def test_http_lease_requeue_after_silent_worker(self, tmp_path, tiny_job, tiny_result):
         """A worker that claims over HTTP and then goes silent loses its
@@ -371,6 +451,7 @@ class TestService:
                                 time_scale=SCALE, seed=1)
             victim = HttpBroker(srv.url)
             lease = victim.claim("victim")
+            victim.close()
             assert lease is not None  # ...and never heartbeats again
             worker = Worker(srv.url, worker_id="survivor", max_cells=1,
                             idle_exit=30.0)
@@ -384,35 +465,245 @@ class TestService:
             assert manifest["jobs"][0]["worker"] == "survivor"
             assert manifest["requeued"] >= 1
             fetched = client.result(sub["keys"][0])["result"]
+            client.close()
             assert result_bytes(fetched) == result_bytes(tiny_result.to_dict())
 
-    def test_metrics_endpoint(self, tmp_path):
-        with ServiceServer(tmp_path / "broker", port=0,
-                           cache_dir=str(tmp_path / "cache")) as srv:
-            text = ServiceClient(srv.url).metrics()
-            assert "repro_service_uptime_seconds" in text
-            assert 'repro_service_cells{state="queue"}' in text
+    def test_metrics_endpoint(self, client):
+        text = client.metrics()
+        assert "repro_service_uptime_seconds" in text
+        assert 'repro_service_cells{state="queue"}' in text
+        assert "repro_service_http_requests_total 1" in text
 
-    def test_unknown_experiment_is_400(self, tmp_path):
-        with ServiceServer(tmp_path / "broker", port=0,
-                           cache_dir=str(tmp_path / "cache")) as srv:
-            with pytest.raises(ServiceError):
-                ServiceClient(srv.url).submit("not-an-experiment")
+    def test_unknown_experiment_is_400(self, client):
+        with pytest.raises(ServiceError):
+            client.submit("not-an-experiment")
 
     @pytest.mark.parametrize("field", ["routing", "kernel"])
-    def test_unknown_field_is_400_naming_it(self, tmp_path, field):
+    def test_unknown_field_is_400_naming_it(self, client, field):
         """A typo (``routing`` for ``routings``) or a removed knob
         (``kernel``) is rejected, never silently dropped to run the
         default grid."""
-        with ServiceServer(tmp_path / "broker", port=0,
-                           cache_dir=str(tmp_path / "cache")) as srv:
-            client = ServiceClient(srv.url)
-            with pytest.raises(ServiceError) as exc:
-                client.submit("fig7a", schemes=["CCFIT"], **{field: "adaptive"})
-            message = str(exc.value)
-            assert "400" in message
-            assert repr(field) in message and "routings" in message
-            assert client.runs() == []  # nothing was enqueued
+        with pytest.raises(ServiceError) as exc:
+            client.submit("fig7a", schemes=["CCFIT"], **{field: "adaptive"})
+        message = str(exc.value)
+        assert "400" in message
+        assert repr(field) in message and "routings" in message
+        assert client.runs() == []  # nothing was enqueued
+
+
+# ----------------------------------------------------------------------
+# waiting, not polling; connections that stay open
+# ----------------------------------------------------------------------
+def submit_tiny(client, seed=1):
+    return client.submit("fig7a", schemes=["CCFIT"], time_scale=SCALE, seed=seed)
+
+
+class TestWaiting:
+    def test_idle_http_worker_takes_a_cell_at_once(self, srv, client):
+        """Over HTTP the claim blocks in the server, so the idle sleep
+        (5 s here) never comes between a cell and its worker -- not
+        even after a claim has come back empty."""
+        worker = Worker(srv.url, worker_id="w", poll_interval=5.0, max_cells=1,
+                        idle_exit=30.0)
+        t = threading.Thread(target=worker.run)
+        t.start()
+        time.sleep(LONG_POLL_S + 0.2)
+        assert srv.requests == 2  # one empty claim, one being held
+        sub = submit_tiny(client)
+        status = client.wait(sub["run"], timeout=30)
+        t.join(timeout=30)
+        assert status["done"] and not t.is_alive()
+        at = {e["kind"]: e["t"] for e in client.events(sub["run"])}
+        assert at["claim"] - at["enqueue"] < 0.5
+        # the worker opened its broker from a URL, so it closed it
+        assert worker.broker._connections == {}
+
+    def test_blocking_claim_returns_a_cell_submitted_later(self, srv, client):
+        leases = []
+        broker = HttpBroker(srv.url)
+        t = threading.Thread(target=lambda: leases.append(broker.claim("w")))
+        t.start()
+        time.sleep(0.05)
+        sub = submit_tiny(client)
+        t.join(timeout=10)
+        broker.close()
+        assert not t.is_alive()
+        assert leases[0] is not None and leases[0].key == sub["keys"][0]
+
+    def test_status_wait_returns_at_completion(self, srv, client, tiny_result):
+        sub = submit_tiny(client)
+        broker = HttpBroker(srv.url)
+
+        def finish():
+            time.sleep(0.1)
+            lease = broker.claim("w")
+            broker.complete(lease.key, "w", tiny_result.to_dict())
+
+        t = threading.Thread(target=finish)
+        t.start()
+        t0 = time.monotonic()
+        status = client.run(sub["run"], wait=10.0)
+        waited = time.monotonic() - t0
+        t.join(timeout=10)
+        broker.close()
+        assert status["done"]
+        assert 0.1 <= waited < 5.0
+
+    def test_status_wait_expires_not_done(self, srv, client):
+        sub = submit_tiny(client)  # and nobody to run it
+        t0 = time.monotonic()
+        status = client.run(sub["run"], wait=0.1)
+        assert time.monotonic() - t0 >= 0.1
+        assert not status["done"] and status["counts"] == {"queued": 1}
+        with pytest.raises(ServiceError, match="not finished within"):
+            client.wait(sub["run"], timeout=0.1)
+
+    def test_without_wait_the_answer_is_immediate(self, srv, client):
+        """curl, and ``FsBroker.claim`` as a benchmark calls it, do not
+        ask to wait and are not made to."""
+        t0 = time.monotonic()
+        assert client._request("/broker/claim", {"worker": "w"}) == {"lease": None}
+        assert srv.broker.claim("bench") is None
+        sub = submit_tiny(client)
+        assert client.run(sub["run"])["counts"] == {"queued": 1}
+        assert time.monotonic() - t0 < 0.5
+
+    @pytest.mark.parametrize("wait", ["soon", "-1", "nan", "inf"])
+    def test_bad_wait_is_400(self, srv, client, wait):
+        sub = submit_tiny(client)
+        with pytest.raises(ServiceError, match="400.*'wait'"):
+            client._request(f"/runs/{sub['run']}?wait={wait}")
+        with pytest.raises(ServiceError, match="400.*'wait'"):
+            client._request("/broker/claim", {"worker": "w", "wait": wait})
+
+    def test_follow_stream_ends_with_the_run(self, srv, client, tiny_result):
+        sub = submit_tiny(client)
+        seen = []
+        t = threading.Thread(
+            target=lambda: seen.extend(
+                (time.time(), e) for e in client.events(sub["run"], follow=True)
+            )
+        )
+        t.start()
+        time.sleep(0.1)
+        broker = HttpBroker(srv.url)
+        lease = broker.claim("w")
+        broker.complete(lease.key, "w", tiny_result.to_dict())
+        broker.close()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        kinds = [e["kind"] for _t, e in seen]
+        assert kinds == ["enqueue", "submit", "claim", "complete", "end-of-run"]
+        assert seen[-1][1]["done"]
+        arrived, complete = seen[-2]
+        assert arrived - complete["t"] < 0.15  # woken, not polled at 0.2 s
+
+    def test_stop_releases_waiting_requests(self, tmp_path):
+        server = ServiceServer(tmp_path / "broker", port=0,
+                               cache_dir=str(tmp_path / "cache")).start()
+        client = ServiceClient(server.url)
+        sub = submit_tiny(client)
+        answers = []
+        t = threading.Thread(target=lambda: answers.append(client.run(sub["run"], wait=20.0)))
+        t.start()
+        time.sleep(0.1)
+        server.stop()
+        t.join(timeout=5)
+        client.close()
+        assert not t.is_alive()
+        assert answers and not answers[0]["done"]
+
+
+class TestConnections:
+    def test_sequential_calls_share_one_connection(self, srv, client):
+        for _ in range(5):
+            client.runs()
+        client.metrics()
+        assert (srv.connections, srv.requests) == (1, 6)
+        client.close()
+        client.runs()  # dials again
+        assert (srv.connections, srv.requests) == (2, 7)
+
+    def test_each_thread_has_its_own_connection(self, srv, client):
+        """A worker heartbeats from a second thread while its first sits
+        in a blocking claim: they cannot share a connection."""
+        client.runs()
+        t = threading.Thread(target=client.runs)
+        t.start()
+        t.join(timeout=10)
+        assert (srv.connections, srv.requests) == (2, 2)
+
+    def test_round_trips_do_not_stall_on_nagle(self, srv, client):
+        """A reply written as two segments on a kept-alive connection
+        waits ~40 ms for the client's delayed ACK, every request."""
+        walls = []
+        for _ in range(20):
+            t0 = time.perf_counter()
+            client._request("/broker/heartbeat", {"key": "k", "worker": "w"})
+            walls.append(time.perf_counter() - t0)
+        assert srv.connections == 1
+        assert statistics.median(walls) < 0.02
+
+    def test_client_survives_a_server_restart(self, tmp_path):
+        kw = dict(cache_dir=str(tmp_path / "cache"))
+        first = ServiceServer(tmp_path / "broker", port=0, **kw).start()
+        client = ServiceClient(first.url)
+        port = int(first.url.rsplit(":", 1)[1])
+        sub = submit_tiny(client)
+        first.stop()  # hangs up on the kept-alive connection
+        with ServiceServer(tmp_path / "broker", port=port, **kw) as second:
+            assert client.run(sub["run"])["counts"] == {"queued": 1}
+            assert (second.connections, second.requests) == (1, 1)
+        client.close()
+
+    def test_nobody_listening_is_a_service_error(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+        with pytest.raises(ServiceError, match="refused"):
+            ServiceClient(f"http://127.0.0.1:{port}").runs()
+
+    def test_request_is_not_sent_again_after_a_partial_reply(self):
+        """Re-dialling is for a connection found dead before any byte of
+        a reply; a reply that breaks off means the server acted on the
+        request (a second claim would orphan the first lease)."""
+        ok = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\r\n{}"
+        torn = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"lease\":"
+        # connection 1: a whole reply, then dropped while idle;
+        # connection 2: a whole reply, then one that breaks off
+        script = [[ok, None], [ok, torn]]
+        requests = []
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            for replies in script:
+                conn, _addr = listener.accept()
+                with conn, conn.makefile("rb") as rfile:
+                    for reply in replies:
+                        line = rfile.readline()
+                        if reply is None or not line:
+                            break
+                        length = 0
+                        while (header := rfile.readline()) not in (b"\r\n", b""):
+                            if header.lower().startswith(b"content-length:"):
+                                length = int(header.split(b":")[1])
+                        rfile.read(length)
+                        requests.append(line.split()[1].decode())
+                        conn.sendall(reply)
+
+        t = threading.Thread(target=serve)
+        t.start()
+        client = ServiceClient("http://127.0.0.1:%d" % listener.getsockname()[1], timeout=5)
+        try:
+            assert client._request("/a") == {}
+            time.sleep(0.1)  # let the server drop connection 1
+            assert client._request("/b") == {}  # found dead, dialled again, once
+            with pytest.raises(ServiceError):
+                client._request("/broker/claim", {"worker": "w"})
+            assert requests == ["/a", "/b", "/broker/claim"]
+        finally:
+            client.close()
+            listener.close()
+            t.join(timeout=5)
 
 
 # ----------------------------------------------------------------------
