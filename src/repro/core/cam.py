@@ -103,6 +103,10 @@ class InputCam:
     def __init__(self, num_lines: int) -> None:
         self.num_lines = num_lines
         self._lines: List[Optional[CamLine]] = [None] * num_lines
+        #: the allocated lines in CFQ order.  Replaced, never mutated,
+        #: by :meth:`allocate`/:meth:`free`: the isolation state machine
+        #: frees lines while it iterates :meth:`lines`.
+        self._live: List[CamLine] = []
         self._by_dest: Dict[int, CamLine] = {}
         #: times allocation failed because every line was busy — the
         #: scalability limit the paper's Fig. 8 exposes.
@@ -116,15 +120,16 @@ class InputCam:
         return self._by_dest.get(dest)
 
     def lines(self) -> List[CamLine]:
-        """All currently allocated lines."""
-        return [ln for ln in self._lines if ln is not None]
+        """All currently allocated lines, in CFQ order.  The list is
+        the CAM's own (see ``_live``): read it, do not edit it."""
+        return self._live
 
     def line_at(self, cfq_index: int) -> Optional[CamLine]:
         return self._lines[cfq_index]
 
     @property
     def full(self) -> bool:
-        return all(ln is not None for ln in self._lines)
+        return len(self._live) >= self.num_lines
 
     # -- mutation --------------------------------------------------------
     def allocate(self, dest: int, root: bool, now: float) -> Optional[CamLine]:
@@ -136,6 +141,7 @@ class InputCam:
             if ln is None:
                 line = CamLine(dest, idx, root, now)
                 self._lines[idx] = line
+                self._live = [ln for ln in self._lines if ln is not None]
                 self._by_dest[dest] = line
                 self.allocations += 1
                 return line
@@ -152,6 +158,7 @@ class InputCam:
         if self._lines[line.cfq_index] is not line:
             raise CamError(f"freeing unallocated line {line!r}")
         self._lines[line.cfq_index] = None
+        self._live = [ln for ln in self._lines if ln is not None]
         del self._by_dest[line.dest]
         self.frees += 1
 
@@ -161,6 +168,8 @@ class InputCam:
         by-destination index matches the line array exactly, and the
         allocate/free balance equals the live line count."""
         live = [ln for ln in self._lines if ln is not None]
+        if len(live) != len(self._live) or any(a is not b for a, b in zip(live, self._live)):
+            raise CamError(f"live-line list {self._live!r} != line array {live!r}")
         for idx, ln in enumerate(self._lines):
             if ln is not None and ln.cfq_index != idx:
                 raise CamError(f"line {ln!r} filed at index {idx}")

@@ -126,20 +126,24 @@ class NfqCfqScheme(QueueScheme):
 
     def _build_heads(self) -> List[Tuple[PacketQueue, int, Packet]]:
         out: List[Tuple[PacketQueue, int, Packet]] = []
-        head = self.nfq.head()
+        route = self.host.route
+        nfq = self.nfq
+        head = nfq.head()
         if head is not None:
             # A congested head that post-processing could not isolate
             # (CAM full) is forwarded anyway — blocking it forever would
             # deadlock the lossless network.  That is exactly FBICM's
             # out-of-resources mode: HoL blocking returns, and the miss
             # is visible in ``self.cam.alloc_failures``.
-            out.append((self.nfq, self.host.route(head), head))
+            out.append((nfq, route(head), head))
+        cfqs = self.cfqs
         for line in self.cam.lines():
             if line.stopped:
                 continue
-            chead = self.cfqs[line.cfq_index].head()
+            cfq = cfqs[line.cfq_index]
+            chead = cfq.head()
             if chead is not None:
-                out.append((self.cfqs[line.cfq_index], self.host.route(chead), chead))
+                out.append((cfq, route(chead), chead))
         return out
 
     # ------------------------------------------------------------------
@@ -215,76 +219,78 @@ class NfqCfqScheme(QueueScheme):
             return
         self._in_update = True
         try:
-            changed = True
-            while changed:
-                changed = self._post_process() | self._detect()
-            self._check_thresholds()
+            nfq = self.nfq
+            cam = self.cam
+            cfqs = self.cfqs
+            host = self.host
+            # local detection needs CFQs to allocate and an NFQ at the
+            # threshold (untracked <= total NFQ bytes)
+            detect_at = host.params.detection_threshold if cfqs else float("inf")
+            while True:
+                # step 1, post-processing: move congested heads out of
+                # the NFQ, into the CFQ of their live CAM line or of the
+                # tree downstream has announced for their destination.
+                moved = False
+                while True:
+                    head = nfq.head()
+                    if head is None:
+                        break
+                    dest = head.dst
+                    line = cam.lookup(dest)
+                    if line is None or line.orphaned:
+                        rec = host.announced_tree(dest)
+                        if rec is None:
+                            break
+                        if line is not None:
+                            # an orphaned line still draining: the
+                            # announcement revives it, so one
+                            # destination never occupies two CFQs
+                            line.orphaned = False
+                        else:
+                            line = cam.allocate(dest, root=False, now=host.now())
+                            if line is None:
+                                break
+                        line.stopped = rec.stopped
+                    nfq.pop()
+                    cfqs[line.cfq_index].push(head)
+                    self.moves += 1
+                    moved = True
+                # step 2, local detection; it runs again after a pass
+                # that only moved packets
+                detected = nfq.bytes >= detect_at and self._detect()
+                if not (moved or detected):
+                    break
+            lines = cam.lines()
+            if lines:
+                self._check_thresholds(lines)
         finally:
             self._in_update = False
-            self.invalidate_heads()
-
-    # -- step 1: move congested heads out of the NFQ ----------------------
-    def _post_process(self) -> bool:
-        moved = False
-        while True:
-            head = self.nfq.head()
-            if head is None:
-                break
-            line = self._line_for(head)
-            if line is None:
-                line = self._maybe_adopt_announced(head)
-            if line is None:
-                break
-            self.nfq.pop()
-            self.cfqs[line.cfq_index].push(head)
-            self.moves += 1
-            moved = True
-        return moved
-
-    def _line_for(self, pkt: Packet) -> Optional[CamLine]:
-        line = self.cam.lookup(pkt.dst)
-        if line is not None and not line.orphaned:
-            return line
-        return None
-
-    def _maybe_adopt_announced(self, pkt: Packet) -> Optional[CamLine]:
-        """Allocate a non-root CFQ for a tree announced from downstream.
-
-        If an *orphaned* line for the destination is still draining,
-        the announcement revives it (a CAM hit on the destination) —
-        one destination never occupies two CFQs."""
-        rec = self.host.announced_tree(pkt.dst)
-        if rec is None:
-            return None
-        line = self.cam.lookup(pkt.dst)
-        if line is not None:
-            line.orphaned = False
-            line.stopped = rec.stopped
-            return line
-        line = self.cam.allocate(pkt.dst, root=False, now=self.host.now())
-        if line is not None:
-            line.stopped = rec.stopped
-        return line
+            self._heads = None
 
     # -- step 2: local congestion detection --------------------------------
     def _detect(self) -> bool:
-        if self.host.params.num_cfqs == 0:
-            return False
-        if self.nfq.bytes < self.host.params.detection_threshold:
-            return False  # cheap bound: untracked <= total NFQ bytes
-        if self.cam.full and not any(ln.orphaned for ln in self.cam.lines()):
-            # Every CFQ is holding a live tree: no allocation (nor
-            # orphan revival) is possible, so skip the occupancy scan.
-            # This is the port's saturated steady state on the 64-node
-            # runs, so the early-out matters for simulation speed.
-            self.cam.note_full()
-            return False
+        """Allocate (or revive) a root line for the destination clogging
+        the NFQ.  :meth:`update` calls it only with ``num_cfqs > 0`` and
+        the NFQ at the detection threshold."""
+        cam = self.cam
+        if cam.full:
+            for ln in cam.lines():
+                if ln.orphaned:
+                    break
+            else:
+                # Every CFQ is holding a live tree: no allocation (nor
+                # orphan revival) is possible, so skip the occupancy
+                # scan.  This is the port's saturated steady state on
+                # the 64-node runs, so the early-out matters for
+                # simulation speed.
+                cam.note_full()
+                return False
         if self._untracked_nfq_bytes() < self.host.params.detection_threshold:
             return False
         dest = self._blame_destination()
         if dest is None:
             return False
-        existing = self.cam.lookup(dest)
+        existing = cam.lookup(dest)
         if existing is not None:
             if existing.orphaned:
                 # Fresh local congestion for a tree that was tearing
@@ -296,7 +302,7 @@ class NfqCfqScheme(QueueScheme):
         # The tree is only rooted here if downstream has not announced
         # it (a root CFQ's downstream is the congested point itself).
         rec = self.host.announced_tree(dest)
-        line = self.cam.allocate(dest, root=rec is None, now=self.host.now())
+        line = cam.allocate(dest, root=rec is None, now=self.host.now())
         if line is None:
             return False  # out of CFQs — the Fig. 8 scalability wall
         if rec is not None:
@@ -329,10 +335,9 @@ class NfqCfqScheme(QueueScheme):
             return None if head is None else head.dst
         best = None
         best_bytes = 0
-        lookup = self.cam.lookup
+        tracked = {ln.dest for ln in self.cam.lines() if not ln.orphaned}
         for dst, nbytes in self.nfq.dest_bytes.items():
-            line = lookup(dst)
-            if line is not None and not line.orphaned:
+            if dst in tracked:
                 continue
             # max bytes; ties broken by destination id for determinism.
             if nbytes > best_bytes or (nbytes == best_bytes and best is not None and dst < best):
@@ -341,23 +346,30 @@ class NfqCfqScheme(QueueScheme):
         return best
 
     # -- step 3: per-CFQ thresholds (propagate / stop / go / hot / free) ---
-    def _check_thresholds(self) -> None:
-        p = self.host.params
-        for line in self.cam.lines():
-            occ = self.cfqs[line.cfq_index].bytes
-            if not line.propagated and occ >= p.propagation_threshold and not line.orphaned:
+    def _check_thresholds(self, lines: List[CamLine]) -> None:
+        host = self.host
+        p = host.params
+        cfqs = self.cfqs
+        drive = self.drive_congestion_state
+        propagate_at = p.propagation_threshold
+        stop_at = p.cfq_stop
+        go_at = p.cfq_go
+        # deallocation below replaces the CAM's list, not this one
+        for line in lines:
+            occ = cfqs[line.cfq_index].bytes
+            if not line.propagated and occ >= propagate_at and not line.orphaned:
                 line.propagated = True
-                self.host.send_upstream(CfqAlloc(line.dest, id(line)))
-            if not line.stop_sent and occ >= p.cfq_stop:
+                host.send_upstream(CfqAlloc(line.dest, id(line)))
+            if not line.stop_sent and occ >= stop_at:
                 if not line.propagated:
                     line.propagated = True
-                    self.host.send_upstream(CfqAlloc(line.dest, id(line)))
+                    host.send_upstream(CfqAlloc(line.dest, id(line)))
                 line.stop_sent = True
-                self.host.send_upstream(CfqStop(line.dest, id(line)))
-            elif line.stop_sent and occ <= p.cfq_go:
+                host.send_upstream(CfqStop(line.dest, id(line)))
+            elif line.stop_sent and occ <= go_at:
                 line.stop_sent = False
-                self.host.send_upstream(CfqGo(line.dest, id(line)))
-            if self.drive_congestion_state and line.root:
+                host.send_upstream(CfqGo(line.dest, id(line)))
+            if drive and line.root:
                 if not line.hot and occ >= p.cfq_high:
                     self._arm_hot(line)
                 elif line.hot and occ <= p.cfq_cs_exit:
@@ -365,13 +377,14 @@ class NfqCfqScheme(QueueScheme):
                     # the Go band (the link keeps draining the tree
                     # while the sources' CCTIs decay)
                     line.hot = False
-                    line.last_hot_at = self.host.now()
-                    self.host.root_cfq_hot_changed(line.dest, False)
+                    line.last_hot_at = host.now()
+                    host.root_cfq_hot_changed(line.dest, False)
                 elif occ <= p.cfq_low:
                     # a pending dwell only survives genuine standing
                     # congestion; full drainage disarms it
                     self._hot_pending.pop(line.cfq_index, None)
-            self._maybe_deallocate(line)
+            if not occ and not line.stopped:
+                self._maybe_deallocate(line)
 
     def _arm_hot(self, line: CamLine) -> None:
         """Start the congestion-state dwell for a root CFQ above High.

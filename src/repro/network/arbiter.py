@@ -84,22 +84,36 @@ class ISlip:
         left out by the caller.  Returns ``{input: output}`` — always a
         valid matching (injective both ways) over the requested pairs.
         """
-        req: Dict[int, Set[int]] = {i: set(outs) for i, outs in requests.items() if outs}
+        # output -> the inputs requesting it (inputs arrive one at a
+        # time, so a repeated output is a repeat of the last entry)
+        by_out: Dict[int, List[int]] = {}
+        for inp, outs in requests.items():
+            for out in outs:
+                requesters = by_out.get(out)
+                if requesters is None:
+                    by_out[out] = [inp]
+                elif requesters[-1] != inp:
+                    requesters.append(inp)
+        contested = sorted(out for out in by_out if 0 <= out < self.num_outputs)
         matched_in: Dict[int, int] = {}
         matched_out: Dict[int, int] = {}
 
         for iteration in range(self.iterations):
             grants: Dict[int, List[int]] = {}  # input -> outputs granting it
-            for out in range(self.num_outputs):
+            for out in contested:
                 if out in matched_out:
                     continue
-                requesters = [
-                    i for i, outs in req.items() if out in outs and i not in matched_in
-                ]
-                if not requesters:
-                    continue
+                requesters = by_out[out]
+                if matched_in:
+                    requesters = [i for i in requesters if i not in matched_in]
+                    if not requesters:
+                        continue
                 winner = self._pick_grant(out, requesters)
-                grants.setdefault(winner, []).append(out)
+                granted = grants.get(winner)
+                if granted is None:
+                    grants[winner] = [out]
+                else:
+                    granted.append(out)
             if not grants:
                 break
             for inp, outs in grants.items():
@@ -125,17 +139,22 @@ class ISlip:
         return choice
 
     # ------------------------------------------------------------------
+    # LRG picks: the stamps of one row are distinct (distinct initial
+    # values, then the monotone clock), so the minimum is unique and
+    # needs no index tie-break.
     def _pick_grant(self, out: int, requesters: List[int]) -> int:
         if self.mode == "pointer":
             return _next_from(requesters, self.grant_ptr[out])
-        stamps = self._grant_stamp[out]
-        return min(requesters, key=lambda i: (stamps[i], i))
+        if len(requesters) == 1:
+            return requesters[0]
+        return min(requesters, key=self._grant_stamp[out].__getitem__)
 
     def _pick_accept(self, inp: int, outs: List[int]) -> int:
         if self.mode == "pointer":
             return _next_from(outs, self.accept_ptr[inp])
-        stamps = self._accept_stamp[inp]
-        return min(outs, key=lambda o: (stamps[o], o))
+        if len(outs) == 1:
+            return outs[0]
+        return min(outs, key=self._accept_stamp[inp].__getitem__)
 
     def _commit(self, inp: int, out: int, iteration: int) -> None:
         if self.mode == "pointer":

@@ -206,17 +206,20 @@ def build_fabric(
     ]
 
     num_nodes = topo.num_nodes
+    # One pass over the (switch, dst) indexes for all switches, fresh
+    # dicts per fabric: the fault injector rewrites tables in place.
+    tables = topo.routes_by_switch()
+    # the candidate index is never built for det (perf)
+    candidates = topo.candidate_maps() if policy_spec.needs_candidates else None
+    crossbar_bw = topo.effective_crossbar_bw()
     switches = [
         Switch(
             sim,
             f"sw{s.id}",
             num_ports=s.num_ports,
             routing=policy_spec.build(
-                table=RoutingTable.from_topology(topo, s.id),
-                # the candidate index is never built for det (perf)
-                candidates=(
-                    topo.candidate_map(s.id) if policy_spec.needs_candidates else None
-                ),
+                table=RoutingTable(s.id, tables[s.id]),
+                candidates=candidates[s.id] if candidates is not None else None,
                 params=switch_params,
             ),
             params=switch_params,
@@ -226,35 +229,39 @@ def build_fabric(
                 if spec.marking is not None
                 else None
             ),
-            crossbar_bw=topo.effective_crossbar_bw(),
+            crossbar_bw=crossbar_bw,
         )
         for s in topo.switches
     ]
 
     links: List[Link] = []
     delay = params.link_delay
+    jitter = params.link_jitter
+
+    def link(name: str, bw: float, stream: str) -> Link:
+        # The jitter stream exists only when drawn from; streams are
+        # keyed by name, so leaving one out shifts no other.
+        rng = rngs.stream(f"jitter.{stream}") if jitter > 0 else None
+        return Link(sim, name, bw, delay, jitter=jitter, rng=rng)
+
     for nid, (sw, port, bw) in sorted(topo.node_attach.items()):
         node, switch = nodes[nid], switches[sw]
-        up = Link(sim, f"n{nid}->s{sw}p{port}", bw, delay, jitter=params.link_jitter,
-                  rng=rngs.stream(f"jitter.n{nid}.up"))
+        up = link(f"n{nid}->s{sw}p{port}", bw, f"n{nid}.up")
         up.connect(tx=node, rx=switch.input_ports[port])
         node.uplink = up
         switch.input_ports[port].link_in = up
-        down = Link(sim, f"s{sw}p{port}->n{nid}", bw, delay, jitter=params.link_jitter,
-                    rng=rngs.stream(f"jitter.n{nid}.down"))
+        down = link(f"s{sw}p{port}->n{nid}", bw, f"n{nid}.down")
         down.connect(tx=switch.output_ports[port], rx=node)
         switch.output_ports[port].link_out = down
         node.downlink = down
         links.extend((up, down))
 
     for a, pa, b, pb, bw in topo.switch_links:
-        ab = Link(sim, f"s{a}p{pa}->s{b}p{pb}", bw, delay, jitter=params.link_jitter,
-                  rng=rngs.stream(f"jitter.s{a}p{pa}"))
+        ab = link(f"s{a}p{pa}->s{b}p{pb}", bw, f"s{a}p{pa}")
         ab.connect(tx=switches[a].output_ports[pa], rx=switches[b].input_ports[pb])
         switches[a].output_ports[pa].link_out = ab
         switches[b].input_ports[pb].link_in = ab
-        ba = Link(sim, f"s{b}p{pb}->s{a}p{pa}", bw, delay, jitter=params.link_jitter,
-                  rng=rngs.stream(f"jitter.s{b}p{pb}"))
+        ba = link(f"s{b}p{pb}->s{a}p{pa}", bw, f"s{b}p{pb}")
         ba.connect(tx=switches[b].output_ports[pb], rx=switches[a].input_ports[pa])
         switches[b].output_ports[pb].link_out = ba
         switches[a].input_ports[pa].link_in = ba

@@ -44,7 +44,8 @@ Endpoints are duck-typed:
   (plus optional ``cancel_reservation(pkt)`` for fault drops);
 * the transmitter implements ``on_tx_done(link)`` (serialisation
   finished; the output port is free again), ``on_credit(link)`` and
-  ``receive_reverse_control(msg, link)``.
+  ``receive_reverse_control(msg, link)`` (plus optional
+  ``on_bandwidth_change(link)`` after a re-scale or degrade).
 
 Link bandwidth may be changed mid-simulation with
 :meth:`set_bandwidth` — this models the frequency/voltage link scaling
@@ -347,6 +348,7 @@ class Link:
         self.drop_prob = float(drop_prob)
         if rng is not None:
             self.fault_rng = rng
+        self._bandwidth_changed()
 
     def clear_degrade(self) -> None:
         """Undo :meth:`degrade`: restore pristine bandwidth/delay and
@@ -354,6 +356,7 @@ class Link:
         if self._base is not None:
             self.bandwidth, self.delay = self._base
             self._base = None
+            self._bandwidth_changed()
         self.drop_prob = 0.0
 
     # ------------------------------------------------------------------
@@ -408,6 +411,14 @@ class Link:
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         self.bandwidth = float(bandwidth)
+        self._bandwidth_changed()
+
+    def _bandwidth_changed(self) -> None:
+        """Tell the transmitter its link speed moved (optional endpoint
+        hook: a switch output port caches the slowest attached link)."""
+        hook = getattr(self.tx, "on_bandwidth_change", None)
+        if hook is not None:
+            hook(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Link {self.name} {self.bandwidth}B/ns busy_until={self.busy_until}>"

@@ -106,12 +106,7 @@ class RoutingTable:
 
     @classmethod
     def from_topology(cls, topo: Topology, switch_id: int) -> "RoutingTable":
-        table = {
-            dst: port
-            for (sw, dst), port in topo.routes.items()
-            if sw == switch_id
-        }
-        return cls(switch_id, table)
+        return cls(switch_id, topo.routes_by_switch().get(switch_id, {}))
 
 
 def build_routing(topo: Topology) -> Dict[Tuple[int, int], int]:

@@ -30,7 +30,7 @@ towards their destination through the control plane.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.cam import OutputCam, OutputCamLine
 from repro.core.params import CCParams
@@ -85,13 +85,6 @@ class InputPort:
         """True while at least one packet is being read (diagnostics)."""
         return self.active_rate > 0.0
 
-    def can_read_at(self, rate: float) -> bool:
-        """Could this port start another crossbar read at ``rate``?"""
-        budget = self.switch.crossbar_bw
-        if budget is None:
-            return self.active_rate == 0.0
-        return self.active_rate + rate <= budget * (1.0 + 1e-9)
-
     # -- PortHost / IsolationHost ----------------------------------------
     def route(self, pkt: Packet) -> int:
         # Generic fallback; Switch.__init__ shadows this per instance
@@ -134,7 +127,8 @@ class InputPort:
     # admission logic becomes the credit view with no extra branch on
     # the golden path.
     def can_accept(self, pkt: Packet) -> bool:
-        return self.pool.free >= pkt.size and self.scheme.can_accept_extra(pkt)
+        pool = self.pool
+        return pool.capacity - pool.used >= pkt.size and self.scheme.can_accept_extra(pkt)
 
     def reserve(self, pkt: Packet) -> None:
         self.pool.reserve(pkt.size)
@@ -179,8 +173,10 @@ class OutputPort:
         #: matcher skips heads bound here on these priorities.  Always
         #: empty under the static buffer model.
         self.paused_priorities: set = set()
-        #: the (input port, packet) currently crossing to this output.
-        self.current: Optional[Tuple[InputPort, Packet]] = None
+        #: the (input port, packet, read rate) currently crossing to
+        #: this output; the rate is what the read added to the input
+        #: port's ``active_rate`` and gives back on completion.
+        self.current: Optional[Tuple[InputPort, Packet, float]] = None
         self.entered_congestion_state = 0
 
     # -- congestion state ---------------------------------------------------
@@ -198,10 +194,26 @@ class OutputPort:
 
     # -- link transmitter endpoint -------------------------------------------
     def on_tx_done(self, link: Link) -> None:
-        self.switch.on_transmission_done(self)
+        """Serialisation finished: the packet's tail has left both the
+        crossbar and the input buffer — free the read capacity and the
+        RAM, return the link-level credit, and re-arbitrate."""
+        assert self.current is not None, "tx done with no transmission"
+        port, pkt, rate = self.current
+        self.current = None
+        port.active_rate -= rate
+        if port.active_rate < 1e-12:
+            port.active_rate = 0.0
+        port.release_packet(pkt)
+        if port.link_in is not None:
+            port.link_in.return_credit(pkt.size)
+        self.switch.kick()
 
     def on_credit(self, link: Link) -> None:
         self.switch.kick()
+
+    def on_bandwidth_change(self, link: Link) -> None:
+        # the matcher's slowest-link pre-filter is derived from it
+        self.switch._min_link_bw = None
 
     def receive_reverse_control(self, msg: ControlMessage, link: Link) -> None:
         self.switch.on_tree_message(self, msg)
@@ -303,8 +315,9 @@ class Switch:
         #: immediately on every event (the async ablation mode).
         self.quantum = params.match_quantum if params.match_quantum >= 0 else 0.0
         self._match_scheduled = False
-        #: slowest attached output link (lazily computed) — lets the
-        #: matcher skip saturated input ports without scanning queues.
+        #: slowest attached output link (computed on first use, dropped
+        #: by :meth:`OutputPort.on_bandwidth_change`) — lets the matcher
+        #: skip saturated input ports without scanning queues.
         self._min_link_bw: Optional[float] = None
         self.packets_forwarded = 0
         self.fecn_marked = 0
@@ -333,87 +346,92 @@ class Switch:
                 when = now
             else:
                 k = now / q
-                when = max(now, round(k) * q if abs(k - round(k)) < 1e-6 else (now // q + 1.0) * q)
+                slot = round(k)
+                if -1e-6 < k - slot < 1e-6:
+                    when = slot * q
+                else:
+                    when = (now // q + 1.0) * q
+                if when < now:
+                    when = now
             self.sim.post(when, self._match)
 
-    def collect_requests(
-        self,
-    ) -> Tuple[Dict[int, List[int]], Dict[Tuple[int, int], List[Tuple[object, Packet]]]]:
-        """Phase 1 of a matching round: the eligible request sets.
+    def _match(self) -> None:
+        """One matching round, in one pass: gather every input port's
+        eligible heads that could start right now, arbitrate, start one
+        transmission per match.  A round in which nothing can start
+        (most of them) allocates nothing.
 
-        Asks every idle input port's scheme for its eligible queue heads
-        (the unmodified public
-        :meth:`~repro.network.queueing.CongestionControlScheme.eligible_heads`
-        API), filters by output-link availability, downstream space and
-        crossbar read budget, and returns ``(requests, candidates)``:
-        ``requests`` maps each requesting input to its output list (the
-        arbiter's input), ``candidates`` maps each (input, output) pair
-        to its head-packet choices.
-        """
-        if self._min_link_bw is None:
-            self._min_link_bw = min(
+        A head is a candidate when its output is not PFC-paused for its
+        priority, the output link could send it (up, idle, downstream
+        space — the three conditions of :meth:`Link.can_send`, tested
+        inline) and the input port has crossbar read budget left for
+        that link's rate: with no budget (``crossbar_bw is None``) a
+        port reads one packet at a time; with one, concurrent reads may
+        sum to it, within a relative 1e-9 for float accumulation."""
+        self._match_scheduled = False
+        min_bw = self._min_link_bw
+        if min_bw is None:
+            min_bw = self._min_link_bw = min(
                 (op.link_out.bandwidth for op in self.output_ports if op.link_out),
                 default=0.0,
             )
-        requests: Dict[int, List[int]] = {}
-        # (input, output) -> list of (queue, pkt) candidates.
-        candidates: Dict[Tuple[int, int], List[Tuple[object, Packet]]] = {}
+        budget = self.crossbar_bw
+        cap = 0.0 if budget is None else budget * (1.0 + 1e-9)
         output_ports = self.output_ports
-        min_bw = self._min_link_bw
         paused = self._paused_pairs > 0
         nprios = self._nprios
+        now = self.sim.now
+        requests = None  # {input: outputs}, made by the first port that requests
         for port in self.input_ports:
             # The scheme caches this list between mutations, so an idle
             # port costs one truthiness check per round.
             heads = port.scheme.eligible_heads()
             if not heads:
                 continue
+            active = port.active_rate
             # Saturated read path: not even the slowest link fits.
-            if not port.can_read_at(min_bw):
+            if budget is None:
+                if active != 0.0:
+                    continue
+            elif active + min_bw > cap:
                 continue
-            outs: List[int] = []
-            pidx = port.index
-            for queue, out, pkt in heads:
-                if paused and (pkt.dst % nprios) in output_ports[out].paused_priorities:
+            # Outputs this port requests, in first-seen order, and per
+            # output its head — a list of heads once a second queue
+            # wants the same output.
+            outs = picks = None
+            for head in heads:
+                _queue, out, pkt = head
+                out_port = output_ports[out]
+                if paused and (pkt.dst % nprios) in out_port.paused_priorities:
                     continue
-                link = output_ports[out].link_out
-                if link is None or not link.can_send(pkt):
+                link = out_port.link_out
+                if (
+                    link is None
+                    or not link.up
+                    or now < link.busy_until
+                    or not link.rx.can_accept(pkt)
+                ):
                     continue
-                if not port.can_read_at(link.bandwidth):
+                if budget is not None and active + link.bandwidth > cap:
                     continue
-                key = (pidx, out)
-                cands = candidates.get(key)
-                if cands is None:
-                    candidates[key] = [(queue, pkt)]
-                    outs.append(out)
+                if outs is None:
+                    outs = [out]
+                    picks = [head]
+                elif out in outs:
+                    k = outs.index(out)
+                    if type(picks[k]) is list:
+                        picks[k].append(head)
+                    else:
+                        picks[k] = [picks[k], head]
                 else:
-                    cands.append((queue, pkt))
-            if outs:
-                requests[pidx] = outs
-        return requests, candidates
-
-    def apply_matches(
-        self,
-        matches: Dict[int, int],
-        candidates: Dict[Tuple[int, int], List[Tuple[object, Packet]]],
-    ) -> bool:
-        """Phase 3 of a matching round: start one transmission per
-        matched (input, output) pair, round-robining among that pair's
-        head-packet candidates.  Returns True when anything started (the
-        caller may immediately arbitrate again: with crossbar headroom
-        an input port can feed several outputs in the same instant)."""
-        for inp, out in matches.items():
-            cands = candidates[(inp, out)]
-            port = self.input_ports[inp]
-            queue, pkt = cands[port.rr_counter % len(cands)]
-            port.rr_counter += 1
-            self._start_transmission(port, self.output_ports[out], queue, pkt)
-        return bool(matches)
-
-    def _match(self) -> None:
-        self._match_scheduled = False
-        requests, candidates = self.collect_requests()
-        if not requests:
+                    outs.append(out)
+                    picks.append(head)
+            if outs is not None:
+                if requests is None:
+                    requests, picked = {}, {}
+                requests[port.index] = outs
+                picked[port.index] = picks
+        if requests is None:
             return
         if len(requests) == 1:
             # One requesting input: skip the full grant/accept iteration
@@ -422,13 +440,25 @@ class Switch:
             matches = {inp: self.arbiter.match_single(inp, outs)}
         else:
             matches = self.arbiter.match(requests)
-        if self.apply_matches(matches, candidates):
+        for inp, out in matches.items():
+            self._start_transmission(
+                self.input_ports[inp], out, picked[inp][requests[inp].index(out)]
+            )
+        if matches:
             # A port with crossbar headroom left may start a second
             # concurrent read this very instant (iSlip grants one match
             # per input per round) — run another round.
             self.kick()
 
-    def _start_transmission(self, port: InputPort, out_port: OutputPort, queue, pkt: Packet) -> None:
+    def _start_transmission(self, port: InputPort, out: int, pick) -> None:
+        """Start the matched transmission ``port`` -> ``out``; ``pick``
+        is that pair's head, or the list of its heads to round-robin
+        among."""
+        if type(pick) is list:
+            pick = pick[port.rr_counter % len(pick)]
+        port.rr_counter += 1
+        queue, _out, pkt = pick
+        out_port = self.output_ports[out]
         popped = queue.pop()
         assert popped is pkt, "queue head changed between match and pop"
         rate = out_port.link_out.bandwidth
@@ -441,21 +471,6 @@ class Switch:
         out_port.link_out.send(pkt)
         self.packets_forwarded += 1
         port.scheme.after_dequeue(queue)
-
-    def on_transmission_done(self, out_port: OutputPort) -> None:
-        """Serialisation finished: the packet's tail has left both the
-        crossbar and the input buffer — free the read capacity and the
-        RAM, return the link-level credit, and re-arbitrate."""
-        assert out_port.current is not None, "tx done with no transmission"
-        port, pkt, rate = out_port.current
-        out_port.current = None
-        port.active_rate -= rate
-        if port.active_rate < 1e-12:
-            port.active_rate = 0.0
-        port.release_packet(pkt)
-        if port.link_in is not None:
-            port.link_in.return_credit(pkt.size)
-        self.kick()
 
     # ------------------------------------------------------------------
     # congestion-tree protocol (reverse control from downstream)
@@ -537,7 +552,7 @@ class Switch:
             inputs.append(entry)
         outputs = []
         for out in self.output_ports:
-            cur = out.current
+            cur = out.current  # (input port, packet, read rate) or None
             outputs.append(
                 {
                     "name": out.name,

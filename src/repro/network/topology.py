@@ -168,9 +168,7 @@ class Topology:
         cached; call :meth:`invalidate_port_index` after editing the
         wiring in place.
         """
-        index = self._candidate_index
-        if index is None:
-            index = self._candidate_index = self._build_candidate_index()
+        index = self._candidates()
         try:
             return index[(switch_id, dst)]
         except KeyError:
@@ -182,12 +180,31 @@ class Topology:
     def candidate_map(self, switch_id: int) -> Dict[int, Tuple[int, ...]]:
         """``dst -> candidate ports`` for one switch (the per-switch
         slice of :meth:`candidates`, handed to routing policies)."""
+        return self.candidate_maps().get(switch_id, {})
+
+    def candidate_maps(self) -> Dict[int, Dict[int, Tuple[int, ...]]]:
+        """:meth:`candidate_map` of every switch, from one pass over
+        the index (the fabric builder wants all of them)."""
+        maps: Dict[int, Dict[int, Tuple[int, ...]]] = {s.id: {} for s in self.switches}
+        for (sw, dst), ports in self._candidates().items():
+            maps[sw][dst] = ports
+        return maps
+
+    def _candidates(self) -> Dict[Tuple[int, int], Tuple[int, ...]]:
+        """The (switch, dst) candidate index, built on first use."""
         index = self._candidate_index
         if index is None:
             index = self._candidate_index = self._build_candidate_index()
-        return {
-            dst: ports for (sw, dst), ports in index.items() if sw == switch_id
-        }
+        return index
+
+    def routes_by_switch(self) -> Dict[int, Dict[int, int]]:
+        """:attr:`routes` regrouped as ``switch -> {dst: out_port}``:
+        the table of every switch, from one pass.  The dicts are new on
+        every call, the caller's to keep and edit."""
+        tables: Dict[int, Dict[int, int]] = {s.id: {} for s in self.switches}
+        for (sw, dst), port in self.routes.items():
+            tables.setdefault(sw, {})[dst] = port
+        return tables
 
     def _build_candidate_index(self) -> Dict[Tuple[int, int], Tuple[int, ...]]:
         # Same adjacency + per-destination backward BFS as

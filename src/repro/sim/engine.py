@@ -579,6 +579,12 @@ class Simulator:
             if counts is not None:
                 key = getattr(fn, "__qualname__", None) or repr(fn)
                 counts[key] = counts.get(key, 0) + 1
+            h = e[8]
+            if h is not None:
+                # fired: a cancel() from here on, even from inside the
+                # callback itself, is a no-op
+                h._entry = None
+                e[8] = None
             a = e[3]
             if a:
                 fn(*a)
@@ -608,10 +614,6 @@ class Simulator:
                 else:
                     self._file(e)
             else:
-                h = e[8]
-                if h is not None:
-                    h._entry = None
-                    e[8] = None
                 e[2] = None
                 e[3] = None
                 if len(pool) < _ENTRY_POOL_MAX:

@@ -53,6 +53,43 @@ class TestInputCam:
         assert cam.line_at(0) is None
         assert cam.line_at(1) is b
 
+    def test_lines_survives_freeing_every_line_mid_iteration(self):
+        # what the isolation state machine does: deallocate while it
+        # walks the lines (free replaces the list, it never edits it)
+        cam = InputCam(4)
+        made = [cam.allocate(d, False, 0.0) for d in (9, 3, 7)]
+        walked = []
+        for line in cam.lines():
+            walked.append(line)
+            cam.free(line)
+            cam.audit()
+        assert walked == made  # CFQ order, none skipped
+        assert cam.lines() == [] and not cam.full
+        assert cam.allocate(5, True, 1.0).cfq_index == 0
+        cam.audit()
+
+    def test_lines_follow_cfq_order_not_allocation_order(self):
+        cam = InputCam(3)
+        a, b, c = (cam.allocate(d, False, 0.0) for d in (1, 2, 3))
+        cam.free(a)
+        d = cam.allocate(4, False, 0.0)  # reuses CFQ 0
+        assert cam.lines() == [d, b, c]
+        assert cam.full
+
+    def test_zero_line_cam_is_always_full(self):
+        cam = InputCam(0)
+        assert cam.full and cam.lines() == []
+        assert cam.allocate(1, True, 0.0) is None
+        assert cam.alloc_failures == 1
+        cam.audit()
+
+    def test_audit_catches_a_stale_line_list(self):
+        cam = InputCam(2)
+        cam.allocate(1, False, 0.0)
+        cam.lines().clear()  # callers must not do this
+        with pytest.raises(CamError):
+            cam.audit()
+
     def test_fresh_line_state(self):
         line = CamLine(dest=9, cfq_index=1, root=False, now=5.0)
         assert not line.stopped

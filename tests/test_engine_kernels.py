@@ -11,6 +11,8 @@ and byte-identical ``CaseResult``s.  See docs/performance.md.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
 from tests.heap_oracle import HeapSimulator
@@ -174,6 +176,19 @@ def test_cancel_after_fire_does_not_corrupt_live_count(sim_cls):
     assert sim.pending() == 0
 
 
+def test_cancel_from_own_callback_is_a_noop(sim_cls):
+    # found by the seam test below: the handle used to stay "queued"
+    # until its callback returned, so this debited pending() twice
+    sim = sim_cls()
+    holder = {}
+    holder["ev"] = sim.schedule(1.0, lambda: holder["ev"].cancel())
+    sim.schedule(2.0, lambda: None)
+    sim.run(max_events=1)
+    assert sim.pending() == 1
+    sim.run()
+    assert sim.pending() == 0 and sim.events_dispatched == 2
+
+
 # ----------------------------------------------------------------------
 # calendar queue vs heap oracle (randomized)
 # ----------------------------------------------------------------------
@@ -211,6 +226,104 @@ def test_kernels_dispatch_identically_randomized():
     t_heap = _mixed_workload(HeapSimulator(), seed=7)
     assert len(t_bucket) > 100
     assert t_bucket == t_heap
+
+
+# ----------------------------------------------------------------------
+# same-instant posts (a device kicking itself): visible while they wait,
+# and (time, seq) order holds across post / schedule / schedule_pair
+# ----------------------------------------------------------------------
+def test_same_instant_posts_are_visible_and_steppable(sim_cls):
+    sim = sim_cls()
+    fired = []
+
+    def first():
+        sim.post(sim.now, fired.append, "x")
+        sim.post(sim.now, fired.append, "y")
+
+    sim.post(2.0, first)
+    sim.post(9.0, fired.append, "z")
+    sim.run(max_events=1)  # stops with x and y waiting at now == 2
+    assert sim.now == 2.0 and fired == []
+    assert sim.pending() == 3
+    assert sim.peek_time() == 2.0
+    assert sim.queue_snapshot() == {"list.append": 3}
+    sim.run(until=1.0)  # nothing stamped <= 1 is left
+    assert fired == [] and sim.now == 2.0
+    assert sim.step() and fired == ["x"]
+    assert sim.peek_time() == 2.0 and sim.pending() == 2
+    sim.run(until=5.0)
+    assert fired == ["x", "y"] and sim.now == 5.0
+    assert sim.peek_time() == 9.0
+
+
+_SEAM_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["post_now", "post_in0", "sched_now", "pair_now"])),
+        st.tuples(st.sampled_from(["post_at", "sched_at", "pair_at"]),
+                  st.integers(min_value=0, max_value=40)),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=50)),
+    ),
+    max_size=60,
+)
+
+
+def _run_seam_script(sim, ops, fanout, outside, chunk):
+    """Feed ``ops`` to ``sim``: ``outside`` of them before the first
+    ``run``, then ``fanout`` from inside every callback, in dispatch
+    order.  Runs ``chunk`` events at a time and looks at the queue in
+    between.  Returns everything observed."""
+    ops = iter(ops)
+    trace = []
+    handles = []
+    tags = iter(range(10**6))
+
+    def fire(tag):
+        trace.append((sim.now, tag))
+        for _ in range(fanout):
+            apply(next(ops, None))
+
+    def apply(op):
+        if op is None:
+            return
+        kind = op[0]
+        if kind == "post_now":
+            sim.post(sim.now, fire, next(tags))
+        elif kind == "post_in0":
+            sim.post_in(0.0, fire, next(tags))
+        elif kind == "sched_now":
+            handles.append(sim.schedule(sim.now, fire, next(tags)))
+        elif kind == "pair_now":
+            sim.schedule_pair(sim.now, fire, (next(tags),), sim.now, fire, (next(tags),))
+        elif kind == "post_at":
+            sim.post(sim.now + op[1], fire, next(tags))
+        elif kind == "sched_at":
+            handles.append(sim.schedule(sim.now + op[1], fire, next(tags)))
+        elif kind == "pair_at":
+            t1 = sim.now + op[1] % 3  # often 0: a pair whose first firing is now
+            sim.schedule_pair(t1, fire, (next(tags),), t1 + op[1], fire, (next(tags),))
+        elif kind == "cancel" and handles:
+            handles[op[1] % len(handles)].cancel()
+
+    for _ in range(outside):
+        apply(next(ops, None))
+    seen = []
+    while sim.pending():
+        seen.append((sim.peek_time(), sim.pending(), sorted(sim.queue_snapshot().items())))
+        sim.run(until=sim.now + 25.0, max_events=chunk)
+    return trace, seen, sim.now, sim.events_dispatched
+
+
+@given(_SEAM_OPS, st.integers(1, 3), st.integers(0, 6), st.sampled_from([1, 2, 7, None]))
+@settings(max_examples=150, deadline=None)
+def test_same_instant_seam_matches_the_heap_oracle(ops, fanout, outside, chunk):
+    """post(now) / post_in(0) / schedule(now) / schedule_pair(now, ..,
+    now, ..) / cancel, issued between runs and from nested same-instant
+    callbacks: the calendar queue and the plain heap agree on the
+    dispatch trace and on peek_time / pending / queue_snapshot whenever
+    run() stops, same-instant entries waiting or not."""
+    want = _run_seam_script(HeapSimulator(), ops, fanout, outside, chunk)
+    for sim in (Simulator(), Simulator(bucket_ns=4.0, num_buckets=4)):
+        assert _run_seam_script(sim, ops, fanout, outside, chunk) == want
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.core.isolation import NfqCfqScheme
 from repro.core.params import CCParams
 from repro.network.fabric import build_fabric
 from repro.network.queueing import OneQScheme, VOQnetScheme, VOQswScheme
+from repro.network.routing import RoutingTable
 from repro.network.topology import config1_adhoc, k_ary_n_tree
 
 
@@ -43,6 +44,41 @@ def test_link_wiring_is_bidirectional_and_complete():
                 assert op.link_out is not None and op.link_out.tx is op
             else:  # top-level switches leave their up ports unwired
                 assert ip.link_in is None and op.link_out is None
+
+
+@pytest.mark.parametrize("make_topo", [config1_adhoc, lambda: k_ary_n_tree(4, 3)],
+                         ids=["config1", "config3"])
+def test_builder_tables_equal_the_per_switch_accessors(make_topo):
+    """Routes and candidates are grouped by switch in one pass
+    (``routes_by_switch`` / ``candidate_maps``); the builder and the
+    per-switch accessors both hand out exactly the per-switch slice of
+    the (switch, dst) indexes (same entries, same order), in dicts of
+    their own."""
+    topo = make_topo()
+    fab = build_fabric(topo, scheme="1Q", seed=0, routing="adaptive")
+    det = build_fabric(topo, scheme="1Q", seed=0)
+    for spec, sw, det_sw in zip(topo.switches, fab.switches, det.switches):
+        want = [(dst, port) for (s, dst), port in topo.routes.items() if s == spec.id]
+        table = sw.policy.table._table
+        assert list(table.items()) == want
+        assert list(RoutingTable.from_topology(topo, spec.id)._table.items()) == want
+        cands = [(dst, topo.candidates(spec.id, dst)) for dst, _port in want]
+        assert list(sw.policy.candidates.items()) == cands
+        assert list(topo.candidate_map(spec.id).items()) == cands
+        assert det_sw.policy.candidates is None  # never built for det
+        # the fault injector rewrites tables in place: no sharing
+        assert table is not det_sw.policy.table._table
+        assert table == det_sw.policy.table._table
+    assert not any(name.startswith("jitter.") for name in fab.rngs._streams)
+
+
+def test_jitter_streams_exist_only_when_drawn_from():
+    params = CCParams(link_jitter=0.01, match_quantum=0.0)
+    fab = build_fabric(config1_adhoc(), scheme="1Q", params=params, seed=0)
+    assert all(link.rng is fab.rngs.stream(f"jitter.{name}") for link, name in
+               ((fab.nodes[0].uplink, "n0.up"), (fab.nodes[0].downlink, "n0.down"),
+                (fab.switches[0].output_ports[3].link_out, "s0p3")))
+    assert sum(name.startswith("jitter.") for name in fab.rngs._streams) == len(fab.links)
 
 
 def test_switch_queue_schemes_match_preset():

@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.params import CCParams
 from repro.network.fabric import build_fabric
-from repro.network.packet import Becn
-from repro.network.topology import config1_adhoc, k_ary_n_tree
+from repro.network.packet import Becn, alloc_packet
+from repro.network.topology import SwitchSpec, Topology, config1_adhoc, k_ary_n_tree
 from repro.traffic.flows import FlowSpec, attach_traffic
 
 
@@ -54,6 +54,51 @@ def test_crossbar_speedup_allows_concurrent_reads():
     # both flows at full rate through the same input port of switch 1
     assert got_a == pytest.approx(2.5, rel=0.05)
     assert got_b == pytest.approx(2.5, rel=0.05)
+
+
+def test_link_degrade_refreshes_the_slowest_link_prefilter():
+    """The matching round skips an input port that could not even feed
+    the slowest attached link.  That bandwidth is cached, and a link
+    getting slower mid-run has to drop the cache: here a second packet
+    fits the crossbar budget only once its link is degraded."""
+    topo = Topology(
+        name="one-switch",
+        num_nodes=3,
+        switches=[SwitchSpec(id=0, num_ports=3)],
+        node_attach={n: (0, n, 2.0) for n in range(3)},
+        switch_links=[],
+        routes={(0, n): n for n in range(3)},
+        crossbar_bw=3.0,  # speedup 1.5: one read at 2.0, or 2.0 + 1.0
+    )
+    fab = build_fabric(topo, scheme="VOQsw", params=CCParams(match_quantum=0.0), seed=0)
+    sw, sim = fab.switches[0], fab.sim
+    port = sw.input_ports[0]
+    for dst in (1, 2):  # two heads in two VOQs of the same input port
+        pkt = alloc_packet(0, dst, 2048, f"to{dst}", created_at=0.0)
+        port.reserve(pkt)
+        port.receive_packet(pkt, port.link_in)
+    sim.run(until=100.0)
+    busy, idle = sorted((fab.nodes[1].downlink, fab.nodes[2].downlink),
+                        key=lambda link: link.in_flight is None)
+    assert busy.in_flight is not None and idle.in_flight is None  # 2.0 + 2.0 > 3.0
+    assert port.active_rate == 2.0
+
+    idle.degrade(bandwidth_factor=0.5)  # 1.0 GB/s: 2.0 + 1.0 fits
+    sw.kick()
+    sim.run(until=101.0)
+    assert idle.in_flight is not None, "the stale 2.0 GB/s minimum kept the port out of the round"
+    assert port.active_rate == 3.0
+
+    idle.clear_degrade()
+    sim.run(until=10_000.0)
+    assert fab.stats()["delivered_packets"] == 2
+    sw.kick()
+    sim.run(until=10_001.0)
+    assert sw._min_link_bw == 2.0  # and back, after clear_degrade
+    fab.nodes[0].downlink.set_bandwidth(0.5)
+    sw.kick()
+    sim.run(until=10_002.0)
+    assert sw._min_link_bw == 0.5
 
 
 def test_fecn_marking_only_when_congested():
