@@ -856,8 +856,8 @@ def _cmd_cache(args) -> int:
         return 0
     if args.clear:
         summary = cache.prune(max_age_s=0.0, include_quarantine=True)
-        print(f"cache: removed {summary['removed'] + summary['quarantine_removed']} "
-              f"entries, freed {summary['freed_bytes']} bytes")
+        gone = summary["removed"] + summary["quarantine_removed"] + summary["temp_removed"]
+        print(f"cache: removed {gone} entries, freed {summary['freed_bytes']} bytes")
         return 0
     if args.prune:
         try:
@@ -876,7 +876,8 @@ def _cmd_cache(args) -> int:
         else:
             print(
                 f"cache: pruned {summary['removed']} entries "
-                f"(+{summary['quarantine_removed']} quarantined), "
+                f"(+{summary['quarantine_removed']} quarantined, "
+                f"+{summary['temp_removed']} orphaned temp), "
                 f"freed {summary['freed_bytes']} bytes"
             )
         return 0
@@ -890,6 +891,7 @@ def _cmd_cache(args) -> int:
             "oldest": f"{stats['oldest_age_s']:.0f}s" if stats["oldest_age_s"] is not None else "-",
             "newest": f"{stats['newest_age_s']:.0f}s" if stats["newest_age_s"] is not None else "-",
             "quarantined": stats["quarantined"],
+            "temp": stats["temp_files"],
         }]))
         print(f"cache dir: {stats['root']}")
     return 0

@@ -45,6 +45,7 @@ import os
 import pickle
 import time
 import traceback as _traceback
+import uuid
 import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -163,6 +164,35 @@ def _config_descriptor(case: str) -> Dict[str, Any]:
     }
 
 
+def _canonical(obj: Any) -> bytes:
+    """The canonical JSON of ``obj`` -- sorted keys, no whitespace: the
+    bytes every key and every content digest here is a SHA-256 of."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _params_dict(params: CCParams) -> Dict[str, Any]:
+    """``dataclasses.asdict(params)`` without its recursive deep copy,
+    which cost more than the rest of a key together: ``CCParams`` is
+    scalars and one flat list (the CCT), so one level is all there is
+    (``tests/test_sweep.py`` holds the two equal)."""
+    out = {}
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        out[f.name] = list(value) if isinstance(value, list) else value
+    return out
+
+
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` beside ``path`` and rename it into place, so a
+    reader sees the old file or the new one, never a torn one.  The
+    temp name carries the pid *and* a random part: neither two threads
+    of one process nor two hosts whose pids collide on a shared
+    directory write through one temp file."""
+    tmp = path.with_suffix(f".tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
 @dataclass(frozen=True)
 class SimJob:
     """One independent simulation cell of a sweep grid."""
@@ -205,6 +235,14 @@ class SimJob:
             return None
         raise AttributeError(name)
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # the fields travel, the memoised key does not: it is only as
+        # good as the ``repro`` version and topology tables of the
+        # process that derived it.
+        state = dict(self.__dict__)
+        state.pop("_memo", None)
+        return state
+
     def payload(self) -> Dict[str, Any]:
         """Everything that determines this cell's output (the cache-key
         preimage); see docs/sweep.md for the field inventory.  The
@@ -220,7 +258,7 @@ class SimJob:
             "scheme": self.scheme,
             "time_scale": self.time_scale,
             "seed": self.seed,
-            "params": dataclasses.asdict(self.params if self.params is not None else CCParams()),
+            "params": _params_dict(self.params if self.params is not None else CCParams()),
             "extra": dict(self.extra),
         }
         if self.telemetry is not None:
@@ -235,9 +273,27 @@ class SimJob:
             out["buffer_model"] = self.buffer_model
         return out
 
+    def _derive(self) -> Tuple[str, bytes]:
+        """``(key, preimage)``, derived once per job when every key
+        input is immutable.  ``CCParams`` is a mutable dataclass, so a
+        job with explicit ``params`` derives on every call.  The memo
+        is no field: ``==``, ``hash``, ``repr`` and
+        ``dataclasses.replace`` never see it."""
+        memo = self.__dict__.get("_memo")
+        if memo is None:
+            blob = _canonical(self.payload())
+            memo = (hashlib.sha256(blob).hexdigest(), blob)
+            if self.params is None:
+                self.__dict__["_memo"] = memo
+        return memo
+
     def key(self) -> str:
-        blob = json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        """The cell's cache key: SHA-256 of :meth:`preimage`."""
+        return self._derive()[0]
+
+    def preimage(self) -> bytes:
+        """The canonical JSON of :meth:`payload`."""
+        return self._derive()[1]
 
     def run(self) -> CaseResult:
         """Execute the cell in-process (deterministic for fixed fields)."""
@@ -266,17 +322,55 @@ class SimJob:
         return base + (f"[{extra}]" if extra else "")
 
 
+def _unlink(path: Path) -> bool:
+    """Remove ``path``; False when it could not be (already gone)."""
+    try:
+        path.unlink()
+    except OSError:
+        return False
+    return True
+
+
+def _stat_sorted(paths) -> List[Tuple[Path, int, float]]:
+    """``(path, size_bytes, mtime)`` of those ``paths`` that are still
+    there, oldest first."""
+    out = []
+    for p in paths:
+        try:
+            st = p.stat()
+        except OSError:
+            continue
+        out.append((p, st.st_size, st.st_mtime))
+    out.sort(key=lambda e: e[2])
+    return out
+
+
+#: a temp file this old (seconds) belongs to a writer that died between
+#: its write and its rename -- no write takes a minute -- so hygiene may
+#: remove it; a younger one may be a write in flight.
+_TEMP_ORPHAN_S = 60.0
+
+
 class ResultCache:
-    """Content-addressed store of finished cells: one JSON file per
-    cache key under ``root``.
+    """Content-addressed store of finished cells: one file per cache
+    key under ``root``, three lines each (schema 3, docs/sweep.md)::
+
+        {"schema":3,"sha256":"<SHA-256 of line 2>"}
+        <the result: canonical JSON of CaseResult.to_dict()>
+        <the job: SimJob.preimage(), whose SHA-256 is the key>   (optional)
+
+    so a read is one file read and one hash of bytes, and a write
+    serialises the result once.  Entries written before schema 3 -- one
+    JSON document ``{"schema":2,"sha256":...,"result":...,"job":...}``
+    with the same digest -- stay readable; nothing writes them.
 
     Integrity hardening:
 
-    * writes are atomic (tmp + rename), so concurrent sweeps sharing a
-      directory never observe torn files;
-    * every entry embeds a SHA-256 digest of its result payload,
-      verified on read, so a corrupt or truncated entry can never
-      silently poison a figure;
+    * writes are atomic (:func:`write_atomic`), so concurrent sweeps
+      sharing a directory never observe torn files;
+    * every entry carries a SHA-256 digest of its result, verified on
+      read, so a corrupt or truncated entry can never silently poison a
+      figure;
     * a corrupt entry is moved to ``root/quarantine/`` (preserving the
       evidence), counted in :attr:`discarded`, reported through
       :mod:`warnings`, and the cell is recomputed — a bad entry is a
@@ -300,11 +394,6 @@ class ResultCache:
     def quarantine_dir(self) -> Path:
         return self.root / "quarantine"
 
-    @staticmethod
-    def _digest(result: Dict[str, Any]) -> str:
-        blob = json.dumps(result, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
     def _discard(self, key: str, reason: str) -> None:
         """Quarantine a bad entry (or drop it if even that fails)."""
         self.discarded += 1
@@ -314,10 +403,7 @@ class ResultCache:
             os.replace(self.path(key), target)
         except OSError:
             target = None
-            try:
-                self.path(key).unlink()
-            except OSError:
-                pass
+            _unlink(self.path(key))
         where = f"; quarantined to {target}" if target is not None else ""
         warnings.warn(
             f"sweep cache entry {key[:12]}... discarded: {reason}{where} "
@@ -326,13 +412,13 @@ class ResultCache:
             stacklevel=3,
         )
 
-    def get_dict(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored result dict, digest-verified: what
-        :meth:`put_dict` was given, for callers that send it on as JSON
-        (hydrating numpy arrays only to serialize them again would be
-        waste).  A corrupt entry is quarantined and reads as a miss."""
+    def get_bytes(self, key: str) -> Optional[bytes]:
+        """The stored result as canonical JSON, digest-verified and not
+        parsed: all a caller needs to know the cell is there, or to
+        send it on.  A corrupt entry is quarantined and reads as a
+        miss."""
         try:
-            text = self.path(key).read_text()
+            data = self.path(key).read_bytes()
         except FileNotFoundError:
             return None  # a plain miss
         except OSError as exc:
@@ -342,19 +428,38 @@ class ResultCache:
                 stacklevel=2,
             )
             return None
+        head, _, rest = data.partition(b"\n")
         try:
-            data = json.loads(text)
+            envelope = json.loads(head)
         except ValueError:
             self._discard(key, "invalid JSON (torn or truncated write)")
             return None
-        if not isinstance(data, dict) or not isinstance(data.get("result"), dict):
+        if not isinstance(envelope, dict):
+            envelope = {}  # JSON, but no entry: an unrecognized schema below
+        stored = envelope.get("sha256")
+        if envelope.get("schema") == 3:
+            blob = rest.partition(b"\n")[0]
+        elif isinstance(envelope.get("result"), dict):
+            # schema <= 2: the one line is the whole entry, the result
+            # inside it; to verify it is to serialise it again
+            blob = _canonical(envelope["result"])
+            if stored is None:  # schema 1 carried no digest
+                return blob
+        else:
             self._discard(key, "unrecognized entry schema")
             return None
-        stored = data.get("sha256")
-        if stored is not None and stored != self._digest(data["result"]):
+        if hashlib.sha256(blob).hexdigest() != stored:
             self._discard(key, "content digest mismatch")
             return None
-        return data["result"]
+        return blob
+
+    def get_dict(self, key: str) -> Optional[Dict[str, Any]]:
+        """The stored result dict, digest-verified, its keys in
+        canonical (sorted) order: what :meth:`put_dict` was given, for
+        callers that want a part of it without hydrating numpy
+        arrays."""
+        blob = self.get_bytes(key)
+        return json.loads(blob) if blob is not None else None
 
     def get(self, key: str) -> Optional[CaseResult]:
         result = self.get_dict(key)
@@ -369,65 +474,53 @@ class ResultCache:
             return None
 
     def put(self, key: str, result: CaseResult, job: Optional[SimJob] = None) -> None:
-        self.put_dict(key, result.to_dict(), job_payload=job.payload() if job is not None else None)
+        self.put_dict(key, result.to_dict(), job.preimage() if job is not None else None)
 
     def put_dict(
-        self, key: str, result_dict: Dict[str, Any], job_payload: Optional[Dict[str, Any]] = None
+        self, key: str, result_dict: Dict[str, Any], job_preimage: Optional[bytes] = None
     ) -> None:
         """Store an already-serialized result (the worker/service path
         receives dicts over the wire; re-hydrating just to re-serialize
-        would be waste).  Same atomic-write + digest envelope as
-        :meth:`put`."""
-        payload: Dict[str, Any] = {
-            "schema": 2,
-            "sha256": self._digest(result_dict),
-            "result": result_dict,
-        }
-        if job_payload is not None:
-            payload["job"] = job_payload
-        tmp = self.path(key).with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(payload))
-        os.replace(tmp, self.path(key))
+        would be waste).  The one entry writer: :meth:`put` ends here."""
+        blob = _canonical(result_dict)
+        lines = [b'{"schema":3,"sha256":"%s"}' % hashlib.sha256(blob).hexdigest().encode(), blob]
+        if job_preimage is not None:
+            lines.append(job_preimage)
+        write_atomic(self.path(key), b"\n".join(lines) + b"\n")
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))
 
     def clear(self) -> int:
-        n = 0
-        for p in self.root.glob("*.json"):
-            try:
-                p.unlink()
-                n += 1
-            except OSError:  # pragma: no cover - concurrent clear
-                pass
-        return n
+        """Remove every entry and every orphaned temp file; returns how
+        many files went."""
+        removed = sum(_unlink(p) for p in self.root.glob("*.json"))
+        return removed + self._sweep_temp()[0]
 
     # -- hygiene (the `repro cache` subcommand) ------------------------
     def entries(self) -> List[Tuple[str, int, float]]:
         """``(key, size_bytes, mtime)`` per entry, oldest first."""
-        out: List[Tuple[str, int, float]] = []
-        for p in self.root.glob("*.json"):
-            try:
-                st = p.stat()
-            except OSError:
-                continue
-            out.append((p.stem, st.st_size, st.st_mtime))
-        out.sort(key=lambda e: e[2])
-        return out
+        return [(p.stem, size, mtime) for p, size, mtime in _stat_sorted(self.root.glob("*.json"))]
 
     def quarantined(self) -> List[Tuple[str, int, float]]:
         """``(name, size_bytes, mtime)`` per quarantined file."""
-        out: List[Tuple[str, int, float]] = []
-        if not self.quarantine_dir.is_dir():
-            return out
-        for p in self.quarantine_dir.iterdir():
-            try:
-                st = p.stat()
-            except OSError:
-                continue
-            out.append((p.name, st.st_size, st.st_mtime))
-        out.sort(key=lambda e: e[2])
-        return out
+        return [(p.name, size, mtime) for p, size, mtime in _stat_sorted(self.quarantine_dir.glob("*"))]
+
+    def temp_files(self) -> List[Tuple[str, int, float]]:
+        """``(name, size_bytes, mtime)`` per ``*.tmp.*`` file: a write
+        in flight, or what a writer that died before its rename left
+        behind (no entry listing matches them)."""
+        return [(p.name, size, mtime) for p, size, mtime in _stat_sorted(self.root.glob("*.tmp.*"))]
+
+    def _sweep_temp(self) -> Tuple[int, int]:
+        """Remove the orphaned temp files; ``(removed, freed_bytes)``."""
+        cutoff = time.time() - _TEMP_ORPHAN_S
+        removed = freed = 0
+        for name, size, mtime in self.temp_files():
+            if mtime < cutoff and _unlink(self.root / name):
+                removed += 1
+                freed += size
+        return removed, freed
 
     def stats(self) -> Dict[str, Any]:
         """A JSON-safe summary: entry/byte totals and age extremes —
@@ -443,6 +536,7 @@ class ResultCache:
             "newest_age_s": (now - entries[-1][2]) if entries else None,
             "quarantined": len(quarantined),
             "quarantined_bytes": sum(size for _n, size, _m in quarantined),
+            "temp_files": len(self.temp_files()),
         }
 
     def prune(
@@ -454,8 +548,8 @@ class ResultCache:
         """Evict entries older than ``max_age_s``, then — oldest first —
         until the namespace fits ``max_bytes``.  Quarantined files are
         pruned by the same age rule (they are evidence, not results —
-        they never count toward the size budget).  Returns removal
-        accounting."""
+        they never count toward the size budget); orphaned temp files
+        always go.  Returns removal accounting."""
         removed = freed = 0
         now = time.time()
         entries = self.entries()
@@ -463,40 +557,35 @@ class ResultCache:
             cutoff = now - max_age_s
             keep: List[Tuple[str, int, float]] = []
             for key, size, mtime in entries:
-                if mtime < cutoff:
-                    try:
-                        self.path(key).unlink()
-                        removed += 1
-                        freed += size
-                    except OSError:
-                        pass
-                else:
+                if mtime >= cutoff:
                     keep.append((key, size, mtime))
+                elif _unlink(self.path(key)):
+                    removed += 1
+                    freed += size
             entries = keep
         if max_bytes is not None:
             total = sum(size for _k, size, _m in entries)
             for key, size, _mtime in entries:  # oldest first
                 if total <= max_bytes:
                     break
-                try:
-                    self.path(key).unlink()
+                if _unlink(self.path(key)):
                     removed += 1
                     freed += size
                     total -= size
-                except OSError:
-                    pass
         q_removed = 0
         if include_quarantine and max_age_s is not None:
             cutoff = now - max_age_s
             for name, size, mtime in self.quarantined():
-                if mtime < cutoff:
-                    try:
-                        (self.quarantine_dir / name).unlink()
-                        q_removed += 1
-                        freed += size
-                    except OSError:
-                        pass
-        return {"removed": removed, "freed_bytes": freed, "quarantine_removed": q_removed}
+                if mtime < cutoff and _unlink(self.quarantine_dir / name):
+                    q_removed += 1
+                    freed += size
+        t_removed, t_freed = self._sweep_temp()
+        return {
+            "removed": removed,
+            "freed_bytes": freed + t_freed,
+            "quarantine_removed": q_removed,
+            "temp_removed": t_removed,
+        }
 
 
 @dataclass
@@ -612,9 +701,7 @@ class SweepReport:
         """Atomically write :meth:`manifest` as JSON to ``path``."""
         p = Path(path)
         p.parent.mkdir(parents=True, exist_ok=True)
-        tmp = p.with_suffix(p.suffix + f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(self.manifest(), indent=2) + "\n")
-        os.replace(tmp, p)
+        write_atomic(p, (json.dumps(self.manifest(), indent=2) + "\n").encode("utf-8"))
 
 
 def _execute_job(job: SimJob) -> Dict[str, Any]:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.experiments.sweep import ResultCache, SimJob
+from repro.experiments.sweep import ResultCache, SimJob, write_atomic
 
 __all__ = ["FsBroker", "Lease", "default_worker_id"]
 
@@ -114,9 +114,7 @@ class RunRecord:
 
 
 def _write_atomic(path: Path, payload: Dict[str, Any]) -> None:
-    tmp = path.with_suffix(f".tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}")
-    tmp.write_text(json.dumps(payload, separators=(",", ":")))
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(payload, separators=(",", ":")).encode("utf-8"))
 
 
 def _read_json(path: Path) -> Optional[Dict[str, Any]]:
@@ -171,19 +169,25 @@ class FsBroker:
         return self.root / "runs" / f"{run_id}.json"
 
     # -- event log -----------------------------------------------------
-    def _event(self, kind: str, key: str = "", **detail: Any) -> None:
+    @staticmethod
+    def _event_line(kind: str, key: str = "", **detail: Any) -> bytes:
         rec = {"t": time.time(), "kind": kind}
         if key:
             rec["key"] = key
         rec.update({k: v for k, v in detail.items() if v is not None})
-        line = json.dumps(rec, separators=(",", ":")) + "\n"
-        # one O_APPEND write per line: atomic for sane line lengths on
+        return json.dumps(rec, separators=(",", ":")).encode("utf-8") + b"\n"
+
+    def _append(self, lines: bytes) -> None:
+        # one O_APPEND write per call: whole lines land together on
         # every local filesystem, so concurrent workers never interleave.
         fd = os.open(self.events_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            os.write(fd, line.encode("utf-8"))
+            os.write(fd, lines)
         finally:
             os.close(fd)
+
+    def _event(self, kind: str, key: str = "", **detail: Any) -> None:
+        self._append(self._event_line(kind, key, **detail))
 
     def _read_log(self, offset: int = 0) -> Tuple[bytes, int]:
         """The whole lines of the event log from byte ``offset`` on, and
@@ -238,11 +242,15 @@ class FsBroker:
     ) -> RunRecord:
         """Register a run and enqueue every cell not already satisfied.
 
-        Cells whose key is already in the shared cache (or already
-        completed through the broker) are recorded as cache hits and
-        never enqueued — the content-addressed namespace is the dedup.
-        Cells already queued/active (e.g. a concurrent run submitted
-        the same grid) are joined, not duplicated.
+        Cells whose result is in the shared cache are recorded as
+        cache hits and never enqueued — the content-addressed namespace
+        is the dedup, and the probe is a hash of the entry's bytes, so
+        only a result that would be served counts.  A ``done`` marker
+        whose result has since been pruned is dropped (an ``evicted``
+        event) and the cell runs again.  Cells already queued/active
+        (e.g. a concurrent run submitted the same grid) are joined, not
+        duplicated.  The ``cached`` events of one submit reach the log
+        in one append, with its ``submit`` event.
         """
         from repro.service.api import job_to_spec
 
@@ -251,29 +259,37 @@ class FsBroker:
             experiment=experiment,
             created=time.time(),
         )
+        log: List[bytes] = []
         for job in jobs:
             key = job.key()
+            label = run.labels[key] = job.label()
             run.keys.append(key)
-            run.labels[key] = job.label()
-            if self._done(key).exists() or self.cache.get_dict(key) is not None:
+            if self.cache.get_bytes(key) is not None:
                 run.cached.append(key)
-                self._event("cached", key, run=run.id, label=job.label())
+                log.append(self._event_line("cached", key, run=run.id, label=label))
                 continue
             if self._active(key).exists() or self._queued(key).exists():
-                self._event("joined", key, run=run.id, label=job.label())
+                self._event("joined", key, run=run.id, label=label)
                 continue
+            try:
+                self._done(key).unlink()
+            except FileNotFoundError:
+                pass
+            else:
+                self._event("evicted", key, run=run.id, label=label)
             record = {
                 "key": key,
                 "spec": job_to_spec(job),
-                "label": job.label(),
+                "label": label,
                 "attempt": 1,
                 "submitted": time.time(),
             }
             _write_atomic(self._queued(key), record)
-            self._event("enqueue", key, run=run.id, label=job.label())
+            self._event("enqueue", key, run=run.id, label=label)
         _write_atomic(self._run_path(run.id), run.to_dict())
-        self._event("submit", run=run.id, experiment=experiment, cells=len(run.keys),
-                    cached=len(run.cached))
+        log.append(self._event_line("submit", run=run.id, experiment=experiment,
+                                    cells=len(run.keys), cached=len(run.cached)))
+        self._append(b"".join(log))
         return run
 
     # -- worker protocol ----------------------------------------------
@@ -494,7 +510,7 @@ class FsBroker:
                 return "active"
             if self._queued(key).exists():
                 return "queued"
-            if self.cache.get_dict(key) is not None:
+            if self.cache.get_bytes(key) is not None:
                 return "cached"
         return "unknown"
 

@@ -18,7 +18,8 @@ that requeues expired leases, and exposes:
                               ``?follow=1`` streams until the run ends
 ``GET  /runs/<id>/manifest``  sweep-manifest-shaped account (workers,
                               per-cell wall-clock, failures, requeues)
-``GET  /results/<key>``       a cached ``CaseResult`` (the cache = CDN)
+``GET  /results/<key>``       a cached ``CaseResult`` (the cache = CDN):
+                              the stored bytes, verified, not re-encoded
 ``GET  /results/<key>/telemetry``  the cell's telemetry bundle
 ``GET  /metrics``             live Prometheus exposition: service
                               gauges + the freshest telemetry bundle
@@ -294,10 +295,12 @@ class _Handler(BaseHTTPRequestHandler):
             follow = query.get("follow", ["0"])[0] not in ("0", "", "false")
             self._stream_events(parts[1], follow)
         elif len(parts) == 2 and parts[0] == "results":
-            result = broker.cache.get_dict(parts[1])
-            if result is None:
+            blob = broker.cache.get_bytes(parts[1])
+            if blob is None:
                 return self._error(404, f"no cached result for key {parts[1][:16]!r}")
-            self._json({"key": parts[1], "result": result})
+            # the stored bytes, verified, as they are: no loads -> dumps
+            self._send(b'{"key": %s, "result": %s}' % (json.dumps(parts[1]).encode("utf-8"), blob),
+                       "application/json")
         elif len(parts) == 3 and parts[0] == "results" and parts[2] == "telemetry":
             result = broker.cache.get_dict(parts[1])
             if result is None:

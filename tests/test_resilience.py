@@ -9,8 +9,11 @@ Tests that bring up real worker pools are marked ``tier2``
 (``pytest -m tier2``); everything else runs in-process.
 """
 
+import hashlib
 import json
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -24,7 +27,7 @@ from repro.experiments.resilience import (
 from repro.experiments.runner import CaseResult, run_case1
 from repro.experiments.sweep import ResultCache, SimJob, SweepOptions, run_sweep
 
-from tests.test_sweep import assert_results_equal
+from tests.test_sweep import assert_results_equal, canonical
 
 SCALE = 0.02
 
@@ -181,31 +184,72 @@ class TestSerialFailures:
 # ---------------------------------------------------------------------------
 # cache integrity
 # ---------------------------------------------------------------------------
+def write_schema2(cache, key, result, job) -> None:
+    """An entry as the cache wrote it before schema 3: one JSON
+    document, the digest over the canonical result.  Nothing in
+    ``src/`` writes this any more; the reader must go on reading it
+    (``tests/golden/cache_v2/`` holds two that the old writer made)."""
+    result_dict = result.to_dict()
+    cache.path(key).write_text(json.dumps({
+        "schema": 2,
+        "sha256": hashlib.sha256(canonical(result_dict)).hexdigest(),
+        "result": result_dict,
+        "job": job.payload(),
+    }))
+
+
 class TestCacheIntegrity:
+    #: the layout of the entry each case corrupts: 3 is what the cache
+    #: writes, 2 what it still reads (the subclass below).
+    schema = 3
+
     def put_one(self, tmp_path, small):
         cache = ResultCache(tmp_path)
         key = good_job().key()
-        cache.put(key, small, job=good_job())
+        if self.schema == 3:
+            cache.put(key, small, job=good_job())
+        else:
+            write_schema2(cache, key, small, good_job())
         return cache, key
+
+    def test_entry_has_the_layout_under_test(self, tmp_path, small):
+        cache, key = self.put_one(tmp_path, small)
+        lines = cache.path(key).read_bytes().splitlines()
+        assert json.loads(lines[0])["schema"] == self.schema
+        assert len(lines) == (3 if self.schema == 3 else 1)
+        assert_results_equal(cache.get(key), small)
+        assert cache.discarded == 0
 
     def test_digest_mismatch_is_quarantined(self, tmp_path, small):
         cache, key = self.put_one(tmp_path, small)
-        data = json.loads(cache.path(key).read_text())
-        data["result"]["scheme"] = "CCFIT"  # bit-flip the payload
-        cache.path(key).write_text(json.dumps(data))
+        raw = cache.path(key).read_bytes()
+        flipped = raw.replace(b"1Q", b"2Q", 1)  # the first one is the result's scheme
+        assert flipped != raw and flipped.count(b"1Q") == raw.count(b"1Q") - 1
+        cache.path(key).write_bytes(flipped)
         with pytest.warns(RuntimeWarning, match="digest mismatch"):
             assert cache.get(key) is None
         assert cache.discarded == 1
         assert (cache.quarantine_dir / f"{key}.json").exists()
         assert not cache.path(key).exists()
+        # intact bytes under another entry's digest
+        mine = hashlib.sha256(canonical(small.to_dict())).hexdigest().encode()
+        other = hashlib.sha256(canonical({**small.to_dict(), "scheme": "2Q"})).hexdigest().encode()
+        assert raw.count(mine) == 1
+        cache.path(key).write_bytes(raw.replace(mine, other))
+        with pytest.warns(RuntimeWarning, match="digest mismatch"):
+            assert cache.get(key) is None
+        assert cache.discarded == 2
 
     def test_truncated_entry_is_quarantined(self, tmp_path, small):
         cache, key = self.put_one(tmp_path, small)
-        text = cache.path(key).read_text()
-        cache.path(key).write_text(text[: len(text) // 2])
-        with pytest.warns(RuntimeWarning, match="invalid JSON"):
+        raw = cache.path(key).read_bytes()
+        # schema 3: cut after line 1; before it: cut inside the one line
+        cut = raw.index(b"\n") + 1 if self.schema == 3 else len(raw) // 2
+        cache.path(key).write_bytes(raw[:cut])
+        with pytest.warns(RuntimeWarning, match="digest mismatch|invalid JSON"):
             assert cache.get(key) is None
         assert cache.discarded == 1
+        assert [name for name, _size, _mtime in cache.quarantined()] == [f"{key}.json"]
 
     def test_wrong_schema_is_quarantined(self, tmp_path, small):
         cache, key = self.put_one(tmp_path, small)
@@ -227,17 +271,61 @@ class TestCacheIntegrity:
 
     def test_sweep_recomputes_a_corrupted_cell(self, tmp_path, small):
         opts = SweepOptions(cache_dir=str(tmp_path))
-        run_sweep([good_job()], options=opts)
-        cache = ResultCache(tmp_path)
-        key = good_job().key()
-        cache.path(key).write_text("{torn write")
+        cache, key = self.put_one(tmp_path, small)
+        report = run_sweep([good_job()], options=opts)
+        assert (report.hits, report.misses, report.cache_discarded) == (1, 0, 0)
+        raw = cache.path(key).read_bytes()
+        cache.path(key).write_bytes(b"{torn write" + raw[11:])  # line 1 is not JSON
         with pytest.warns(RuntimeWarning, match="discarded"):
             report = run_sweep([good_job()], options=opts)
         assert (report.hits, report.misses) == (0, 1)
         assert report.cache_discarded == 1
         assert_results_equal(report.results[0], small)
-        # the recomputed entry is valid again
+        # the recomputed entry is valid again, in the layout the cache writes
         assert_results_equal(ResultCache(tmp_path).get(key), small)
+        assert cache.path(key).read_bytes().startswith(b'{"schema":3,')
+
+
+class TestCacheIntegritySchema2(TestCacheIntegrity):
+    """The same corruption cases over entries of the layout before."""
+
+    schema = 2
+
+
+class TestCacheWrites:
+    def test_concurrent_puts_of_one_key_leave_one_entry(self, tmp_path, small):
+        """Eight threads completing one key (a late duplicate completion
+        under the threading HTTP server): with the temp file named by
+        pid alone they wrote through one file, and a rename could
+        publish what another thread had just truncated."""
+        cache = ResultCache(tmp_path)
+        result = small.to_dict()
+        errors = []
+        gate = threading.Barrier(8)
+
+        def put():
+            gate.wait(timeout=10)
+            try:
+                for _ in range(25):
+                    cache.put_dict("k", result)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=put) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
+        assert cache.get_dict("k") == result and cache.discarded == 0
+        assert cache.temp_files() == []
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,54 @@ class TestFsBroker:
         assert b.counts()["queue"] == 0
         assert b.run_status(run.id)["done"]
 
+    def test_pruned_result_is_recomputed(self, tmp_path, tiny_job):
+        """A ``done`` marker is not a result: after ``repro cache
+        --prune/--clear`` a re-submitted cell used to be reported
+        ``cached`` on the marker alone -- the run read done,
+        ``/results/<key>`` said 404 and no worker ever saw the cell."""
+        b = FsBroker(tmp_path)
+        first = b.submit([tiny_job], experiment="fig7a")
+        assert Worker(b, worker_id="w1", max_cells=1).run()["completed"] == 1
+        assert b.run_status(first.id)["done"]
+        assert b.cache.clear() == 1
+        run = b.submit([tiny_job], experiment="fig7a")
+        assert run.cached == [] and b.counts()["queue"] == 1
+        status = b.run_status(run.id)
+        assert status["states"] == {tiny_job.key(): "queued"} and not status["done"]
+        (evicted,), _ = b.read_events(kind="evicted")
+        assert evicted["key"] == tiny_job.key() and evicted["run"] == run.id
+        assert Worker(b, worker_id="w2", max_cells=1).run()["completed"] == 1
+        assert b.run_status(run.id)["done"] and b.cache.get_dict(tiny_job.key()) is not None
+        assert b.run_manifest(run.id)["jobs"][0]["worker"] == "w2"
+        # a corrupt entry is as good as none: quarantined, and the cell runs again
+        path = b.cache.path(tiny_job.key())
+        path.write_bytes(path.read_bytes().replace(b'"scheme":"CCFIT"', b'"scheme":"CCFIX"', 1))
+        with pytest.warns(RuntimeWarning, match="digest mismatch"):
+            assert b.submit([tiny_job], experiment="fig7a").cached == []
+        assert b.counts()["queue"] == 1 and len(b.cache.quarantined()) == 1
+
+    def test_warm_submit_probes_bytes_and_logs_in_one_append(
+        self, tmp_path, tiny_result, monkeypatch
+    ):
+        """Every cell cached: no result is parsed to learn that it is
+        there, and the ``cached`` events go to the log together."""
+        jobs = tiny_jobs(schemes=("CCFIT", "1Q", "4Q"))
+        b = FsBroker(tmp_path)
+        for job in jobs:
+            b.cache.put(job.key(), tiny_result, job=job)
+        appends, parsed = [], []
+        append, loads = b._append, json.loads
+        monkeypatch.setattr(b, "_append", lambda data: appends.append(data) or append(data))
+        monkeypatch.setattr(json, "loads", lambda data, **kw: parsed.append(len(data)) or loads(data, **kw))
+        run = b.submit(jobs, experiment="fig7a")
+        status = b.run_status(run.id)
+        monkeypatch.undo()
+        assert run.cached == [job.key() for job in jobs]
+        assert status["done"] and status["counts"] == {"cached": 3}
+        assert len(appends) == 1 and appends[0].count(b"\n") == 4
+        assert [e["kind"] for e in b.events()] == ["cached"] * 3 + ["submit"]
+        assert max(parsed) < 1000  # envelopes and the run record, never a result
+
     def test_lease_expires_and_requeues_exactly_once(self, tmp_path, tiny_job):
         b = FsBroker(tmp_path, lease_ttl=0.2)
         b.submit([tiny_job], experiment="fig7a")
@@ -368,14 +416,16 @@ class TestCacheHygiene:
         cache = ResultCache(tmp_path / "cache")
         cache.put(tiny_job.key(), tiny_result, job=tiny_job)
         stored = cache.get_dict(tiny_job.key())
-        # what a server sends from it is byte for byte what it sent
-        # when it hydrated the result and serialized it again
-        assert json.dumps(stored) == json.dumps(tiny_result.to_dict())
-        assert json.dumps(stored) == json.dumps(cache.get(tiny_job.key()).to_dict())
+        # what a server sends from it is what it sent when it hydrated
+        # the result and serialized it again (the stored form is the
+        # canonical one: keys sorted)
+        assert stored == tiny_result.to_dict()
+        assert result_bytes(stored) == result_bytes(cache.get(tiny_job.key()).to_dict())
         assert cache.get_dict("0" * 64) is None
-        entry = json.loads(cache.path(tiny_job.key()).read_text())
-        entry["result"]["duration"] += 1.0
-        cache.path(tiny_job.key()).write_text(json.dumps(entry))
+        raw = cache.path(tiny_job.key()).read_bytes()
+        tampered = raw.replace(b'"duration":200000.0', b'"duration":200001.0')
+        assert tampered != raw
+        cache.path(tiny_job.key()).write_bytes(tampered)
         with pytest.warns(RuntimeWarning, match="digest mismatch"):
             assert cache.get_dict(tiny_job.key()) is None
         assert len(cache.quarantined()) == 1
@@ -434,6 +484,10 @@ class TestService:
         assert status["done"]
         fetched = client.result(sub["keys"][0])["result"]
         assert result_bytes(fetched) == result_bytes(tiny_result.to_dict())
+        # the reply carries the stored bytes as they are, not a re-encoding
+        body = client._exchange(f"/results/{sub['keys'][0]}")
+        assert srv.broker.cache.get_bytes(sub["keys"][0]) in body
+        assert json.loads(body) == {"key": sub["keys"][0], "result": fetched}
         manifest = client.manifest(sub["run"])
         assert manifest["ok"] == 1
         assert manifest["jobs"][0]["worker"] in ("w0", "w1")

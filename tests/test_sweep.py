@@ -5,7 +5,14 @@ the tests that bring up real worker pools are marked ``tier2`` (run
 them with ``pytest -m tier2``).
 """
 
+import dataclasses
+import hashlib
 import json
+import os
+import pickle
+import shutil
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,13 +33,29 @@ from repro.experiments.sweep import (
     run_sweep,
 )
 from repro.sim.faults import FaultPlan
+from repro.telemetry import TelemetryConfig
 
 SCALE = 0.02
+
+#: two entries as the cache wrote them before schema 3 (made by the
+#: writer of commit 8b5b826, named by their keys), and the cells they
+#: hold.  A deliberate move of the keys renames the files.
+CACHE_V2 = Path(__file__).parent / "golden" / "cache_v2"
+CACHE_V2_JOBS = [
+    SimJob(case="case1", scheme="CCFIT", time_scale=SCALE),
+    SimJob(case="case1", scheme="CCFIT", time_scale=SCALE,
+           telemetry=TelemetryConfig(interval=50_000.0)),
+]
 
 
 @pytest.fixture(scope="module")
 def small() -> CaseResult:
     return run_case1("1Q", time_scale=SCALE)
+
+
+def canonical(obj) -> bytes:
+    """Sorted keys, no whitespace: the bytes keys and digests hash."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
 def assert_results_equal(a: CaseResult, b: CaseResult) -> None:
@@ -138,6 +161,72 @@ class TestSimJob:
         field) updates the constants in the same change."""
         assert SimJob(seed=1, **kw).key() == key
 
+    def test_benchmark_grid_keys_are_pinned(self):
+        """The other 312 cells of ``benchmarks/e2e/golden.json`` -- the
+        scheme grid at seeds 1-19 and the CCFIT round-trip cells -- in
+        one digest, recorded at 8b5b826 (before the preimage stopped
+        going through ``dataclasses.asdict``)."""
+        from repro.experiments import registry
+
+        case1 = registry.get("case1")
+        jobs = [j for seed in range(1, 20) for j in case1.jobs(time_scale=0.02, seed=seed)]
+        jobs += [j for seed in range(1001, 1123)
+                 for j in case1.jobs(schemes=("CCFIT",), time_scale=0.02, seed=seed)]
+        assert len(jobs) == 312
+        digest = hashlib.sha256("\n".join(j.key() for j in jobs).encode()).hexdigest()
+        assert digest == "61e04cf74f1fb2cf438acba35055fe1e8366ee395c585e5eb21b5e80edc04d2e"
+
+    def test_params_preimage_equals_asdict(self):
+        """The flat walk is ``asdict`` for as long as ``CCParams`` is
+        scalars and flat lists; a nested field must fail here, not move
+        keys silently."""
+        from repro.experiments.sweep import _params_dict
+
+        params = CCParams(num_cfqs=4)
+        flat = _params_dict(params)
+        assert flat == dataclasses.asdict(params)
+        assert json.dumps(flat) == json.dumps(dataclasses.asdict(params))  # and in its order
+        assert flat["cct"] is not params.cct
+        for value in flat.values():
+            assert isinstance(value, (bool, int, float, str)) or (
+                isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)
+            )
+
+    def test_key_is_derived_once_and_never_part_of_the_value(self, monkeypatch):
+        job = SimJob(case="case1", scheme="CCFIT", time_scale=0.1, seed=3)
+        fresh = dataclasses.replace(job)
+        calls = []
+        payload = SimJob.payload
+        monkeypatch.setattr(SimJob, "payload", lambda self: calls.append(self) or payload(self))
+        key = job.key()
+        assert job.key() == key and job.preimage() == canonical(payload(job))
+        assert len(calls) == 1
+        # the memo is no field: equality, hash and repr do not see it
+        assert job == fresh and hash(job) == hash(fresh) and repr(job) == repr(fresh)
+        assert "_memo" not in repr(job) and "_memo" not in dataclasses.asdict(job)
+        # and it does not travel: a copy derives its own, to the same key
+        revived = pickle.loads(pickle.dumps(job))
+        assert "_memo" not in vars(revived) and revived == job
+        assert revived.key() == key
+        moved = dataclasses.replace(job, seed=4)
+        assert "_memo" not in vars(moved) and moved.key() != key
+        # the old-pickle backfill answers for the three late fields only
+        del vars(revived)["routing"]
+        assert revived.routing == "det" and revived.key() == key
+        with pytest.raises(AttributeError):
+            fresh._memo
+
+    def test_explicit_params_are_never_memoised(self):
+        """``CCParams`` is mutable: a key kept across a mutation would
+        serve the old parameters' results."""
+        params = CCParams()
+        job = SimJob(case="case1", scheme="CCFIT", params=params)
+        before = job.key()
+        assert before == SimJob(case="case1", scheme="CCFIT").key()
+        params.num_cfqs = 4
+        assert job.key() != before
+        assert job.key() == SimJob(case="case1", scheme="CCFIT", params=CCParams(num_cfqs=4)).key()
+
     def test_run_matches_direct_call(self, small):
         res = SimJob(case="case1", scheme="1Q", time_scale=SCALE).run()
         assert_results_equal(res, small)
@@ -168,6 +257,66 @@ class TestResultCache:
         assert cache.clear() == 2
         assert len(cache) == 0
 
+    def test_entry_is_three_lines_hashed_as_bytes(self, tmp_path, small):
+        cache = ResultCache(tmp_path)
+        job = SimJob(case="case1", scheme="1Q", time_scale=SCALE)
+        cache.put(job.key(), small, job=job)
+        envelope, result, preimage = cache.path(job.key()).read_bytes().splitlines()
+        assert result == canonical(small.to_dict())
+        assert json.loads(envelope) == {"schema": 3, "sha256": hashlib.sha256(result).hexdigest()}
+        assert preimage == job.preimage() and hashlib.sha256(preimage).hexdigest() == job.key()
+        assert cache.get_bytes(job.key()) == result
+        assert cache.get_dict(job.key()) == small.to_dict()
+        # without a job there is no third line
+        cache.put_dict("cc", small.to_dict())
+        assert cache.path("cc").read_bytes().splitlines() == [envelope, result]
+
+    def test_schema2_entries_read_back_identically(self, tmp_path):
+        """An existing cache survives the upgrade: the committed
+        schema-2 entries are found under today's keys, hydrate to what
+        the cells compute today, and store again under the digest they
+        already carried."""
+        old = ResultCache(shutil.copytree(CACHE_V2, tmp_path / "v2"))
+        new = ResultCache(tmp_path / "v3")
+        assert sorted(k for k, _s, _m in old.entries()) == sorted(j.key() for j in CACHE_V2_JOBS)
+        for job in CACHE_V2_JOBS:
+            key = job.key()
+            stored = json.loads(old.path(key).read_text())
+            assert stored["schema"] == 2 and stored["job"] == job.payload()
+            direct = job.run()
+            assert (direct.telemetry is not None) == (job.telemetry is not None)
+            assert old.get_dict(key) == stored["result"] == direct.to_dict()
+            assert old.get_bytes(key) == canonical(direct.to_dict())
+            assert_results_equal(old.get(key), direct)
+            new.put(key, old.get(key), job=job)
+            assert json.loads(new.path(key).read_bytes().splitlines()[0]) == {
+                "schema": 3, "sha256": stored["sha256"]}
+            assert new.get_bytes(key) == old.get_bytes(key)
+            assert new.get(key).to_dict() == old.get(key).to_dict()
+        report = run_sweep(CACHE_V2_JOBS, options=SweepOptions(cache_dir=str(old.root)))
+        assert (report.hits, report.misses, report.cache_discarded) == (2, 0, 0)
+        assert old.stats()["quarantined"] == 0 and old.stats()["temp_files"] == 0
+
+    def test_orphaned_temp_files_are_seen_and_swept(self, tmp_path, small):
+        """A writer that died between write and rename leaves
+        ``<key>.tmp.<pid>...`` behind; ``*.json`` listings hid it and
+        nothing ever removed it."""
+        cache = ResultCache(tmp_path)
+        cache.put("aa", small)
+        orphan, in_flight = tmp_path / "bb.tmp.4242", tmp_path / "cc.tmp.4242.0a1b2c3d"
+        orphan.write_bytes(b"x" * 10)
+        in_flight.write_bytes(b"y" * 10)
+        past = time.time() - 3600
+        os.utime(orphan, (past, past))
+        assert [name for name, _size, _mtime in cache.temp_files()] == [orphan.name, in_flight.name]
+        assert cache.stats()["temp_files"] == 2 and cache.stats()["entries"] == 1
+        summary = cache.prune()
+        assert (summary["removed"], summary["temp_removed"], summary["freed_bytes"]) == (0, 1, 10)
+        assert not orphan.exists() and in_flight.exists()  # a young one may be a write in flight
+        os.utime(in_flight, (past, past))
+        assert cache.clear() == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRunSweep:
     def jobs(self, schemes=("1Q",)):
@@ -186,6 +335,28 @@ class TestRunSweep:
         second = run_sweep(self.jobs(), options=opts)
         assert (second.hits, second.misses) == (1, 0)
         assert_results_equal(second.results[0], small)
+
+    def test_warm_pass_derives_no_key_and_serialises_nothing(self, tmp_path, monkeypatch):
+        """A hit is one file read and one hash of bytes: no payload is
+        rebuilt for a key the job already has, no result is serialised
+        again to be verified."""
+        jobs = self.jobs(("1Q", "FBICM", "CCFIT"))
+        opts = SweepOptions(cache_dir=str(tmp_path))
+        payloads, dumped = [], []
+        payload, dumps = SimJob.payload, json.dumps
+        monkeypatch.setattr(SimJob, "payload", lambda self: payloads.append(self) or payload(self))
+        monkeypatch.setattr(json, "dumps", lambda obj, **kw: dumped.append(obj) or dumps(obj, **kw))
+        cold = run_sweep(jobs, options=opts)
+        assert (cold.hits, cold.misses) == (0, 3)
+        # cold: one payload per job (key and stored entry share it), one dump per result
+        assert len(payloads) == 3
+        assert sum("throughput" in obj for obj in dumped) == 3 and len(dumped) == 6
+        del payloads[:], dumped[:]
+        warm = run_sweep(jobs, options=opts)
+        assert (warm.hits, warm.misses, warm.cache_discarded) == (3, 0, 0)
+        assert payloads == [] and dumped == []
+        for a, b in zip(cold.results, warm.results):
+            assert_results_equal(a, b)
 
     def test_use_cache_false_bypasses_dir(self, tmp_path):
         opts = SweepOptions(cache_dir=str(tmp_path), use_cache=False)
