@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import time
+from math import fsum
 
 from repro.experiments import registry
 from repro.experiments.configs import table1
@@ -218,7 +219,7 @@ def main() -> None:
     rows = [
         {
             "scheme": s,
-            "total GB/s": f"{sum(r.flow_bandwidth.values()):.2f}",
+            "total GB/s": f"{fsum(r.flow_bandwidth.values()):.2f}",
             "jain(all flows)": f"{jain_index([r.flow_bandwidth[f] for f in flows10]):.3f}",
             "parking-lot F4/F1": f"{r.flow_bandwidth['F4'] / max(r.flow_bandwidth['F1'], 1e-9):.2f}",
         }

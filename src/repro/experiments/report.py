@@ -6,6 +6,7 @@ the paper plots; EXPERIMENTS.md embeds these tables.
 
 from __future__ import annotations
 
+from math import fsum
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -21,6 +22,12 @@ __all__ = [
     "render_fault_matrix",
     "render_pfc_matrix",
 ]
+
+
+def _mean(values: List[float]) -> float:
+    # fsum rounds once, whatever the order: a result read back from the
+    # cache lists its flows sorted by name, a fresh one as they ran.
+    return fsum(values) / len(values)
 
 
 def render_table(rows: List[dict], columns: Optional[Sequence[str]] = None) -> str:
@@ -163,7 +170,7 @@ def render_fault_matrix(results: Dict[str, CaseResult]) -> str:
                 "fault": scenario or "none",
                 "delivered": f"{delivered:.4f}",
                 "burst": f"{res.mean_throughput():.1f}",
-                "hot_bw": f"{sum(hot) / len(hot):.3f}" if hot else "-",
+                "hot_bw": f"{_mean(hot):.3f}" if hot else "-",
                 "wire_drops": int(snap.get("wire_drops", 0)),
                 "src_drops": int(snap.get("source_drops", 0)),
                 "recovery_us": _recovery_us(res),
@@ -196,7 +203,7 @@ def render_pfc_matrix(results: Dict[str, CaseResult]) -> str:
                 "scheme": scheme,
                 "buffers": model or res.buffer_model,
                 "burst": f"{res.mean_throughput():.1f}",
-                "hot_bw": f"{sum(hot) / len(hot):.3f}" if hot else "-",
+                "hot_bw": f"{_mean(hot):.3f}" if hot else "-",
                 "pauses": int(pauses) if pauses is not None else "-",
                 "resumes": (
                     int(res.stats["pfc_resumes_sent"])

@@ -235,14 +235,6 @@ class SimJob:
             return None
         raise AttributeError(name)
 
-    def __getstate__(self) -> Dict[str, Any]:
-        # the fields travel, the memoised key does not: it is only as
-        # good as the ``repro`` version and topology tables of the
-        # process that derived it.
-        state = dict(self.__dict__)
-        state.pop("_memo", None)
-        return state
-
     def payload(self) -> Dict[str, Any]:
         """Everything that determines this cell's output (the cache-key
         preimage); see docs/sweep.md for the field inventory.  The
@@ -273,27 +265,15 @@ class SimJob:
             out["buffer_model"] = self.buffer_model
         return out
 
-    def _derive(self) -> Tuple[str, bytes]:
-        """``(key, preimage)``, derived once per job when every key
-        input is immutable.  ``CCParams`` is a mutable dataclass, so a
-        job with explicit ``params`` derives on every call.  The memo
-        is no field: ``==``, ``hash``, ``repr`` and
-        ``dataclasses.replace`` never see it."""
-        memo = self.__dict__.get("_memo")
-        if memo is None:
-            blob = _canonical(self.payload())
-            memo = (hashlib.sha256(blob).hexdigest(), blob)
-            if self.params is None:
-                self.__dict__["_memo"] = memo
-        return memo
+    def preimage(self) -> bytes:
+        """The canonical JSON of :meth:`payload`: what the key is a
+        SHA-256 of, and line 3 of the cell's cache entry."""
+        return _canonical(self.payload())
 
     def key(self) -> str:
-        """The cell's cache key: SHA-256 of :meth:`preimage`."""
-        return self._derive()[0]
-
-    def preimage(self) -> bytes:
-        """The canonical JSON of :meth:`payload`."""
-        return self._derive()[1]
+        # derived on every call, on purpose: "The cache key" in
+        # docs/sweep.md says what a memo would (not) buy.
+        return hashlib.sha256(self.preimage()).hexdigest()
 
     def run(self) -> CaseResult:
         """Execute the cell in-process (deterministic for fixed fields)."""
@@ -320,29 +300,6 @@ class SimJob:
         if self.buffer_model is not None and self.buffer_model != "static":
             base += f"%{self.buffer_model}"
         return base + (f"[{extra}]" if extra else "")
-
-
-def _unlink(path: Path) -> bool:
-    """Remove ``path``; False when it could not be (already gone)."""
-    try:
-        path.unlink()
-    except OSError:
-        return False
-    return True
-
-
-def _stat_sorted(paths) -> List[Tuple[Path, int, float]]:
-    """``(path, size_bytes, mtime)`` of those ``paths`` that are still
-    there, oldest first."""
-    out = []
-    for p in paths:
-        try:
-            st = p.stat()
-        except OSError:
-            continue
-        out.append((p, st.st_size, st.st_mtime))
-    out.sort(key=lambda e: e[2])
-    return out
 
 
 #: a temp file this old (seconds) belongs to a writer that died between
@@ -403,7 +360,10 @@ class ResultCache:
             os.replace(self.path(key), target)
         except OSError:
             target = None
-            _unlink(self.path(key))
+            try:
+                self.path(key).unlink()
+            except OSError:
+                pass
         where = f"; quarantined to {target}" if target is not None else ""
         warnings.warn(
             f"sweep cache entry {key[:12]}... discarded: {reason}{where} "
@@ -492,34 +452,68 @@ class ResultCache:
         return sum(1 for _ in self.root.glob("*.json"))
 
     def clear(self) -> int:
-        """Remove every entry and every orphaned temp file; returns how
-        many files went."""
-        removed = sum(_unlink(p) for p in self.root.glob("*.json"))
-        return removed + self._sweep_temp()[0]
+        n = 0
+        for p in self.root.glob("*.json"):
+            try:
+                p.unlink()
+                n += 1
+            except OSError:  # pragma: no cover - concurrent clear
+                pass
+        return n + self._sweep_temp()[0]
 
     # -- hygiene (the `repro cache` subcommand) ------------------------
     def entries(self) -> List[Tuple[str, int, float]]:
         """``(key, size_bytes, mtime)`` per entry, oldest first."""
-        return [(p.stem, size, mtime) for p, size, mtime in _stat_sorted(self.root.glob("*.json"))]
+        out: List[Tuple[str, int, float]] = []
+        for p in self.root.glob("*.json"):
+            try:
+                st = p.stat()
+            except OSError:
+                continue
+            out.append((p.stem, st.st_size, st.st_mtime))
+        out.sort(key=lambda e: e[2])
+        return out
 
     def quarantined(self) -> List[Tuple[str, int, float]]:
         """``(name, size_bytes, mtime)`` per quarantined file."""
-        return [(p.name, size, mtime) for p, size, mtime in _stat_sorted(self.quarantine_dir.glob("*"))]
+        out: List[Tuple[str, int, float]] = []
+        if not self.quarantine_dir.is_dir():
+            return out
+        for p in self.quarantine_dir.iterdir():
+            try:
+                st = p.stat()
+            except OSError:
+                continue
+            out.append((p.name, st.st_size, st.st_mtime))
+        out.sort(key=lambda e: e[2])
+        return out
 
     def temp_files(self) -> List[Tuple[str, int, float]]:
         """``(name, size_bytes, mtime)`` per ``*.tmp.*`` file: a write
         in flight, or what a writer that died before its rename left
         behind (no entry listing matches them)."""
-        return [(p.name, size, mtime) for p, size, mtime in _stat_sorted(self.root.glob("*.tmp.*"))]
+        out: List[Tuple[str, int, float]] = []
+        for p in self.root.glob("*.tmp.*"):
+            try:
+                st = p.stat()
+            except OSError:
+                continue
+            out.append((p.name, st.st_size, st.st_mtime))
+        out.sort(key=lambda e: e[2])
+        return out
 
     def _sweep_temp(self) -> Tuple[int, int]:
         """Remove the orphaned temp files; ``(removed, freed_bytes)``."""
         cutoff = time.time() - _TEMP_ORPHAN_S
         removed = freed = 0
         for name, size, mtime in self.temp_files():
-            if mtime < cutoff and _unlink(self.root / name):
-                removed += 1
-                freed += size
+            if mtime < cutoff:
+                try:
+                    (self.root / name).unlink()
+                    removed += 1
+                    freed += size
+                except OSError:
+                    pass
         return removed, freed
 
     def stats(self) -> Dict[str, Any]:
@@ -557,28 +551,39 @@ class ResultCache:
             cutoff = now - max_age_s
             keep: List[Tuple[str, int, float]] = []
             for key, size, mtime in entries:
-                if mtime >= cutoff:
+                if mtime < cutoff:
+                    try:
+                        self.path(key).unlink()
+                        removed += 1
+                        freed += size
+                    except OSError:
+                        pass
+                else:
                     keep.append((key, size, mtime))
-                elif _unlink(self.path(key)):
-                    removed += 1
-                    freed += size
             entries = keep
         if max_bytes is not None:
             total = sum(size for _k, size, _m in entries)
             for key, size, _mtime in entries:  # oldest first
                 if total <= max_bytes:
                     break
-                if _unlink(self.path(key)):
+                try:
+                    self.path(key).unlink()
                     removed += 1
                     freed += size
                     total -= size
+                except OSError:
+                    pass
         q_removed = 0
         if include_quarantine and max_age_s is not None:
             cutoff = now - max_age_s
             for name, size, mtime in self.quarantined():
-                if mtime < cutoff and _unlink(self.quarantine_dir / name):
-                    q_removed += 1
-                    freed += size
+                if mtime < cutoff:
+                    try:
+                        (self.quarantine_dir / name).unlink()
+                        q_removed += 1
+                        freed += size
+                    except OSError:
+                        pass
         t_removed, t_freed = self._sweep_temp()
         return {
             "removed": removed,
@@ -701,7 +706,9 @@ class SweepReport:
         """Atomically write :meth:`manifest` as JSON to ``path``."""
         p = Path(path)
         p.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(p, (json.dumps(self.manifest(), indent=2) + "\n").encode("utf-8"))
+        tmp = p.with_suffix(p.suffix + f".tmp.{os.getpid()}")
+        tmp.write_text(json.dumps(self.manifest(), indent=2) + "\n")
+        os.replace(tmp, p)
 
 
 def _execute_job(job: SimJob) -> Dict[str, Any]:

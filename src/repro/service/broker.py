@@ -178,11 +178,16 @@ class FsBroker:
         return json.dumps(rec, separators=(",", ":")).encode("utf-8") + b"\n"
 
     def _append(self, lines: bytes) -> None:
-        # one O_APPEND write per call: whole lines land together on
-        # every local filesystem, so concurrent workers never interleave.
+        # O_APPEND: every write lands at the end as one piece, so the
+        # lines of concurrent writers never interleave.  A write the
+        # filesystem takes only part of (a very large batch, a signal)
+        # goes on where it stopped; a foreign line may then fall inside
+        # ours, which readers skip as torn.
         fd = os.open(self.events_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            os.write(fd, lines)
+            view = memoryview(lines)
+            while view:
+                view = view[os.write(fd, view):]
         finally:
             os.close(fd)
 
@@ -249,8 +254,15 @@ class FsBroker:
         whose result has since been pruned is dropped (an ``evicted``
         event) and the cell runs again.  Cells already queued/active
         (e.g. a concurrent run submitted the same grid) are joined, not
-        duplicated.  The ``cached`` events of one submit reach the log
-        in one append, with its ``submit`` event.
+        duplicated.
+
+        Every event of one submit reaches the log in one append, in
+        cell order with the ``submit`` event last, before the run
+        record is written: whoever can see the run can see its events.
+        The log is therefore in append order, not in ``t`` order -- a
+        worker that claims a cell while the rest of its grid is still
+        being probed logs its ``claim`` ahead of that cell's
+        ``enqueue``.
         """
         from repro.service.api import job_to_spec
 
@@ -269,14 +281,14 @@ class FsBroker:
                 log.append(self._event_line("cached", key, run=run.id, label=label))
                 continue
             if self._active(key).exists() or self._queued(key).exists():
-                self._event("joined", key, run=run.id, label=label)
+                log.append(self._event_line("joined", key, run=run.id, label=label))
                 continue
             try:
                 self._done(key).unlink()
             except FileNotFoundError:
                 pass
             else:
-                self._event("evicted", key, run=run.id, label=label)
+                log.append(self._event_line("evicted", key, run=run.id, label=label))
             record = {
                 "key": key,
                 "spec": job_to_spec(job),
@@ -285,11 +297,11 @@ class FsBroker:
                 "submitted": time.time(),
             }
             _write_atomic(self._queued(key), record)
-            self._event("enqueue", key, run=run.id, label=label)
-        _write_atomic(self._run_path(run.id), run.to_dict())
+            log.append(self._event_line("enqueue", key, run=run.id, label=label))
         log.append(self._event_line("submit", run=run.id, experiment=experiment,
                                     cells=len(run.keys), cached=len(run.cached)))
         self._append(b"".join(log))
+        _write_atomic(self._run_path(run.id), run.to_dict())
         return run
 
     # -- worker protocol ----------------------------------------------

@@ -40,6 +40,15 @@ TELEMETRY_FORMATS = ("jsonl", "prom", "html", "all")
 # ----------------------------------------------------------------------
 # JSONL
 # ----------------------------------------------------------------------
+def _line(record: Dict[str, Any]) -> str:
+    # sorted keys: an export is a function of what the bundle holds, not
+    # of the order its dicts were filled in -- a bundle read back from
+    # the result cache (stored with sorted keys) exports to the bytes a
+    # fresh one does.  render_prometheus walks entities sorted for the
+    # same reason.
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
 def write_jsonl(bundle: Dict[str, Any], path, events: Optional[List] = None) -> str:
     """Write the bundle as structured JSONL: a ``header`` record, one
     ``sample`` record per sampling instant (times + aggregate row +
@@ -60,7 +69,7 @@ def write_jsonl(bundle: Dict[str, Any], path, events: Optional[List] = None) -> 
             "dropped": bundle.get("dropped"),
             "events": bundle.get("events"),
         }
-        fh.write(json.dumps(header) + "\n")
+        fh.write(_line(header))
         ports = bundle.get("ports", {})
         nodes = bundle.get("nodes", {})
         links = bundle.get("links", {})
@@ -83,10 +92,10 @@ def write_jsonl(bundle: Dict[str, Any], path, events: Optional[List] = None) -> 
                 for name, entry in links.items()
                 if i < len(entry["rx_bytes"])
             }
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(_line(rec))
         for ev in events or []:
             fh.write(
-                json.dumps(
+                _line(
                     {
                         "record": "event",
                         "t": ev.time,
@@ -96,10 +105,9 @@ def write_jsonl(bundle: Dict[str, Any], path, events: Optional[List] = None) -> 
                         "detail": ev.detail,
                     }
                 )
-                + "\n"
             )
         for tree in bundle.get("trees", []):
-            fh.write(json.dumps({"record": "tree", **tree}) + "\n")
+            fh.write(_line({"record": "tree", **tree}))
         fh.flush()
         os.fsync(fh.fileno())
     return str(path)
@@ -167,7 +175,7 @@ def render_prometheus(bundle: Dict[str, Any]) -> str:
 
     port_rows = []
     pool_rows = []
-    for name, entry in bundle.get("ports", {}).items():
+    for name, entry in sorted(bundle.get("ports", {}).items()):
         rows = entry.get("rows", [])
         if not rows:
             continue
@@ -178,11 +186,11 @@ def render_prometheus(bundle: Dict[str, Any]) -> str:
     metric("port_pool_used_bytes", "Input buffer pool occupancy", "gauge", pool_rows)
 
     gate_rows = []
-    for name, entry in bundle.get("nodes", {}).items():
+    for name, entry in sorted(bundle.get("nodes", {}).items()):
         rows = entry.get("rows", [])
         if not rows:
             continue
-        for dest, value in rows[-1].get("gate", {}).items():
+        for dest, value in sorted(rows[-1].get("gate", {}).items()):
             gate_rows.append(({"node": name, "dest": dest}, value))
     metric("node_gate_state", "Per-destination injection-gate state "
            "(CCTI index or RCM rate)", "gauge", gate_rows)

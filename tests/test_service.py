@@ -188,6 +188,26 @@ class TestFsBroker:
         assert [e["kind"] for e in b.events()] == ["cached"] * 3 + ["submit"]
         assert max(parsed) < 1000  # envelopes and the run record, never a result
 
+    def test_submit_logs_every_event_at_once_before_the_run_shows(
+        self, tmp_path, tiny_result, monkeypatch
+    ):
+        """Cached, joined or enqueued, the events of one submit are one
+        append, in cell order, made before the run record exists -- and
+        an append the filesystem takes in pieces still lands whole."""
+        hit, queued, new = tiny_jobs(schemes=("CCFIT", "1Q", "4Q"))
+        b = FsBroker(tmp_path)
+        b.cache.put(hit.key(), tiny_result, job=hit)
+        b.submit([queued], experiment="fig7a")
+        appends, append, write = [], b._append, os.write
+        monkeypatch.setattr(b, "_append", lambda data: appends.append(len(b.runs())) or append(data))
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:100])))
+        run = b.submit([queued, hit, new], experiment="fig7a")
+        monkeypatch.undo()
+        assert appends == [1]  # one append, and only the first run was on record then
+        mine = [e for e in b.events() if e.get("run") == run.id]
+        assert [e["kind"] for e in mine] == ["joined", "cached", "enqueue", "submit"]
+        assert [e.get("key") for e in mine] == [queued.key(), hit.key(), new.key(), None]
+
     def test_lease_expires_and_requeues_exactly_once(self, tmp_path, tiny_job):
         b = FsBroker(tmp_path, lease_ttl=0.2)
         b.submit([tiny_job], experiment="fig7a")
@@ -416,11 +436,16 @@ class TestCacheHygiene:
         cache = ResultCache(tmp_path / "cache")
         cache.put(tiny_job.key(), tiny_result, job=tiny_job)
         stored = cache.get_dict(tiny_job.key())
-        # what a server sends from it is what it sent when it hydrated
-        # the result and serialized it again (the stored form is the
-        # canonical one: keys sorted)
-        assert stored == tiny_result.to_dict()
-        assert result_bytes(stored) == result_bytes(cache.get(tiny_job.key()).to_dict())
+        blob = cache.get_bytes(tiny_job.key())
+        compact = dict(separators=(",", ":"))
+        # byte for byte: what is stored, and sent by a server as it is,
+        # is the canonical JSON of the fresh result; the stored dict
+        # written again (no sorting asked for: its keys already are)
+        # and the hydrated result serialized again give the same bytes
+        assert blob == json.dumps(tiny_result.to_dict(), sort_keys=True, **compact).encode()
+        assert blob == json.dumps(stored, **compact).encode()
+        assert blob == json.dumps(
+            cache.get(tiny_job.key()).to_dict(), sort_keys=True, **compact).encode()
         assert cache.get_dict("0" * 64) is None
         raw = cache.path(tiny_job.key()).read_bytes()
         tampered = raw.replace(b'"duration":200000.0', b'"duration":200001.0')

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.params import CCParams
+from repro.experiments.report import render_fault_matrix, render_pfc_matrix
 from repro.experiments.runner import (
     CaseResult,
     run_case,
@@ -33,7 +34,7 @@ from repro.experiments.sweep import (
     run_sweep,
 )
 from repro.sim.faults import FaultPlan
-from repro.telemetry import TelemetryConfig
+from repro.telemetry import TelemetryConfig, write_bundle
 
 SCALE = 0.02
 
@@ -192,37 +193,18 @@ class TestSimJob:
                 isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)
             )
 
-    def test_key_is_derived_once_and_never_part_of_the_value(self, monkeypatch):
-        job = SimJob(case="case1", scheme="CCFIT", time_scale=0.1, seed=3)
-        fresh = dataclasses.replace(job)
-        calls = []
-        payload = SimJob.payload
-        monkeypatch.setattr(SimJob, "payload", lambda self: calls.append(self) or payload(self))
-        key = job.key()
-        assert job.key() == key and job.preimage() == canonical(payload(job))
-        assert len(calls) == 1
-        # the memo is no field: equality, hash and repr do not see it
-        assert job == fresh and hash(job) == hash(fresh) and repr(job) == repr(fresh)
-        assert "_memo" not in repr(job) and "_memo" not in dataclasses.asdict(job)
-        # and it does not travel: a copy derives its own, to the same key
-        revived = pickle.loads(pickle.dumps(job))
-        assert "_memo" not in vars(revived) and revived == job
-        assert revived.key() == key
-        moved = dataclasses.replace(job, seed=4)
-        assert "_memo" not in vars(moved) and moved.key() != key
-        # the old-pickle backfill answers for the three late fields only
-        del vars(revived)["routing"]
-        assert revived.routing == "det" and revived.key() == key
-        with pytest.raises(AttributeError):
-            fresh._memo
-
-    def test_explicit_params_are_never_memoised(self):
-        """``CCParams`` is mutable: a key kept across a mutation would
-        serve the old parameters' results."""
+    def test_key_follows_its_inputs(self):
+        """``key()`` derives on every call.  ``CCParams`` is mutable: a
+        key kept across a mutation would serve the old parameters'
+        results.  Copies and pickles hash to the same key."""
         params = CCParams()
         job = SimJob(case="case1", scheme="CCFIT", params=params)
         before = job.key()
         assert before == SimJob(case="case1", scheme="CCFIT").key()
+        assert before == hashlib.sha256(job.preimage()).hexdigest()
+        assert job.preimage() == canonical(job.payload())
+        assert pickle.loads(pickle.dumps(job)).key() == before
+        assert dataclasses.replace(job, seed=4).key() != before
         params.num_cfqs = 4
         assert job.key() != before
         assert job.key() == SimJob(case="case1", scheme="CCFIT", params=CCParams(num_cfqs=4)).key()
@@ -336,9 +318,9 @@ class TestRunSweep:
         assert (second.hits, second.misses) == (1, 0)
         assert_results_equal(second.results[0], small)
 
-    def test_warm_pass_derives_no_key_and_serialises_nothing(self, tmp_path, monkeypatch):
-        """A hit is one file read and one hash of bytes: no payload is
-        rebuilt for a key the job already has, no result is serialised
+    def test_warm_pass_serialises_no_result(self, tmp_path, monkeypatch):
+        """A hit is one key, one file read and one hash of bytes: the
+        payload is built once per job, and no result is serialised
         again to be verified."""
         jobs = self.jobs(("1Q", "FBICM", "CCFIT"))
         opts = SweepOptions(cache_dir=str(tmp_path))
@@ -348,15 +330,36 @@ class TestRunSweep:
         monkeypatch.setattr(json, "dumps", lambda obj, **kw: dumped.append(obj) or dumps(obj, **kw))
         cold = run_sweep(jobs, options=opts)
         assert (cold.hits, cold.misses) == (0, 3)
-        # cold: one payload per job (key and stored entry share it), one dump per result
-        assert len(payloads) == 3
-        assert sum("throughput" in obj for obj in dumped) == 3 and len(dumped) == 6
+        # cold: each result is serialised once, by the entry writer
+        assert sum("throughput" in obj for obj in dumped) == 3
         del payloads[:], dumped[:]
         warm = run_sweep(jobs, options=opts)
         assert (warm.hits, warm.misses, warm.cache_discarded) == (3, 0, 0)
-        assert payloads == [] and dumped == []
+        assert payloads == jobs and len(dumped) == 3  # the three preimages
+        assert not any("throughput" in obj for obj in dumped)
         for a, b in zip(cold.results, warm.results):
             assert_results_equal(a, b)
+
+    def test_cache_hit_renders_like_a_fresh_cell(self, tmp_path):
+        """A hit comes back with its dicts in the stored (sorted) order,
+        a fresh cell in the order it filled them; what is exported or
+        tabulated from either must be the same bytes."""
+        job = CACHE_V2_JOBS[1]
+        opts = SweepOptions(cache_dir=str(tmp_path / "cache"))
+        (fresh,) = run_sweep([job], options=opts).results
+        warm = run_sweep([job], options=opts)
+        (hit,) = warm.results
+        assert warm.hits == 1
+        assert list(hit.telemetry["links"]) != list(fresh.telemetry["links"])  # the premise
+        assert list(hit.stats) != list(fresh.stats)
+        for name, res in (("fresh", fresh), ("hit", hit)):
+            write_bundle(res.telemetry, tmp_path / name, fmt="all")
+        for name in ("telemetry.jsonl", "metrics.prom", "dashboard.html"):
+            assert (tmp_path / "hit" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+        # the tables average the flows, and float sums depend on order
+        hit.flow_bandwidth = dict(reversed(list(fresh.flow_bandwidth.items())))
+        for render in (render_fault_matrix, render_pfc_matrix):
+            assert render({"CCFIT": hit}) == render({"CCFIT": fresh})
 
     def test_use_cache_false_bypasses_dir(self, tmp_path):
         opts = SweepOptions(cache_dir=str(tmp_path), use_cache=False)
