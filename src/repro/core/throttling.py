@@ -176,7 +176,7 @@ class ThrottleState:
                 )
             if idx > 0:
                 timer = self._timers.get(dest)
-                if timer is None or timer.cancelled or timer._entry is None:
+                if timer is None or not timer.pending:
                     raise RuntimeError(
                         f"dest {dest} throttled at CCTI {idx} with no live "
                         f"CCTI_Timer — the flow would never recover"

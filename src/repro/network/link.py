@@ -242,11 +242,10 @@ class Link:
         self.packets_sent += 1
         if self._wire is not None:
             self._wire.add(pkt)
-        # One chained queue entry covers the whole wire lifetime of the
-        # packet: serialisation-done at ``done``, delivery one
-        # propagation delay later.  Both sequence numbers are reserved
-        # here, so ordering is bit-identical to two separate schedules
-        # while halving the busiest path's queue traffic.
+        # One call covers the whole wire lifetime of the packet:
+        # serialisation-done at ``done``, delivery one propagation delay
+        # later.  Both sequence numbers are reserved here, so ordering is
+        # bit-identical to two separate schedules.
         self.sim.schedule_pair(done, self._tx_done, (), done + self.delay, self._deliver, (pkt,))
         return done
 

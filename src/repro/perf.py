@@ -9,7 +9,7 @@ claim is the end-to-end benchmark (``benchmarks/e2e``, declared by
   steady state of a packet-grain interconnect simulation: many
   staggered self-sustaining chains, each cycling through a
   serialisation-done + delivery pair plus a credit return, scheduled
-  through the pooled APIs (:meth:`~repro.sim.engine.Simulator.post`,
+  through the handle-free APIs (:meth:`~repro.sim.engine.Simulator.post`,
   :meth:`~repro.sim.engine.Simulator.schedule_pair`) exactly like the
   production :class:`~repro.network.link.Link`.
 * **case benchmark** — full figure cells through
@@ -71,13 +71,13 @@ SUBSYSTEM_PREFIXES = (
 )
 
 #: the paper's MTU serialisation time / link delay (ns) — the microbench
-#: uses the real cadence so bucket geometry is exercised realistically.
+#: uses the real cadence.
 _SER_NS = 819.2
 _WIRE_NS = 40.0
 
 
 class _PooledChain:
-    """One microbench traffic chain on the pooled scheduling APIs:
+    """One microbench traffic chain on the handle-free scheduling APIs:
     serialisation-done + delivery + credit return per cycle — three
     events, the per-hop event mix of a busy link, scheduled exactly
     like the production :class:`~repro.network.link.Link`.  Callback
@@ -91,7 +91,7 @@ class _PooledChain:
         sim.post(start, self._hop, None)
 
     def _hop(self, pkt: Any) -> None:
-        # serialisation-done + delivery as one chained entry; the
+        # serialisation-done + delivery as one schedule_pair; the
         # delivery leg carries a payload argument like Link._deliver.
         sim = self.sim
         done = sim.now + _SER_NS
@@ -111,15 +111,15 @@ def dispatch_microbench(
 ) -> Dict[str, Any]:
     """Measure raw dispatch throughput of the event queue.
 
-    ``chains`` sets the pending-event population (~3 live events per
-    chain) — the default (~50 k pending events) models the steady
+    ``chains`` sets the pending-event population (2 queued events per
+    chain) — the default (~33 k pending events) models the steady
     state of a large fabric, the paper's target domain.
 
     Returns ``{"events", "wall_s", "events_per_s", "alloc_blocks"}`` —
     ``wall_s`` is the best of ``repeats`` runs (standard microbench
     practice: the minimum is the least noisy estimator) and
     ``alloc_blocks`` the net allocated-block delta of one run
-    (:func:`sys.getallocatedblocks`), the pooling headline.
+    (:func:`sys.getallocatedblocks`): the entries left queued.
     """
     import gc
 
@@ -131,7 +131,7 @@ def dispatch_microbench(
     for rep in range(repeats + 1):
         sim = Simulator()
         for i in range(chains):
-            # stagger starts off the bucket grid so chains do not align
+            # stagger starts so chains do not align
             _PooledChain(sim, 1.0 + i * 13.1)
         gc.collect()
         blocks0 = sys.getallocatedblocks()

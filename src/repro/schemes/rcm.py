@@ -224,7 +224,7 @@ class RcmGate:
                     f"[{self.min_rate}, {self.peak})"
                 )
             timer = self._timers.get(dest)
-            if timer is None or timer.cancelled or timer._entry is None:
+            if timer is None or not timer.pending:
                 raise RuntimeError(
                     f"dest {dest} rate-limited at {rate} B/ns with no live "
                     f"recovery timer — the flow would never recover"

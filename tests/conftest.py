@@ -1,9 +1,9 @@
 """Shared fixtures.
 
-``sim_cls`` is the two-way event-queue fixture: the production calendar
-queue (``bucket``) and the ``heapq`` reference (``heap``,
-tests/heap_oracle.py).  A test taking it runs once per class; pass it
-as ``run_case(sim_factory=sim_cls)`` or call it for a bare simulator.
+``sim_cls`` is the two-way event-queue fixture: the production engine
+and the one-handle-per-event reference (tests/heap_oracle.py).  A test
+taking it runs once per class; pass it as
+``run_case(sim_factory=sim_cls)`` or call it for a bare simulator.
 """
 
 import pytest
@@ -11,6 +11,8 @@ import pytest
 from repro.sim.engine import Simulator
 from tests.heap_oracle import HeapSimulator
 
+#: the ids predate the engine's own move to a heap (``bucket`` was its
+#: calendar queue); they stay because recorded test ids carry them
 SIM_CLASSES = {"bucket": Simulator, "heap": HeapSimulator}
 
 

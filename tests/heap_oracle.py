@@ -1,7 +1,8 @@
 """Reference event queue: a plain ``heapq`` of ``(time, seq, handle)``.
 
-The production :class:`repro.sim.engine.Simulator` is a calendar queue
-with pooled entries, chained pair entries and an overflow heap.  This
+The production :class:`repro.sim.engine.Simulator` pushes handle-free
+tuples for ``post`` / ``schedule_pair``, pops before it looks at
+``until`` and defers its ``pending()`` debit to the end of a run.  This
 class is the obviously-correct implementation of the same contract —
 events fire in ``(time, seq)`` order, ``seq`` allocated in scheduling
 order — with one handle object per event and nothing clever.  Tests
@@ -22,9 +23,9 @@ __all__ = ["HeapSimulator"]
 class _Handle:
     """Cancellable handle; mirrors the attributes callers read off
     :class:`repro.sim.engine.Event` (``time``, ``cancelled``, and
-    ``_entry`` — non-None while the event is still queued)."""
+    ``pending`` — true while the event is still queued)."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_entry", "_sim")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_queued", "_sim")
 
     def __init__(self, sim, time, seq, fn, args):
         self.time = time
@@ -32,8 +33,12 @@ class _Handle:
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self._entry = True  # cleared when fired or cancelled
+        self._queued = True  # cleared when fired or cancelled
         self._sim = sim
+
+    @property
+    def pending(self):
+        return self._queued
 
     def cancel(self):
         if self.cancelled:
@@ -41,8 +46,8 @@ class _Handle:
         self.cancelled = True
         self.fn = None
         self.args = ()
-        if self._entry is not None:  # still queued: a late cancel is a no-op
-            self._entry = None
+        if self._queued:  # a late cancel is a no-op
+            self._queued = False
             self._sim._live -= 1
 
 
@@ -51,11 +56,9 @@ def _qualname(fn):
 
 
 class HeapSimulator:
-    """Same public scheduling API as :class:`repro.sim.engine.Simulator`.
-    The calendar-geometry arguments are accepted and ignored so one
-    parametrized test can construct either class."""
+    """Same public scheduling API as :class:`repro.sim.engine.Simulator`."""
 
-    def __init__(self, bucket_ns=None, num_buckets=None, profile=False):
+    def __init__(self, profile=False):
         self.now = 0.0
         self._seq = 0
         self._heap = []
@@ -109,7 +112,7 @@ class HeapSimulator:
         heap = self._heap
         dispatched = 0
         hit_until = False
-        while heap:
+        while heap and (max_events is None or dispatched < max_events):
             t, _seq, handle = heap[0]
             if handle.cancelled:
                 heapq.heappop(heap)
@@ -120,14 +123,12 @@ class HeapSimulator:
             heapq.heappop(heap)
             self.now = t
             self._live -= 1
-            handle._entry = None
+            handle._queued = False
             dispatched += 1
             if self.event_counts is not None:
                 key = _qualname(handle.fn)
                 self.event_counts[key] = self.event_counts.get(key, 0) + 1
             handle.fn(*handle.args)
-            if max_events is not None and dispatched >= max_events:
-                break
         self.events_dispatched += dispatched
         if until is not None and self.now < until and (hit_until or self._live == 0):
             self.now = until

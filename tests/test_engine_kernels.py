@@ -1,14 +1,17 @@
-"""Event-queue contract: dispatch order, pooled API semantics, window
-overflow, and byte-identical figure results.
+"""Event-queue contract: dispatch order, handle-free API semantics,
+cancellation, and byte-identical figure results.
 
-Every test taking ``sim_cls`` runs on both the production calendar
-queue and the ``heapq`` reference (tests/heap_oracle.py): the two share
-the ``(time, seq)`` contract, so each assertion here holds on either,
-and the cross-checks at the bottom require identical dispatch traces
-and byte-identical ``CaseResult``s.  See docs/performance.md.
+Every test taking ``sim_cls`` runs on both the production engine (a
+heap of handle-free tuples) and the one-handle-per-event reference
+(tests/heap_oracle.py): the two share the ``(time, seq)`` contract, so
+each assertion here holds on either, and the cross-checks at the bottom
+require identical dispatch traces and byte-identical ``CaseResult``s.
+See docs/performance.md.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -19,17 +22,7 @@ from tests.heap_oracle import HeapSimulator
 
 
 # ----------------------------------------------------------------------
-# construction
-# ----------------------------------------------------------------------
-def test_bad_geometry_rejected():
-    with pytest.raises(ValueError):
-        Simulator(bucket_ns=0.0)
-    with pytest.raises(ValueError):
-        Simulator(num_buckets=0)
-
-
-# ----------------------------------------------------------------------
-# pooled scheduling APIs
+# handle-free scheduling APIs
 # ----------------------------------------------------------------------
 def test_post_orders_with_schedule(sim_cls):
     sim = sim_cls()
@@ -99,9 +92,9 @@ def test_pending_counts_pairs_and_posts(sim_cls):
 
 
 def test_entry_recycling_keeps_order(sim_cls):
-    # churn far more events than the pool cap with shifting times; a
-    # recycled entry carrying stale state would misorder or drop events
-    sim = sim_cls(bucket_ns=8.0, num_buckets=16)
+    # a schedule/fire/schedule storm with shifting times: the queue's
+    # one slot is reused 9000 times and must not misorder or drop events
+    sim = sim_cls()
     fired = []
     count = 9000
 
@@ -143,26 +136,42 @@ def test_until_with_remaining_future_events_advances_clock(sim_cls):
 
 
 def test_peek_time_across_kernels(sim_cls):
-    sim = sim_cls(bucket_ns=4.0, num_buckets=8)
+    sim = sim_cls()
     assert sim.peek_time() is None
     ev = sim.schedule(3.0, lambda: None)
-    sim.post(1000.0, lambda: None)  # beyond the bucket window -> overflow
+    sim.post(1000.0, lambda: None)
     assert sim.peek_time() == 3.0
     ev.cancel()
     assert sim.peek_time() == 1000.0
 
 
-def test_far_future_events_rebase_window():
-    # events far beyond the bucket span must dispatch in order after
-    # the window rebases onto the overflow heap (several times over)
-    sim = Simulator(bucket_ns=2.0, num_buckets=4)  # span = 8 ns
+def test_far_future_event_fires_last(sim_cls):
+    # an event 10 s ahead among nanosecond-scale ones: run(until=)
+    # stops short of it with now == until, and a later run fires it last
+    sim = sim_cls()
     fired = []
-    times = [1.0, 7.5, 100.0, 101.0, 5000.0, 5000.0, 123456.0]
+    far = 10e9
+    times = [1.0, far, 7.5, 100.0, 101.0, 5000.0, 5000.0]
     for i, t in enumerate(times):
         sim.post(t, fired.append, (t, i))
+    sim.run(until=123456.0)
+    assert fired == sorted((t, i) for i, t in enumerate(times) if t != far)
+    assert sim.now == 123456.0 and sim.pending() == 1
     sim.run()
-    assert fired == [(t, i) for i, t in enumerate(times)]
-    assert sim.now == 123456.0
+    assert fired[-1] == (far, 1) and sim.now == far
+
+
+def test_max_events_zero_dispatches_nothing(sim_cls):
+    sim = sim_cls()
+    fired = []
+    sim.post(1.0, fired.append, "x")
+    sim.run(max_events=0)
+    assert fired == [] and sim.now == 0.0
+    assert sim.pending() == 1 and sim.events_dispatched == 0
+    sim.run(until=5.0, max_events=0)  # work is left: no fast-forward
+    assert fired == [] and sim.now == 0.0
+    sim.run()
+    assert fired == ["x"]
 
 
 def test_cancel_after_fire_does_not_corrupt_live_count(sim_cls):
@@ -189,8 +198,44 @@ def test_cancel_from_own_callback_is_a_noop(sim_cls):
     assert sim.pending() == 0 and sim.events_dispatched == 2
 
 
+def test_event_pending_tracks_queued_state(sim_cls):
+    sim = sim_cls()
+    fires = sim.schedule(1.0, lambda: None)
+    dropped = sim.schedule(2.0, lambda: None)
+    assert fires.pending and dropped.pending
+    dropped.cancel()
+    assert not dropped.pending
+    sim.run()
+    assert not fires.pending and not fires.cancelled
+    with pytest.raises(AttributeError):
+        fires.pending = True  # read-only
+
+
+def test_cancelled_schedule_releases_callback_and_arguments(sim_cls):
+    # the tombstone waits in the queue until its time comes up, but must
+    # not pin the callback or its arguments alive meanwhile
+    class Component:
+        def handler(self, payload):  # pragma: no cover - never fires
+            raise AssertionError("cancelled event fired")
+
+    sim = sim_cls()
+    fired = []
+    component, payload = Component(), Component()
+    refs = [weakref.ref(component), weakref.ref(payload)]
+    ev = sim.schedule(50.0, component.handler, payload)
+    sim.post(60.0, fired.append, "live")
+    ev.cancel()
+    del component, payload
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+    assert sim.pending() == 1  # already debited
+    assert sim.queue_snapshot() == {"list.append": 1}
+    sim.run()
+    assert fired == ["live"] and sim.events_dispatched == 1 and sim.now == 60.0
+
+
 # ----------------------------------------------------------------------
-# calendar queue vs heap oracle (randomized)
+# engine vs one-handle-per-event oracle (randomized)
 # ----------------------------------------------------------------------
 def _mixed_workload(sim, seed):
     """A deterministic schedule/post/pair/cancel storm; returns the
@@ -221,11 +266,10 @@ def _mixed_workload(sim, seed):
 
 
 def test_kernels_dispatch_identically_randomized():
-    # small bucket window to force frequent rebases/overflow traffic
-    t_bucket = _mixed_workload(Simulator(bucket_ns=16.0, num_buckets=32), seed=7)
-    t_heap = _mixed_workload(HeapSimulator(), seed=7)
-    assert len(t_bucket) > 100
-    assert t_bucket == t_heap
+    t_engine = _mixed_workload(Simulator(), seed=7)
+    t_oracle = _mixed_workload(HeapSimulator(), seed=7)
+    assert len(t_engine) > 100
+    assert t_engine == t_oracle
 
 
 # ----------------------------------------------------------------------
@@ -318,12 +362,11 @@ def _run_seam_script(sim, ops, fanout, outside, chunk):
 def test_same_instant_seam_matches_the_heap_oracle(ops, fanout, outside, chunk):
     """post(now) / post_in(0) / schedule(now) / schedule_pair(now, ..,
     now, ..) / cancel, issued between runs and from nested same-instant
-    callbacks: the calendar queue and the plain heap agree on the
-    dispatch trace and on peek_time / pending / queue_snapshot whenever
-    run() stops, same-instant entries waiting or not."""
+    callbacks: the engine and the oracle agree on the dispatch trace
+    and on peek_time / pending / queue_snapshot whenever run() stops,
+    same-instant entries waiting or not."""
     want = _run_seam_script(HeapSimulator(), ops, fanout, outside, chunk)
-    for sim in (Simulator(), Simulator(bucket_ns=4.0, num_buckets=4)):
-        assert _run_seam_script(sim, ops, fanout, outside, chunk) == want
+    assert _run_seam_script(Simulator(), ops, fanout, outside, chunk) == want
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +385,7 @@ def test_case_results_byte_identical_across_kernels():
             )
             for factory in (Simulator, HeapSimulator)
         ]
-        assert blobs[0] == blobs[1], f"calendar queue diverges from the heap oracle under {scheme}"
+        assert blobs[0] == blobs[1], f"engine diverges from the heap oracle under {scheme}"
 
 
 # ----------------------------------------------------------------------

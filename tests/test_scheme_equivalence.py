@@ -3,8 +3,8 @@
 ``tests/golden/scheme_equivalence.json`` pins the canonical JSON (and
 its SHA-256) of every ``CaseResult`` produced by the paper schemes
 *before* the hook-based scheme architecture landed (commit ``a480e9c``).
-These tests recompute each cell on the production calendar queue and on
-the ``heapq`` reference (the ``sim_cls`` fixture, tests/conftest.py)
+These tests recompute each cell on the production engine and on the
+one-handle-per-event reference (the ``sim_cls`` fixture, tests/conftest.py)
 and require byte-identical output — any behavioural drift in the
 refactored switch/end-node/fabric path, or in the event queue, fails
 loudly, with the full dict diff.
@@ -99,15 +99,15 @@ def test_det_policy_is_the_golden_reference(sim_cls):
 
 @pytest.mark.parametrize("cell", sorted(ORACLE_CELLS))
 def test_heap_oracle_matches_calendar_queue(cell):
-    """Off the golden grid the calendar queue must still agree with the
-    heap oracle byte for byte (see :data:`ORACLE_CELLS`)."""
+    """Off the golden grid the engine must still agree with the heap
+    oracle byte for byte (see :data:`ORACLE_CELLS`)."""
     kw = dict(ORACLE_CELLS[cell])
     case = kw.pop("case")
     blobs = [
         _canonical(run_case(case, seed=META["seed"], sim_factory=factory, **kw))
         for factory in (Simulator, HeapSimulator)
     ]
-    assert blobs[0] == blobs[1], f"calendar queue diverges from the heap oracle on {cell}"
+    assert blobs[0] == blobs[1], f"engine diverges from the heap oracle on {cell}"
 
 
 def test_golden_file_covers_declared_grid():
