@@ -15,12 +15,11 @@ our defaults come from:
   task".
 """
 
-import pytest
 from conftest import run_once
 
 from repro.core.params import CCParams, exponential_cct, linear_cct
 from repro.experiments.report import render_table
-from repro.experiments.runner import run_case1, run_case4
+from repro.experiments.runner import run_case
 
 CONTRIBUTORS = ("F1", "F2", "F5", "F6")
 
@@ -32,8 +31,9 @@ def test_ablation_cfq_count(benchmark, scale_cfg3, seed):
         rows = []
         for n in (1, 2, 4):
             for scheme in ("FBICM", "CCFIT"):
-                res = run_case4(
-                    scheme,
+                res = run_case(
+                    "case4",
+                    scheme=scheme,
                     num_trees=4,
                     time_scale=scale_cfg3,
                     seed=seed,
@@ -63,8 +63,9 @@ def test_ablation_detection_policy(benchmark, scale, seed):
     def sweep():
         rows = []
         for policy in ("dominant", "head"):
-            res = run_case1(
-                "CCFIT",
+            res = run_case(
+                "case1",
+                scheme="CCFIT",
                 time_scale=scale,
                 seed=seed,
                 params=CCParams(detection_policy=policy),
@@ -90,8 +91,9 @@ def test_ablation_becn_coalescing(benchmark, scale, seed):
     def sweep():
         rows = []
         for interval in (0.0, 2_000.0, 8_000.0):
-            res = run_case1(
-                "CCFIT",
+            res = run_case(
+                "case1",
+                scheme="CCFIT",
                 time_scale=scale,
                 seed=seed,
                 params=CCParams(becn_min_interval=interval),
@@ -120,8 +122,8 @@ def test_ablation_cct_shape(benchmark, scale, seed):
             ("linear/2", linear_cct(step=409.6)),
             ("exponential", exponential_cct()),
         ):
-            res = run_case1(
-                "CCFIT", time_scale=scale, seed=seed, params=CCParams(cct=cct)
+            res = run_case(
+                "case1", scheme="CCFIT", time_scale=scale, seed=seed, params=CCParams(cct=cct)
             )
             rows.append(
                 {
@@ -150,8 +152,9 @@ def test_ablation_ith_parameter_sensitivity(benchmark, scale, seed):
         rows = []
         for scheme in ("ITh", "CCFIT"):
             for timer in (2_000.0, 8_000.0, 32_000.0):
-                res = run_case1(
-                    scheme,
+                res = run_case(
+                    "case1",
+                    scheme=scheme,
                     time_scale=scale,
                     seed=seed,
                     params=CCParams(ccti_timer=timer),
@@ -190,7 +193,7 @@ def test_ablation_arbitration_timing(benchmark, scale, seed):
             ("event-driven", dict(match_quantum=0.0)),
             ("event-driven + jitter", dict(match_quantum=0.0, link_jitter=0.005)),
         ):
-            res = run_case1("FBICM", time_scale=scale, seed=seed, params=CCParams(**kw))
+            res = run_case("case1", scheme="FBICM", time_scale=scale, seed=seed, params=CCParams(**kw))
             rows.append(
                 {
                     "arbitration": label,
@@ -214,8 +217,9 @@ def test_ablation_detection_threshold(benchmark, scale, seed):
     def sweep():
         rows = []
         for mtu_count in (2, 4, 8):
-            res = run_case1(
-                "CCFIT",
+            res = run_case(
+                "case1",
+                scheme="CCFIT",
                 time_scale=scale,
                 seed=seed,
                 params=CCParams(detection_threshold=mtu_count * 2048),
@@ -243,8 +247,8 @@ def test_ablation_marking_rate(benchmark, scale, seed):
     def sweep():
         rows = []
         for rate in (0.25, 0.85, 1.0):
-            res = run_case1(
-                "CCFIT", time_scale=scale, seed=seed, params=CCParams(marking_rate=rate)
+            res = run_case(
+                "case1", scheme="CCFIT", time_scale=scale, seed=seed, params=CCParams(marking_rate=rate)
             )
             rows.append(
                 {

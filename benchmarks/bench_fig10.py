@@ -7,17 +7,17 @@ unfairness dominant; CCFIT combines high throughput with the highest
 fairness.
 """
 
-from conftest import run_once
+from conftest import run_figure, run_once
 
 from repro.experiments.report import render_flow_table
-from repro.experiments.runner import PAPER_SCHEMES, run_fig10
+from repro.experiments.runner import PAPER_SCHEMES
 
 FLOWS = ("F0", "F1", "F2", "F3", "F4")
 
 
 def test_fig10(benchmark, scale, seed):
     results = run_once(
-        benchmark, run_fig10, schemes=PAPER_SCHEMES, time_scale=scale, seed=seed
+        benchmark, run_figure, "fig10", schemes=PAPER_SCHEMES, time_scale=scale, seed=seed
     )
     print()
     print("FIG 10 — per-flow bandwidth (GB/s), Config #2 Case #2, steady tail")

@@ -7,16 +7,16 @@ slow to reach the others' level.
 """
 
 import pytest
-from conftest import run_once
+from conftest import run_figure, run_once
 
 from repro.experiments.report import render_series
-from repro.experiments.runner import PAPER_SCHEMES, run_fig7
+from repro.experiments.runner import PAPER_SCHEMES
 
 
 @pytest.mark.parametrize("panel", ["a", "b", "c"])
 def test_fig7(benchmark, panel, scale, seed):
     results = run_once(
-        benchmark, run_fig7, panel, schemes=PAPER_SCHEMES, time_scale=scale, seed=seed
+        benchmark, run_figure, f"fig7{panel}", schemes=PAPER_SCHEMES, time_scale=scale, seed=seed
     )
     print()
     print(f"FIG 7{panel} — throughput vs time "

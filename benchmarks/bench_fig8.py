@@ -8,10 +8,10 @@ clearly above FBICM, 1Q worst, VOQnet the ceiling.
 """
 
 import pytest
-from conftest import run_once
+from conftest import run_figure, run_once
 
 from repro.experiments.report import render_fig8_summary, render_series
-from repro.experiments.runner import FIG8_SCHEMES, run_fig8
+from repro.experiments.runner import FIG8_SCHEMES
 
 PANELS = {"a": 1, "b": 4, "c": 6}
 
@@ -21,8 +21,8 @@ def test_fig8(benchmark, panel, scale_cfg3, seed):
     trees = PANELS[panel]
     results = run_once(
         benchmark,
-        run_fig8,
-        trees,
+        run_figure,
+        f"fig8{panel}",
         schemes=FIG8_SCHEMES,
         time_scale=scale_cfg3,
         seed=seed,

@@ -11,10 +11,10 @@ Paper shape per panel:
 * (d) CCFIT: victim restored and contributors fair — best of both.
 """
 
-from conftest import run_once
+from conftest import run_figure, run_once
 
 from repro.experiments.report import render_flow_table
-from repro.experiments.runner import PAPER_SCHEMES, run_fig9
+from repro.experiments.runner import PAPER_SCHEMES
 
 FLOWS = ("F0", "F1", "F2", "F5", "F6")
 CONTRIBUTORS = ("F1", "F2", "F5", "F6")
@@ -22,7 +22,7 @@ CONTRIBUTORS = ("F1", "F2", "F5", "F6")
 
 def test_fig9(benchmark, scale, seed):
     results = run_once(
-        benchmark, run_fig9, schemes=PAPER_SCHEMES, time_scale=scale, seed=seed
+        benchmark, run_figure, "fig9", schemes=PAPER_SCHEMES, time_scale=scale, seed=seed
     )
     print()
     print("FIG 9 — per-flow bandwidth (GB/s), Config #1 Case #1, steady tail")

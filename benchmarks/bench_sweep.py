@@ -12,14 +12,14 @@ import json
 
 import pytest
 
-from repro.experiments.runner import CaseResult, run_case1
+from repro.experiments.runner import CaseResult, run_case
 from repro.experiments.sweep import ResultCache, SimJob
 
 
 @pytest.fixture(scope="module")
 def small_result() -> CaseResult:
     """One real Case #1 cell at 0.02x — every array/field populated."""
-    return run_case1("1Q", time_scale=0.02)
+    return run_case("case1", scheme="1Q", time_scale=0.02)
 
 
 @pytest.fixture(scope="module")

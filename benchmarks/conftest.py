@@ -38,6 +38,16 @@ def seed():
     return SEED
 
 
+def run_figure(name, **cell):
+    """The results of one registered experiment, scheme -> CaseResult."""
+    # imported here: benchmarks/e2e runs under this conftest without
+    # the package on its path (it finds src/ itself)
+    from repro.experiments import registry
+
+    results, _report = registry.get(name).run(**cell)
+    return results
+
+
 def run_once(benchmark, fn, *args, **kwargs):
     """Run an expensive simulation exactly once under the timer."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

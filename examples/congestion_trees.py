@@ -15,7 +15,7 @@ Run:  python examples/congestion_trees.py [num_trees] [time_scale]
 import sys
 
 from repro.experiments.report import render_fig8_summary, render_series
-from repro.experiments.runner import run_case4
+from repro.experiments.runner import run_case
 
 
 def main() -> None:
@@ -29,8 +29,8 @@ def main() -> None:
     results = {}
     for scheme in ("1Q", "FBICM", "CCFIT"):
         print(f"  simulating {scheme} ...", flush=True)
-        results[scheme] = run_case4(
-            scheme, num_trees=trees, time_scale=time_scale, seed=1
+        results[scheme] = run_case(
+            "case4", scheme=scheme, num_trees=trees, time_scale=time_scale, seed=1
         )
 
     print()

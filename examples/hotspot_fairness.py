@@ -12,8 +12,8 @@ Run:  python examples/hotspot_fairness.py [time_scale]
 
 import sys
 
+from repro.experiments import registry
 from repro.experiments.report import render_flow_table
-from repro.experiments.runner import run_fig9
 from repro.metrics.analysis import jain_index
 
 FLOWS = ("F0", "F1", "F2", "F5", "F6")
@@ -23,7 +23,7 @@ CONTRIBUTORS = ("F1", "F2", "F5", "F6")
 def main() -> None:
     time_scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.5
     print(f"running Traffic Case #1 at {time_scale:.1f}x of the paper's 10 ms ...")
-    results = run_fig9(time_scale=time_scale, seed=1)
+    results, _report = registry.get("fig9").run(time_scale=time_scale, seed=1)
 
     print()
     print(render_flow_table(results, FLOWS))

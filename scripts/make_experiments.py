@@ -46,8 +46,6 @@ ap.add_argument("--no-cache", action="store_true")
 ARGS = ap.parse_args()
 OUT = ARGS.output
 OPTIONS = SweepOptions(
-    time_scale=ARGS.scale,
-    seed=SEED,
     jobs=ARGS.jobs,
     cache_dir=None if ARGS.no_cache else (ARGS.cache_dir or default_cache_dir()),
     use_cache=not ARGS.no_cache,
@@ -59,7 +57,7 @@ chunks: list[str] = []
 def sweep(name: str):
     """Run one registered experiment through the engine, logging the
     cache/worker accounting to the console (not the record)."""
-    results, report = registry.get(name).run(options=OPTIONS)
+    results, report = registry.get(name).run(options=OPTIONS, time_scale=ARGS.scale, seed=SEED)
     print(f"[{name}] {report.summary()}", flush=True)
     return results
 

@@ -25,10 +25,7 @@ Commands
 ``telemetry NAME --scheme CCFIT --out DIR``
     Run one experiment cell with the telemetry sampler attached and
     render the bundle (JSONL / Prometheus text / SVG dashboard — pick
-    with ``--format``).  Every simulation command also accepts
-    ``--telemetry`` / ``--telemetry-interval NS`` to attach sampling
-    without changing results (bundles ride on the cached results).
-    See docs/telemetry.md.
+    with ``--format``).  See docs/telemetry.md.
 ``serve --broker DIR --port 8642``
     Long-running service front-end: submit experiments over HTTP
     (``POST /experiments``), stream cell-level progress as NDJSON/SSE,
@@ -48,15 +45,12 @@ Commands
 Common options: ``--scale`` (time compression, default 0.3),
 ``--seed``, ``--csv PATH`` (dump the throughput series),
 ``--jobs N`` (worker processes for the simulation grid),
-``--routing NAME[,NAME..]`` (routing policy axis — ``det``, ``ecmp``,
-``adaptive``, ``flowlet``; names match case-insensitively, see
-docs/routing.md), ``--cache-dir PATH`` / ``--no-cache`` (on-disk
-result cache; ``sweep`` caches by default, the other commands opt in
-via ``--cache-dir``), ``--faults SPEC`` (deterministic fault
-injection — link/switch failures and degradations, see
-docs/faults.md), ``--buffer-model NAME`` (switch buffer organisation —
-``static`` or ``shared``, see docs/buffers.md).  See docs/sweep.md for
-the job/cache model.
+``--cache-dir PATH`` / ``--no-cache`` (on-disk result cache; ``sweep``
+caches by default, the other commands opt in via ``--cache-dir``), and
+one option per axis of a cell -- ``--routing``, ``--faults``,
+``--buffer-model``, ``--telemetry`` -- generated from the table in
+:mod:`repro.experiments.sweep` (``--help`` lists them).  See
+docs/sweep.md for the job/cache model.
 
 Resilience options (docs/robustness.md): ``--timeout SECONDS``
 (per-cell wall-clock budget), ``--retries N`` (bounded retries with
@@ -74,13 +68,11 @@ makes it runnable here with no CLI changes.
 from __future__ import annotations
 
 import argparse
-import difflib
 import os
 import re
 import sys
-from typing import Dict, Iterable, Optional
+from typing import Any, Dict, Optional
 
-from repro.core.ccfit import SCHEMES
 from repro.experiments import registry
 from repro.experiments.configs import CONFIG3, table1
 from repro.experiments.costs import cost_table
@@ -95,16 +87,25 @@ from repro.experiments.report import (
     render_table,
 )
 from repro.experiments.runner import CaseResult
-from repro.experiments.sweep import SweepOptions, SweepReport, default_cache_dir
+from repro.experiments.sweep import (
+    AXES,
+    CellError,
+    SimJob,
+    SweepOptions,
+    SweepReport,
+    default_cache_dir,
+    parse_names,
+    read_axes,
+    unknown_name,
+)
 from repro.sim.guard import ENV_VALIDATE
 
 __all__ = ["main", "build_parser"]
 
-_SIM_COMMANDS = ("fig", "case", "trees", "sweep")
-
 
 def _add_engine_options(p: argparse.ArgumentParser, suppress: bool = False) -> None:
-    """The sweep-engine knobs, shared by every simulation command.
+    """The sweep-engine knobs and the cell axes (one flag per row of
+    ``AXES``, plus what refines it), shared by every simulation command.
 
     They live on the main parser (before the subcommand) *and*, with
     ``default=SUPPRESS``, on each subparser — so both
@@ -118,10 +119,6 @@ def _add_engine_options(p: argparse.ArgumentParser, suppress: bool = False) -> N
 
     p.add_argument("--jobs", type=int, default=d(1), metavar="N",
                    help="worker processes for the simulation grid (1 = serial)")
-    p.add_argument("--routing", type=str, default=d(None), metavar="NAME[,NAME..]",
-                   help="routing policy (det|ecmp|adaptive|flowlet, "
-                        "case-insensitive; default det).  `sweep` accepts a "
-                        "comma-separated list forming a grid axis")
     p.add_argument("--cache-dir", type=str, default=d(None), metavar="PATH",
                    help="on-disk result cache directory "
                         "(default: ~/.cache/repro-sweep for `sweep`, off otherwise)")
@@ -141,33 +138,29 @@ def _add_engine_options(p: argparse.ArgumentParser, suppress: bool = False) -> N
     p.add_argument("--validate", action="store_true", default=d(False),
                    help="run simulations under the runtime invariant guard "
                         "(sets REPRO_SIM_VALIDATE=1 so workers inherit it)")
-    p.add_argument("--telemetry", action="store_true", default=d(False),
-                   help="attach the telemetry sampler to every simulation "
-                        "(results stay byte-identical; bundles ride on the results)")
-    p.add_argument("--telemetry-interval", type=float, default=d(100_000.0),
-                   metavar="NS", help="telemetry sampling period in ns (default 100000)")
-    p.add_argument("--faults", type=str, default=d(None), metavar="SPEC",
-                   help="inject deterministic faults into every cell, e.g. "
-                        "'kill:s0p4->s16p0@1.2ms' or "
-                        "'degrade:LINK@2ms:bw=0.5,drop=0.01;seed=7' "
-                        "(docs/faults.md; plans are part of the cache key)")
-    p.add_argument("--buffer-model", type=str, default=d(None), metavar="NAME",
-                   help="switch buffer organisation (static|shared, "
-                        "case-insensitive; default static, the paper's "
-                        "per-port partitioning; part of the cache key, "
-                        "docs/buffers.md)")
+    for axis in AXES:
+        p.add_argument(_flag(axis.name), dest=axis.field, default=d(None),
+                       help=axis.help, **axis.cli)
+        if axis.refine is not None:
+            name, text, kwargs = axis.refine
+            p.add_argument(_flag(name), default=d(None), help=text, **kwargs)
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 class _Parser(argparse.ArgumentParser):
     """Argparse with the repo's did-you-mean treatment for a typo'd
     subcommand: same hint + exit-2 contract as unknown experiment and
-    scheme names (:func:`_unknown_name`), instead of the stock
+    scheme names (``unknown_name``), instead of the stock
     usage-dump error."""
 
     def error(self, message: str) -> "NoReturn":  # noqa: F821 - argparse idiom
         m = re.search(r"argument command: invalid choice: '([^']+)'", message)
         if m:
-            raise SystemExit(_unknown_name("command", m.group(1), _COMMANDS))
+            print(f"repro: {unknown_name('command', m.group(1), _COMMANDS)}", file=sys.stderr)
+            raise SystemExit(2)
         super().error(message)
 
 
@@ -357,82 +350,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _unknown_name(kind: str, name: str, choices: Iterable[str]) -> int:
-    """Satellite UX: a typo'd experiment/scheme name exits with code 2
-    and a did-you-mean hint instead of a traceback."""
-    names = sorted(choices)
-    # match case-insensitively so "ccfti" still suggests CCFIT
-    folded = {n.casefold(): n for n in names}
-    close = difflib.get_close_matches(name.casefold(), list(folded), n=3, cutoff=0.4)
-    close = [folded[c] for c in close]
-    hint = f" — did you mean {' or '.join(close)}?" if close else ""
-    print(
-        f"repro: unknown {kind} {name!r}{hint} (choose from {', '.join(names)})",
-        file=sys.stderr,
-    )
-    return 2
+def _cell(args: argparse.Namespace, command: Optional[str] = None) -> Dict[str, Any]:
+    """The cell fields of a command line, as keywords of
+    ``Experiment.run``; a typo raises :class:`CellError` (``main``
+    prints it and exits 2).  A ``command`` that runs one cell takes one
+    value where `sweep` takes a list, and none means the default."""
+    cell = read_axes(vars(args).get)
+    if command is not None:
+        for axis in AXES:
+            if axis.listable:
+                values = cell.setdefault(axis.grid, (axis.default,))
+                if len(values) > 1:
+                    raise CellError(f"`{command}` accepts a single {_flag(axis.name)} value "
+                                    f"(got {','.join(values)})")
+    return dict(cell, time_scale=args.scale, seed=args.seed)
 
 
-def _canonical_scheme(name: str) -> Optional[str]:
-    """Case-insensitive scheme lookup (``"ccfit"`` -> ``"CCFIT"``)
-    against the live registry; None for an unknown name."""
-    return {s.casefold(): s for s in SCHEMES}.get(name.casefold())
-
-
-def _resolve_routings(args) -> Optional[tuple]:
-    """Parse/validate ``--routing``: comma-separated policy names,
-    matched case-insensitively against the live policy registry.
-    Returns None when the flag was not given; a typo prints a
-    did-you-mean hint and exits 2 (same contract as unknown schemes)."""
-    raw = getattr(args, "routing", None)
-    if not raw:
-        return None
-    from repro.network.routing import policy_names
-
-    by_fold = {n.casefold(): n for n in policy_names()}
-    out: list = []
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        match = by_fold.get(item.casefold())
-        if match is None:
-            raise SystemExit(_unknown_name("routing policy", item, policy_names()))
-        if match not in out:
-            out.append(match)
-    return tuple(out) if out else None
-
-
-def _resolve_buffer_model(args) -> Optional[str]:
-    """Parse/validate ``--buffer-model``: one registered model name,
-    matched case-insensitively.  Returns None when the flag was not
-    given; a typo prints a did-you-mean hint and exits 2 (same contract
-    as unknown schemes and routing policies)."""
-    raw = getattr(args, "buffer_model", None)
-    if not raw:
-        return None
-    from repro.network.buffers import buffer_model_names
-
-    names = buffer_model_names()
-    match = {n.casefold(): n for n in names}.get(raw.casefold())
-    if match is None:
-        raise SystemExit(_unknown_name("buffer model", raw, names))
-    return match
-
-
-def _single_routing(args, command: str) -> str:
-    """Commands that run one cell take exactly one policy."""
-    routings = _resolve_routings(args)
-    if routings is not None and len(routings) > 1:
-        print(f"repro: `{command}` accepts a single --routing policy "
-              f"(got {','.join(routings)})", file=sys.stderr)
-        raise SystemExit(2)
-    return routings[0] if routings else "det"
-
-
-def _options(
-    args: argparse.Namespace, *, cache_by_default: bool, routing: str = "det"
-) -> SweepOptions:
+def _options(args: argparse.Namespace, *, cache_by_default: bool) -> SweepOptions:
     """Build SweepOptions from parsed args.  The cache engages when a
     directory was given explicitly, or by default for ``sweep``;
     ``--no-cache`` always wins."""
@@ -442,24 +376,7 @@ def _options(
     if args.resume and not args.journal:
         print("repro: --resume requires --journal PATH", file=sys.stderr)
         raise SystemExit(2)
-    telemetry = None
-    if getattr(args, "telemetry", False):
-        from repro.telemetry import TelemetryConfig
-
-        telemetry = TelemetryConfig(interval=args.telemetry_interval)
-    faults = None
-    if getattr(args, "faults", None):
-        from repro.sim.faults import FaultPlan, FaultPlanError
-
-        try:
-            faults = FaultPlan.parse(args.faults)
-        except FaultPlanError as exc:
-            print(f"repro: bad --faults spec: {exc}", file=sys.stderr)
-            raise SystemExit(2)
     return SweepOptions(
-        time_scale=args.scale,
-        seed=args.seed,
-        routing=routing,
         jobs=args.jobs,
         cache_dir=cache_dir,
         use_cache=not args.no_cache,
@@ -467,9 +384,6 @@ def _options(
         max_retries=max(0, args.retries),
         journal=args.journal,
         resume=args.resume,
-        telemetry=telemetry,
-        faults=faults,
-        buffer_model=_resolve_buffer_model(args),
     )
 
 
@@ -565,72 +479,38 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-def _case_schemes() -> tuple:
-    """Schemes accepted by `case` / `trees`: the live registry, so
-    schemes added via ``register_scheme`` are runnable immediately."""
-    return tuple(SCHEMES)
-
-
-def _result_key(scheme: str, routing: str, faults=None, buffer_model=None) -> str:
-    """The key :meth:`Experiment.run` files a cell under."""
-    key = scheme if routing == "det" else f"{scheme}@{routing}"
-    if faults is not None:
-        key += f"+{faults.label()}"
-    if buffer_model is not None and buffer_model != "static":
-        key += f"%{buffer_model}"
-    return key
-
-
 def _cmd_fig(args) -> int:
     exp = registry.get(f"fig{args.panel}")
-    routings = _resolve_routings(args)
-    opts = _options(args, cache_by_default=False,
-                    routing=routings[0] if routings else "det")
-    results, report = exp.run(routings=routings, options=opts)
+    opts = _options(args, cache_by_default=False)
+    results, report = exp.run(options=opts, **_cell(args))
     _render_results(exp, results, args)
     return _report_engine(report, opts, args)
 
 
-def _cmd_case(args) -> int:
-    scheme = _canonical_scheme(args.scheme)
-    if scheme is None:
-        return _unknown_name("scheme", args.scheme, _case_schemes())
-    routing = _single_routing(args, "case")
-    exp = registry.get(f"case{args.number}")
-    opts = _options(args, cache_by_default=False, routing=routing)
-    results, report = exp.run(schemes=(scheme,), options=opts)
-    key = _result_key(scheme, routing, opts.faults, opts.buffer_model)
-    if key in results:
-        _print_case(results[key])
+def _cmd_case(args, exp_name: Optional[str] = None, **knobs) -> int:
+    exp = registry.get(exp_name or f"case{args.number}")
+    opts = _options(args, cache_by_default=False)
+    results, report = exp.run(
+        schemes=(args.scheme,), options=opts, **_cell(args, args.command), **knobs)
+    for res in results.values():  # the one cell, whatever its axes add to its key
+        _print_case(res)
+        if exp.case == "case4":
+            print(f"burst-window throughput: {res.mean_throughput():.1f} GB/s")
     if args.csv:
         _write_csv(args.csv, results)
     return _report_engine(report, opts, args)
 
 
 def _cmd_trees(args) -> int:
-    scheme = _canonical_scheme(args.scheme)
-    if scheme is None:
-        return _unknown_name("scheme", args.scheme, _case_schemes())
-    routing = _single_routing(args, "trees")
-    exp = registry.get("case4")
-    opts = _options(args, cache_by_default=False, routing=routing)
-    results, report = exp.run(schemes=(scheme,), options=opts, num_trees=args.count)
-    key = _result_key(scheme, routing, opts.faults, opts.buffer_model)
-    if key in results:
-        res = results[key]
-        _print_case(res)
-        print(f"burst-window throughput: {res.mean_throughput():.1f} GB/s")
-    if args.csv:
-        _write_csv(args.csv, results)
-    return _report_engine(report, opts, args)
+    return _cmd_case(args, "case4", num_trees=args.count)
 
 
 def _cmd_sweep(args) -> int:
     if args.list_experiments:
         rows = [
-            {"name": e.name, "case": e.case, "schemes": ",".join(e.schemes),
-             "routings": ",".join(e.routings) or "det", "title": e.title}
-            for e in registry.experiments()
+            {"name": e["name"], "case": e["case"], "schemes": ",".join(e["schemes"]),
+             "routings": ",".join(e["routings"]), "title": e["title"]}
+            for e in registry.describe()
         ]
         print(render_table(rows))
         return 0
@@ -638,31 +518,19 @@ def _cmd_sweep(args) -> int:
         print("sweep: experiment name required (try `repro sweep --list`)", file=sys.stderr)
         return 2
     if args.name not in registry.names():
-        return _unknown_name("experiment", args.name, registry.names())
+        raise CellError(unknown_name("experiment", args.name, registry.names()))
     exp = registry.get(args.name)
-    schemes: Optional[tuple] = None
+    cell = _cell(args)
     if args.schemes:
-        schemes = []
-        for raw in args.schemes.split(","):
-            raw = raw.strip()
-            if not raw:
-                continue
-            canonical = _canonical_scheme(raw)
-            if canonical is None:
-                return _unknown_name("scheme", raw, SCHEMES)
-            schemes.append(canonical)
-        schemes = tuple(schemes)
-    routings = _resolve_routings(args)
-    opts = _options(args, cache_by_default=True,
-                    routing=routings[0] if routings else "det")
-    results, report = exp.run(schemes=schemes, routings=routings, options=opts)
+        cell["schemes"] = parse_names(str, args.schemes)
+    opts = _options(args, cache_by_default=True)
+    results, report = exp.run(options=opts, **cell)
     print(exp.title)
     _render_results(exp, results, args)
     return _report_engine(report, opts, args, always=True)
 
 
 def _cmd_perf(args) -> int:
-    from repro.core.ccfit import SCHEMES as ALL_SCHEMES
     from repro.experiments.runner import CASE_NAMES
     from repro.perf import cprofile_case, render_report, run_perf, write_report
 
@@ -670,17 +538,10 @@ def _cmd_perf(args) -> int:
         print(f"perf: unknown case {args.perf_case!r}; choose from {CASE_NAMES}",
               file=sys.stderr)
         return 2
-    schemes = []
-    for raw in args.schemes.split(","):
-        raw = raw.strip()
-        if not raw:
-            continue
-        canonical = _canonical_scheme(raw)
-        if canonical is None:
-            return _unknown_name("scheme", raw, ALL_SCHEMES)
-        schemes.append(canonical)
-    schemes = tuple(schemes)
-    routing = _single_routing(args, "perf")
+    # the cells it times, declared as any other: names checked and canonical
+    (routing,) = _cell(args, "perf")["routings"]
+    jobs = [SimJob(args.perf_case, s, routing=routing) for s in parse_names(str, args.schemes)]
+    schemes, routing = tuple(job.scheme for job in jobs), jobs[0].routing
     if args.quick:
         time_scale, micro_events, micro_repeats = 0.03, 60_000, 1
     else:
@@ -719,30 +580,22 @@ def _cmd_telemetry(args) -> int:
     from repro.telemetry import TELEMETRY_FORMATS, TelemetryConfig, write_bundle
 
     if args.name not in registry.names():
-        return _unknown_name("experiment", args.name, registry.names())
-    scheme = _canonical_scheme(args.scheme)
-    if scheme is None:
-        return _unknown_name("scheme", args.scheme, _case_schemes())
+        raise CellError(unknown_name("experiment", args.name, registry.names()))
     if args.tele_format not in TELEMETRY_FORMATS:
-        return _unknown_name("telemetry format", args.tele_format, TELEMETRY_FORMATS)
-    routing = _single_routing(args, "telemetry")
+        raise CellError(unknown_name("telemetry format", args.tele_format, TELEMETRY_FORMATS))
     exp = registry.get(args.name)
-    import dataclasses
-
-    opts = dataclasses.replace(
-        _options(args, cache_by_default=False, routing=routing),
-        telemetry=TelemetryConfig(interval=args.interval),
-    )
-    results, report = exp.run(schemes=(scheme,), routings=(routing,), options=opts)
+    opts = _options(args, cache_by_default=False)
+    cell = dict(_cell(args, "telemetry"), telemetry=TelemetryConfig(interval=args.interval))
+    results, report = exp.run(schemes=(args.scheme,), options=opts, **cell)
     rc = _report_engine(report, opts, args)
-    res = results.get(_result_key(scheme, routing, opts.faults, opts.buffer_model))
+    job, res = report.jobs[0], report.results[0]
     if res is None or res.telemetry is None:
         print("telemetry: no bundle produced (cell failed?)", file=sys.stderr)
         return rc or 1
     bundle = res.telemetry
     written = write_bundle(
         bundle, args.out, fmt=args.tele_format,
-        title=f"{exp.title} — {scheme}" + (f" @{routing}" if routing != "det" else ""),
+        title=f"{exp.title} — {job.scheme} {job.suffix()}".rstrip(),
     )
     stats = bundle.get("tree_stats") or {}
     print(
@@ -917,7 +770,11 @@ def main(argv=None) -> int:
         # environment (not a plumbed flag) so forked sweep workers and
         # every build_fabric call inherit guard mode (repro.sim.guard).
         os.environ[ENV_VALIDATE] = "1"
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except CellError as exc:  # a typo'd name, a cell that cannot be: a hint, not a traceback
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -2,13 +2,13 @@
 
 * :mod:`repro.experiments.configs` — Table I as code: the three network
   configurations with their topologies, bandwidths and memories.
-* :mod:`repro.experiments.runner` — the simulation cells (one
-  (case, scheme, seed, time_scale) run each) and the per-figure
-  aggregation wrappers (Fig. 7a/7b/7c, Fig. 8a/8b/8c, Fig. 9, Fig. 10).
-* :mod:`repro.experiments.sweep` — the parallel sweep engine: decomposes
-  a figure into independent :class:`~repro.experiments.sweep.SimJob`
-  cells, fans them out across worker processes and memoizes finished
-  cells in a content-addressed on-disk cache (docs/sweep.md).
+* :mod:`repro.experiments.runner` — the simulation cell: one
+  (case, scheme, seed, time_scale) run.
+* :mod:`repro.experiments.sweep` — the declaration of a cell
+  (:class:`~repro.experiments.sweep.SimJob` and the table of its axes)
+  and the parallel sweep engine that fans cells out across worker
+  processes and memoizes finished ones in a content-addressed on-disk
+  cache (docs/sweep.md).
 * :mod:`repro.experiments.registry` — experiment names (``"fig9"``,
   ``"case3"``, ...) -> runnable sweep definitions; the CLI and scripts
   dispatch through it.
@@ -19,19 +19,7 @@
 from repro.experiments import registry
 from repro.experiments.configs import CONFIG1, CONFIG2, CONFIG3, NetworkConfig, table1
 from repro.experiments.registry import Experiment
-from repro.experiments.runner import (
-    CaseResult,
-    run_case,
-    run_case1,
-    run_case2,
-    run_case3,
-    run_case4,
-    run_fig7,
-    run_fig8,
-    run_fig9,
-    run_fig10,
-    run_figure,
-)
+from repro.experiments.runner import CaseResult, run_case
 from repro.experiments.sweep import (
     ResultCache,
     SimJob,
@@ -48,15 +36,6 @@ __all__ = [
     "table1",
     "CaseResult",
     "run_case",
-    "run_case1",
-    "run_case2",
-    "run_case3",
-    "run_case4",
-    "run_fig7",
-    "run_fig8",
-    "run_fig9",
-    "run_fig10",
-    "run_figure",
     "registry",
     "Experiment",
     "ResultCache",

@@ -3,7 +3,7 @@
 Maps every figure panel and traffic case of §IV (``"fig7a"`` ...
 ``"fig10"``, ``"case1"`` ... ``"case4"``) to an :class:`Experiment`
 bundling the cell runner it decomposes into, its scheme list and how
-its results are rendered.  The CLI, the ``run_fig*`` wrappers and
+its results are rendered.  The CLI, the service and
 ``scripts/make_experiments.py`` all dispatch through this table
 instead of hand-written per-subcommand branching, so a new experiment
 becomes available everywhere by a single :func:`register` call.
@@ -11,12 +11,13 @@ becomes available everywhere by a single :func:`register` call.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.ccfit import FIG8_SCHEMES, PAPER_SCHEMES, SCHEMES
 from repro.experiments.runner import CaseResult
-from repro.experiments.sweep import SimJob, SweepOptions, SweepReport, run_sweep
+from repro.experiments.sweep import AXES, Axis, SimJob, SweepOptions, SweepReport, run_sweep
 from repro.sim.faults import FaultPlan
 
 __all__ = ["Experiment", "register", "get", "names", "experiments", "describe", "REGISTRY"]
@@ -43,121 +44,73 @@ class Experiment:
     flows: Tuple[str, ...] = ()
     #: static per-case knobs (e.g. Fig. 8's ``num_trees``).
     extra: Tuple[Tuple[str, Any], ...] = ()
-    #: default routing-policy axis (docs/routing.md).  Empty means one
-    #: policy per grid — whatever the caller/options select (usually
-    #: "det"); a non-empty tuple (the ``routing_grid`` experiment)
-    #: crosses every scheme with every listed policy.
+    # The grids of the axes (``Axis.grid`` names each): the values every
+    # scheme is crossed with.  Empty means one value per grid, whatever
+    # the caller gives (usually nothing: the axis default).
+    #: routing policies (docs/routing.md); the ``routing_grid``
+    #: experiment lists all four.
     routings: Tuple[str, ...] = ()
-    #: default fault-scenario axis (docs/faults.md): named
-    #: :class:`~repro.sim.faults.FaultPlan`\ s (or None for the
-    #: fault-free baseline) crossed with every (scheme, routing) cell.
-    #: Empty means one scenario per grid — whatever the caller/options
-    #: inject (usually none).
+    #: fault scenarios (docs/faults.md): named
+    #: :class:`~repro.sim.faults.FaultPlan`\ s, and None for the
+    #: fault-free baseline they are compared against.
     faults: Tuple[Optional[FaultPlan], ...] = ()
-    #: default buffer-model axis (docs/buffers.md): registered model
-    #: names crossed with every cell (the ``datacenter_incast``
-    #: experiment pits static against shared).  Empty means one model
-    #: per grid — whatever the caller/options select (usually the
-    #: params default, "static").
+    #: buffer models (docs/buffers.md); ``datacenter_incast`` pits
+    #: static against shared.
     buffer_models: Tuple[str, ...] = ()
+
+    def grid(self, axis: Axis) -> Tuple[Any, ...]:
+        """The values this experiment crosses ``axis`` over, or ()."""
+        return getattr(self, axis.grid, ()) if axis.grid else ()
 
     def jobs(
         self,
         *,
         schemes: Optional[Tuple[str, ...]] = None,
-        routings: Optional[Tuple[str, ...]] = None,
         time_scale: float = 1.0,
         seed: int = 1,
         params=None,
-        telemetry=None,
-        routing: str = "det",
-        faults=None,
-        buffer_model=None,
-        **overrides,
+        **cell,
     ) -> List[SimJob]:
-        """Decompose into one :class:`SimJob` per (scheme, routing,
-        fault-scenario, buffer-model) cell.  ``overrides`` update the
-        static ``extra`` knobs (the ``trees`` CLI command overrides
-        ``num_trees`` this way).  The routing axis defaults to
-        :attr:`routings`, falling back to the single policy
-        ``routing``; the fault axis defaults to :attr:`faults`, falling
-        back to the single plan ``faults`` (usually None); the buffer
-        axis defaults to :attr:`buffer_models`, falling back to the
-        single model ``buffer_model`` (usually None = params
-        default)."""
-        extra = dict(self.extra)
-        extra.update(overrides)
-        axis = routings if routings is not None else self.routings
-        if not axis:
-            axis = (routing,)
-        axis_f = self.faults if self.faults else (faults,)
-        axis_b = self.buffer_models if self.buffer_models else (buffer_model,)
+        """Decompose into one :class:`SimJob` per scheme and per value
+        of every axis of :data:`~repro.experiments.sweep.AXES`.  ``cell``
+        names an axis (``routing="adaptive"``) to give every job that
+        one value, a listable axis's grid (``routings=(...)``) to cross
+        several, and anything else is a case knob overriding the static
+        ``extra`` (the ``trees`` CLI command overrides ``num_trees``
+        this way).  An axis is crossed over what the caller listed,
+        else over what this experiment declares, else it is the one
+        value given (usually none: the default)."""
+        grids = []
+        for axis in AXES:
+            one = cell.pop(axis.name, axis.default)
+            listed = cell.pop(axis.grid, None) if axis.listable else None
+            grids.append(listed or self.grid(axis) or (one,))
+        extra = {**dict(self.extra), **cell}
         return [
-            SimJob(
-                case=self.case,
-                scheme=s,
-                time_scale=time_scale,
-                seed=seed,
-                params=params,
-                extra=tuple(sorted(extra.items())),
-                telemetry=telemetry,
-                routing=r,
-                faults=f,
-                buffer_model=b,
-            )
-            for s in (schemes if schemes is not None else self.schemes)
-            for r in axis
-            for f in axis_f
-            for b in axis_b
+            SimJob(self.case, scheme, time_scale, seed, params, extra,
+                   **{axis.name: value for axis, value in zip(AXES, combo)})
+            for scheme in (schemes if schemes is not None else self.schemes)
+            for combo in itertools.product(*grids)
         ]
 
     def run(
-        self,
-        *,
-        schemes: Optional[Tuple[str, ...]] = None,
-        routings: Optional[Tuple[str, ...]] = None,
-        options: Optional[SweepOptions] = None,
-        time_scale: Optional[float] = None,
-        seed: Optional[int] = None,
-        params=None,
-        **overrides,
+        self, *, options: Optional[SweepOptions] = None, **cell
     ) -> Tuple[Dict[str, CaseResult], SweepReport]:
-        """Run the grid through the sweep engine; explicit keywords win
-        over the corresponding ``options`` fields.
+        """Run the grid ``jobs(**cell)`` through the sweep engine.
 
-        The result mapping is keyed by scheme for det cells and
-        ``"<scheme>@<routing>"`` for non-det cells, so single-policy
-        grids keep their historical keys while routing grids stay
-        unambiguous; fault-scenario cells append ``"+<plan label>"``
-        (the ``fault_resilience`` grid) and non-static buffer-model
-        cells append ``"%<model>"`` (the ``datacenter_incast``
-        grid)."""
-        opts = options if options is not None else SweepOptions()
-        jobs = self.jobs(
-            schemes=schemes,
-            routings=routings,
-            time_scale=opts.time_scale if time_scale is None else time_scale,
-            seed=opts.seed if seed is None else seed,
-            params=params if params is not None else opts.params,
-            telemetry=opts.telemetry,
-            routing=opts.routing,
-            faults=getattr(opts, "faults", None),
-            buffer_model=getattr(opts, "buffer_model", None),
-            **overrides,
-        )
-        report = run_sweep(jobs, options=opts)
-        results = {}
-        for job, res in zip(report.jobs, report.results):
-            if res is None:
-                continue
-            key = job.scheme if job.routing == "det" else f"{job.scheme}@{job.routing}"
-            if job.faults is not None:
-                key += f"+{job.faults.label()}"
-            elif self.faults:
-                key += "+none"  # the grid's fault-free baseline cell
-            if job.buffer_model is not None and job.buffer_model != "static":
-                key += f"%{job.buffer_model}"
-            results[key] = res
+        The result mapping is keyed by scheme plus what the cell's axes
+        add to its label (:meth:`SimJob.suffix`): ``"CCFIT"`` for the
+        paper's cell, ``"CCFIT@adaptive+flap%shared"`` off it, so
+        single-policy grids keep their historical keys while crossed
+        grids stay unambiguous; the fault-free cell of a grid that
+        crosses fault scenarios reads ``"+none"``."""
+        report = run_sweep(self.jobs(**cell), options=options)
+        crossed = [axis.name for axis in AXES if self.grid(axis)]
+        results = {
+            job.scheme + job.suffix(crossed): res
+            for job, res in zip(report.jobs, report.results)
+            if res is not None
+        }
         return results, report
 
 
@@ -191,25 +144,24 @@ def experiments() -> Tuple[Experiment, ...]:
 def describe() -> List[Dict[str, Any]]:
     """JSON-safe descriptors of every registered experiment — the
     registry as an API surface (``GET /experiments`` on ``repro
-    serve``).  Fault-plan axes are reported by label (plans themselves
-    are not part of the submission protocol; they arrive as spec
-    strings)."""
+    serve``).  Each axis an experiment can cross is listed under its
+    grid name by the text its values show in labels (a fault plan by
+    its label: plans themselves arrive as spec strings)."""
     out: List[Dict[str, Any]] = []
     for exp in REGISTRY.values():
-        out.append({
+        row = {
             "name": exp.name,
             "title": exp.title,
             "case": exp.case,
             "kind": exp.kind,
             "schemes": list(exp.schemes),
-            "routings": list(exp.routings) or ["det"],
-            "buffer_models": list(exp.buffer_models) or ["static"],
-            "faults": [
-                plan.label() if plan is not None else "none" for plan in exp.faults
-            ] or ["none"],
             "extra": dict(exp.extra),
             "flows": list(exp.flows),
-        })
+        }
+        for axis in AXES:
+            if axis.grid is not None:
+                row[axis.grid] = [axis.text(v) for v in exp.grid(axis) or (axis.default,)]
+        out.append(row)
     return out
 
 

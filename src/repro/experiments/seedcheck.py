@@ -1,4 +1,4 @@
-"""Multi-seed robustness checks (formerly ``repro.experiments.robustness``).
+"""Multi-seed robustness checks.
 
 The paper reports single runs; a credible reproduction should show its
 qualitative claims are not seed artifacts.  :func:`seed_sweep` reruns a
@@ -7,9 +7,9 @@ on (victim bandwidth, contributor fairness, mean throughput), and
 :func:`claim_holds` evaluates an ordering claim with a tolerance for
 how many seeds may violate it.
 
-Renamed from ``robustness`` to avoid confusion with the *execution*
-robustness layer (fault-tolerant sweeps, cache integrity, invariant
-guard — see docs/robustness.md); the old import path still works.
+Not to be confused with the *execution* robustness layer
+(fault-tolerant sweeps, cache integrity, invariant guard — see
+docs/robustness.md).
 """
 
 from __future__ import annotations
@@ -58,11 +58,13 @@ def seed_sweep(
     metrics: Dict[str, Callable[[CaseResult], float]],
     **runner_kwargs,
 ) -> Dict[str, SweepStats]:
-    """Run ``runner(scheme, seed=s, **kwargs)`` per seed; aggregate
-    each named metric across the runs."""
+    """Run ``runner(scheme=scheme, seed=s, **kwargs)`` per seed --
+    ``runner`` is :func:`~repro.experiments.runner.run_case` with its
+    case bound, ``partial(run_case, "case1")`` -- and aggregate each
+    named metric across the runs."""
     collected: Dict[str, List[float]] = {name: [] for name in metrics}
     for seed in seeds:
-        res = runner(scheme, seed=seed, **runner_kwargs)
+        res = runner(scheme=scheme, seed=seed, **runner_kwargs)
         for name, fn in metrics.items():
             collected[name].append(float(fn(res)))
     return {name: SweepStats(name, tuple(vals)) for name, vals in collected.items()}

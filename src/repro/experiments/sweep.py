@@ -39,8 +39,11 @@ See ``docs/sweep.md`` for the job/cache model and
 from __future__ import annotations
 
 import dataclasses
+import difflib
 import hashlib
 import json
+import math
+import operator
 import os
 import pickle
 import time
@@ -52,11 +55,11 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro import __version__
+from repro.core.ccfit import SCHEMES
 from repro.core.params import CCParams
-from repro.experiments.configs import CONFIG1, CONFIG2, CONFIG3
 from repro.experiments.resilience import (
     JobFailure,
     RetryPolicy,
@@ -65,13 +68,19 @@ from repro.experiments.resilience import (
     run_isolated,
     terminate_pool,
 )
-from repro.experiments.runner import CASE_NAMES, CaseResult, run_case
+from repro.experiments.runner import CASE_CONFIG, CaseResult, run_case
+from repro.network.buffers import BUFFER_MODELS
+from repro.network.routing import ROUTING_POLICIES
 from repro.sim.faults import FaultPlan
 from repro.telemetry import TelemetryConfig
 
 __all__ = [
     "SweepOptions",
     "SimJob",
+    "Axis",
+    "AXES",
+    "KNOBS",
+    "CellError",
     "ResultCache",
     "SweepReport",
     "run_sweep",
@@ -87,21 +96,13 @@ def default_cache_dir() -> str:
 
 @dataclass(frozen=True)
 class SweepOptions:
-    """Execution options shared by runners, the CLI and scripts.
-
-    ``time_scale``/``seed``/``params`` are the *defaults* a runner
-    applies when the caller did not pass them explicitly; ``jobs`` and
-    the cache fields control the engine.  ``cache_dir=None`` (the
-    default) disables the cache entirely, keeping programmatic calls
-    pure — the CLI opts in explicitly.
+    """How :func:`run_sweep` executes a grid -- workers, cache, retries,
+    journal -- and nothing about the cells in it: those are declared by
+    the jobs.  ``cache_dir=None`` (the default) disables
+    the cache entirely, keeping programmatic calls pure; the CLI opts
+    in explicitly.
     """
 
-    time_scale: float = 1.0
-    seed: int = 1
-    params: Optional[CCParams] = None
-    #: default routing policy for cells that don't pin one
-    #: (docs/routing.md); "det" is the paper's deterministic routing.
-    routing: str = "det"
     #: worker processes; 1 = serial in-process execution.
     jobs: int = 1
     #: cache directory, or None for no on-disk cache.
@@ -122,20 +123,6 @@ class SweepOptions:
     journal: Optional[str] = None
     #: replay completed cells from the journal instead of re-running.
     resume: bool = False
-    #: attach a telemetry sampler to every cell (docs/telemetry.md);
-    #: None runs without telemetry.  Results stay byte-identical — the
-    #: bundle is additive — but the config is part of the cache key, so
-    #: telemetry and non-telemetry runs never serve each other's cells.
-    telemetry: Optional[TelemetryConfig] = None
-    #: inject deterministic faults into every cell (docs/faults.md);
-    #: None runs fault-free.  The plan is part of the cache key, so
-    #: faulted and fault-free runs never serve each other's cells.
-    faults: Optional[FaultPlan] = None
-    #: switch buffer organisation for cells that don't pin one
-    #: (docs/buffers.md); None defers to the params default ("static",
-    #: the paper's per-port partitioning).  Non-static models change
-    #: admission decisions, so the model is part of the cache key.
-    buffer_model: Optional[str] = None
 
     @property
     def cache_enabled(self) -> bool:
@@ -145,13 +132,10 @@ class SweepOptions:
         return RetryPolicy(max_retries=self.max_retries, backoff_base=self.backoff)
 
 
-#: per-case topology descriptors baked into cache keys: a cell's output
-#: depends on the network the case runs on, not only the case name.
-_CASE_CONFIG = {"case1": CONFIG1, "case2": CONFIG2, "case3": CONFIG2, "case4": CONFIG3}
-
-
 def _config_descriptor(case: str) -> Dict[str, Any]:
-    cfg = _CASE_CONFIG[case]
+    """The topology descriptor baked into cache keys: a cell's output
+    depends on the network the case runs on, not only the case name."""
+    cfg = CASE_CONFIG[case]
     return {
         "config": cfg.name,
         "topology": cfg.topology,
@@ -193,9 +177,232 @@ def write_atomic(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+class CellError(ValueError):
+    """A cell that cannot be declared: an unknown name, a knob its case
+    does not take, a value out of range.  The message is for whoever
+    asked -- the CLI prints it and exits 2, ``POST /experiments``
+    answers 400 with it."""
+
+
+def unknown_name(kind: str, name: Any, choices: Iterable[str]) -> str:
+    """``unknown <kind> 'nmae' — did you mean name? (choose from ...)``,
+    matching case-insensitively so ``"ccfti"`` still suggests CCFIT."""
+    names = sorted(choices)
+    folded = {n.casefold(): n for n in names}
+    close = difflib.get_close_matches(str(name).casefold(), list(folded), n=3, cutoff=0.4)
+    hint = f" — did you mean {' or '.join(folded[c] for c in close)}?" if close else ""
+    return f"unknown {kind} {name!r}{hint} (choose from {', '.join(names)})"
+
+
+def _named(kind: str, registry: Mapping[str, Any]) -> Callable[[Any], str]:
+    """A parser for the names of a live registry: the name itself, or
+    the one it matches case-insensitively (``"ccfit"`` is ``CCFIT``)."""
+
+    def parse(raw: Any) -> str:
+        if isinstance(raw, str):
+            if raw in registry:
+                return raw
+            match = {name.casefold(): name for name in registry}.get(raw.casefold())
+            if match is not None:
+                return match
+        raise CellError(unknown_name(kind, raw, registry))
+
+    return parse
+
+
+def _positive(name: str) -> Callable[[Any], float]:
+    def parse(raw: Any) -> float:
+        try:
+            value = float(raw)
+        except (TypeError, ValueError):
+            value = math.nan
+        if not 0.0 < value < math.inf:
+            raise CellError(f"{name} must be a finite number > 0, not {raw!r}")
+        return value
+
+    return parse
+
+
+def _count(name: str, least: int, most: float = math.inf) -> Callable[[Any], int]:
+    def parse(raw: Any) -> int:
+        try:
+            value = least - 1 if isinstance(raw, bool) else operator.index(raw)
+        except TypeError:
+            value = least - 1
+        if not least <= value <= most:
+            bound = f">= {least}" if most == math.inf else f"in {least}..{most}"
+            raise CellError(f"{name} must be an integer {bound}, not {raw!r}")
+        return value
+
+    return parse
+
+
+_INTERVAL = _positive("telemetry_interval")
+
+
+def _fault_plan(raw: Any) -> Optional[FaultPlan]:
+    """A plan, the ``--faults`` grammar (docs/faults.md) or the wire
+    form ``{"name": ..., "plan": FaultPlan.to_dict()}``."""
+    if raw is None or isinstance(raw, FaultPlan):
+        return raw
+    try:
+        if isinstance(raw, str):
+            return FaultPlan.parse(raw)
+        return FaultPlan.from_dict(raw.get("plan", {}), name=raw.get("name", ""))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CellError(f"bad faults spec: {exc}") from None
+
+
+def _telemetry(raw: Any, interval: Any = None) -> Optional[TelemetryConfig]:
+    """A config, its ``to_dict()``, or ``True`` for the default one;
+    ``interval`` overrides the sampling period (ns)."""
+    if not raw:
+        if interval is not None:
+            raise CellError("telemetry_interval is given but telemetry is not on")
+        return None
+    try:
+        config = raw if isinstance(raw, TelemetryConfig) else TelemetryConfig(
+            **({} if raw is True else raw))
+    except TypeError as exc:
+        raise CellError(f"bad telemetry config: {exc}") from None
+    period = _INTERVAL(config.interval if interval is None else interval)
+    return config if interval is None else dataclasses.replace(config, interval=period)
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One row of :data:`AXES`: all that any layer knows about one axis
+    of a cell.  A ``SimJob``'s key, label and validation, the wire spec
+    (:mod:`repro.service.api`), the grid crossing and result keys of
+    :class:`~repro.experiments.registry.Experiment`, the CLI flags and
+    the fields ``POST /experiments`` takes are all read from here;
+    docs/sweep.md, "Adding an axis"."""
+
+    #: the ``SimJob`` field, and its key in the preimage and the spec.
+    name: str
+    #: the paper's value.  A cell at it says nothing about the axis:
+    #: no key in the preimage or the spec, no suffix on the label.
+    default: Any
+    #: raw value -> canonical value, or :class:`CellError`.  Raw is a
+    #: command-line word, a JSON value of a request or of the wire
+    #: spec, or the canonical value itself.
+    parse: Callable[..., Any]
+    #: the CLI option ``--<name>``: its help and argparse keywords.
+    help: str
+    cli: Mapping[str, Any] = dataclasses.field(default_factory=dict)
+    #: canonical value -> its JSON in the key preimage ...
+    key: Callable[[Any], Any] = _same
+    #: ... and in the wire spec, which ``parse`` reads back.
+    wire: Callable[[Any], Any] = _same
+    #: what a value adds to the cell's label and result key: ``sigil``
+    #: then ``text(value)``; no sigil, no mention.
+    sigil: str = ""
+    text: Callable[[Any], str] = str
+    #: the ``Experiment`` attribute listing values to cross.  In a grid
+    #: that does, ``baseline`` makes the default value show in result
+    #: keys too (``+none``, the fault-free cell of a fault grid).
+    grid: Optional[str] = None
+    baseline: bool = False
+    #: a request may list several values to cross; it does so under
+    #: the ``grid`` name (``routings``), not under ``name``.
+    listable: bool = False
+    #: a second request field (and ``--flag``) that refines the value
+    #: and means nothing without it: name, help, argparse keywords.
+    refine: Optional[Tuple[str, str, Mapping[str, Any]]] = None
+
+    @property
+    def field(self) -> str:
+        """The request field (CLI dest, ``POST`` key) the value is under."""
+        return self.grid if self.listable else self.name
+
+    def suffix(self, value: Any) -> str:
+        return self.sigil + self.text(value) if self.sigil else ""
+
+
+#: the axes of a cell, in label order.
+AXES: Tuple[Axis, ...] = (
+    Axis(
+        "routing", "det", _named("routing policy", ROUTING_POLICIES),
+        "routing policy (det|ecmp|adaptive|flowlet, case-insensitive; default det, "
+        "the paper's; docs/routing.md).  `sweep` accepts a comma-separated list "
+        "forming a grid axis",
+        cli=dict(metavar="NAME[,NAME..]"),
+        sigil="@", grid="routings", listable=True,
+    ),
+    Axis(
+        "faults", None, _fault_plan,
+        "inject deterministic faults into every cell, e.g. 'kill:s0p4->s16p0@1.2ms' or "
+        "'degrade:LINK@2ms:bw=0.5,drop=0.01;seed=7' (docs/faults.md)",
+        cli=dict(metavar="SPEC"),
+        # the unscaled plan: the preimage is the input, the runner
+        # scales it with the cell.  Its name is not in the key.
+        key=FaultPlan.to_dict,
+        wire=lambda plan: {"name": plan.name, "plan": plan.to_dict()},
+        sigil="+", text=lambda plan: plan.label() if plan is not None else "none",
+        grid="faults", baseline=True,
+    ),
+    Axis(
+        "buffer_model", "static", _named("buffer model", BUFFER_MODELS),
+        "switch buffer organisation (static|shared, case-insensitive; default static, "
+        "the paper's per-port partitioning; docs/buffers.md)",
+        cli=dict(metavar="NAME"),
+        sigil="%", grid="buffer_models",
+    ),
+    Axis(
+        "telemetry", None, _telemetry,
+        "attach the telemetry sampler to every simulation (results stay "
+        "byte-identical; bundles ride on the results; docs/telemetry.md)",
+        cli=dict(action="store_true"),
+        key=TelemetryConfig.to_dict, wire=TelemetryConfig.to_dict,
+        refine=("telemetry_interval", "telemetry sampling period in ns (default 100000)",
+                dict(type=float, metavar="NS")),
+    ),
+)
+
+#: the knobs each case takes beside the axes, with their parsers.
+KNOBS: Dict[str, Dict[str, Callable[[Any], Any]]] = {
+    "case4": {"num_trees": _count("num_trees", 1, 8), "duration_ms": _positive("duration_ms")},
+}
+
+_SCHEME = _named("scheme", SCHEMES)
+_TIME_SCALE = _positive("time_scale")
+_SEED = _count("seed", 0)
+
+
+def parse_names(parse: Callable[[Any], Any], raw: Any) -> Tuple[Any, ...]:
+    """The values a request lists -- a sequence, or comma-separated
+    words -- each through ``parse``, repeats dropped."""
+    words = raw.split(",") if isinstance(raw, str) else raw
+    return tuple(dict.fromkeys(
+        parse(w.strip() if isinstance(w, str) else w) for w in words if w != ""))
+
+
+def read_axes(get: Callable[[str], Any]) -> Dict[str, Any]:
+    """The axis fields of one request as keywords of
+    ``Experiment.jobs``.  ``get(field)`` looks a field up in a parsed
+    command line or a ``POST`` body and is None (or False) where it was
+    not given; values come back canonical, so a typo fails here."""
+    out: Dict[str, Any] = {}
+    for axis in AXES:
+        raw = get(axis.field)
+        if axis.refine is not None:
+            out[axis.field] = axis.parse(raw, get(axis.refine[0]))
+        elif raw:
+            out[axis.field] = parse_names(axis.parse, raw) if axis.listable else axis.parse(raw)
+    return out
+
+
 @dataclass(frozen=True)
 class SimJob:
-    """One independent simulation cell of a sweep grid."""
+    """One independent simulation cell of a sweep grid: the declaration
+    the key, the label, the wire spec and the run are all derived from.
+    Construction validates and normalises (:class:`CellError`), so equal
+    cells are equal objects: ``SimJob(buffer_model="static")``,
+    ``SimJob(buffer_model="Static")`` and ``SimJob()`` are one."""
 
     #: traffic case ("case1".."case4") — fixes topology and workload.
     case: str
@@ -204,45 +411,48 @@ class SimJob:
     seed: int = 1
     #: None means the case's default parameters (``CCParams()``).
     params: Optional[CCParams] = None
-    #: per-case knobs, e.g. (("num_trees", 4), ("duration_ms", 3.0)).
+    #: the case's knobs (:data:`KNOBS`), sorted: (("num_trees", 4),).
     extra: Tuple[Tuple[str, Any], ...] = ()
-    #: telemetry sampling config, or None for no telemetry.
+    # the axes, one field per row of AXES (None reads as the default)
     telemetry: Optional[TelemetryConfig] = None
-    #: routing policy the cell runs under (docs/routing.md); "det" is
-    #: the paper's deterministic routing.
     routing: str = "det"
-    #: deterministic fault plan (docs/faults.md), or None for a
-    #: fault-free cell.  Times are at ``time_scale=1.0``; the runner
-    #: scales them with the cell.
+    #: times are at ``time_scale=1.0``; the runner scales them.
     faults: Optional[FaultPlan] = None
-    #: switch buffer organisation (docs/buffers.md); None defers to
-    #: the params default ("static").  Part of the cache key: a
-    #: shared-buffer cell admits, pauses and therefore delivers
-    #: differently from a static one.
-    buffer_model: Optional[str] = None
+    #: "static" leaves ``params.buffer_model`` alone.
+    buffer_model: str = "static"
 
     def __post_init__(self) -> None:
-        if self.case not in CASE_NAMES:
-            raise KeyError(f"unknown case {self.case!r}; choose from {sorted(CASE_NAMES)}")
+        if self.case not in CASE_CONFIG:
+            raise KeyError(f"unknown case {self.case!r}; choose from {sorted(CASE_CONFIG)}")
+        fix = object.__setattr__
+        fix(self, "scheme", _SCHEME(self.scheme))
+        fix(self, "time_scale", _TIME_SCALE(self.time_scale))
+        fix(self, "seed", _SEED(self.seed))
+        if self.extra != ():
+            knobs = KNOBS.get(self.case, {})
+            extra = sorted(dict(self.extra).items())
+            for name, _value in extra:
+                if name not in knobs:
+                    raise CellError(f"{self.case}: " + unknown_name("knob", name, knobs))
+            fix(self, "extra", tuple((name, knobs[name](value)) for name, value in extra))
+        for axis in AXES:
+            value = getattr(self, axis.name)
+            if value is not axis.default:
+                fix(self, axis.name, axis.default if value is None else axis.parse(value))
 
-    def __getattr__(self, name: str) -> Any:
-        # jobs pickled (or journaled) before the routing/faults/
-        # buffer-model axes existed deserialize without the fields;
-        # they meant deterministic routing, fault-free, static buffers.
-        if name == "routing":
-            return "det"
-        if name in ("faults", "buffer_model"):
-            return None
-        raise AttributeError(name)
+    def axes(self) -> Iterator[Tuple[Axis, Any]]:
+        """The axes this cell is off the default on, with their values:
+        the one place that leaves a default out, for key, label, spec
+        and run alike -- so a cell declared before an axis existed
+        keeps its key."""
+        for axis in AXES:
+            value = getattr(self, axis.name)
+            if value != axis.default:
+                yield axis, value
 
     def payload(self) -> Dict[str, Any]:
         """Everything that determines this cell's output (the cache-key
-        preimage); see docs/sweep.md for the field inventory.  The
-        ``telemetry`` key appears only when telemetry is enabled, the
-        ``routing`` key only for non-default policies, and the
-        ``buffer_model`` key only for non-static models, so
-        pre-telemetry / pre-routing / pre-buffer-model cache entries
-        keep their keys."""
+        preimage); see docs/sweep.md for the field inventory."""
         out = {
             "version": __version__,
             "case": self.case,
@@ -253,16 +463,8 @@ class SimJob:
             "params": _params_dict(self.params if self.params is not None else CCParams()),
             "extra": dict(self.extra),
         }
-        if self.telemetry is not None:
-            out["telemetry"] = self.telemetry.to_dict()
-        if self.routing != "det":
-            out["routing"] = self.routing
-        if self.faults is not None:
-            # unscaled plan + time_scale: the preimage is the *input*;
-            # the runner derives the scaled plan deterministically.
-            out["faults"] = self.faults.to_dict()
-        if self.buffer_model is not None and self.buffer_model != "static":
-            out["buffer_model"] = self.buffer_model
+        for axis, value in self.axes():
+            out[axis.name] = axis.key(value)
         return out
 
     def preimage(self) -> bytes:
@@ -283,23 +485,26 @@ class SimJob:
             time_scale=self.time_scale,
             seed=self.seed,
             params=self.params,
-            telemetry=self.telemetry,
-            routing=self.routing,
-            faults=self.faults,
-            buffer_model=self.buffer_model,
+            **{axis.name: value for axis, value in self.axes()},
             **dict(self.extra),
         )
 
+    def suffix(self, crossed: Iterable[str] = ()) -> str:
+        """What the axes add to the cell's name: ``@adaptive+flap%shared``.
+        An axis named in ``crossed`` shows its default too where its
+        row has a ``baseline`` (``+none``)."""
+        given = {axis.name: value for axis, value in self.axes()}
+        out = ""
+        for axis in AXES:
+            if axis.name in given:
+                out += axis.suffix(given[axis.name])
+            elif axis.baseline and axis.name in crossed:
+                out += axis.suffix(axis.default)
+        return out
+
     def label(self) -> str:
         extra = ",".join(f"{k}={v}" for k, v in self.extra)
-        base = f"{self.case}/{self.scheme}"
-        if self.routing != "det":
-            base += f"@{self.routing}"
-        if self.faults is not None:
-            base += f"+{self.faults.label()}"
-        if self.buffer_model is not None and self.buffer_model != "static":
-            base += f"%{self.buffer_model}"
-        return base + (f"[{extra}]" if extra else "")
+        return f"{self.case}/{self.scheme}{self.suffix()}" + (f"[{extra}]" if extra else "")
 
 
 #: a temp file this old (seconds) belongs to a writer that died between
@@ -400,11 +605,9 @@ class ResultCache:
         if envelope.get("schema") == 3:
             blob = rest.partition(b"\n")[0]
         elif isinstance(envelope.get("result"), dict):
-            # schema <= 2: the one line is the whole entry, the result
+            # schema 2: the one line is the whole entry, the result
             # inside it; to verify it is to serialise it again
             blob = _canonical(envelope["result"])
-            if stored is None:  # schema 1 carried no digest
-                return blob
         else:
             self._discard(key, "unrecognized entry schema")
             return None
@@ -462,45 +665,32 @@ class ResultCache:
         return n + self._sweep_temp()[0]
 
     # -- hygiene (the `repro cache` subcommand) ------------------------
-    def entries(self) -> List[Tuple[str, int, float]]:
-        """``(key, size_bytes, mtime)`` per entry, oldest first."""
+    @staticmethod
+    def _listing(paths: Iterable[Path], stem: bool = False) -> List[Tuple[str, int, float]]:
+        """``(name, size_bytes, mtime)`` per file still there, oldest first."""
         out: List[Tuple[str, int, float]] = []
-        for p in self.root.glob("*.json"):
+        for p in paths:
             try:
                 st = p.stat()
             except OSError:
                 continue
-            out.append((p.stem, st.st_size, st.st_mtime))
+            out.append((p.stem if stem else p.name, st.st_size, st.st_mtime))
         out.sort(key=lambda e: e[2])
         return out
 
+    def entries(self) -> List[Tuple[str, int, float]]:
+        """``(key, size_bytes, mtime)`` per entry, oldest first."""
+        return self._listing(self.root.glob("*.json"), stem=True)
+
     def quarantined(self) -> List[Tuple[str, int, float]]:
         """``(name, size_bytes, mtime)`` per quarantined file."""
-        out: List[Tuple[str, int, float]] = []
-        if not self.quarantine_dir.is_dir():
-            return out
-        for p in self.quarantine_dir.iterdir():
-            try:
-                st = p.stat()
-            except OSError:
-                continue
-            out.append((p.name, st.st_size, st.st_mtime))
-        out.sort(key=lambda e: e[2])
-        return out
+        return self._listing(self.quarantine_dir.glob("*"))
 
     def temp_files(self) -> List[Tuple[str, int, float]]:
         """``(name, size_bytes, mtime)`` per ``*.tmp.*`` file: a write
         in flight, or what a writer that died before its rename left
         behind (no entry listing matches them)."""
-        out: List[Tuple[str, int, float]] = []
-        for p in self.root.glob("*.tmp.*"):
-            try:
-                st = p.stat()
-            except OSError:
-                continue
-            out.append((p.name, st.st_size, st.st_mtime))
-        out.sort(key=lambda e: e[2])
-        return out
+        return self._listing(self.root.glob("*.tmp.*"))
 
     def _sweep_temp(self) -> Tuple[int, int]:
         """Remove the orphaned temp files; ``(removed, freed_bytes)``."""
@@ -704,20 +894,8 @@ class SweepReport:
 
     def write_manifest(self, path) -> None:
         """Atomically write :meth:`manifest` as JSON to ``path``."""
-        p = Path(path)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        tmp = p.with_suffix(p.suffix + f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(self.manifest(), indent=2) + "\n")
-        os.replace(tmp, p)
-
-
-def _execute_job(job: SimJob) -> Dict[str, Any]:
-    """Worker entry point (kept as the historical name; the
-    implementation lives in :func:`repro.experiments.resilience.execute_job`).
-    Returns a structured ``{"ok": ..., ...}`` record — worker exceptions
-    never surface as bare pool failures, while ``KeyboardInterrupt``
-    still propagates promptly."""
-    return execute_job(job)
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(Path(path), (json.dumps(self.manifest(), indent=2) + "\n").encode("utf-8"))
 
 
 #: pool-infrastructure failures that trigger the serial fallback;
@@ -794,6 +972,14 @@ class _SweepRun:
         if self.journal is not None:
             self.journal.record_failure(failure)
 
+    def fail_record(self, i: int, record: Dict[str, Any], attempts: int) -> None:
+        """:meth:`fail` from a worker's structured error record."""
+        err = record.get("error", {})
+        self.fail(
+            i, record.get("kind", "error"), err.get("exception", "UnknownError"),
+            err.get("message", ""), err.get("traceback", ""), attempts,
+        )
+
     def backoff(self, attempt: int, i: int) -> None:
         self.retried += 1
         time.sleep(self.policy.delay(attempt, self.keys[i]))
@@ -857,15 +1043,7 @@ class _SweepRun:
             if attempt <= self.policy.max_retries:
                 self.backoff(attempt, i)
                 continue
-            err = record.get("error", {})
-            self.fail(
-                i,
-                record.get("kind", "error"),
-                err.get("exception", "UnknownError"),
-                err.get("message", ""),
-                err.get("traceback", ""),
-                attempt,
-            )
+            self.fail_record(i, record, attempt)
             return
 
     # -- shared-pool parallel execution --------------------------------
@@ -959,14 +1137,7 @@ class _SweepRun:
                             self.backoff(attempt, i)
                             queue.append((i, attempt + 1))
                         else:
-                            err = record.get("error", {})
-                            self.fail(
-                                i, "error",
-                                err.get("exception", "UnknownError"),
-                                err.get("message", ""),
-                                err.get("traceback", ""),
-                                attempt,
-                            )
+                            self.fail_record(i, record, attempt)
                     if not done and timeout is not None:
                         now = time.monotonic()
                         expired = [

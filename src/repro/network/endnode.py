@@ -29,7 +29,6 @@ from typing import Callable, Dict, List, Optional
 from repro.core.cam import OutputCamLine
 from repro.core.params import CCParams
 from repro.core.scheme import InjectionGate
-from repro.core.throttling import ThrottleState
 from repro.network.buffers import BufferPool, PacketQueue
 from repro.network.link import Link
 from repro.network.packet import (
@@ -57,8 +56,8 @@ FIFO_STAGING_BYTES = 2 * 2048
 def _default_stage_factory(
     staging: str,
 ) -> Callable[["IaStage"], CongestionControlScheme]:
-    """Stage scheme for nodes built without an explicit factory
-    (back-compat construction outside the fabric builder)."""
+    """Stage scheme of a spec that names none (``SchemeSpec.ia_scheme``
+    is None): the staging mode's own."""
     if staging == "isolation":
         from repro.core.isolation import NfqCfqScheme
 
@@ -127,17 +126,14 @@ class EndNode:
         FIFO, 1Q/VOQsw/ITh) or ``"bypass"`` (inject from AdVOQs,
         VOQnet).  Decides the stage RAM size and whether a stage
         exists at all.
-    throttling:
-        Install the paper's CCT/CCTI source reaction (shorthand for
-        ``gate_factory=ThrottleState`` — ITh/CCFIT).
     stage_factory:
         ``f(stage) -> CongestionControlScheme`` building the output
         stage's queue scheme (the spec's ``ia_scheme``); None falls
         back to the staging mode's default.
     gate_factory:
         ``f(sim, params, on_release) -> InjectionGate`` building the
-        source-side gate (the spec's ``injection_gate``); overrides
-        ``throttling`` when given.
+        source-side gate (the spec's ``injection_gate``); None leaves
+        the source unthrottled.
     on_delivery:
         Callback ``f(pkt, now)`` for the metrics collector.
     """
@@ -149,7 +145,6 @@ class EndNode:
         num_nodes: int,
         params: CCParams,
         staging: str = "fifo",
-        throttling: bool = False,
         stage_factory: Optional[
             Callable[["IaStage"], CongestionControlScheme]
         ] = None,
@@ -190,8 +185,6 @@ class EndNode:
         self.throttle: Optional[InjectionGate] = None
         if gate_factory is not None:
             self.throttle = gate_factory(sim, params, self.pump)
-        elif throttling:
-            self.throttle = ThrottleState(sim, params, on_release=self.pump)
 
         self._announced: Dict[int, OutputCamLine] = {}
         #: priority groups the first switch has PFC-paused (shared

@@ -50,7 +50,7 @@ from repro.network.packet import (
     PfcResume,
 )
 from repro.network.queueing import CongestionControlScheme
-from repro.network.routing import DetRoutingPolicy, RoutingPolicy, RoutingTable
+from repro.network.routing import RoutingPolicy
 from repro.sim.engine import Simulator
 
 __all__ = ["Switch", "InputPort", "OutputPort"]
@@ -230,10 +230,6 @@ class Switch:
         Radix (bidirectional ports; one InputPort + one OutputPort each).
     routing:
         This switch's :class:`repro.network.routing.RoutingPolicy`.
-        Passing a bare :class:`~repro.network.routing.RoutingTable` is
-        deprecated but still works: it is auto-wrapped in the ``det``
-        policy (with a :class:`DeprecationWarning`), so pre-policy
-        callers and old pickled jobs keep running.
     params:
         CC parameters (thresholds, CFQ counts, marking).
     scheme_factory:
@@ -258,7 +254,7 @@ class Switch:
         sim: Simulator,
         name: str,
         num_ports: int,
-        routing: "RoutingPolicy | RoutingTable",
+        routing: RoutingPolicy,
         params: CCParams,
         scheme_factory: Callable[[InputPort], CongestionControlScheme],
         marker: Optional[MarkingPolicy] = None,
@@ -267,20 +263,8 @@ class Switch:
         self.sim = sim
         self.name = name
         self.num_ports = num_ports
-        if isinstance(routing, RoutingTable):
-            import warnings
-
-            warnings.warn(
-                "Switch(routing=RoutingTable) is deprecated; pass a "
-                "RoutingPolicy (the table was auto-wrapped in the 'det' "
-                "policy)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            routing = DetRoutingPolicy(routing)
         self.policy: RoutingPolicy = routing
-        #: the policy's deterministic table (back-compat attribute; the
-        #: pre-policy switch exposed the RoutingTable here).
+        #: the policy's deterministic table.
         self.routing = routing.table
         # Give the table a way to stamp lookup errors with the switch
         # name and the current simulated time (satellite of

@@ -35,7 +35,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.core.params import CCParams
-from repro.experiments.sweep import SimJob
+from repro.experiments.sweep import AXES, SimJob
 
 __all__ = [
     "SPEC_SCHEMA",
@@ -61,8 +61,8 @@ class ServiceError(RuntimeError):
 # ----------------------------------------------------------------------
 def job_to_spec(job: SimJob) -> Dict[str, Any]:
     """Flatten one cell into a JSON-safe dict (lossless; see
-    :func:`job_from_spec`).  Optional axes serialize only when set so
-    specs stay small and stable."""
+    :func:`job_from_spec`).  What the cell leaves at its default is
+    left out (``SimJob.axes``), so specs stay small and stable."""
     spec: Dict[str, Any] = {
         "schema": SPEC_SCHEMA,
         "case": job.case,
@@ -73,27 +73,20 @@ def job_to_spec(job: SimJob) -> Dict[str, Any]:
     if job.params is not None:
         spec["params"] = dataclasses.asdict(job.params)
     if job.extra:
-        spec["extra"] = {k: v for k, v in job.extra}
-    if job.telemetry is not None:
-        spec["telemetry"] = job.telemetry.to_dict()
-    if job.routing != "det":
-        spec["routing"] = job.routing
-    if job.faults is not None:
-        spec["faults"] = {"name": job.faults.name, "plan": job.faults.to_dict()}
-    if job.buffer_model is not None:
-        spec["buffer_model"] = job.buffer_model
+        spec["extra"] = dict(job.extra)
+    for axis, value in job.axes():
+        spec[axis.name] = axis.wire(value)
     return spec
 
 
 def job_from_spec(spec: Dict[str, Any]) -> SimJob:
-    """Rebuild a :class:`SimJob` from :func:`job_to_spec` output.
-
-    The round-trip preserves the cache key: tuples and lists serialize
-    identically in the canonical JSON the key hashes, and every
-    optional field defaults exactly as an absent field does on
-    ``SimJob`` itself.  Unknown schemas raise :class:`ServiceError`
-    (a newer submitter against an older worker fails loudly, never
-    silently miscomputes)."""
+    """Rebuild a :class:`SimJob` from :func:`job_to_spec` output:
+    ``job_from_spec(job_to_spec(job)) == job``, key and label with it.
+    The job validates itself as any other does (``CellError``, a
+    ``ValueError``: a spec that cannot be a cell fails the lease, it is
+    not run).  Unknown schemas raise :class:`ServiceError` (a newer
+    submitter against an older worker fails loudly, never silently
+    miscomputes)."""
     schema = spec.get("schema", SPEC_SCHEMA)
     if schema != SPEC_SCHEMA:
         raise ServiceError(
@@ -103,29 +96,14 @@ def job_from_spec(spec: Dict[str, Any]) -> SimJob:
     if spec.get("params") is not None:
         params = CCParams(**spec["params"])
         params.validate()
-    telemetry = None
-    if spec.get("telemetry") is not None:
-        from repro.telemetry import TelemetryConfig
-
-        telemetry = TelemetryConfig(**spec["telemetry"])
-    faults = None
-    if spec.get("faults") is not None:
-        from repro.sim.faults import FaultPlan
-
-        faults = FaultPlan.from_dict(
-            spec["faults"].get("plan", {}), name=spec["faults"].get("name", "")
-        )
     return SimJob(
         case=spec["case"],
         scheme=spec["scheme"],
-        time_scale=float(spec.get("time_scale", 1.0)),
-        seed=int(spec.get("seed", 1)),
+        time_scale=spec.get("time_scale", 1.0),
+        seed=spec.get("seed", 1),
         params=params,
-        extra=tuple((k, v) for k, v in spec.get("extra", {}).items()),
-        telemetry=telemetry,
-        routing=spec.get("routing", "det"),
-        faults=faults,
-        buffer_model=spec.get("buffer_model"),
+        extra=spec.get("extra", ()),
+        **{axis.name: spec[axis.name] for axis in AXES if axis.name in spec},
     )
 
 

@@ -90,6 +90,9 @@ class RunRecord:
     labels: Dict[str, str] = field(default_factory=dict)
     #: cells satisfied straight from the cache at submit time.
     cached: List[str] = field(default_factory=list)
+    #: size of the event log at submit: what the run did to its cells
+    #: is after it (a record written before this field reads from 0).
+    log_offset: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -99,6 +102,7 @@ class RunRecord:
             "keys": self.keys,
             "labels": self.labels,
             "cached": self.cached,
+            "log_offset": self.log_offset,
         }
 
     @classmethod
@@ -110,6 +114,7 @@ class RunRecord:
             keys=list(data.get("keys", ())),
             labels=dict(data.get("labels", {})),
             cached=list(data.get("cached", ())),
+            log_offset=int(data.get("log_offset", 0)),
         )
 
 
@@ -266,10 +271,15 @@ class FsBroker:
         """
         from repro.service.api import job_to_spec
 
+        try:
+            log_offset = self.events_path.stat().st_size
+        except FileNotFoundError:
+            log_offset = 0
         run = RunRecord(
             id=uuid.uuid4().hex[:12],
             experiment=experiment,
             created=time.time(),
+            log_offset=log_offset,
         )
         log: List[bytes] = []
         for job in jobs:
@@ -552,8 +562,10 @@ class FsBroker:
     def run_manifest(self, run_id: str) -> Optional[Dict[str, Any]]:
         """A sweep-manifest-shaped account of one run: per-cell status,
         worker attribution and wall-clock (from the ``done`` markers),
-        failures, and every lease requeue — so the progress stream and
-        the manifest tell one timing story (docs/robustness.md)."""
+        failures, and every lease requeue since the run was submitted
+        (the log is read from ``run.log_offset``, not from its start) —
+        so the progress stream and the manifest tell one timing story
+        (docs/robustness.md)."""
         run = self.run(run_id)
         if run is None:
             return None
@@ -579,7 +591,7 @@ class FsBroker:
                 failures.append(failure)
             cells.append(cell)
         requeues = [
-            ev for ev in self.read_events(kind="requeue")[0]
+            ev for ev in self.read_events(run.log_offset, kind="requeue")[0]
             if ev.get("key") in run.labels
         ]
         ok = sum(1 for c in cells if c["status"] == "ok")

@@ -54,6 +54,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 from urllib.parse import parse_qs, urlparse
 
+from repro.experiments import registry
+from repro.experiments.sweep import AXES, CellError, parse_names, read_axes, unknown_name
 from repro.service.broker import FsBroker
 
 __all__ = ["ServiceServer", "serve", "DEFAULT_PORT"]
@@ -74,12 +76,15 @@ class _BadRequest(ValueError):
     """Maps to a 400 with the message in the JSON error body."""
 
 
-#: every top-level field ``POST /experiments`` reads; anything else is
-#: a typo or a removed knob and is rejected, never silently ignored.
-_SUBMISSION_FIELDS = frozenset({
-    "experiment", "schemes", "routings", "time_scale", "seed",
-    "buffer_model", "faults", "telemetry", "telemetry_interval", "extra",
-})
+#: every top-level field ``POST /experiments`` reads: the grid's own,
+#: and per axis of the table its request field and what refines it.
+#: Anything else is a typo or a removed knob and is rejected, never
+#: silently ignored.
+_SUBMISSION_FIELDS = frozenset(
+    {"experiment", "schemes", "time_scale", "seed", "extra"}
+    | {axis.field for axis in AXES}
+    | {axis.refine[0] for axis in AXES if axis.refine}
+)
 
 
 def _wait_seconds(raw: Any) -> float:
@@ -99,87 +104,31 @@ def _wait_seconds(raw: Any) -> float:
 def _resolve_submission(request: Dict[str, Any]) -> Tuple[Any, List[Any]]:
     """Expand a ``POST /experiments`` body into (experiment, jobs).
 
-    Validates names against the live registries with the CLI's
-    case-insensitive contract; anything unknown raises
-    :class:`_BadRequest` (the HTTP analogue of exit code 2)."""
-    from repro.core.ccfit import SCHEMES
-    from repro.experiments import registry
-
+    The cells validate themselves exactly as the CLI's do
+    (``SimJob``, ``read_axes``); what cannot be a cell raises
+    :class:`_BadRequest` (the HTTP analogue of exit code 2) before
+    anything is enqueued."""
     unknown = sorted(set(request) - _SUBMISSION_FIELDS)
     if unknown:
-        raise _BadRequest(
-            f"unknown field(s) {', '.join(map(repr, unknown))}; "
-            f"allowed: {', '.join(sorted(_SUBMISSION_FIELDS))}"
-        )
+        raise _BadRequest("; ".join(unknown_name("field", f, _SUBMISSION_FIELDS) for f in unknown))
     name = request.get("experiment")
     if not name:
         raise _BadRequest("missing 'experiment'")
-    try:
-        exp = registry.get(name)
-    except KeyError as exc:
-        raise _BadRequest(str(exc))
-    schemes: Optional[Tuple[str, ...]] = None
-    if request.get("schemes"):
-        by_fold = {s.casefold(): s for s in SCHEMES}
-        resolved = []
-        for raw in request["schemes"]:
-            match = by_fold.get(str(raw).casefold())
-            if match is None:
-                raise _BadRequest(f"unknown scheme {raw!r}")
-            resolved.append(match)
-        schemes = tuple(resolved)
-    routings: Optional[Tuple[str, ...]] = None
-    if request.get("routings"):
-        from repro.network.routing import policy_names
-
-        by_fold = {n.casefold(): n for n in policy_names()}
-        resolved = []
-        for raw in request["routings"]:
-            match = by_fold.get(str(raw).casefold())
-            if match is None:
-                raise _BadRequest(f"unknown routing policy {raw!r}")
-            resolved.append(match)
-        routings = tuple(resolved)
-    buffer_model = request.get("buffer_model")
-    if buffer_model is not None:
-        from repro.network.buffers import buffer_model_names
-
-        match = {n.casefold(): n for n in buffer_model_names()}.get(
-            str(buffer_model).casefold()
-        )
-        if match is None:
-            raise _BadRequest(f"unknown buffer model {buffer_model!r}")
-        buffer_model = match
-    faults = None
-    if request.get("faults"):
-        from repro.sim.faults import FaultPlan, FaultPlanError
-
-        try:
-            faults = FaultPlan.parse(request["faults"])
-        except FaultPlanError as exc:
-            raise _BadRequest(f"bad faults spec: {exc}")
-    telemetry = None
-    if request.get("telemetry"):
-        from repro.telemetry import TelemetryConfig
-
-        telemetry = TelemetryConfig(
-            interval=float(request.get("telemetry_interval", 100_000.0))
-        )
+    if name not in registry.names():
+        raise _BadRequest(unknown_name("experiment", name, registry.names()))
+    exp = registry.get(name)
     extra = request.get("extra") or {}
     if not isinstance(extra, dict):
         raise _BadRequest("'extra' must be an object of per-case knobs")
     try:
+        cell = read_axes(request.get)
+        if request.get("schemes"):
+            cell["schemes"] = parse_names(str, request["schemes"])
         jobs = exp.jobs(
-            schemes=schemes,
-            routings=routings,
-            time_scale=float(request.get("time_scale", 1.0)),
-            seed=int(request.get("seed", 1)),
-            telemetry=telemetry,
-            faults=faults,
-            buffer_model=buffer_model,
-            **extra,
+            time_scale=request.get("time_scale", 1.0), seed=request.get("seed", 1),
+            **cell, **extra,
         )
-    except (TypeError, KeyError, ValueError) as exc:
+    except (CellError, TypeError) as exc:
         raise _BadRequest(f"cannot expand experiment: {exc}")
     return exp, jobs
 
@@ -268,8 +217,6 @@ class _Handler(BaseHTTPRequestHandler):
         if parts == ["healthz"]:
             self._json({"ok": True, "uptime_s": time.time() - svc.started})
         elif parts == ["experiments"]:
-            from repro.experiments import registry
-
             self._json({"experiments": registry.describe()})
         elif parts == ["runs"]:
             self._json({

@@ -104,17 +104,17 @@ class TestCliTelemetry:
             assert (out / name).is_file()
 
     def test_telemetry_flag_attaches_sampler_to_options(self):
-        from repro.cli import _options
+        from repro.cli import _cell
 
         args = build_parser().parse_args(
             ["--scale", "0.05", "--telemetry", "--telemetry-interval", "40000",
              "case", "1"]
         )
-        opts = _options(args, cache_by_default=False)
-        assert opts.telemetry is not None
-        assert opts.telemetry.interval == 40_000.0
+        telemetry = _cell(args)["telemetry"]
+        assert telemetry is not None
+        assert telemetry.interval == 40_000.0
         plain = build_parser().parse_args(["--scale", "0.05", "case", "1"])
-        assert _options(plain, cache_by_default=False).telemetry is None
+        assert _cell(plain)["telemetry"] is None
 
     def test_unknown_telemetry_format_exits_2(self, tmp_path, capsys):
         rc = main(
@@ -141,16 +141,12 @@ class TestCliTelemetry:
         assert "scheme CCFIT" in capsys.readouterr().out
 
     def test_unknown_routing_policy_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["case", "1", "--routing", "adaptve"])
-        assert exc.value.code == 2
+        assert main(["case", "1", "--routing", "adaptve"]) == 2
         err = capsys.readouterr().err
         assert "adaptve" in err and "did you mean" in err and "adaptive" in err
 
     def test_single_cell_commands_reject_routing_lists(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["case", "1", "--routing", "det,adaptive"])
-        assert exc.value.code == 2
+        assert main(["case", "1", "--routing", "det,adaptive"]) == 2
         assert "single --routing" in capsys.readouterr().err
 
     def test_sweep_list_shows_routing_grid(self, capsys):

@@ -29,3 +29,19 @@ def test_example_runs(script, args, marker):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert marker in proc.stdout, proc.stdout[-2000:]
+
+
+def test_bench_files_import():
+    """The ``benchmarks/bench_*.py`` files run only on demand, so
+    nothing else notices when a name they import goes: collecting them
+    imports every one."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         "benchmarks", "--ignore=benchmarks/e2e"],
+        cwd=EXAMPLES.parent,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "bench_ablations.py" in proc.stdout and "bench_sweep.py" in proc.stdout

@@ -14,9 +14,7 @@ from repro.experiments.runner import (
     FIG8_SCHEMES,
     PAPER_SCHEMES,
     CaseResult,
-    run_case1,
-    run_case4,
-    run_fig7,
+    run_case,
 )
 
 
@@ -44,7 +42,7 @@ class TestConfigs:
 
 class TestRunner:
     def test_run_case1_returns_complete_result(self):
-        res = run_case1("1Q", time_scale=0.05)
+        res = run_case("case1", scheme="1Q", time_scale=0.05)
         assert isinstance(res, CaseResult)
         assert res.scheme == "1Q"
         assert set(res.flow_bandwidth) == {"F0", "F1", "F2", "F5", "F6"}
@@ -54,22 +52,24 @@ class TestRunner:
         assert res.window[1] == res.duration
 
     def test_mean_throughput_window(self):
-        res = run_case1("1Q", time_scale=0.05)
+        res = run_case("case1", scheme="1Q", time_scale=0.05)
         full = res.mean_throughput(0.0, res.duration)
         assert full > 0
         assert res.mean_throughput(res.duration * 2, res.duration * 3) == 0.0
 
     def test_fairness_helper(self):
-        res = run_case1("1Q", time_scale=0.05)
+        res = run_case("case1", scheme="1Q", time_scale=0.05)
         j = res.fairness(("F1", "F2", "F5", "F6"))
         assert 0.25 <= j <= 1.0
 
     def test_run_fig7_panel_selection(self):
-        res = run_fig7("a", schemes=("1Q",), time_scale=0.05)
+        from repro.experiments import registry
+
+        res, _report = registry.get("fig7a").run(schemes=("1Q",), time_scale=0.05)
         assert list(res) == ["1Q"]
 
     def test_run_case4_window_is_burst(self):
-        res = run_case4("1Q", num_trees=1, time_scale=0.05, duration_ms=3.0)
+        res = run_case("case4", scheme="1Q", num_trees=1, time_scale=0.05, duration_ms=3.0)
         t0, t1 = res.window
         assert t0 == pytest.approx(0.05 * 1e6)
         assert t1 == pytest.approx(0.05 * 2e6)

@@ -227,14 +227,6 @@ class TestDeterminism:
         assert (SimJob("case1", "CCFIT", faults=plan).key()
                 != SimJob("case1", "CCFIT", faults=other).key())
 
-    def test_old_pickles_default_to_no_faults(self):
-        job = SimJob("case1", "CCFIT")
-        state = dict(job.__dict__)
-        state.pop("faults", None)
-        revived = SimJob.__new__(SimJob)
-        revived.__dict__.update(state)
-        assert revived.faults is None
-
     def test_label_carries_plan(self):
         plan = FaultPlan.parse("kill:x@1ms", name="kill")
         assert SimJob("case1", "CCFIT", faults=plan).label() == "case1/CCFIT+kill"

@@ -11,11 +11,10 @@ Covers the three contracts of the shared-buffer PR:
   resolution with a did-you-mean exit.
 """
 
-from argparse import Namespace
 
 import pytest
 
-from repro.cli import _resolve_buffer_model, main
+from repro.cli import _cell, build_parser, main
 from repro.core.ccfit import SCHEMES
 from repro.core.params import CCParams
 from repro.experiments.runner import run_case
@@ -113,17 +112,19 @@ class TestPlumbing:
 
 
 class TestCliResolution:
+    @staticmethod
+    def cell(*flags):
+        return _cell(build_parser().parse_args([*flags, "case", "1"]))
+
     def test_flag_absent_means_none(self):
-        assert _resolve_buffer_model(Namespace(buffer_model=None)) is None
+        assert "buffer_model" not in self.cell()
 
     def test_case_insensitive(self):
-        assert _resolve_buffer_model(Namespace(buffer_model="SHARED")) == "shared"
-        assert _resolve_buffer_model(Namespace(buffer_model="Static")) == "static"
+        assert self.cell("--buffer-model", "SHARED")["buffer_model"] == "shared"
+        assert self.cell("--buffer-model", "Static")["buffer_model"] == "static"
 
     def test_typo_exits_2_with_hint(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            _resolve_buffer_model(Namespace(buffer_model="sharde"))
-        assert exc.value.code == 2
+        assert main(["case", "1", "--buffer-model", "sharde"]) == 2
         err = capsys.readouterr().err
         assert "did you mean shared" in err
 

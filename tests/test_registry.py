@@ -67,21 +67,23 @@ class TestJobDecomposition:
 
 class TestRegistryRun:
     def test_run_single_scheme(self):
-        results, report = registry.get("case1").run(
-            schemes=("1Q",), options=SweepOptions(time_scale=0.02)
-        )
+        results, report = registry.get("case1").run(schemes=("1Q",), time_scale=0.02)
         assert isinstance(results["1Q"], CaseResult)
         assert report.misses == 1 and report.hits == 0
 
-    def test_explicit_kwargs_beat_options(self):
-        results, _ = registry.get("case1").run(
+    def test_run_takes_the_cell_as_keywords(self, tmp_path):
+        """The options say how the grid runs, the keywords which cells:
+        there is no second place a cell field could come from."""
+        results, report = registry.get("case1").run(
             schemes=("1Q",),
-            options=SweepOptions(time_scale=0.5, seed=9),
+            options=SweepOptions(cache_dir=str(tmp_path)),
             time_scale=0.02,
             seed=2,
         )
-        res = results["1Q"]
-        assert res.duration == pytest.approx(0.02 * 10e6)
+        assert results["1Q"].duration == pytest.approx(0.02 * 10e6)
+        assert [(j.time_scale, j.seed) for j in report.jobs] == [(0.02, 2)]
+        with pytest.raises(TypeError):
+            SweepOptions(time_scale=0.5)
 
 
 class TestCliWiring:

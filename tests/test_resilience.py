@@ -9,6 +9,7 @@ Tests that bring up real worker pools are marked ``tier2``
 (``pytest -m tier2``); everything else runs in-process.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -24,7 +25,7 @@ from repro.experiments.resilience import (
     SweepJournal,
     execute_job,
 )
-from repro.experiments.runner import CaseResult, run_case1
+from repro.experiments.runner import CaseResult, run_case
 from repro.experiments.sweep import ResultCache, SimJob, SweepOptions, run_sweep
 
 from tests.test_sweep import assert_results_equal, canonical
@@ -60,16 +61,18 @@ class SlowJob(SimJob):
         raise AssertionError("a SlowJob must be killed by the timeout")
 
 
+@dataclasses.dataclass(frozen=True)
 class FlakyJob(SimJob):
     """Fails the first ``fails`` attempts (counted in a marker file),
     then succeeds with the real simulation — the retry-recovery path."""
 
+    marker: str = ""
+    fails: int = 0
+
     def run(self) -> CaseResult:
-        knobs = dict(self.extra)
-        marker = knobs["marker"]
-        with open(marker, "a") as fh:
+        with open(self.marker, "a") as fh:
             fh.write("x")
-        if os.path.getsize(marker) <= int(knobs["fails"]):
+        if os.path.getsize(self.marker) <= self.fails:
             raise RuntimeError("flaky attempt")
         return SimJob(
             case=self.case, scheme=self.scheme,
@@ -83,7 +86,7 @@ def good_job(scheme="1Q"):
 
 @pytest.fixture(scope="module")
 def small() -> CaseResult:
-    return run_case1("1Q", time_scale=SCALE)
+    return run_case("case1", scheme="1Q", time_scale=SCALE)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +156,7 @@ class TestSerialFailures:
     def test_retry_recovers_a_flaky_cell(self, tmp_path, small):
         marker = str(tmp_path / "attempts")
         job = FlakyJob(case="case1", scheme="1Q", time_scale=SCALE,
-                       extra=(("marker", marker), ("fails", "2")))
+                       marker=marker, fails=2)
         report = run_sweep([job], options=SweepOptions(max_retries=2, **FAST))
         assert report.failed == 0 and report.retried == 2
         assert os.path.getsize(marker) == 3  # 2 failures + 1 success
@@ -257,12 +260,16 @@ class TestCacheIntegrity:
         with pytest.warns(RuntimeWarning, match="unrecognized entry schema"):
             assert cache.get(key) is None
 
-    def test_legacy_entry_without_digest_still_reads(self, tmp_path, small):
+    def test_entry_without_digest_is_discarded(self, tmp_path, small):
+        """Schema 1 carried no digest: nothing says its result is the
+        one that was written, so it is a loud miss like any other entry
+        that does not verify."""
         cache = ResultCache(tmp_path)
         key = "ab" * 32
         cache.path(key).write_text(json.dumps({"result": small.to_dict()}))
-        assert_results_equal(cache.get(key), small)
-        assert cache.discarded == 0
+        with pytest.warns(RuntimeWarning, match="content digest mismatch"):
+            assert cache.get(key) is None
+        assert cache.discarded == 1
 
     def test_writes_are_atomic(self, tmp_path, small):
         cache, key = self.put_one(tmp_path, small)

@@ -4,10 +4,12 @@ Uses compressed-time runs over several seeds; the paired-seed
 comparison utilities are unit-tested separately below.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.experiments.seedcheck import SweepStats, claim_holds, seed_sweep
-from repro.experiments.runner import run_case1
+from repro.experiments.runner import run_case
 from repro.metrics.analysis import jain_index
 
 SEEDS = (1, 2, 3)
@@ -23,7 +25,7 @@ METRICS = {
 @pytest.fixture(scope="module")
 def sweeps():
     return {
-        scheme: seed_sweep(run_case1, scheme, SEEDS, METRICS, time_scale=0.4)
+        scheme: seed_sweep(partial(run_case, "case1"), scheme, SEEDS, METRICS, time_scale=0.4)
         for scheme in ("1Q", "FBICM", "CCFIT")
     }
 

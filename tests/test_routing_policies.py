@@ -3,13 +3,9 @@
 Covers the policy registry contract, the topology's minimal-candidate
 index, delivery differentials for every multipath policy (ecmp /
 adaptive / flowlet must deliver every packet the det reference
-delivers — loop-freedom by construction), flowlet stickiness, the
-RoutingTable deprecation shim on Switch, and the sweep-layer routing
-axis (cache keys, labels, old-pickle survival).
+delivers — loop-freedom by construction), flowlet stickiness, and the
+sweep-layer routing axis (cache keys, labels).
 """
-
-import pickle
-import warnings
 
 import pytest
 
@@ -258,30 +254,7 @@ class TestFlowletStickiness:
 
 
 # ----------------------------------------------------------------------
-# deprecation shim: Switch(routing=RoutingTable)
-# ----------------------------------------------------------------------
-def test_switch_accepts_bare_routing_table_with_warning():
-    from repro.core.ccfit import scheme_params
-    from repro.network.switch import Switch
-    from repro.sim.engine import Simulator
-
-    topo = k_ary_n_tree(2, 2)
-    spec, params = scheme_params("1Q", None)
-    table = RoutingTable.from_topology(topo, 0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sw = Switch(
-            Simulator(), "sw0", num_ports=4, routing=table, params=params,
-            scheme_factory=lambda port: spec.switch_scheme(port, topo.num_nodes),
-        )
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-    assert isinstance(sw.policy, DetRoutingPolicy)
-    assert sw.routing is table  # back-compat attribute still the table
-    assert sw.policy.table is table
-
-
-# ----------------------------------------------------------------------
-# sweep layer: routing axis, cache keys, old pickles
+# sweep layer: routing axis, cache keys
 # ----------------------------------------------------------------------
 class TestSweepRoutingAxis:
     def test_det_job_payload_has_no_routing_key(self):
@@ -306,18 +279,6 @@ class TestSweepRoutingAxis:
             SimJob(case="case1", scheme="ITh", routing="flowlet").label()
             == "case1/ITh@flowlet"
         )
-
-    def test_pre_routing_pickles_default_to_det(self):
-        """A SimJob pickled before the routing field existed must
-        deserialize as a det job (the __getattr__ fallback)."""
-        from repro.experiments.sweep import SimJob
-
-        job = SimJob(case="case1", scheme="CCFIT")
-        state = pickle.dumps(job)
-        restored = pickle.loads(state)
-        object.__delattr__(restored, "routing")  # simulate the old layout
-        assert restored.routing == "det"
-        assert "routing" not in restored.payload()
 
     def test_routing_grid_experiment_crosses_axes(self):
         from repro.experiments.registry import get

@@ -110,7 +110,7 @@ class TestFsBroker:
         assert status["states"][lease.key] == "done"
 
     def test_claim_is_exclusive_under_contention(self, tmp_path, tiny_job):
-        jobs = tiny_jobs(schemes=("CCFIT", "1Q", "4Q"))
+        jobs = tiny_jobs(schemes=("CCFIT", "1Q", "ITh"))
         b = FsBroker(tmp_path)
         b.submit(jobs, experiment="fig7a")
         won = []
@@ -171,7 +171,7 @@ class TestFsBroker:
     ):
         """Every cell cached: no result is parsed to learn that it is
         there, and the ``cached`` events go to the log together."""
-        jobs = tiny_jobs(schemes=("CCFIT", "1Q", "4Q"))
+        jobs = tiny_jobs(schemes=("CCFIT", "1Q", "ITh"))
         b = FsBroker(tmp_path)
         for job in jobs:
             b.cache.put(job.key(), tiny_result, job=job)
@@ -194,7 +194,7 @@ class TestFsBroker:
         """Cached, joined or enqueued, the events of one submit are one
         append, in cell order, made before the run record exists -- and
         an append the filesystem takes in pieces still lands whole."""
-        hit, queued, new = tiny_jobs(schemes=("CCFIT", "1Q", "4Q"))
+        hit, queued, new = tiny_jobs(schemes=("CCFIT", "1Q", "ITh"))
         b = FsBroker(tmp_path)
         b.cache.put(hit.key(), tiny_result, job=hit)
         b.submit([queued], experiment="fig7a")
@@ -297,6 +297,31 @@ class TestFsBroker:
         assert claim["key"] == lease.key and claim["worker"] == "w1"
         assert b.read_events(kind="requeue")[0] == []
 
+    def test_manifest_reads_the_log_from_the_submit_on(self, tmp_path, tiny_job, monkeypatch):
+        """The manifest's requeues are after the run's submit in the
+        log, so that is where the log is read from: the cost of a
+        manifest does not grow with the service's history."""
+        b = FsBroker(tmp_path, lease_ttl=0.0)
+        for i in range(2000):  # the history: other runs' cells, some with this cell's key
+            b._event("requeue", tiny_job.key() if i % 100 == 0 else f"{i:064x}", attempt=2)
+        grown = b.events_path.stat().st_size
+        run = b.submit([tiny_job], experiment="fig7a")
+        assert run.log_offset == grown and b.run(run.id).log_offset == grown
+        b.claim("w1")
+        assert b.reap(now=time.time() + 1) == (1, 0)
+        reads = []
+        read_log = b._read_log
+        monkeypatch.setattr(b, "_read_log", lambda offset=0: reads.append(offset) or read_log(offset))
+        manifest = b.run_manifest(run.id)
+        assert reads == [grown]  # one read, of what was appended after the submit
+        assert manifest["requeued"] == 1
+        assert [ev["attempt"] for ev in manifest["requeues"]] == [2]
+        # a run record written before the offset was kept reads from the start
+        record = json.loads(b._run_path(run.id).read_text())
+        del record["log_offset"]
+        b._run_path(run.id).write_text(json.dumps(record))
+        assert b.run_manifest(run.id)["requeued"] == 21 and reads == [grown, 0]
+
     def test_cell_claimed_between_two_probes_is_not_unknown(self, tmp_path, tiny_job, monkeypatch):
         """``cell_state`` looks in ``active/`` and then in ``queue/``; a
         claim that renames the cell in between hides it from both."""
@@ -371,7 +396,7 @@ class TestWorker:
 class TestSweepTiming:
     def test_serial_sweep_records_elapsed_and_worker(self, tmp_path):
         jobs = tiny_jobs()
-        opts = SweepOptions(time_scale=SCALE, jobs=1, cache_dir=str(tmp_path / "c"))
+        opts = SweepOptions(jobs=1, cache_dir=str(tmp_path / "c"))
         report = run_sweep(jobs, options=opts)
         assert len(report.cell_elapsed) == len(jobs)
         assert all(e is not None and e > 0 for e in report.cell_elapsed)
@@ -382,7 +407,7 @@ class TestSweepTiming:
 
     def test_cache_hit_attributed_to_cache(self, tmp_path):
         jobs = tiny_jobs()
-        opts = SweepOptions(time_scale=SCALE, jobs=1, cache_dir=str(tmp_path / "c"))
+        opts = SweepOptions(jobs=1, cache_dir=str(tmp_path / "c"))
         run_sweep(jobs, options=opts)
         report = run_sweep(jobs, options=opts)
         assert report.hits == len(jobs)
@@ -568,6 +593,28 @@ class TestService:
         assert "400" in message
         assert repr(field) in message and "routings" in message
         assert client.runs() == []  # nothing was enqueued
+
+
+    @pytest.mark.parametrize("body, said", [
+        ({"extra": {"num_tree": 4}}, "did you mean num_trees"),
+        ({"extra": {"num_trees": 4}, "experiment": "fig7a"}, "unknown knob"),
+        ({"time_scale": 0}, "time_scale"),
+        ({"time_scale": float("nan")}, "time_scale"),
+        ({"seed": -1}, "seed"),
+        ({"schemes": ["CCFTI"]}, "did you mean CCFIT"),
+        ({"routings": ["adaptve"]}, "did you mean adaptive"),
+        ({"buffer_model": "sharde"}, "did you mean shared"),
+        ({"faults": "kil:x@1ms"}, "bad faults spec"),
+        ({"telemetry_interval": 50_000}, "telemetry is not on"),
+    ])
+    def test_a_cell_that_cannot_be_is_400_and_enqueues_nothing(self, srv, client, body, said):
+        """Validated where the cell is constructed, as the CLI's are:
+        not accepted now to fail in a worker after three attempts."""
+        request = {"experiment": "fig8a", **body}
+        with pytest.raises(ServiceError, match=f"400.*{said}"):
+            client.submit(request.pop("experiment"), **request)
+        assert client.runs() == []
+        assert list((srv.broker.root / "queue").iterdir()) == []
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ Each test states the paper claim it guards.
 
 import pytest
 
-from repro.experiments.runner import run_case1, run_case2, run_case4
+from repro.experiments.runner import run_case
 from repro.metrics.analysis import jain_index
 
 CONTRIB1 = ("F1", "F2", "F5", "F6")
@@ -17,7 +17,7 @@ CONTRIB1 = ("F1", "F2", "F5", "F6")
 def case1():
     """Case #1 at 0.3x for the four paper schemes (shared; ~8 s)."""
     return {
-        s: run_case1(s, time_scale=0.3, seed=1)
+        s: run_case("case1", scheme=s, time_scale=0.3, seed=1)
         for s in ("1Q", "ITh", "FBICM", "CCFIT")
     }
 
@@ -64,7 +64,7 @@ def test_paper_claim_fig10_ccfit_highest_fair_throughput():
     highest fairness; FBICM's extra throughput comes with the parking
     lot intact."""
     res = {
-        s: run_case2(s, time_scale=0.5, seed=1) for s in ("ITh", "FBICM", "CCFIT")
+        s: run_case("case2", scheme=s, time_scale=0.5, seed=1) for s in ("ITh", "FBICM", "CCFIT")
     }
     flows = ("F0", "F1", "F2", "F3", "F4")
     jain = {s: jain_index([r.flow_bandwidth[f] for f in flows]) for s, r in res.items()}
@@ -83,9 +83,10 @@ def test_paper_claim_fig10_ccfit_highest_fair_throughput():
 def test_paper_claim_fig8_ccfit_survives_cfq_exhaustion():
     """§IV-B (Fig. 8b): with more congestion trees than CFQs, CCFIT
     stays above FBICM because throttling frees isolation resources."""
-    fb = run_case4("FBICM", num_trees=4, time_scale=0.25, seed=1, duration_ms=3.0)
-    cc = run_case4("CCFIT", num_trees=4, time_scale=0.25, seed=1, duration_ms=3.0)
-    oneq = run_case4("1Q", num_trees=4, time_scale=0.25, seed=1, duration_ms=3.0)
+    kw = dict(num_trees=4, time_scale=0.25, seed=1, duration_ms=3.0)
+    fb = run_case("case4", scheme="FBICM", **kw)
+    cc = run_case("case4", scheme="CCFIT", **kw)
+    oneq = run_case("case4", scheme="1Q", **kw)
     assert cc.mean_throughput() >= fb.mean_throughput() * 0.98
     assert fb.mean_throughput() > oneq.mean_throughput() * 1.2
     assert fb.stats["cfq_alloc_failures"] > 0, "exhaustion never happened"

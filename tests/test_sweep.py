@@ -19,14 +19,8 @@ import pytest
 
 from repro.core.params import CCParams
 from repro.experiments.report import render_fault_matrix, render_pfc_matrix
-from repro.experiments.runner import (
-    CaseResult,
-    run_case,
-    run_case1,
-    run_case4,
-    run_fig7,
-    run_fig9,
-)
+from repro.experiments import registry
+from repro.experiments.runner import CaseResult, run_case
 from repro.experiments.sweep import (
     ResultCache,
     SimJob,
@@ -51,7 +45,7 @@ CACHE_V2_JOBS = [
 
 @pytest.fixture(scope="module")
 def small() -> CaseResult:
-    return run_case1("1Q", time_scale=SCALE)
+    return run_case("case1", scheme="1Q", time_scale=SCALE)
 
 
 def canonical(obj) -> bytes:
@@ -117,7 +111,9 @@ class TestSimJob:
         ],
     )
     def test_key_covers_every_field(self, kw):
-        base = dict(case="case1", scheme="1Q", time_scale=0.1, seed=3)
+        # a knob is declared where its case takes it: Case #4 for num_trees
+        case = "case4" if "extra" in kw else "case1"
+        base = dict(case=case, scheme="1Q", time_scale=0.1, seed=3)
         varied = {**base, **kw}
         assert SimJob(**base).key() != SimJob(**varied).key()
 
@@ -167,8 +163,6 @@ class TestSimJob:
         scheme grid at seeds 1-19 and the CCFIT round-trip cells -- in
         one digest, recorded at 8b5b826 (before the preimage stopped
         going through ``dataclasses.asdict``)."""
-        from repro.experiments import registry
-
         case1 = registry.get("case1")
         jobs = [j for seed in range(1, 20) for j in case1.jobs(time_scale=0.02, seed=seed)]
         jobs += [j for seed in range(1001, 1123)
@@ -422,17 +416,24 @@ class TestParallelDeterminism:
 
 
 class TestBackwardsCompatibleSignatures:
-    """Old positional call forms keep working through the shims."""
-
-    def test_run_case1_positional(self, small):
-        assert_results_equal(run_case1("1Q", SCALE), small)
-
-    def test_run_case1_positional_seed(self):
-        res = run_case1("1Q", SCALE, 2)
-        assert res.scheme == "1Q"
+    """A cell is keywords: the positional shims (``run_case1("1Q",
+    0.3, 7)``, ``run_fig9(("1Q",), 0.3)``) went with the compatibility
+    layer."""
 
     def test_run_case1_keyword_only_canonical(self, small):
-        assert_results_equal(run_case1(scheme="1Q", time_scale=SCALE), small)
+        assert_results_equal(run_case("case1", scheme="1Q", time_scale=SCALE), small)
+
+    def test_run_case1_positional_seed(self):
+        """The one positional order left is the declaration's own, which
+        ``Experiment.jobs`` builds cells by."""
+        assert SimJob("case1", "1Q", SCALE, 2) == SimJob(
+            case="case1", scheme="1Q", time_scale=SCALE, seed=2)
+
+    def test_run_fig7_panel_positional(self):
+        """The panel that ``run_fig7("a", ...)`` took is part of the
+        experiment's name, and picks the case."""
+        cases = [registry.get(f"fig7{panel}").case for panel in "abc"]
+        assert cases == ["case1", "case2", "case3"]
 
     def test_run_case_rejects_positional_scheme(self):
         with pytest.raises(TypeError):
@@ -442,31 +443,27 @@ class TestBackwardsCompatibleSignatures:
         with pytest.raises(TypeError, match="kernel"):
             run_case("case1", scheme="1Q", kernel="heap")
 
-    def test_duplicate_argument_rejected(self):
-        with pytest.raises(TypeError):
-            run_case1("1Q", scheme="CCFIT")
-
     def test_too_many_positionals_rejected(self):
+        """The case is the one positional of a cell, and a grid has none."""
         with pytest.raises(TypeError):
-            run_case1("1Q", SCALE, 1, None, "extra")
+            run_case("case1", "1Q", SCALE)
+        with pytest.raises(TypeError):
+            registry.get("fig9").run(("1Q",), SCALE)
 
-    def test_run_case4_legacy_num_trees(self):
-        res = run_case4("1Q", 1, SCALE, 1, None, 3.0)
-        assert res.window[0] == pytest.approx(SCALE * 1e6)
+    def test_duplicate_argument_rejected(self):
+        """A field given twice is an error, never last-wins: a knob
+        cannot bring a second ``time_scale`` in through ``extra``."""
+        from repro.service.server import _BadRequest, _resolve_submission
 
-    def test_run_fig_positional_schemes(self, small):
-        res = run_fig9(("1Q",), SCALE)
-        assert list(res) == ["1Q"]
-        assert_results_equal(res["1Q"], small)
-
-    def test_run_fig7_panel_positional(self):
-        res = run_fig7("a", ("1Q",), SCALE)
-        assert list(res) == ["1Q"]
+        with pytest.raises(_BadRequest, match="time_scale"):
+            _resolve_submission({"experiment": "fig8a", "time_scale": SCALE,
+                                 "extra": {"time_scale": 1.0}})
 
     def test_run_fig_options_object(self, tmp_path, small):
-        res = run_fig9(
-            schemes=("1Q",),
-            options=SweepOptions(time_scale=SCALE, cache_dir=str(tmp_path)),
+        """The options object says how the grid runs (here: cached),
+        the keywords say which cells."""
+        res, _report = registry.get("fig9").run(
+            schemes=("1Q",), time_scale=SCALE, options=SweepOptions(cache_dir=str(tmp_path)),
         )
         assert_results_equal(res["1Q"], small)
         assert len(ResultCache(tmp_path)) == 1
