@@ -15,13 +15,6 @@ Commands
     Run any registered experiment (``fig7a`` ... ``fig10``,
     ``case1`` ... ``case4``) through the sweep engine and report the
     cache hit count.  ``repro sweep --list`` enumerates the names.
-``perf``
-    Benchmark the simulation engine (dispatch microbenchmark +
-    full-case events/s with a per-subsystem event histogram) and write
-    ``BENCH_engine.json``.  ``--quick`` runs a CI-sized smoke;
-    ``--check`` asserts the routing-dispatch and telemetry
-    byte-identity gates and exits 1 on failure; ``--cprofile`` adds a
-    cProfile top-N listing.  See docs/performance.md.
 ``telemetry NAME --scheme CCFIT --out DIR``
     Run one experiment cell with the telemetry sampler attached and
     render the bundle (JSONL / Prometheus text / SVG dashboard — pick
@@ -90,7 +83,6 @@ from repro.experiments.runner import CaseResult
 from repro.experiments.sweep import (
     AXES,
     CellError,
-    SimJob,
     SweepOptions,
     SweepReport,
     default_cache_dir,
@@ -208,29 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated scheme subset (default: the experiment's "
                             "list); names match case-insensitively")
 
-    perf = sub.add_parser(
-        "perf",
-        help="benchmark the simulation engine and write BENCH_engine.json",
-        description="Dispatch microbenchmark plus full figure cells with "
-                    "per-subsystem event histograms.",
-    )
-    perf.add_argument("--quick", action="store_true",
-                      help="CI-sized smoke run (small microbench, one short case)")
-    perf.add_argument("--case", default="case1", dest="perf_case",
-                      help="figure cell to benchmark (case1..case4)")
-    perf.add_argument("--schemes", type=str, default="CCFIT", metavar="A,B,..",
-                      help="comma-separated schemes to benchmark (default CCFIT)")
-    perf.add_argument("--events", type=int, default=300_000,
-                      help="microbenchmark event count")
-    perf.add_argument("--out", default="BENCH_engine.json",
-                      help="JSON report path (default: ./BENCH_engine.json)")
-    perf.add_argument("--check", action="store_true",
-                      help="assert the report's invariant gates (routing "
-                           "dispatch overhead, telemetry byte-identity); exit 1 "
-                           "on failure (see docs/performance.md)")
-    perf.add_argument("--cprofile", action="store_true",
-                      help="also run one case under cProfile and print the top functions")
-
     tele = sub.add_parser(
         "telemetry",
         help="run one experiment cell with the sampler attached and render the bundle",
@@ -345,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--json", action="store_true", dest="as_json",
                        help="emit machine-readable JSON instead of a table")
 
-    for sp in (fig, case, trees, sweep, perf, tele):
+    for sp in (fig, case, trees, sweep, tele):
         _add_engine_options(sp, suppress=True)
     return p
 
@@ -530,52 +499,6 @@ def _cmd_sweep(args) -> int:
     return _report_engine(report, opts, args, always=True)
 
 
-def _cmd_perf(args) -> int:
-    from repro.experiments.runner import CASE_NAMES
-    from repro.perf import cprofile_case, render_report, run_perf, write_report
-
-    if args.perf_case not in CASE_NAMES:
-        print(f"perf: unknown case {args.perf_case!r}; choose from {CASE_NAMES}",
-              file=sys.stderr)
-        return 2
-    # the cells it times, declared as any other: names checked and canonical
-    (routing,) = _cell(args, "perf")["routings"]
-    jobs = [SimJob(args.perf_case, s, routing=routing) for s in parse_names(str, args.schemes)]
-    schemes, routing = tuple(job.scheme for job in jobs), jobs[0].routing
-    if args.quick:
-        time_scale, micro_events, micro_repeats = 0.03, 60_000, 1
-    else:
-        time_scale, micro_events, micro_repeats = args.scale, args.events, 3
-    report = run_perf(
-        cases=(args.perf_case,),
-        schemes=schemes,
-        time_scale=time_scale,
-        seed=args.seed,
-        micro_events=micro_events,
-        micro_repeats=micro_repeats,
-        routing=routing,
-    )
-    report["quick"] = bool(args.quick)
-    print(render_report(report))
-    write_report(report, args.out)
-    print(f"wrote {args.out}")
-    if args.cprofile:
-        print(cprofile_case(args.perf_case, schemes[0],
-                            time_scale=time_scale, seed=args.seed))
-    if args.check:
-        from repro.perf import check_report
-
-        ok, lines = check_report(report)
-        print("perf check")
-        for line in lines:
-            print("  " + line)
-        if not ok:
-            print("perf check: FAILED", file=sys.stderr)
-            return 1
-        print("perf check: ok")
-    return 0
-
-
 def _cmd_telemetry(args) -> int:
     from repro.telemetry import TELEMETRY_FORMATS, TelemetryConfig, write_bundle
 
@@ -756,7 +679,6 @@ _COMMANDS = {
     "case": _cmd_case,
     "trees": _cmd_trees,
     "sweep": _cmd_sweep,
-    "perf": _cmd_perf,
     "telemetry": _cmd_telemetry,
     "serve": _cmd_serve,
     "worker": _cmd_worker,

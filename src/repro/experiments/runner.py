@@ -213,7 +213,7 @@ def run_case(
 
     ``sim_factory`` is a zero-argument callable returning the
     :class:`repro.sim.engine.Simulator` to run on -- how the golden
-    tests inject the heap reference queue and :mod:`repro.perf` pins
+    tests inject the heap reference queue and ``benchmarks/e2e`` pins
     ``profile=``; ``validate`` forces the invariant guard on or off.
     ``knobs`` are the case's own (Case #4 takes ``num_trees`` and
     ``duration_ms``).

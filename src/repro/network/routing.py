@@ -44,13 +44,14 @@ stable while the data path adapts.  See docs/routing.md.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.network.topology import Topology, TopologyError
 
 __all__ = [
     "RoutingTable",
     "build_routing",
+    "min_hop_ports",
     "RoutingPolicy",
     "DetRoutingPolicy",
     "EcmpRoutingPolicy",
@@ -109,53 +110,69 @@ class RoutingTable:
         return cls(switch_id, topo.routes_by_switch().get(switch_id, {}))
 
 
+def min_hop_ports(
+    links: Dict[int, List[Tuple[int, int]]],
+    attach: Dict[int, Tuple[int, int]],
+) -> Dict[Tuple[int, int], Tuple[int, ...]]:
+    """The one backward min-hop walk: ``(switch, dst) -> `` the sorted
+    output ports that bring a packet one hop closer to node ``dst``.
+
+    ``links`` is a directed port adjacency, ``switch -> [(out_port,
+    neighbour switch)]`` (a cable is two entries, a dead direction is
+    simply absent); ``attach`` is ``dst -> (switch, port)``.  One BFS
+    per attach switch, backwards along the links; at that switch the
+    only candidate is the node's own port.  A pair that cannot reach
+    ``dst`` has no entry -- what that means is the caller's policy.
+    The first port of an entry is the deterministic (lowest-port) route.
+    """
+    into: Dict[int, List[int]] = {sw: [] for sw in links}
+    for sw, ports in links.items():
+        for _port, other in ports:
+            into[other].append(sw)
+    toward: Dict[int, Dict[int, Tuple[int, ...]]] = {}  # attach switch -> switch -> ports
+    index: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+    for dst in sorted(attach):
+        root, port = attach[dst]
+        closer = toward.get(root)
+        if closer is None:
+            dist = {root: 0}
+            frontier = deque([root])
+            while frontier:
+                sw = frontier.popleft()
+                for other in into[sw]:
+                    if other not in dist:
+                        dist[other] = dist[sw] + 1
+                        frontier.append(other)
+            closer = toward[root] = {
+                sw: tuple(sorted(p for p, other in links[sw] if dist.get(other) == d - 1))
+                for sw, d in dist.items()
+                if sw != root
+            }
+        for sw in links:
+            if sw == root:
+                index[(sw, dst)] = (port,)
+            elif sw in closer:
+                index[(sw, dst)] = closer[sw]
+    return index
+
+
 def build_routing(topo: Topology) -> Dict[Tuple[int, int], int]:
     """Compute deterministic shortest-path routes for any topology.
 
-    Runs one BFS per destination node over the switch graph, breaking
-    ties by the lowest output port at each switch.  Returns the same
-    ``(switch_id, dst) -> out_port`` mapping shape that
+    The lowest of :func:`min_hop_ports` at each switch, for every
+    destination node.  Returns the same ``(switch_id, dst) ->
+    out_port`` mapping shape that
     :class:`repro.network.topology.Topology` stores, so callers can do
     ``topo.routes = build_routing(topo)`` for hand-built topologies.
     """
-    # adjacency: switch -> list of (port, kind, other_id, other_port)
-    adj: Dict[int, list] = {s.id: [] for s in topo.switches}
-    for nid, (sw, p, _bw) in topo.node_attach.items():
-        adj[sw].append((p, "node", nid, 0))
-    for a, pa, b, pb, _bw in topo.switch_links:
-        adj[a].append((pa, "switch", b, pb))
-        adj[b].append((pb, "switch", a, pa))
-    for ports in adj.values():
-        ports.sort()
-
+    ports = min_hop_ports(*topo.adjacency())
     routes: Dict[Tuple[int, int], int] = {}
     for dst in range(topo.num_nodes):
-        dst_sw, _dst_port, _bw = topo.node_attach[dst]
-        # BFS backwards from the destination's switch.
-        dist = {dst_sw: 0}
-        frontier = deque([dst_sw])
-        while frontier:
-            sw = frontier.popleft()
-            for _p, kind, other, _op in adj[sw]:
-                if kind == "switch" and other not in dist:
-                    dist[other] = dist[sw] + 1
-                    frontier.append(other)
-        for sw, ports in adj.items():
-            if sw not in dist:
-                raise TopologyError(f"switch {sw} cannot reach destination {dst}")
-            if sw == dst_sw:
-                for p, kind, other, _op in ports:
-                    if kind == "node" and other == dst:
-                        routes[(sw, dst)] = p
-                        break
-                continue
-            # lowest port among neighbours strictly closer to dst
-            for p, kind, other, _op in ports:
-                if kind == "switch" and dist.get(other, 1 << 30) == dist[sw] - 1:
-                    routes[(sw, dst)] = p
-                    break
-            else:
-                raise TopologyError(f"no next hop at switch {sw} for dst {dst}")
+        for sw in topo.switches:
+            toward = ports.get((sw.id, dst))
+            if toward is None:
+                raise TopologyError(f"switch {sw.id} cannot reach destination {dst}")
+            routes[(sw.id, dst)] = toward[0]
     return routes
 
 

@@ -291,7 +291,8 @@ class Switch:
             # Shadow the generic InputPort.route with the policy's
             # specialised callable: for det this is a closure over
             # table.lookup, making the hot path cost what it did before
-            # the policy layer existed (gated by `repro perf --routing`).
+            # the policy layer existed (tests/test_routing_policies.py
+            # holds that every port carries it).
             port.route = routing.route_for(port)
         self.arbiter = ISlip(num_ports, num_ports, params.islip_iterations)
         #: arbitration slot (ns); resolved by the fabric builder when

@@ -194,7 +194,9 @@ class Topology:
         """The (switch, dst) candidate index, built on first use."""
         index = self._candidate_index
         if index is None:
-            index = self._candidate_index = self._build_candidate_index()
+            from repro.network.routing import min_hop_ports  # imports this module
+
+            index = self._candidate_index = min_hop_ports(*self.adjacency())
         return index
 
     def routes_by_switch(self) -> Dict[int, Dict[int, int]]:
@@ -206,50 +208,15 @@ class Topology:
             tables.setdefault(sw, {})[dst] = port
         return tables
 
-    def _build_candidate_index(self) -> Dict[Tuple[int, int], Tuple[int, ...]]:
-        # Same adjacency + per-destination backward BFS as
-        # repro.network.routing.build_routing, but keeping *every*
-        # distance-decreasing port instead of the lowest one.
-        adj: Dict[int, List[Tuple[int, str, int]]] = {s.id: [] for s in self.switches}
-        for nid, (sw, p, _bw) in self.node_attach.items():
-            adj[sw].append((p, "node", nid))
+    def adjacency(self) -> Tuple[Dict[int, List[Tuple[int, int]]], Dict[int, Tuple[int, int]]]:
+        """The wiring as :func:`repro.network.routing.min_hop_ports`
+        reads it: ``switch -> [(out_port, neighbour switch)]`` with
+        both directions of every cable, and ``node -> (switch, port)``."""
+        links: Dict[int, List[Tuple[int, int]]] = {s.id: [] for s in self.switches}
         for a, pa, b, pb, _bw in self.switch_links:
-            adj[a].append((pa, "switch", b))
-            adj[b].append((pb, "switch", a))
-        for ports in adj.values():
-            ports.sort()
-
-        from collections import deque
-
-        index: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        far = 1 << 30
-        for dst in range(self.num_nodes):
-            dst_sw, _dst_port, _bw = self.node_attach[dst]
-            dist = {dst_sw: 0}
-            frontier = deque([dst_sw])
-            while frontier:
-                sw = frontier.popleft()
-                for _p, kind, other in adj[sw]:
-                    if kind == "switch" and other not in dist:
-                        dist[other] = dist[sw] + 1
-                        frontier.append(other)
-            for sw, ports in adj.items():
-                if sw not in dist:
-                    continue  # unreachable: lookup raises TopologyError
-                if sw == dst_sw:
-                    cands = tuple(
-                        p for p, kind, other in ports if kind == "node" and other == dst
-                    )
-                else:
-                    here = dist[sw]
-                    cands = tuple(
-                        p
-                        for p, kind, other in ports
-                        if kind == "switch" and dist.get(other, far) == here - 1
-                    )
-                if cands:
-                    index[(sw, dst)] = cands
-        return index
+            links[a].append((pa, b))
+            links[b].append((pb, a))
+        return links, {nid: (sw, p) for nid, (sw, p, _bw) in self.node_attach.items()}
 
     def path(self, src: int, dst: int) -> List[Tuple[int, int]]:
         """Follow the routing tables from ``src`` to ``dst``.

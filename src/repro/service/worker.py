@@ -136,7 +136,7 @@ class Worker:
         try:
             job = job_from_spec(lease.spec)
         except Exception as exc:
-            self._give_up(lease, {
+            self._give_up(lease, None, {
                 "exception": type(exc).__name__,
                 "message": f"undecodable job spec: {exc}",
                 "kind": "error",
@@ -144,7 +144,7 @@ class Worker:
             })
             return False
         if job.key() != lease.key:
-            self._give_up(lease, {
+            self._give_up(lease, None, {
                 "exception": "KeyMismatch",
                 "message": (
                     f"spec hashes to {job.key()[:12]}..., lease says "
@@ -179,7 +179,7 @@ class Worker:
                     time.sleep(self.policy.delay(attempt, lease.key))
                     continue
                 err = record.get("error", {})
-                self._give_up(lease, {
+                self._give_up(lease, job.label(), {
                     "exception": err.get("exception", "UnknownError"),
                     "message": err.get("message", ""),
                     "traceback": err.get("traceback", ""),
@@ -188,15 +188,20 @@ class Worker:
                 })
                 return False
 
-    def _give_up(self, lease: Lease, failure: Dict[str, Any]) -> None:
+    def _give_up(self, lease: Lease, label: Optional[str], failure: Dict[str, Any]) -> None:
+        """Fail the lease and journal it -- under ``label``, the decoded
+        job's (what `repro sweep --journal` writes for the cell); with
+        none, under what the raw spec still tells."""
         self.failed += 1
         self.broker.fail(lease.key, self.id, failure)
         if self.journal is not None:
             from repro.experiments.resilience import JobFailure
 
+            if label is None:
+                label = str(lease.spec.get("case", "?")) if lease.spec else lease.key[:12]
             self.journal.record_failure(JobFailure(
                 key=lease.key,
-                label=str(lease.spec.get("case", "?")) if lease.spec else lease.key[:12],
+                label=label,
                 kind=failure.get("kind", "error"),
                 exception=failure.get("exception", "UnknownError"),
                 message=failure.get("message", ""),

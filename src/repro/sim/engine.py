@@ -80,7 +80,7 @@ class Simulator:
 
     A handler scheduling at the *current* time has the event run within the same instant,
     after the equal-time events already pending.  ``profile=True`` keeps :attr:`event_counts`,
-    a dispatch histogram by callback qualname (:mod:`repro.perf`), for a dict update per event.
+    a dispatch histogram by callback qualname (``benchmarks/e2e`` reads it), for a dict update per event.
     """
 
     __slots__ = ("now", "_seq", "_heap", "_live", "events_dispatched", "event_counts")

@@ -534,20 +534,18 @@ class FaultInjector:
         return () if port is None else (port,)
 
     def _recompute_tables(self) -> int:
-        """Deterministic BFS re-route over the live links: per
-        destination, backward BFS from its attach switch with the
-        lowest-port tie-break (the same discipline as
-        :func:`repro.network.routing.build_routing`), merged in place
-        into every switch's det table.  Destinations a switch can no
-        longer reach keep their old (dead) route — the per-node doomed
-        sets make sources drop that traffic instead.  Returns the
-        number of table entries that changed."""
-        fabric = self.fabric
-        adj: Dict[int, List[Tuple[int, str, int]]] = {
-            sid: [] for sid in self._sw_by_id
-        }
-        radj: Dict[int, List[int]] = {sid: [] for sid in self._sw_by_id}
-        node_sw: Dict[int, int] = {}
+        """Deterministic re-route over the live links: the lowest
+        min-hop port (:func:`repro.network.routing.min_hop_ports`, the
+        walk behind ``build_routing``) merged in place into every
+        switch's det table.  Destinations a switch can no longer reach
+        -- partitioned, or the downlink itself dead -- keep their old
+        (dead) route; the per-node doomed sets make sources drop that
+        traffic instead.  Returns the number of table entries that
+        changed."""
+        from repro.network.routing import min_hop_ports  # repro.network imports repro.sim
+
+        links: Dict[int, List[Tuple[int, int]]] = {sid: [] for sid in self._sw_by_id}
+        attach: Dict[int, Tuple[int, int]] = {}
         for sid, sw in self._sw_by_id.items():
             for p, op in enumerate(sw.output_ports):
                 link = op.link_out
@@ -555,51 +553,16 @@ class FaultInjector:
                     continue
                 other = getattr(link.rx, "switch", None)
                 if other is None:
-                    adj[sid].append((p, "node", link.rx.id))
-                    node_sw[link.rx.id] = sid
+                    attach[link.rx.id] = (sid, p)
                 else:
-                    oid = self._id_of[id(other)]
-                    adj[sid].append((p, "switch", oid))
-                    radj[oid].append(sid)
-        for ports in adj.values():
-            ports.sort()
+                    links[sid].append((p, self._id_of[id(other)]))
 
         changed = 0
-        for dst in range(fabric.topo.num_nodes):
-            dst_sw = node_sw.get(dst)
-            if dst_sw is None:
-                continue  # downlink dead: keep old routes, sources drop
-            dist = {dst_sw: 0}
-            frontier = [dst_sw]
-            while frontier:
-                nxt: List[int] = []
-                for s in frontier:
-                    for o in radj[s]:
-                        if o not in dist:
-                            dist[o] = dist[s] + 1
-                            nxt.append(o)
-                frontier = nxt
-            for sid, ports in adj.items():
-                if sid not in dist:
-                    continue  # partitioned from dst: keep old route
-                new_port: Optional[int] = None
-                if sid == dst_sw:
-                    for p, kind, other in ports:
-                        if kind == "node" and other == dst:
-                            new_port = p
-                            break
-                else:
-                    want = dist[sid] - 1
-                    for p, kind, other in ports:
-                        if kind == "switch" and dist.get(other, -2) == want:
-                            new_port = p
-                            break
-                if new_port is None:
-                    continue
-                table = self._sw_by_id[sid].policy.table
-                if table._table.get(dst) != new_port:
-                    table._table[dst] = new_port
-                    changed += 1
+        for (sid, dst), ports in min_hop_ports(links, attach).items():
+            table = self._sw_by_id[sid].policy.table._table
+            if table.get(dst) != ports[0]:
+                table[dst] = ports[0]
+                changed += 1
         return changed
 
     # ------------------------------------------------------------------

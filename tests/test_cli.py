@@ -169,13 +169,20 @@ class TestCliErrors:
         assert exc.value.code == 2
         assert "unknown command" in capsys.readouterr().err
 
+    def test_removed_perf_command_is_an_unknown_command(self, capsys):
+        """The `perf` command went with its harness (benchmarks/e2e is the one
+        instrument): no stub, the same hint + exit 2 as any typo."""
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", "--quick"])
+        assert exc.value.code == 2
+        assert "unknown command 'perf'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["--kernel", "heap", "case", "1"],
             ["case", "1", "--kernel", "heap"],
             ["sweep", "fig9", "--kernel", "heap"],
-            ["perf", "--quick", "--kernel", "heap"],
         ],
     )
     def test_removed_kernel_flag_exits_2(self, argv, capsys):

@@ -44,4 +44,26 @@ def test_bench_files_import():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert "bench_ablations.py" in proc.stdout and "bench_sweep.py" in proc.stdout
+    assert "bench_ablations.py" in proc.stdout and "bench_table1.py" in proc.stdout
+
+
+def test_ci_workflow_names_things_that_exist():
+    """The workflow cannot be run here, so a deleted file or command
+    would rot it unseen: every ``tests/`` / ``benchmarks/`` /
+    ``scripts/`` path it names is on disk, and every ``python -m
+    repro`` line parses with the real parser to a command the CLI
+    dispatches."""
+    import re
+    import shlex
+
+    from repro.cli import _COMMANDS, build_parser
+
+    root = EXAMPLES.parent
+    text = (root / ".github" / "workflows" / "ci.yml").read_text()
+    paths = set(re.findall(r"\b(?:tests|benchmarks|scripts)/[\w./-]*\w", text))
+    assert paths and not [p for p in paths if not (root / p).exists()]
+    lines = re.findall(r"python -m repro (.+)", re.sub(r"\\\n\s*", "", text))
+    assert lines
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line))  # SystemExit on a stale flag
+        assert args.command in _COMMANDS

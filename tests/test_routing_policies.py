@@ -10,6 +10,7 @@ sweep-layer routing axis (cache keys, labels).
 import pytest
 
 from repro.core.params import CCParams, ParamError
+from repro.experiments.configs import CONFIG1, CONFIG3
 from repro.network.fabric import build_fabric
 from repro.network.routing import (
     ROUTING_POLICIES,
@@ -165,6 +166,22 @@ def test_det_policy_matches_default_build():
     a = _run_incast(2, 3, "det").stats()
     b = _run_incast(2, 3, ROUTING_POLICIES["det"]).stats()
     assert a == b
+
+
+@pytest.mark.parametrize("config", [CONFIG1, CONFIG3], ids=["config1", "config3"])
+def test_det_ports_carry_the_table_lookup_closure(config):
+    """The det policy costs a table lookup because ``Switch.__init__``
+    hangs ``route_for``'s closure on every input port, over the generic
+    ``InputPort.route`` that dispatches through the policy object -- and
+    the closure answers what the table answers.  (Its cost is held by
+    ``pkts_per_s`` on the benchmark's ``case1_ccfit``, a det cell.)"""
+    fabric = build_fabric(config.topo(), scheme="CCFIT", seed=0)
+    pkts = [_FakePkt(0, dst) for dst in range(fabric.topo.num_nodes)]
+    for sw in fabric.switches:
+        table = sw.policy.table
+        for port in sw.input_ports:
+            assert vars(port)["route"].__qualname__.startswith("DetRoutingPolicy.route_for.")
+            assert [port.route(p) for p in pkts] == [table.lookup(p.dst) for p in pkts]
 
 
 def test_switch_snapshot_exposes_policy_state():

@@ -20,8 +20,10 @@ import time
 import pytest
 
 from repro.experiments import registry
+from repro.experiments.resilience import RetryPolicy
 from repro.experiments.sweep import (
     ResultCache,
+    SimJob,
     SweepOptions,
     run_sweep,
 )
@@ -40,8 +42,8 @@ from repro.service.api import LONG_POLL_S, ServiceError
 SCALE = 0.02
 
 
-def tiny_jobs(schemes=("CCFIT",), **kw):
-    return registry.get("fig7a").jobs(schemes=schemes, time_scale=SCALE, seed=1, **kw)
+def tiny_jobs(schemes=("CCFIT",), time_scale=SCALE, **kw):
+    return registry.get("fig7a").jobs(schemes=schemes, time_scale=time_scale, seed=1, **kw)
 
 
 @pytest.fixture(scope="module")
@@ -383,6 +385,29 @@ class TestWorker:
         assert summary["failed"] == 1
         manifest = b.run_manifest(run.id)
         assert "undecodable job spec" in manifest["failures"][0]["message"]
+
+    def test_worker_journals_a_failed_cell_under_the_sweep_label(self, tmp_path, monkeypatch):
+        """`repro worker --journal` is `repro sweep --journal`'s format:
+        a cell out of retries is journaled under the job's label, routing
+        sigil and all, not under the bare case name of its spec."""
+        def boom(self):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(SimJob, "run", boom)
+        (job,) = tiny_jobs(routings=("adaptive",))
+        b = FsBroker(tmp_path / "broker")
+        b.submit([job], experiment="fig7a")
+        summary = Worker(b, worker_id="w1", max_cells=1, policy=RetryPolicy(max_retries=0),
+                         journal=str(tmp_path / "worker.jsonl")).run()
+        assert summary["failed"] == 1
+        run_sweep([job], options=SweepOptions(journal=str(tmp_path / "sweep.jsonl"),
+                                              max_retries=0))
+        labels = [
+            json.loads(line)["failure"]["label"]
+            for name in ("worker.jsonl", "sweep.jsonl")
+            for line in (tmp_path / name).read_text().splitlines()
+        ]
+        assert labels == ["case1/CCFIT@adaptive"] * 2
 
     def test_connect_broker_dispatch(self, tmp_path):
         assert isinstance(connect_broker(str(tmp_path)), FsBroker)
@@ -837,10 +862,17 @@ class TestConnections:
 # ----------------------------------------------------------------------
 @pytest.mark.tier2
 class TestServiceProcesses:
-    def test_kill_worker_midrun_sweep_still_completes(self, tmp_path, tiny_result):
+    #: paper scale: the fig7a cell runs for over a second here (45 ms at
+    #: SCALE), so a worker killed within one poll of its claim dies
+    #: mid-cell by construction, not by winning a race
+    KILL_SCALE = 1.0
+
+    def test_kill_worker_midrun_sweep_still_completes(self, tmp_path):
         """ISSUE acceptance: kill a real worker process mid-cell; the
         lease expires, the cell requeues, a second worker completes the
         sweep, and the result is still byte-identical."""
+        (job,) = tiny_jobs(time_scale=self.KILL_SCALE)
+        reference = job.run()
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(p) for p in (os.path.join(os.path.dirname(__file__), "..", "src"),)]
@@ -851,7 +883,7 @@ class TestServiceProcesses:
                            lease_ttl=1.0) as srv:
             client = ServiceClient(srv.url)
             sub = client.submit("fig7a", schemes=["CCFIT"],
-                                time_scale=SCALE, seed=1)
+                                time_scale=self.KILL_SCALE, seed=1)
             victim = subprocess.Popen(
                 [sys.executable, "-m", "repro.cli", "worker",
                  "--broker", srv.url, "--id", "victim", "--heartbeat", "0.2"],
@@ -877,4 +909,4 @@ class TestServiceProcesses:
             assert manifest["requeued"] >= 1
             assert manifest["jobs"][0]["worker"] == "survivor"
             fetched = client.result(sub["keys"][0])["result"]
-            assert result_bytes(fetched) == result_bytes(tiny_result.to_dict())
+            assert result_bytes(fetched) == result_bytes(reference.to_dict())
