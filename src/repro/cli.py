@@ -47,11 +47,11 @@ docs/sweep.md for the job/cache model.
 
 Resilience options (docs/robustness.md): ``--timeout SECONDS``
 (per-cell wall-clock budget), ``--retries N`` (bounded retries with
-exponential backoff), ``--journal PATH`` + ``--resume`` (completed-job
-journal for crash-safe restarts), ``--manifest PATH`` (structured
+exponential backoff), ``--manifest PATH`` (structured
 ok/retried/failed report), and ``--validate`` (run every simulation
 under the invariant guard, :mod:`repro.sim.guard`).  A sweep with
-failed cells still renders the surviving results and exits 1.
+failed cells still renders the surviving results and exits 1; run
+again with the same cache, it simulates only what is not cached.
 
 Every simulation command dispatches through
 :mod:`repro.experiments.registry`, so registering a new experiment
@@ -117,14 +117,11 @@ def _add_engine_options(p: argparse.ArgumentParser, suppress: bool = False) -> N
     p.add_argument("--no-cache", action="store_true", default=d(False),
                    help="disable the on-disk result cache")
     p.add_argument("--timeout", type=float, default=d(None), metavar="SECONDS",
-                   help="wall-clock budget per cell; a cell that exceeds it is "
-                        "retried in isolation and then recorded as failed")
+                   help="wall-clock budget per cell attempt, each run in a process "
+                        "of its own; a cell that exceeds it is retried, then "
+                        "recorded as failed")
     p.add_argument("--retries", type=int, default=d(2), metavar="N",
                    help="retries per failed cell, with exponential backoff (default 2)")
-    p.add_argument("--journal", type=str, default=d(None), metavar="PATH",
-                   help="append completed cells to a JSONL journal (crash-safe)")
-    p.add_argument("--resume", action="store_true", default=d(False),
-                   help="replay finished cells from --journal before simulating")
     p.add_argument("--manifest", type=str, default=d(None), metavar="PATH",
                    help="write a structured ok/retried/failed manifest as JSON")
     p.add_argument("--validate", action="store_true", default=d(False),
@@ -282,9 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--idle-exit", type=float, default=None, metavar="S",
                         help="exit after S seconds with nothing to claim "
                              "(default: run until interrupted)")
-    worker.add_argument("--journal", default=None, metavar="PATH",
-                        help="also append completed cells to a local JSONL "
-                             "journal (same format as `repro sweep --journal`)")
 
     cache = sub.add_parser(
         "cache",
@@ -342,17 +336,12 @@ def _options(args: argparse.Namespace, *, cache_by_default: bool) -> SweepOption
     cache_dir = args.cache_dir
     if cache_dir is None and cache_by_default and not args.no_cache:
         cache_dir = default_cache_dir()
-    if args.resume and not args.journal:
-        print("repro: --resume requires --journal PATH", file=sys.stderr)
-        raise SystemExit(2)
     return SweepOptions(
         jobs=args.jobs,
         cache_dir=cache_dir,
         use_cache=not args.no_cache,
         timeout=args.timeout,
         max_retries=max(0, args.retries),
-        journal=args.journal,
-        resume=args.resume,
     )
 
 
@@ -588,7 +577,6 @@ def _cmd_worker(args) -> int:
         timeout=args.timeout,
         heartbeat_interval=args.heartbeat,
         poll_interval=args.poll_interval,
-        journal=args.journal,
         max_cells=args.max_cells,
         idle_exit=args.idle_exit,
     )

@@ -1,8 +1,10 @@
-"""Fault-tolerant sweep execution: retries, timeouts, quarantine, journal.
+"""What a cell's execution can do wrong, and the records it leaves.
 
-:func:`repro.experiments.sweep.run_sweep` treats a sweep as an
-embarrassingly parallel grid; this module supplies the machinery that
-keeps one bad cell from taking the grid down with it:
+The one executor of a cell -- a :class:`~repro.service.worker.Worker`
+leasing it from a broker, whether a local sweep's private one
+(:func:`repro.experiments.sweep.run_sweep`) or a shared one behind
+``repro serve`` -- keeps one bad cell from taking the grid down with
+it through the pieces here:
 
 * :class:`RetryPolicy` — bounded retries with exponential backoff and
   *deterministic* jitter (derived from the job key, so two runs of the
@@ -12,19 +14,13 @@ keeps one bad cell from taking the grid down with it:
   failure *kind*: ``"error"`` for an exception inside the simulation,
   ``"timeout"`` for a wedged worker, ``"crash"`` for a worker process
   that died);
-* :func:`execute_job` — the worker entry point.  It never lets an
-  exception escape as a bare pool failure: errors come back as
-  structured records the parent can retry or report
-  (``KeyboardInterrupt`` still propagates promptly so Ctrl-C works);
-* :func:`run_isolated` — quarantine execution: one job in its own
-  single-worker process, used both to re-try a job suspected of
-  poisoning a shared pool and to enforce wall-clock timeouts;
-* :class:`SweepJournal` — an append-only JSONL journal of completed
-  cells.  A sweep interrupted half-way can be resumed
-  (``SweepOptions(journal=..., resume=True)`` / ``repro sweep
-  --journal PATH --resume``): journaled results are replayed without
-  re-simulating, and the serialization round-trip is lossless, so
-  resumed results are byte-identical to a clean run.
+* :func:`execute_job` — one attempt at a cell.  It never lets an
+  exception escape: errors come back as structured records the worker
+  can retry or report (``KeyboardInterrupt`` still propagates promptly
+  so Ctrl-C works);
+* :func:`run_isolated` — one attempt in its own single-worker process,
+  which is how a wall-clock timeout is enforced and how a cell that
+  kills its process is told apart from the worker running it.
 
 See ``docs/robustness.md`` for the failure-manifest format and the
 overall execution model.
@@ -32,26 +28,30 @@ overall execution model.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import traceback
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Dict, Optional
 
 __all__ = [
     "JobFailure",
     "RetryPolicy",
-    "SweepJournal",
+    "WORKER_CRASH",
     "execute_job",
     "run_isolated",
-    "terminate_pool",
 ]
+
+#: the error of a cell whose process died under it, whichever process
+#: that was: an isolation process, or a local sweep's worker.
+WORKER_CRASH = {
+    "exception": "WorkerCrash",
+    "message": "worker process died while running the job",
+    "traceback": "",
+}
 
 
 @dataclass
@@ -113,18 +113,15 @@ class RetryPolicy:
 
 
 def execute_job(job) -> Dict[str, Any]:
-    """Worker entry point: run one cell, ship back a structured record.
+    """One attempt at a cell, as a structured record.
 
     Successful cells return ``{"ok": True, "result": <CaseResult dict>,
     "elapsed": <wall-clock s>, "worker": "pid<n>"}`` (the result in the
-    same serialized form the cache stores, so parallel, journaled and
-    cached paths share one decode path; the elapsed/worker fields feed
-    the manifest's timing attribution).  Exceptions inside the
+    same serialized form the cache stores).  Exceptions inside the
     simulation return ``{"ok": False, "error": {...}}`` instead of
-    surfacing as bare pool failures — the parent decides whether to
-    retry.  ``KeyboardInterrupt`` (and other ``BaseException``\\ s such
-    as ``SystemExit``) are re-raised so interruption propagates
-    promptly.
+    escaping -- the caller decides whether to retry.
+    ``KeyboardInterrupt`` (and other ``BaseException``\\ s such as
+    ``SystemExit``) are re-raised so interruption propagates promptly.
     """
     t0 = time.perf_counter()
     try:
@@ -147,33 +144,13 @@ def execute_job(job) -> Dict[str, Any]:
         }
 
 
-def terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down *now*, killing wedged workers.
-
-    ``shutdown(wait=True)`` would block on a worker stuck in an
-    endless simulation; terminating the processes first makes the
-    shutdown return promptly.  Used when a per-job timeout fires.
-    """
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    for proc in processes:
-        try:
-            proc.terminate()
-        except Exception:  # pragma: no cover - process already gone
-            pass
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # pragma: no cover - broken executor internals
-        pass
-
-
 def run_isolated(job, timeout: Optional[float] = None) -> Dict[str, Any]:
-    """Run one job in its own single-worker process (quarantine).
+    """One attempt at a cell in its own single-worker process.
 
-    Used to (a) retry a job suspected of having poisoned a shared pool
-    without risking the other cells, and (b) enforce a wall-clock
-    timeout on a single cell.  Returns the structured record of
-    :func:`execute_job`; process-level failures are mapped onto the
-    same shape with ``kind`` detail in the error record.
+    A wedged cell is killed after ``timeout`` seconds (``kind`` =
+    ``"timeout"``), and a cell that kills its process takes only that
+    process with it (``kind`` = ``"crash"``); both come back as the
+    error records of :func:`execute_job`, with the ``kind`` added.
     """
     pool = ProcessPoolExecutor(max_workers=1)
     try:
@@ -181,104 +158,17 @@ def run_isolated(job, timeout: Optional[float] = None) -> Dict[str, Any]:
         try:
             return future.result(timeout=timeout)
         except FutureTimeoutError:
-            terminate_pool(pool)
-            return {
-                "ok": False,
-                "key": job.key(),
-                "kind": "timeout",
-                "error": {
-                    "exception": "JobTimeout",
-                    "message": f"no result within {timeout:.1f} s (worker terminated)",
-                    "traceback": "",
-                },
+            kind, error = "timeout", {
+                "exception": "JobTimeout",
+                "message": f"no result within {timeout:.1f} s (worker terminated)",
+                "traceback": "",
             }
         except BrokenProcessPool:
-            return {
-                "ok": False,
-                "key": job.key(),
-                "kind": "crash",
-                "error": {
-                    "exception": "WorkerCrash",
-                    "message": "worker process died while running the job",
-                    "traceback": "",
-                },
-            }
+            kind, error = "crash", dict(WORKER_CRASH)
+        return {"ok": False, "key": job.key(), "kind": kind, "error": error}
     finally:
-        terminate_pool(pool)
-
-
-class SweepJournal:
-    """Append-only JSONL journal of completed sweep cells.
-
-    One line per event::
-
-        {"key": "<sha256>", "ok": true,  "result": {...}}   # completed
-        {"key": "<sha256>", "ok": false, "failure": {...}}  # gave up
-
-    :meth:`load` tolerates a truncated trailing line (the crash that
-    motivated the journal may have happened mid-write); everything up
-    to the last complete line is recovered.  Results ride inline so a
-    resume does not depend on the (optional, separately managed) result
-    cache.
-    """
-
-    def __init__(self, path) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = None
-
-    # -- reading -------------------------------------------------------
-    def load(self) -> Dict[str, Dict[str, Any]]:
-        """Key -> completed ok-record.  Failure lines are *not* returned:
-        a resumed sweep retries previously failed cells.  An undecodable
-        line — the torn tail of an interrupted write — is warned about
-        and skipped; its cell simply re-runs."""
-        done: Dict[str, Dict[str, Any]] = {}
-        try:
-            text = self.path.read_text()
-        except FileNotFoundError:
-            return done
-        lines = text.splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                tail = " (torn tail of an interrupted write)" if lineno == len(lines) else ""
-                warnings.warn(
-                    f"journal {self.path}: skipping undecodable line "
-                    f"{lineno}{tail}; its cell will be re-run",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
-            if isinstance(rec, dict) and rec.get("ok") and "key" in rec and "result" in rec:
-                done[rec["key"]] = rec
-        return done
-
-    # -- writing -------------------------------------------------------
-    def _append(self, rec: Dict[str, Any]) -> None:
-        if self._fh is None:
-            self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def record_result(self, key: str, result: Dict[str, Any]) -> None:
-        self._append({"key": key, "ok": True, "result": result})
-
-    def record_failure(self, failure: JobFailure) -> None:
-        self._append({"key": failure.key, "ok": False, "failure": failure.to_dict()})
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "SweepJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        # a wedged worker would block a waiting shutdown forever: kill
+        # it first (terminating a process that has exited is a no-op)
+        for proc in list((getattr(pool, "_processes", None) or {}).values()):
+            proc.terminate()
+        pool.shutdown(wait=False, cancel_futures=True)

@@ -1,36 +1,36 @@
-"""Parallel sweep engine with a content-addressed on-disk result cache.
+"""Sweep engine: a grid of cells, a content-addressed result cache, and
+the one executor that runs what the cache does not hold.
 
 Every figure of §IV is an embarrassingly parallel grid of independent
 simulations — (case, scheme, seed, time_scale) cells.  This module
 turns such a grid into explicit :class:`SimJob` values and executes
 them through :func:`run_sweep`, which
 
-* fans cells out across worker processes via
-  :class:`concurrent.futures.ProcessPoolExecutor` when
-  ``SweepOptions.jobs > 1`` (falling back to serial in-process
-  execution when the platform lacks usable multiprocessing),
 * memoizes finished cells in a :class:`ResultCache` keyed by a SHA-256
   hash of everything that determines the cell's output — topology
   descriptor, :class:`~repro.core.params.CCParams`, traffic case,
   scheme, routing policy, seed, time scale and the ``repro`` version —
-  so repeated CLI
-  runs, benchmarks and EXPERIMENTS.md regeneration reuse results
-  instead of re-simulating, and
-* survives misbehaving cells: per-job wall-clock timeouts, bounded
-  retries with exponential backoff, quarantine of jobs that crash or
-  wedge their worker (retried in an isolated single-worker process,
-  then recorded in the failure manifest without aborting the sweep),
-  graceful degradation to serial execution when pools keep breaking,
-  and an optional completed-job journal enabling ``--resume`` after an
-  interrupt.  Partial results are first-class: a failed cell leaves a
-  ``None`` slot and a structured :class:`~repro.experiments.resilience.JobFailure`
-  in ``SweepReport.failures``.
+  so repeated CLI runs, benchmarks and EXPERIMENTS.md regeneration
+  reuse results instead of re-simulating;
+* runs the rest as a private broker drained by local workers: the
+  misses are submitted to a :class:`~repro.service.broker.FsBroker` in
+  a temporary directory and executed by
+  :class:`~repro.service.worker.Worker` — in process, or in
+  ``SweepOptions.jobs`` worker processes — the executor ``repro
+  worker`` runs against a shared broker.  Its per-cell timeouts,
+  bounded retries with backoff and failure records are the sweep's;
+  a worker process that dies has its cell requeued, then recorded as a
+  crash, without aborting the sweep.  Partial results are first-class:
+  a failed cell leaves ``None`` and a structured
+  :class:`~repro.experiments.resilience.JobFailure` in
+  ``SweepReport.failures``.  The cache is the journal: a sweep run
+  again with its cache directory picks up where it stopped.
 
 Determinism contract: a cell is seeded only by its own ``SimJob``
-fields, so a parallel run, a serial run, a retried run, a resumed run
-and a cache hit all yield bit-for-bit identical aggregates
-(`CaseResult` serialization is lossless; JSON round-trips finite
-floats exactly).
+fields, so a parallel run, a serial run, a retried run, a re-run after
+an interrupt and a cache hit all yield bit-for-bit identical
+aggregates (`CaseResult` serialization is lossless; JSON round-trips
+finite floats exactly).
 
 See ``docs/sweep.md`` for the job/cache model and
 ``docs/robustness.md`` for the failure-handling model.
@@ -45,14 +45,11 @@ import json
 import math
 import operator
 import os
-import pickle
+import shutil
+import tempfile
 import time
-import traceback as _traceback
 import uuid
 import warnings
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -60,14 +57,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optio
 from repro import __version__
 from repro.core.ccfit import SCHEMES
 from repro.core.params import CCParams
-from repro.experiments.resilience import (
-    JobFailure,
-    RetryPolicy,
-    SweepJournal,
-    execute_job,
-    run_isolated,
-    terminate_pool,
-)
+from repro.experiments.resilience import JobFailure, RetryPolicy
 from repro.experiments.runner import CASE_CONFIG, CaseResult, run_case
 from repro.network.buffers import BUFFER_MODELS
 from repro.network.routing import ROUTING_POLICIES
@@ -96,33 +86,29 @@ def default_cache_dir() -> str:
 
 @dataclass(frozen=True)
 class SweepOptions:
-    """How :func:`run_sweep` executes a grid -- workers, cache, retries,
-    journal -- and nothing about the cells in it: those are declared by
-    the jobs.  ``cache_dir=None`` (the default) disables
+    """How :func:`run_sweep` executes a grid -- workers, cache, retries
+    -- and nothing about the cells in it: those are declared by the
+    jobs.  ``cache_dir=None`` (the default) disables
     the cache entirely, keeping programmatic calls pure; the CLI opts
     in explicitly.
     """
 
-    #: worker processes; 1 = serial in-process execution.
+    #: worker processes; 1 = one worker in this process.
     jobs: int = 1
     #: cache directory, or None for no on-disk cache.
     cache_dir: Optional[str] = None
     #: master switch (lets a CLI ``--no-cache`` keep the dir setting).
     use_cache: bool = True
     #: per-job wall-clock timeout in *seconds*, or None for no limit.
-    #: Enforcing a timeout requires running the job in a worker process
-    #: (a wedged in-process job cannot be interrupted), so a timeout
-    #: also routes ``jobs=1`` runs through single-worker pools.
+    #: Enforcing a timeout takes a process to kill (a wedged in-process
+    #: job cannot be interrupted), so with one each attempt runs in a
+    #: process of its own (``run_isolated``), ``jobs=1`` included.
     timeout: Optional[float] = None
     #: bounded retries per failing cell (on top of the first attempt).
     max_retries: int = 2
     #: first retry backoff in seconds (doubles per retry, plus
     #: deterministic per-job jitter — see resilience.RetryPolicy).
     backoff: float = 0.25
-    #: path of a completed-job JSONL journal, or None for no journal.
-    journal: Optional[str] = None
-    #: replay completed cells from the journal instead of re-running.
-    resume: bool = False
 
     @property
     def cache_enabled(self) -> bool:
@@ -655,14 +641,7 @@ class ResultCache:
         return sum(1 for _ in self.root.glob("*.json"))
 
     def clear(self) -> int:
-        n = 0
-        for p in self.root.glob("*.json"):
-            try:
-                p.unlink()
-                n += 1
-            except OSError:  # pragma: no cover - concurrent clear
-                pass
-        return n + self._sweep_temp()[0]
+        return self._remove((p, 0) for p in self.root.glob("*.json"))[0] + self._sweep_temp()[0]
 
     # -- hygiene (the `repro cache` subcommand) ------------------------
     @staticmethod
@@ -692,19 +671,25 @@ class ResultCache:
         behind (no entry listing matches them)."""
         return self._listing(self.root.glob("*.tmp.*"))
 
+    @staticmethod
+    def _remove(doomed: Iterable[Tuple[Path, int]]) -> Tuple[int, int]:
+        """Unlink each ``(path, size)``: ``(removed, freed_bytes)`` of
+        the ones still there to remove."""
+        removed = freed = 0
+        for path, size in doomed:
+            try:
+                path.unlink()
+            except OSError:
+                continue  # gone already: a concurrent prune or clear
+            removed += 1
+            freed += size
+        return removed, freed
+
     def _sweep_temp(self) -> Tuple[int, int]:
         """Remove the orphaned temp files; ``(removed, freed_bytes)``."""
         cutoff = time.time() - _TEMP_ORPHAN_S
-        removed = freed = 0
-        for name, size, mtime in self.temp_files():
-            if mtime < cutoff:
-                try:
-                    (self.root / name).unlink()
-                    removed += 1
-                    freed += size
-                except OSError:
-                    pass
-        return removed, freed
+        return self._remove((self.root / name, size)
+                            for name, size, mtime in self.temp_files() if mtime < cutoff)
 
     def stats(self) -> Dict[str, Any]:
         """A JSON-safe summary: entry/byte totals and age extremes —
@@ -734,46 +719,21 @@ class ResultCache:
         pruned by the same age rule (they are evidence, not results —
         they never count toward the size budget); orphaned temp files
         always go.  Returns removal accounting."""
-        removed = freed = 0
-        now = time.time()
-        entries = self.entries()
-        if max_age_s is not None:
-            cutoff = now - max_age_s
-            keep: List[Tuple[str, int, float]] = []
-            for key, size, mtime in entries:
-                if mtime < cutoff:
-                    try:
-                        self.path(key).unlink()
-                        removed += 1
-                        freed += size
-                    except OSError:
-                        pass
-                else:
-                    keep.append((key, size, mtime))
-            entries = keep
+        cutoff = time.time() - max_age_s if max_age_s is not None else None
+        entries = self.entries()  # oldest first, so the ones too old are a prefix
+        cut = sum(1 for _k, _s, mtime in entries if cutoff is not None and mtime < cutoff)
         if max_bytes is not None:
-            total = sum(size for _k, size, _m in entries)
-            for key, size, _mtime in entries:  # oldest first
-                if total <= max_bytes:
-                    break
-                try:
-                    self.path(key).unlink()
-                    removed += 1
-                    freed += size
-                    total -= size
-                except OSError:
-                    pass
+            total = sum(size for _k, size, _m in entries[cut:])
+            while cut < len(entries) and total > max_bytes:
+                total -= entries[cut][1]
+                cut += 1
+        removed, freed = self._remove((self.path(key), size) for key, size, _m in entries[:cut])
         q_removed = 0
-        if include_quarantine and max_age_s is not None:
-            cutoff = now - max_age_s
-            for name, size, mtime in self.quarantined():
-                if mtime < cutoff:
-                    try:
-                        (self.quarantine_dir / name).unlink()
-                        q_removed += 1
-                        freed += size
-                    except OSError:
-                        pass
+        if include_quarantine and cutoff is not None:
+            q_removed, q_freed = self._remove((self.quarantine_dir / name, size)
+                                              for name, size, mtime in self.quarantined()
+                                              if mtime < cutoff)
+            freed += q_freed
         t_removed, t_freed = self._sweep_temp()
         return {
             "removed": removed,
@@ -798,31 +758,26 @@ class SweepReport:
     results: List[Optional[CaseResult]]
     #: cells served from the on-disk cache.
     hits: int = 0
-    #: cells not served from cache/journal (attempted this run).
+    #: distinct cells not served from the cache (attempted this run):
+    #: a cell the grid names twice is simulated, and counted, once.
     misses: int = 0
-    #: worker processes used (1 = serial, incl. parallel fallback).
+    #: worker processes used (1 = one worker in this process).
     workers: int = 1
     elapsed: float = 0.0
-    #: cells replayed from the resume journal.
-    resumed: int = 0
     #: retry attempts performed across all cells.
     retried: int = 0
     #: structured records of the cells that could not be completed.
     failures: List[JobFailure] = field(default_factory=list)
-    #: execution degraded to serial after repeated pool breakage.
-    degraded: bool = False
     #: corrupt cache entries discarded (and recomputed) this run.
     cache_discarded: int = 0
-    #: human-readable execution notes (e.g. unenforceable timeouts).
-    notes: List[str] = field(default_factory=list)
     #: per-cell wall-clock seconds, aligned with :attr:`jobs` (None for
-    #: cells served from cache/journal or failed).  Recorded so the
+    #: cells served from the cache, or failed).  Recorded so the
     #: manifest and the service progress stream agree on timing
     #: attribution.
     cell_elapsed: List[Optional[float]] = field(default_factory=list)
     #: per-cell executor id, aligned with :attr:`jobs`: ``"pid<n>"``
-    #: for simulated cells, ``"cache"``/``"journal"`` for replayed
-    #: ones, None for failed cells.
+    #: for simulated cells, ``"cache"`` for cached ones, None for
+    #: failed cells.
     cell_workers: List[Optional[str]] = field(default_factory=list)
 
     @property
@@ -847,14 +802,10 @@ class SweepReport:
             f"{self.ok} simulated on {self.workers} worker(s) "
             f"in {self.elapsed:.1f} s"
         )
-        if self.resumed:
-            s += f", {self.resumed} resumed from journal"
         if self.retried:
             s += f", {self.retried} retried"
         if self.failures:
             s += f", {len(self.failures)} FAILED"
-        if self.degraded:
-            s += " (degraded to serial after pool breakage)"
         return s
 
     # -- failure manifest ----------------------------------------------
@@ -880,14 +831,11 @@ class SweepReport:
             "cells": len(self.jobs),
             "ok": self.ok,
             "cache_hits": self.hits,
-            "resumed": self.resumed,
             "retried": self.retried,
             "failed": len(self.failures),
             "workers": self.workers,
-            "degraded": self.degraded,
             "cache_discarded": self.cache_discarded,
             "elapsed_s": self.elapsed,
-            "notes": list(self.notes),
             "jobs": cells,
             "failures": [f.to_dict() for f in self.failures],
         }
@@ -898,348 +846,88 @@ class SweepReport:
         write_atomic(Path(path), (json.dumps(self.manifest(), indent=2) + "\n").encode("utf-8"))
 
 
-#: pool-infrastructure failures that trigger the serial fallback;
-#: simulation errors inside a worker are *not* swallowed (they come
-#: back as structured records from :func:`execute_job`).
-_POOL_ERRORS = (
-    OSError,
-    ImportError,
-    NotImplementedError,
-    PermissionError,
-    BrokenProcessPool,
-    pickle.PicklingError,
-)
-
-#: pool teardowns tolerated before degrading to serial execution.
-_MAX_POOL_REBUILDS = 2
-
-
-class _SweepRun:
-    """One :func:`run_sweep` invocation's mutable execution state."""
-
-    def __init__(
-        self,
-        jobs: Sequence[SimJob],
-        keys: List[str],
-        opts: SweepOptions,
-        cache: Optional[ResultCache],
-        journal: Optional[SweepJournal],
-    ) -> None:
-        self.jobs = jobs
-        self.keys = keys
-        self.opts = opts
-        self.cache = cache
-        self.journal = journal
-        self.policy = opts.retry_policy()
-        self.results: List[Optional[CaseResult]] = [None] * len(jobs)
-        self.failures: List[JobFailure] = []
-        self.retried = 0
-        self.degraded = False
-        self.notes: List[str] = []
-        self.cell_elapsed: List[Optional[float]] = [None] * len(jobs)
-        self.cell_workers: List[Optional[str]] = [None] * len(jobs)
-
-    # -- bookkeeping ---------------------------------------------------
-    def complete(
-        self,
-        i: int,
-        result: CaseResult,
-        result_dict: Optional[Dict] = None,
-        elapsed: Optional[float] = None,
-        worker: Optional[str] = None,
-    ) -> None:
-        self.results[i] = result
-        self.cell_elapsed[i] = elapsed
-        self.cell_workers[i] = worker
-        if self.cache is not None:
-            self.cache.put(self.keys[i], result, job=self.jobs[i])
-        if self.journal is not None:
-            self.journal.record_result(
-                self.keys[i], result_dict if result_dict is not None else result.to_dict()
-            )
-
-    def fail(self, i: int, kind: str, exception: str, message: str, tb: str, attempts: int) -> None:
-        failure = JobFailure(
-            key=self.keys[i],
-            label=self.jobs[i].label(),
-            kind=kind,
-            exception=exception,
-            message=message,
-            traceback=tb,
-            attempts=attempts,
-        )
-        self.failures.append(failure)
-        if self.journal is not None:
-            self.journal.record_failure(failure)
-
-    def fail_record(self, i: int, record: Dict[str, Any], attempts: int) -> None:
-        """:meth:`fail` from a worker's structured error record."""
-        err = record.get("error", {})
-        self.fail(
-            i, record.get("kind", "error"), err.get("exception", "UnknownError"),
-            err.get("message", ""), err.get("traceback", ""), attempts,
-        )
-
-    def backoff(self, attempt: int, i: int) -> None:
-        self.retried += 1
-        time.sleep(self.policy.delay(attempt, self.keys[i]))
-
-    # -- in-process serial execution -----------------------------------
-    def run_serial(self, indices: Sequence[int]) -> None:
-        """The zero-infrastructure path: in-process, exceptions captured
-        per cell, retries honoured.  Wall-clock timeouts cannot be
-        enforced in-process (a wedged job never yields control)."""
-        for i in indices:
-            attempt = 0
-            while True:
-                attempt += 1
-                t0 = time.perf_counter()
-                try:
-                    result = self.jobs[i].run()
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    if attempt <= self.policy.max_retries:
-                        self.backoff(attempt, i)
-                        continue
-                    self.fail(
-                        i, "error", type(exc).__name__, str(exc),
-                        _traceback.format_exc(), attempt,
-                    )
-                    break
-                else:
-                    self.complete(
-                        i, result,
-                        elapsed=time.perf_counter() - t0,
-                        worker=f"pid{os.getpid()}",
-                    )
-                    break
-
-    # -- quarantined (isolated single-worker) execution ----------------
-    def run_quarantined(self, i: int, attempt: int) -> None:
-        """A job suspected of poisoning a shared pool (or needing an
-        enforced timeout) runs in its own single-worker process until it
-        completes or exhausts its retry budget."""
-        while True:
-            attempt += 1
-            try:
-                record = run_isolated(self.jobs[i], timeout=self.opts.timeout)
-            except _POOL_ERRORS:
-                # cannot even bring up an isolation process: last resort
-                # is the in-process path (no timeout enforcement).
-                if self.opts.timeout is not None:
-                    self.notes.append(
-                        f"{self.jobs[i].label()}: isolation pool unavailable; "
-                        f"ran in-process without timeout enforcement"
-                    )
-                self.run_serial([i])
-                return
-            if record.get("ok"):
-                self.complete(
-                    i, CaseResult.from_dict(record["result"]), record["result"],
-                    elapsed=record.get("elapsed"), worker=record.get("worker"),
-                )
-                return
-            if attempt <= self.policy.max_retries:
-                self.backoff(attempt, i)
-                continue
-            self.fail_record(i, record, attempt)
-            return
-
-    # -- shared-pool parallel execution --------------------------------
-    def run_parallel(self, indices: Sequence[int], max_workers: int) -> bool:
-        """Fan ``indices`` out across a worker pool.
-
-        Returns False when the pool infrastructure is unusable (the
-        caller falls back to :meth:`run_serial`).  Handles, without
-        aborting the sweep:
-
-        * structured error records — bounded retries with backoff;
-        * a worker crash (``BrokenProcessPool``) — every in-flight job
-          becomes a *suspect* and is retried in quarantine, where the
-          poisoned job reveals itself and innocent bystanders complete;
-        * a per-job timeout — the pool is torn down (the wedged worker
-          cannot be interrupted), the expired job goes to quarantine
-          with an enforced timeout, and unexpired in-flight jobs are
-          requeued without blame;
-        * repeated pool breakage — after ``_MAX_POOL_REBUILDS``
-          teardowns the remaining cells degrade to quarantined/serial
-          execution.
-        """
-        queue = deque((i, 1) for i in indices)
-        inflight: Dict[Any, Tuple[int, int, Optional[float]]] = {}
-        pool: Optional[ProcessPoolExecutor] = None
-        pool_breaks = 0
-        timeout = self.opts.timeout
-        try:
-            pool = ProcessPoolExecutor(max_workers=max_workers)
-        except _POOL_ERRORS:
-            return False
-        try:
-            while queue or inflight:
-                # degrade once pools have proven unreliable
-                if pool is None and pool_breaks >= _MAX_POOL_REBUILDS:
-                    self.degraded = True
-                    remaining = [i for i, _a in queue]
-                    queue.clear()
-                    if timeout is not None:
-                        for i in remaining:
-                            self.run_quarantined(i, 0)
-                    else:
-                        self.run_serial(remaining)
-                    continue
-                if pool is None:
-                    try:
-                        pool = ProcessPoolExecutor(max_workers=max_workers)
-                    except _POOL_ERRORS:
-                        pool_breaks = _MAX_POOL_REBUILDS  # force degradation
-                        continue
-                # top up the pool
-                broken = False
-                suspects: List[Tuple[int, int]] = []
-                while queue and len(inflight) < max_workers:
-                    i, attempt = queue.popleft()
-                    try:
-                        future = pool.submit(execute_job, self.jobs[i])
-                    except _POOL_ERRORS:
-                        queue.appendleft((i, attempt))
-                        broken = True
-                        break
-                    deadline = (time.monotonic() + timeout) if timeout is not None else None
-                    inflight[future] = (i, attempt, deadline)
-                expired: List[Tuple[Any, Tuple[int, int, Optional[float]]]] = []
-                if not broken and inflight:
-                    wait_for: Optional[float] = None
-                    if timeout is not None:
-                        nearest = min(dl for (_i, _a, dl) in inflight.values())
-                        wait_for = max(0.0, nearest - time.monotonic())
-                    done, _not_done = wait(
-                        set(inflight), timeout=wait_for, return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        i, attempt, _dl = inflight.pop(future)
-                        try:
-                            record = future.result()
-                        except KeyboardInterrupt:
-                            raise
-                        except BaseException:
-                            # the worker died while running this job (or
-                            # the pool broke under it): quarantine.
-                            suspects.append((i, attempt))
-                            broken = True
-                            continue
-                        if record.get("ok"):
-                            self.complete(
-                                i, CaseResult.from_dict(record["result"]), record["result"],
-                                elapsed=record.get("elapsed"), worker=record.get("worker"),
-                            )
-                        elif attempt <= self.policy.max_retries:
-                            self.backoff(attempt, i)
-                            queue.append((i, attempt + 1))
-                        else:
-                            self.fail_record(i, record, attempt)
-                    if not done and timeout is not None:
-                        now = time.monotonic()
-                        expired = [
-                            (f, v) for f, v in inflight.items()
-                            if v[2] is not None and v[2] <= now
-                        ]
-                if expired:
-                    # a worker is wedged: the pool must go (a stuck
-                    # process cannot be interrupted from outside).
-                    for future, (i, attempt, _dl) in expired:
-                        del inflight[future]
-                        suspects.append((i, attempt))
-                    broken = True
-                if broken:
-                    # unexpired in-flight jobs are innocent bystanders:
-                    # requeue them without consuming a retry.
-                    for future, (i, attempt, _dl) in list(inflight.items()):
-                        queue.appendleft((i, attempt))
-                    inflight.clear()
-                    terminate_pool(pool)
-                    pool = None
-                    pool_breaks += 1
-                    for i, attempt in suspects:
-                        self.run_quarantined(i, attempt)
-            return True
-        finally:
-            if pool is not None:
-                terminate_pool(pool)
+#: where a sweep's private broker lives: in memory where the platform
+#: has a tmpfs for it.  Nothing there outlives the sweep, and on a disk
+#: filesystem deleting what a cell's lease leaves behind can cost more
+#: than the cell (docs/sweep.md, "Execution").
+_SCRATCH = "/dev/shm" if os.access("/dev/shm", os.W_OK) else None
 
 
 def run_sweep(jobs: Sequence[SimJob], *, options: Optional[SweepOptions] = None) -> SweepReport:
     """Execute a grid of cells, reusing cached results where possible.
 
-    Cells already in the cache (or, with ``options.resume``, the
-    journal) are returned without simulating; the rest run either
-    serially (``options.jobs <= 1``) or on a process pool.  If the pool
-    cannot be brought up (restricted platforms, unpicklable state), the
-    engine degrades gracefully to serial execution — results are
-    identical either way.  A cell that crashes, times out or keeps
-    raising is recorded in ``SweepReport.failures`` and leaves a
-    ``None`` result slot; the rest of the sweep completes normally.
+    Cells already in the cache are returned without simulating, and
+    nothing else is touched for them.  The misses -- each distinct cell
+    once -- are submitted to a private
+    :class:`~repro.service.broker.FsBroker` and drained by the one
+    executor of a cell, :class:`~repro.service.worker.Worker`: in this
+    process (``options.jobs <= 1``, or a single miss), else in
+    ``options.jobs`` worker processes.  A cell that crashes, times out
+    or keeps raising is recorded in ``SweepReport.failures`` and leaves
+    ``None`` in its result slots; the rest of the sweep completes
+    normally.
     """
     opts = options if options is not None else SweepOptions()
     cache = ResultCache(opts.cache_dir) if opts.cache_enabled else None
-    journal = SweepJournal(opts.journal) if opts.journal else None
     t0 = time.perf_counter()
-
+    report = SweepReport(jobs=list(jobs), results=[None] * len(jobs),
+                         cell_elapsed=[None] * len(jobs), cell_workers=[None] * len(jobs))
     keys = [job.key() for job in jobs]
-    journaled = journal.load() if (journal is not None and opts.resume) else {}
-    run = _SweepRun(jobs, keys, opts, cache, journal)
+    misses: Dict[str, SimJob] = {}
+    for i, key in enumerate(keys):
+        found = cache.get(key) if cache is not None else None
+        if found is None:
+            misses.setdefault(key, jobs[i])
+        else:
+            report.results[i] = found
+            report.cell_workers[i] = "cache"
+            report.hits += 1
+    if misses:
+        _execute(misses, keys, opts, report)
+    report.misses = len(misses)
+    report.cache_discarded = cache.discarded if cache is not None else 0
+    report.elapsed = time.perf_counter() - t0
+    return report
 
-    pending: List[int] = []
-    hits = 0
-    resumed = 0
-    for i, job in enumerate(jobs):
-        rec = journaled.get(keys[i])
-        if rec is not None:
-            run.results[i] = CaseResult.from_dict(rec["result"])
-            run.cell_workers[i] = "journal"
-            resumed += 1
-            continue
-        if cache is not None:
-            found = cache.get(keys[i])
-            if found is not None:
-                run.results[i] = found
-                run.cell_workers[i] = "cache"
-                hits += 1
-                continue
-        pending.append(i)
 
-    workers = 1
+def _execute(misses: Dict[str, SimJob], keys: List[str], opts: SweepOptions,
+             report: SweepReport) -> None:
+    """Run ``misses`` through a private broker, publishing into the
+    sweep's cache (or the broker's own, with the cache off), and fill
+    their slots of ``report`` from the run's manifest."""
+    from repro.service.broker import FsBroker
+    from repro.service.worker import drain
+
+    root = tempfile.mkdtemp(prefix="repro-sweep-", dir=_SCRATCH)
     try:
-        if pending:
-            if opts.jobs > 1 and len(pending) > 1:
-                n_workers = min(opts.jobs, len(pending))
-                if run.run_parallel(pending, n_workers):
-                    workers = n_workers
-                else:
-                    run.run_serial(pending)
-            elif opts.timeout is not None:
-                # timeouts need a worker process even for serial runs
-                for i in pending:
-                    run.run_quarantined(i, 0)
-            else:
-                run.run_serial(pending)
+        broker = FsBroker(root, cache_dir=opts.cache_dir if opts.cache_enabled else None)
+        run = broker.submit(list(misses.values()), experiment="sweep")
+        report.workers = max(1, min(opts.jobs, len(misses)))
+        # what ran in this process comes back as it filled it; the rest
+        # is read from the cache it was published into
+        fresh = drain(broker, misses, report.workers, policy=opts.retry_policy(),
+                      timeout=opts.timeout)
+        manifest = broker.run_manifest(run.id)
+        done = {
+            cell["key"]: (
+                CaseResult.from_dict(fresh[cell["key"]]["result"]) if cell["key"] in fresh
+                else broker.cache.get(cell["key"]),
+                cell.get("worker"),
+                cell.get("elapsed_s"),
+            )
+            for cell in manifest["jobs"] if cell["status"] == "ok"
+        }
+        for i, key in enumerate(keys):
+            if report.results[i] is None and key in done:
+                report.results[i], report.cell_workers[i], report.cell_elapsed[i] = done[key]
+        report.retried = manifest["retried"]
+        report.failures = [
+            JobFailure(
+                key=f["key"], label=f["label"], kind=f.get("kind", "error"),
+                exception=f.get("exception", "UnknownError"), message=f.get("message", ""),
+                traceback=f.get("traceback", ""), attempts=int(f.get("attempts") or 1),
+            )
+            for f in manifest["failures"]
+        ]
     finally:
-        if journal is not None:
-            journal.close()
-
-    return SweepReport(
-        jobs=list(jobs),
-        results=run.results,
-        hits=hits,
-        misses=len(pending),
-        workers=workers,
-        elapsed=time.perf_counter() - t0,
-        resumed=resumed,
-        retried=run.retried,
-        failures=run.failures,
-        degraded=run.degraded,
-        cache_discarded=cache.discarded if cache is not None else 0,
-        notes=run.notes,
-        cell_elapsed=run.cell_elapsed,
-        cell_workers=run.cell_workers,
-    )
+        shutil.rmtree(root, ignore_errors=True)

@@ -2,7 +2,9 @@
 
 The sweep engine (:mod:`repro.experiments.sweep`) treats an experiment
 as a grid of independent :class:`~repro.experiments.sweep.SimJob`
-cells; this package lets those cells leave the machine:
+cells and runs the ones it has not cached through a private broker;
+this package is that broker, its worker, and what lets cells leave
+the machine:
 
 * :mod:`repro.service.api` — the wire protocol: a lossless JSON codec
   for ``SimJob`` (:func:`~repro.service.api.job_to_spec` /
@@ -14,9 +16,9 @@ cells; this package lets those cells leave the machine:
   expiry + exactly-once requeue, heartbeats and idempotent completion
   keyed by the content-addressed cache key;
 * :mod:`repro.service.worker` — :class:`~repro.service.worker.Worker`,
-  the pull-based executor behind ``repro worker --broker URL``,
-  reusing the PR 3 resilience machinery (retries with deterministic
-  backoff, quarantine/timeout isolation, journal) per lease;
+  the pull-based executor of a cell: behind ``repro worker --broker
+  URL``, and every worker of a local sweep (retries with deterministic
+  backoff and per-attempt timeouts, per lease);
 * :mod:`repro.service.server` — ``repro serve``: a stdlib
   ``ThreadingHTTPServer`` front-end to submit experiments
   (``POST /experiments``), stream cell-level progress as NDJSON/SSE
@@ -24,33 +26,36 @@ cells; this package lets those cells leave the machine:
   telemetry bundles, and scrape live Prometheus metrics
   (``GET /metrics``).
 
+The names below are imported on first use, so that a local sweep,
+which needs only the broker and the worker, does not load the HTTP
+stack.
+
 Determinism contract: a cell executed by a remote worker is the same
-``SimJob.run()`` the in-process engine calls, completed into the same
-content-addressed cache — results are byte-identical to an in-process
-sweep, however many workers raced for the lease.  See
-``docs/service.md``.
+``SimJob.run()`` a local sweep's worker calls, completed into the same
+content-addressed cache — results are byte-identical, however many
+workers raced for the lease.  See ``docs/service.md``.
 """
 
-from repro.service.api import (
-    HttpBroker,
-    ServiceClient,
-    connect_broker,
-    job_from_spec,
-    job_to_spec,
-)
-from repro.service.broker import FsBroker, Lease
-from repro.service.server import ServiceServer, serve
-from repro.service.worker import Worker
+import importlib
 
-__all__ = [
-    "FsBroker",
-    "HttpBroker",
-    "Lease",
-    "ServiceClient",
-    "ServiceServer",
-    "Worker",
-    "connect_broker",
-    "job_from_spec",
-    "job_to_spec",
-    "serve",
-]
+#: name -> the module of this package that defines it.
+_EXPORTS = {
+    "FsBroker": "broker",
+    "Lease": "broker",
+    "HttpBroker": "api",
+    "ServiceClient": "api",
+    "connect_broker": "api",
+    "job_from_spec": "api",
+    "job_to_spec": "api",
+    "ServiceServer": "server",
+    "serve": "server",
+    "Worker": "worker",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)

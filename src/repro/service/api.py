@@ -25,7 +25,6 @@ See ``docs/service.md`` for the endpoint inventory.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import http.client
 import json
@@ -36,6 +35,7 @@ from urllib.parse import urlsplit
 
 from repro.core.params import CCParams
 from repro.experiments.sweep import AXES, SimJob
+from repro.service.broker import SPEC_SCHEMA, FsBroker, Lease, job_to_spec
 
 __all__ = [
     "SPEC_SCHEMA",
@@ -47,38 +47,13 @@ __all__ = [
     "connect_broker",
 ]
 
-#: bumped when the spec shape changes incompatibly; decoders reject
-#: schemas they do not understand instead of guessing.
-SPEC_SCHEMA = 1
-
-
 class ServiceError(RuntimeError):
     """A service/broker request failed (transport or protocol level)."""
 
 
 # ----------------------------------------------------------------------
-# SimJob <-> JSON spec
+# SimJob <-> JSON spec (the encoder is the broker's: it enqueues specs)
 # ----------------------------------------------------------------------
-def job_to_spec(job: SimJob) -> Dict[str, Any]:
-    """Flatten one cell into a JSON-safe dict (lossless; see
-    :func:`job_from_spec`).  What the cell leaves at its default is
-    left out (``SimJob.axes``), so specs stay small and stable."""
-    spec: Dict[str, Any] = {
-        "schema": SPEC_SCHEMA,
-        "case": job.case,
-        "scheme": job.scheme,
-        "time_scale": job.time_scale,
-        "seed": job.seed,
-    }
-    if job.params is not None:
-        spec["params"] = dataclasses.asdict(job.params)
-    if job.extra:
-        spec["extra"] = dict(job.extra)
-    for axis, value in job.axes():
-        spec[axis.name] = axis.wire(value)
-    return spec
-
-
 def job_from_spec(spec: Dict[str, Any]) -> SimJob:
     """Rebuild a :class:`SimJob` from :func:`job_to_spec` output:
     ``job_from_spec(job_to_spec(job)) == job``, key and label with it.
@@ -319,8 +294,6 @@ class HttpBroker(_HttpClient):
     def claim(self, worker: str):
         """Lease the oldest pending cell; None when ``LONG_POLL_S`` went
         by without one."""
-        from repro.service.broker import Lease
-
         asked = time.monotonic()
         rec = self._request(
             "/broker/claim", {"worker": worker, "wait": LONG_POLL_S}, wait=LONG_POLL_S
@@ -352,6 +325,10 @@ class HttpBroker(_HttpClient):
         )
         return bool(rec.get("stored"))
 
+    def retry(self, key: str, worker: str, attempt: int, exception: Optional[str] = None) -> None:
+        self._request("/broker/retry", {"key": key, "worker": worker, "attempt": attempt,
+                                        "exception": exception})
+
     def fail(self, key: str, worker: str, failure: Dict[str, Any]) -> None:
         self._request("/broker/fail", {"key": key, "worker": worker, "failure": failure})
 
@@ -366,7 +343,5 @@ def connect_broker(url: str, timeout: float = 30.0):
     directory directly via :class:`repro.service.broker.FsBroker`."""
     if url.startswith(("http://", "https://")):
         return HttpBroker(url, timeout=timeout)
-    from repro.service.broker import FsBroker
-
     path = url[len("dir://"):] if url.startswith("dir://") else url
     return FsBroker(path)

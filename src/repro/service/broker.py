@@ -13,11 +13,14 @@ front-end) can share it without a coordinator:
 * **heartbeat** — the lease is alive while the worker keeps touching
   the ``active/`` file's mtime; a worker that dies simply stops;
 * **reap** — anyone may sweep ``active/`` for leases whose mtime has
-  fallen ``lease_ttl`` behind and rename them back to ``queue/``
-  (again atomic — the expired cell is requeued *exactly once* however
-  many reapers race).  A cell that keeps losing its lease moves to
-  ``failed/`` after ``max_requeues`` with a synthetic ``LeaseExpired``
-  failure instead of looping forever;
+  fallen ``lease_ttl`` behind and requeue them: renamed to a name only
+  the requeue uses (atomic — the expired cell is requeued *exactly
+  once* however many reapers race), rewritten there, and published
+  into ``queue/`` with one more rename.  A cell that keeps losing its
+  lease moves to ``failed/`` after ``max_requeues`` with a synthetic
+  ``LeaseExpired`` failure instead of looping forever.  **release**
+  requeues (or fails) the leases of a worker known to be dead the same
+  way, without waiting for them to expire;
 * **complete** — the worker publishes the ``CaseResult`` into the
   shared content-addressed :class:`~repro.experiments.sweep.ResultCache`
   namespace and stamps a ``done/<key>.json`` marker created with
@@ -25,17 +28,20 @@ front-end) can share it without a coordinator:
   that was requeued and re-finished) is a structural no-op: the cache
   write is byte-identical by construction and the marker creation
   simply loses the race;
-* **events** — every transition appends one NDJSON line to
-  ``events.jsonl`` (single ``O_APPEND`` writes), the progress stream
-  ``repro serve`` tails.
+* **events** — every transition, and every retry a worker makes
+  inside its lease, appends one NDJSON line to ``events.jsonl``
+  (single ``O_APPEND`` writes), the progress stream ``repro serve``
+  tails.
 
-Nothing here interprets a result: the broker moves opaque job specs
-(:func:`repro.service.api.job_to_spec`) and accounts for their state.
+Nothing here interprets a result: the broker enqueues each cell as a
+job spec (:func:`job_to_spec`), moves it opaquely from state to state
+and accounts for it.
 See ``docs/service.md`` for the on-disk layout and protocol.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -44,11 +50,11 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.experiments.sweep import ResultCache, SimJob, write_atomic
 
-__all__ = ["FsBroker", "Lease", "default_worker_id"]
+__all__ = ["FsBroker", "Lease", "SPEC_SCHEMA", "default_worker_id", "job_to_spec"]
 
 #: lease requeues tolerated before a cell is declared lost.
 DEFAULT_MAX_REQUEUES = 3
@@ -116,6 +122,33 @@ class RunRecord:
             cached=list(data.get("cached", ())),
             log_offset=int(data.get("log_offset", 0)),
         )
+
+
+#: bumped when the spec shape changes incompatibly; decoders
+#: (:func:`repro.service.api.job_from_spec`) reject schemas they do not
+#: understand instead of guessing.
+SPEC_SCHEMA = 1
+
+
+def job_to_spec(job: SimJob) -> Dict[str, Any]:
+    """Flatten one cell into the JSON-safe dict a queue entry carries
+    (lossless; see :func:`repro.service.api.job_from_spec`).  What the
+    cell leaves at its default is left out (``SimJob.axes``), so specs
+    stay small and stable."""
+    spec: Dict[str, Any] = {
+        "schema": SPEC_SCHEMA,
+        "case": job.case,
+        "scheme": job.scheme,
+        "time_scale": job.time_scale,
+        "seed": job.seed,
+    }
+    if job.params is not None:
+        spec["params"] = dataclasses.asdict(job.params)
+    if job.extra:
+        spec["extra"] = dict(job.extra)
+    for axis, value in job.axes():
+        spec[axis.name] = axis.wire(value)
+    return spec
 
 
 def _write_atomic(path: Path, payload: Dict[str, Any]) -> None:
@@ -213,16 +246,18 @@ class FsBroker:
         return data[:end], offset + end
 
     def read_events(
-        self, offset: int = 0, kind: Optional[str] = None
+        self, offset: int = 0, kind: Union[str, Tuple[str, ...], None] = None
     ) -> Tuple[List[Dict[str, Any]], int]:
         """The event log from byte ``offset`` on, decoded, and the
         offset to resume from -- a tail reads only what is new.  With
-        ``kind``, lines of any other kind are skipped undecoded."""
+        ``kind`` (one, or a tuple), lines of any other kind are skipped
+        undecoded."""
         data, offset = self._read_log(offset)
         lines = data.splitlines()
         if kind is not None:
-            marker = _EVENT_KIND % kind.encode("utf-8")
-            lines = [line for line in lines if marker in line]
+            markers = [_EVENT_KIND % k.encode("utf-8")
+                       for k in ((kind,) if isinstance(kind, str) else kind)]
+            lines = [line for line in lines if any(m in line for m in markers)]
         records = []
         for line in lines:
             try:
@@ -269,8 +304,6 @@ class FsBroker:
         being probed logs its ``claim`` ahead of that cell's
         ``enqueue``.
         """
-        from repro.service.api import job_to_spec
-
         try:
             log_offset = self.events_path.stat().st_size
         except FileNotFoundError:
@@ -320,15 +353,17 @@ class FsBroker:
         empty.  Claiming is an atomic rename: exactly one of any number
         of racing workers wins each cell."""
         queue_dir = self.root / "queue"
+        pending = []
         try:
-            names = sorted(
-                queue_dir.iterdir(), key=lambda p: (p.stat().st_mtime, p.name)
-            )
+            for path in queue_dir.iterdir():
+                if path.suffix == ".json":
+                    try:
+                        pending.append((path.stat().st_mtime, path.name, path))
+                    except OSError:
+                        continue  # claimed while the queue was being listed
         except OSError:
-            names = []
-        for path in names:
-            if path.suffix != ".json":
-                continue
+            pass
+        for _mtime, _name, path in sorted(pending):
             key = path.stem
             target = self._active(key)
             try:
@@ -406,6 +441,11 @@ class FsBroker:
         self._event("complete", key, worker=worker, elapsed=elapsed)
         return True
 
+    def retry(self, key: str, worker: str, attempt: int, exception: Optional[str] = None) -> None:
+        """Log that ``worker`` backs off to ``attempt`` of a cell it
+        still holds: a retry is an event, as a requeue is."""
+        self._event("retry", key, worker=worker, attempt=attempt, exception=exception)
+
     def fail(self, key: str, worker: str, failure: Dict[str, Any]) -> None:
         """Record a cell whose worker gave up (retries exhausted)."""
         record = _read_json(self._active(key)) or {"key": key}
@@ -438,21 +478,15 @@ class FsBroker:
         """Requeue every expired lease; returns ``(requeued, lost)``.
 
         Expiry is judged by the ``active/`` file's mtime (the heartbeat
-        target).  The rename back to ``queue/`` is atomic, so however
-        many processes reap concurrently, an expired cell is requeued
-        exactly once.  A cell requeued more than ``max_requeues`` times
-        is declared lost with a synthetic ``LeaseExpired`` failure.
+        target).  A requeue starts with an atomic rename (``_requeue``),
+        so however many processes reap concurrently, an expired cell is
+        requeued exactly once.  A cell requeued more than
+        ``max_requeues`` times is declared lost with a synthetic
+        ``LeaseExpired`` failure.
         """
         now = time.time() if now is None else now
         requeued = lost = 0
-        active_dir = self.root / "active"
-        try:
-            entries = list(active_dir.iterdir())
-        except OSError:
-            return (0, 0)
-        for path in entries:
-            if path.suffix != ".json":
-                continue
+        for path in self._leases():
             try:
                 age = now - path.stat().st_mtime
             except OSError:
@@ -474,20 +508,58 @@ class FsBroker:
                     "worker": holder,
                 })
                 lost += 1
-                continue
-            target = self._queued(key)
-            try:
-                os.rename(path, target)
-            except OSError:
-                continue  # a racing reaper (or completion) got there first
-            record["attempt"] = attempt + 1
-            record.pop("worker", None)
-            record.pop("leased_at", None)
-            _write_atomic(target, record)
-            os.utime(target)
-            self._event("requeue", key, worker=holder, attempt=attempt + 1)
-            requeued += 1
+            elif self._requeue(path):
+                requeued += 1
         return (requeued, lost)
+
+    def release(self, worker: str, failure: Dict[str, Any], attempts: int) -> int:
+        """Give back at once every lease ``worker`` holds -- a worker
+        known to be dead need not wait out its lease.  A cell delivered
+        fewer than ``attempts`` times is requeued as the reaper requeues
+        it; the others fail with ``failure``.  Returns the leases
+        released."""
+        released = 0
+        for path in self._leases():
+            record = _read_json(path)
+            if record is None or record.get("worker") != worker:
+                continue
+            attempt = int(record.get("attempt", 1))
+            if attempt >= attempts:
+                self._fail_record(path.stem, record,
+                                  {**failure, "worker": worker, "attempts": attempt})
+            elif not self._requeue(path):
+                continue
+            released += 1
+        return released
+
+    def _leases(self) -> List[Path]:
+        try:
+            return [p for p in (self.root / "active").iterdir() if p.suffix == ".json"]
+        except OSError:
+            return []
+
+    def _requeue(self, path: Path) -> bool:
+        """Put the leased cell at ``path`` back in the queue: stage, then
+        publish.  The rename into a name only this step uses is the
+        exclusive one (of racing reapers, one wins); the record is
+        rewritten there, out of every claimant's sight, and one rename
+        publishes it.  So a claim finds the cell leased or requeued --
+        never a queue entry for a cell that is still leased -- and the
+        event is logged whenever the cell moved."""
+        key = path.stem
+        staged = path.with_suffix(".requeue")
+        try:
+            os.rename(path, staged)
+        except OSError:
+            return False  # a racing reaper (or a completion) got there first
+        record = _read_json(staged) or {"key": key, "attempt": 1}
+        holder = record.pop("worker", None)
+        record.pop("leased_at", None)
+        record["attempt"] = attempt = int(record.get("attempt", 1)) + 1
+        _write_atomic(staged, record)  # a new file: its mtime, the queue's order, is now
+        os.rename(staged, self._queued(key))
+        self._event("requeue", key, worker=holder, attempt=attempt)
+        return True
 
     # -- accounting ----------------------------------------------------
     def counts(self) -> Dict[str, int]:
@@ -562,10 +634,10 @@ class FsBroker:
     def run_manifest(self, run_id: str) -> Optional[Dict[str, Any]]:
         """A sweep-manifest-shaped account of one run: per-cell status,
         worker attribution and wall-clock (from the ``done`` markers),
-        failures, and every lease requeue since the run was submitted
-        (the log is read from ``run.log_offset``, not from its start) —
-        so the progress stream and the manifest tell one timing story
-        (docs/robustness.md)."""
+        failures, and every lease requeue and in-worker retry since the
+        run was submitted (the log is read from ``run.log_offset``, not
+        from its start) — so the progress stream and the manifest tell
+        one timing story (docs/robustness.md)."""
         run = self.run(run_id)
         if run is None:
             return None
@@ -590,10 +662,11 @@ class FsBroker:
             if failure is not None:
                 failures.append(failure)
             cells.append(cell)
-        requeues = [
-            ev for ev in self.read_events(run.log_offset, kind="requeue")[0]
+        events = [
+            ev for ev in self.read_events(run.log_offset, kind=("requeue", "retry"))[0]
             if ev.get("key") in run.labels
         ]
+        requeues = [ev for ev in events if ev["kind"] == "requeue"]
         ok = sum(1 for c in cells if c["status"] == "ok")
         return {
             "schema": 1,
@@ -604,6 +677,7 @@ class FsBroker:
             "failed": len(failures),
             "cache_hits": len(run.cached),
             "requeued": len(requeues),
+            "retried": len(events) - len(requeues),
             "jobs": cells,
             "failures": failures,
             "requeues": requeues,

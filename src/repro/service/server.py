@@ -17,13 +17,14 @@ that requeues expired leases, and exposes:
                               with ``Accept: text/event-stream``);
                               ``?follow=1`` streams until the run ends
 ``GET  /runs/<id>/manifest``  sweep-manifest-shaped account (workers,
-                              per-cell wall-clock, failures, requeues)
+                              per-cell wall-clock, failures, requeues,
+                              retries)
 ``GET  /results/<key>``       a cached ``CaseResult`` (the cache = CDN):
                               the stored bytes, verified, not re-encoded
 ``GET  /results/<key>/telemetry``  the cell's telemetry bundle
 ``GET  /metrics``             live Prometheus exposition: service
                               gauges + the freshest telemetry bundle
-``POST /broker/claim|heartbeat|complete|fail``   the worker protocol;
+``POST /broker/claim|heartbeat|retry|complete|fail``   the worker protocol;
                               ``claim`` with ``"wait": S`` blocks until
                               a cell is there or ``S`` seconds pass
 ``GET  /healthz``             liveness probe
@@ -32,7 +33,7 @@ that requeues expired leases, and exposes:
 Workers may attach either directly to the broker directory
 (``repro worker --broker /path``) or over TCP through this server
 (``repro worker --broker http://host:8642``) — the protocol is the
-same four verbs either way.
+same five verbs either way.
 
 Nothing on the HTTP path polls: connections are kept alive, and a
 request that waits sleeps on one condition the server notifies after
@@ -315,6 +316,14 @@ class _Handler(BaseHTTPRequestHandler):
             )
             svc.notify()
             self._json({"ok": True, "stored": stored})
+        elif parts == ["broker", "retry"]:
+            body = self._body()
+            if not body.get("key"):
+                raise _BadRequest("retry needs 'key'")
+            broker.retry(body["key"], body.get("worker", "anonymous"),
+                         int(body.get("attempt") or 0), body.get("exception"))
+            svc.notify()
+            self._json({"ok": True})
         elif parts == ["broker", "fail"]:
             body = self._body()
             if not body.get("key"):
@@ -493,8 +502,8 @@ class ServiceServer:
             try:
                 if any(self.broker.reap()):
                     self.notify()
-            except Exception:
-                pass
+            except Exception as exc:  # the next pass tries again; say why this one did not
+                print(f"repro serve: reaper: {type(exc).__name__}: {exc}", file=sys.stderr)
 
     # -- waiting -------------------------------------------------------
     def notify(self) -> None:

@@ -1,41 +1,42 @@
-"""Pull-based sweep worker: ``repro worker --broker URL``.
+"""Pull-based cell executor: ``repro worker --broker URL``, and every
+worker of a local sweep.
 
 The worker is a loop around the broker protocol: claim a lease,
-execute the cell, publish the result, repeat.  Execution reuses the
-PR 3 resilience machinery *per lease*:
+execute the cell, publish the result, repeat.  It is the one executor
+of a cell: ``repro worker`` runs it against a shared broker, and
+:func:`~repro.experiments.sweep.run_sweep` runs it against a private
+one, in process or in ``--jobs`` worker processes.  Per lease it brings
 
-* bounded retries with the same deterministic
-  :class:`~repro.experiments.resilience.RetryPolicy` backoff the
-  in-process engine uses;
-* an optional per-cell wall-clock ``timeout``, enforced by running the
-  cell in a quarantine process
-  (:func:`~repro.experiments.resilience.run_isolated`) exactly like
-  the sweep engine's timeout path;
-* an optional :class:`~repro.experiments.resilience.SweepJournal`, so
-  a worker doubles as a durable executor;
+* bounded retries with the deterministic
+  :class:`~repro.experiments.resilience.RetryPolicy` backoff, each one
+  logged as a ``retry`` event;
+* an optional per-cell wall-clock ``timeout``, enforced by running
+  each attempt in its own process
+  (:func:`~repro.experiments.resilience.run_isolated`);
 * a heartbeat thread that keeps the lease alive while the cell runs —
   a worker that dies simply stops heartbeating, the lease expires, and
   the broker requeues the cell for someone else.
 
 Because a cell is executed by the very same
-:meth:`SimJob.run() <repro.experiments.sweep.SimJob.run>` the
-in-process engine calls, and completed into the same content-addressed
-cache key, results are byte-identical to an in-process sweep no matter
-which worker (or how many, racing) ran the cell.
+:meth:`SimJob.run() <repro.experiments.sweep.SimJob.run>` wherever it
+runs, and completed into the same content-addressed cache key, results
+are byte-identical no matter which worker (or how many, racing) ran
+the cell.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.connection
+import os
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Mapping, Optional
 
-from repro.experiments.resilience import RetryPolicy, SweepJournal, execute_job, run_isolated
-from repro.experiments.runner import CaseResult
-from repro.service.api import connect_broker, job_from_spec
+from repro.experiments.resilience import WORKER_CRASH, RetryPolicy, execute_job, run_isolated
 from repro.service.broker import FsBroker, Lease, default_worker_id
 
-__all__ = ["Worker"]
+__all__ = ["Worker", "drain"]
 
 
 class _Heartbeat:
@@ -76,12 +77,18 @@ class Worker:
     ``broker`` is a broker client (:class:`~repro.service.broker.FsBroker`
     or :class:`~repro.service.api.HttpBroker`) or a ``--broker`` URL
     string for :func:`~repro.service.api.connect_broker`; a broker
-    opened from a URL is closed when :meth:`run` returns.
+    opened from a URL is closed when :meth:`run` returns.  (The HTTP
+    stack of :mod:`repro.service.api` is loaded only for a URL or a
+    spec to decode: a local sweep's workers never need it.)
 
     ``poll_interval`` is the idle sleep between claims on a broker
     *directory*, where nothing can wake the worker.  Over HTTP the
     claim itself blocks in the server until a cell arrives, so there
     is nothing to sleep for.
+
+    ``jobs`` maps lease keys to the cells to execute.  A local sweep's
+    workers hold the very ``SimJob`` objects the sweep was handed;
+    without it (``repro worker``), each lease's wire spec is decoded.
     """
 
     def __init__(
@@ -93,20 +100,24 @@ class Worker:
         timeout: Optional[float] = None,
         heartbeat_interval: Optional[float] = None,
         poll_interval: float = 0.5,
-        journal: Optional[str] = None,
         max_cells: Optional[int] = None,
         idle_exit: Optional[float] = None,
+        jobs: Optional[Mapping[str, Any]] = None,
     ) -> None:
         self._owns_broker = isinstance(broker, str)
-        self.broker = connect_broker(broker) if self._owns_broker else broker
+        if self._owns_broker:
+            from repro.service.api import connect_broker
+
+            broker = connect_broker(broker)
+        self.broker = broker
         self.id = worker_id if worker_id is not None else default_worker_id()
         self.policy = policy if policy is not None else RetryPolicy()
         self.timeout = timeout
         self.heartbeat_interval = heartbeat_interval
         self.poll_interval = poll_interval
-        self.journal = SweepJournal(journal) if journal else None
         self.max_cells = max_cells
         self.idle_exit = idle_exit
+        self.jobs = jobs
         #: cells completed / failed by *this* worker (for reporting).
         self.completed = 0
         self.failed = 0
@@ -118,43 +129,50 @@ class Worker:
 
     # -- execution -----------------------------------------------------
     def _attempt(self, job) -> Dict[str, Any]:
-        """One execution attempt, through the engine's own entry points:
-        quarantined with an enforced timeout when configured, in-process
-        otherwise.  Always returns a structured record."""
+        """One execution attempt: in a process of its own with an
+        enforced timeout when configured, in-process otherwise.  Always
+        returns a structured record."""
         if self.timeout is not None:
             return run_isolated(job, timeout=self.timeout)
         return execute_job(job)
 
-    def run_lease(self, lease: Lease) -> bool:
-        """Execute one leased cell end to end; True when it completed.
+    def _job(self, lease: Lease):
+        """The cell a lease names, or None once it has been failed
+        because its spec does not decode to a cell with the lease's
+        key."""
+        if self.jobs is not None:
+            return self.jobs[lease.key]
+        from repro.service.api import job_from_spec
+
+        try:
+            job = job_from_spec(lease.spec)
+        except Exception as exc:
+            message, exception = f"undecodable job spec: {exc}", type(exc).__name__
+        else:
+            if job.key() == lease.key:
+                return job
+            exception = "KeyMismatch"
+            message = (
+                f"spec hashes to {job.key()[:12]}..., lease says {lease.key[:12]}... "
+                "(version skew between submitter and worker?)"
+            )
+        self._give_up(lease, {"exception": exception, "message": message,
+                              "kind": "error", "attempts": 0})
+        return None
+
+    def run_lease(self, lease: Lease) -> Optional[Dict[str, Any]]:
+        """Execute one leased cell end to end: the :func:`execute_job`
+        record of the attempt that completed it, or None when the cell
+        failed.
 
         The lease's heartbeat stays alive for the whole retry budget.
         A lease the broker reports lost mid-run is still completed —
         completion is idempotent, so the worst case of a slow worker is
         a duplicate no-op, never a divergent result.
         """
-        try:
-            job = job_from_spec(lease.spec)
-        except Exception as exc:
-            self._give_up(lease, None, {
-                "exception": type(exc).__name__,
-                "message": f"undecodable job spec: {exc}",
-                "kind": "error",
-                "attempts": 0,
-            })
-            return False
-        if job.key() != lease.key:
-            self._give_up(lease, None, {
-                "exception": "KeyMismatch",
-                "message": (
-                    f"spec hashes to {job.key()[:12]}..., lease says "
-                    f"{lease.key[:12]}... (version skew between submitter "
-                    "and worker?)"
-                ),
-                "kind": "error",
-                "attempts": 0,
-            })
-            return False
+        job = self._job(lease)
+        if job is None:
+            return None
         interval = (
             self.heartbeat_interval
             if self.heartbeat_interval is not None
@@ -171,43 +189,25 @@ class Worker:
                     self.broker.complete(
                         lease.key, self.id, record["result"], elapsed=elapsed
                     )
-                    if self.journal is not None:
-                        self.journal.record_result(lease.key, record["result"])
                     self.completed += 1
-                    return True
+                    return record
+                err = record.get("error", {})
                 if attempt <= self.policy.max_retries and not self._stop.is_set():
+                    self.broker.retry(lease.key, self.id, attempt + 1, err.get("exception"))
                     time.sleep(self.policy.delay(attempt, lease.key))
                     continue
-                err = record.get("error", {})
-                self._give_up(lease, job.label(), {
+                self._give_up(lease, {
                     "exception": err.get("exception", "UnknownError"),
                     "message": err.get("message", ""),
                     "traceback": err.get("traceback", ""),
                     "kind": record.get("kind", "error"),
                     "attempts": attempt,
                 })
-                return False
+                return None
 
-    def _give_up(self, lease: Lease, label: Optional[str], failure: Dict[str, Any]) -> None:
-        """Fail the lease and journal it -- under ``label``, the decoded
-        job's (what `repro sweep --journal` writes for the cell); with
-        none, under what the raw spec still tells."""
+    def _give_up(self, lease: Lease, failure: Dict[str, Any]) -> None:
         self.failed += 1
         self.broker.fail(lease.key, self.id, failure)
-        if self.journal is not None:
-            from repro.experiments.resilience import JobFailure
-
-            if label is None:
-                label = str(lease.spec.get("case", "?")) if lease.spec else lease.key[:12]
-            self.journal.record_failure(JobFailure(
-                key=lease.key,
-                label=label,
-                kind=failure.get("kind", "error"),
-                exception=failure.get("exception", "UnknownError"),
-                message=failure.get("message", ""),
-                traceback=failure.get("traceback", ""),
-                attempts=int(failure.get("attempts", 1) or 1),
-            ))
 
     # -- the pull loop -------------------------------------------------
     def run(self) -> Dict[str, Any]:
@@ -218,8 +218,6 @@ class Worker:
         try:
             self._pull()
         finally:
-            if self.journal is not None:
-                self.journal.close()
             if self._owns_broker:
                 self.broker.close()
         return {
@@ -251,8 +249,69 @@ class Worker:
             idle_since = None
             self.run_lease(lease)
 
-    # -- convenience ---------------------------------------------------
-    def fetch_result(self, key: str) -> Optional[CaseResult]:
-        """The shared-cache view of one cell (FsBroker only)."""
-        cache = getattr(self.broker, "cache", None)
-        return cache.get(key) if cache is not None else None
+
+def drain(
+    broker: FsBroker,
+    jobs: Mapping[str, Any],
+    processes: int = 1,
+    *,
+    policy: Optional[RetryPolicy] = None,
+    timeout: Optional[float] = None,
+) -> Dict[str, Dict[str, Any]]:
+    """Execute every cell queued on ``broker`` -- a local sweep's private
+    one -- with local workers over ``jobs``: one :class:`Worker` in this
+    process, or ``processes`` worker processes.  Returns, by key, the
+    completion records of the cells this process ran (none, when
+    worker processes ran them).
+
+    The processes are forked or spawned as the platform does by
+    default, and one that cannot start raises.  One that exits non-zero
+    has its lease released at once -- the cell requeued while it has
+    attempts left, else failed as a crash -- and is replaced while cells
+    remain queued; one that dies holding no cell raises.
+    """
+    policy = policy if policy is not None else RetryPolicy()
+    if processes <= 1:
+        worker = Worker(broker, f"pid{os.getpid()}", policy=policy, timeout=timeout, jobs=jobs)
+        done = {}
+        while (lease := broker.claim(worker.id)) is not None:
+            record = worker.run_lease(lease)
+            if record is not None:
+                done[lease.key] = record
+        return done
+
+    args = (str(broker.root), str(broker.cache.root), jobs, policy, timeout)
+    running: Dict[int, Any] = {}
+
+    def start() -> None:
+        proc = multiprocessing.Process(target=_work, args=args)
+        proc.start()
+        running[proc.sentinel] = proc
+
+    try:
+        for _ in range(processes):
+            start()
+        while running:
+            for sentinel in multiprocessing.connection.wait(list(running)):
+                proc = running.pop(sentinel)
+                proc.join()
+                if not proc.exitcode:
+                    continue
+                crash = dict(WORKER_CRASH, kind="crash")
+                if not broker.release(f"pid{proc.pid}", crash, attempts=policy.max_retries + 1):
+                    raise RuntimeError(f"sweep worker pid{proc.pid} exited with code "
+                                       f"{proc.exitcode} holding no cell")
+                if broker.counts()["queue"]:
+                    start()
+    finally:
+        for proc in running.values():
+            proc.terminate()
+            proc.join()
+    return {}
+
+
+def _work(root: str, cache_dir: str, jobs: Mapping[str, Any], policy: RetryPolicy,
+          timeout: Optional[float]) -> None:
+    """One local worker process: drain the broker at ``root``, then exit."""
+    Worker(FsBroker(root, cache_dir=cache_dir), f"pid{os.getpid()}", policy=policy,
+           timeout=timeout, idle_exit=0, jobs=jobs).run()

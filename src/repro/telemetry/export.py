@@ -55,8 +55,7 @@ def write_jsonl(bundle: Dict[str, Any], path, events: Optional[List] = None) -> 
     per-entity rows), one ``event`` record per traced protocol event
     (when ``events`` — e.g. ``trace.events`` — is given), and one
     ``tree`` record per reconstructed lifecycle.  The file is flushed
-    and fsync'd before close (same durability contract as the sweep
-    journal).  Returns ``path``."""
+    and fsync'd before close.  Returns ``path``."""
     times = bundle.get("times", [])
     network = bundle.get("network", [])
     with open(path, "w") as fh:

@@ -52,7 +52,9 @@ def test_ci_workflow_names_things_that_exist():
     would rot it unseen: every ``tests/`` / ``benchmarks/`` /
     ``scripts/`` path it names is on disk, and every ``python -m
     repro`` line parses with the real parser to a command the CLI
-    dispatches."""
+    dispatches.  So does every command line of the fenced blocks of
+    README.md and docs/*.md: a removed flag cannot live on in an
+    example."""
     import re
     import shlex
 
@@ -64,6 +66,12 @@ def test_ci_workflow_names_things_that_exist():
     assert paths and not [p for p in paths if not (root / p).exists()]
     lines = re.findall(r"python -m repro (.+)", re.sub(r"\\\n\s*", "", text))
     assert lines
-    for line in lines:
-        args = build_parser().parse_args(shlex.split(line))  # SystemExit on a stale flag
-        assert args.command in _COMMANDS
+    documented = []
+    for doc in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
+        for block in re.findall(r"^```[^\n]*\n(.*?)^```", doc.read_text(), re.M | re.S):
+            documented += re.findall(r"^\s*(?:\$ )?python -m repro (.+)",
+                                     re.sub(r"\\\n\s*", "", block), re.M)
+    assert len(documented) > 10
+    for line in lines + documented:
+        args = build_parser().parse_args(shlex.split(line, comments=True))  # SystemExit on a stale flag
+        assert args.command in _COMMANDS, line

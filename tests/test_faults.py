@@ -7,7 +7,7 @@ oracle), the
 stall watchdog's fault snapshot, byte-identity of fault-free runs,
 cache-key semantics, the routing reaction (adaptive rides out a kill
 that makes det drop at the source; the delayed deterministic re-route
-recovers), the journal torn-line warning and error-context satellites.
+recovers) and the error-context satellites.
 """
 
 import json
@@ -310,7 +310,7 @@ class TestDegradedLinks:
 
 
 # ---------------------------------------------------------------------------
-# satellites: error context, journal torn line, batch fallback
+# satellites: error context, batch fallback
 # ---------------------------------------------------------------------------
 class TestErrorContext:
     def test_link_error_names_endpoints_and_time(self):
@@ -328,18 +328,6 @@ class TestErrorContext:
             fabric.switches[0].routing.lookup(99)
         msg = str(exc_info.value)
         assert "99" in msg and "at sw0" in msg and "t=" in msg
-
-
-class TestJournalTornLine:
-    def test_torn_tail_warns_and_reruns(self, tmp_path):
-        from repro.experiments.resilience import SweepJournal
-
-        path = tmp_path / "sweep.jsonl"
-        good = {"key": "k1", "ok": True, "result": {"x": 1}}
-        path.write_text(json.dumps(good) + "\n" + '{"key": "k2", "ok": true, "resu')
-        with pytest.warns(RuntimeWarning, match="torn tail"):
-            done = SweepJournal(path).load()
-        assert set(done) == {"k1"}
 
 
 # ---------------------------------------------------------------------------

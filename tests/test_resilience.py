@@ -1,11 +1,11 @@
 """Failure injection for the resilient sweep engine.
 
 Crashing jobs, wedged jobs, corrupt cache entries and interrupted
-journals must each degrade into a structured report — never an aborted
+sweeps must each degrade into a structured report — never an aborted
 sweep or a silently wrong figure — and every surviving result must be
 bit-identical to a clean serial run (docs/robustness.md).
 
-Tests that bring up real worker pools are marked ``tier2``
+Tests that bring up real worker processes are marked ``tier2``
 (``pytest -m tier2``); everything else runs in-process.
 """
 
@@ -13,18 +13,18 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
+import signal
+import subprocess
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.experiments.resilience import (
-    JobFailure,
-    RetryPolicy,
-    SweepJournal,
-    execute_job,
-)
+from repro.experiments.resilience import RetryPolicy, execute_job
 from repro.experiments.runner import CaseResult, run_case
 from repro.experiments.sweep import ResultCache, SimJob, SweepOptions, run_sweep
 
@@ -336,48 +336,19 @@ class TestCacheWrites:
 
 
 # ---------------------------------------------------------------------------
-# journal + resume
+# one cell, named twice
 # ---------------------------------------------------------------------------
-class TestJournalResume:
-    def test_load_tolerates_truncated_tail(self, tmp_path, small):
-        path = tmp_path / "sweep.jsonl"
-        good = json.dumps({"key": "k1", "ok": True, "result": small.to_dict()})
-        path.write_text(good + "\n" + good[: len(good) // 3])
-        done = SweepJournal(path).load()
-        assert list(done) == ["k1"]
-
-    def test_failure_lines_are_not_replayed(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        journal = SweepJournal(path)
-        journal.record_failure(
-            JobFailure(key="k1", label="case1/1Q", kind="error",
-                       exception="RuntimeError", message="boom")
-        )
-        journal.close()
-        assert SweepJournal(path).load() == {}
-
-    def test_resume_skips_journaled_cells_bit_identically(self, tmp_path, small):
-        path = str(tmp_path / "sweep.jsonl")
-        a, b = good_job("1Q"), good_job("FBICM")
-        first = run_sweep([a], options=SweepOptions(journal=path))
-        assert first.misses == 1
-        # the interrupted sweep restarts with a *larger* grid
-        report = run_sweep([a, b], options=SweepOptions(journal=path, resume=True))
-        assert (report.resumed, report.misses) == (1, 1)
-        assert "1 resumed from journal" in report.summary()
-        clean = run_sweep([a, b])
-        for x, y in zip(report.results, clean.results):
-            assert_results_equal(x, y)
-
-    def test_failed_cells_retry_on_resume(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        fail = FailJob(case="case1", scheme="1Q")
-        run_sweep([fail], options=SweepOptions(journal=path, max_retries=0, **FAST))
-        assert len(SweepJournal(path).path.read_text().splitlines()) == 1
-        report = run_sweep(
-            [fail], options=SweepOptions(journal=path, resume=True, max_retries=0, **FAST)
-        )
-        assert report.resumed == 0 and report.failed == 1
+class TestDuplicateCells:
+    def test_a_cell_named_twice_is_simulated_once(self, tmp_path, small):
+        """Both slots were pending and both ran: every cache probe came
+        before any put.  Each distinct cell is now submitted once."""
+        marker = str(tmp_path / "runs")
+        job = FlakyJob(case="case1", scheme="1Q", time_scale=SCALE, marker=marker)
+        report = run_sweep([job, good_job("FBICM"), job])
+        assert os.path.getsize(marker) == 1
+        assert (report.misses, report.failed) == (2, 0)
+        assert_results_equal(report.results[0], small)
+        assert_results_equal(report.results[2], report.results[0])
 
 
 # ---------------------------------------------------------------------------
@@ -452,3 +423,52 @@ class TestPoolFailures:
         assert_results_equal(report.results[3], clean.results[1])
         m = report.manifest()
         assert m["failed"] == 2 and m["ok"] == 2
+
+
+@pytest.mark.tier2
+class TestKillAndRerun:
+    #: paper scale: a fig7a cell runs for about half a second, so a kill
+    #: right after the first cell lands well before the last one
+    KILL_SCALE = 1.0
+
+    def test_a_killed_sweep_run_again_simulates_only_the_rest(self, tmp_path):
+        """The cache is the journal.  ``repro sweep fig7a --jobs 2`` is
+        killed (its workers with it) once a first cell is complete; run
+        again with its ``--cache-dir``, the finished cells are hits, the
+        rest simulate, and every result is the bytes of a clean run."""
+        from repro.experiments.sweep import _SCRATCH
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        argv = [sys.executable, "-m", "repro", "--scale", str(self.KILL_SCALE),
+                "sweep", "fig7a", "--jobs", "2", "--cache-dir"]
+        cache, clean = tmp_path / "cache", tmp_path / "clean"
+        scratch = Path(_SCRATCH or tempfile.gettempdir())
+        before = set(scratch.glob("repro-sweep-*"))
+        victim = subprocess.Popen(argv + [str(cache)], env=env, start_new_session=True,
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        deadline = time.monotonic() + 120
+        while not list(cache.glob("*.json")) and time.monotonic() < deadline:
+            assert victim.poll() is None, "the sweep ended before it could be killed"
+            time.sleep(0.01)
+        os.killpg(victim.pid, signal.SIGKILL)
+        victim.wait()
+        for left in set(scratch.glob("repro-sweep-*")) - before:  # no one was left to clean up
+            shutil.rmtree(left, ignore_errors=True)
+        finished = len(list(cache.glob("*.json")))
+        assert 1 <= finished < 4
+
+        rerun = subprocess.run(argv + [str(cache)], env=env, capture_output=True, text=True,
+                               timeout=600)
+        assert rerun.returncode == 0, rerun.stderr[-2000:]
+        assert f"{finished} cache hit(s), {4 - finished} simulated" in rerun.stdout
+        fresh = subprocess.run(argv + [str(clean)], env=env, capture_output=True, text=True,
+                               timeout=600)
+        assert fresh.returncode == 0, fresh.stderr[-2000:]
+        figure = lambda out: [line for line in out.splitlines() if not line.startswith("sweep:")]
+        assert len(figure(rerun.stdout)) > 2 and figure(rerun.stdout) == figure(fresh.stdout)
+        entries = sorted(p.name for p in clean.glob("*.json"))
+        assert len(entries) == 4 and sorted(p.name for p in cache.glob("*.json")) == entries
+        for name in entries:
+            assert (cache / name).read_bytes() == (clean / name).read_bytes()

@@ -134,6 +134,30 @@ class TestFsBroker:
         # every cell leased exactly once across all racing workers
         assert sorted(k for k, _w in won) == sorted(j.key() for j in jobs)
 
+    def test_a_cell_claimed_while_the_queue_is_listed_leaves_the_rest(self, tmp_path, monkeypatch):
+        """A cell renamed away between the listing of the queue and the
+        read of its mtime made the whole listing fail: the claimant saw
+        an empty queue, and a local sweep's worker exited with cells
+        still queued."""
+        from pathlib import Path
+
+        b = FsBroker(tmp_path)
+        b.submit(tiny_jobs(schemes=("CCFIT", "1Q")), experiment="fig7a")
+        other = FsBroker(tmp_path)
+        stat, taken, busy = Path.stat, [], []
+
+        def stat_after_a_claim(self, *args, **kwargs):
+            if self.parent.name == "queue" and not busy:
+                busy.append(True)
+                taken.append(other.claim("other"))
+            return stat(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "stat", stat_after_a_claim)
+        lease = b.claim("me")
+        monkeypatch.undo()
+        assert taken[0] is not None and lease is not None
+        assert lease.key != taken[0].key and b.counts()["queue"] == 0
+
     def test_cache_hit_never_enqueued(self, tmp_path, tiny_job, tiny_result):
         b = FsBroker(tmp_path)
         b.cache.put(tiny_job.key(), tiny_result, job=tiny_job)
@@ -219,6 +243,69 @@ class TestFsBroker:
         assert b.reap() == (0, 0)  # exactly once
         lease = b.claim("alive")
         assert lease.attempt == 2
+
+    def test_a_claim_between_the_reapers_steps_finds_one_cell(self, tmp_path, tiny_job, monkeypatch):
+        """The reaper requeues in steps, and a claim may come between any
+        two of them: it must find the cell still leased or requeued --
+        never a queue entry for a cell that is leased -- and the requeue
+        is logged.  (Renaming into ``queue/`` first and rewriting after
+        let such a claim make the rewrite's ``utime`` raise, and the
+        event was lost.)"""
+        import repro.service.broker as broker_mod
+
+        b = FsBroker(tmp_path, lease_ttl=0.0)
+        thief = FsBroker(tmp_path)
+        b.submit([tiny_job], experiment="fig7a")
+        assert b.claim("dead") is not None
+        claims, busy = [], []
+
+        def claim_now():
+            if not busy:  # the thief's own steps come through here too
+                busy.append(True)
+                claims.append(thief.claim("thief"))
+                busy.clear()
+
+        class SeamOs:
+            """The ``os`` the broker sees: a claim follows every step."""
+
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            def rename(self, *args):
+                os.rename(*args)
+                claim_now()
+
+            def utime(self, *args):
+                os.utime(*args)
+                claim_now()
+
+        write = broker_mod._write_atomic
+
+        def write_then_claim(path, payload):
+            write(path, payload)
+            claim_now()
+
+        monkeypatch.setattr(broker_mod, "os", SeamOs())
+        monkeypatch.setattr(broker_mod, "_write_atomic", write_then_claim)
+        assert b.reap(now=time.time() + 1) == (1, 0)
+        monkeypatch.undo()
+        leases = [lease for lease in claims if lease is not None]
+        assert len(leases) == 1 and leases[0].attempt == 2  # once, after the requeue
+        assert (b.counts()["queue"], b.counts()["active"]) == (0, 1)
+        assert [e["attempt"] for e in b.read_events(kind="requeue")[0]] == [2]
+
+    def test_release_requeues_or_fails_a_dead_workers_leases(self, tmp_path, tiny_job):
+        b = FsBroker(tmp_path)
+        run = b.submit([tiny_job], experiment="fig7a")
+        b.claim("dead")
+        crash = {"exception": "WorkerCrash", "message": "died", "kind": "crash"}
+        assert b.release("someone-else", crash, attempts=2) == 0
+        assert b.release("dead", crash, attempts=2) == 1
+        assert b.claim("next").attempt == 2
+        assert b.release("next", crash, attempts=2) == 1
+        (failure,) = b.run_manifest(run.id)["failures"]
+        assert (failure["exception"], failure["attempts"], failure["worker"]) == ("WorkerCrash", 2, "next")
+        assert b.run_manifest(run.id)["requeued"] == 1
 
     def test_fresh_claim_not_instantly_reaped(self, tmp_path, tiny_job):
         """Queue files keep their enqueue mtime across the claim rename;
@@ -386,28 +473,21 @@ class TestWorker:
         manifest = b.run_manifest(run.id)
         assert "undecodable job spec" in manifest["failures"][0]["message"]
 
-    def test_worker_journals_a_failed_cell_under_the_sweep_label(self, tmp_path, monkeypatch):
-        """`repro worker --journal` is `repro sweep --journal`'s format:
-        a cell out of retries is journaled under the job's label, routing
-        sigil and all, not under the bare case name of its spec."""
+    def test_a_retry_is_an_event_the_manifest_counts(self, tmp_path, monkeypatch):
         def boom(self):
             raise RuntimeError("injected failure")
 
         monkeypatch.setattr(SimJob, "run", boom)
-        (job,) = tiny_jobs(routings=("adaptive",))
-        b = FsBroker(tmp_path / "broker")
-        b.submit([job], experiment="fig7a")
-        summary = Worker(b, worker_id="w1", max_cells=1, policy=RetryPolicy(max_retries=0),
-                         journal=str(tmp_path / "worker.jsonl")).run()
-        assert summary["failed"] == 1
-        run_sweep([job], options=SweepOptions(journal=str(tmp_path / "sweep.jsonl"),
-                                              max_retries=0))
-        labels = [
-            json.loads(line)["failure"]["label"]
-            for name in ("worker.jsonl", "sweep.jsonl")
-            for line in (tmp_path / name).read_text().splitlines()
-        ]
-        assert labels == ["case1/CCFIT@adaptive"] * 2
+        (job,) = tiny_jobs()
+        b = FsBroker(tmp_path)
+        run = b.submit([job], experiment="fig7a")
+        policy = RetryPolicy(max_retries=2, backoff_base=0.001)
+        assert Worker(b, worker_id="w1", max_cells=1, policy=policy).run()["failed"] == 1
+        retries = [(e["key"], e["worker"], e["attempt"], e["exception"])
+                   for e in b.read_events(kind="retry")[0]]
+        assert retries == [(job.key(), "w1", 2, "RuntimeError"), (job.key(), "w1", 3, "RuntimeError")]
+        manifest = b.run_manifest(run.id)
+        assert manifest["retried"] == 2 and manifest["failures"][0]["attempts"] == 3
 
     def test_connect_broker_dispatch(self, tmp_path):
         assert isinstance(connect_broker(str(tmp_path)), FsBroker)
@@ -596,6 +676,18 @@ class TestService:
             fetched = client.result(sub["keys"][0])["result"]
             client.close()
             assert result_bytes(fetched) == result_bytes(tiny_result.to_dict())
+
+    def test_http_manifest_counts_retries(self, srv, client, monkeypatch):
+        def boom(self):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(SimJob, "run", boom)
+        sub = submit_tiny(client)
+        Worker(srv.url, worker_id="w", max_cells=1, idle_exit=5.0,
+               policy=RetryPolicy(max_retries=1, backoff_base=0.001)).run()
+        manifest = client.manifest(sub["run"])
+        assert (manifest["retried"], manifest["failed"]) == (1, 1)
+        assert [e["kind"] for e in client.events(sub["run"])].count("retry") == 1
 
     def test_metrics_endpoint(self, client):
         text = client.metrics()

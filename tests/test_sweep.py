@@ -334,6 +334,24 @@ class TestRunSweep:
         for a, b in zip(cold.results, warm.results):
             assert_results_equal(a, b)
 
+    def test_warm_sweep_creates_no_directory(self, tmp_path, monkeypatch):
+        """A hit never touches a broker: only misses make the private
+        broker's directory, and the sweep removes it when it is done."""
+        opts = SweepOptions(cache_dir=str(tmp_path / "cache"))
+        made, mkdir = [], os.mkdir
+
+        def recording_mkdir(path, *args, **kwargs):
+            mkdir(path, *args, **kwargs)
+            made.append(Path(path))
+
+        monkeypatch.setattr(os, "mkdir", recording_mkdir)
+        cold = run_sweep(self.jobs(("1Q", "FBICM")), options=opts)
+        assert cold.misses == 2 and made
+        assert [p for p in made if p.exists()] == [tmp_path / "cache"]
+        del made[:]
+        warm = run_sweep(self.jobs(("1Q", "FBICM")), options=opts)
+        assert warm.hits == 2 and made == []
+
     def test_cache_hit_renders_like_a_fresh_cell(self, tmp_path):
         """A hit comes back with its dicts in the stored (sorted) order,
         a fresh cell in the order it filled them; what is exported or
