@@ -2,14 +2,17 @@
 """Regenerate EXPERIMENTS.md from full paper-scale simulation runs.
 
 Runs every figure of §IV at time_scale 1.0 (the paper's 10 ms windows
-for Figs. 7/9/10; the 3 ms Case #4 window for Fig. 8) and writes the
-paper-vs-measured record.  Takes ~15 minutes on a laptop-class core.
+for Figs. 7/9/10; the 3 ms Case #4 window for Fig. 8), with the cells
+the claims of ``repro.experiments.claims`` add, in one sweep
+(``repro.experiments.sweep``): ``--jobs N`` fans the cells out across
+N worker processes, and finished cells are memoized in the on-disk
+cache, so a re-run (or a prior ``python -m repro sweep ...``) is served
+without re-simulating.  The record is a pure function of the results:
+run again, it is the same bytes.
 
-The figure grids run through the sweep engine
-(repro.experiments.sweep): ``--jobs N`` fans the independent
-(scheme x case) cells out across N worker processes, and finished
-cells are memoized in the on-disk cache so a re-run (or a prior
-``python -m repro sweep ...``) is served without re-simulating.
+Writes the paper-vs-measured record, every figure's tables and its
+claims table, and exits 1 when a claim's verdict is not the one
+expected at paper scale (or a cell failed).
 
 Usage:  python scripts/make_experiments.py [output.md]
                                            [--jobs N] [--scale X]
@@ -19,10 +22,10 @@ Usage:  python scripts/make_experiments.py [output.md]
 from __future__ import annotations
 
 import argparse
-import time
+import sys
 from math import fsum
 
-from repro.experiments import registry
+from repro.experiments import claims
 from repro.experiments.configs import table1
 from repro.experiments.report import (
     render_fig8_summary,
@@ -34,56 +37,66 @@ from repro.experiments.sweep import SweepOptions, default_cache_dir
 from repro.metrics.analysis import jain_index, oscillation_score
 
 SEED = 1
-
-ap = argparse.ArgumentParser(description=__doc__)
-ap.add_argument("output", nargs="?", default="EXPERIMENTS.md")
-ap.add_argument("--jobs", type=int, default=1, metavar="N",
-                help="worker processes for the simulation grids")
-ap.add_argument("--scale", type=float, default=1.0,
-                help="time compression (1.0 = the paper-scale record)")
-ap.add_argument("--cache-dir", type=str, default=None)
-ap.add_argument("--no-cache", action="store_true")
-ARGS = ap.parse_args()
-OUT = ARGS.output
-OPTIONS = SweepOptions(
-    jobs=ARGS.jobs,
-    cache_dir=None if ARGS.no_cache else (ARGS.cache_dir or default_cache_dir()),
-    use_cache=not ARGS.no_cache,
-)
+FIGURES = ("fig7a", "fig7b", "fig7c", "fig8a", "fig8b", "fig8c", "fig9", "fig10")
 
 chunks: list[str] = []
 
 
-def sweep(name: str):
-    """Run one registered experiment through the engine, logging the
-    cache/worker accounting to the console (not the record)."""
-    results, report = registry.get(name).run(options=OPTIONS, time_scale=ARGS.scale, seed=SEED)
-    print(f"[{name}] {report.summary()}", flush=True)
-    return results
-
-
 def emit(text: str = "") -> None:
-    print(text, flush=True)
     chunks.append(text)
 
 
 def code(block: str) -> None:
     chunks.append("```text\n" + block + "\n```")
-    print(block, flush=True)
 
 
-def main() -> None:
-    t_start = time.time()
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("output", nargs="?", default="EXPERIMENTS.md")
+    ap.add_argument("--jobs", type=int, default=1, metavar="N",
+                    help="worker processes for the simulation grid")
+    ap.add_argument("--scale", type=float, default=1.0,
+                    help="time compression (1.0 = the paper-scale record)")
+    ap.add_argument("--cache-dir", type=str, default=None)
+    ap.add_argument("--no-cache", action="store_true")
+    args = ap.parse_args()
+    options = SweepOptions(
+        jobs=args.jobs,
+        cache_dir=None if args.no_cache else (args.cache_dir or default_cache_dir()),
+    )
+
+    points = [(name, (), args.scale, SEED) for name in FIGURES]
+    points += [(c.experiment, c.params, args.scale, SEED) for c in claims.CLAIMS]
+    measured, report = claims.measure(points, options)
+    print(f"sweep: {report.summary()}", flush=True)
+    if report.failures:
+        for failure in report.failures:
+            print(f"sweep: FAILED {failure.summary()}", file=sys.stderr)
+        return 1
+    figures = {name: measured[(name, (), args.scale, SEED)] for name in FIGURES}
+    unexpected = []
+
+    def verdicts(name: str) -> None:
+        rows = [(c, measured[(c.experiment, c.params, args.scale, SEED)])
+                for c in claims.CLAIMS if c.experiment == name]
+        emit("Claims (`repro.experiments.claims`; a > margin × b):")
+        emit()
+        emit(claims.render_claims(rows))
+        unexpected.extend(c.id for c, res in rows if c.holds([res]) != c.expect)
+
     emit("# EXPERIMENTS — paper vs. measured")
     emit()
     emit(
         "Full-scale reproduction record for every table and figure of the\n"
         "evaluation section (§IV) of *Combining Congested-Flow Isolation and\n"
         "Injection Throttling in HPC Interconnection Networks* (ICPP 2011).\n"
-        "Regenerate with `python scripts/make_experiments.py` (~15 min), or\n"
-        "run the scaled-down versions via `pytest benchmarks/ --benchmark-only`.\n"
-        "All runs use seed 1; absolute numbers are simulator-specific, the\n"
-        "**shape** columns state what the paper shows and what we measure."
+        "Regenerated, byte for byte, by `python scripts/make_experiments.py`;\n"
+        "`tests/test_claims.py` checks that in tier-2, and evaluates the claims\n"
+        "of Figs. 7a, 9 and 10 at reduced scale in tier-1.\n"
+        "All runs use seed 1; absolute numbers are simulator-specific.  Each\n"
+        "figure ends with its claims: the paper's statement, both measured\n"
+        "sides and the verdict.  A claim recorded as failing is a divergence\n"
+        "from the paper."
     )
     emit()
 
@@ -105,87 +118,40 @@ def main() -> None:
         "b": "Config #2 / Case #2: staircase of 5 flows onto two hot nodes of the 2-ary 3-tree",
         "c": "Config #2 / Case #3: Case #2 plus three uniform sources",
     }
-    fig7_results = {}
     for panel, desc in fig7_meta.items():
         emit(f"## Fig. 7{panel} — network throughput vs time")
         emit()
         emit(desc + ".")
         emit()
-        res = sweep(f"fig7{panel}")
-        fig7_results[panel] = res
+        res = figures[f"fig7{panel}"]
         code(render_series(res, stride=max(1, len(res["1Q"].throughput[0]) // 20)))
-        tail = {s: r.mean_throughput() for s, r in res.items()}
         rows = [
-            {"scheme": s, "steady tail GB/s": f"{v:.2f}",
-             "oscillation": f"{oscillation_score(res[s].throughput[1]):.2f}"}
-            for s, v in tail.items()
+            {"scheme": s, "steady tail GB/s": f"{r.mean_throughput():.2f}",
+             "oscillation": f"{oscillation_score(r.throughput[1]):.2f}"}
+            for s, r in res.items()
         ]
         code(render_table(rows))
         emit()
-        if panel == "a":
-            emit(
-                "**Paper:** the three CC techniques similar and high; 1Q struggles as\n"
-                "soon as congestion is introduced.  **Measured:** matches — 1Q loses\n"
-                "~40% of aggregate throughput once the hotspot stair builds; ITh,\n"
-                "FBICM and CCFIT all hold the victim+hotspot aggregate near the\n"
-                "5 GB/s ceiling (FBICM highest, its isolation never throttles)."
-            )
-        elif panel == "b":
-            emit(
-                "**Paper:** similar picture with several congestion points.\n"
-                "**Measured:** 1Q settles ~25% below the ceiling from inter-tree HoL\n"
-                "blocking; FBICM reaches the 5 GB/s ceiling; the throttling schemes\n"
-                "trade a slice of throughput for fairness (see Fig. 10)."
-            )
-        else:
-            emit(
-                "**Paper:** ITh operates too slowly — it takes time to reach the\n"
-                "others' level.  **Measured:** the uniform noise triggers extra\n"
-                "short-lived congestion; the throttling schemes show visibly higher\n"
-                "oscillation scores than FBICM, and 1Q stays lowest."
-            )
+        verdicts(f"fig7{panel}")
         emit()
 
     # ------------------------------------------------------------- Fig 8
-    fig8_meta = {1: "a", 4: "b", 6: "c"}
-    for trees, panel in fig8_meta.items():
+    for trees, panel in {1: "a", 4: "b", 6: "c"}.items():
         emit(f"## Fig. 8{panel} — Config #3, {trees} congestion tree(s)")
         emit()
-        res = sweep(f"fig8{panel}")
+        res = figures[f"fig8{panel}"]
         code(render_series(res, stride=max(1, len(res["1Q"].throughput[0]) // 15)))
         code(render_fig8_summary(res))
         emit()
-        if trees == 1:
-            emit(
-                "**Paper:** CCFIT at the level of FBICM (2 CFQs suffice for one\n"
-                "tree); VOQnet the maximum; ITh copes poorly; 1Q worst.\n"
-                "**Measured:** CCFIT ≈ FBICM through the burst and 1Q collapses\n"
-                "during it, exactly as published.  *Divergence:* our ITh performs\n"
-                "well (~VOQnet level) rather than poorly — the paper itself\n"
-                "attributes ITh's showing to 'unfortunate CC parameter values' and\n"
-                "notes tuning throttling is hard; the CCTI_Timer ablation bench\n"
-                "reproduces that sensitivity (a 4x timer change moves ITh's victim\n"
-                "throughput by >2x while CCFIT barely shifts, §IV-B's point that\n"
-                "CCFIT 'is not as sensitive to the parameters')."
-            )
-        else:
-            emit(
-                f"**Paper:** with {trees} trees FBICM runs out of CFQs — HoL returns\n"
-                "in the NFQs — while CCFIT's throttling releases resources before\n"
-                "they run out; CCFIT clearly above FBICM.  **Measured:** same\n"
-                "ordering: CCFIT above FBICM during and after the burst, both far\n"
-                "above 1Q, VOQnet on top; FBICM's CAM allocation failures count the\n"
-                "exhaustion directly."
-            )
+        verdicts(f"fig8{panel}")
         emit()
 
     # ------------------------------------------------------------- Fig 9
     emit("## Fig. 9 — per-flow bandwidth, Config #1 / Case #1 (fairness)")
     emit()
-    res9 = sweep("fig9")
-    flows9 = ("F0", "F1", "F2", "F5", "F6")
+    res9 = figures["fig9"]
     contributors = ("F1", "F2", "F5", "F6")
-    code(render_flow_table(res9, flows9))
+    code(render_flow_table(res9, ("F0", *contributors)))
     rows = [
         {
             "scheme": s,
@@ -196,22 +162,13 @@ def main() -> None:
     ]
     code(render_table(rows))
     emit()
-    emit(
-        "**Paper:** (a) 1Q — victim suffers HoL, contributors suffer the\n"
-        "parking-lot problem (F5/F6 double F1/F2); (b) ITh — victim improved\n"
-        "and parking lot solved; (c) FBICM — victim fully restored but\n"
-        "unfairness *increased*; CCFIT (discussed with Fig. 10) — both.\n"
-        "**Measured:** identical structure — 1Q victim ~0.42 with a 2:1\n"
-        "parking-lot split; ITh victim ~2.5 with contributor fairness ≈ 1;\n"
-        "FBICM victim 2.5 with the 2:1 split intact; CCFIT victim 2.5 with\n"
-        "fairness ≈ 0.99."
-    )
+    verdicts("fig9")
     emit()
 
     # ------------------------------------------------------------ Fig 10
     emit("## Fig. 10 — per-flow bandwidth, Config #2 / Case #2")
     emit()
-    res10 = sweep("fig10")
+    res10 = figures["fig10"]
     flows10 = ("F0", "F1", "F2", "F3", "F4")
     code(render_flow_table(res10, flows10))
     rows = [
@@ -225,25 +182,16 @@ def main() -> None:
     ]
     code(render_table(rows))
     emit()
-    emit(
-        "**Paper:** 1Q poor and unfair; ITh better on both; FBICM highest\n"
-        "throughput but unfairness dominant; CCFIT the best throughput *and*\n"
-        "the highest fairness.  **Measured:** FBICM hits the 5 GB/s ceiling\n"
-        "with a 2:1 parking lot (jain ~0.75 over the node-7 contributors);\n"
-        "ITh equalises at the lowest total; CCFIT reaches near-perfect\n"
-        "fairness at a total above ITh's — among the fairness-achieving\n"
-        "schemes CCFIT delivers the most.  The fairness/throughput operating\n"
-        "point is set by the congestion-state duty cycle (cfq_cs_exit and\n"
-        "cfq_rearm_window; see the ablation benches): trading ~0.01 of Jain\n"
-        "buys ~0.5 GB/s of total if a deployment prefers it."
-    )
-    emit()
-    emit(f"_Total wall-clock for this record: {time.time() - t_start:.0f} s._")
+    verdicts("fig10")
 
-    with open(OUT, "w") as fh:
+    with open(args.output, "w") as fh:
         fh.write("\n".join(chunks) + "\n")
-    print(f"\nwrote {OUT}")
+    print(f"wrote {args.output}")
+    if unexpected:
+        print(f"verdicts other than expected: {', '.join(unexpected)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

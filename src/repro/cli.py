@@ -334,12 +334,11 @@ def _options(args: argparse.Namespace, *, cache_by_default: bool) -> SweepOption
     directory was given explicitly, or by default for ``sweep``;
     ``--no-cache`` always wins."""
     cache_dir = args.cache_dir
-    if cache_dir is None and cache_by_default and not args.no_cache:
+    if cache_dir is None and cache_by_default:
         cache_dir = default_cache_dir()
     return SweepOptions(
         jobs=args.jobs,
-        cache_dir=cache_dir,
-        use_cache=not args.no_cache,
+        cache_dir=None if args.no_cache else cache_dir,
         timeout=args.timeout,
         max_retries=max(0, args.retries),
     )

@@ -47,8 +47,7 @@ def linear_cct(entries: int = 128, step: float = MTU / 2.5) -> List[float]:
 def exponential_cct(entries: int = 16, base: float = MTU / 2.5) -> List[float]:
     """A CCT whose IRD doubles per index: ``CCT[i] = base * (2**i - 1)``.
 
-    Used by the CCT-shape ablation bench; reacts faster but coarser
-    than the linear default.
+    Reacts faster but coarser than the linear default.
     """
     if entries < 2:
         raise ParamError(f"CCT needs >= 2 entries, got {entries}")
@@ -76,18 +75,17 @@ class CCParams:
     #: per-packet serialisation jitter fraction.  With the default
     #: slotted arbitration this stays 0 (transmissions must stay
     #: aligned to the arbitration slots); turn it on only together with
-    #: event-driven arbitration (match_quantum=0) — the asynchrony
-    #: ablation (see repro.network.link.Link).
+    #: event-driven arbitration (match_quantum=0), to desynchronise it
+    #: (see repro.network.link.Link).
     link_jitter: float = 0.0
     #: iSlip iterations per matching round.
     islip_iterations: int = 2
     #: switch arbitration slot (ns).  The paper's switches run slotted,
     #: cycle-level iSlip: every slot, ALL currently free inputs and
-    #: outputs are matched together.  An event-driven variant that
-    #: re-matches on every completion instead (match_quantum=0) makes
-    #: greedy incremental pairings that can lock into starvation
-    #: patterns no synchronous crossbar would sustain (the arbitration
-    #: ablation demonstrates this).  -1 = auto: one MTU serialisation
+    #: outputs are matched together.  An event-driven variant
+    #: re-matches on every completion instead (match_quantum=0), pairing
+    #: greedily what no synchronous crossbar would.  -1 = auto: one MTU
+    #: serialisation
     #: time at the switch's fastest link, which every slower Table-I
     #: link divides evenly.  >0 = explicit slot length.
     match_quantum: float = -1.0
@@ -100,8 +98,7 @@ class CCParams:
     #: which destination a detection blames: "dominant" scans the NFQ
     #: for the destination holding the most bytes (the flow actually
     #: responsible for the backlog); "head" blames the head packet —
-    #: simpler hardware, but can misfile a victim whose packet happens
-    #: to sit at the head (kept for the detection-policy ablation).
+    #: simpler hardware.
     detection_policy: str = "dominant"
     #: CFQ occupancy that propagates the congestion tree upstream.
     propagation_threshold: int = 4 * MTU
@@ -123,7 +120,7 @@ class CCParams:
     #: MTUs of backlog in the tree, so the hot link stays busy while
     #: the sources' CCTIs decay — draining all the way to Low first
     #: (set cfq_cs_exit = cfq_low) empties the tree and the link idles
-    #: through every throttle trough (the ablation shows the gap).
+    #: through every throttle trough.
     cfq_cs_exit: int = 3 * MTU
     #: a root CFQ that was hot within this window (ns) re-enters the
     #: congestion state without re-serving the dwell: the dwell filters
@@ -161,7 +158,7 @@ class CCParams:
     #: (~2.6/µs at wire speed), which would integrate the CCTI far past
     #: the operating point and leave the source crawling long after the
     #: episode ends.  Real HCAs bound their reaction frequency the same
-    #: way.  0 disables coalescing (the ablation bench measures both).
+    #: way.  0 disables coalescing.
     becn_min_interval: float = 1_000.0
     #: the Congestion Control Table of Injection Rate Delays (ns).
     cct: List[float] = field(default_factory=linear_cct)

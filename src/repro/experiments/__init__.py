@@ -12,8 +12,11 @@
 * :mod:`repro.experiments.registry` — experiment names (``"fig9"``,
   ``"case3"``, ...) -> runnable sweep definitions; the CLI and scripts
   dispatch through it.
-* :mod:`repro.experiments.report` — ASCII rendering used by the
-  benchmark harness and EXPERIMENTS.md regeneration.
+* :mod:`repro.experiments.report` — ASCII rendering used by the CLI
+  and EXPERIMENTS.md regeneration.
+* :mod:`repro.experiments.claims` — the paper's claims as one table of
+  measured comparisons, rendered into EXPERIMENTS.md and checked by
+  ``tests/test_claims.py``.
 """
 
 from repro.experiments import registry

@@ -1,15 +1,13 @@
 """ASCII rendering of experiment results.
 
-The benchmark harness prints, for every figure, the same rows/series
-the paper plots; EXPERIMENTS.md embeds these tables.
+The CLI prints, for every figure, the same rows/series the paper
+plots; EXPERIMENTS.md embeds these tables.
 """
 
 from __future__ import annotations
 
 from math import fsum
 from typing import Dict, Iterable, List, Optional, Sequence
-
-import numpy as np
 
 from repro.experiments.runner import CaseResult
 
@@ -222,10 +220,3 @@ def render_pfc_matrix(results: Dict[str, CaseResult]) -> str:
     header = "-- datacenter incast: PAUSE storms and victim flows, scheme x buffers --"
     return header + "\n" + render_table(rows)
 
-
-def series_checksum(results: Dict[str, CaseResult]) -> float:
-    """A scalar the benchmark harness can assert on / track."""
-    total = 0.0
-    for res in results.values():
-        total += float(np.sum(res.throughput[1]))
-    return total

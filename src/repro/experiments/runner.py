@@ -4,15 +4,15 @@
 (case, scheme, seed, time_scale) cell, simulates it, and returns a
 :class:`CaseResult` carrying what the figures plot (the
 network-throughput series of Fig. 7/8, the per-flow bandwidth series of
-Fig. 9/10) plus the aggregates the shape tests and EXPERIMENTS.md
-assert on.  It is keyword-only and is exactly what one
+Fig. 9/10) plus the aggregates the claims of
+:mod:`repro.experiments.claims` compare.  It is keyword-only and is exactly what one
 :class:`~repro.experiments.sweep.SimJob` executes; a figure is a grid
 of such cells, declared in :mod:`repro.experiments.registry` and run
 through :func:`repro.experiments.sweep.run_sweep`.
 
 ``time_scale`` shrinks the paper's 10 ms windows proportionally — the
-benches run at 0.15–0.3x to stay fast; EXPERIMENTS.md records 1.0x
-runs.  All runs are deterministic for a fixed seed.
+tier-1 claims slice runs at 0.3–0.5x to stay fast; EXPERIMENTS.md
+records 1.0x runs.  All runs are deterministic for a fixed seed.
 """
 
 from __future__ import annotations

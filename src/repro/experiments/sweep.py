@@ -88,17 +88,15 @@ def default_cache_dir() -> str:
 class SweepOptions:
     """How :func:`run_sweep` executes a grid -- workers, cache, retries
     -- and nothing about the cells in it: those are declared by the
-    jobs.  ``cache_dir=None`` (the default) disables
-    the cache entirely, keeping programmatic calls pure; the CLI opts
-    in explicitly.
+    jobs.  ``cache_dir=None`` (the default) disables the cache
+    entirely, keeping programmatic calls pure; the CLI opts in
+    explicitly.
     """
 
     #: worker processes; 1 = one worker in this process.
     jobs: int = 1
     #: cache directory, or None for no on-disk cache.
     cache_dir: Optional[str] = None
-    #: master switch (lets a CLI ``--no-cache`` keep the dir setting).
-    use_cache: bool = True
     #: per-job wall-clock timeout in *seconds*, or None for no limit.
     #: Enforcing a timeout takes a process to kill (a wedged in-process
     #: job cannot be interrupted), so with one each attempt runs in a
@@ -112,7 +110,7 @@ class SweepOptions:
 
     @property
     def cache_enabled(self) -> bool:
-        return self.use_cache and self.cache_dir is not None
+        return self.cache_dir is not None
 
     def retry_policy(self) -> RetryPolicy:
         return RetryPolicy(max_retries=self.max_retries, backoff_base=self.backoff)
@@ -898,9 +896,11 @@ def _execute(misses: Dict[str, SimJob], keys: List[str], opts: SweepOptions,
     from repro.service.broker import FsBroker
     from repro.service.worker import drain
 
-    root = tempfile.mkdtemp(prefix="repro-sweep-", dir=_SCRATCH)
+    # the pid names whose directory it is, for whoever cleans up after
+    # a sweep that was killed
+    root = tempfile.mkdtemp(prefix=f"repro-sweep-{os.getpid()}-", dir=_SCRATCH)
     try:
-        broker = FsBroker(root, cache_dir=opts.cache_dir if opts.cache_enabled else None)
+        broker = FsBroker(root, cache_dir=opts.cache_dir)
         run = broker.submit(list(misses.values()), experiment="sweep")
         report.workers = max(1, min(opts.jobs, len(misses)))
         # what ran in this process comes back as it filled it; the rest

@@ -4,7 +4,7 @@ The reproduction criterion is *shape*, not absolute numbers (our
 substrate is a packet-grain simulator, not the authors' testbed): who
 wins, by roughly what factor, where the regime changes.  These helpers
 turn bandwidth series into the comparable quantities EXPERIMENTS.md
-and the shape tests assert on.
+tabulates and the claims (:mod:`repro.experiments.claims`) compare.
 """
 
 from __future__ import annotations

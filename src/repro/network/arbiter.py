@@ -18,8 +18,8 @@ each output serves the requesting input granted longest ago (and each
 input accepts the output it least recently used).  LRG is the
 long-run-fair fixed point pointer-RR approximates, and reproduces the
 inter-port fairness of the paper's cycle-level iSlip.  The classic
-pointer rule is kept as ``mode="pointer"`` for the arbitration ablation
-bench, which demonstrates the capture artifact.
+pointer rule is kept as ``mode="pointer"``; ``tests/test_arbiter.py``
+demonstrates its capture artifact.
 
 The matcher keeps only its RR state between calls; the switch invokes
 :meth:`ISlip.match` event-driven with the currently free ports and
@@ -174,7 +174,7 @@ class RoundRobin:
     each picking the next requesting input round-robin.
 
     Simpler than iSlip and less fair under asymmetric load; kept as a
-    differential-testing and ablation baseline.
+    differential-testing baseline.
     """
 
     def __init__(self, num_inputs: int, num_outputs: int) -> None:

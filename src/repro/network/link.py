@@ -50,7 +50,7 @@ Endpoints are duck-typed:
 Link bandwidth may be changed mid-simulation with
 :meth:`set_bandwidth` — this models the frequency/voltage link scaling
 the paper's introduction lists among congestion causes, and is used by
-the ``link_downscaling`` example and ablation bench.
+the ``link_downscaling`` example.
 """
 
 from __future__ import annotations

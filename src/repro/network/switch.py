@@ -297,7 +297,7 @@ class Switch:
         self.arbiter = ISlip(num_ports, num_ports, params.islip_iterations)
         #: arbitration slot (ns); resolved by the fabric builder when
         #: params.match_quantum is the -1 auto sentinel.  0 = match
-        #: immediately on every event (the async ablation mode).
+        #: immediately on every event (the event-driven mode).
         self.quantum = params.match_quantum if params.match_quantum >= 0 else 0.0
         self._match_scheduled = False
         #: slowest attached output link (computed on first use, dropped

@@ -1,8 +1,8 @@
 """The paper's four traffic cases (§IV-A), as workload builders.
 
 All rates are 100 % of the 2.5 GB/s node links.  Times are in ns
-(1 ms = 1e6 ns); every case takes a ``time_scale`` so the benches can
-run shortened-but-shape-preserving versions (the paper's 10 ms windows
+(1 ms = 1e6 ns); every case takes a ``time_scale`` so tests can run
+shortened-but-shape-preserving versions (the paper's 10 ms windows
 shrink proportionally).
 
 * **Case #1** (Config #1): staircase onto hot node 4.  F0 (0→3, the

@@ -77,6 +77,16 @@ class TestCli:
         assert main(["--scale", "0.05", "trees", "1", "--scheme", "1Q"]) == 0
         assert "burst-window throughput" in capsys.readouterr().out
 
+    def test_no_cache_leaves_the_cache_dir_empty(self, tmp_path, capsys):
+        """``--no-cache`` wins over ``--cache-dir``: twice, nothing is
+        read from it or written to it."""
+        argv = ["--scale", "0.05", "sweep", "fig7a", "--schemes", "1Q",
+                "--cache-dir", str(tmp_path), "--no-cache"]
+        for _ in range(2):
+            assert main(argv) == 0
+            assert "0 cache hit(s)" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
     def test_svg_export_fig7(self, tmp_path, capsys):
         svg = tmp_path / "fig7a.svg"
         assert main(["--scale", "0.05", "--svg", str(svg), "fig", "7a"]) == 0

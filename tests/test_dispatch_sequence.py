@@ -10,8 +10,8 @@ the whole per-callback histogram to the values recorded at commit
 frame per handler").
 
 A change that fuses events on purpose (fewer events per packet) first
-has to take ``events`` out of the digest, in a benchmark-only change;
-then it re-records these numbers.
+has to take ``events`` out of the digest, in a change to the benchmark
+alone; then it re-records these numbers.
 """
 
 import pytest

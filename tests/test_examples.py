@@ -31,30 +31,15 @@ def test_example_runs(script, args, marker):
     assert marker in proc.stdout, proc.stdout[-2000:]
 
 
-def test_bench_files_import():
-    """The ``benchmarks/bench_*.py`` files run only on demand, so
-    nothing else notices when a name they import goes: collecting them
-    imports every one."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
-         "benchmarks", "--ignore=benchmarks/e2e"],
-        cwd=EXAMPLES.parent,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert "bench_ablations.py" in proc.stdout and "bench_table1.py" in proc.stdout
-
-
 def test_ci_workflow_names_things_that_exist():
     """The workflow cannot be run here, so a deleted file or command
     would rot it unseen: every ``tests/`` / ``benchmarks/`` /
     ``scripts/`` path it names is on disk, and every ``python -m
     repro`` line parses with the real parser to a command the CLI
-    dispatches.  So does every command line of the fenced blocks of
-    README.md and docs/*.md: a removed flag cannot live on in an
-    example."""
+    dispatches.  So does every such path the documents name (the file
+    of a ``file.py::test`` node id included), and every command line
+    of the fenced blocks of README.md and docs/*.md: a removed file or
+    flag cannot live on in an example."""
     import re
     import shlex
 
@@ -62,12 +47,18 @@ def test_ci_workflow_names_things_that_exist():
 
     root = EXAMPLES.parent
     text = (root / ".github" / "workflows" / "ci.yml").read_text()
-    paths = set(re.findall(r"\b(?:tests|benchmarks|scripts)/[\w./-]*\w", text))
-    assert paths and not [p for p in paths if not (root / p).exists()]
+    docs = [root / "README.md", *sorted((root / "docs").glob("*.md"))]
+    named = {}
+    for source in [root / ".github" / "workflows" / "ci.yml", root / "DESIGN.md",
+                   root / "EXPERIMENTS.md", root / ".claude" / "skills" / "verify" / "SKILL.md",
+                   *docs]:
+        for path in re.findall(r"\b(?:tests|benchmarks|scripts)/[\w./-]*\w", source.read_text()):
+            named.setdefault(path, source.name)
+    assert named and {p: s for p, s in named.items() if not (root / p).exists()} == {}
     lines = re.findall(r"python -m repro (.+)", re.sub(r"\\\n\s*", "", text))
     assert lines
     documented = []
-    for doc in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
+    for doc in docs:
         for block in re.findall(r"^```[^\n]*\n(.*?)^```", doc.read_text(), re.M | re.S):
             documented += re.findall(r"^\s*(?:\$ )?python -m repro (.+)",
                                      re.sub(r"\\\n\s*", "", block), re.M)

@@ -80,6 +80,20 @@ class FlakyJob(SimJob):
         ).run()
 
 
+class ScratchProbeJob(SimJob):
+    """Fails unless exactly one private broker directory carries the
+    pid prefix of the process that runs it."""
+
+    def run(self) -> CaseResult:
+        from repro.experiments.sweep import _SCRATCH
+
+        scratch = Path(_SCRATCH or tempfile.gettempdir())
+        mine = list(scratch.glob(f"repro-sweep-{os.getpid()}-*"))
+        if len(mine) != 1:
+            raise AssertionError(f"private broker directories of pid {os.getpid()}: {mine}")
+        return super().run()
+
+
 def good_job(scheme="1Q"):
     return SimJob(case="case1", scheme=scheme, time_scale=SCALE)
 
@@ -182,6 +196,13 @@ class TestSerialFailures:
         out = tmp_path / "deep" / "manifest.json"
         report.write_manifest(out)
         assert json.loads(out.read_text())["failed"] == 1
+
+    def test_the_private_broker_is_named_by_its_pid(self):
+        """Whoever cleans up after a killed sweep removes only what
+        that sweep's pid names, never a live sweep's broker."""
+        job = ScratchProbeJob(case="case1", scheme="1Q", time_scale=SCALE)
+        report = run_sweep([job], options=SweepOptions(max_retries=0, **FAST))
+        assert not report.failures, report.failures[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +466,6 @@ class TestKillAndRerun:
                 "sweep", "fig7a", "--jobs", "2", "--cache-dir"]
         cache, clean = tmp_path / "cache", tmp_path / "clean"
         scratch = Path(_SCRATCH or tempfile.gettempdir())
-        before = set(scratch.glob("repro-sweep-*"))
         victim = subprocess.Popen(argv + [str(cache)], env=env, start_new_session=True,
                                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         deadline = time.monotonic() + 120
@@ -454,7 +474,8 @@ class TestKillAndRerun:
             time.sleep(0.01)
         os.killpg(victim.pid, signal.SIGKILL)
         victim.wait()
-        for left in set(scratch.glob("repro-sweep-*")) - before:  # no one was left to clean up
+        # no one was left to clean up; other sweeps' directories are theirs
+        for left in scratch.glob(f"repro-sweep-{victim.pid}-*"):
             shutil.rmtree(left, ignore_errors=True)
         finished = len(list(cache.glob("*.json")))
         assert 1 <= finished < 4

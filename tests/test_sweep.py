@@ -373,12 +373,6 @@ class TestRunSweep:
         for render in (render_fault_matrix, render_pfc_matrix):
             assert render({"CCFIT": hit}) == render({"CCFIT": fresh})
 
-    def test_use_cache_false_bypasses_dir(self, tmp_path):
-        opts = SweepOptions(cache_dir=str(tmp_path), use_cache=False)
-        run_sweep(self.jobs(), options=opts)
-        report = run_sweep(self.jobs(), options=opts)
-        assert report.hits == 0 and len(ResultCache(tmp_path)) == 0
-
     def test_partial_hits(self, tmp_path):
         opts = SweepOptions(cache_dir=str(tmp_path))
         run_sweep(self.jobs(("1Q",)), options=opts)
