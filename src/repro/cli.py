@@ -27,9 +27,10 @@ Commands
     docs/service.md.
 ``worker --broker URL``
     Pull-based sweep worker: lease cells from a broker (a shared
-    directory or an ``http://`` ``repro serve`` endpoint), execute
-    them with the standard retry/timeout machinery, publish results
-    into the shared content-addressed cache.  See docs/service.md.
+    directory or an ``http://`` ``repro serve`` endpoint) on every core
+    of the host (``--jobs`` processes), execute them with the standard
+    retry/timeout machinery, publish results into the shared
+    content-addressed cache.  See docs/service.md.
 ``cache [--dir PATH] [--prune ...]``
     Shared-cache hygiene: occupancy stats, ``--prune`` by
     ``--older-than AGE`` and/or ``--max-size SIZE``, ``--quarantined``
@@ -63,6 +64,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import signal
 import sys
 from typing import Any, Dict, Optional
 
@@ -109,8 +111,9 @@ def _add_engine_options(p: argparse.ArgumentParser, suppress: bool = False) -> N
     def d(value):
         return sup if suppress else value
 
-    p.add_argument("--jobs", type=int, default=d(1), metavar="N",
-                   help="worker processes for the simulation grid (1 = serial)")
+    # None: the command's own default (1; every core for `worker`)
+    p.add_argument("--jobs", type=int, default=d(None), metavar="N",
+                   help="worker processes for the simulation grid (default 1 = serial)")
     p.add_argument("--cache-dir", type=str, default=d(None), metavar="PATH",
                    help="on-disk result cache directory "
                         "(default: ~/.cache/repro-sweep for `sweep`, off otherwise)")
@@ -247,10 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
         "worker",
         help="pull-based sweep worker: lease cells from a broker and run them",
         description="Lease cells from a broker — a shared directory or an "
-                    "http:// `repro serve` endpoint — execute them with the "
-                    "standard retry/timeout machinery, and publish results into "
-                    "the shared content-addressed cache.  Workers are "
-                    "crash-safe: a worker that dies mid-cell stops "
+                    "http:// `repro serve` endpoint — on every core of this "
+                    "host, execute them with the standard retry/timeout "
+                    "machinery, and publish results into the shared "
+                    "content-addressed cache.  Workers are crash-safe: a "
+                    "worker process that dies mid-cell has its lease released "
+                    "at once and is replaced; a whole worker that dies stops "
                     "heartbeating, its lease expires, and the cell is requeued "
                     "for another worker (see docs/service.md).",
     )
@@ -258,9 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="broker to lease from: a directory path (or "
                              "dir://PATH) for direct filesystem access, or the "
                              "http://HOST:PORT of a `repro serve` instance")
+    worker.add_argument("--jobs", type=int, default=argparse.SUPPRESS, metavar="N",
+                        help="worker processes (default: one per core this "
+                             "process may run on); 1 runs the worker in this process")
     worker.add_argument("--id", default=None, dest="worker_id", metavar="NAME",
                         help="worker identity recorded in manifests "
-                             "(default: <hostname>-<pid>)")
+                             "(default: <hostname>-<pid>); with --jobs > 1, "
+                             "process n is NAME.n")
     worker.add_argument("--timeout", type=float, default=None, metavar="S",
                         help="per-cell wall-clock timeout; runs each cell in a "
                              "quarantined child process")
@@ -275,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "directory (default 0.5); over HTTP the claim "
                              "waits in the server instead")
     worker.add_argument("--max-cells", type=int, default=None, metavar="N",
-                        help="exit after completing N cells")
+                        help="exit after N cells, counted over all its processes")
     worker.add_argument("--idle-exit", type=float, default=None, metavar="S",
                         help="exit after S seconds with nothing to claim "
                              "(default: run until interrupted)")
@@ -337,7 +346,7 @@ def _options(args: argparse.Namespace, *, cache_by_default: bool) -> SweepOption
     if cache_dir is None and cache_by_default:
         cache_dir = default_cache_dir()
     return SweepOptions(
-        jobs=args.jobs,
+        jobs=args.jobs if args.jobs is not None else 1,
         cache_dir=None if args.no_cache else cache_dir,
         timeout=args.timeout,
         max_retries=max(0, args.retries),
@@ -563,36 +572,50 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+def _cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
 def _cmd_worker(args) -> int:
     from repro.experiments.resilience import RetryPolicy
-    from repro.service import Worker
     from repro.service.api import ServiceError
+    from repro.service.broker import default_worker_id
+    from repro.service.worker import drain
 
-    policy = RetryPolicy(max_retries=max(0, args.retries))
-    worker = Worker(
-        args.broker,
-        worker_id=args.worker_id,
-        policy=policy,
-        timeout=args.timeout,
-        heartbeat_interval=args.heartbeat,
-        poll_interval=args.poll_interval,
-        max_cells=args.max_cells,
-        idle_exit=args.idle_exit,
-    )
+    name = args.worker_id or default_worker_id()
+    processes = args.jobs if args.jobs is not None else _cores()
+    # terminated, the worker stops its processes as Ctrl-C does (they
+    # inherit the handler, so a terminated process stops as cleanly)
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
-        summary = worker.run()
-    except KeyboardInterrupt:
-        summary = {"worker": worker.id, "completed": worker.completed,
-                   "failed": worker.failed, "elapsed": None}
+        summary = drain(
+            args.broker,
+            processes,
+            worker_id=name,
+            policy=RetryPolicy(max_retries=max(0, args.retries)),
+            timeout=args.timeout,
+            heartbeat_interval=args.heartbeat,
+            poll_interval=args.poll_interval,
+            max_cells=args.max_cells,
+            idle_exit=args.idle_exit,
+        )
     except ServiceError as exc:
         # a worker over HTTP is always inside a request, so it is the
         # first to know when its server goes away
-        print(f"worker {worker.id}: lost the broker: {exc}", file=sys.stderr)
+        print(f"worker {name}: lost the broker: {exc}", file=sys.stderr)
         return 1
-    print(
-        f"worker {summary['worker']}: {summary['completed']} completed, "
-        f"{summary['failed']} failed"
-    )
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    on = f" on {processes} processes" if processes > 1 else ""
+    print(f"worker {name}: {summary['completed']} completed, {summary['failed']} failed{on}")
     return 0 if summary["failed"] == 0 else 1
 
 

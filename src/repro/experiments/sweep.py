@@ -14,10 +14,11 @@ them through :func:`run_sweep`, which
   reuse results instead of re-simulating;
 * runs the rest as a private broker drained by local workers: the
   misses are submitted to a :class:`~repro.service.broker.FsBroker` in
-  a temporary directory and executed by
-  :class:`~repro.service.worker.Worker` — in process, or in
-  ``SweepOptions.jobs`` worker processes — the executor ``repro
-  worker`` runs against a shared broker.  Its per-cell timeouts,
+  a temporary directory and drained by
+  :func:`~repro.service.worker.drain` — one
+  :class:`~repro.service.worker.Worker` in process, or
+  ``SweepOptions.jobs`` worker processes — as ``repro worker`` drains
+  a shared broker.  Its per-cell timeouts,
   bounded retries with backoff and failure records are the sweep's;
   a worker process that dies has its cell requeued, then recorded as a
   crash, without aborting the sweep.  Partial results are first-class:
@@ -857,9 +858,10 @@ def run_sweep(jobs: Sequence[SimJob], *, options: Optional[SweepOptions] = None)
     Cells already in the cache are returned without simulating, and
     nothing else is touched for them.  The misses -- each distinct cell
     once -- are submitted to a private
-    :class:`~repro.service.broker.FsBroker` and drained by the one
-    executor of a cell, :class:`~repro.service.worker.Worker`: in this
-    process (``options.jobs <= 1``, or a single miss), else in
+    :class:`~repro.service.broker.FsBroker` and drained by
+    :func:`~repro.service.worker.drain`, as ``repro worker`` drains a
+    shared one: one :class:`~repro.service.worker.Worker` in this
+    process (``options.jobs <= 1``, or a single miss), else
     ``options.jobs`` worker processes.  A cell that crashes, times out
     or keeps raising is recorded in ``SweepReport.failures`` and leaves
     ``None`` in its result slots; the rest of the sweep completes
@@ -892,7 +894,7 @@ def _execute(misses: Dict[str, SimJob], keys: List[str], opts: SweepOptions,
              report: SweepReport) -> None:
     """Run ``misses`` through a private broker, publishing into the
     sweep's cache (or the broker's own, with the cache off), and fill
-    their slots of ``report`` from the run's manifest."""
+    their slots of ``report`` from the run's manifest and that cache."""
     from repro.service.broker import FsBroker
     from repro.service.worker import drain
 
@@ -905,8 +907,12 @@ def _execute(misses: Dict[str, SimJob], keys: List[str], opts: SweepOptions,
         report.workers = max(1, min(opts.jobs, len(misses)))
         # what ran in this process comes back as it filled it; the rest
         # is read from the cache it was published into
-        fresh = drain(broker, misses, report.workers, policy=opts.retry_policy(),
-                      timeout=opts.timeout)
+        fresh: Dict[str, Dict[str, Any]] = {}
+        summary = drain(broker, report.workers, worker_id=f"pid{os.getpid()}", jobs=misses,
+                        results=fresh, policy=opts.retry_policy(), timeout=opts.timeout,
+                        idle_exit=0)
+        if summary["interrupted"]:
+            raise KeyboardInterrupt
         manifest = broker.run_manifest(run.id)
         done = {
             cell["key"]: (

@@ -16,9 +16,11 @@ the machine:
   expiry + exactly-once requeue, heartbeats and idempotent completion
   keyed by the content-addressed cache key;
 * :mod:`repro.service.worker` — :class:`~repro.service.worker.Worker`,
-  the pull-based executor of a cell: behind ``repro worker --broker
-  URL``, and every worker of a local sweep (retries with deterministic
-  backoff and per-attempt timeouts, per lease);
+  the pull-based executor of a cell (retries with deterministic
+  backoff and per-attempt timeouts, per lease), and
+  :func:`~repro.service.worker.drain`, which runs it in process or in
+  supervised worker processes: behind ``repro worker --broker URL`` on
+  every core of a host, and behind every local sweep;
 * :mod:`repro.service.server` — ``repro serve``: a stdlib
   ``ThreadingHTTPServer`` front-end to submit experiments
   (``POST /experiments``), stream cell-level progress as NDJSON/SSE
@@ -50,6 +52,7 @@ _EXPORTS = {
     "ServiceServer": "server",
     "serve": "server",
     "Worker": "worker",
+    "drain": "worker",
 }
 
 __all__ = sorted(_EXPORTS)

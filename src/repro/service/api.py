@@ -16,7 +16,7 @@ to wait for, the server holds the request (``wait``):
   await run status, stream events, fetch cached results/telemetry;
 * :class:`HttpBroker` — the worker's view of a remote broker, shaped
   exactly like :class:`repro.service.broker.FsBroker` (``claim`` /
-  ``heartbeat`` / ``complete`` / ``fail``), so
+  ``heartbeat`` / ``complete`` / ``fail`` / ``release``), so
   :class:`repro.service.worker.Worker` runs unchanged against a local
   directory or a TCP endpoint.
 
@@ -331,6 +331,11 @@ class HttpBroker(_HttpClient):
 
     def fail(self, key: str, worker: str, failure: Dict[str, Any]) -> None:
         self._request("/broker/fail", {"key": key, "worker": worker, "failure": failure})
+
+    def release(self, worker: str, failure: Dict[str, Any], attempts: int) -> int:
+        rec = self._request("/broker/release",
+                            {"worker": worker, "failure": failure, "attempts": attempts})
+        return int(rec.get("released", 0))
 
     def reap(self) -> Tuple[int, int]:  # server-side concern
         return (0, 0)

@@ -24,16 +24,17 @@ that requeues expired leases, and exposes:
 ``GET  /results/<key>/telemetry``  the cell's telemetry bundle
 ``GET  /metrics``             live Prometheus exposition: service
                               gauges + the freshest telemetry bundle
-``POST /broker/claim|heartbeat|retry|complete|fail``   the worker protocol;
-                              ``claim`` with ``"wait": S`` blocks until
-                              a cell is there or ``S`` seconds pass
+``POST /broker/claim|heartbeat|retry|complete|fail|release``
+                              the worker protocol; ``claim`` with
+                              ``"wait": S`` blocks until a cell is there
+                              or ``S`` seconds pass
 ``GET  /healthz``             liveness probe
 ============================  =========================================
 
 Workers may attach either directly to the broker directory
 (``repro worker --broker /path``) or over TCP through this server
 (``repro worker --broker http://host:8642``) — the protocol is the
-same five verbs either way.
+same six verbs either way.
 
 Nothing on the HTTP path polls: connections are kept alive, and a
 request that waits sleeps on one condition the server notifies after
@@ -334,6 +335,14 @@ class _Handler(BaseHTTPRequestHandler):
             )
             svc.notify()
             self._json({"ok": True})
+        elif parts == ["broker", "release"]:
+            body = self._body()
+            attempts = body.get("attempts")
+            if not body.get("worker") or isinstance(attempts, bool) or not isinstance(attempts, int):
+                raise _BadRequest("release needs 'worker' and an integer 'attempts'")
+            released = broker.release(body["worker"], body.get("failure") or {}, attempts)
+            svc.notify()
+            self._json({"ok": True, "released": released})
         else:
             self.close_connection = True  # its body, if any, is still unread
             self._error(404, f"no such endpoint: POST {parsed.path}")

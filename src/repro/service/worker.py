@@ -3,9 +3,11 @@ worker of a local sweep.
 
 The worker is a loop around the broker protocol: claim a lease,
 execute the cell, publish the result, repeat.  It is the one executor
-of a cell: ``repro worker`` runs it against a shared broker, and
-:func:`~repro.experiments.sweep.run_sweep` runs it against a private
-one, in process or in ``--jobs`` worker processes.  Per lease it brings
+of a cell, and :func:`drain` is the one way a host runs it: one
+:class:`Worker` in this process, or worker processes supervised here.
+``repro worker`` drains a shared broker on every core of its host;
+:func:`~repro.experiments.sweep.run_sweep` drains a private one with
+``--jobs`` processes.  Per lease a worker brings
 
 * bounded retries with the deterministic
   :class:`~repro.experiments.resilience.RetryPolicy` backoff, each one
@@ -26,6 +28,7 @@ the cell.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -37,6 +40,10 @@ from repro.experiments.resilience import WORKER_CRASH, RetryPolicy, execute_job,
 from repro.service.broker import FsBroker, Lease, default_worker_id
 
 __all__ = ["Worker", "drain"]
+
+#: how often a worker process of :func:`drain` checks that the process
+#: supervising it is still there (seconds).
+_ORPHAN_CHECK_S = 0.25
 
 
 class _Heartbeat:
@@ -89,6 +96,9 @@ class Worker:
     ``jobs`` maps lease keys to the cells to execute.  A local sweep's
     workers hold the very ``SimJob`` objects the sweep was handed;
     without it (``repro worker``), each lease's wire spec is decoded.
+    ``results``, when given, receives the :func:`execute_job` record of
+    each cell completed, by key: how a local sweep's worker in its own
+    process hands results back as it made them.
     """
 
     def __init__(
@@ -103,6 +113,7 @@ class Worker:
         max_cells: Optional[int] = None,
         idle_exit: Optional[float] = None,
         jobs: Optional[Mapping[str, Any]] = None,
+        results: Optional[Dict[str, Dict[str, Any]]] = None,
     ) -> None:
         self._owns_broker = isinstance(broker, str)
         if self._owns_broker:
@@ -115,9 +126,12 @@ class Worker:
         self.timeout = timeout
         self.heartbeat_interval = heartbeat_interval
         self.poll_interval = poll_interval
-        self.max_cells = max_cells
+        #: one permit per cell this worker may still claim, or None for
+        #: no limit; the worker processes of one :func:`drain` share one.
+        self.budget = threading.Semaphore(max(0, max_cells)) if max_cells is not None else None
         self.idle_exit = idle_exit
         self.jobs = jobs
+        self.results = results
         #: cells completed / failed by *this* worker (for reporting).
         self.completed = 0
         self.failed = 0
@@ -190,6 +204,8 @@ class Worker:
                         lease.key, self.id, record["result"], elapsed=elapsed
                     )
                     self.completed += 1
+                    if self.results is not None:
+                        self.results[lease.key] = record
                     return record
                 err = record.get("error", {})
                 if attempt <= self.policy.max_retries and not self._stop.is_set():
@@ -230,7 +246,7 @@ class Worker:
     def _pull(self) -> None:
         idle_since: Optional[float] = None
         while not self._stop.is_set():
-            if self.max_cells is not None and self.completed + self.failed >= self.max_cells:
+            if self.budget is not None and not self.budget.acquire(False):
                 break
             try:
                 self.broker.reap()
@@ -239,6 +255,8 @@ class Worker:
             asked = time.monotonic()
             lease = self.broker.claim(self.id)
             if lease is None:
+                if self.budget is not None:
+                    self.budget.release()  # nothing was claimed with it
                 if idle_since is None:
                     idle_since = asked  # a blocking claim was idle time already
                 if self.idle_exit is not None and time.monotonic() - idle_since >= self.idle_exit:
@@ -250,68 +268,114 @@ class Worker:
             self.run_lease(lease)
 
 
-def drain(
-    broker: FsBroker,
-    jobs: Mapping[str, Any],
-    processes: int = 1,
-    *,
-    policy: Optional[RetryPolicy] = None,
-    timeout: Optional[float] = None,
-) -> Dict[str, Dict[str, Any]]:
-    """Execute every cell queued on ``broker`` -- a local sweep's private
-    one -- with local workers over ``jobs``: one :class:`Worker` in this
-    process, or ``processes`` worker processes.  Returns, by key, the
-    completion records of the cells this process ran (none, when
-    worker processes ran them).
+def drain(broker, processes: int = 1, **options: Any) -> Dict[str, Any]:
+    """Run workers on ``broker`` until they stop: the one way a host
+    executes cells, behind ``repro worker`` and every local sweep.
+    ``options`` are :class:`Worker` keywords, ``broker`` a client or a
+    ``--broker`` URL.
 
-    The processes are forked or spawned as the platform does by
-    default, and one that cannot start raises.  One that exits non-zero
-    has its lease released at once -- the cell requeued while it has
-    attempts left, else failed as a crash -- and is replaced while cells
-    remain queued; one that dies holding no cell raises.
+    With ``processes <= 1``, one :class:`Worker` runs in this process.
+    Otherwise ``processes`` worker processes run, started as the
+    platform starts them by default (one that cannot start raises).
+    Each opens a client of its own, is named ``<worker_id>.<n>``, and
+    exits if this process dies; ``max_cells`` is one budget for all of
+    them, and ``results`` stays empty.  One that exits non-zero has its
+    lease released at once -- the cell requeued while it has attempts
+    left, else failed as a crash -- and is replaced; one that dies
+    holding no cell raises.
+
+    Returns the :meth:`Worker.run` summary summed over the processes.  A
+    ``KeyboardInterrupt`` (or, under ``repro worker``, a SIGTERM) stops
+    the processes and returns what they did with ``interrupted`` set:
+    the caller decides whether to go on.
     """
-    policy = policy if policy is not None else RetryPolicy()
+    t0 = time.perf_counter()
+    interrupted = False
     if processes <= 1:
-        worker = Worker(broker, f"pid{os.getpid()}", policy=policy, timeout=timeout, jobs=jobs)
-        done = {}
-        while (lease := broker.claim(worker.id)) is not None:
-            record = worker.run_lease(lease)
-            if record is not None:
-                done[lease.key] = record
-        return done
+        worker = Worker(broker, **options)
+        try:
+            worker.run()
+        except KeyboardInterrupt:
+            interrupted = True
+        name, completed, failed = worker.id, worker.completed, worker.failed
+    else:
+        name = options.pop("worker_id", None) or default_worker_id()
+        max_cells = options.pop("max_cells", None)
+        options.pop("results", None)  # a child's records cannot come back; the cache has them
+        budget = multiprocessing.Semaphore(max(0, max_cells)) if max_cells is not None else None
+        totals = multiprocessing.Array("q", 2)  # cells completed, failed
+        # a child opens a client of its own: a directory holds nothing
+        # open, and this process's HTTP connections are not the child's
+        address = broker if isinstance(broker, (str, FsBroker)) else broker.base
+        opened = isinstance(broker, str)  # then this process's client is drain's to close
+        if opened:
+            from repro.service.api import connect_broker
 
-    args = (str(broker.root), str(broker.cache.root), jobs, policy, timeout)
-    running: Dict[int, Any] = {}
+            broker = connect_broker(broker)
+        policy = options.get("policy") or RetryPolicy()
+        crash = dict(WORKER_CRASH, kind="crash")
+        numbers = itertools.count(1)
+        running: Dict[int, Any] = {}
 
-    def start() -> None:
-        proc = multiprocessing.Process(target=_work, args=args)
-        proc.start()
-        running[proc.sentinel] = proc
+        def start() -> None:
+            child = f"{name}.{next(numbers)}"
+            proc = multiprocessing.Process(
+                target=_work, args=(address, child, options, budget, totals, os.getpid()))
+            proc.start()
+            running[proc.sentinel] = (proc, child)
 
-    try:
-        for _ in range(processes):
-            start()
-        while running:
-            for sentinel in multiprocessing.connection.wait(list(running)):
-                proc = running.pop(sentinel)
-                proc.join()
-                if not proc.exitcode:
-                    continue
-                crash = dict(WORKER_CRASH, kind="crash")
-                if not broker.release(f"pid{proc.pid}", crash, attempts=policy.max_retries + 1):
-                    raise RuntimeError(f"sweep worker pid{proc.pid} exited with code "
-                                       f"{proc.exitcode} holding no cell")
-                if broker.counts()["queue"]:
+        try:
+            for _ in range(processes):
+                start()
+            while running:
+                for sentinel in multiprocessing.connection.wait(list(running)):
+                    proc, child = running.pop(sentinel)
+                    proc.join()
+                    if not proc.exitcode:
+                        continue
+                    if not broker.release(child, crash, attempts=policy.max_retries + 1):
+                        raise RuntimeError(f"worker {child} exited with code "
+                                           f"{proc.exitcode} holding no cell")
                     start()
+        except KeyboardInterrupt:
+            interrupted = True
+        finally:
+            for proc, _child in running.values():
+                proc.terminate()
+            for proc, _child in running.values():
+                proc.join()
+            if opened:
+                broker.close()
+        completed, failed = totals[0], totals[1]
+    return {
+        "worker": name,
+        "completed": completed,
+        "failed": failed,
+        "elapsed": time.perf_counter() - t0,
+        "interrupted": interrupted,
+    }
+
+
+def _work(broker, worker_id: str, options: Dict[str, Any], budget, totals,
+          parent: int) -> None:
+    """One worker process of :func:`drain`: run a :class:`Worker` until
+    it stops, then add what it did to ``totals``.  Its lease can be
+    released only by the process that started it, so without that
+    process it does not go on."""
+    threading.Thread(target=_exit_when_orphaned, args=(parent,), daemon=True).start()
+    worker = Worker(broker, worker_id, **options)
+    worker.budget = budget
+    try:
+        worker.run()
+    except KeyboardInterrupt:
+        pass  # drain is stopping its processes
     finally:
-        for proc in running.values():
-            proc.terminate()
-            proc.join()
-    return {}
+        with totals.get_lock():
+            totals[0] += worker.completed
+            totals[1] += worker.failed
 
 
-def _work(root: str, cache_dir: str, jobs: Mapping[str, Any], policy: RetryPolicy,
-          timeout: Optional[float]) -> None:
-    """One local worker process: drain the broker at ``root``, then exit."""
-    Worker(FsBroker(root, cache_dir=cache_dir), f"pid{os.getpid()}", policy=policy,
-           timeout=timeout, idle_exit=0, jobs=jobs).run()
+def _exit_when_orphaned(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(_ORPHAN_CHECK_S)
+    os._exit(1)

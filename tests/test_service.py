@@ -7,6 +7,7 @@ many times its lease bounced.  Everything tier-1 here runs 0.02x
 cells; the multi-process kill-a-worker end-to-end test is ``tier2``.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -19,6 +20,7 @@ import time
 
 import pytest
 
+from repro.cli import build_parser
 from repro.experiments import registry
 from repro.experiments.resilience import RetryPolicy
 from repro.experiments.sweep import (
@@ -38,6 +40,9 @@ from repro.service import (
     job_to_spec,
 )
 from repro.service.api import LONG_POLL_S, ServiceError
+from repro.service.worker import drain
+
+from tests.test_resilience import CrashJob
 
 SCALE = 0.02
 
@@ -735,10 +740,123 @@ class TestService:
 
 
 # ----------------------------------------------------------------------
-# waiting, not polling; connections that stay open
+# drain: one host, every core
 # ----------------------------------------------------------------------
 def submit_tiny(client, seed=1):
     return client.submit("fig7a", schemes=["CCFIT"], time_scale=SCALE, seed=seed)
+
+
+def children(pid):
+    """The pids of a process's children, from Linux's ``/proc``."""
+    with open(f"/proc/{pid}/task/{pid}/children") as fh:
+        return [int(word) for word in fh.read().split()]
+
+
+def running(pid) -> bool:
+    """Whether ``pid`` is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+def until(predicate, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.02)
+
+
+class TestDrain:
+    def test_processes_drain_an_http_broker_byte_identically(self, srv, client, tiny_result):
+        sub = client.submit("fig7a", schemes=["CCFIT", "1Q", "ITh"], time_scale=SCALE, seed=1)
+        summary = drain(srv.url, 2, worker_id="host", idle_exit=0.5)
+        assert (summary["completed"], summary["failed"], summary["interrupted"]) == (3, 0, False)
+        manifest = client.manifest(sub["run"])
+        assert manifest["ok"] == 3
+        assert {row["worker"] for row in manifest["jobs"]} <= {"host.1", "host.2"}
+        fetched = client.result(tiny_jobs()[0].key())["result"]
+        assert result_bytes(fetched) == result_bytes(tiny_result.to_dict())
+
+    def test_a_dead_process_has_its_lease_released_over_http_at_once(self, srv, client):
+        """Not after the lease: the cell is requeued as soon as the
+        process that held it is found dead, then failed as a crash once
+        out of attempts, and the processes are replaced."""
+        (job,) = tiny_jobs()
+        crash = CrashJob(**{f.name: getattr(job, f.name) for f in dataclasses.fields(job)})
+        assert crash.key() == job.key()
+        sub = submit_tiny(client)
+        t0 = time.monotonic()
+        drain(srv.url, 2, worker_id="host", jobs={job.key(): crash}, idle_exit=0.5,
+              policy=RetryPolicy(max_retries=1))
+        assert time.monotonic() - t0 < srv.broker.lease_ttl / 4
+        manifest = client.manifest(sub["run"])
+        assert manifest["requeued"] == 1
+        (failure,) = manifest["failures"]
+        assert (failure["exception"], failure["kind"], failure["attempts"]) == ("WorkerCrash", "crash", 2)
+        assert failure["worker"].startswith("host.")
+
+    def test_release_without_attempts_is_400(self, client):
+        with pytest.raises(ServiceError, match="400"):
+            client._request("/broker/release", {"worker": "w", "failure": {}})
+
+    def test_max_cells_is_one_budget_for_every_process(self, tmp_path):
+        b = FsBroker(tmp_path)
+        b.submit(tiny_jobs(schemes=("CCFIT", "1Q", "ITh")), experiment="fig7a")
+        summary = drain(str(tmp_path), 2, max_cells=2, poll_interval=0.01, idle_exit=5.0)
+        assert (summary["completed"], b.counts()["done"], b.counts()["queue"]) == (2, 2, 1)
+
+    def test_repro_worker_defaults_to_every_core(self):
+        parse = build_parser().parse_args
+        assert parse(["worker", "--broker", "d"]).jobs is None  # every core
+        assert parse(["worker", "--broker", "d", "--jobs", "3"]).jobs == 3
+        assert parse(["--jobs", "3", "worker", "--broker", "d"]).jobs == 3
+        assert parse(["sweep", "fig7a"]).jobs is None  # one worker, in process
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="reads child processes from Linux's /proc")
+class TestWorkerCommand:
+    """``repro worker --jobs N`` as a process, and the processes it runs."""
+
+    def spawn(self, broker_dir, out=subprocess.PIPE):
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "worker", "--broker", str(broker_dir),
+             "--jobs", "2", "--id", "host", "--poll-interval", "0.05"],
+            env=env, stdout=out, stderr=out, text=True)
+        until(lambda: len(children(proc.pid)) == 2)
+        return proc, children(proc.pid)
+
+    def test_terminated_it_stops_its_processes_and_reports(self, tmp_path):
+        b = FsBroker(tmp_path)
+        b.submit(tiny_jobs(), experiment="fig7a")
+        proc, kids = self.spawn(tmp_path)
+        until(lambda: b.counts()["done"] == 1)
+        time.sleep(0.2)  # the done marker is written just before the count
+        proc.terminate()
+        out, err = proc.communicate(timeout=30)
+        assert proc.returncode == 0, err
+        assert out.strip() == "worker host: 1 completed, 0 failed on 2 processes"
+        assert not any(running(kid) for kid in kids)
+
+    def test_killed_its_processes_do_not_outlive_it(self, tmp_path):
+        proc, kids = self.spawn(tmp_path, out=subprocess.DEVNULL)
+        proc.kill()
+        proc.wait()
+        try:
+            until(lambda: not any(running(kid) for kid in kids), timeout=5.0)
+        finally:
+            for kid in filter(running, kids):
+                os.kill(kid, signal.SIGKILL)
+
+
+# ----------------------------------------------------------------------
+# waiting, not polling; connections that stay open
+# ----------------------------------------------------------------------
 
 
 class TestWaiting:
