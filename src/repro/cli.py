@@ -580,21 +580,16 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _interrupt(signum, frame) -> None:
-    raise KeyboardInterrupt
-
-
 def _cmd_worker(args) -> int:
     from repro.experiments.resilience import RetryPolicy
     from repro.service.api import ServiceError
     from repro.service.broker import default_worker_id
-    from repro.service.worker import drain
+    from repro.service.worker import Interrupted, drain
 
     name = args.worker_id or default_worker_id()
     processes = args.jobs if args.jobs is not None else _cores()
-    # terminated, the worker stops its processes as Ctrl-C does (they
-    # inherit the handler, so a terminated process stops as cleanly)
-    previous = signal.signal(signal.SIGTERM, _interrupt)
+    # terminated, the worker stops its processes as Ctrl-C does
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         summary = drain(
             args.broker,
@@ -607,10 +602,15 @@ def _cmd_worker(args) -> int:
             max_cells=args.max_cells,
             idle_exit=args.idle_exit,
         )
+    except Interrupted as exc:
+        summary = exc.summary
     except ServiceError as exc:
         # a worker over HTTP is always inside a request, so it is the
         # first to know when its server goes away
         print(f"worker {name}: lost the broker: {exc}", file=sys.stderr)
+        return 1
+    except RuntimeError as exc:  # a worker process died holding no cell
+        print(f"worker {name}: {exc}", file=sys.stderr)
         return 1
     finally:
         signal.signal(signal.SIGTERM, previous)

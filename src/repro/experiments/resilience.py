@@ -168,7 +168,10 @@ def run_isolated(job, timeout: Optional[float] = None) -> Dict[str, Any]:
         return {"ok": False, "key": job.key(), "kind": kind, "error": error}
     finally:
         # a wedged worker would block a waiting shutdown forever: kill
-        # it first (terminating a process that has exited is a no-op)
+        # it first (killing a process that has exited is a no-op).
+        # SIGKILL, as SIGTERM may be handled: a worker process of
+        # `drain` turns it into KeyboardInterrupt, which a forked pool
+        # worker inherits, catches and outlives
         for proc in list((getattr(pool, "_processes", None) or {}).values()):
-            proc.terminate()
+            proc.kill()
         pool.shutdown(wait=False, cancel_futures=True)

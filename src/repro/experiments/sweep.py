@@ -908,11 +908,8 @@ def _execute(misses: Dict[str, SimJob], keys: List[str], opts: SweepOptions,
         # what ran in this process comes back as it filled it; the rest
         # is read from the cache it was published into
         fresh: Dict[str, Dict[str, Any]] = {}
-        summary = drain(broker, report.workers, worker_id=f"pid{os.getpid()}", jobs=misses,
-                        results=fresh, policy=opts.retry_policy(), timeout=opts.timeout,
-                        idle_exit=0)
-        if summary["interrupted"]:
-            raise KeyboardInterrupt
+        drain(broker, report.workers, worker_id=f"pid{os.getpid()}", results=fresh,
+              jobs=misses, policy=opts.retry_policy(), timeout=opts.timeout, idle_exit=0)
         manifest = broker.run_manifest(run.id)
         done = {
             cell["key"]: (

@@ -337,10 +337,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._json({"ok": True})
         elif parts == ["broker", "release"]:
             body = self._body()
-            attempts = body.get("attempts")
-            if not body.get("worker") or isinstance(attempts, bool) or not isinstance(attempts, int):
-                raise _BadRequest("release needs 'worker' and an integer 'attempts'")
-            released = broker.release(body["worker"], body.get("failure") or {}, attempts)
+            worker, attempts, failure = body.get("worker"), body.get("attempts"), body.get("failure")
+            if (not worker or not isinstance(worker, str)
+                    or isinstance(attempts, bool) or not isinstance(attempts, int) or attempts < 1
+                    or not isinstance(failure, (dict, type(None)))):
+                raise _BadRequest("release needs 'worker', an integer 'attempts' >= 1 "
+                                  "and, if any, a 'failure' object")
+            released = broker.release(worker, failure or {}, attempts)
             svc.notify()
             self._json({"ok": True, "released": released})
         else:

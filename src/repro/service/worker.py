@@ -30,20 +30,17 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import multiprocessing.connection
 import os
+import signal
 import threading
 import time
+from multiprocessing.connection import wait
 from typing import Any, Dict, Mapping, Optional
 
 from repro.experiments.resilience import WORKER_CRASH, RetryPolicy, execute_job, run_isolated
 from repro.service.broker import FsBroker, Lease, default_worker_id
 
-__all__ = ["Worker", "drain"]
-
-#: how often a worker process of :func:`drain` checks that the process
-#: supervising it is still there (seconds).
-_ORPHAN_CHECK_S = 0.25
+__all__ = ["Interrupted", "Worker", "drain"]
 
 
 class _Heartbeat:
@@ -98,7 +95,9 @@ class Worker:
     without it (``repro worker``), each lease's wire spec is decoded.
     ``results``, when given, receives the :func:`execute_job` record of
     each cell completed, by key: how a local sweep's worker in its own
-    process hands results back as it made them.
+    process hands results back as it made them.  ``max_cells`` limits
+    this worker's cells; ``budget``, a semaphore holding one permit per
+    cell, limits those of every worker sharing it.
     """
 
     def __init__(
@@ -111,6 +110,7 @@ class Worker:
         heartbeat_interval: Optional[float] = None,
         poll_interval: float = 0.5,
         max_cells: Optional[int] = None,
+        budget=None,
         idle_exit: Optional[float] = None,
         jobs: Optional[Mapping[str, Any]] = None,
         results: Optional[Dict[str, Dict[str, Any]]] = None,
@@ -127,8 +127,9 @@ class Worker:
         self.heartbeat_interval = heartbeat_interval
         self.poll_interval = poll_interval
         #: one permit per cell this worker may still claim, or None for
-        #: no limit; the worker processes of one :func:`drain` share one.
-        self.budget = threading.Semaphore(max(0, max_cells)) if max_cells is not None else None
+        #: no limit: its own ``max_cells``, or a semaphore ``budget``
+        #: shared with other workers (the processes of one :func:`drain`).
+        self.budget = threading.Semaphore(max(0, max_cells)) if max_cells is not None else budget
         self.idle_exit = idle_exit
         self.jobs = jobs
         self.results = results
@@ -236,12 +237,7 @@ class Worker:
         finally:
             if self._owns_broker:
                 self.broker.close()
-        return {
-            "worker": self.id,
-            "completed": self.completed,
-            "failed": self.failed,
-            "elapsed": time.perf_counter() - t0,
-        }
+        return _summary(self.id, self.completed, self.failed, t0)
 
     def _pull(self) -> None:
         idle_since: Optional[float] = None
@@ -268,103 +264,119 @@ class Worker:
             self.run_lease(lease)
 
 
-def drain(broker, processes: int = 1, **options: Any) -> Dict[str, Any]:
+def drain(
+    broker,
+    processes: int = 1,
+    *,
+    worker_id: Optional[str] = None,
+    max_cells: Optional[int] = None,
+    results: Optional[Dict[str, Dict[str, Any]]] = None,
+    **options: Any,
+) -> Dict[str, Any]:
     """Run workers on ``broker`` until they stop: the one way a host
     executes cells, behind ``repro worker`` and every local sweep.
-    ``options`` are :class:`Worker` keywords, ``broker`` a client or a
-    ``--broker`` URL.
+    ``broker`` is a client or a ``--broker`` URL, and ``options`` are
+    the other :class:`Worker` keywords, given to every worker as they
+    are.
 
-    With ``processes <= 1``, one :class:`Worker` runs in this process.
-    Otherwise ``processes`` worker processes run, started as the
-    platform starts them by default (one that cannot start raises).
-    Each opens a client of its own, is named ``<worker_id>.<n>``, and
-    exits if this process dies; ``max_cells`` is one budget for all of
-    them, and ``results`` stays empty.  One that exits non-zero has its
-    lease released at once -- the cell requeued while it has attempts
-    left, else failed as a crash -- and is replaced; one that dies
-    holding no cell raises.
+    With ``processes <= 1``, one :class:`Worker` named ``worker_id``
+    runs in this process and fills ``results``.  Otherwise
+    ``processes`` worker processes run, started as the platform starts
+    them by default (one that cannot start raises).  Each opens a
+    client of its own, is named ``<worker_id>.<n>``, and exits if this
+    process dies; ``max_cells`` is one budget for all of them, and
+    ``results`` stays empty.  One that exits non-zero has its lease
+    released at once -- the cell requeued while it has attempts left,
+    else failed as a crash -- and is replaced; one that dies holding no
+    cell raises ``RuntimeError``.
 
-    Returns the :meth:`Worker.run` summary summed over the processes.  A
-    ``KeyboardInterrupt`` (or, under ``repro worker``, a SIGTERM) stops
-    the processes and returns what they did with ``interrupted`` set:
-    the caller decides whether to go on.
+    Returns the :meth:`Worker.run` summary summed over the processes.
+    A ``KeyboardInterrupt`` (in a worker process, a SIGTERM too) stops
+    the processes and is raised again as :class:`Interrupted`, which
+    carries that summary.
     """
     t0 = time.perf_counter()
-    interrupted = False
     if processes <= 1:
-        worker = Worker(broker, **options)
+        worker = Worker(broker, worker_id, max_cells=max_cells, results=results, **options)
         try:
-            worker.run()
+            return worker.run()
         except KeyboardInterrupt:
-            interrupted = True
-        name, completed, failed = worker.id, worker.completed, worker.failed
-    else:
-        name = options.pop("worker_id", None) or default_worker_id()
-        max_cells = options.pop("max_cells", None)
-        options.pop("results", None)  # a child's records cannot come back; the cache has them
-        budget = multiprocessing.Semaphore(max(0, max_cells)) if max_cells is not None else None
-        totals = multiprocessing.Array("q", 2)  # cells completed, failed
-        # a child opens a client of its own: a directory holds nothing
-        # open, and this process's HTTP connections are not the child's
-        address = broker if isinstance(broker, (str, FsBroker)) else broker.base
-        opened = isinstance(broker, str)  # then this process's client is drain's to close
-        if opened:
-            from repro.service.api import connect_broker
+            raise Interrupted(_summary(worker.id, worker.completed, worker.failed, t0)) from None
 
-            broker = connect_broker(broker)
-        policy = options.get("policy") or RetryPolicy()
-        crash = dict(WORKER_CRASH, kind="crash")
-        numbers = itertools.count(1)
-        running: Dict[int, Any] = {}
+    name = worker_id or default_worker_id()
+    budget = multiprocessing.Semaphore(max(0, max_cells)) if max_cells is not None else None
+    totals = multiprocessing.Array("q", 2)  # cells completed, failed
+    # a child opens a client of its own: a directory holds nothing
+    # open, and this process's HTTP connections are not the child's
+    address = broker if isinstance(broker, (str, FsBroker)) else broker.base
+    opened = isinstance(broker, str)  # then this process's client is drain's to close
+    if opened:
+        from repro.service.api import connect_broker
 
-        def start() -> None:
-            child = f"{name}.{next(numbers)}"
-            proc = multiprocessing.Process(
-                target=_work, args=(address, child, options, budget, totals, os.getpid()))
-            proc.start()
-            running[proc.sentinel] = (proc, child)
+        broker = connect_broker(broker)
+    policy = options.get("policy") or RetryPolicy()
+    crash = dict(WORKER_CRASH, kind="crash")
+    numbers = itertools.count(1)
+    running: Dict[int, Any] = {}
 
-        try:
-            for _ in range(processes):
-                start()
-            while running:
-                for sentinel in multiprocessing.connection.wait(list(running)):
-                    proc, child = running.pop(sentinel)
-                    proc.join()
-                    if not proc.exitcode:
-                        continue
-                    if not broker.release(child, crash, attempts=policy.max_retries + 1):
-                        raise RuntimeError(f"worker {child} exited with code "
-                                           f"{proc.exitcode} holding no cell")
-                    start()
-        except KeyboardInterrupt:
-            interrupted = True
-        finally:
-            for proc, _child in running.values():
-                proc.terminate()
-            for proc, _child in running.values():
+    def start() -> None:
+        child = f"{name}.{next(numbers)}"
+        proc = multiprocessing.Process(target=_work, args=(address, child, budget, totals, options))
+        proc.start()
+        running[proc.sentinel] = (proc, child)
+
+    interrupted = False
+    try:
+        for _ in range(processes):
+            start()
+        while running:
+            for sentinel in wait(list(running)):
+                proc, child = running.pop(sentinel)
                 proc.join()
-            if opened:
-                broker.close()
-        completed, failed = totals[0], totals[1]
-    return {
-        "worker": name,
-        "completed": completed,
-        "failed": failed,
-        "elapsed": time.perf_counter() - t0,
-        "interrupted": interrupted,
-    }
+                if not proc.exitcode:
+                    continue
+                if not broker.release(child, crash, attempts=policy.max_retries + 1):
+                    raise RuntimeError(f"worker process {child} exited with code "
+                                       f"{proc.exitcode} holding no cell")
+                start()
+    except KeyboardInterrupt:
+        interrupted = True
+    finally:
+        for proc, _child in running.values():
+            proc.terminate()
+        for proc, _child in running.values():
+            proc.join()
+        if opened:
+            broker.close()
+    summary = _summary(name, totals[0], totals[1], t0)
+    if interrupted:
+        raise Interrupted(summary)
+    return summary
 
 
-def _work(broker, worker_id: str, options: Dict[str, Any], budget, totals,
-          parent: int) -> None:
+class Interrupted(KeyboardInterrupt):
+    """A :func:`drain` stopped by ``KeyboardInterrupt``; ``summary`` is
+    what its workers did until then."""
+
+    def __init__(self, summary: Dict[str, Any]) -> None:
+        super().__init__()
+        self.summary = summary
+
+
+def _summary(worker: str, completed: int, failed: int, t0: float) -> Dict[str, Any]:
+    return {"worker": worker, "completed": completed, "failed": failed,
+            "elapsed": time.perf_counter() - t0}
+
+
+def _work(broker, worker_id: str, budget, totals, options: Dict[str, Any]) -> None:
     """One worker process of :func:`drain`: run a :class:`Worker` until
     it stops, then add what it did to ``totals``.  Its lease can be
     released only by the process that started it, so without that
-    process it does not go on."""
-    threading.Thread(target=_exit_when_orphaned, args=(parent,), daemon=True).start()
-    worker = Worker(broker, worker_id, **options)
-    worker.budget = budget
+    process it does not go on; terminated, it stops as on Ctrl-C."""
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    parent = multiprocessing.parent_process()
+    threading.Thread(target=_exit_with, args=(parent.sentinel,), daemon=True).start()
+    worker = Worker(broker, worker_id, budget=budget, **options)
     try:
         worker.run()
     except KeyboardInterrupt:
@@ -375,7 +387,8 @@ def _work(broker, worker_id: str, options: Dict[str, Any], budget, totals,
             totals[1] += worker.failed
 
 
-def _exit_when_orphaned(parent: int) -> None:
-    while os.getppid() == parent:
-        time.sleep(_ORPHAN_CHECK_S)
+def _exit_with(sentinel: int) -> None:
+    """Exit this process once ``sentinel`` (its parent's) is ready:
+    under any start method, that is when the parent has exited."""
+    wait([sentinel])
     os._exit(1)

@@ -9,6 +9,7 @@ cells; the multi-process kill-a-worker end-to-end test is ``tier2``.
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -40,11 +41,18 @@ from repro.service import (
     job_to_spec,
 )
 from repro.service.api import LONG_POLL_S, ServiceError
-from repro.service.worker import drain
+from repro.service.worker import Interrupted, drain
 
 from tests.test_resilience import CrashJob
 
 SCALE = 0.02
+
+
+class InterruptJob(SimJob):
+    """Ctrl-C, arriving while its cell runs."""
+
+    def run(self):
+        raise KeyboardInterrupt
 
 
 def tiny_jobs(schemes=("CCFIT",), time_scale=SCALE, **kw):
@@ -746,10 +754,15 @@ def submit_tiny(client, seed=1):
     return client.submit("fig7a", schemes=["CCFIT"], time_scale=SCALE, seed=seed)
 
 
-def children(pid):
-    """The pids of a process's children, from Linux's ``/proc``."""
-    with open(f"/proc/{pid}/task/{pid}/children") as fh:
-        return [int(word) for word in fh.read().split()]
+def descendants(pid):
+    """The pids of a process's children and theirs, from Linux's
+    ``/proc``."""
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as fh:
+            kids = [int(word) for word in fh.read().split()]
+    except FileNotFoundError:
+        return []
+    return kids + [pid for kid in kids for pid in descendants(kid)]
 
 
 def running(pid) -> bool:
@@ -772,7 +785,7 @@ class TestDrain:
     def test_processes_drain_an_http_broker_byte_identically(self, srv, client, tiny_result):
         sub = client.submit("fig7a", schemes=["CCFIT", "1Q", "ITh"], time_scale=SCALE, seed=1)
         summary = drain(srv.url, 2, worker_id="host", idle_exit=0.5)
-        assert (summary["completed"], summary["failed"], summary["interrupted"]) == (3, 0, False)
+        assert (summary["completed"], summary["failed"]) == (3, 0)
         manifest = client.manifest(sub["run"])
         assert manifest["ok"] == 3
         assert {row["worker"] for row in manifest["jobs"]} <= {"host.1", "host.2"}
@@ -797,9 +810,36 @@ class TestDrain:
         assert (failure["exception"], failure["kind"], failure["attempts"]) == ("WorkerCrash", "crash", 2)
         assert failure["worker"].startswith("host.")
 
-    def test_release_without_attempts_is_400(self, client):
+    @pytest.mark.parametrize("body", [
+        {"worker": "w", "failure": {}},
+        {"worker": "w", "failure": {}, "attempts": 0},
+        {"worker": "w", "failure": {}, "attempts": True},
+        {"worker": "w", "failure": "crash", "attempts": 1},
+        {"worker": ["w"], "attempts": 1},
+    ], ids=["no-attempts", "zero-attempts", "bool-attempts", "failure-not-object",
+            "worker-not-string"])
+    def test_release_with_a_bad_body_is_400(self, srv, client, body):
+        (job,) = tiny_jobs()
+        srv.broker.submit([job], experiment="fig7a")
+        srv.broker.claim("w")
         with pytest.raises(ServiceError, match="400"):
-            client._request("/broker/release", {"worker": "w", "failure": {}})
+            client._request("/broker/release", body)
+        assert srv.broker.counts()["active"] == 1  # the lease is still held
+
+    def test_interrupted_in_process_it_raises_what_it_did(self, tmp_path):
+        """Ctrl-C reaches a sweep as a ``KeyboardInterrupt`` still, and
+        ``repro worker`` reads its summary off the exception."""
+        b = FsBroker(tmp_path)
+        first, second = tiny_jobs(schemes=("CCFIT", "1Q"))
+        b.submit([first], experiment="fig7a")
+        time.sleep(0.05)  # a queue is claimed oldest first, by mtime
+        b.submit([second], experiment="fig7a")
+        cut = InterruptJob(**{f.name: getattr(second, f.name) for f in dataclasses.fields(second)})
+        with pytest.raises(KeyboardInterrupt) as caught:
+            drain(b, 1, worker_id="host", jobs={first.key(): first, second.key(): cut},
+                  idle_exit=0)
+        assert isinstance(caught.value, Interrupted)
+        assert (caught.value.summary["worker"], caught.value.summary["completed"]) == ("host", 1)
 
     def test_max_cells_is_one_budget_for_every_process(self, tmp_path):
         b = FsBroker(tmp_path)
@@ -815,36 +855,49 @@ class TestDrain:
         assert parse(["sweep", "fig7a"]).jobs is None  # one worker, in process
 
 
+#: ``python -c`` program: ``repro`` with its processes started by the
+#: start method ``argv[1]``, the rest of ``argv`` its arguments
+WITH_START_METHOD = (
+    "import multiprocessing, sys; multiprocessing.set_start_method(sys.argv.pop(1)); "
+    "from repro.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
 @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
                     reason="reads child processes from Linux's /proc")
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
 class TestWorkerCommand:
-    """``repro worker --jobs N`` as a process, and the processes it runs."""
+    """``repro worker --jobs N`` as a process, and the processes it runs,
+    however the platform starts them."""
 
-    def spawn(self, broker_dir, out=subprocess.PIPE):
+    def spawn(self, broker_dir, method, out=subprocess.PIPE):
+        """Run the worker until it has completed the cell queued in
+        ``broker_dir``: it and every process it started, by then."""
+        b = FsBroker(broker_dir)
+        b.submit(tiny_jobs(), experiment="fig7a")
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", "--broker", str(broker_dir),
-             "--jobs", "2", "--id", "host", "--poll-interval", "0.05"],
+            [sys.executable, "-c", WITH_START_METHOD, method, "worker", "--broker",
+             str(broker_dir), "--jobs", "2", "--id", "host", "--poll-interval", "0.05"],
             env=env, stdout=out, stderr=out, text=True)
-        until(lambda: len(children(proc.pid)) == 2)
-        return proc, children(proc.pid)
-
-    def test_terminated_it_stops_its_processes_and_reports(self, tmp_path):
-        b = FsBroker(tmp_path)
-        b.submit(tiny_jobs(), experiment="fig7a")
-        proc, kids = self.spawn(tmp_path)
         until(lambda: b.counts()["done"] == 1)
         time.sleep(0.2)  # the done marker is written just before the count
+        kids = descendants(proc.pid)
+        assert len(kids) >= 2
+        return proc, kids
+
+    def test_terminated_it_stops_its_processes_and_reports(self, tmp_path, method):
+        proc, kids = self.spawn(tmp_path, method)
         proc.terminate()
         out, err = proc.communicate(timeout=30)
         assert proc.returncode == 0, err
         assert out.strip() == "worker host: 1 completed, 0 failed on 2 processes"
-        assert not any(running(kid) for kid in kids)
+        until(lambda: not any(running(kid) for kid in kids), timeout=5.0)
 
-    def test_killed_its_processes_do_not_outlive_it(self, tmp_path):
-        proc, kids = self.spawn(tmp_path, out=subprocess.DEVNULL)
+    def test_killed_its_processes_do_not_outlive_it(self, tmp_path, method):
+        proc, kids = self.spawn(tmp_path, method, out=subprocess.DEVNULL)
         proc.kill()
         proc.wait()
         try:
