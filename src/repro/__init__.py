@@ -28,69 +28,62 @@ Quick start::
     attach_traffic(fabric, flows=[FlowSpec("F0", src=0, dst=7, rate=2.5)])
     fabric.run(until=2_000_000)          # 2 ms (time unit: ns)
     print(fabric.collector.flow_bandwidth("F0", 0, 2_000_000), "GB/s")
+
+The names above are imported on first use: ``import repro`` itself
+loads nothing else, and every scheme registers (the paper presets
+first, then :mod:`repro.schemes`) with :mod:`repro.core.ccfit`,
+whichever module a process imports first.
 """
 
-from repro.core.ccfit import (
-    SCHEMES,
-    Scheme,
-    SchemeSpec,
-    get_scheme,
-    register_scheme,
-    scheme_names,
-)
-from repro.core.params import CCParams, exponential_cct, linear_cct
-from repro.metrics.analysis import jain_index, oscillation_score
-from repro.metrics.collector import Collector
-from repro.network.fabric import Fabric, build_fabric
-from repro.network.routing import (
-    ROUTING_POLICIES,
-    RoutingPolicy,
-    RoutingPolicySpec,
-    get_policy,
-    policy_names,
-    register_policy,
-)
-from repro.network.topology import Topology, config1_adhoc, k_ary_n_tree
-from repro.sim.engine import Simulator
-from repro.telemetry import TelemetryConfig, TelemetrySampler, TreeTracker
-from repro.traffic.flows import FlowSpec, attach_traffic
-from repro.traffic import patterns
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SCHEMES",
-    "Scheme",
-    "SchemeSpec",
-    "register_scheme",
-    "get_scheme",
-    "scheme_names",
-    "CCParams",
-    "linear_cct",
-    "exponential_cct",
-    "Collector",
-    "jain_index",
-    "oscillation_score",
-    "Fabric",
-    "build_fabric",
-    "ROUTING_POLICIES",
-    "RoutingPolicy",
-    "RoutingPolicySpec",
-    "register_policy",
-    "get_policy",
-    "policy_names",
-    "Topology",
-    "config1_adhoc",
-    "k_ary_n_tree",
-    "Simulator",
-    "TelemetryConfig",
-    "TelemetrySampler",
-    "TreeTracker",
-    "FlowSpec",
-    "attach_traffic",
-    "patterns",
-]
+#: name -> the module of this package it is read from.  A name is
+#: imported on first use, so that a process which only talks to a
+#: service (or only parses a command line) does not load the simulator
+#: and numpy.
+_EXPORTS = {
+    "SCHEMES": "core.ccfit",
+    "Scheme": "core.ccfit",
+    "SchemeSpec": "core.ccfit",
+    "register_scheme": "core.ccfit",
+    "get_scheme": "core.ccfit",
+    "scheme_names": "core.ccfit",
+    "CCParams": "core.params",
+    "linear_cct": "core.params",
+    "exponential_cct": "core.params",
+    "Collector": "metrics.collector",
+    "jain_index": "metrics.analysis",
+    "oscillation_score": "metrics.analysis",
+    "Fabric": "network.fabric",
+    "build_fabric": "network.fabric",
+    "ROUTING_POLICIES": "network.routing",
+    "RoutingPolicy": "network.routing",
+    "RoutingPolicySpec": "network.routing",
+    "register_policy": "network.routing",
+    "get_policy": "network.routing",
+    "policy_names": "network.routing",
+    "Topology": "network.topology",
+    "config1_adhoc": "network.topology",
+    "k_ary_n_tree": "network.topology",
+    "Simulator": "sim.engine",
+    "TelemetryConfig": "telemetry.sampler",
+    "TelemetrySampler": "telemetry.sampler",
+    "TreeTracker": "telemetry.tracker",
+    "FlowSpec": "traffic.flows",
+    "attach_traffic": "traffic.flows",
+    "patterns": "traffic",
+}
 
-# Bundled non-paper schemes register themselves on import; this runs
-# last so the registry above already holds the paper presets.
-import repro.schemes  # noqa: E402,F401
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -11,9 +11,27 @@
   (FECN marking, BECN reaction, CCT/CCTI/IRD source state).
 * :mod:`repro.core.ccfit` — the combination, plus presets for every
   evaluated scheme (1Q, VOQsw, VOQnet, FBICM, ITh, CCFIT).
+
+The names below are imported on first use: a module that needs only
+:mod:`repro.core.params` (the network layer does) does not load the
+schemes, which depend back on the network layer.
 """
 
-from repro.core.params import CCParams, linear_cct, exponential_cct
-from repro.core.ccfit import Scheme, scheme_params
+import importlib
 
-__all__ = ["CCParams", "linear_cct", "exponential_cct", "Scheme", "scheme_params"]
+#: name -> the module of this package that defines it.
+_EXPORTS = {
+    "CCParams": "params",
+    "linear_cct": "params",
+    "exponential_cct": "params",
+    "Scheme": "ccfit",
+    "scheme_params": "ccfit",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)

@@ -342,3 +342,8 @@ Scheme = tuple(SCHEMES)
 PAPER_SCHEMES = ("1Q", "ITh", "FBICM", "CCFIT")
 #: Fig. 8 adds the VOQnet upper bound.
 FIG8_SCHEMES = PAPER_SCHEMES + ("VOQnet",)
+
+# The bundled non-paper schemes register themselves on import; importing
+# them here, after the presets, gives the registry the same order
+# whichever module of the package a process imports first.
+import repro.schemes  # noqa: E402,F401

@@ -35,13 +35,14 @@ builder hands them to switches and end nodes without inspecting them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Protocol, runtime_checkable
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Protocol, runtime_checkable
 
 from repro.core.params import CCParams
 from repro.core.throttling import FecnMarker
 from repro.network.packet import Packet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DetectionPolicy",

@@ -19,13 +19,14 @@ Two halves:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.core.params import CCParams
 from repro.network.packet import Packet
 from repro.sim.engine import Event, Simulator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["FecnMarker", "ThrottleState"]
 

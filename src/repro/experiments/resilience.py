@@ -31,9 +31,6 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -152,6 +149,10 @@ def run_isolated(job, timeout: Optional[float] = None) -> Dict[str, Any]:
     process with it (``kind`` = ``"crash"``); both come back as the
     error records of :func:`execute_job`, with the ``kind`` added.
     """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import TimeoutError as FutureTimeoutError
+    from concurrent.futures.process import BrokenProcessPool
+
     pool = ProcessPoolExecutor(max_workers=1)
     try:
         future = pool.submit(execute_job, job)

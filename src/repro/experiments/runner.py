@@ -18,9 +18,7 @@ records 1.0x runs.  All runs are deterministic for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.core.ccfit import FIG8_SCHEMES, PAPER_SCHEMES
 from repro.core.params import CCParams
@@ -35,6 +33,9 @@ from repro.traffic.patterns import (
     case3_traffic,
     case4_traffic,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CaseResult",
@@ -118,6 +119,8 @@ class CaseResult:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CaseResult":
+        import numpy as np  # on first use: a process that only moves results never loads it
+
         times, rates = data["throughput"]
         return cls(
             scheme=data["scheme"],

@@ -9,9 +9,10 @@ tabulates and the claims (:mod:`repro.experiments.claims`) compare.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "jain_index",
@@ -29,6 +30,8 @@ def jain_index(rates: Sequence[float]) -> float:
     ``(sum x)^2 / (n * sum x^2)`` over per-flow bandwidths.  Degenerate
     all-zero inputs return 1.0 (everyone equally starved is "fair").
     """
+    import numpy as np  # on first use, as in every function below
+
     x = np.asarray(list(rates), dtype=float)
     if x.size == 0:
         raise ValueError("need at least one rate")
@@ -46,6 +49,8 @@ def series_mean(times: np.ndarray, values: np.ndarray) -> float:
     """Mean of a series (uniform bins)."""
     if len(values) == 0:
         raise ValueError("empty series")
+    import numpy as np
+
     return float(np.mean(values))
 
 
@@ -53,6 +58,8 @@ def mean_in_window(
     times: np.ndarray, values: np.ndarray, t0: float, t1: float
 ) -> float:
     """Mean of the series over bins whose mid-time lies in [t0, t1)."""
+    import numpy as np
+
     mask = (times >= t0) & (times < t1)
     if not np.any(mask):
         raise ValueError(f"no samples in [{t0}, {t1})")
@@ -63,6 +70,8 @@ def oscillation_score(values: np.ndarray) -> float:
     """Relative sawtooth-iness of a series: mean absolute first
     difference over the series mean.  The "saw-shape" instability the
     paper attributes to ITh (Fig. 8b) shows up as a higher score."""
+    import numpy as np
+
     v = np.asarray(values, dtype=float)
     if v.size < 2:
         return 0.0

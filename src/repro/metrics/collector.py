@@ -13,11 +13,12 @@ Unit convenience: with time in nanoseconds and sizes in bytes,
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.network.packet import Packet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Collector"]
 
@@ -47,6 +48,8 @@ class Collector:
         self._latency_sum: Dict[str, float] = defaultdict(float)
         self._latency_n: Dict[str, int] = defaultdict(int)
         self._latency_samples: Dict[str, list] = defaultdict(list)
+        import numpy as np  # on first use: a process that runs no cell never loads it
+
         self._latency_rng = np.random.default_rng(latency_seed)
 
     # ------------------------------------------------------------------
@@ -86,6 +89,8 @@ class Collector:
         return self._series(self._total_bins, t_end, t_start)
 
     def _series(self, bins: Dict[int, int], t_end: float, t_start: float) -> Tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         first = int(t_start // self.bin_ns)
         last = int(np.ceil(t_end / self.bin_ns))
         idx = np.arange(first, last)
@@ -112,6 +117,8 @@ class Collector:
     def _window_bytes(self, bins: Dict[int, int], t0: float, t1: float) -> Tuple[int, float]:
         if t1 <= t0:
             raise ValueError(f"empty window [{t0}, {t1})")
+        import numpy as np
+
         b0 = int(t0 // self.bin_ns)
         b1 = max(int(np.ceil(t1 / self.bin_ns)), b0 + 1)
         total = sum(bins.get(b, 0) for b in range(b0, b1))
@@ -144,6 +151,8 @@ class Collector:
         samples = self._latency_samples.get(flow)
         if not samples:
             return None
+        import numpy as np
+
         return float(np.percentile(np.asarray(samples), q))
 
     def fairness(self, flows: Iterable[str], t0: float, t1: float) -> float:

@@ -3,10 +3,12 @@
 Every module in this package builds its scheme from the public policy
 API (:mod:`repro.core.scheme`, :mod:`repro.core.ccfit`) and registers
 it with :func:`repro.core.ccfit.register_scheme` at import time — no
-device-layer code is touched.  ``repro/__init__`` imports this package
-last, so the schemes are discoverable everywhere the paper presets
-are: the CLI, the sweep engine, the experiment registry, and the cost
-table.  They double as the worked example for ``docs/schemes.md``.
+device-layer code is touched.  :mod:`repro.core.ccfit` imports this
+package after registering the paper presets, so the schemes are
+discoverable everywhere the presets are, in the same order whichever
+module a process imports first: the CLI, the sweep engine, the
+experiment registry, and the cost table.  They double as the worked
+example for ``docs/schemes.md``.
 """
 
 from repro.schemes.rcm import RCM, QueueDepthMarking, RcmGate

@@ -24,15 +24,16 @@ experiment, sweep, and under the invariant guard.  See
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.core.ccfit import SchemeSpec, fifo_stage, register_scheme, voqsw_queues
 from repro.core.params import CCParams
 from repro.core.scheme import DetectionPolicy
 from repro.network.packet import Packet
 from repro.sim.engine import Event, Simulator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DETECT_QUEUE_DEPTH",

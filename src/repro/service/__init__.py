@@ -9,8 +9,9 @@ the machine:
 * :mod:`repro.service.api` — the wire protocol: a lossless JSON codec
   for ``SimJob`` (:func:`~repro.service.api.job_to_spec` /
   :func:`~repro.service.api.job_from_spec`), the event-record shapes,
-  and the thin HTTP clients (:class:`~repro.service.api.ServiceClient`
-  for submitters, :class:`~repro.service.api.HttpBroker` for workers);
+  and the workers' HTTP client (:class:`~repro.service.api.HttpBroker`);
+* :mod:`repro.service.client` — the submitters' HTTP client
+  (:class:`~repro.service.client.ServiceClient`), standard library only;
 * :mod:`repro.service.broker` — :class:`~repro.service.broker.FsBroker`,
   a filesystem-backed shared queue with atomic-rename claims, lease
   expiry + exactly-once requeue, heartbeats and idempotent completion
@@ -30,7 +31,8 @@ the machine:
 
 The names below are imported on first use, so that a local sweep,
 which needs only the broker and the worker, does not load the HTTP
-stack.
+stack, and a submitter, which needs only ``ServiceClient``, does not
+load the simulator.
 
 Determinism contract: a cell executed by a remote worker is the same
 ``SimJob.run()`` a local sweep's worker calls, completed into the same
@@ -45,7 +47,7 @@ _EXPORTS = {
     "FsBroker": "broker",
     "Lease": "broker",
     "HttpBroker": "api",
-    "ServiceClient": "api",
+    "ServiceClient": "client",
     "connect_broker": "api",
     "job_from_spec": "api",
     "job_to_spec": "api",

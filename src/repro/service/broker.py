@@ -418,10 +418,16 @@ class FsBroker:
     ) -> bool:
         """Publish a finished cell: result into the shared cache, a
         ``done`` marker for accounting.  Idempotent — the first
-        completion wins the ``O_EXCL`` marker; duplicates (a requeued
-        cell finished twice) return False and change nothing, which is
-        exactly right because the cache entry is content-addressed and
-        byte-identical either way."""
+        completion wins the ``O_EXCL`` creation of the staged marker;
+        duplicates (a requeued cell finished twice) return False and
+        change nothing, which is exactly right because the cache entry
+        is content-addressed and byte-identical either way.
+
+        The ``complete`` event is logged before the marker is published
+        with a rename, so whoever sees the cell done can see its event
+        (a followed event stream ends after it).  A completer that dies
+        between the two leaves the staged marker, and the cell reads
+        ``cached`` once its lease is gone."""
         self.cache.put_dict(key, result)
         marker = {
             "key": key,
@@ -429,16 +435,25 @@ class FsBroker:
             "elapsed": elapsed,
             "finished": time.time(),
         }
+        done = self._done(key)
+        staged = done.with_suffix(".complete")
         try:
-            fd = os.open(self._done(key), os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+            fd = os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
         except FileExistsError:
+            fd = None  # another completion is publishing
+        if fd is not None and done.exists():  # another completion has published
+            os.close(fd)
+            staged.unlink()
+            fd = None
+        if fd is None:
             self._event("duplicate", key, worker=worker)
             self._cleanup(key)
             return False
         with os.fdopen(fd, "w") as fh:
             fh.write(json.dumps(marker, separators=(",", ":")))
-        self._cleanup(key)
         self._event("complete", key, worker=worker, elapsed=elapsed)
+        os.rename(staged, done)
+        self._cleanup(key)
         return True
 
     def retry(self, key: str, worker: str, attempt: int, exception: Optional[str] = None) -> None:
@@ -461,10 +476,12 @@ class FsBroker:
             "failed": time.time(),
             **failure,
         }
-        _write_atomic(self._failed(key), payload)
-        self._cleanup(key)
+        # the event first, as in complete: whoever sees the cell failed
+        # can see why
         self._event("fail", key, worker=failure.get("worker"),
                     exception=failure.get("exception"))
+        _write_atomic(self._failed(key), payload)
+        self._cleanup(key)
 
     def _cleanup(self, key: str) -> None:
         for path in (self._active(key), self._queued(key)):

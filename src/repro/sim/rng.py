@@ -11,8 +11,10 @@ order — the property our determinism regression test relies on.
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["RngFactory"]
 
@@ -39,6 +41,8 @@ class RngFactory:
         if gen is None:
             digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
             child_seed = int.from_bytes(digest[:8], "little")
+            import numpy as np  # on first use: a process that runs no cell never loads it
+
             gen = np.random.default_rng(child_seed)
             self._streams[name] = gen
         return gen

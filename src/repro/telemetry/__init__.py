@@ -19,26 +19,27 @@ Enable it on any run with ``TelemetryConfig`` (runner/sweep API) or
 or off.  See docs/telemetry.md.
 """
 
-from repro.telemetry.export import (
-    TELEMETRY_FORMATS,
-    render_dashboard,
-    render_prometheus,
-    write_bundle,
-    write_jsonl,
-)
-from repro.telemetry.sampler import TelemetryConfig, TelemetrySampler
-from repro.telemetry.series import SeriesRing
-from repro.telemetry.tracker import TreeRecord, TreeTracker
+import importlib
 
-__all__ = [
-    "TelemetryConfig",
-    "TelemetrySampler",
-    "SeriesRing",
-    "TreeTracker",
-    "TreeRecord",
-    "TELEMETRY_FORMATS",
-    "write_jsonl",
-    "write_bundle",
-    "render_prometheus",
-    "render_dashboard",
-]
+#: name -> the module of this package that defines it; imported on
+#: first use, so a cell without telemetry loads only its config.
+_EXPORTS = {
+    "TelemetryConfig": "sampler",
+    "TelemetrySampler": "sampler",
+    "SeriesRing": "series",
+    "TreeTracker": "tracker",
+    "TreeRecord": "tracker",
+    "TELEMETRY_FORMATS": "export",
+    "write_jsonl": "export",
+    "write_bundle": "export",
+    "render_prometheus": "export",
+    "render_dashboard": "export",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)

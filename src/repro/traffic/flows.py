@@ -20,14 +20,15 @@ pending demand rather than an unbounded queue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 from repro.network.endnode import EndNode
 from repro.network.fabric import Fabric
 from repro.network.packet import alloc_packet, free_packet
 from repro.sim.engine import Simulator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["FlowSpec", "FlowGenerator", "UniformGenerator", "attach_traffic"]
 

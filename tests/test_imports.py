@@ -1,0 +1,151 @@
+"""What a process loads, and that the order it loads it in does not matter.
+
+The package imports on use: a submitter loads the HTTP client and no
+simulator, ``repro`` and ``repro serve`` load no numpy, and numpy
+comes in with the first cell.  The registries fill the same way
+whichever module a process imports first.  This interpreter has
+imported everything already, so every check runs in a fresh one.
+"""
+
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((ROOT / "benchmarks" / "e2e" / "golden.json").read_text())
+
+#: ``python -c`` prelude: the digest a cell's result is recorded under
+#: in ``benchmarks/e2e/golden.json``, and what a process has loaded.
+PRELUDE = """
+import hashlib, json, sys
+def digest(result):
+    blob = json.dumps(result, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+def loaded(*names):
+    return {name: name in sys.modules for name in names}
+"""
+
+#: the registries as the package has always filled them.
+REGISTRIES = {
+    "schemes": ["1Q", "VOQsw", "DBBM", "VOQnet", "FBICM", "ITh", "CCFIT", "RCM", "PFC", "PFC+RCM"],
+    "policies": ["det", "ecmp", "adaptive", "flowlet"],
+    "buffer_models": ["static", "shared"],
+}
+
+
+def fresh(code: str, *args: str):
+    """Run ``code`` (after :data:`PRELUDE`) in a new interpreter; what
+    it prints last is JSON."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", PRELUDE + code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportWeight:
+    def test_the_service_client_loads_no_simulator(self):
+        loaded = fresh("from repro.service import ServiceClient\n"
+                       "print(json.dumps(loaded('numpy', 'repro.network', 'repro.experiments')))")
+        assert loaded == {"numpy": False, "repro.network": False, "repro.experiments": False}
+
+    def test_the_cli_loads_no_numpy_and_a_cell_still_matches_its_golden_digest(self):
+        out = fresh(
+            "import repro.cli\n"
+            "before = loaded('numpy')\n"
+            "from repro.experiments import registry\n"
+            "(job,) = registry.get('case1').jobs(schemes=('CCFIT',), time_scale=0.02, seed=1)\n"
+            "ran = digest(job.run().to_dict())\n"
+            "print(json.dumps([before, loaded('numpy'), ran]))"
+        )
+        assert out == [{"numpy": False}, {"numpy": True}, GOLDEN["case1/CCFIT ts=0.02 seed=1"]]
+
+    def test_serving_a_run_loads_no_numpy(self, tmp_path):
+        """A server and its client in one process, a ``repro worker``
+        beside it: the submit, the wait, the result, the events, the
+        manifest and the metrics move results without hydrating them."""
+        out = fresh(
+            "import subprocess\n"
+            "import repro.cli\n"
+            "from repro.service import ServiceClient, ServiceServer\n"
+            "with ServiceServer(sys.argv[1] + '/broker', port=0,\n"
+            "                   cache_dir=sys.argv[1] + '/cache') as srv:\n"
+            "    client = ServiceClient(srv.url)\n"
+            "    sub = client.submit('case1', schemes=['CCFIT'], time_scale=0.02, seed=1)\n"
+            "    subprocess.run([sys.executable, '-m', 'repro', 'worker', '--broker', srv.url,\n"
+            "                    '--jobs', '1', '--max-cells', '1'], check=True)\n"
+            "    status = client.wait(sub['run'], timeout=60)\n"
+            "    (key,) = sub['keys']\n"
+            "    result = client.result(key)['result']\n"
+            "    kinds = [e['kind'] for e in client.events(sub['run'])]\n"
+            "    manifest, metrics = client.manifest(sub['run']), client.metrics()\n"
+            "    client.close()\n"
+            "print(json.dumps([loaded('numpy'), status['counts'], kinds[-1], manifest['ok'],\n"
+            "                  'repro_' in metrics, digest(result)]))",
+            str(tmp_path),
+        )
+        assert out == [{"numpy": False}, {"done": 1}, "complete", 1, True,
+                       GOLDEN["case1/CCFIT ts=0.02 seed=1"]]
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the platform cannot fork")
+    def test_drain_loads_numpy_before_it_forks(self, tmp_path):
+        """Its forked processes share numpy: none imports it on its first cell."""
+        out = fresh(
+            "import multiprocessing\n"
+            "multiprocessing.set_start_method('fork')\n"
+            "import repro.cli\n"
+            "from repro.experiments import registry\n"
+            "from repro.service import FsBroker, drain\n"
+            "broker = FsBroker(sys.argv[1])\n"
+            "broker.submit(registry.get('case1').jobs(schemes=('CCFIT',), time_scale=0.02, seed=1))\n"
+            "before = loaded('numpy.random')\n"
+            "summary = drain(broker, 2, max_cells=1, poll_interval=0.01, idle_exit=0.5)\n"
+            "print(json.dumps([before, loaded('numpy.random'), summary['completed']]))",
+            str(tmp_path),
+        )
+        assert out == [{"numpy.random": False}, {"numpy.random": True}, 1]
+
+
+class TestImportOrder:
+    @pytest.mark.parametrize("first", [
+        "repro", "repro.experiments.sweep", "repro.service.server",
+        "repro.schemes.pfc", "repro.network.buffers", "repro.network.queueing",
+        "repro.core.scheme",
+    ])
+    def test_the_registries_do_not_depend_on_what_is_imported_first(self, first):
+        out = fresh(
+            "import importlib\n"
+            "importlib.import_module(sys.argv[1])\n"
+            "from repro.core.ccfit import scheme_names\n"
+            "from repro.network.buffers import buffer_model_names\n"
+            "from repro.network.routing import policy_names\n"
+            "print(json.dumps({'schemes': scheme_names(), 'policies': policy_names(),\n"
+            "                  'buffer_models': buffer_model_names()}))",
+            first,
+        )
+        assert out == REGISTRIES
+
+    def test_every_public_name_resolves(self):
+        out = fresh(
+            "import repro\n"
+            "names = list(repro.__all__)\n"
+            "missing = [n for n in names if getattr(repro, n, None) is None]\n"
+            "listed = sorted(set(names) - set(dir(repro)))\n"
+            "star = {}\n"
+            "exec('from repro import *', star)\n"
+            "print(json.dumps([len(names), missing, listed, sorted(set(names) - set(star))]))"
+        )
+        assert out[0] >= 30 and out[1:] == [[], [], []]  # 30 names today
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        import repro
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name

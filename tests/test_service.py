@@ -1012,6 +1012,39 @@ class TestWaiting:
         arrived, complete = seen[-2]
         assert arrived - complete["t"] < 0.15  # woken, not polled at 0.2 s
 
+    @pytest.mark.parametrize("kind", ["complete", "fail"])
+    def test_follow_stream_ends_after_an_event_appended_late(self, srv, client, tiny_result,
+                                                             kind, monkeypatch):
+        """The stream is woken, and then probes for half a second, while
+        the event that finishes the cell is still on its way to the log:
+        the cell is not finished until its event is there."""
+        event = FsBroker._event
+
+        def late(self, what, key="", **detail):
+            if what == kind:
+                srv.notify()
+                time.sleep(0.5)
+            event(self, what, key, **detail)
+
+        monkeypatch.setattr(FsBroker, "_event", late)
+        sub = submit_tiny(client)
+        seen = []
+        t = threading.Thread(
+            target=lambda: seen.extend(e["kind"] for e in client.events(sub["run"], follow=True))
+        )
+        t.start()
+        time.sleep(0.1)
+        broker = HttpBroker(srv.url)
+        lease = broker.claim("w")
+        if kind == "complete":
+            broker.complete(lease.key, "w", tiny_result.to_dict())
+        else:
+            broker.fail(lease.key, "w", {"exception": "Boom", "kind": "error"})
+        broker.close()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert seen == ["enqueue", "submit", "claim", kind, "end-of-run"]
+
     def test_stop_releases_waiting_requests(self, tmp_path):
         server = ServiceServer(tmp_path / "broker", port=0,
                                cache_dir=str(tmp_path / "cache")).start()
