@@ -221,11 +221,6 @@ class SchemeSpec:
     #: one-line summary for ``repro schemes`` style listings / docs.
     description: str = ""
 
-    @property
-    def throttling(self) -> bool:
-        """Back-compat view: does the scheme install a source gate?"""
-        return self.injection_gate is not None
-
 
 # ----------------------------------------------------------------------
 # the registry

@@ -49,7 +49,7 @@ from repro.network.packet import (
     ControlMessage,
     Packet,
 )
-from repro.network.queueing import QueueScheme
+from repro.network.queueing import CongestionControlScheme
 
 __all__ = ["IsolationHost", "NfqCfqScheme"]
 
@@ -85,7 +85,7 @@ class IsolationHost(Protocol):
         """CCFIT congestion-state hook: a root CFQ crossed High/Low."""
 
 
-class NfqCfqScheme(QueueScheme):
+class NfqCfqScheme(CongestionControlScheme):
     """One NFQ plus ``params.num_cfqs`` dynamically allocated CFQs.
 
     Parameters
@@ -114,7 +114,7 @@ class NfqCfqScheme(QueueScheme):
         self.moves = 0
 
     # ------------------------------------------------------------------
-    # QueueScheme interface
+    # CongestionControlScheme interface
     # ------------------------------------------------------------------
     def on_arrival(self, pkt: Packet) -> None:
         self.nfq.push(pkt)

@@ -72,23 +72,11 @@ class CCParams:
     ia_memory_size: int = 64 * 1024
     #: link propagation delay (ns).
     link_delay: float = 20.0
-    #: per-packet serialisation jitter fraction.  With the default
-    #: slotted arbitration this stays 0 (transmissions must stay
-    #: aligned to the arbitration slots); turn it on only together with
-    #: event-driven arbitration (match_quantum=0), to desynchronise it
-    #: (see repro.network.link.Link).
-    link_jitter: float = 0.0
-    #: iSlip iterations per matching round.
+    #: iSlip iterations per matching round.  The switches run slotted,
+    #: cycle-level iSlip (§IV-A): every slot, one MTU serialisation time
+    #: at the switch's fastest link, all free inputs and outputs are
+    #: matched together.
     islip_iterations: int = 2
-    #: switch arbitration slot (ns).  The paper's switches run slotted,
-    #: cycle-level iSlip: every slot, ALL currently free inputs and
-    #: outputs are matched together.  An event-driven variant
-    #: re-matches on every completion instead (match_quantum=0), pairing
-    #: greedily what no synchronous crossbar would.  -1 = auto: one MTU
-    #: serialisation
-    #: time at the switch's fastest link, which every slower Table-I
-    #: link divides evenly.  >0 = explicit slot length.
-    match_quantum: float = -1.0
 
     # -- congested-flow isolation (FBICM / CCFIT) -----------------------
     #: CFQs per input port ("We use 2 CFQs per input port", §IV-A).
@@ -241,18 +229,6 @@ class CCParams:
             raise ParamError(
                 "the congestion-state exit level must lie between Low and "
                 f"High: low={self.cfq_low} exit={self.cfq_cs_exit} high={self.cfq_high}"
-            )
-        if not (0 <= self.link_jitter < 0.5):
-            raise ParamError(f"link_jitter must be in [0, 0.5), got {self.link_jitter}")
-        if self.match_quantum < 0 and self.match_quantum != -1.0:
-            raise ParamError(
-                f"match_quantum must be >= 0 or the -1 auto sentinel, got {self.match_quantum}"
-            )
-        if self.link_jitter > 0 and self.match_quantum != 0.0:
-            raise ParamError(
-                "link jitter requires event-driven arbitration "
-                "(match_quantum=0): jittered serialisation times drift "
-                "off the arbitration slots and strand the ports idle"
             )
         if self.voq_high - self.voq_low < self.mtu:
             raise ParamError("VOQ High/Low must differ by at least one MTU")

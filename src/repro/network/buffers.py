@@ -300,13 +300,13 @@ class SharedBufferModel(BufferModel):
         super().__init__(switch)
         params = switch.params
         n = switch.num_ports
-        self.nprios: int = getattr(params, "pfc_priorities", 4)
-        self.alpha: float = getattr(params, "shared_alpha", 2.0)
-        self.xon_fraction: float = getattr(params, "pfc_xon_fraction", 0.5)
+        self.nprios: int = params.pfc_priorities
+        self.alpha: float = params.shared_alpha
+        self.xon_fraction: float = params.pfc_xon_fraction
         self.mtu: int = params.mtu
         self.total: int = params.memory_size * n
-        self.reserved_min: int = getattr(params, "shared_reserved", params.mtu)
-        self.headroom_capacity: int = getattr(params, "pfc_headroom", 2 * params.mtu) * n
+        self.reserved_min: int = params.shared_reserved
+        self.headroom_capacity: int = params.pfc_headroom * n
         reserved_total = self.reserved_min * n * self.nprios
         self.shared_capacity: int = self.total - self.headroom_capacity - reserved_total
         if self.shared_capacity < params.mtu:

@@ -192,7 +192,7 @@ class EndNode:
         #: packets.  End nodes have one uplink, so the pause is
         #: port-wide — exactly 802.1Qbb at a NIC.
         self.paused_priorities: set = set()
-        self._nprios: int = max(1, getattr(params, "pfc_priorities", 4))
+        self._nprios: int = params.pfc_priorities
         self._stage_inflight: Optional[int] = None
         self._inject_scheduled = False
         self._pump_event = None

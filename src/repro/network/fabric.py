@@ -236,48 +236,40 @@ def build_fabric(
 
     links: List[Link] = []
     delay = params.link_delay
-    jitter = params.link_jitter
-
-    def link(name: str, bw: float, stream: str) -> Link:
-        # The jitter stream exists only when drawn from; streams are
-        # keyed by name, so leaving one out shifts no other.
-        rng = rngs.stream(f"jitter.{stream}") if jitter > 0 else None
-        return Link(sim, name, bw, delay, jitter=jitter, rng=rng)
 
     for nid, (sw, port, bw) in sorted(topo.node_attach.items()):
         node, switch = nodes[nid], switches[sw]
-        up = link(f"n{nid}->s{sw}p{port}", bw, f"n{nid}.up")
+        up = Link(sim, f"n{nid}->s{sw}p{port}", bw, delay)
         up.connect(tx=node, rx=switch.input_ports[port])
         node.uplink = up
         switch.input_ports[port].link_in = up
-        down = link(f"s{sw}p{port}->n{nid}", bw, f"n{nid}.down")
+        down = Link(sim, f"s{sw}p{port}->n{nid}", bw, delay)
         down.connect(tx=switch.output_ports[port], rx=node)
         switch.output_ports[port].link_out = down
         node.downlink = down
         links.extend((up, down))
 
     for a, pa, b, pb, bw in topo.switch_links:
-        ab = link(f"s{a}p{pa}->s{b}p{pb}", bw, f"s{a}p{pa}")
+        ab = Link(sim, f"s{a}p{pa}->s{b}p{pb}", bw, delay)
         ab.connect(tx=switches[a].output_ports[pa], rx=switches[b].input_ports[pb])
         switches[a].output_ports[pa].link_out = ab
         switches[b].input_ports[pb].link_in = ab
-        ba = link(f"s{b}p{pb}->s{a}p{pa}", bw, f"s{b}p{pb}")
+        ba = Link(sim, f"s{b}p{pb}->s{a}p{pa}", bw, delay)
         ba.connect(tx=switches[b].output_ports[pb], rx=switches[a].input_ports[pa])
         switches[b].output_ports[pb].link_out = ba
         switches[a].input_ports[pa].link_in = ba
         links.extend((ab, ba))
 
-    # Resolve the auto arbitration slot: one MTU serialisation time at
-    # the switch's fastest attached link (all slower Table-I links are
-    # integer ratios, so every transmission ends on a slot boundary).
-    if params.match_quantum == -1.0:
-        for switch in switches:
-            fastest = max(
-                op.link_out.bandwidth
-                for op in switch.output_ports
-                if op.link_out is not None
-            )
-            switch.quantum = params.mtu / fastest
+    # The arbitration slot: one MTU serialisation time at the switch's
+    # fastest attached link (all slower Table-I links are integer
+    # ratios, so every transmission ends on a slot boundary).
+    for switch in switches:
+        fastest = max(
+            op.link_out.bandwidth
+            for op in switch.output_ports
+            if op.link_out is not None
+        )
+        switch.quantum = params.mtu / fastest
 
     fabric = Fabric(
         sim=sim,

@@ -4,7 +4,10 @@ A :class:`Link` is one *unidirectional* data channel (topologies create
 one per direction).  It bundles:
 
 * the wire itself — ``bandwidth`` (bytes/ns) and ``delay`` (ns), one
-  packet serialised at a time;
+  packet serialised at a time in exactly ``size / bandwidth`` ns, so on
+  every Table-I configuration a full-MTU transmission ends on a switch
+  arbitration-slot boundary (docs/simulator.md "Why not match on every
+  event?");
 * lossless **credit-based flow control**: a packet may start
   transmission only when the link is idle *and* the downstream buffer
   has committed space for it.  We implement credits by send-time
@@ -94,8 +97,6 @@ class Link:
         "name",
         "bandwidth",
         "delay",
-        "jitter",
-        "rng",
         "tx",
         "rx",
         "busy_until",
@@ -115,40 +116,15 @@ class Link:
         "_base",
     )
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        bandwidth: float,
-        delay: float,
-        jitter: float = 0.0,
-        rng: Any = None,
-    ) -> None:
-        """``jitter`` stretches each serialisation by a uniform factor in
-        ``[0, jitter)`` (seeded ``rng`` required when non-zero).
-
-        With every link and crossbar clocked at exact multiples of the
-        819.2 ns MTU time, an event-driven packet-grain model can lock
-        into pathological phase alignments (an input port busy at the
-        exact instants an output frees, forever).  Real fabrics never
-        sustain such alignment — every device runs its own oscillator
-        and queueing noise decorrelates phases.  A fraction of a percent
-        of seeded serialisation jitter restores that asynchrony at
-        negligible bandwidth cost (DESIGN.md §5)."""
+    def __init__(self, sim: Simulator, name: str, bandwidth: float, delay: float) -> None:
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        if jitter < 0 or jitter >= 0.5:
-            raise ValueError(f"jitter must be in [0, 0.5), got {jitter}")
-        if jitter > 0 and rng is None:
-            raise ValueError("jitter requires a seeded rng")
         self.sim = sim
         self.name = name
         self.bandwidth = float(bandwidth)
         self.delay = float(delay)
-        self.jitter = float(jitter)
-        self.rng = rng
         self.tx: Any = None
         self.rx: Any = None
         self.busy_until = 0.0
@@ -232,10 +208,7 @@ class Link:
                 f"{pkt!r}{self._context()}"
             )
         self.rx.reserve(pkt)
-        ser = pkt.size / self.bandwidth
-        if self.jitter > 0.0:
-            ser *= 1.0 + self.rng.random() * self.jitter
-        done = self.sim.now + ser
+        done = self.sim.now + pkt.size / self.bandwidth
         self.busy_until = done
         self.in_flight = pkt
         self.bytes_sent += pkt.size

@@ -36,7 +36,6 @@ from repro.network.packet import ControlMessage, Packet
 __all__ = [
     "PortHost",
     "CongestionControlScheme",
-    "QueueScheme",
     "OneQScheme",
     "VOQswScheme",
     "VOQnetScheme",
@@ -192,11 +191,7 @@ class CongestionControlScheme:
             q.audit()
 
 
-#: Back-compat alias — the base class predates the hook-API refactor.
-QueueScheme = CongestionControlScheme
-
-
-class OneQScheme(QueueScheme):
+class OneQScheme(CongestionControlScheme):
     """Everything in one FIFO: maximal HoL blocking, minimal hardware."""
 
     def __init__(self, host: PortHost) -> None:
@@ -216,7 +211,7 @@ class OneQScheme(QueueScheme):
         return [(self.q, self.host.route(head), head)]
 
 
-class VOQswScheme(QueueScheme):
+class VOQswScheme(CongestionControlScheme):
     """Virtual output queues at switch level.
 
     One FIFO per output port removes HoL blocking *inside* the switch;
@@ -267,7 +262,7 @@ class VOQswScheme(QueueScheme):
             self.host.set_output_hot(out, self.voqs[out], False)
 
 
-class DbbmScheme(QueueScheme):
+class DbbmScheme(CongestionControlScheme):
     """Destination-Based Buffer Management [24].
 
     A fixed, small set of queues; every packet is filed by a hash of
@@ -303,7 +298,7 @@ class DbbmScheme(QueueScheme):
         return out
 
 
-class VOQnetScheme(QueueScheme):
+class VOQnetScheme(CongestionControlScheme):
     """Virtual output queues at network level — one FIFO per destination.
 
     Completely HoL-free, but needs per-destination buffer space

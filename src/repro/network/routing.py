@@ -404,12 +404,9 @@ class FlowletRoutingPolicy(AdaptiveRoutingPolicy):
 
     name = "flowlet"
 
-    #: default idle gap (ns) when no params are supplied.
-    DEFAULT_GAP = 50_000.0
-
     def __init__(self, table, candidates=None, params=None) -> None:
         super().__init__(table, candidates, params)
-        self.gap = getattr(params, "flowlet_gap", self.DEFAULT_GAP)
+        self.gap = params.flowlet_gap
         #: (src, dst) -> [last_seen_ns, port]
         self._flows: Dict[Tuple[int, int], list] = {}
         self.flowlets = 0

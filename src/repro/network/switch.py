@@ -278,11 +278,9 @@ class Switch:
         #: how this switch's RAM is carved up (docs/buffers.md).  Built
         #: and attached before the queue schemes so they see the final
         #: pool capacities (VOQnet sizes its queues off pool.capacity).
-        self.buffer_model = get_buffer_model(
-            getattr(params, "buffer_model", "static")
-        ).build(self)
+        self.buffer_model = get_buffer_model(params.buffer_model).build(self)
         self.buffer_model.attach()
-        self._nprios: int = getattr(params, "pfc_priorities", 4)
+        self._nprios: int = params.pfc_priorities
         #: count of PFC-paused (output, priority) pairs; the matcher's
         #: pause filter costs one truthiness check while this is 0.
         self._paused_pairs = 0
@@ -295,10 +293,9 @@ class Switch:
             # holds that every port carries it).
             port.route = routing.route_for(port)
         self.arbiter = ISlip(num_ports, num_ports, params.islip_iterations)
-        #: arbitration slot (ns); resolved by the fabric builder when
-        #: params.match_quantum is the -1 auto sentinel.  0 = match
-        #: immediately on every event (the event-driven mode).
-        self.quantum = params.match_quantum if params.match_quantum >= 0 else 0.0
+        #: arbitration slot (ns): one MTU at the fastest attached link,
+        #: set by the fabric builder once the links exist.
+        self.quantum = 0.0
         self._match_scheduled = False
         #: slowest attached output link (computed on first use, dropped
         #: by :meth:`OutputPort.on_bandwidth_change`) — lets the matcher
@@ -327,17 +324,14 @@ class Switch:
             self._match_scheduled = True
             q = self.quantum
             now = self.sim.now
-            if q <= 0.0:
-                when = now
+            k = now / q
+            slot = round(k)
+            if -1e-6 < k - slot < 1e-6:
+                when = slot * q
             else:
-                k = now / q
-                slot = round(k)
-                if -1e-6 < k - slot < 1e-6:
-                    when = slot * q
-                else:
-                    when = (now // q + 1.0) * q
-                if when < now:
-                    when = now
+                when = (now // q + 1.0) * q
+            if when < now:
+                when = now
             self.sim.post(when, self._match)
 
     def _match(self) -> None:

@@ -41,13 +41,13 @@ from repro.core.ccfit import SchemeSpec, fifo_stage, register_scheme
 from repro.core.params import CCParams
 from repro.network.buffers import PacketQueue
 from repro.network.packet import ControlMessage, Packet, PfcPause, PfcResume
-from repro.network.queueing import PortHost, QueueScheme
+from repro.network.queueing import CongestionControlScheme, PortHost
 from repro.schemes.rcm import DETECT_QUEUE_DEPTH, QueueDepthMarking, RcmGate
 
 __all__ = ["PfcQueueScheme", "pfc_queues", "PFC", "PFC_RCM"]
 
 
-class PfcQueueScheme(QueueScheme):
+class PfcQueueScheme(CongestionControlScheme):
     """One FIFO per priority group, gated by received PAUSE state.
 
     Structurally DBBM with ``pfc_priorities`` buckets (packets file by
@@ -125,7 +125,7 @@ def pfc_queues():
     """Queue-policy builder: per-priority PAUSE-honouring FIFOs."""
 
     def build(port, _n) -> PfcQueueScheme:
-        return PfcQueueScheme(port, getattr(port.params, "pfc_priorities", 4))
+        return PfcQueueScheme(port, port.params.pfc_priorities)
 
     return build
 

@@ -1,11 +1,11 @@
 """Seeded random-number streams.
 
 Every stochastic component (uniform traffic sources, FECN marking
-lottery, iSlip pointer initialisation when randomised) pulls an
-independent ``numpy`` Generator from one :class:`RngFactory`, keyed by a
-stable string.  Two simulations built with the same root seed therefore
-consume identical random streams regardless of component construction
-order — the property our determinism regression test relies on.
+lottery) pulls an independent ``numpy`` Generator from one
+:class:`RngFactory`, keyed by a stable string.  Two simulations built
+with the same root seed therefore consume identical random streams
+regardless of component construction order — the property our
+determinism regression test relies on.
 """
 
 from __future__ import annotations

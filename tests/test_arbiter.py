@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from repro.network.arbiter import ISlip, RoundRobin
+from repro.network.arbiter import ISlip
 
 
 def assert_valid_matching(requests, match):
@@ -52,7 +52,7 @@ class TestISlipLrg:
         """The pathology that starves pointer-RR: an interleaving
         request pattern where input 1 and 2 contend only every other
         round, with input 0 served in between."""
-        lrg = ISlip(3, 1, mode="lrg")
+        lrg = ISlip(3, 1)
         wins = Counter()
         for _ in range(200):
             m = lrg.match({0: [0]})           # interleaved solo grant
@@ -60,37 +60,8 @@ class TestISlipLrg:
             wins[next(iter(m))] += 1
         assert wins[1] == wins[2] == 100
 
-    def test_pointer_mode_shows_capture(self):
-        """Classic pointers starve input 2 under the same pattern —
-        kept as the documented ablation behaviour."""
-        ptr = ISlip(3, 1, mode="pointer")
-        wins = Counter()
-        for _ in range(200):
-            ptr.match({0: [0]})
-            m = ptr.match({1: [0], 2: [0]})
-            wins[next(iter(m))] += 1
-        assert wins[1] == 200 and wins[2] == 0
-
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             ISlip(0, 4)
         with pytest.raises(ValueError):
             ISlip(4, 4, iterations=0)
-        with pytest.raises(ValueError):
-            ISlip(4, 4, mode="bogus")
-
-
-class TestRoundRobin:
-    def test_valid_matching(self):
-        arb = RoundRobin(4, 4)
-        requests = {0: [0, 1], 1: [0], 2: [1]}
-        m = arb.match(requests)
-        assert_valid_matching(requests, m)
-
-    def test_rotates_over_requesters(self):
-        arb = RoundRobin(3, 1)
-        wins = Counter()
-        for _ in range(300):
-            m = arb.match({0: [0], 1: [0], 2: [0]})
-            wins[next(iter(m))] += 1
-        assert wins[0] == wins[1] == wins[2] == 100

@@ -69,16 +69,6 @@ def test_builder_tables_equal_the_per_switch_accessors(make_topo):
         # the fault injector rewrites tables in place: no sharing
         assert table is not det_sw.policy.table._table
         assert table == det_sw.policy.table._table
-    assert not any(name.startswith("jitter.") for name in fab.rngs._streams)
-
-
-def test_jitter_streams_exist_only_when_drawn_from():
-    params = CCParams(link_jitter=0.01, match_quantum=0.0)
-    fab = build_fabric(config1_adhoc(), scheme="1Q", params=params, seed=0)
-    assert all(link.rng is fab.rngs.stream(f"jitter.{name}") for link, name in
-               ((fab.nodes[0].uplink, "n0.up"), (fab.nodes[0].downlink, "n0.down"),
-                (fab.switches[0].output_ports[3].link_out, "s0p3")))
-    assert sum(name.startswith("jitter.") for name in fab.rngs._streams) == len(fab.links)
 
 
 def test_switch_queue_schemes_match_preset():

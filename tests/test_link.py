@@ -1,6 +1,5 @@
 """Unit tests for lossless links."""
 
-import numpy as np
 import pytest
 
 from repro.network.link import CONTROL_HOP_DELAY, Link, LinkError
@@ -133,31 +132,12 @@ def test_set_bandwidth_affects_next_packet():
     assert done - sim.now == pytest.approx(2048 / 1.25)
 
 
-def test_jitter_stretches_serialization_deterministically():
-    rng1 = np.random.default_rng(5)
-    sim, link, tx, rx = make_link(jitter=0.01, rng=rng1)
-    done = link.send(Packet(0, 1, 2048, "f"))
-    nominal = 2048 / 2.5
-    assert nominal <= done <= nominal * 1.01
-    # same seed -> same stretched time
-    sim2, link2, _, _ = make_link(jitter=0.01, rng=np.random.default_rng(5))
-    assert link2.send(Packet(0, 1, 2048, "f")) == done
-
-
-def test_jitter_requires_rng():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Link(sim, "l", 2.5, 20.0, jitter=0.01)
-
-
 def test_invalid_construction():
     sim = Simulator()
     with pytest.raises(ValueError):
         Link(sim, "l", 0.0, 20.0)
     with pytest.raises(ValueError):
         Link(sim, "l", 2.5, -1.0)
-    with pytest.raises(ValueError):
-        Link(sim, "l", 2.5, 1.0, jitter=0.7, rng=np.random.default_rng(0))
 
 
 def test_counters():

@@ -1,7 +1,12 @@
 """Unit tests for CC parameters and the §III-E tuning rules."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.params import CCParams, MTU, ParamError, exponential_cct, linear_cct
 
 
@@ -31,11 +36,8 @@ def test_defaults_are_valid_and_match_the_paper():
         dict(detection_threshold=10**9),
         dict(detection_policy="psychic"),
         dict(cfq_high_dwell=-1.0),
-        dict(link_jitter=0.9),
-        dict(link_jitter=0.01),  # jitter requires event-driven arbitration
         dict(cfq_cs_exit=0),  # must lie in [low, high)
         dict(cfq_rearm_window=-1.0),
-        dict(match_quantum=-2.0),  # -1 is the auto sentinel
         dict(voq_high=2 * MTU, voq_low=2 * MTU),
         dict(marking_rate=0.0),
         dict(marking_rate=1.5),
@@ -49,6 +51,9 @@ def test_defaults_are_valid_and_match_the_paper():
         dict(voqnet_queue_size=100),
         dict(advoq_cap_packets=0),
         dict(islip_iterations=0),
+        dict(pfc_priorities=0),
+        dict(shared_alpha=0.0),
+        dict(pfc_xon_fraction=0.0),
     ],
 )
 def test_tuning_rule_violations_raise(override):
@@ -96,3 +101,20 @@ def test_packets_and_summary_helpers():
     lines = p.thresholds_summary()
     assert any("stop/go=10/4" in s for s in lines)
     assert any("marking_rate=85%" in s for s in lines)
+
+
+def test_no_field_is_a_dead_knob():
+    """A field nothing reads is a dead knob: it still enters every cache
+    key (the preimage walks ``dataclasses.fields``), so a setting that
+    changes no result would fork the cache.  Every field must be read
+    as an attribute somewhere in ``repro`` outside this module."""
+    src = Path(repro.__file__).parent
+    read = set()
+    for path in src.rglob("*.py"):
+        if path == src / "core" / "params.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [f.name for f in dataclasses.fields(CCParams) if f.name not in read]
+    assert not unread, f"CCParams fields nothing reads: {unread}"

@@ -77,10 +77,10 @@ class TestRegistry:
         """The spec booleans of the old architecture are now derived
         from the composable policy objects."""
         ith, ccfit, oneq = get_scheme("ITh"), get_scheme("CCFIT"), get_scheme("1Q")
-        assert ith.detection is DETECT_VOQ_OCCUPANCY and ith.throttling
+        assert ith.detection is DETECT_VOQ_OCCUPANCY and ith.injection_gate is not None
         assert ccfit.detection is DETECT_ROOT_CFQ and ccfit.marking is not None
         assert oneq.detection is DETECT_NONE
-        assert not oneq.throttling and oneq.marking is None
+        assert oneq.injection_gate is None and oneq.marking is None
 
     def test_scheme_params_optional_base(self):
         """Satellite: ``base`` is genuinely optional and typed so."""

@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro.cli import build_parser
+from repro.core.params import CCParams
 from repro.experiments import registry
 from repro.experiments.resilience import RetryPolicy
 from repro.experiments.sweep import (
@@ -474,17 +475,24 @@ class TestWorker:
         assert job_row["elapsed_s"] > 0
 
     def test_worker_fails_undecodable_spec(self, tmp_path, tiny_job):
-        b = FsBroker(tmp_path)
-        run = b.submit([tiny_job], experiment="fig7a")
-        # corrupt the queued spec in place (atomic, like a version skew)
-        path = tmp_path / "queue" / f"{tiny_job.key()}.json"
-        rec = json.loads(path.read_text())
-        rec["spec"] = {"schema": 999}
-        path.write_text(json.dumps(rec))
-        summary = Worker(b, worker_id="w1", max_cells=1).run()
-        assert summary["failed"] == 1
-        manifest = b.run_manifest(run.id)
-        assert "undecodable job spec" in manifest["failures"][0]["message"]
+        # a spec queued before ``match_quantum`` left CCParams: it must
+        # fail, not run with the remaining fields at their defaults
+        stale = {**dataclasses.asdict(CCParams()), "match_quantum": -1.0}
+        specs = {"schema": {"schema": 999},
+                 "stale-params": {**job_to_spec(tiny_job), "params": stale}}
+        for name, spec in specs.items():
+            b = FsBroker(tmp_path / name)
+            run = b.submit([tiny_job], experiment="fig7a")
+            # corrupt the queued spec in place (atomic, like a version skew)
+            path = tmp_path / name / "queue" / f"{tiny_job.key()}.json"
+            rec = json.loads(path.read_text())
+            rec["spec"] = spec
+            path.write_text(json.dumps(rec))
+            summary = Worker(b, worker_id="w1", max_cells=1).run()
+            assert (summary["failed"], summary["completed"]) == (1, 0), name
+            manifest = b.run_manifest(run.id)
+            assert "undecodable job spec" in manifest["failures"][0]["message"], name
+            assert b.cache.get(tiny_job.key()) is None, name
 
     def test_a_retry_is_an_event_the_manifest_counts(self, tmp_path, monkeypatch):
         def boom(self):

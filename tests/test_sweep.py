@@ -134,18 +134,18 @@ class TestSimJob:
         [
             (
                 dict(case="case1", scheme="CCFIT", time_scale=0.25),
-                "11eb434a25c6d3c1f58df1b47681605bd8b563549b0489907846542105e2e378",
+                "93b194f2231ec49fd011bae283213fcb39effd3dcabf8429d9c637eb2d046c5a",
             ),
             (
                 dict(case="case4", scheme="PFC+RCM", time_scale=0.025,
                      extra=(("num_trees", 4),), buffer_model="shared"),
-                "0f9814208a3255233d38130f7f5decc0036b89e5f0b5869f13e45f9165af1264",
+                "4bf147f872000e0fb5ebbfa1b1768185890134493e726bb3ff4ef5e07499ec84",
             ),
             (
                 dict(case="case4", scheme="CCFIT", time_scale=0.025,
                      extra=(("num_trees", 1),), routing="adaptive",
                      faults=FaultPlan.parse("down:s0p4->s16p0@1.2ms;up:s0p4->s16p0@1.5ms")),
-                "16d1ef1004c180bf984159f8cb203408f9c881309b05916a9f96646fa44b0607",
+                "ebbe48429917a589596203c79c8bfb9b6622099da7d08e81f70366a35af4affb",
             ),
         ],
         ids=["static-ccfit", "shared-pfc-rcm", "faulted-adaptive"],
@@ -154,22 +154,23 @@ class TestSimJob:
         """Golden cache keys (the benchmark's three cell shapes, seed 1).
         A refactor of the job/spec layer must not move them: every
         populated cache and queued spec is addressed by these bytes.  A
-        deliberate move (a ``repro.__version__`` bump, a new preimage
-        field) updates the constants in the same change."""
+        deliberate move (a ``repro.__version__`` bump, a preimage field
+        added or removed) updates the constants in the same change."""
         assert SimJob(seed=1, **kw).key() == key
 
     def test_benchmark_grid_keys_are_pinned(self):
         """The other 312 cells of ``benchmarks/e2e/golden.json`` -- the
         scheme grid at seeds 1-19 and the CCFIT round-trip cells -- in
-        one digest, recorded at 8b5b826 (before the preimage stopped
-        going through ``dataclasses.asdict``)."""
+        one digest, re-recorded when ``match_quantum`` and
+        ``link_jitter`` left ``CCParams`` (docs/sweep.md "The cache
+        key")."""
         case1 = registry.get("case1")
         jobs = [j for seed in range(1, 20) for j in case1.jobs(time_scale=0.02, seed=seed)]
         jobs += [j for seed in range(1001, 1123)
                  for j in case1.jobs(schemes=("CCFIT",), time_scale=0.02, seed=seed)]
         assert len(jobs) == 312
         digest = hashlib.sha256("\n".join(j.key() for j in jobs).encode()).hexdigest()
-        assert digest == "61e04cf74f1fb2cf438acba35055fe1e8366ee395c585e5eb21b5e80edc04d2e"
+        assert digest == "bb8d099d71af08121ef7fa3755cb06456295ab9028f245685bd823b9962dedc1"
 
     def test_params_preimage_equals_asdict(self):
         """The flat walk is ``asdict`` for as long as ``CCParams`` is

@@ -3,7 +3,6 @@ concurrency, FECN marking, BECN forwarding."""
 
 import pytest
 
-from repro.core.params import CCParams
 from repro.network.fabric import build_fabric
 from repro.network.packet import Becn, alloc_packet
 from repro.network.topology import SwitchSpec, Topology, config1_adhoc, k_ary_n_tree
@@ -24,16 +23,6 @@ def test_slot_quantum_resolved_per_switch():
     assert fab.switches[0].quantum == pytest.approx(409.6)
     fab2 = build_fabric(k_ary_n_tree(2, 3), scheme="1Q", seed=0)
     assert fab2.switches[0].quantum == pytest.approx(819.2)
-
-
-def test_event_driven_mode_available():
-    fab = build_fabric(
-        config1_adhoc(), scheme="1Q", params=CCParams(match_quantum=0.0), seed=0
-    )
-    assert fab.switches[0].quantum == 0.0
-    attach_traffic(fab, flows=[FlowSpec("f", src=0, dst=3, rate=2.5, end=200_000.0)])
-    fab.run(until=400_000.0)
-    assert fab.stats()["delivered_packets"] > 0
 
 
 def test_crossbar_speedup_allows_concurrent_reads():
@@ -65,13 +54,16 @@ def test_link_degrade_refreshes_the_slowest_link_prefilter():
         name="one-switch",
         num_nodes=3,
         switches=[SwitchSpec(id=0, num_ports=3)],
-        node_attach={n: (0, n, 2.0) for n in range(3)},
+        # node 0 only sends; its 2048 B/ns downlink sets a 1 ns
+        # arbitration slot, so each kick below is matched at once
+        node_attach={0: (0, 0, 2048.0), 1: (0, 1, 2.0), 2: (0, 2, 2.0)},
         switch_links=[],
         routes={(0, n): n for n in range(3)},
         crossbar_bw=3.0,  # speedup 1.5: one read at 2.0, or 2.0 + 1.0
     )
-    fab = build_fabric(topo, scheme="VOQsw", params=CCParams(match_quantum=0.0), seed=0)
+    fab = build_fabric(topo, scheme="VOQsw", seed=0)
     sw, sim = fab.switches[0], fab.sim
+    assert sw.quantum == 1.0
     port = sw.input_ports[0]
     for dst in (1, 2):  # two heads in two VOQs of the same input port
         pkt = alloc_packet(0, dst, 2048, f"to{dst}", created_at=0.0)
