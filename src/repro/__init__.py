@@ -31,8 +31,8 @@ Quick start::
 
 The names above are imported on first use: ``import repro`` itself
 loads nothing else, and every scheme registers (the paper presets
-first, then :mod:`repro.schemes`) with :mod:`repro.core.ccfit`,
-whichever module a process imports first.
+first, then :mod:`repro.schemes`) in ``repro.SCHEMES``, whichever
+module a process imports first.
 """
 
 import importlib
@@ -45,11 +45,7 @@ __version__ = "1.0.0"
 #: and numpy.
 _EXPORTS = {
     "SCHEMES": "core.ccfit",
-    "Scheme": "core.ccfit",
     "SchemeSpec": "core.ccfit",
-    "register_scheme": "core.ccfit",
-    "get_scheme": "core.ccfit",
-    "scheme_names": "core.ccfit",
     "CCParams": "core.params",
     "linear_cct": "core.params",
     "exponential_cct": "core.params",
@@ -61,9 +57,6 @@ _EXPORTS = {
     "ROUTING_POLICIES": "network.routing",
     "RoutingPolicy": "network.routing",
     "RoutingPolicySpec": "network.routing",
-    "register_policy": "network.routing",
-    "get_policy": "network.routing",
-    "policy_names": "network.routing",
     "Topology": "network.topology",
     "config1_adhoc": "network.topology",
     "k_ary_n_tree": "network.topology",

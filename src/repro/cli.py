@@ -84,14 +84,13 @@ from repro.experiments.report import (
 from repro.experiments.runner import CaseResult
 from repro.experiments.sweep import (
     AXES,
-    CellError,
     SweepOptions,
     SweepReport,
     default_cache_dir,
     parse_names,
     read_axes,
-    unknown_name,
 )
+from repro.registry import CellError, unknown_name
 from repro.sim.guard import ENV_VALIDATE
 
 __all__ = ["main", "build_parser"]
@@ -483,9 +482,7 @@ def _cmd_sweep(args) -> int:
     if args.name is None:
         print("sweep: experiment name required (try `repro sweep --list`)", file=sys.stderr)
         return 2
-    if args.name not in registry.names():
-        raise CellError(unknown_name("experiment", args.name, registry.names()))
-    exp = registry.get(args.name)
+    exp = registry.get(registry.REGISTRY.parse(args.name))
     cell = _cell(args)
     if args.schemes:
         cell["schemes"] = parse_names(str, args.schemes)
@@ -499,11 +496,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_telemetry(args) -> int:
     from repro.telemetry import TELEMETRY_FORMATS, TelemetryConfig, write_bundle
 
-    if args.name not in registry.names():
-        raise CellError(unknown_name("experiment", args.name, registry.names()))
+    exp = registry.get(registry.REGISTRY.parse(args.name))
     if args.tele_format not in TELEMETRY_FORMATS:
         raise CellError(unknown_name("telemetry format", args.tele_format, TELEMETRY_FORMATS))
-    exp = registry.get(args.name)
     opts = _options(args, cache_by_default=False)
     cell = dict(_cell(args, "telemetry"), telemetry=TelemetryConfig(interval=args.interval))
     results, report = exp.run(schemes=(args.scheme,), options=opts, **cell)

@@ -24,8 +24,6 @@ _EXPORTS = {
     "CCParams": "params",
     "linear_cct": "params",
     "exponential_cct": "params",
-    "Scheme": "ccfit",
-    "scheme_params": "ccfit",
 }
 
 __all__ = list(_EXPORTS)

@@ -28,17 +28,18 @@ are §II related work that falls out of the queue-scheme machinery for
 free, rounding out the HoL-reduction family the paper positions CCFIT
 against.
 
-New schemes register themselves through :func:`register_scheme` — the
-CLI, sweep engine, experiment registry and cost accounting all read
-the live registry, so a registered scheme is immediately runnable
-everywhere without touching the device layer (see ``docs/schemes.md``
-and :mod:`repro.schemes.rcm` for a worked example).
+New schemes register themselves with ``SCHEMES.register`` (a
+:class:`repro.registry.Registry`) — the CLI, sweep engine, experiment
+registry and cost accounting all read the live registry, so a
+registered scheme is immediately runnable everywhere without touching
+the device layer (see ``docs/schemes.md`` and :mod:`repro.schemes.rcm`
+for a worked example).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.core.isolation import NfqCfqScheme
 from repro.core.params import CCParams
@@ -57,14 +58,10 @@ from repro.network.queueing import (
     VOQnetScheme,
     VOQswScheme,
 )
+from repro.registry import Registry
 
 __all__ = [
-    "Scheme",
     "SchemeSpec",
-    "scheme_params",
-    "register_scheme",
-    "get_scheme",
-    "scheme_names",
     "SCHEMES",
     "PAPER_SCHEMES",
     "FIG8_SCHEMES",
@@ -190,7 +187,7 @@ class SchemeSpec:
     A spec is a *composition*: pick a queue-policy builder, a
     :class:`repro.core.scheme.DetectionPolicy`, an optional marking
     policy factory and an optional injection-gate factory, then
-    :func:`register_scheme` it.  The device layer consumes the spec
+    ``SCHEMES.register`` it.  The device layer consumes the spec
     blindly — no device file is edited to add a scheme.
     """
 
@@ -221,97 +218,47 @@ class SchemeSpec:
     #: one-line summary for ``repro schemes`` style listings / docs.
     description: str = ""
 
+    def __post_init__(self) -> None:
+        if self.ia_staging not in ("isolation", "fifo", "bypass"):
+            raise ValueError(f"{self.name}: unknown IA staging mode {self.ia_staging!r}")
 
-# ----------------------------------------------------------------------
-# the registry
-# ----------------------------------------------------------------------
+
 #: the live scheme registry (name -> spec).  Iterating it yields names
 #: in registration order, so the paper presets come first.
-SCHEMES: Dict[str, SchemeSpec] = {}
-
-
-def register_scheme(spec: SchemeSpec, *, replace: bool = False) -> SchemeSpec:
-    """Add ``spec`` to the registry; the CLI, sweep engine, experiment
-    registry, fabric builder and cost table discover it immediately.
-
-    Raises ``ValueError`` on a duplicate name unless ``replace=True``
-    (useful for parameter-studies that shadow a preset).  Returns the
-    spec so modules can register at import time::
-
-        RCM = register_scheme(SchemeSpec("RCM", ...))
-    """
-    if not spec.name:
-        raise ValueError("scheme name must be non-empty")
-    if spec.ia_staging not in ("isolation", "fifo", "bypass"):
-        raise ValueError(
-            f"{spec.name}: unknown IA staging mode {spec.ia_staging!r}"
-        )
-    if spec.name in SCHEMES and not replace:
-        raise ValueError(
-            f"scheme {spec.name!r} is already registered "
-            f"(pass replace=True to shadow it)"
-        )
-    SCHEMES[spec.name] = spec
-    return spec
-
-
-def get_scheme(name: str) -> SchemeSpec:
-    """Look up a registered scheme by name (KeyError with the known
-    names on a miss)."""
-    try:
-        return SCHEMES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scheme {name!r}; choose from {sorted(SCHEMES)}"
-        ) from None
-
-
-def scheme_names() -> Tuple[str, ...]:
-    """Currently registered scheme names, in registration order."""
-    return tuple(SCHEMES)
-
-
-def scheme_params(
-    name: str, base: Optional[CCParams] = None
-) -> Tuple[SchemeSpec, CCParams]:
-    """Resolve a scheme name to its spec plus validated parameters."""
-    spec = get_scheme(name)
-    params = base if base is not None else CCParams()
-    params.validate()
-    return spec, params
+SCHEMES: Registry[SchemeSpec] = Registry("scheme")
 
 
 # ----------------------------------------------------------------------
 # the paper's presets (§IV-A)
 # ----------------------------------------------------------------------
-register_scheme(SchemeSpec(
+SCHEMES.register(SchemeSpec(
     "1Q", oneq_queues(), "fifo",
     cost=_cost_single_fifo,
     description="one FIFO per port, no HoL protection (baseline)",
 ))
-register_scheme(SchemeSpec(
+SCHEMES.register(SchemeSpec(
     "VOQsw", voqsw_queues(), "fifo",
     cost=_cost_voqsw,
     description="per-output VOQs [21], no CC machinery",
 ))
-register_scheme(SchemeSpec(
+SCHEMES.register(SchemeSpec(
     "DBBM", dbbm_queues(), "fifo",
     cost=_cost_dbbm,
     description="destination-hash queues [24]",
 ))
-register_scheme(SchemeSpec(
+SCHEMES.register(SchemeSpec(
     "VOQnet", voqnet_queues(), "bypass",
     memory_override=_voqnet_memory,
     cost=_cost_voqnet,
     description="per-destination VOQs [22], the unscalable upper bound",
 ))
-register_scheme(SchemeSpec(
+SCHEMES.register(SchemeSpec(
     "FBICM", isolation_queues(), "isolation",
     ia_scheme=isolation_stage,
     cost=_cost_isolation,
     description="congested-flow isolation (NFQ+CFQs+CAM), no throttling",
 ))
-register_scheme(SchemeSpec(
+SCHEMES.register(SchemeSpec(
     "ITh", voqsw_queues(DETECT_VOQ_OCCUPANCY), "fifo",
     detection=DETECT_VOQ_OCCUPANCY,
     marking=congestion_state_marking,
@@ -319,7 +266,7 @@ register_scheme(SchemeSpec(
     cost=_cost_voqsw,
     description="injection throttling [12]: VOQ detection + FECN/BECN + CCT",
 ))
-register_scheme(SchemeSpec(
+SCHEMES.register(SchemeSpec(
     "CCFIT", isolation_queues(DETECT_ROOT_CFQ), "isolation",
     detection=DETECT_ROOT_CFQ,
     marking=congestion_state_marking,
@@ -328,10 +275,6 @@ register_scheme(SchemeSpec(
     cost=_cost_isolation,
     description="this paper: isolation + root-CFQ-driven throttling",
 ))
-
-#: the paper presets, in the paper's plotting order (a static snapshot;
-#: use :func:`scheme_names` for the live registry).
-Scheme = tuple(SCHEMES)
 
 #: the schemes of Figs. 7, 9 and 10, in the paper's plotting order.
 PAPER_SCHEMES = ("1Q", "ITh", "FBICM", "CCFIT")

@@ -47,13 +47,11 @@ def scheme_cost(
 ) -> SchemeCost:
     """Compute the switch buffer/CAM budget of ``scheme`` on ``topo``.
 
-    The budget comes from the spec's ``cost`` hook, so registered
-    schemes (see :func:`repro.core.ccfit.register_scheme`) appear in
-    the table automatically."""
-    if scheme not in SCHEMES:
-        raise KeyError(f"unknown scheme {scheme!r}")
-    params = params if params is not None else CCParams()
+    The budget comes from the spec's ``cost`` hook, so every scheme
+    registered in :data:`repro.core.ccfit.SCHEMES` appears in the table
+    automatically; an unknown name is the registry's ``KeyError``."""
     spec = SCHEMES[scheme]
+    params = params if params is not None else CCParams()
     n = topo.num_nodes
     memory = spec.memory_override(params, n)
 

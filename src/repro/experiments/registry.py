@@ -7,6 +7,8 @@ its results are rendered.  The CLI, the service and
 ``scripts/make_experiments.py`` all dispatch through this table
 instead of hand-written per-subcommand branching, so a new experiment
 becomes available everywhere by a single :func:`register` call.
+:data:`REGISTRY` is a :class:`repro.registry.Registry`: ``get(name)``
+is ``REGISTRY[name]``, a ``KeyError`` with a did-you-mean on a miss.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.ccfit import FIG8_SCHEMES, PAPER_SCHEMES, SCHEMES
 from repro.experiments.runner import CaseResult
 from repro.experiments.sweep import AXES, Axis, SimJob, SweepOptions, SweepReport, run_sweep
+from repro.registry import Registry
 from repro.sim.faults import FaultPlan
 
-__all__ = ["Experiment", "register", "get", "names", "experiments", "describe", "REGISTRY"]
+__all__ = ["Experiment", "register", "get", "describe", "REGISTRY"]
 
 #: Fig. 9 plots Case #1's victim + contributors; Fig. 10 Case #2's five flows.
 CASE1_FLOWS = ("F0", "F1", "F2", "F5", "F6")
@@ -114,31 +117,9 @@ class Experiment:
         return results, report
 
 
-REGISTRY: Dict[str, Experiment] = {}
-
-
-def register(exp: Experiment) -> Experiment:
-    if exp.name in REGISTRY:
-        raise KeyError(f"experiment {exp.name!r} already registered")
-    REGISTRY[exp.name] = exp
-    return exp
-
-
-def get(name: str) -> Experiment:
-    try:
-        return REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment {name!r}; choose from {', '.join(names())}"
-        ) from None
-
-
-def names() -> Tuple[str, ...]:
-    return tuple(REGISTRY)
-
-
-def experiments() -> Tuple[Experiment, ...]:
-    return tuple(REGISTRY.values())
+REGISTRY: Registry[Experiment] = Registry("experiment")
+register = REGISTRY.register
+get = REGISTRY.__getitem__
 
 
 def describe() -> List[Dict[str, Any]]:

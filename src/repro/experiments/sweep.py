@@ -40,7 +40,6 @@ See ``docs/sweep.md`` for the job/cache model and
 from __future__ import annotations
 
 import dataclasses
-import difflib
 import hashlib
 import json
 import math
@@ -62,6 +61,7 @@ from repro.experiments.resilience import JobFailure, RetryPolicy
 from repro.experiments.runner import CASE_CONFIG, CaseResult, run_case
 from repro.network.buffers import BUFFER_MODELS
 from repro.network.routing import ROUTING_POLICIES
+from repro.registry import CellError, unknown_name
 from repro.sim.faults import FaultPlan
 from repro.telemetry import TelemetryConfig
 
@@ -71,7 +71,6 @@ __all__ = [
     "Axis",
     "AXES",
     "KNOBS",
-    "CellError",
     "ResultCache",
     "SweepReport",
     "run_sweep",
@@ -160,39 +159,6 @@ def write_atomic(path: Path, data: bytes) -> None:
     tmp = path.with_suffix(f".tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}")
     tmp.write_bytes(data)
     os.replace(tmp, path)
-
-
-class CellError(ValueError):
-    """A cell that cannot be declared: an unknown name, a knob its case
-    does not take, a value out of range.  The message is for whoever
-    asked -- the CLI prints it and exits 2, ``POST /experiments``
-    answers 400 with it."""
-
-
-def unknown_name(kind: str, name: Any, choices: Iterable[str]) -> str:
-    """``unknown <kind> 'nmae' — did you mean name? (choose from ...)``,
-    matching case-insensitively so ``"ccfti"`` still suggests CCFIT."""
-    names = sorted(choices)
-    folded = {n.casefold(): n for n in names}
-    close = difflib.get_close_matches(str(name).casefold(), list(folded), n=3, cutoff=0.4)
-    hint = f" — did you mean {' or '.join(folded[c] for c in close)}?" if close else ""
-    return f"unknown {kind} {name!r}{hint} (choose from {', '.join(names)})"
-
-
-def _named(kind: str, registry: Mapping[str, Any]) -> Callable[[Any], str]:
-    """A parser for the names of a live registry: the name itself, or
-    the one it matches case-insensitively (``"ccfit"`` is ``CCFIT``)."""
-
-    def parse(raw: Any) -> str:
-        if isinstance(raw, str):
-            if raw in registry:
-                return raw
-            match = {name.casefold(): name for name in registry}.get(raw.casefold())
-            if match is not None:
-                return match
-        raise CellError(unknown_name(kind, raw, registry))
-
-    return parse
 
 
 def _positive(name: str) -> Callable[[Any], float]:
@@ -311,7 +277,7 @@ class Axis:
 #: the axes of a cell, in label order.
 AXES: Tuple[Axis, ...] = (
     Axis(
-        "routing", "det", _named("routing policy", ROUTING_POLICIES),
+        "routing", "det", ROUTING_POLICIES.parse,
         "routing policy (det|ecmp|adaptive|flowlet, case-insensitive; default det, "
         "the paper's; docs/routing.md).  `sweep` accepts a comma-separated list "
         "forming a grid axis",
@@ -331,7 +297,7 @@ AXES: Tuple[Axis, ...] = (
         grid="faults", baseline=True,
     ),
     Axis(
-        "buffer_model", "static", _named("buffer model", BUFFER_MODELS),
+        "buffer_model", "static", BUFFER_MODELS.parse,
         "switch buffer organisation (static|shared, case-insensitive; default static, "
         "the paper's per-port partitioning; docs/buffers.md)",
         cli=dict(metavar="NAME"),
@@ -353,7 +319,6 @@ KNOBS: Dict[str, Dict[str, Callable[[Any], Any]]] = {
     "case4": {"num_trees": _count("num_trees", 1, 8), "duration_ms": _positive("duration_ms")},
 }
 
-_SCHEME = _named("scheme", SCHEMES)
 _TIME_SCALE = _positive("time_scale")
 _SEED = _count("seed", 0)
 
@@ -410,7 +375,7 @@ class SimJob:
         if self.case not in CASE_CONFIG:
             raise KeyError(f"unknown case {self.case!r}; choose from {sorted(CASE_CONFIG)}")
         fix = object.__setattr__
-        fix(self, "scheme", _SCHEME(self.scheme))
+        fix(self, "scheme", SCHEMES.parse(self.scheme))
         fix(self, "time_scale", _TIME_SCALE(self.time_scale))
         fix(self, "seed", _SEED(self.seed))
         if self.extra != ():

@@ -20,18 +20,19 @@ SONiC shared-headroom-pool design): per-(port, priority) reserved
 minimums, a dynamic threshold ``alpha * free`` on the shared space,
 and a PFC headroom account that absorbs the in-flight bytes arriving
 between an XOFF decision and the upstream honouring the PAUSE.  Models
-register through :func:`register_buffer_model` — mirroring the scheme
-(:func:`repro.core.ccfit.register_scheme`) and routing
-(:func:`repro.network.routing.register_policy`) registries — so the
-fabric builder, CLI and sweep engine discover them by name.
+register in :data:`BUFFER_MODELS`, a :class:`repro.registry.Registry`
+like the scheme and routing-policy ones, so the fabric builder, CLI
+and sweep engine discover them by name.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.network.packet import Packet, PfcPause, PfcResume
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.switch import InputPort, Switch
@@ -44,9 +45,6 @@ __all__ = [
     "StaticBufferModel",
     "SharedBufferModel",
     "BufferModelSpec",
-    "register_buffer_model",
-    "get_buffer_model",
-    "buffer_model_names",
     "BUFFER_MODELS",
 ]
 
@@ -560,65 +558,26 @@ class SharedBufferModel(BufferModel):
 
 
 # ----------------------------------------------------------------------
-# the registry (mirrors the scheme / routing-policy registries)
+# the registry
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
 class BufferModelSpec:
     """A named buffer model: ``build(switch)`` returns the per-switch
-    model instance.  Register with :func:`register_buffer_model`."""
+    model instance.  Register it in :data:`BUFFER_MODELS`."""
 
-    __slots__ = ("name", "build", "description")
-
-    def __init__(
-        self,
-        name: str,
-        build: Callable[["Switch"], BufferModel],
-        description: str = "",
-    ) -> None:
-        self.name = name
-        self.build = build
-        self.description = description
+    name: str
+    build: Callable[["Switch"], BufferModel]
+    description: str = ""
 
 
 #: the live buffer-model registry (name -> spec), registration order.
-BUFFER_MODELS: Dict[str, BufferModelSpec] = {}
+BUFFER_MODELS: Registry[BufferModelSpec] = Registry("buffer model")
 
-
-def register_buffer_model(spec: BufferModelSpec, *, replace: bool = False) -> BufferModelSpec:
-    """Add ``spec`` to the registry; the fabric builder, CLI
-    (``--buffer-model``) and sweep engine discover it immediately.
-    Raises ``ValueError`` on a duplicate name unless ``replace=True``."""
-    if not spec.name:
-        raise ValueError("buffer model name must be non-empty")
-    if spec.name in BUFFER_MODELS and not replace:
-        raise ValueError(
-            f"buffer model {spec.name!r} is already registered "
-            f"(pass replace=True to shadow it)"
-        )
-    BUFFER_MODELS[spec.name] = spec
-    return spec
-
-
-def get_buffer_model(name: str) -> BufferModelSpec:
-    """Look up a registered buffer model (KeyError with the known names
-    on a miss)."""
-    try:
-        return BUFFER_MODELS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown buffer model {name!r}; choose from {sorted(BUFFER_MODELS)}"
-        ) from None
-
-
-def buffer_model_names() -> Tuple[str, ...]:
-    """Currently registered buffer-model names, in registration order."""
-    return tuple(BUFFER_MODELS)
-
-
-register_buffer_model(BufferModelSpec(
+BUFFER_MODELS.register(BufferModelSpec(
     "static", StaticBufferModel,
     description="per-port statically partitioned RAM (Table I; the paper)",
 ))
-register_buffer_model(BufferModelSpec(
+BUFFER_MODELS.register(BufferModelSpec(
     "shared", SharedBufferModel,
     description="switch-wide shared pool: alpha*free thresholds + PFC headroom",
 ))

@@ -17,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.ccfit import SchemeSpec, scheme_params
+from repro.core.ccfit import SCHEMES, SchemeSpec
 from repro.core.params import CCParams
 from repro.metrics.collector import Collector
-from repro.network.buffers import buffer_model_names, get_buffer_model
+from repro.network.buffers import BUFFER_MODELS
 from repro.network.endnode import EndNode
 from repro.network.link import Link
-from repro.network.routing import RoutingPolicySpec, RoutingTable, get_policy
+from repro.network.routing import ROUTING_POLICIES, RoutingTable
 from repro.network.switch import Switch
 from repro.network.topology import Topology
 from repro.sim.engine import Simulator
@@ -134,7 +134,7 @@ def build_fabric(
     sim: Optional[Simulator] = None,
     validate: Optional[bool] = None,
     guard_config=None,
-    routing: "str | RoutingPolicySpec" = "det",
+    routing: str = "det",
     faults=None,
 ) -> Fabric:
     """Instantiate a simulated network.
@@ -144,14 +144,14 @@ def build_fabric(
     topo:
         The network description (see :mod:`repro.network.topology`).
     scheme:
-        One of ``1Q, VOQsw, VOQnet, FBICM, ITh, CCFIT`` (§IV-A).
+        A registered scheme name (:data:`repro.core.ccfit.SCHEMES`):
+        ``1Q, VOQsw, VOQnet, FBICM, ITh, CCFIT`` (§IV-A) and more.
     params:
         CC parameters; defaults to the paper's configuration.
     routing:
         A registered routing-policy name (``det``, ``ecmp``,
-        ``adaptive``, ``flowlet`` — see :mod:`repro.network.routing`)
-        or a :class:`~repro.network.routing.RoutingPolicySpec`.  The
-        default ``det`` is the paper's table-based deterministic
+        ``adaptive``, ``flowlet`` — see :mod:`repro.network.routing`).
+        The default ``det`` is the paper's table-based deterministic
         routing and is byte-identical to the pre-policy builder.
     seed:
         Root seed — identical seeds give identical simulations.
@@ -172,18 +172,14 @@ def build_fabric(
         (the default) builds a fault-free fabric byte-identical to the
         pre-fault builder.
     """
-    spec, params = scheme_params(scheme, params)
-    # Validate the buffer-model name here (the registry lives in the
-    # network layer, so CCParams.validate cannot) for a clean error
-    # before any device is built.
-    try:
-        get_buffer_model(params.buffer_model)
-    except KeyError:
-        raise ValueError(
-            f"unknown buffer model {params.buffer_model!r}; registered "
-            f"models: {', '.join(buffer_model_names())}"
-        ) from None
-    policy_spec = routing if isinstance(routing, RoutingPolicySpec) else get_policy(routing)
+    spec = SCHEMES[scheme]
+    params = params if params is not None else CCParams()
+    params.validate()
+    # the buffer-model name is looked up here, not by CCParams.validate
+    # (the registry lives in the network layer): a miss fails before
+    # any device is built
+    BUFFER_MODELS[params.buffer_model]
+    policy_spec = ROUTING_POLICIES[routing]
     sim = sim if sim is not None else Simulator()
     rngs = RngFactory(seed)
     collector = collector if collector is not None else Collector()
@@ -217,7 +213,7 @@ def build_fabric(
             sim,
             f"sw{s.id}",
             num_ports=s.num_ports,
-            routing=policy_spec.build(
+            routing=policy_spec.factory(
                 table=RoutingTable(s.id, tables[s.id]),
                 candidates=candidates[s.id] if candidates is not None else None,
                 params=switch_params,

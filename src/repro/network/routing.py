@@ -29,10 +29,9 @@ the congestion-control scheme registry of :mod:`repro.core.ccfit`:
   only after a per-flow idle gap (``CCParams.flowlet_gap``), so
   packet bursts stay on one path.
 
-Policies are *per-switch* objects built from a registered
-:class:`RoutingPolicySpec` (:func:`register_policy` /
-:func:`get_policy` / :func:`policy_names`); the CLI ``--routing``
-flag, the sweep engine and the invariant guard all read the live
+Policies are *per-switch* objects built from a
+:class:`RoutingPolicySpec` registered in :data:`ROUTING_POLICIES` (a
+:class:`repro.registry.Registry`); the CLI ``--routing`` flag, the sweep engine and the invariant guard all read the live
 registry.  Every policy restricts itself to the topology's minimal
 candidate sets (:meth:`repro.network.topology.Topology.candidates`),
 so delivery is loop-free by construction; the congestion-tree control
@@ -44,9 +43,11 @@ stable while the data path adapts.  See docs/routing.md.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.network.topology import Topology, TopologyError
+from repro.registry import Registry
 
 __all__ = [
     "RoutingTable",
@@ -59,9 +60,6 @@ __all__ = [
     "FlowletRoutingPolicy",
     "RoutingPolicySpec",
     "ROUTING_POLICIES",
-    "register_policy",
-    "get_policy",
-    "policy_names",
 ]
 
 
@@ -433,6 +431,7 @@ class FlowletRoutingPolicy(AdaptiveRoutingPolicy):
 # ----------------------------------------------------------------------
 # the registry
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
 class RoutingPolicySpec:
     """A registered routing policy: name + per-switch factory.
 
@@ -442,78 +441,29 @@ class RoutingPolicySpec:
     purely deterministic policies (it is never built for ``det``).
     """
 
-    __slots__ = ("name", "factory", "needs_candidates", "description")
-
-    def __init__(
-        self,
-        name: str,
-        factory: Callable[..., RoutingPolicy],
-        needs_candidates: bool = True,
-        description: str = "",
-    ) -> None:
-        self.name = name
-        self.factory = factory
-        self.needs_candidates = needs_candidates
-        self.description = description
-
-    def build(self, *, table, candidates=None, params=None) -> RoutingPolicy:
-        return self.factory(table=table, candidates=candidates, params=params)
+    name: str
+    factory: Callable[..., RoutingPolicy]
+    needs_candidates: bool = True
+    description: str = ""
 
 
 #: the live routing-policy registry (name -> spec), iterated in
 #: registration order so ``det`` comes first.
-ROUTING_POLICIES: Dict[str, RoutingPolicySpec] = {}
+ROUTING_POLICIES: Registry[RoutingPolicySpec] = Registry("routing policy")
 
-
-def register_policy(spec: RoutingPolicySpec, *, replace: bool = False) -> RoutingPolicySpec:
-    """Add ``spec`` to the registry; the CLI ``--routing`` flag, the
-    sweep engine and ``build_fabric`` discover it immediately.
-
-    Raises ``ValueError`` on a duplicate name unless ``replace=True``.
-    Returns the spec so modules can register at import time, exactly
-    like :func:`repro.core.ccfit.register_scheme`.
-    """
-    if not spec.name:
-        raise ValueError("routing policy name must be non-empty")
-    if spec.name in ROUTING_POLICIES and not replace:
-        raise ValueError(
-            f"routing policy {spec.name!r} is already registered "
-            f"(pass replace=True to shadow it)"
-        )
-    ROUTING_POLICIES[spec.name] = spec
-    return spec
-
-
-def get_policy(name: str) -> RoutingPolicySpec:
-    """Look up a registered routing policy by name (KeyError with the
-    known names on a miss)."""
-    try:
-        return ROUTING_POLICIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown routing policy {name!r}; choose from "
-            f"{sorted(ROUTING_POLICIES)}"
-        ) from None
-
-
-def policy_names() -> Tuple[str, ...]:
-    """Currently registered routing policy names, registration order."""
-    return tuple(ROUTING_POLICIES)
-
-
-register_policy(RoutingPolicySpec(
+ROUTING_POLICIES.register(RoutingPolicySpec(
     "det", DetRoutingPolicy, needs_candidates=False,
     description="table-based deterministic DET (the paper's routing)",
 ))
-register_policy(RoutingPolicySpec(
+ROUTING_POLICIES.register(RoutingPolicySpec(
     "ecmp", EcmpRoutingPolicy,
     description="deterministic (src,dst)-hash over the minimal candidates",
 ))
-register_policy(RoutingPolicySpec(
+ROUTING_POLICIES.register(RoutingPolicySpec(
     "adaptive", AdaptiveRoutingPolicy,
     description="least-occupied minimal candidate by local queue/credit state",
 ))
-register_policy(RoutingPolicySpec(
+ROUTING_POLICIES.register(RoutingPolicySpec(
     "flowlet", FlowletRoutingPolicy,
     description="adaptive per flowlet: re-select only after an idle gap",
 ))

@@ -36,7 +36,7 @@ from repro.core.cam import OutputCam, OutputCamLine
 from repro.core.params import CCParams
 from repro.core.scheme import MarkingPolicy
 from repro.network.arbiter import ISlip
-from repro.network.buffers import BufferPool, get_buffer_model
+from repro.network.buffers import BUFFER_MODELS, BufferPool
 from repro.network.link import Link
 from repro.network.packet import (
     Becn,
@@ -278,7 +278,7 @@ class Switch:
         #: how this switch's RAM is carved up (docs/buffers.md).  Built
         #: and attached before the queue schemes so they see the final
         #: pool capacities (VOQnet sizes its queues off pool.capacity).
-        self.buffer_model = get_buffer_model(params.buffer_model).build(self)
+        self.buffer_model = BUFFER_MODELS[params.buffer_model].build(self)
         self.buffer_model.attach()
         self._nprios: int = params.pfc_priorities
         #: count of PFC-paused (output, priority) pairs; the matcher's

@@ -2,7 +2,7 @@
 
 Every module in this package builds its scheme from the public policy
 API (:mod:`repro.core.scheme`, :mod:`repro.core.ccfit`) and registers
-it with :func:`repro.core.ccfit.register_scheme` at import time — no
+it in :data:`repro.core.ccfit.SCHEMES` at import time — no
 device-layer code is touched.  :mod:`repro.core.ccfit` imports this
 package after registering the paper presets, so the schemes are
 discoverable everywhere the presets are, in the same order whichever

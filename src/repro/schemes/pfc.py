@@ -24,7 +24,7 @@ Two registrations:
   end-to-end loop is too slow for.
 
 Like RCM, the module is assembled purely from the public hook API —
-:func:`repro.core.ccfit.register_scheme` plus the
+``repro.core.ccfit.SCHEMES.register`` plus the
 :class:`~repro.network.queueing.CongestionControlScheme` hooks
 (``on_arrival`` / ``eligible_heads`` / ``on_control_message``) — with
 zero edits to the device layer.  PAUSE/RESUME messages reach the
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from repro.core.ccfit import SchemeSpec, fifo_stage, register_scheme
+from repro.core.ccfit import SCHEMES, SchemeSpec, fifo_stage
 from repro.core.params import CCParams
 from repro.network.buffers import PacketQueue
 from repro.network.packet import ControlMessage, Packet, PfcPause, PfcResume
@@ -135,8 +135,8 @@ def _pfc_cost(params: CCParams, _n: int, max_radix: int) -> Tuple[int, int, int]
     return params.pfc_priorities, 0, 0
 
 
-#: registered at import time (``repro/__init__`` imports this package).
-PFC = register_scheme(SchemeSpec(
+#: registered at import time (:mod:`repro.core.ccfit` imports this package).
+PFC = SCHEMES.register(SchemeSpec(
     "PFC",
     pfc_queues(),
     "fifo",
@@ -145,7 +145,7 @@ PFC = register_scheme(SchemeSpec(
     "(pair with --buffer-model shared)",
 ))
 
-PFC_RCM = register_scheme(SchemeSpec(
+PFC_RCM = SCHEMES.register(SchemeSpec(
     "PFC+RCM",
     pfc_queues(),
     "fifo",

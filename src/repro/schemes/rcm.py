@@ -16,7 +16,7 @@ Zhu et al., SIGCOMM'15) reacts with explicit per-destination *rates*:
 
 The scheme exists primarily as the proof of extensibility for the
 hook-based scheme architecture: it is assembled *entirely* from the
-public API — :func:`repro.core.ccfit.register_scheme` plus the policy
+public API — ``repro.core.ccfit.SCHEMES.register`` plus the policy
 builders — with zero edits to the device layer, and runs in every
 experiment, sweep, and under the invariant guard.  See
 ``docs/schemes.md`` for the walk-through.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-from repro.core.ccfit import SchemeSpec, fifo_stage, register_scheme, voqsw_queues
+from repro.core.ccfit import SCHEMES, SchemeSpec, fifo_stage, voqsw_queues
 from repro.core.params import CCParams
 from repro.core.scheme import DetectionPolicy
 from repro.network.packet import Packet
@@ -237,9 +237,9 @@ def _rcm_cost(params: CCParams, _n: int, max_radix: int) -> Tuple[int, int, int]
     return min(params.num_voqs, max_radix), 0, 0
 
 
-#: registered at import time; ``repro/__init__`` imports this package,
-#: so the scheme is available wherever ``repro`` is.
-RCM = register_scheme(SchemeSpec(
+#: registered at import time; :mod:`repro.core.ccfit` imports this
+#: package, so the scheme is available wherever the presets are.
+RCM = SCHEMES.register(SchemeSpec(
     "RCM",
     voqsw_queues(),
     "fifo",

@@ -57,7 +57,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 from urllib.parse import parse_qs, urlparse
 
 from repro.experiments import registry
-from repro.experiments.sweep import AXES, CellError, parse_names, read_axes, unknown_name
+from repro.experiments.sweep import AXES, parse_names, read_axes
+from repro.registry import CellError, unknown_name
 from repro.service.broker import FsBroker
 
 __all__ = ["ServiceServer", "serve", "DEFAULT_PORT"]
@@ -116,13 +117,11 @@ def _resolve_submission(request: Dict[str, Any]) -> Tuple[Any, List[Any]]:
     name = request.get("experiment")
     if not name:
         raise _BadRequest("missing 'experiment'")
-    if name not in registry.names():
-        raise _BadRequest(unknown_name("experiment", name, registry.names()))
-    exp = registry.get(name)
     extra = request.get("extra") or {}
     if not isinstance(extra, dict):
         raise _BadRequest("'extra' must be an object of per-case knobs")
     try:
+        exp = registry.get(registry.REGISTRY.parse(name))
         cell = read_axes(request.get)
         if request.get("schemes"):
             cell["schemes"] = parse_names(str, request["schemes"])

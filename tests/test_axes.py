@@ -60,6 +60,15 @@ def test_every_row_has_a_sample():
     assert set(SAMPLES) == {axis.name for axis in AXES}
 
 
+def test_names_parse_through_their_registry(monkeypatch):
+    parsers = {axis.name: axis.parse for axis in AXES}
+    assert parsers["routing"] == ROUTING_POLICIES.parse
+    assert parsers["buffer_model"] == BUFFER_MODELS.parse
+    asked = []
+    monkeypatch.setattr(SCHEMES, "parse", lambda raw: asked.append(raw) or "CCFIT")
+    assert SimJob("case1", "ccfti").scheme == "CCFIT" and asked == ["ccfti"]
+
+
 @pytest.mark.parametrize("axis", AXES, ids=lambda axis: axis.name)
 class TestEveryAxis:
     def test_key_and_label_move_off_the_default(self, axis):

@@ -121,11 +121,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.params import CCParams
-from repro.network.buffers import (
-    SharedBufferModel,
-    buffer_model_names,
-    get_buffer_model,
-)
+from repro.network.buffers import BUFFER_MODELS, SharedBufferModel
 from repro.network.packet import PfcPause, PfcResume
 
 MTU = 2048
@@ -171,10 +167,8 @@ def shared_model(n=2, **overrides):
 
 class TestSharedBufferModel:
     def test_registry_exposes_both_models(self):
-        assert buffer_model_names() == ("static", "shared")
-        assert get_buffer_model("shared").build is SharedBufferModel
-        with pytest.raises(KeyError, match="unknown buffer model"):
-            get_buffer_model("elastic")
+        assert list(BUFFER_MODELS) == ["static", "shared"]
+        assert BUFFER_MODELS["shared"].build is SharedBufferModel
 
     def test_capacity_split(self):
         model, _sw = shared_model(n=2)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.ccfit import SCHEMES, scheme_params
+from repro.core.ccfit import SCHEMES
+from repro.experiments.costs import scheme_cost
 from repro.core.isolation import NfqCfqScheme
 from repro.core.params import CCParams
 from repro.network.fabric import build_fabric
@@ -23,7 +24,7 @@ def test_unknown_scheme_rejected():
     with pytest.raises(KeyError):
         build_fabric(config1_adhoc(), scheme="MAGIC")
     with pytest.raises(KeyError):
-        scheme_params("MAGIC")
+        scheme_cost("MAGIC", config1_adhoc())
 
 
 def test_link_wiring_is_bidirectional_and_complete():

@@ -48,7 +48,7 @@ class TestStaticEquivalence:
         assert res.buffer_model == "shared"
 
     def test_unknown_model_rejected_at_build(self):
-        with pytest.raises(ValueError, match="buffer model"):
+        with pytest.raises(KeyError, match="unknown buffer model 'elastic'"):
             run_case("case1", scheme="CCFIT", time_scale=0.05,
                      buffer_model="elastic")
 

@@ -14,7 +14,7 @@ class TestRegistryContents:
             "fig7a", "fig7b", "fig7c", "fig8a", "fig8b", "fig8c",
             "fig9", "fig10", "case1", "case2", "case3", "case4",
         }
-        assert expected <= set(registry.names())
+        assert expected <= set(registry.REGISTRY)
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(KeyError, match="fig9"):
@@ -28,12 +28,6 @@ class TestRegistryContents:
         assert dict(registry.get("fig8a").extra)["num_trees"] == 1
         assert dict(registry.get("fig8b").extra)["num_trees"] == 4
         assert dict(registry.get("fig8c").extra)["num_trees"] == 6
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(KeyError):
-            registry.register(
-                Experiment("fig9", "dup", case="case1", schemes=("1Q",))
-            )
 
     def test_exported_from_package(self):
         import repro.experiments as ex

@@ -18,9 +18,6 @@ from repro.network.routing import (
     FlowletRoutingPolicy,
     RoutingPolicySpec,
     RoutingTable,
-    get_policy,
-    policy_names,
-    register_policy,
 )
 from repro.network.topology import TopologyError, k_ary_n_tree
 from repro.traffic.flows import FlowSpec, attach_traffic
@@ -29,33 +26,36 @@ ALL_POLICIES = ("det", "ecmp", "adaptive", "flowlet")
 
 
 # ----------------------------------------------------------------------
-# registry contract (mirrors the scheme registry of repro.core.ccfit)
+# what the registry holds (its contract: tests/test_registries.py)
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_builtin_policies_registered_det_first(self):
-        assert policy_names()[0] == "det"
-        assert set(ALL_POLICIES) <= set(policy_names())
+        assert list(ROUTING_POLICIES)[0] == "det"
+        assert set(ALL_POLICIES) <= set(ROUTING_POLICIES)
 
     def test_get_policy_unknown_name_lists_choices(self):
         with pytest.raises(KeyError) as exc_info:
-            get_policy("valiant")
+            ROUTING_POLICIES["valiant"]
         msg = str(exc_info.value)
         assert "valiant" in msg and "det" in msg
 
     def test_register_duplicate_rejected_unless_replace(self):
-        spec = RoutingPolicySpec("det", DetRoutingPolicy, needs_candidates=False)
+        """A study shadows a preset by assigning the entry, not by
+        registering it again, and restores it after."""
+
+        class ShadowPolicy(DetRoutingPolicy):
+            name = "shadow"
+
+        spec = RoutingPolicySpec("det", ShadowPolicy, needs_candidates=False)
         with pytest.raises(ValueError):
-            register_policy(spec)
+            ROUTING_POLICIES.register(spec)
         original = ROUTING_POLICIES["det"]
         try:
-            assert register_policy(spec, replace=True) is spec
-            assert ROUTING_POLICIES["det"] is spec
+            ROUTING_POLICIES["det"] = spec
+            fabric = build_fabric(k_ary_n_tree(2, 2), scheme="1Q")
+            assert fabric.switches[0].policy.name == "shadow"
         finally:
-            register_policy(original, replace=True)
-
-    def test_register_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            register_policy(RoutingPolicySpec("", DetRoutingPolicy))
+            ROUTING_POLICIES["det"] = original
 
     def test_custom_policy_usable_by_fabric(self):
         """A user-registered policy is buildable end to end."""
@@ -65,7 +65,7 @@ class TestRegistry:
 
         spec = RoutingPolicySpec("first-cand", FirstCandidatePolicy,
                                  needs_candidates=False)
-        register_policy(spec)
+        ROUTING_POLICIES.register(spec)
         try:
             fabric = build_fabric(k_ary_n_tree(2, 2), scheme="1Q",
                                   routing="first-cand")
@@ -123,10 +123,10 @@ class TestCandidates:
 # ----------------------------------------------------------------------
 # delivery differential: every policy delivers every packet
 # ----------------------------------------------------------------------
-def _run_incast(k, n, routing, duration=400_000.0):
+def _run_incast(k, n, routing=None, duration=400_000.0):
     topo = k_ary_n_tree(k, n)
-    fabric = build_fabric(topo, scheme="CCFIT", seed=5, routing=routing,
-                          validate=True)
+    fabric = build_fabric(topo, scheme="CCFIT", seed=5, validate=True,
+                          **({} if routing is None else {"routing": routing}))
     hot = topo.num_nodes - 1
     flows = [
         FlowSpec(f"F{s}", src=s, dst=hot, rate=1.0, end=duration / 2)
@@ -164,7 +164,7 @@ def test_det_policy_matches_default_build():
     """routing="det" and the pre-policy default produce identical
     simulations (stats dict equality on a real run)."""
     a = _run_incast(2, 3, "det").stats()
-    b = _run_incast(2, 3, ROUTING_POLICIES["det"]).stats()
+    b = _run_incast(2, 3).stats()
     assert a == b
 
 

@@ -1,7 +1,8 @@
 """The pluggable congestion-control scheme architecture.
 
-Covers the public extension surface the refactor introduced: the
-``register_scheme`` registry, the ``CongestionControlScheme`` base
+Covers the public extension surface the refactor introduced: what
+the ``SCHEMES`` registry holds (its mechanics are
+``tests/test_registries.py``'s), the ``CongestionControlScheme`` base
 hooks, the policy objects on :class:`SchemeSpec`, and the bundled
 RCM scheme (built *entirely* from that public API) — unit level and
 end-to-end under the invariant guard.
@@ -9,15 +10,7 @@ end-to-end under the invariant guard.
 
 import pytest
 
-from repro.core.ccfit import (
-    SCHEMES,
-    SchemeSpec,
-    get_scheme,
-    oneq_queues,
-    register_scheme,
-    scheme_names,
-    scheme_params,
-)
+from repro.core.ccfit import SCHEMES, SchemeSpec, oneq_queues
 from repro.core.params import CCParams
 from repro.core.scheme import DETECT_NONE, DETECT_ROOT_CFQ, DETECT_VOQ_OCCUPANCY
 from repro.network.fabric import build_fabric
@@ -35,61 +28,40 @@ class TestRegistry:
     def _spec(self, name="__test__"):
         return SchemeSpec(name, oneq_queues(), "fifo", description="test-only")
 
-    def test_register_and_get(self):
-        spec = self._spec()
-        try:
-            assert register_scheme(spec) is spec
-            assert get_scheme("__test__") is spec
-            assert "__test__" in scheme_names()
-        finally:
-            SCHEMES.pop("__test__", None)
-
     def test_duplicate_rejected_unless_replace(self):
+        """A study shadows a preset by assigning the entry, not by
+        registering it again, and restores it after."""
+        original = SCHEMES["1Q"]
+        with pytest.raises(ValueError, match="already registered"):
+            SCHEMES.register(self._spec(name="1Q"))
         try:
-            register_scheme(self._spec())
-            with pytest.raises(ValueError, match="already registered"):
-                register_scheme(self._spec())
-            replacement = self._spec()
-            assert register_scheme(replacement, replace=True) is replacement
-            assert get_scheme("__test__") is replacement
+            SCHEMES["1Q"] = shadow = self._spec(name="1Q")
+            assert build_fabric(config1_adhoc(), scheme="1Q").spec is shadow
         finally:
-            SCHEMES.pop("__test__", None)
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            register_scheme(self._spec(name=""))
+            SCHEMES["1Q"] = original
 
     def test_bad_staging_rejected(self):
+        """A bad spec fails when it is built, before any registry sees it."""
         with pytest.raises(ValueError, match="staging"):
-            register_scheme(SchemeSpec("__bad__", oneq_queues(), "warp"))
-        assert "__bad__" not in SCHEMES
+            SchemeSpec("__bad__", oneq_queues(), "warp")
 
     def test_unknown_scheme_error_lists_names(self):
         with pytest.raises(KeyError, match="RCM"):
-            get_scheme("QUIC")
+            SCHEMES["QUIC"]
 
     def test_paper_presets_present_plus_rcm(self):
-        assert set(scheme_names()) >= {
+        assert set(SCHEMES) >= {
             "1Q", "VOQsw", "DBBM", "VOQnet", "FBICM", "ITh", "CCFIT", "RCM",
         }
 
     def test_preset_policies(self):
         """The spec booleans of the old architecture are now derived
         from the composable policy objects."""
-        ith, ccfit, oneq = get_scheme("ITh"), get_scheme("CCFIT"), get_scheme("1Q")
+        ith, ccfit, oneq = SCHEMES["ITh"], SCHEMES["CCFIT"], SCHEMES["1Q"]
         assert ith.detection is DETECT_VOQ_OCCUPANCY and ith.injection_gate is not None
         assert ccfit.detection is DETECT_ROOT_CFQ and ccfit.marking is not None
         assert oneq.detection is DETECT_NONE
         assert oneq.injection_gate is None and oneq.marking is None
-
-    def test_scheme_params_optional_base(self):
-        """Satellite: ``base`` is genuinely optional and typed so."""
-        spec, p = scheme_params("CCFIT")
-        assert spec is get_scheme("CCFIT")
-        assert isinstance(p, CCParams)
-        base = CCParams(num_cfqs=4)
-        _, p2 = scheme_params("FBICM", base)
-        assert p2.num_cfqs == 4
 
 
 # ---------------------------------------------------------------------------
