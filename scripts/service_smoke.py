@@ -8,7 +8,10 @@ subprocesses, real TCP — and checks the determinism contract:
 3. submit one fig7a cell over HTTP and await the run (long-poll) to completion;
 4. assert the fetched ``CaseResult`` is byte-identical to the same
    cell run in-process via ``run_case``;
-5. exercise ``repro cache`` stats/prune against the shared namespace.
+5. submit one fig8a cell off the default on routing, buffer model and
+   faults, and fetch it by the key the same cell has in process: a key
+   that differs across processes on an axis is a 404 here;
+6. exercise ``repro cache`` stats/prune against the shared namespace.
 
 Exit 0 on success; any failure propagates loudly.  Usage::
 
@@ -26,6 +29,9 @@ from pathlib import Path
 
 from repro.experiments import registry
 from repro.service import ServiceClient
+
+#: a leaf uplink of Config #3 down for 300 us mid-burst (docs/faults.md)
+FLAP = "down:s0p4->s16p0@1.2ms;up:s0p4->s16p0@1.5ms"
 
 
 def free_port() -> int:
@@ -97,6 +103,20 @@ def main() -> int:
             b = json.dumps(direct, sort_keys=True)
             assert a == b, "service result diverged from in-process run_case"
             print(f"byte-identical over HTTP ({len(a)} bytes)")
+
+            # one cell off the default on three axes, keyed in process
+            sub = client.submit("fig8a", schemes=["CCFIT"], time_scale=args.scale,
+                                seed=args.seed, routings=["adaptive"], buffer_model="shared",
+                                faults=FLAP)
+            assert client.wait(sub["run"], timeout=600)["done"]
+            (job,) = registry.get("fig8a").jobs(
+                schemes=("CCFIT",), time_scale=args.scale, seed=args.seed,
+                routing="adaptive", buffer_model="shared", faults=FLAP)
+            assert sub["keys"] == [job.key()], (sub["keys"], job.key())
+            fetched = client.result(job.key())["result"]
+            assert json.dumps(fetched, sort_keys=True) == \
+                json.dumps(job.run().to_dict(), sort_keys=True), "off-default cell diverged"
+            print(f"{job.label()}: fetched by its in-process key, byte-identical")
 
             metrics = client.metrics()
             assert "repro_service_cells" in metrics

@@ -109,8 +109,9 @@ class RetryPolicy:
         return min(self.backoff_max, base * (1.0 + self.jitter * frac))
 
 
-def execute_job(job) -> Dict[str, Any]:
-    """One attempt at a cell, as a structured record.
+def execute_job(job, key: str) -> Dict[str, Any]:
+    """One attempt at the cell ``job`` whose key is ``key``, as a
+    structured record.
 
     Successful cells return ``{"ok": True, "result": <CaseResult dict>,
     "elapsed": <wall-clock s>, "worker": "pid<n>"}`` (the result in the
@@ -124,7 +125,7 @@ def execute_job(job) -> Dict[str, Any]:
     try:
         return {
             "ok": True,
-            "key": job.key(),
+            "key": key,
             "result": job.run().to_dict(),
             "elapsed": time.perf_counter() - t0,
             "worker": f"pid{os.getpid()}",
@@ -132,7 +133,7 @@ def execute_job(job) -> Dict[str, Any]:
     except Exception as exc:
         return {
             "ok": False,
-            "key": job.key(),
+            "key": key,
             "error": {
                 "exception": type(exc).__name__,
                 "message": str(exc),
@@ -141,7 +142,7 @@ def execute_job(job) -> Dict[str, Any]:
         }
 
 
-def run_isolated(job, timeout: Optional[float] = None) -> Dict[str, Any]:
+def run_isolated(job, key: str, timeout: Optional[float] = None) -> Dict[str, Any]:
     """One attempt at a cell in its own single-worker process.
 
     A wedged cell is killed after ``timeout`` seconds (``kind`` =
@@ -155,7 +156,7 @@ def run_isolated(job, timeout: Optional[float] = None) -> Dict[str, Any]:
 
     pool = ProcessPoolExecutor(max_workers=1)
     try:
-        future = pool.submit(execute_job, job)
+        future = pool.submit(execute_job, job, key)
         try:
             return future.result(timeout=timeout)
         except FutureTimeoutError:
@@ -166,7 +167,7 @@ def run_isolated(job, timeout: Optional[float] = None) -> Dict[str, Any]:
             }
         except BrokenProcessPool:
             kind, error = "crash", dict(WORKER_CRASH)
-        return {"ok": False, "key": job.key(), "kind": kind, "error": error}
+        return {"ok": False, "key": key, "kind": kind, "error": error}
     finally:
         # a wedged worker would block a waiting shutdown forever: kill
         # it first (killing a process that has exited is a no-op).

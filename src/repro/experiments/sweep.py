@@ -40,6 +40,7 @@ See ``docs/sweep.md`` for the job/cache model and
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -148,6 +149,13 @@ def _params_dict(params: CCParams) -> Dict[str, Any]:
         value = getattr(params, f.name)
         out[f.name] = list(value) if isinstance(value, list) else value
     return out
+
+
+@functools.cache
+def _default_params() -> bytes:
+    """The canonical JSON of a fresh ``CCParams()``, once per process:
+    the value of the class's defaults, never an instance's state."""
+    return _canonical(_params_dict(CCParams()))
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -403,6 +411,11 @@ class SimJob:
     def payload(self) -> Dict[str, Any]:
         """Everything that determines this cell's output (the cache-key
         preimage); see docs/sweep.md for the field inventory."""
+        params = self.params if self.params is not None else CCParams()
+        return {**self._varying(), "params": _params_dict(params)}
+
+    def _varying(self) -> Dict[str, Any]:
+        """The fields of :meth:`payload` but ``params``."""
         out = {
             "version": __version__,
             "case": self.case,
@@ -410,7 +423,6 @@ class SimJob:
             "scheme": self.scheme,
             "time_scale": self.time_scale,
             "seed": self.seed,
-            "params": _params_dict(self.params if self.params is not None else CCParams()),
             "extra": dict(self.extra),
         }
         for axis, value in self.axes():
@@ -419,8 +431,17 @@ class SimJob:
 
     def preimage(self) -> bytes:
         """The canonical JSON of :meth:`payload`: what the key is a
-        SHA-256 of, and line 3 of the cell's cache entry."""
-        return _canonical(self.payload())
+        SHA-256 of, and line 3 of the cell's cache entry.  The fields
+        sorted before and after ``params`` are encoded on each call and
+        ``params`` spliced in between -- the default's bytes from
+        :func:`_default_params`, explicit ones encoded afresh, as a
+        ``CCParams`` may have been mutated since the last call."""
+        fields = self._varying()
+        params = (_default_params() if self.params is None
+                  else _canonical(_params_dict(self.params)))
+        head = _canonical({k: v for k, v in fields.items() if k < "params"})
+        tail = _canonical({k: v for k, v in fields.items() if k > "params"})
+        return head[:-1] + b',"params":' + params + b"," + tail[1:]
 
     def key(self) -> str:
         # derived on every call, on purpose: "The cache key" in
@@ -720,6 +741,8 @@ class SweepReport:
 
     jobs: List[SimJob]
     results: List[Optional[CaseResult]]
+    #: the jobs' keys, as the sweep derived them to look them up.
+    keys: List[str]
     #: cells served from the on-disk cache.
     hits: int = 0
     #: distinct cells not served from the cache (attempted this run):
@@ -778,8 +801,7 @@ class SweepReport:
         docs/robustness.md for the schema)."""
         failed_keys = {f.key for f in self.failures}
         cells = []
-        for i, (job, res) in enumerate(zip(self.jobs, self.results)):
-            key = job.key()
+        for i, (job, key, res) in enumerate(zip(self.jobs, self.keys, self.results)):
             cell = {
                 "label": job.label(),
                 "key": key,
@@ -836,10 +858,10 @@ def run_sweep(jobs: Sequence[SimJob], *, options: Optional[SweepOptions] = None)
     cache = ResultCache(opts.cache_dir) if opts.cache_enabled else None
     t0 = time.perf_counter()
     report = SweepReport(jobs=list(jobs), results=[None] * len(jobs),
+                         keys=[job.key() for job in jobs],
                          cell_elapsed=[None] * len(jobs), cell_workers=[None] * len(jobs))
-    keys = [job.key() for job in jobs]
     misses: Dict[str, SimJob] = {}
-    for i, key in enumerate(keys):
+    for i, key in enumerate(report.keys):
         found = cache.get(key) if cache is not None else None
         if found is None:
             misses.setdefault(key, jobs[i])
@@ -848,15 +870,14 @@ def run_sweep(jobs: Sequence[SimJob], *, options: Optional[SweepOptions] = None)
             report.cell_workers[i] = "cache"
             report.hits += 1
     if misses:
-        _execute(misses, keys, opts, report)
+        _execute(misses, opts, report)
     report.misses = len(misses)
     report.cache_discarded = cache.discarded if cache is not None else 0
     report.elapsed = time.perf_counter() - t0
     return report
 
 
-def _execute(misses: Dict[str, SimJob], keys: List[str], opts: SweepOptions,
-             report: SweepReport) -> None:
+def _execute(misses: Dict[str, SimJob], opts: SweepOptions, report: SweepReport) -> None:
     """Run ``misses`` through a private broker, publishing into the
     sweep's cache (or the broker's own, with the cache off), and fill
     their slots of ``report`` from the run's manifest and that cache."""
@@ -885,7 +906,7 @@ def _execute(misses: Dict[str, SimJob], keys: List[str], opts: SweepOptions,
             )
             for cell in manifest["jobs"] if cell["status"] == "ok"
         }
-        for i, key in enumerate(keys):
+        for i, key in enumerate(report.keys):
             if report.results[i] is None and key in done:
                 report.results[i], report.cell_workers[i], report.cell_elapsed[i] = done[key]
         report.retried = manifest["retried"]

@@ -143,18 +143,19 @@ class Worker:
         self._stop.set()
 
     # -- execution -----------------------------------------------------
-    def _attempt(self, job) -> Dict[str, Any]:
+    def _attempt(self, job, key: str) -> Dict[str, Any]:
         """One execution attempt: in a process of its own with an
         enforced timeout when configured, in-process otherwise.  Always
         returns a structured record."""
         if self.timeout is not None:
-            return run_isolated(job, timeout=self.timeout)
-        return execute_job(job)
+            return run_isolated(job, key, timeout=self.timeout)
+        return execute_job(job, key)
 
     def _job(self, lease: Lease):
         """The cell a lease names, or None once it has been failed
         because its spec does not decode to a cell with the lease's
-        key."""
+        key.  The only place a lease's key is derived from its cell:
+        every attempt is handed ``lease.key``."""
         if self.jobs is not None:
             return self.jobs[lease.key]
         from repro.service.api import job_from_spec
@@ -164,11 +165,12 @@ class Worker:
         except Exception as exc:
             message, exception = f"undecodable job spec: {exc}", type(exc).__name__
         else:
-            if job.key() == lease.key:
+            key = job.key()
+            if key == lease.key:
                 return job
             exception = "KeyMismatch"
             message = (
-                f"spec hashes to {job.key()[:12]}..., lease says {lease.key[:12]}... "
+                f"spec hashes to {key[:12]}..., lease says {lease.key[:12]}... "
                 "(version skew between submitter and worker?)"
             )
         self._give_up(lease, {"exception": exception, "message": message,
@@ -198,7 +200,7 @@ class Worker:
             t0 = time.perf_counter()
             while True:
                 attempt += 1
-                record = self._attempt(job)
+                record = self._attempt(job, lease.key)
                 if record.get("ok"):
                     elapsed = time.perf_counter() - t0
                     self.broker.complete(

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro import cli
 from repro.core.ccfit import SCHEMES
+from repro.core.params import CCParams
 from repro.experiments import registry, sweep
 from repro.experiments.runner import CASE_CONFIG
 from repro.experiments.sweep import AXES, KNOBS, CellError, SimJob, read_axes
@@ -306,6 +307,38 @@ def test_any_valid_cell_round_trips(job):
     # canonical on arrival: names as registered, the knobs sorted
     assert job.scheme in SCHEMES and job.routing in ROUTING_POLICIES
     assert job.buffer_model in BUFFER_MODELS and job.extra == tuple(sorted(job.extra))
+
+
+def overrides():
+    """Some fields of ``CCParams`` set to values of their type."""
+    values = {int: st.integers(-2**40, 2**40), str: st.text(max_size=8),
+              float: st.floats(allow_nan=False) | st.integers(-10, 10),
+              bool: st.booleans()}
+    out = {}
+    for f in dataclasses.fields(CCParams):
+        default = getattr(CCParams(), f.name)
+        out[f.name] = (st.lists(st.floats(0.0, 1e9), max_size=130) if isinstance(default, list)
+                       else values[type(default)])
+    return st.fixed_dictionaries({}, optional=out)
+
+
+@given(cells(), st.none() | overrides())
+@settings(max_examples=150, deadline=None)
+def test_the_spliced_preimage_is_the_canonical_payload(job, params):
+    """``preimage()`` splices the default ``CCParams``' bytes, encoded
+    once per process, between the fields sorted around ``params``: it
+    must be the canonical JSON of ``payload()`` for any cell.  Explicit
+    params are encoded on every call, so mutating them moves the key."""
+    if params is not None:
+        job = dataclasses.replace(job, params=CCParams(**params))
+    canonical = json.dumps(job.payload(), sort_keys=True, separators=(",", ":")).encode()
+    assert job.preimage() == canonical
+    if job.params is not None:
+        before = job.key()
+        job.params.num_cfqs += 1
+        assert job.key() != before
+        assert job.key() == dataclasses.replace(
+            job, params=dataclasses.replace(job.params)).key()
 
 
 def test_the_docs_list_every_row():

@@ -137,12 +137,13 @@ class TestRetryPolicy:
 class TestExecuteJob:
     def test_ok_record(self, small):
         job = good_job()
-        rec = execute_job(job)
+        rec = execute_job(job, job.key())
         assert rec["ok"] is True and rec["key"] == job.key()
         assert_results_equal(CaseResult.from_dict(rec["result"]), small)
 
     def test_error_record(self):
-        rec = execute_job(FailJob(case="case1", scheme="1Q"))
+        job = FailJob(case="case1", scheme="1Q")
+        rec = execute_job(job, job.key())
         assert rec["ok"] is False
         err = rec["error"]
         assert err["exception"] == "RuntimeError"
@@ -196,6 +197,16 @@ class TestSerialFailures:
         out = tmp_path / "deep" / "manifest.json"
         report.write_manifest(out)
         assert json.loads(out.read_text())["failed"] == 1
+
+    def test_the_manifest_keys_are_the_sweeps(self, monkeypatch):
+        """The manifest reads the keys the sweep derived, once per job,
+        and they are each job's key."""
+        jobs = [good_job("CCFIT"), good_job()]
+        report = run_sweep(jobs, options=SweepOptions(**FAST))
+        monkeypatch.setattr(SimJob, "key", lambda self: pytest.fail("a key derived again"))
+        keys = [cell["key"] for cell in report.manifest()["jobs"]]
+        monkeypatch.undo()
+        assert keys == report.keys == [job.key() for job in jobs]
 
     def test_the_private_broker_is_named_by_its_pid(self):
         """Whoever cleans up after a killed sweep removes only what

@@ -494,6 +494,38 @@ class TestWorker:
             assert "undecodable job spec" in manifest["failures"][0]["message"], name
             assert b.cache.get(tiny_job.key()) is None, name
 
+    def test_a_lease_derives_its_key_once(self, tmp_path, monkeypatch):
+        """The spec check derives the key; every attempt, retries
+        included, and its record go by the lease's."""
+        def boom(self):
+            raise RuntimeError("injected failure")
+
+        (job,) = tiny_jobs()
+        b = FsBroker(tmp_path)
+        b.submit([job], experiment="fig7a")
+        derived, key = [], SimJob.key
+        monkeypatch.setattr(SimJob, "key", lambda self: derived.append(self) or key(self))
+        monkeypatch.setattr(SimJob, "run", boom)
+        policy = RetryPolicy(max_retries=2, backoff_base=0.001)
+        assert Worker(b, worker_id="w1", max_cells=1, policy=policy).run()["failed"] == 1
+        assert derived == [job]
+        assert b.read_events(kind="retry")[0][0]["key"] == key(job)
+
+    def test_a_spec_that_hashes_elsewhere_fails_as_a_key_mismatch(self, tmp_path, tiny_job):
+        b = FsBroker(tmp_path)
+        run = b.submit([tiny_job], experiment="fig7a")
+        path = tmp_path / "queue" / f"{tiny_job.key()}.json"
+        rec = json.loads(path.read_text())
+        other = dataclasses.replace(tiny_job, seed=tiny_job.seed + 1)
+        rec["spec"] = job_to_spec(other)
+        path.write_text(json.dumps(rec))
+        assert Worker(b, worker_id="w1", max_cells=1).run()["failed"] == 1
+        (failure,) = b.run_manifest(run.id)["failures"]
+        assert failure["exception"] == "KeyMismatch" and failure["attempts"] == 0
+        assert failure["message"].startswith(
+            f"spec hashes to {other.key()[:12]}..., lease says {tiny_job.key()[:12]}... ")
+        assert b.cache.get(tiny_job.key()) is None
+
     def test_a_retry_is_an_event_the_manifest_counts(self, tmp_path, monkeypatch):
         def boom(self):
             raise RuntimeError("injected failure")

@@ -172,6 +172,35 @@ class TestSimJob:
         digest = hashlib.sha256("\n".join(j.key() for j in jobs).encode()).hexdigest()
         assert digest == "bb8d099d71af08121ef7fa3755cb06456295ab9028f245685bd823b9962dedc1"
 
+    def test_keys_on_every_axis_are_pinned(self):
+        """Every registered experiment's cells at seeds 1-2, a cell per
+        off-default value of each axis, the case4 knobs and one explicit
+        ``CCParams``, in one digest recorded before the preimage was
+        spliced from a cached default-params fragment: no key moved."""
+        from repro.network.routing import ROUTING_POLICIES
+
+        jobs = [j for name in sorted(registry.REGISTRY) for seed in (1, 2)
+                for j in registry.get(name).jobs(seed=seed)]
+        base = dict(case="case4", scheme="CCFIT", time_scale=0.05, extra=(("num_trees", 2),))
+        jobs += [SimJob(**base, routing=r) for r in sorted(ROUTING_POLICIES) if r != "det"]
+        jobs += [SimJob(**base, faults=FaultPlan.parse(spec, name=name)) for spec, name in (
+            ("down:s0p4->s16p0@1.2ms;up:s0p4->s16p0@1.5ms", "flap"),
+            ("kill:s0p4->s16p0@1.2ms", "kill"),
+            ("degrade:s16p4->s32p0@1.1ms:bw=0.25,drop=0.01;seed=7", ""))]
+        jobs += [SimJob(**base, buffer_model="shared"),
+                 SimJob(**base, telemetry=TelemetryConfig()),
+                 SimJob(**base, telemetry=TelemetryConfig(interval=50_000.0, track_trees=False)),
+                 SimJob(case="case4", scheme="ITh", extra=(("duration_ms", 2.5),)),
+                 SimJob(case="case4", scheme="ITh", extra=(("duration_ms", 2.5), ("num_trees", 8))),
+                 SimJob(case="case2", scheme="FBICM", seed=0, params=CCParams(num_cfqs=4)),
+                 SimJob(case="case3", scheme="PFC+RCM", time_scale=0.3, seed=7,
+                        routing="flowlet", buffer_model="shared",
+                        faults=FaultPlan.parse("kill:s0p4->s16p0@1.2ms"),
+                        telemetry=TelemetryConfig())]
+        assert len(jobs) == 2 * 131 + 13
+        digest = hashlib.sha256("\n".join(j.key() for j in jobs).encode()).hexdigest()
+        assert digest == "e163e5d365b572fc8e275a3e88898e643b55b8a312dcd4150785455b9baa937e"
+
     def test_params_preimage_equals_asdict(self):
         """The flat walk is ``asdict`` for as long as ``CCParams`` is
         scalars and flat lists; a nested field must fail here, not move
@@ -315,22 +344,23 @@ class TestRunSweep:
 
     def test_warm_pass_serialises_no_result(self, tmp_path, monkeypatch):
         """A hit is one key, one file read and one hash of bytes: the
-        payload is built once per job, and no result is serialised
-        again to be verified."""
+        varying fields are gathered once per job, and no result is
+        serialised again to be verified."""
         jobs = self.jobs(("1Q", "FBICM", "CCFIT"))
         opts = SweepOptions(cache_dir=str(tmp_path))
-        payloads, dumped = [], []
-        payload, dumps = SimJob.payload, json.dumps
-        monkeypatch.setattr(SimJob, "payload", lambda self: payloads.append(self) or payload(self))
+        gathered, dumped = [], []
+        varying, dumps = SimJob._varying, json.dumps
+        monkeypatch.setattr(SimJob, "_varying", lambda self: gathered.append(self) or varying(self))
         monkeypatch.setattr(json, "dumps", lambda obj, **kw: dumped.append(obj) or dumps(obj, **kw))
         cold = run_sweep(jobs, options=opts)
         assert (cold.hits, cold.misses) == (0, 3)
         # cold: each result is serialised once, by the entry writer
         assert sum("throughput" in obj for obj in dumped) == 3
-        del payloads[:], dumped[:]
+        del gathered[:], dumped[:]
         warm = run_sweep(jobs, options=opts)
         assert (warm.hits, warm.misses, warm.cache_discarded) == (3, 0, 0)
-        assert payloads == jobs and len(dumped) == 3  # the three preimages
+        # the three preimages, each two halves around the default params
+        assert gathered == jobs and len(dumped) == 6
         assert not any("throughput" in obj for obj in dumped)
         for a, b in zip(cold.results, warm.results):
             assert_results_equal(a, b)
