@@ -7,11 +7,14 @@ subprocesses, real TCP — and checks the determinism contract:
 2. start two ``repro worker`` processes pointed at the HTTP endpoint;
 3. submit one fig7a cell over HTTP and await the run (long-poll) to completion;
 4. assert the fetched ``CaseResult`` is byte-identical to the same
-   cell run in-process via ``run_case``;
-5. submit one fig8a cell off the default on routing, buffer model and
+   cell run in-process via ``run_case``; submit it again and find the
+   run done at once, every cell a cache hit;
+5. send ``/broker/complete`` a key that is not a key: a 400, and not
+   one file under the temp directory changes;
+6. submit one fig8a cell off the default on routing, buffer model and
    faults, and fetch it by the key the same cell has in process: a key
    that differs across processes on an axis is a 404 here;
-6. exercise ``repro cache`` stats/prune against the shared namespace.
+7. exercise ``repro cache`` stats/prune against the shared namespace.
 
 Exit 0 on success; any failure propagates loudly.  Usage::
 
@@ -25,6 +28,8 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 from repro.experiments import registry
@@ -103,6 +108,31 @@ def main() -> int:
             b = json.dumps(direct, sort_keys=True)
             assert a == b, "service result diverged from in-process run_case"
             print(f"byte-identical over HTTP ({len(a)} bytes)")
+
+            # the finished cell again: a cache hit, done without a worker
+            again = client.submit("fig7a", schemes=["CCFIT"],
+                                  time_scale=args.scale, seed=args.seed)
+            assert client.run(again["run"])["done"], "a cached cell waited"
+            manifest = client.manifest(again["run"])
+            assert manifest["cache_hits"] == manifest["cells"] == 1, manifest
+            assert manifest["jobs"][0]["worker"] == "cache", manifest
+            print("re-submitted cell: done at once, from the cache")
+
+            # a worker-protocol key is joined into paths: a non-key is refused
+            files = {p: p.read_bytes() for p in Path(d).rglob("*") if p.is_file()}
+            bad = urllib.request.Request(
+                url + "/broker/complete", method="POST",
+                data=json.dumps({"key": "../victim", "worker": "smoke",
+                                 "result": {}}).encode("utf-8"),
+                headers={"Content-Type": "application/json"})
+            try:
+                urllib.request.urlopen(bad, timeout=30).close()
+                raise AssertionError("a key that is not a key was accepted")
+            except urllib.error.HTTPError as exc:
+                assert exc.code == 400, exc.code
+            assert {p: p.read_bytes() for p in Path(d).rglob("*") if p.is_file()} == files, \
+                "a refused request changed files"
+            print("malformed key: 400, nothing written")
 
             # one cell off the default on three axes, keyed in process
             sub = client.submit("fig8a", schemes=["CCFIT"], time_scale=args.scale,

@@ -54,7 +54,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.experiments.sweep import ResultCache, SimJob, write_atomic
 
-__all__ = ["FsBroker", "Lease", "SPEC_SCHEMA", "default_worker_id", "job_to_spec"]
+__all__ = ["FsBroker", "Lease", "SPEC_SCHEMA", "default_worker_id", "is_key", "job_to_spec"]
 
 #: lease requeues tolerated before a cell is declared lost.
 DEFAULT_MAX_REQUEUES = 3
@@ -64,6 +64,24 @@ DEFAULT_MAX_REQUEUES = 3
 #: inside a string value is escaped, so only the record's own key can
 #: read like this.)
 _EVENT_KIND = b'"kind":"%s"'
+
+#: a cell's key, as ``SimJob.key`` spells it: the hex SHA-256 of its preimage.
+_KEY = re.compile(r"[0-9a-f]{64}")
+#: what names a file in each directory of the broker: a cell's key, or a run's id.
+_NAMES = {**dict.fromkeys(("queue", "active", "done", "failed"), _KEY),
+          "runs": re.compile(r"[0-9a-f]{12}")}
+
+#: where a cell is looked for, in precedence order (a completed cell may
+#: still have a stale queue copy for a moment), and what it then is.
+_PROBES = (("done", "done"), ("failed", "failed"), ("active", "active"), ("queue", "queued"))
+
+#: how a completion creates its staged marker: exclusively.
+_STAGE = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+
+
+def is_key(name: Any) -> bool:
+    """Whether ``name`` is a cell key: 64 lowercase hex digits."""
+    return isinstance(name, str) and _KEY.fullmatch(name) is not None
 
 
 def default_worker_id() -> str:
@@ -99,17 +117,6 @@ class RunRecord:
     #: size of the event log at submit: what the run did to its cells
     #: is after it (a record written before this field reads from 0).
     log_offset: int = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "id": self.id,
-            "experiment": self.experiment,
-            "created": self.created,
-            "keys": self.keys,
-            "labels": self.labels,
-            "cached": self.cached,
-            "log_offset": self.log_offset,
-        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunRecord":
@@ -181,8 +188,9 @@ class FsBroker:
         self.root = Path(root)
         self.lease_ttl = float(lease_ttl)
         self.max_requeues = int(max_requeues)
-        for sub in ("queue", "active", "done", "failed", "runs"):
-            (self.root / sub).mkdir(parents=True, exist_ok=True)
+        self._dirs = {state: self.root / state for state in _NAMES}
+        for path in self._dirs.values():
+            path.mkdir(parents=True, exist_ok=True)
         self.cache = ResultCache(cache_dir if cache_dir is not None else self.root / "cache")
         self.events_path = self.root / "events.jsonl"
 
@@ -191,20 +199,38 @@ class FsBroker:
         without asking which kind it is (``HttpBroker.close``)."""
 
     # -- paths ---------------------------------------------------------
-    def _queued(self, key: str) -> Path:
-        return self.root / "queue" / f"{key}.json"
+    def _path(self, state: str, name: str) -> Path:
+        """``<state>/<name>.json``: every file under the broker is named
+        here, by a cell's key (a run's id under ``runs``) and by nothing
+        else -- anything else raises ``ValueError``, so no name a request
+        carries reaches outside its directory."""
+        if not (isinstance(name, str) and _NAMES[state].fullmatch(name)):
+            raise ValueError(f"not a {'run id' if state == 'runs' else 'cell key'}: {name!r}")
+        return self._dirs[state] / f"{name}.json"
 
-    def _active(self, key: str) -> Path:
-        return self.root / "active" / f"{key}.json"
+    def _names(self, state: str) -> List[str]:
+        """The names of the files in ``<state>/``, in no order; what
+        :meth:`_path` would not name (a temp file, a staged marker) is
+        not listed."""
+        try:
+            listing = os.listdir(self._dirs[state])
+        except OSError:
+            return []
+        pattern = _NAMES[state]
+        return [name[:-5] for name in listing
+                if name.endswith(".json") and pattern.fullmatch(name, 0, len(name) - 5)]
 
-    def _done(self, key: str) -> Path:
-        return self.root / "done" / f"{key}.json"
-
-    def _failed(self, key: str) -> Path:
-        return self.root / "failed" / f"{key}.json"
-
-    def _run_path(self, run_id: str) -> Path:
-        return self.root / "runs" / f"{run_id}.json"
+    def _by_age(self, state: str) -> List[Tuple[float, str, Path]]:
+        """``(mtime, name, path)`` per file in ``<state>/``, oldest first."""
+        out = []
+        for name in self._names(state):
+            path = self._path(state, name)
+            try:
+                out.append((os.stat(path).st_mtime, name, path))
+            except OSError:
+                continue  # moved while the directory was being listed
+        out.sort()
+        return out
 
     # -- event log -----------------------------------------------------
     @staticmethod
@@ -323,11 +349,11 @@ class FsBroker:
                 run.cached.append(key)
                 log.append(self._event_line("cached", key, run=run.id, label=label))
                 continue
-            if self._active(key).exists() or self._queued(key).exists():
+            if self._path("active", key).exists() or self._path("queue", key).exists():
                 log.append(self._event_line("joined", key, run=run.id, label=label))
                 continue
             try:
-                self._done(key).unlink()
+                self._path("done", key).unlink()
             except FileNotFoundError:
                 pass
             else:
@@ -339,12 +365,12 @@ class FsBroker:
                 "attempt": 1,
                 "submitted": time.time(),
             }
-            _write_atomic(self._queued(key), record)
+            _write_atomic(self._path("queue", key), record)
             log.append(self._event_line("enqueue", key, run=run.id, label=label))
         log.append(self._event_line("submit", run=run.id, experiment=experiment,
                                     cells=len(run.keys), cached=len(run.cached)))
         self._append(b"".join(log))
-        _write_atomic(self._run_path(run.id), run.to_dict())
+        _write_atomic(self._path("runs", run.id), vars(run))  # its fields, in declaration order
         return run
 
     # -- worker protocol ----------------------------------------------
@@ -352,20 +378,8 @@ class FsBroker:
         """Lease the oldest pending cell, or None when the queue is
         empty.  Claiming is an atomic rename: exactly one of any number
         of racing workers wins each cell."""
-        queue_dir = self.root / "queue"
-        pending = []
-        try:
-            for path in queue_dir.iterdir():
-                if path.suffix == ".json":
-                    try:
-                        pending.append((path.stat().st_mtime, path.name, path))
-                    except OSError:
-                        continue  # claimed while the queue was being listed
-        except OSError:
-            pass
-        for _mtime, _name, path in sorted(pending):
-            key = path.stem
-            target = self._active(key)
+        for _mtime, key, path in self._by_age("queue"):
+            target = self._path("active", key)
             try:
                 os.rename(path, target)
             except OSError:
@@ -399,7 +413,7 @@ class FsBroker:
     def heartbeat(self, key: str, worker: str) -> bool:
         """Refresh a lease; False when the lease is no longer held by
         ``worker`` (expired and requeued, completed elsewhere, ...)."""
-        path = self._active(key)
+        path = self._path("active", key)
         record = _read_json(path)
         if record is None or record.get("worker") != worker:
             return False
@@ -426,8 +440,10 @@ class FsBroker:
         The ``complete`` event is logged before the marker is published
         with a rename, so whoever sees the cell done can see its event
         (a followed event stream ends after it).  A completer that dies
-        between the two leaves the staged marker, and the cell reads
-        ``cached`` once its lease is gone."""
+        between the two leaves the staged marker: the cell reads
+        ``cached`` once its lease is gone, and the next completion takes
+        the marker over once it is older than a lease (:meth:`_stage`)."""
+        done = self._path("done", key)  # a key, before anything is written
         self.cache.put_dict(key, result)
         marker = {
             "key": key,
@@ -435,12 +451,8 @@ class FsBroker:
             "elapsed": elapsed,
             "finished": time.time(),
         }
-        done = self._done(key)
         staged = done.with_suffix(".complete")
-        try:
-            fd = os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-        except FileExistsError:
-            fd = None  # another completion is publishing
+        fd = self._stage(staged)
         if fd is not None and done.exists():  # another completion has published
             os.close(fd)
             staged.unlink()
@@ -456,14 +468,44 @@ class FsBroker:
         self._cleanup(key)
         return True
 
+    def _stage(self, staged: Path) -> Optional[int]:
+        """Create the staged marker exclusively; None when another
+        completion holds it.  One older than a lease is an orphan (its
+        completer died before publishing it), removed and created anew.
+        Of racing takers one removes it: the one whose link to it, under
+        a name its inode gives, is made and is still of the orphan."""
+        try:
+            return os.open(staged, _STAGE, 0o644)
+        except FileExistsError:
+            pass
+        try:
+            orphan = os.stat(staged)
+            if time.time() - orphan.st_mtime <= self.lease_ttl:
+                return None  # another completion is publishing
+            hold = staged.with_suffix(f".complete.{orphan.st_ino}")
+            os.link(staged, hold)
+        except OSError:
+            return None  # published, or taken over, meanwhile
+        try:
+            held = os.stat(hold)
+            if (held.st_ino, held.st_mtime_ns) != (orphan.st_ino, orphan.st_mtime_ns):
+                return None  # what replaced the orphan: not this taker's to remove
+            os.unlink(staged)
+            return os.open(staged, _STAGE, 0o644)
+        except OSError:
+            return None
+        finally:
+            os.unlink(hold)
+
     def retry(self, key: str, worker: str, attempt: int, exception: Optional[str] = None) -> None:
         """Log that ``worker`` backs off to ``attempt`` of a cell it
         still holds: a retry is an event, as a requeue is."""
+        self._path("active", key)  # the log names cells by key only
         self._event("retry", key, worker=worker, attempt=attempt, exception=exception)
 
     def fail(self, key: str, worker: str, failure: Dict[str, Any]) -> None:
         """Record a cell whose worker gave up (retries exhausted)."""
-        record = _read_json(self._active(key)) or {"key": key}
+        record = _read_json(self._path("active", key)) or {"key": key}
         failure = dict(failure)
         failure.setdefault("worker", worker)
         self._fail_record(key, record, failure)
@@ -480,11 +522,11 @@ class FsBroker:
         # can see why
         self._event("fail", key, worker=failure.get("worker"),
                     exception=failure.get("exception"))
-        _write_atomic(self._failed(key), payload)
+        _write_atomic(self._path("failed", key), payload)
         self._cleanup(key)
 
     def _cleanup(self, key: str) -> None:
-        for path in (self._active(key), self._queued(key)):
+        for path in (self._path("active", key), self._path("queue", key)):
             try:
                 path.unlink()
             except OSError:
@@ -503,14 +545,9 @@ class FsBroker:
         """
         now = time.time() if now is None else now
         requeued = lost = 0
-        for path in self._leases():
-            try:
-                age = now - path.stat().st_mtime
-            except OSError:
-                continue  # completed/reaped under us
-            if age <= self.lease_ttl:
+        for mtime, key, path in self._by_age("active"):
+            if now - mtime <= self.lease_ttl:
                 continue
-            key = path.stem
             record = _read_json(path) or {"key": key, "attempt": 1}
             holder = record.get("worker")
             attempt = int(record.get("attempt", 1))
@@ -525,7 +562,7 @@ class FsBroker:
                     "worker": holder,
                 })
                 lost += 1
-            elif self._requeue(path):
+            elif self._requeue(key):
                 requeued += 1
         return (requeued, lost)
 
@@ -536,34 +573,28 @@ class FsBroker:
         it; the others fail with ``failure``.  Returns the leases
         released."""
         released = 0
-        for path in self._leases():
-            record = _read_json(path)
+        for key in self._names("active"):
+            record = _read_json(self._path("active", key))
             if record is None or record.get("worker") != worker:
                 continue
             attempt = int(record.get("attempt", 1))
             if attempt >= attempts:
-                self._fail_record(path.stem, record,
+                self._fail_record(key, record,
                                   {**failure, "worker": worker, "attempts": attempt})
-            elif not self._requeue(path):
+            elif not self._requeue(key):
                 continue
             released += 1
         return released
 
-    def _leases(self) -> List[Path]:
-        try:
-            return [p for p in (self.root / "active").iterdir() if p.suffix == ".json"]
-        except OSError:
-            return []
-
-    def _requeue(self, path: Path) -> bool:
-        """Put the leased cell at ``path`` back in the queue: stage, then
+    def _requeue(self, key: str) -> bool:
+        """Put the leased cell ``key`` back in the queue: stage, then
         publish.  The rename into a name only this step uses is the
         exclusive one (of racing reapers, one wins); the record is
         rewritten there, out of every claimant's sight, and one rename
         publishes it.  So a claim finds the cell leased or requeued --
         never a queue entry for a cell that is still leased -- and the
         event is logged whenever the cell moved."""
-        key = path.stem
+        path = self._path("active", key)
         staged = path.with_suffix(".requeue")
         try:
             os.rename(path, staged)
@@ -574,36 +605,32 @@ class FsBroker:
         record.pop("leased_at", None)
         record["attempt"] = attempt = int(record.get("attempt", 1)) + 1
         _write_atomic(staged, record)  # a new file: its mtime, the queue's order, is now
-        os.rename(staged, self._queued(key))
+        os.rename(staged, self._path("queue", key))
         self._event("requeue", key, worker=holder, attempt=attempt)
         return True
 
     # -- accounting ----------------------------------------------------
     def counts(self) -> Dict[str, int]:
-        out = {}
-        for state in ("queue", "active", "done", "failed"):
-            try:
-                out[state] = sum(
-                    1 for p in (self.root / state).iterdir() if p.suffix == ".json"
-                )
-            except OSError:
-                out[state] = 0
-        out["runs"] = sum(
-            1 for p in (self.root / "runs").iterdir() if p.suffix == ".json"
-        )
-        return out
+        return {state: len(self._names(state)) for state in _NAMES}
 
     def runs(self) -> List[RunRecord]:
         out = []
-        for path in sorted((self.root / "runs").iterdir()):
-            data = _read_json(path)
+        for run_id in sorted(self._names("runs")):
+            data = _read_json(self._path("runs", run_id))
             if data is not None:
                 out.append(RunRecord.from_dict(data))
         return out
 
     def run(self, run_id: str) -> Optional[RunRecord]:
-        data = _read_json(self._run_path(run_id))
+        try:
+            data = _read_json(self._path("runs", run_id))
+        except ValueError:
+            return None  # not a run id: no such run
         return RunRecord.from_dict(data) if data is not None else None
+
+    def freshest_done(self, limit: int) -> List[str]:
+        """The keys of the ``limit`` cells completed last, newest first."""
+        return [key for _mtime, key, _file in self._by_age("done")[::-1][:limit]]
 
     def cell_state(self, key: str) -> str:
         """``done`` | ``failed`` | ``active`` | ``queued`` | ``cached``
@@ -613,14 +640,9 @@ class FsBroker:
         two of them hides it from both, so a cell found nowhere is
         looked for once more before it is called ``unknown``."""
         for _ in range(2):
-            if self._done(key).exists():
-                return "done"
-            if self._failed(key).exists():
-                return "failed"
-            if self._active(key).exists():
-                return "active"
-            if self._queued(key).exists():
-                return "queued"
+            for state, name in _PROBES:
+                if self._path(state, key).exists():
+                    return name
             if self.cache.get_bytes(key) is not None:
                 return "cached"
         return "unknown"
@@ -660,6 +682,7 @@ class FsBroker:
             return None
         cells = []
         failures = []
+        cached = set(run.cached)
         for key in run.keys:
             state = self.cell_state(key)
             cell: Dict[str, Any] = {
@@ -668,14 +691,18 @@ class FsBroker:
                 "status": "failed" if state == "failed" else "ok"
                 if state in ("done", "cached") else state,
             }
-            marker = _read_json(self._done(key))
-            if marker is not None:
-                cell["worker"] = marker.get("worker")
-                if marker.get("elapsed") is not None:
-                    cell["elapsed_s"] = marker["elapsed"]
-            elif state == "cached" or key in run.cached:
+            # a cell this run found cached is the cache's, as in a sweep's
+            # manifest; a file is read only where the state puts one
+            if key in cached or state == "cached":
                 cell["worker"] = "cache"
-            failure = _read_json(self._failed(key))
+            elif state == "done":
+                marker = _read_json(self._path("done", key))
+                if marker is not None:
+                    cell["worker"] = marker.get("worker")
+                    if marker.get("elapsed") is not None:
+                        cell["elapsed_s"] = marker["elapsed"]
+            # (a stale failure record may sit beside a marker)
+            failure = _read_json(self._path("failed", key)) if state in ("done", "failed") else None
             if failure is not None:
                 failures.append(failure)
             cells.append(cell)

@@ -59,7 +59,7 @@ from urllib.parse import parse_qs, urlparse
 from repro.experiments import registry
 from repro.experiments.sweep import AXES, parse_names, read_axes
 from repro.registry import CellError, unknown_name
-from repro.service.broker import FsBroker
+from repro.service.broker import FsBroker, is_key
 
 __all__ = ["ServiceServer", "serve", "DEFAULT_PORT"]
 
@@ -102,6 +102,16 @@ def _wait_seconds(raw: Any) -> float:
     if not 0.0 <= wait < math.inf:
         raise _BadRequest(f"'wait' must be a number of seconds >= 0, not {raw!r}")
     return min(wait, _MAX_WAIT)
+
+
+def _key(body: Dict[str, Any], verb: str) -> str:
+    """The cell key a worker-protocol body names; anything but a key
+    is refused before it can name a file."""
+    key = body.get("key")
+    if not is_key(key):
+        raise _BadRequest(f"{verb} needs 'key', a cell key (64 lowercase hex digits), "
+                          f"not {key!r}")
+    return key
 
 
 def _resolve_submission(request: Dict[str, Any]) -> Tuple[Any, List[Any]]:
@@ -271,7 +281,8 @@ class _Handler(BaseHTTPRequestHandler):
             request = self._body()
             exp, jobs = _resolve_submission(request)
             run = broker.submit(jobs, experiment=exp.name)
-            svc.notify()
+            if len(run.cached) < len(run.keys):  # a cell was enqueued (or joined)
+                svc.notify()
             self._json({
                 "run": run.id,
                 "experiment": exp.name,
@@ -302,14 +313,15 @@ class _Handler(BaseHTTPRequestHandler):
                 })
         elif parts == ["broker", "heartbeat"]:
             body = self._body()
-            ok = broker.heartbeat(body.get("key", ""), body.get("worker", ""))
+            ok = broker.heartbeat(_key(body, "heartbeat"), body.get("worker", ""))
             self._json({"ok": ok})
         elif parts == ["broker", "complete"]:
             body = self._body()
-            if not body.get("key") or not isinstance(body.get("result"), dict):
-                raise _BadRequest("complete needs 'key' and a 'result' object")
+            key = _key(body, "complete")
+            if not isinstance(body.get("result"), dict):
+                raise _BadRequest("complete needs a 'result' object")
             stored = broker.complete(
-                body["key"],
+                key,
                 body.get("worker", "anonymous"),
                 body["result"],
                 elapsed=body.get("elapsed"),
@@ -318,18 +330,14 @@ class _Handler(BaseHTTPRequestHandler):
             self._json({"ok": True, "stored": stored})
         elif parts == ["broker", "retry"]:
             body = self._body()
-            if not body.get("key"):
-                raise _BadRequest("retry needs 'key'")
-            broker.retry(body["key"], body.get("worker", "anonymous"),
+            broker.retry(_key(body, "retry"), body.get("worker", "anonymous"),
                          int(body.get("attempt") or 0), body.get("exception"))
             svc.notify()
             self._json({"ok": True})
         elif parts == ["broker", "fail"]:
             body = self._body()
-            if not body.get("key"):
-                raise _BadRequest("fail needs 'key'")
             broker.fail(
-                body["key"], body.get("worker", "anonymous"),
+                _key(body, "fail"), body.get("worker", "anonymous"),
                 body.get("failure") or {},
             )
             svc.notify()
@@ -609,17 +617,8 @@ class ServiceServer:
         return text
 
     def _freshest_bundle(self) -> Optional[Dict[str, Any]]:
-        done_dir = self.broker.root / "done"
-        try:
-            markers = sorted(
-                (p for p in done_dir.iterdir() if p.suffix == ".json"),
-                key=lambda p: p.stat().st_mtime,
-                reverse=True,
-            )
-        except OSError:
-            return None
-        for marker in markers[:8]:  # bounded: scrapes must stay cheap
-            result = self.broker.cache.get_dict(marker.stem)
+        for key in self.broker.freshest_done(8):  # bounded: scrapes must stay cheap
+            result = self.broker.cache.get_dict(key)
             if result is not None and result.get("telemetry") is not None:
                 return result["telemetry"]
         return None

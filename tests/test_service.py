@@ -152,21 +152,19 @@ class TestFsBroker:
         """A cell renamed away between the listing of the queue and the
         read of its mtime made the whole listing fail: the claimant saw
         an empty queue, and a local sweep's worker exited with cells
-        still queued."""
-        from pathlib import Path
-
+        still queued.  (The listing names each file it reads the mtime
+        of: another claimant runs there.)"""
         b = FsBroker(tmp_path)
         b.submit(tiny_jobs(schemes=("CCFIT", "1Q")), experiment="fig7a")
         other = FsBroker(tmp_path)
-        stat, taken, busy = Path.stat, [], []
+        path, taken = b._path, []
 
-        def stat_after_a_claim(self, *args, **kwargs):
-            if self.parent.name == "queue" and not busy:
-                busy.append(True)
+        def claim_then_name(state, name):
+            if state == "queue" and not taken:
                 taken.append(other.claim("other"))
-            return stat(self, *args, **kwargs)
+            return path(state, name)
 
-        monkeypatch.setattr(Path, "stat", stat_after_a_claim)
+        monkeypatch.setattr(b, "_path", claim_then_name)
         lease = b.claim("me")
         monkeypatch.undo()
         assert taken[0] is not None and lease is not None
@@ -373,6 +371,89 @@ class TestFsBroker:
         # content-addressed cache still byte-identical
         assert result_bytes(b.cache.get(tiny_job.key()).to_dict()) == result_bytes(payload)
 
+    def test_a_staged_marker_its_completer_left_is_taken_over(self, tmp_path, tiny_job, tiny_result):
+        """A completer that died after creating its staged marker left
+        it for good: the cell's next completion read as a duplicate, the
+        log never said ``complete`` and the manifest credited ``cache``.
+        A staged marker older than a lease is an orphan, and taken over."""
+        b = FsBroker(tmp_path, lease_ttl=60.0)
+        run = b.submit([tiny_job], experiment="fig7a")
+        key = b.claim("dead").key
+        b.cache.put_dict(key, tiny_result.to_dict())
+        staged = tmp_path / "done" / f"{key}.complete"
+        os.close(os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL))  # and died
+        assert b.reap(now=time.time() + 61) == (1, 0)
+        lease = b.claim("B")
+        # younger than a lease, it is a completion in flight: left alone
+        assert b.complete(lease.key, "B", tiny_result.to_dict(), elapsed=0.5) is False
+        assert staged.exists() and b.cell_state(key) == "cached"
+        past = time.time() - 61
+        os.utime(staged, (past, past))
+        assert b.complete(lease.key, "B", tiny_result.to_dict(), elapsed=0.5) is True
+        assert [e["kind"] for e in b.events()][-1] == "complete"
+        assert sorted(os.listdir(tmp_path / "done")) == [f"{key}.json"]
+        (row,) = b.run_manifest(run.id)["jobs"]
+        assert (row["worker"], row["elapsed_s"]) == ("B", 0.5)
+        assert b.complete(lease.key, "late", tiny_result.to_dict()) is False
+
+    def test_racing_takers_of_one_orphan_publish_once(self, tmp_path, tiny_result):
+        """More completers than cores race for one orphaned staged
+        marker: one publishes, the rest are duplicates, nothing is left
+        staged."""
+        b = FsBroker(tmp_path, lease_ttl=60.0)
+        key, payload = "0" * 64, tiny_result.to_dict()
+        staged = tmp_path / "done" / f"{key}.complete"
+        switch = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for _ in range(10):
+                for leftover in (tmp_path / "done").iterdir():
+                    leftover.unlink()
+                os.close(os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+                past = time.time() - 61
+                os.utime(staged, (past, past))
+                offset = b.events_path.stat().st_size if b.events_path.exists() else 0
+                won = []
+                threads = [threading.Thread(target=lambda i=i: won.append(
+                    b.complete(key, f"w{i}", payload))) for i in range(2 * (os.cpu_count() or 1) + 2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert sorted(won) == [False] * (len(threads) - 1) + [True]
+                kinds = [e["kind"] for e in b.read_events(offset)[0]]
+                assert kinds.count("complete") == 1 and kinds.count("duplicate") == len(threads) - 1
+                assert os.listdir(tmp_path / "done") == [f"{key}.json"]
+        finally:
+            sys.setswitchinterval(switch)
+
+    @pytest.mark.parametrize("key", ["../../victim", "A" * 64, "0" * 63, "0" * 65, 7, None])
+    def test_a_name_that_is_not_a_key_names_no_file(self, tmp_path, tiny_result, key):
+        root = tmp_path / "service"  # so ../../victim would still land in tmp_path
+        b = FsBroker(root / "broker", cache_dir=str(root / "cache"))
+        before = sorted(tmp_path.rglob("*"))
+        for verb, args in (("complete", ("w", tiny_result.to_dict())), ("fail", ("w", {})),
+                           ("heartbeat", ("w",)), ("retry", ("w", 2))):
+            with pytest.raises(ValueError, match="not a cell key"):
+                getattr(b, verb)(key, *args)
+        assert sorted(tmp_path.rglob("*")) == before
+        assert b.cell_state("0" * 64) == "unknown" and b.run("../runs/x") is None
+
+    def test_a_cell_found_cached_is_the_caches_in_the_manifest(self, tmp_path, tiny_job):
+        """As in a sweep's manifest: the run that found the cell cached
+        credits the cache, not the worker that ran it for another run."""
+        b = FsBroker(tmp_path)
+        first = b.submit([tiny_job], experiment="fig7a")
+        Worker(b, worker_id="w1", max_cells=1).run()
+        again = b.submit([tiny_job], experiment="fig7a")
+        assert b.run_status(again.id)["states"] == {tiny_job.key(): "done"}
+        assert b.run_manifest(first.id)["jobs"][0]["worker"] == "w1"
+        manifest = b.run_manifest(again.id)
+        assert manifest["cache_hits"] == manifest["ok"] == 1
+        assert manifest["jobs"] == [{"label": tiny_job.label(), "key": tiny_job.key(),
+                                     "status": "ok", "worker": "cache"}]
+
     def test_events_tell_the_cell_story(self, tmp_path, tiny_job, tiny_result):
         b = FsBroker(tmp_path)
         b.submit([tiny_job], experiment="fig7a")
@@ -420,25 +501,26 @@ class TestFsBroker:
         assert manifest["requeued"] == 1
         assert [ev["attempt"] for ev in manifest["requeues"]] == [2]
         # a run record written before the offset was kept reads from the start
-        record = json.loads(b._run_path(run.id).read_text())
+        record = json.loads(b._path("runs", run.id).read_text())
         del record["log_offset"]
-        b._run_path(run.id).write_text(json.dumps(record))
+        b._path("runs", run.id).write_text(json.dumps(record))
         assert b.run_manifest(run.id)["requeued"] == 21 and reads == [grown, 0]
 
     def test_cell_claimed_between_two_probes_is_not_unknown(self, tmp_path, tiny_job, monkeypatch):
         """``cell_state`` looks in ``active/`` and then in ``queue/``; a
         claim that renames the cell in between hides it from both."""
         b = FsBroker(tmp_path)
+        racer = FsBroker(tmp_path)
         run = b.submit([tiny_job], experiment="fig7a")
-        queued = b._queued
+        path = b._path
         leases = []
 
-        def claim_then_look(key):
-            if not leases:  # active/ has been probed already: claim now
-                leases.append(b.claim("racer"))
-            return queued(key)
+        def claim_then_look(state, name):
+            if state == "queue" and not leases:  # active/ has been probed already: claim now
+                leases.append(racer.claim("racer"))
+            return path(state, name)
 
-        monkeypatch.setattr(b, "_queued", claim_then_look)
+        monkeypatch.setattr(b, "_path", claim_then_look)
         assert b.cell_state(tiny_job.key()) == "active"
         assert leases[0] is not None
         status = b.run_status(run.id)
@@ -786,6 +868,35 @@ class TestService:
         assert client.runs() == []
         assert list((srv.broker.root / "queue").iterdir()) == []
 
+    @pytest.mark.parametrize("verb", ["complete", "fail", "heartbeat", "retry"])
+    def test_a_worker_body_whose_key_is_not_a_key_is_400(self, tmp_path, verb):
+        """A worker-protocol key is joined into a path: ``../../victim``
+        sent to ``/broker/complete`` overwrote, then deleted, a file two
+        levels above the broker directory."""
+        root = tmp_path / "service"
+        victim = tmp_path / "victim.json"
+        victim.write_text("precious")
+        with ServiceServer(root / "broker", port=0, cache_dir=str(root / "cache")) as srv:
+            client = ServiceClient(srv.url)
+            before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+            body = {"worker": "w", "result": {}, "failure": {}, "attempt": 2}
+            for key in ("../../victim", "../victim", "A" * 64, 7):
+                with pytest.raises(ServiceError, match="HTTP 400.*cell key"):
+                    client._request(f"/broker/{verb}", {**body, "key": key})
+            client.close()
+            assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_a_submit_that_enqueues_nothing_wakes_nobody(self, srv, client, tiny_job, tiny_result):
+        """Every held claim lists ``queue/`` again when woken: a submit
+        whose every cell was cached has nothing for it."""
+        srv.broker.cache.put(tiny_job.key(), tiny_result, job=tiny_job)
+        generation = srv._generation
+        assert submit_tiny(client)["cached"] == 1
+        assert srv._generation == generation
+        sub = client.submit("fig7a", schemes=["CCFIT", "1Q"], time_scale=SCALE, seed=1)
+        assert (sub["cells"], sub["cached"]) == (2, 1)
+        assert srv._generation == generation + 1
+
 
 # ----------------------------------------------------------------------
 # drain: one host, every core
@@ -1126,7 +1237,7 @@ class TestConnections:
         walls = []
         for _ in range(20):
             t0 = time.perf_counter()
-            client._request("/broker/heartbeat", {"key": "k", "worker": "w"})
+            client._request("/broker/heartbeat", {"key": "0" * 64, "worker": "w"})
             walls.append(time.perf_counter() - t0)
         assert srv.connections == 1
         assert statistics.median(walls) < 0.02
