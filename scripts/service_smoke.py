@@ -11,10 +11,14 @@ subprocesses, real TCP — and checks the determinism contract:
    run done at once, every cell a cache hit;
 5. send ``/broker/complete`` a key that is not a key: a 400, and not
    one file under the temp directory changes;
-6. submit one fig8a cell off the default on routing, buffer model and
+6. send a negative ``Content-Length``, two disagreeing ones and a
+   chunked POST over a raw socket: each is refused (400, 400, 501)
+   and hung up on, and a ``GET /runs`` on a new connection is still
+   answered;
+7. submit one fig8a cell off the default on routing, buffer model and
    faults, and fetch it by the key the same cell has in process: a key
    that differs across processes on an axis is a 404 here;
-7. exercise ``repro cache`` stats/prune against the shared namespace.
+8. exercise ``repro cache`` stats/prune against the shared namespace.
 
 Exit 0 on success; any failure propagates loudly.  Usage::
 
@@ -43,6 +47,17 @@ def free_port() -> int:
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
+
+
+def raw_status(port: int, request: bytes) -> int:
+    """Send ``request`` on a connection of its own; the reply's status,
+    read once the server has hung up."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return int(reply.split()[1])
 
 
 def wait_healthy(client: ServiceClient, proc, timeout: float = 30.0) -> None:
@@ -133,6 +148,21 @@ def main() -> int:
             assert {p: p.read_bytes() for p in Path(d).rglob("*") if p.is_file()} == files, \
                 "a refused request changed files"
             print("malformed key: 400, nothing written")
+
+            # request framing the server cannot trust: refused, hung up on
+            body = b'{"experiment": "fig7a"}'
+            for what, head, want in [
+                ("negative Content-Length", b"Content-Length: -1\r\n\r\n" + body, 400),
+                ("duplicate Content-Length", b"Content-Length: 23\r\nContent-Length: 5\r\n\r\n"
+                 + body, 400),
+                ("chunked POST", b"Transfer-Encoding: chunked\r\n\r\n17\r\n" + body
+                 + b"\r\n0\r\n\r\n", 501),
+            ]:
+                status = raw_status(port, b"POST /experiments HTTP/1.1\r\nHost: smoke\r\n" + head)
+                assert status == want, f"{what}: HTTP {status}, not {want}"
+            status = raw_status(port, b"GET /runs HTTP/1.1\r\nHost: smoke\r\nConnection: close\r\n\r\n")
+            assert status == 200, f"GET /runs after them: HTTP {status}"
+            print("malformed framing: 400, 400, 501; the next connection answered")
 
             # one cell off the default on three axes, keyed in process
             sub = client.submit("fig8a", schemes=["CCFIT"], time_scale=args.scale,

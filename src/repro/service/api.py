@@ -8,8 +8,8 @@ content-addressed cache key survives the wire, which is what makes
 remote completion idempotent (two workers racing the same cell write
 the same entry under the same key).
 
-Two thin stdlib-``http.client`` clients talk to ``repro serve`` over
-connections that stay open; neither polls -- where there is something
+Two thin standard-library clients talk to ``repro serve`` over
+sockets that stay open; neither polls -- where there is something
 to wait for, the server holds the request (``wait``):
 
 * :class:`~repro.service.client.ServiceClient` — the submitter's view:

@@ -1,22 +1,22 @@
 """The submitter's client of ``repro serve``, in the standard library only.
 
 :class:`ServiceClient` submits experiments, awaits run status, streams
-events and fetches cached results over ``http.client`` connections
-that stay open; :class:`_HttpClient` is that plumbing, which the
-worker's :class:`~repro.service.api.HttpBroker` shares.  Nothing here
-imports the simulator, so ``from repro.service import ServiceClient``
-costs a process the HTTP stack and no more; the ``SimJob`` codec and
-the broker client live in :mod:`repro.service.api`.
+events and fetches cached results over sockets that stay open and
+speak the HTTP/1.1 the server does; :class:`_HttpClient` is that
+plumbing, which the worker's :class:`~repro.service.api.HttpBroker`
+shares.  Nothing here imports the simulator or an HTTP library, so
+``from repro.service import ServiceClient`` costs a process a socket
+and no more; the ``SimJob`` codec and the broker client live in
+:mod:`repro.service.api`.
 """
 
 from __future__ import annotations
 
-import functools
-import http.client
 import json
+import socket
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 __all__ = ["LONG_POLL_S", "ServiceClient", "ServiceError"]
@@ -35,40 +35,110 @@ class ServiceError(RuntimeError):
 #: caller asks again.
 LONG_POLL_S = 1.0
 
+#: the most an HTTP head may hold: bytes a line, header lines.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+
+class _Connection:
+    """One socket to the server and the buffered reader over it."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
+
+    def ask(self, request: bytes) -> bytes:
+        """Send ``request``; the reply's status line, or a
+        ``ConnectionError`` when not one byte of it came."""
+        self.sock.sendall(request)
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if not line:
+            raise ConnectionResetError("Remote end closed connection without response")
+        return line
+
+    def head(self, status: bytes) -> Tuple[int, Optional[int], bool]:
+        """Read the head after the ``status`` line: the status, the body's
+        length (None: up to EOF) and whether the connection stays open
+        after it.  A reply this client cannot frame is a ``ValueError``."""
+        if not (status[:7] == b"HTTP/1." and status[8:9] == b" " and status[9:12].isdigit()):
+            raise ValueError(f"bad status line {status[:80]!r}")
+        length, keep = None, status[:8] == b"HTTP/1.1"
+        for _ in range(_MAX_HEADERS + 1):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if line in (b"\r\n", b"\n"):
+                return int(status[9:12]), length, keep and length is not None
+            if not line.endswith(b"\n"):
+                raise ValueError("reply head cut short or a line over 64 KiB")
+            name, _, value = line.partition(b":")
+            name, value = name.strip().lower(), value.strip()
+            if name == b"content-length":
+                if not value.isdigit() or length not in (None, int(value)):
+                    raise ValueError(f"bad Content-Length {value[:80]!r}")
+                length = int(value)
+            elif name == b"transfer-encoding":
+                raise ValueError(f"unsupported Transfer-Encoding: {value[:80].decode('latin-1')}")
+            elif name == b"connection":
+                keep = {b"close": False, b"keep-alive": True}.get(value.lower(), keep)
+        raise ValueError(f"got more than {_MAX_HEADERS} headers")
+
+    def body(self, length: Optional[int]) -> bytes:
+        data = self.rfile.read(length)
+        if length is not None and len(data) < length:
+            raise ValueError(f"IncompleteRead({len(data)} bytes read, "
+                             f"{length - len(data)} more expected)")
+        return data
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
 
 class _HttpClient:
     """JSON requests to one ``repro serve`` endpoint over connections
     that stay open: one per calling thread, because a worker's
     heartbeat thread talks while its main thread sits in a blocking
-    claim.  (``http.client`` sets ``TCP_NODELAY`` on what it dials; a
-    kept-alive connection without it stalls on Nagle + delayed ACK.)"""
+    claim.  Each sets ``TCP_NODELAY``: a kept-alive connection without
+    it stalls on Nagle + delayed ACK."""
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base = base_url.rstrip("/")
         self.timeout = timeout
         url = urlsplit(self.base)
-        if url.scheme not in ("http", "https") or not url.netloc:
+        if url.scheme not in ("http", "https") or not url.hostname:
             raise ServiceError(f"not an http(s) URL: {base_url!r}")
-        self._dial = functools.partial(
-            http.client.HTTPSConnection if url.scheme == "https"
-            else http.client.HTTPConnection,
-            url.netloc,
-        )
+        self._address = (url.hostname, url.port or (443 if url.scheme == "https" else 80))
+        self._tls = None
+        if url.scheme == "https":
+            import ssl  # only a client of an https:// endpoint loads it
+
+            self._tls = ssl.create_default_context()
+        self._host = b"Host: %s\r\n" % url.netloc.encode("ascii")
         self._prefix = url.path
         self._lock = threading.Lock()
         #: thread ident -> that thread's connection.
-        self._connections: Dict[int, http.client.HTTPConnection] = {}
+        self._connections: Dict[int, _Connection] = {}
 
-    def _connection(self) -> http.client.HTTPConnection:
-        ident = threading.get_ident()
-        conn = self._connections.get(ident)
-        if conn is None:
-            with self._lock:
-                live = {thread.ident for thread in threading.enumerate()}
-                for gone in [i for i in self._connections if i not in live]:
-                    self._connections.pop(gone).close()
-                conn = self._connections[ident] = self._dial(timeout=self.timeout)
+    def _dial(self, timeout: Optional[float]) -> _Connection:
+        sock = socket.create_connection(self._address, timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if self._tls is not None:  # a failed handshake closes the socket
+            sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        return _Connection(sock)
+
+    def _connect(self, ident: int, timeout: float) -> _Connection:
+        """Dial thread ``ident``'s connection; close those of ended threads."""
+        conn = self._dial(timeout)
+        with self._lock:
+            live = {thread.ident for thread in threading.enumerate()}
+            for gone in [i for i in self._connections if i not in live]:
+                self._connections.pop(gone).close()
+            self._connections[ident] = conn
         return conn
+
+    def _drop(self, ident: int, conn: _Connection) -> None:
+        with self._lock:
+            self._connections.pop(ident, None)
+        conn.close()
 
     def close(self) -> None:
         """Close every connection held open; a later request dials again."""
@@ -76,6 +146,17 @@ class _HttpClient:
             connections, self._connections = list(self._connections.values()), {}
         for conn in connections:
             conn.close()
+
+    def _message(self, path: str, body: Optional[bytes] = None) -> bytes:
+        """The request for ``path``: a GET, or a POST of the JSON ``body``.
+        Its target is printable ASCII: no caller can start a header."""
+        target = self._prefix + path
+        if " " in target or not (target.isascii() and target.isprintable()):
+            raise ServiceError(f"{self.base}{path}: not a request target")
+        if body is None:
+            return b"GET %s HTTP/1.1\r\n%s\r\n" % (target.encode("ascii"), self._host)
+        return (b"POST %s HTTP/1.1\r\n%sContent-Type: application/json\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (target.encode("ascii"), self._host, len(body), body))
 
     def _exchange(
         self, path: str, payload: Optional[Dict[str, Any]] = None, wait: float = 0.0
@@ -86,38 +167,38 @@ class _HttpClient:
         which the usual timeout applies.  HTTP and transport errors
         surface as :class:`ServiceError` with the server's message when
         it sent one."""
-        body = None
-        headers = {"Accept": "application/json"}
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        method = "GET" if body is None else "POST"
-        conn = self._connection()
-        conn.timeout = self.timeout + wait
-        reused = conn.sock is not None
-        if reused:
-            conn.sock.settimeout(conn.timeout)
+        request = self._message(path, None if payload is None else json.dumps(payload).encode("utf-8"))
+        timeout = self.timeout + wait
+        ident = threading.get_ident()
+        conn = self._connections.get(ident)
+        reused = conn is not None
         try:
+            if conn is None:
+                conn = self._connect(ident, timeout)
+            conn.sock.settimeout(timeout)
             try:
-                conn.request(method, self._prefix + path, body, headers)
-                resp = conn.getresponse()
+                line = conn.ask(request)
             except ConnectionError:
                 # Not one byte of a reply.  On a connection that sat
                 # idle, that is the server having closed it meanwhile:
                 # dial again, once.  A reply that breaks off part-way is
                 # never asked for twice -- the server has acted on the
                 # request (a second claim would orphan the first lease).
-                conn.close()
+                self._drop(ident, conn)
                 if not reused:
                     raise
-                conn.request(method, self._prefix + path, body, headers)
-                resp = conn.getresponse()
-            data = resp.read()
-        except (http.client.HTTPException, OSError) as exc:
-            conn.close()
+                conn = self._connect(ident, timeout)
+                line = conn.ask(request)
+            status, length, keep = conn.head(line)
+            data = conn.body(length)
+        except (OSError, ValueError) as exc:
+            if conn is not None:
+                self._drop(ident, conn)
             raise ServiceError(f"{self.base}{path}: {exc}") from None
-        if resp.status >= 400:
-            raise _http_error(f"{self.base}{path}", resp.status, data)
+        if not keep:
+            self._drop(ident, conn)
+        if status >= 400:
+            raise _http_error(f"{self.base}{path}", status, data)
         return data
 
     def _request(
@@ -184,20 +265,22 @@ class ServiceClient(_HttpClient):
         on a connection of their own that the server closes after the
         last one.  With ``follow=True`` that is when the run finishes."""
         path = f"/runs/{run_id}/events" + ("?follow=1" if follow else "")
-        conn = self._dial(timeout=None if follow else self.timeout)
+        request = self._message(path)
+        conn = None
         try:
-            conn.request("GET", self._prefix + path, headers={"Accept": "application/x-ndjson"})
-            resp = conn.getresponse()
-            if resp.status >= 400:
-                raise _http_error(f"{self.base}{path}", resp.status, resp.read())
-            for raw in resp:
+            conn = self._dial(None if follow else self.timeout)
+            status, length, _keep = conn.head(conn.ask(request))
+            if status >= 400:
+                raise _http_error(f"{self.base}{path}", status, conn.body(length))
+            for raw in conn.rfile if length is None else conn.body(length).splitlines():
                 line = raw.decode("utf-8").strip()
                 if line:
                     yield json.loads(line)
-        except (http.client.HTTPException, OSError) as exc:
+        except (OSError, ValueError) as exc:
             raise ServiceError(f"{self.base}{path}: {exc}") from None
         finally:
-            conn.close()
+            if conn is not None:
+                conn.close()
 
     def wait(
         self, run_id: str, timeout: float = 300.0, poll: float = 0.2

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import socket
 import sys
 import threading
@@ -60,6 +61,7 @@ from repro.experiments import registry
 from repro.experiments.sweep import AXES, parse_names, read_axes
 from repro.registry import CellError, unknown_name
 from repro.service.broker import FsBroker, is_key
+from repro.service.client import _MAX_HEADERS, _MAX_LINE
 
 __all__ = ["ServiceServer", "serve", "DEFAULT_PORT"]
 
@@ -71,6 +73,9 @@ DEFAULT_PORT = 8642
 _DIRECTORY_PROBE = 0.2
 #: the longest one request may wait; clients re-ask.
 _MAX_WAIT = 30.0
+#: one header line: a token, a colon, the value.  An obs-fold (a line
+#: that starts with a space) or a line without a colon is not one.
+_FIELD = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+):[ \t]*(.*?)[ \t]*\r?\n")
 
 T = TypeVar("T")
 
@@ -169,9 +174,50 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _refuse(self, status: int, message: str) -> bool:
+        self.close_connection = True
+        self._error(status, message)
+        return False
+
+    def parse_request(self) -> bool:
+        """Read the request line and head: ``headers`` by lowercase name,
+        and the body's length.  What cannot be framed for certain is
+        answered and hung up on: no byte of it is read as a request."""
+        self.command, self.request_version = None, "HTTP/1.1"  # what errors answer in
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+            return self._refuse(400, f"bad request line {self.requestline[:80]!r}")
+        self.command, self.path, self.request_version = words
+        self.headers: Dict[str, str] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if line in (b"\r\n", b"\n"):
+                break
+            if len(line) > _MAX_LINE:
+                return self._refuse(431, f"a header line is over {_MAX_LINE} bytes")
+            field = _FIELD.fullmatch(line)
+            if field is None:  # or the head was cut short
+                return self._refuse(400, f"malformed header line {line[:80]!r}")
+            name, value = field.group(1).decode("ascii").lower(), field.group(2).decode("latin-1")
+            self.headers[name] = f"{self.headers[name]}, {value}" if name in self.headers else value
+        else:
+            return self._refuse(431, f"more than {_MAX_HEADERS} header lines")
+        if "transfer-encoding" in self.headers:
+            return self._refuse(501, "Transfer-Encoding is not supported: send Content-Length")
+        length = self.headers.get("content-length", "0")  # two of them read "5, 6"
+        if not (length.isdigit() and length.isascii()):
+            return self._refuse(400, "Content-Length must be one integer >= 0")
+        self._length = int(length)
+        connection = self.headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            self.request_version == "HTTP/1.0" and connection != "keep-alive")
+        if self.headers.get("expect", "").lower() == "100-continue" and words[2] == "HTTP/1.1":
+            return self.handle_expect_100()
+        return True
+
     def _body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        raw = self.rfile.read(self._length) if self._length else b""
         if not raw:
             return {}
         try:
@@ -214,6 +260,7 @@ class _Handler(BaseHTTPRequestHandler):
                 pass
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self.close_connection |= self._length > 0  # a body no route reads
         self._dispatch(self._route_get)
 
     def do_POST(self) -> None:  # noqa: N802
@@ -364,7 +411,7 @@ class _Handler(BaseHTTPRequestHandler):
         run = broker.run(run_id)
         if run is None:
             return self._error(404, f"unknown run {run_id!r}")
-        sse = "text/event-stream" in (self.headers.get("Accept") or "")
+        sse = "text/event-stream" in self.headers.get("accept", "")
         self.send_response(200)
         self.send_header(
             "Content-Type",

@@ -51,9 +51,12 @@ def fresh(code: str, *args: str):
 
 class TestImportWeight:
     def test_the_service_client_loads_no_simulator(self):
+        """Nor an HTTP library: the client reads its replies itself."""
         loaded = fresh("from repro.service import ServiceClient\n"
-                       "print(json.dumps(loaded('numpy', 'repro.network', 'repro.experiments')))")
-        assert loaded == {"numpy": False, "repro.network": False, "repro.experiments": False}
+                       "print(json.dumps(loaded('numpy', 'repro.network', 'repro.experiments',\n"
+                       "                        'http.client', 'email.parser')))")
+        assert loaded == {"numpy": False, "repro.network": False, "repro.experiments": False,
+                          "http.client": False, "email.parser": False}
 
     def test_the_name_registry_loads_nothing(self):
         """``difflib`` comes in with the first unknown-name message."""

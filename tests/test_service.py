@@ -7,12 +7,15 @@ many times its lease bounced.  Everything tier-1 here runs 0.02x
 cells; the multi-process kill-a-worker end-to-end test is ``tier2``.
 """
 
+import contextlib
 import dataclasses
 import json
 import multiprocessing
 import os
+import shutil
 import signal
 import socket
+import ssl
 import statistics
 import subprocess
 import sys
@@ -1302,6 +1305,142 @@ class TestConnections:
             client.close()
             listener.close()
             t.join(timeout=5)
+
+
+def raw_exchange(srv, request: bytes, timeout: float = 3.0):
+    """Send ``request`` bytes on a connection of their own; the reply's
+    status, its head as text, and whether the server then hung up (the
+    reply is read to EOF: a server that keeps the connection fails the
+    read, by timeout)."""
+    host, port = srv.url.rsplit("/", 1)[1].rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), head.decode("latin-1"), json.loads(body)
+
+
+class TestRequestFraming:
+    """A request head the server cannot frame for certain is answered
+    and the connection closed: no byte of it is read as the next
+    request, and no handler thread waits on a body that never ends."""
+
+    SUBMIT = b'{"experiment": "fig7a"}'
+
+    @pytest.mark.parametrize("head, status", [
+        (b"Content-Length: -1\r\n", 400),
+        (b"Content-Length: 2x\r\n", 400),
+        (b"Content-Length: 23\r\nContent-Length: 5\r\n", 400),
+        (b"Transfer-Encoding: chunked\r\n", 501),
+        (b"Content-Length: 23\r\nX-Folded: a\r\n b\r\n", 400),
+        (b"Content-Length: 23\r\nNo colon here\r\n", 400),
+        (b"Content-Length: 23\r\n" + b"X-Many: 1\r\n" * 100, 431),
+        (b"Content-Length: 23\r\nX-Long: " + b"a" * 65536 + b"\r\n", 431),
+    ], ids=["negative-length", "non-numeric-length", "conflicting-lengths", "chunked",
+            "obs-fold", "colon-less", "too-many-headers", "line-too-long"])
+    def test_an_unframeable_request_is_refused_and_hung_up_on(self, srv, client, head, status):
+        body = b"17\r\n" + self.SUBMIT + b"\r\n0\r\n\r\n" if b"chunked" in head else self.SUBMIT
+        got, reply_head, error = raw_exchange(
+            srv, b"POST /experiments HTTP/1.1\r\nHost: x\r\n" + head + b"\r\n" + body)
+        assert got == status, error
+        assert "Connection: close" in reply_head
+        assert srv.broker.runs() == []  # nothing was submitted
+        assert client.runs() == []  # and a new connection is answered
+
+    def test_a_get_with_a_body_is_answered_then_hung_up_on(self, srv):
+        status, reply_head, body = raw_exchange(
+            srv, b"GET /runs HTTP/1.1\r\nContent-Length: 18\r\n\r\nGET /runs HTTP/1.1")
+        assert (status, body) == (200, {"runs": []})
+        assert "Connection: close" in reply_head
+
+
+@contextlib.contextmanager
+def scripted(script, hold=False, tls=None):
+    """A server that answers each connection it accepts with the next
+    list of ``script`` replies, one a GET; after them it closes the
+    connection, or with ``hold`` waits for the client to.  Yields its
+    ``http://`` URL and the request paths and accepts it saw."""
+    seen = {"requests": [], "accepts": 0}
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        for replies in script:
+            conn, _addr = listener.accept()
+            seen["accepts"] += 1
+            if tls is not None:
+                conn = tls.wrap_socket(conn, server_side=True)
+            with conn, conn.makefile("rb") as rfile:
+                for reply in replies:
+                    line = rfile.readline()
+                    while rfile.readline() not in (b"\r\n", b""):
+                        pass
+                    seen["requests"].append(line.split()[1].decode())
+                    conn.sendall(reply)
+                if hold:
+                    rfile.read()
+
+    t = threading.Thread(target=serve)
+    t.start()
+    try:
+        yield "http://127.0.0.1:%d" % listener.getsockname()[1], seen
+    finally:
+        listener.close()
+        t.join(timeout=10)
+        assert not t.is_alive()
+
+
+class TestReplyFraming:
+    OK = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\r\n{}"
+
+    def test_a_chunked_reply_is_refused_by_name_not_awaited(self):
+        chunked = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n"
+        with scripted([[chunked]], hold=True) as (url, seen):
+            client = ServiceClient(url, timeout=30)
+            t = time.monotonic()
+            with pytest.raises(ServiceError, match="Transfer-Encoding"):
+                client._request("/a")
+            assert time.monotonic() - t < 5
+            client.close()
+
+    def test_a_close_delimited_reply_is_read_to_its_end(self):
+        until_eof = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + b'{"n": 1}'
+        with scripted([[until_eof], [self.OK]]) as (url, seen):
+            client = ServiceClient(url, timeout=5)
+            assert client._request("/a") == {"n": 1}
+            assert client._request("/b") == {}
+            client.close()
+        assert (seen["accepts"], seen["requests"]) == (2, ["/a", "/b"])
+
+    def test_after_connection_close_the_next_request_dials_again(self):
+        closing = self.OK.replace(b"Content-Length", b"Connection: close\r\nContent-Length")
+        with scripted([[self.OK, closing], [self.OK]], hold=True) as (url, seen):
+            client = ServiceClient(url, timeout=5)
+            for path in ("/a", "/b", "/c"):
+                assert client._request(path) == {}
+            client.close()
+        assert (seen["accepts"], seen["requests"]) == (2, ["/a", "/b", "/c"])
+
+    def test_https_goes_through_tls(self, tmp_path, monkeypatch):
+        openssl = shutil.which("openssl")
+        if openssl is None:
+            pytest.skip("no openssl command to write a certificate with")
+        cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+        subprocess.run([openssl, "req", "-x509", "-newkey", "ec", "-pkeyopt",
+                        "ec_paramgen_curve:prime256v1", "-nodes", "-days", "1",
+                        "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
+                        "-keyout", str(key), "-out", str(cert)],
+                       check=True, capture_output=True, timeout=60)
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert))  # the one CA the client trusts
+        tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        tls.load_cert_chain(cert, key)
+        with scripted([[self.OK, self.OK]], hold=True, tls=tls) as (url, seen):
+            client = ServiceClient(url.replace("http://", "https://"), timeout=5)
+            assert client._request("/a") == {}
+            assert client._request("/b") == {}
+            client.close()
+        assert (seen["accepts"], seen["requests"]) == (1, ["/a", "/b"])
 
 
 # ----------------------------------------------------------------------
