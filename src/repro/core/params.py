@@ -152,7 +152,9 @@ class CCParams:
     cct: List[float] = field(default_factory=linear_cct)
 
     # -- queue schemes ---------------------------------------------------
-    #: VOQs per input port for VOQsw/ITh (8, §IV-A).
+    #: DBBM's destination-hash buckets per input port.  VOQsw-family
+    #: ports (VOQsw, ITh, RCM) build one VOQ per output port instead,
+    #: whatever this says (8 on Config #3's radix-8 switches, §IV-A).
     num_voqs: int = 8
     #: minimum per-destination queue size for VOQnet (4 KiB, §IV-A).
     voqnet_queue_size: int = 4 * 1024

@@ -1,20 +1,19 @@
 """Device-neutral congestion-control policy objects.
 
 A congestion-control *scheme* (1Q, FBICM, ITh, CCFIT, your own) is a
-composition of four policies, each with a fixed hook surface that the
+composition of three policies, each with a fixed hook surface that the
 device layer calls blindly — no device file knows any concrete scheme
 class (see docs/schemes.md):
 
-* a **queue policy** — how each switch input port organises its RAM.
-  This is the :class:`repro.network.queueing.CongestionControlScheme`
-  object itself (``on_arrival`` / ``eligible_heads`` /
-  ``after_dequeue`` / ``on_control_message`` / ``audit`` /
-  ``snapshot``);
-* a **detection policy** (:class:`DetectionPolicy`) — what evidence
-  moves an output port into the *congestion state*.  The paper's two
+* a **queue policy** — how each switch input port organises its RAM,
+  and what evidence (if any) moves an output port into the
+  *congestion state*.  This is the
+  :class:`repro.network.queueing.CongestionControlScheme` object itself
+  (``on_arrival`` / ``eligible_heads`` / ``after_dequeue`` /
+  ``on_control_message`` / ``audit`` / ``snapshot``); the paper's two
   detectors are VOQ occupancy (ITh, [12]) and root-CFQ occupancy
-  (CCFIT, §III-C); queue-policy factories consume the descriptor and
-  wire the matching threshold machinery;
+  (CCFIT, §III-C), each armed by its queue builder in
+  :mod:`repro.core.ccfit`;
 * a **marking policy** (:class:`MarkingPolicy`) — ``should_mark``,
   asked by the switch for every packet crossing an output port.  The
   paper schemes mark only in the congestion state, subject to the
@@ -34,7 +33,6 @@ builder hands them to switches and end nodes without inspecting them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Protocol, runtime_checkable
 
 from repro.core.params import CCParams
@@ -45,43 +43,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "DetectionPolicy",
-    "DETECT_NONE",
-    "DETECT_VOQ_OCCUPANCY",
-    "DETECT_ROOT_CFQ",
     "MarkingPolicy",
     "InjectionGate",
     "CongestionStateMarking",
-    "congestion_state_marking",
 ]
-
-
-# ----------------------------------------------------------------------
-# detection
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DetectionPolicy:
-    """What evidence moves an output port into the congestion state.
-
-    ``kind`` is consumed by the queue-policy factories (which own the
-    threshold machinery) and read by cost accounting and docs; devices
-    never branch on it.
-    """
-
-    kind: str
-    description: str = ""
-
-
-#: no congestion-state detection (1Q, VOQsw, DBBM, VOQnet, FBICM).
-DETECT_NONE = DetectionPolicy("none", "never enters the congestion state")
-#: ITh: a VOQ crossing the High/Low occupancy thresholds of [12].
-DETECT_VOQ_OCCUPANCY = DetectionPolicy(
-    "voq-occupancy", "VOQ occupancy High/Low thresholds ([12])"
-)
-#: CCFIT: a *root* CFQ crossing the High/Low thresholds (§III-C).
-DETECT_ROOT_CFQ = DetectionPolicy(
-    "root-cfq", "root CFQ occupancy High/Low thresholds (§III-C)"
-)
 
 
 # ----------------------------------------------------------------------
@@ -121,11 +86,6 @@ class CongestionStateMarking:
         if not out_port.congested:
             return False
         return self.fecn.maybe_mark(pkt)
-
-
-def congestion_state_marking(params: CCParams, rng: np.random.Generator) -> CongestionStateMarking:
-    """Factory with the :class:`repro.core.ccfit.SchemeSpec` signature."""
-    return CongestionStateMarking(params, rng)
 
 
 # ----------------------------------------------------------------------

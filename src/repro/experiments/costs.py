@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.ccfit import SCHEMES
+from repro.core.isolation import NfqCfqScheme
 from repro.core.params import CCParams
+from repro.network.fabric import build_fabric
 from repro.network.topology import Topology
 
 __all__ = ["SchemeCost", "scheme_cost", "cost_table"]
@@ -47,16 +49,22 @@ def scheme_cost(
 ) -> SchemeCost:
     """Compute the switch buffer/CAM budget of ``scheme`` on ``topo``.
 
-    The budget comes from the spec's ``cost`` hook, so every scheme
-    registered in :data:`repro.core.ccfit.SCHEMES` appears in the table
-    automatically; an unknown name is the registry's ``KeyError``."""
+    Queues and CAM lines are counted on the switch ports that
+    :func:`repro.network.fabric.build_fabric` builds for the scheme (the
+    widest port, where radices differ), so every scheme registered in
+    :data:`repro.core.ccfit.SCHEMES` appears in the table automatically;
+    an unknown name is the registry's ``KeyError``.  Memory is the
+    spec's ``memory_override``."""
     spec = SCHEMES[scheme]
     params = params if params is not None else CCParams()
-    n = topo.num_nodes
-    memory = spec.memory_override(params, n)
+    memory = spec.memory_override(params, topo.num_nodes)
 
-    max_radix = max(s.num_ports for s in topo.switches)
-    queues, cam, out_cam = spec.cost(params, n, max_radix)
+    fabric = build_fabric(topo, scheme, params, validate=False)
+    ports = [port.scheme for sw in fabric.switches for port in sw.input_ports]
+    queues = max(len(q.queues()) for q in ports)
+    # only the isolation schemes keep a CAM; an output port's CAM mirrors
+    # the CFQs of the input port downstream of it, so it is as deep
+    cam = max(q.cam.num_lines if isinstance(q, NfqCfqScheme) else 0 for q in ports)
 
     total_ports = sum(s.num_ports for s in topo.switches)
     return SchemeCost(
@@ -64,7 +72,7 @@ def scheme_cost(
         queues_per_port=queues,
         memory_per_port=memory,
         cam_lines_per_port=cam,
-        out_cam_lines_per_port=out_cam,
+        out_cam_lines_per_port=cam,
         total_ports=total_ports,
         total_memory=memory * total_ports,
     )

@@ -10,6 +10,7 @@ from math import fsum
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.experiments.runner import CaseResult
+from repro.metrics.analysis import recovery_time
 
 __all__ = [
     "render_table",
@@ -136,11 +137,10 @@ def _recovery_us(res: CaseResult) -> str:
     if not pre.any():
         return "-"
     target = 0.9 * float(rates[pre].mean())
-    after = times >= t_fault
-    recovered = after & (rates >= target)
-    if not recovered.any():
+    t_back = recovery_time(times, rates, t_fault, target, sustain_bins=1)
+    if t_back == float("inf"):
         return "never"
-    return f"{(float(times[recovered][0]) - t_fault) / 1e3:.0f}"
+    return f"{(t_back - t_fault) / 1e3:.0f}"
 
 
 def render_fault_matrix(results: Dict[str, CaseResult]) -> str:

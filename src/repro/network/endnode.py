@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.core.cam import OutputCamLine
+from repro.core.isolation import NfqCfqScheme
 from repro.core.params import CCParams
 from repro.core.scheme import InjectionGate
 from repro.network.buffers import BufferPool, PacketQueue
@@ -51,18 +52,6 @@ __all__ = ["EndNode", "IaStage"]
 #: staging FIFO depth (bytes) for schemes without IA isolation: just a
 #: link staging register, so the IA itself is never a HoL point.
 FIFO_STAGING_BYTES = 2 * 2048
-
-
-def _default_stage_factory(
-    staging: str,
-) -> Callable[["IaStage"], CongestionControlScheme]:
-    """Stage scheme of a spec that names none (``SchemeSpec.ia_scheme``
-    is None): the staging mode's own."""
-    if staging == "isolation":
-        from repro.core.isolation import NfqCfqScheme
-
-        return lambda stage: NfqCfqScheme(stage, drive_congestion_state=False)
-    return OneQScheme
 
 
 class IaStage:
@@ -124,12 +113,8 @@ class EndNode:
     staging:
         ``"isolation"`` (NFQ+CFQs, FBICM/CCFIT), ``"fifo"`` (two-MTU
         FIFO, 1Q/VOQsw/ITh) or ``"bypass"`` (inject from AdVOQs,
-        VOQnet).  Decides the stage RAM size and whether a stage
-        exists at all.
-    stage_factory:
-        ``f(stage) -> CongestionControlScheme`` building the output
-        stage's queue scheme (the spec's ``ia_scheme``); None falls
-        back to the staging mode's default.
+        VOQnet).  Decides the stage's queue scheme, its RAM size and
+        whether a stage exists at all.
     gate_factory:
         ``f(sim, params, on_release) -> InjectionGate`` building the
         source-side gate (the spec's ``injection_gate``); None leaves
@@ -145,9 +130,6 @@ class EndNode:
         num_nodes: int,
         params: CCParams,
         staging: str = "fifo",
-        stage_factory: Optional[
-            Callable[["IaStage"], CongestionControlScheme]
-        ] = None,
         gate_factory: Optional[Callable[..., InjectionGate]] = None,
         on_delivery: Optional[Callable[[Packet, float], None]] = None,
     ) -> None:
@@ -174,13 +156,13 @@ class EndNode:
         self.stage: Optional[IaStage] = None
         self.stage_scheme: Optional[CongestionControlScheme] = None
         if staging == "isolation":
+            # the IA's CAM behaves like a switch port's (§III-B), but
+            # only switches drive the congestion state
             self.stage = IaStage(self, params.ia_memory_size)
+            self.stage_scheme = NfqCfqScheme(self.stage, drive_congestion_state=False)
         elif staging == "fifo":
             self.stage = IaStage(self, FIFO_STAGING_BYTES)
-        if self.stage is not None:
-            if stage_factory is None:
-                stage_factory = _default_stage_factory(staging)
-            self.stage_scheme = stage_factory(self.stage)
+            self.stage_scheme = OneQScheme(self.stage)
 
         self.throttle: Optional[InjectionGate] = None
         if gate_factory is not None:

@@ -194,7 +194,6 @@ def build_fabric(
             topo.num_nodes,
             params,
             staging=spec.ia_staging,
-            stage_factory=spec.ia_scheme,
             gate_factory=spec.injection_gate,
             on_delivery=collector.record_delivery,
         )

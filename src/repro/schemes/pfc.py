@@ -37,12 +37,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from repro.core.ccfit import SCHEMES, SchemeSpec, fifo_stage
-from repro.core.params import CCParams
+from repro.core.ccfit import SCHEMES, SchemeSpec
 from repro.network.buffers import PacketQueue
 from repro.network.packet import ControlMessage, Packet, PfcPause, PfcResume
 from repro.network.queueing import CongestionControlScheme, PortHost
-from repro.schemes.rcm import DETECT_QUEUE_DEPTH, QueueDepthMarking, RcmGate
+from repro.schemes.rcm import QueueDepthMarking, RcmGate
 
 __all__ = ["PfcQueueScheme", "pfc_queues", "PFC", "PFC_RCM"]
 
@@ -121,39 +120,26 @@ class PfcQueueScheme(CongestionControlScheme):
         return sample
 
 
-def pfc_queues():
+def pfc_queues(port, _n) -> PfcQueueScheme:
     """Queue-policy builder: per-priority PAUSE-honouring FIFOs."""
-
-    def build(port, _n) -> PfcQueueScheme:
-        return PfcQueueScheme(port, port.params.pfc_priorities)
-
-    return build
-
-
-def _pfc_cost(params: CCParams, _n: int, max_radix: int) -> Tuple[int, int, int]:
-    # DBBM-class hardware: a handful of static queues, no CAMs.
-    return params.pfc_priorities, 0, 0
+    return PfcQueueScheme(port, port.params.pfc_priorities)
 
 
 #: registered at import time (:mod:`repro.core.ccfit` imports this package).
 PFC = SCHEMES.register(SchemeSpec(
     "PFC",
-    pfc_queues(),
+    pfc_queues,
     "fifo",
-    cost=_pfc_cost,
     description="802.1Qbb: per-priority queues + hop-by-hop PAUSE "
     "(pair with --buffer-model shared)",
 ))
 
 PFC_RCM = SCHEMES.register(SchemeSpec(
     "PFC+RCM",
-    pfc_queues(),
+    pfc_queues,
     "fifo",
-    detection=DETECT_QUEUE_DEPTH,
     marking=QueueDepthMarking,
     injection_gate=RcmGate,
-    ia_scheme=fifo_stage,
-    cost=_pfc_cost,
     description="the RoCEv2 datacenter stack: PFC substrate + "
     "DCQCN-style depth ECN and RCM source rates",
 ))

@@ -24,11 +24,10 @@ experiment, sweep, and under the invariant guard.  See
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from repro.core.ccfit import SCHEMES, SchemeSpec, fifo_stage, voqsw_queues
+from repro.core.ccfit import SCHEMES, SchemeSpec, voqsw_queues
 from repro.core.params import CCParams
-from repro.core.scheme import DetectionPolicy
 from repro.network.packet import Packet
 from repro.sim.engine import Event, Simulator
 
@@ -36,7 +35,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "DETECT_QUEUE_DEPTH",
     "QueueDepthMarking",
     "RcmGate",
     "RCM",
@@ -57,11 +55,6 @@ AI_FRACTION = 1 / 8
 #: rate floor, as a fraction of PEAK_RATE (a flow is never stopped
 #: outright — it must keep probing so recovery can observe it).
 MIN_RATE_FRACTION = 1 / 64
-
-
-DETECT_QUEUE_DEPTH = DetectionPolicy(
-    "queue-depth", "ECN on instantaneous queue depth (Kmin/Kmax)"
-)
 
 
 class QueueDepthMarking:
@@ -232,21 +225,13 @@ class RcmGate:
                 )
 
 
-def _rcm_cost(params: CCParams, _n: int, max_radix: int) -> Tuple[int, int, int]:
-    # same switch hardware as VOQsw/ITh: per-output VOQs, no CAMs.
-    return min(params.num_voqs, max_radix), 0, 0
-
-
 #: registered at import time; :mod:`repro.core.ccfit` imports this
 #: package, so the scheme is available wherever the presets are.
 RCM = SCHEMES.register(SchemeSpec(
     "RCM",
-    voqsw_queues(),
+    voqsw_queues,
     "fifo",
-    detection=DETECT_QUEUE_DEPTH,
     marking=QueueDepthMarking,
     injection_gate=RcmGate,
-    ia_scheme=fifo_stage,
-    cost=_rcm_cost,
     description="rate-based DCQCN-style manager: depth ECN + MD/AI rates",
 ))

@@ -8,8 +8,8 @@ on a live sampler's output, on a cached result, or on a bundle read
 back from disk.
 
 * :func:`write_jsonl` — one structured record per line (header,
-  samples, protocol events, tree records), fsync'd before close so a
-  crash cannot leave a torn export;
+  samples, tree records), fsync'd before close so a crash cannot
+  leave a torn export;
 * :func:`render_prometheus` — Prometheus-style ``# HELP``/``# TYPE``
   text exposition of the final sample (plus counters), scrapable by
   any Prometheus-compatible collector;
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 __all__ = [
     "TELEMETRY_FORMATS",
@@ -49,13 +49,12 @@ def _line(record: Dict[str, Any]) -> str:
     return json.dumps(record, sort_keys=True) + "\n"
 
 
-def write_jsonl(bundle: Dict[str, Any], path, events: Optional[List] = None) -> str:
+def write_jsonl(bundle: Dict[str, Any], path) -> str:
     """Write the bundle as structured JSONL: a ``header`` record, one
     ``sample`` record per sampling instant (times + aggregate row +
-    per-entity rows), one ``event`` record per traced protocol event
-    (when ``events`` — e.g. ``trace.events`` — is given), and one
-    ``tree`` record per reconstructed lifecycle.  The file is flushed
-    and fsync'd before close.  Returns ``path``."""
+    per-entity rows), and one ``tree`` record per reconstructed
+    lifecycle.  The file is flushed and fsync'd before close.  Returns
+    ``path``."""
     times = bundle.get("times", [])
     network = bundle.get("network", [])
     with open(path, "w") as fh:
@@ -92,19 +91,6 @@ def write_jsonl(bundle: Dict[str, Any], path, events: Optional[List] = None) -> 
                 if i < len(entry["rx_bytes"])
             }
             fh.write(_line(rec))
-        for ev in events or []:
-            fh.write(
-                _line(
-                    {
-                        "record": "event",
-                        "t": ev.time,
-                        "kind": ev.kind,
-                        "where": ev.where,
-                        "dest": ev.dest,
-                        "detail": ev.detail,
-                    }
-                )
-            )
         for tree in bundle.get("trees", []):
             fh.write(_line({"record": "tree", **tree}))
         fh.flush()
@@ -312,7 +298,6 @@ def write_bundle(
     bundle: Dict[str, Any],
     out_dir,
     fmt: str = "all",
-    events: Optional[List] = None,
     title: str = "repro telemetry",
 ) -> List[str]:
     """Render ``bundle`` into ``out_dir`` in the requested format(s):
@@ -324,7 +309,7 @@ def write_bundle(
     os.makedirs(out_dir, exist_ok=True)
     written: List[str] = []
     if fmt in ("jsonl", "all"):
-        written.append(write_jsonl(bundle, os.path.join(out_dir, "telemetry.jsonl"), events))
+        written.append(write_jsonl(bundle, os.path.join(out_dir, "telemetry.jsonl")))
     if fmt in ("prom", "all"):
         path = os.path.join(out_dir, "metrics.prom")
         with open(path, "w") as fh:

@@ -45,6 +45,13 @@ class TestCosts:
         c = scheme_cost("FBICM", CONFIG1.topo(), CCParams(num_cfqs=4))
         assert c.queues_per_port == 5
 
+    @pytest.mark.parametrize("scheme,queues", [("VOQsw", 8), ("ITh", 8), ("RCM", 8), ("DBBM", 4)])
+    def test_num_voqs_is_dbbm_buckets(self, scheme, queues):
+        """``num_voqs`` is DBBM's bucket count: a VOQsw-family port
+        builds one VOQ per switch port (8 on Config #3) whatever it says."""
+        c = scheme_cost(scheme, CONFIG3.topo(), CCParams(num_voqs=4))
+        assert c.queues_per_port == queues
+
 
 class TestCli:
     def test_parser_requires_command(self):

@@ -37,9 +37,11 @@ def test_ci_workflow_names_things_that_exist():
     ``scripts/`` path it names is on disk, and every ``python -m
     repro`` line parses with the real parser to a command the CLI
     dispatches.  So does every such path the documents name (the file
-    of a ``file.py::test`` node id included), and every command line
-    of the fenced blocks of README.md and docs/*.md: a removed file or
-    flag cannot live on in an example."""
+    of a ``file.py::test`` node id included), every command line of
+    the fenced blocks of README.md and docs/*.md, and every name those
+    blocks import ``from repro...``: a removed file, flag or name
+    cannot live on in an example."""
+    import importlib
     import re
     import shlex
 
@@ -57,12 +59,19 @@ def test_ci_workflow_names_things_that_exist():
     assert named and {p: s for p, s in named.items() if not (root / p).exists()} == {}
     lines = re.findall(r"python -m repro (.+)", re.sub(r"\\\n\s*", "", text))
     assert lines
-    documented = []
+    documented, imports = [], []
     for doc in docs:
         for block in re.findall(r"^```[^\n]*\n(.*?)^```", doc.read_text(), re.M | re.S):
             documented += re.findall(r"^\s*(?:\$ )?python -m repro (.+)",
                                      re.sub(r"\\\n\s*", "", block), re.M)
+            imports += re.findall(r"^\s*from (repro[\w.]*) import (\([^)]*\)|[^\n#]+)", block, re.M)
     assert len(documented) > 10
     for line in lines + documented:
         args = build_parser().parse_args(shlex.split(line, comments=True))  # SystemExit on a stale flag
         assert args.command in _COMMANDS, line
+    assert len(imports) > 5
+    for module, names in imports:
+        for name in names.strip("() \n").split(","):
+            name = name.split(" as ")[0].strip()
+            if name:
+                assert hasattr(importlib.import_module(module), name), f"from {module} import {name}"

@@ -22,7 +22,7 @@ from repro.registry import CellError, Registry, unknown_name
 #: kind -> (registry, a spec of that kind named ``name``, a registered
 #: name, a typo of it).
 CASES = {
-    "scheme": (SCHEMES, lambda name: SchemeSpec(name, oneq_queues(), "fifo"), "CCFIT", "CCFTI"),
+    "scheme": (SCHEMES, lambda name: SchemeSpec(name, oneq_queues, "fifo"), "CCFIT", "CCFTI"),
     "routing policy": (
         ROUTING_POLICIES,
         lambda name: RoutingPolicySpec(name, DetRoutingPolicy, needs_candidates=False),

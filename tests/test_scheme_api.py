@@ -12,9 +12,9 @@ import pytest
 
 from repro.core.ccfit import SCHEMES, SchemeSpec, oneq_queues
 from repro.core.params import CCParams
-from repro.core.scheme import DETECT_NONE, DETECT_ROOT_CFQ, DETECT_VOQ_OCCUPANCY
 from repro.network.fabric import build_fabric
 from repro.network.packet import CfqStop
+from repro.experiments.configs import CONFIG1
 from repro.network.topology import config1_adhoc, k_ary_n_tree
 from repro.schemes.rcm import PEAK_RATE, QueueDepthMarking, RcmGate
 from repro.sim.engine import Simulator
@@ -26,7 +26,7 @@ from repro.traffic.flows import FlowSpec, attach_traffic
 # ---------------------------------------------------------------------------
 class TestRegistry:
     def _spec(self, name="__test__"):
-        return SchemeSpec(name, oneq_queues(), "fifo", description="test-only")
+        return SchemeSpec(name, oneq_queues, "fifo", description="test-only")
 
     def test_duplicate_rejected_unless_replace(self):
         """A study shadows a preset by assigning the entry, not by
@@ -43,7 +43,7 @@ class TestRegistry:
     def test_bad_staging_rejected(self):
         """A bad spec fails when it is built, before any registry sees it."""
         with pytest.raises(ValueError, match="staging"):
-            SchemeSpec("__bad__", oneq_queues(), "warp")
+            SchemeSpec("__bad__", oneq_queues, "warp")
 
     def test_unknown_scheme_error_lists_names(self):
         with pytest.raises(KeyError, match="RCM"):
@@ -54,14 +54,51 @@ class TestRegistry:
             "1Q", "VOQsw", "DBBM", "VOQnet", "FBICM", "ITh", "CCFIT", "RCM",
         }
 
+    #: what each registered scheme builds on Config #1: the switch-port
+    #: queue scheme and its detection flag (``VOQswScheme.detect_hot`` /
+    #: ``NfqCfqScheme.drive_congestion_state``, None where the class has
+    #: none), the IA staging mode and its stage scheme, the switches'
+    #: marker and the end nodes' injection gate.
+    COMPOSITION = {
+        "1Q": ("OneQScheme", None, "fifo", "OneQScheme", None, None),
+        "VOQsw": ("VOQswScheme", False, "fifo", "OneQScheme", None, None),
+        "DBBM": ("DbbmScheme", None, "fifo", "OneQScheme", None, None),
+        "VOQnet": ("VOQnetScheme", None, "bypass", None, None, None),
+        "FBICM": ("NfqCfqScheme", False, "isolation", "NfqCfqScheme", None, None),
+        "ITh": ("VOQswScheme", True, "fifo", "OneQScheme",
+                "CongestionStateMarking", "ThrottleState"),
+        "CCFIT": ("NfqCfqScheme", True, "isolation", "NfqCfqScheme",
+                  "CongestionStateMarking", "ThrottleState"),
+        "RCM": ("VOQswScheme", False, "fifo", "OneQScheme", "QueueDepthMarking", "RcmGate"),
+        "PFC": ("PfcQueueScheme", None, "fifo", "OneQScheme", None, None),
+        "PFC+RCM": ("PfcQueueScheme", None, "fifo", "OneQScheme",
+                    "QueueDepthMarking", "RcmGate"),
+    }
+
     def test_preset_policies(self):
-        """The spec booleans of the old architecture are now derived
-        from the composable policy objects."""
-        ith, ccfit, oneq = SCHEMES["ITh"], SCHEMES["CCFIT"], SCHEMES["1Q"]
-        assert ith.detection is DETECT_VOQ_OCCUPANCY and ith.injection_gate is not None
-        assert ccfit.detection is DETECT_ROOT_CFQ and ccfit.marking is not None
-        assert oneq.detection is DETECT_NONE
-        assert oneq.injection_gate is None and oneq.marking is None
+        """Every registered scheme builds exactly the parts pinned in
+        ``COMPOSITION``, the same on every port and every node."""
+
+        def name(obj):
+            return type(obj).__name__ if obj is not None else None
+
+        def detection(scheme):
+            for flag in ("detect_hot", "drive_congestion_state"):
+                if hasattr(scheme, flag):
+                    return getattr(scheme, flag)
+            return None
+
+        built = {}
+        for scheme in SCHEMES:
+            fab = build_fabric(CONFIG1.topo(), scheme=scheme, seed=0)
+            parts = {
+                (name(port.scheme), detection(port.scheme), node.staging_mode,
+                 name(node.stage_scheme), name(sw.marker), name(node.throttle))
+                for sw in fab.switches for port in sw.input_ports for node in fab.nodes
+            }
+            assert len(parts) == 1, (scheme, parts)
+            built[scheme] = parts.pop()
+        assert built == self.COMPOSITION
 
 
 # ---------------------------------------------------------------------------
