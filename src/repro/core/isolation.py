@@ -359,16 +359,16 @@ class NfqCfqScheme(CongestionControlScheme):
             occ = cfqs[line.cfq_index].bytes
             if not line.propagated and occ >= propagate_at and not line.orphaned:
                 line.propagated = True
-                host.send_upstream(CfqAlloc(line.dest, id(line)))
+                host.send_upstream(CfqAlloc(line.dest))
             if not line.stop_sent and occ >= stop_at:
                 if not line.propagated:
                     line.propagated = True
-                    host.send_upstream(CfqAlloc(line.dest, id(line)))
+                    host.send_upstream(CfqAlloc(line.dest))
                 line.stop_sent = True
-                host.send_upstream(CfqStop(line.dest, id(line)))
+                host.send_upstream(CfqStop(line.dest))
             elif line.stop_sent and occ <= go_at:
                 line.stop_sent = False
-                host.send_upstream(CfqGo(line.dest, id(line)))
+                host.send_upstream(CfqGo(line.dest))
             if drive and line.root:
                 if not line.hot and occ >= p.cfq_high:
                     self._arm_hot(line)
@@ -460,9 +460,9 @@ class NfqCfqScheme(CongestionControlScheme):
             self.host.root_cfq_hot_changed(line.dest, False)
         if line.stop_sent:
             line.stop_sent = False
-            self.host.send_upstream(CfqGo(line.dest, id(line)))
+            self.host.send_upstream(CfqGo(line.dest))
         if line.propagated:
-            self.host.send_upstream(CfqDealloc(line.dest, id(line)))
+            self.host.send_upstream(CfqDealloc(line.dest))
         self.cam.free(line)
 
     # ------------------------------------------------------------------

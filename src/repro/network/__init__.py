@@ -15,7 +15,6 @@ from repro.network.packet import (
     CfqGo,
     CfqStop,
     ControlMessage,
-    CreditReturn,
     Packet,
 )
 from repro.network.buffers import BufferPool, PacketQueue
@@ -37,7 +36,6 @@ __all__ = [
     "CfqDealloc",
     "CfqStop",
     "CfqGo",
-    "CreditReturn",
     "BufferPool",
     "PacketQueue",
     "Link",

@@ -47,7 +47,6 @@ class ISlip:
             raise ValueError("need at least one input and one output")
         if iterations < 1:
             raise ValueError("need at least one iteration")
-        self.num_inputs = num_inputs
         self.num_outputs = num_outputs
         self.iterations = iterations
         # LRG state: last service stamp per pair, plus a monotone

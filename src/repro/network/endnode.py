@@ -42,7 +42,6 @@ from repro.network.packet import (
     Packet,
     PfcPause,
     PfcResume,
-    free_packet,
 )
 from repro.network.queueing import CongestionControlScheme, OneQScheme
 from repro.sim.engine import Simulator
@@ -219,7 +218,6 @@ class EndNode:
             hook = self.on_fault_drop
             if hook is not None:
                 hook(self, pkt)
-            free_packet(pkt)
             return True
         q = self.advoqs[pkt.dst]
         if not q.fits(pkt.size):
@@ -415,16 +413,12 @@ class EndNode:
         pass  # sinks never hold space, so there is nothing to undo
 
     def receive_packet(self, pkt: Packet, link: Link) -> None:
-        pkt.delivered_at = self.sim.now
         self.packets_delivered += 1
         if pkt.fecn and self.uplink is not None:
             self.becns_sent += 1
             self.uplink.send_control(Becn(self.id, pkt.src, pkt.dst))
         if self.on_delivery is not None:
             self.on_delivery(pkt, self.sim.now)
-        # The sink is the end of the line; the collector keeps only
-        # scalars, so a pooled packet can be recycled immediately.
-        free_packet(pkt)
 
     def receive_control(self, msg: ControlMessage, link: Link) -> None:
         if isinstance(msg, Becn) and msg.dst == self.id:

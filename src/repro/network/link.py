@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.network.packet import ControlMessage, Packet, free_packet
+from repro.network.packet import ControlMessage, Packet
 from repro.sim.engine import Simulator
 
 __all__ = ["Link", "LinkError", "CONTROL_HOP_DELAY"]
@@ -239,7 +239,6 @@ class Link:
             if self.drop_prob > 0.0 and self.fault_rng.random() < self.drop_prob:
                 self._drop(pkt, "fault-corrupt")
                 return
-        pkt.hops += 1
         self.bytes_received += pkt.size
         self.packets_received += 1
         self.rx.receive_packet(pkt, self)
@@ -249,7 +248,7 @@ class Link:
         reconcile the credit the send consumed — cancel the downstream
         reservation and return the credit the normal delivery path
         would eventually have produced — then record the loss in the
-        expected-loss ledger and recycle the packet."""
+        expected-loss ledger."""
         self.bytes_dropped += pkt.size
         self.packets_dropped += 1
         cancel = getattr(self.rx, "cancel_reservation", None)
@@ -259,7 +258,6 @@ class Link:
         hook = self.on_drop
         if hook is not None:
             hook(self, pkt, kind)
-        free_packet(pkt)
 
     # ------------------------------------------------------------------
     # fault state machine

@@ -8,8 +8,8 @@ bits the paper builds on:
 * BECN travels as a dedicated :class:`Becn` congestion-notification
   packet (CNP) from destination back to source (§III-B).
 
-Control messages (BECN, CFQ Alloc/Dealloc/Stop/Go, credit returns) are
-modelled out-of-band: they experience link latency and a per-hop
+Control messages (BECN, CFQ Alloc/Dealloc/Stop/Go, PFC PAUSE/RESUME)
+are modelled out-of-band: they experience link latency and a per-hop
 forwarding delay but do not consume data credits.  DESIGN.md §2
 documents why this preserves the evaluated behaviour (the paper gives
 BECNs priority, so they are effectively never blocked; control volume
@@ -23,11 +23,8 @@ from typing import Optional
 
 __all__ = [
     "Packet",
-    "alloc_packet",
-    "free_packet",
     "ControlMessage",
     "Becn",
-    "CreditReturn",
     "CfqAlloc",
     "CfqDealloc",
     "CfqStop",
@@ -37,12 +34,6 @@ __all__ = [
 ]
 
 _packet_ids = itertools.count()
-
-#: free-list of recycled :class:`Packet` objects (see
-#: :func:`alloc_packet`).  Capped so an idle process does not pin the
-#: peak in-flight population forever.
-_packet_pool: list = []
-_PACKET_POOL_MAX = 8192
 
 
 class Packet:
@@ -60,82 +51,27 @@ class Packet:
         Label of the generating flow, for per-flow bandwidth metrics.
     fecn:
         Forward Explicit Congestion Notification bit.
+    pid:
+        Monotone creation id; in-order delivery checks compare it.
+    injected_at:
+        When the source put the packet on its link (the collector's
+        latency start).
     """
 
-    __slots__ = (
-        "pid",
-        "src",
-        "dst",
-        "size",
-        "flow",
-        "fecn",
-        "created_at",
-        "injected_at",
-        "delivered_at",
-        "hops",
-        "_pooled",
-    )
+    __slots__ = ("pid", "src", "dst", "size", "flow", "fecn", "injected_at")
 
-    def __init__(
-        self,
-        src: int,
-        dst: int,
-        size: int,
-        flow: str,
-        created_at: float = 0.0,
-    ) -> None:
+    def __init__(self, src: int, dst: int, size: int, flow: str) -> None:
         self.pid = next(_packet_ids)
         self.src = src
         self.dst = dst
         self.size = size
         self.flow = flow
         self.fecn = False
-        self.created_at = created_at
         self.injected_at: Optional[float] = None
-        self.delivered_at: Optional[float] = None
-        self.hops = 0
-        #: True only for packets obtained through :func:`alloc_packet`;
-        #: directly-constructed packets (tests, ad hoc callers) are
-        #: never recycled, so references held across a simulation stay
-        #: valid.
-        self._pooled = False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         mark = " FECN" if self.fecn else ""
         return f"<Pkt#{self.pid} {self.flow} {self.src}->{self.dst} {self.size}B{mark}>"
-
-
-def alloc_packet(src: int, dst: int, size: int, flow: str, created_at: float = 0.0) -> Packet:
-    """Pooled :class:`Packet` constructor — the traffic generators' hot
-    path.  Recycled packets get a **fresh** ``pid`` (the per-allocation
-    monotone id the in-order delivery checks rely on) and fully reset
-    state, so a pooled packet is indistinguishable from a new one."""
-    pool = _packet_pool
-    if pool:
-        p = pool.pop()
-        p.pid = next(_packet_ids)
-        p.src = src
-        p.dst = dst
-        p.size = size
-        p.flow = flow
-        p.fecn = False
-        p.created_at = created_at
-        p.injected_at = None
-        p.delivered_at = None
-        p.hops = 0
-        return p
-    p = Packet(src, dst, size, flow, created_at)
-    p._pooled = True
-    return p
-
-
-def free_packet(pkt: Packet) -> None:
-    """Return a packet to the free-list once it has left the simulated
-    network (delivered and accounted, or rejected at admission).  Only
-    packets born from :func:`alloc_packet` are recycled; the call is a
-    no-op for directly-constructed packets."""
-    if pkt._pooled and len(_packet_pool) < _PACKET_POOL_MAX:
-        _packet_pool.append(pkt)
 
 
 class ControlMessage:
@@ -163,15 +99,6 @@ class Becn(ControlMessage):
         return f"<BECN {self.src}->{self.dst} throttle dest {self.congested_destination}>"
 
 
-class CreditReturn(ControlMessage):
-    """Link-level flow-control credit: ``nbytes`` freed downstream."""
-
-    __slots__ = ("nbytes",)
-
-    def __init__(self, nbytes: int) -> None:
-        self.nbytes = nbytes
-
-
 class CfqAlloc(ControlMessage):
     """Congestion-tree propagation: 'allocate a CFQ for ``destination``'.
 
@@ -180,41 +107,37 @@ class CfqAlloc(ControlMessage):
     (§III-C, Event #4/#5 neighbourhood; same scheme as FBICM).
     """
 
-    __slots__ = ("destination", "tree_id")
+    __slots__ = ("destination",)
 
-    def __init__(self, destination: int, tree_id: int) -> None:
+    def __init__(self, destination: int) -> None:
         self.destination = destination
-        self.tree_id = tree_id
 
 
 class CfqDealloc(ControlMessage):
     """Congestion-tree teardown notification for ``destination``."""
 
-    __slots__ = ("destination", "tree_id")
+    __slots__ = ("destination",)
 
-    def __init__(self, destination: int, tree_id: int) -> None:
+    def __init__(self, destination: int) -> None:
         self.destination = destination
-        self.tree_id = tree_id
 
 
 class CfqStop(ControlMessage):
     """Stop/Go flow control: downstream CFQ filled past its Stop mark."""
 
-    __slots__ = ("destination", "tree_id")
+    __slots__ = ("destination",)
 
-    def __init__(self, destination: int, tree_id: int) -> None:
+    def __init__(self, destination: int) -> None:
         self.destination = destination
-        self.tree_id = tree_id
 
 
 class CfqGo(ControlMessage):
     """Stop/Go flow control: downstream CFQ drained below its Go mark."""
 
-    __slots__ = ("destination", "tree_id")
+    __slots__ = ("destination",)
 
-    def __init__(self, destination: int, tree_id: int) -> None:
+    def __init__(self, destination: int) -> None:
         self.destination = destination
-        self.tree_id = tree_id
 
 
 class PfcPause(ControlMessage):

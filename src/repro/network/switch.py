@@ -78,7 +78,6 @@ class InputPort:
         #: lets one port stream to two outputs concurrently (Table I).
         self.active_rate = 0.0
         self.rr_counter = 0
-        self.packets_received = 0
 
     @property
     def busy(self) -> bool:
@@ -147,7 +146,6 @@ class InputPort:
         self.pool.release(pkt.size)
 
     def receive_packet(self, pkt: Packet, link: Link) -> None:
-        self.packets_received += 1
         self.scheme.on_arrival(pkt)
 
     def receive_control(self, msg: ControlMessage, link: Link) -> None:
@@ -177,7 +175,6 @@ class OutputPort:
         #: this output; the rate is what the read added to the input
         #: port's ``active_rate`` and gives back on completion.
         self.current: Optional[Tuple[InputPort, Packet, float]] = None
-        self.entered_congestion_state = 0
 
     # -- congestion state ---------------------------------------------------
     @property
@@ -186,8 +183,6 @@ class OutputPort:
 
     def set_hot(self, source_key: object, hot: bool) -> None:
         if hot:
-            if not self.hot_sources:
-                self.entered_congestion_state += 1
             self.hot_sources.add(source_key)
         else:
             self.hot_sources.discard(source_key)

@@ -125,27 +125,6 @@ class Topology:
         self._candidate_index = None
 
     # ------------------------------------------------------------------
-    # fault notifications (docs/faults.md)
-    # ------------------------------------------------------------------
-    def on_link_down(self, link_name: str) -> None:
-        """A fabric built from this description lost ``link_name``.
-
-        The description itself is pure data, so this only records the
-        outage (``meta["links_down"]``) for diagnostics; the live
-        consequences (routing recomputation, candidate exclusion) are
-        handled by :class:`repro.sim.faults.FaultInjector` on the
-        running fabric."""
-        down = self.meta.setdefault("links_down", [])
-        if link_name not in down:
-            down.append(link_name)
-
-    def on_link_up(self, link_name: str) -> None:
-        """``link_name`` came back; drop it from the outage record."""
-        down = self.meta.get("links_down")
-        if down and link_name in down:
-            down.remove(link_name)
-
-    # ------------------------------------------------------------------
     # minimal-path output candidates (adaptive routing)
     # ------------------------------------------------------------------
     def candidates(self, switch_id: int, dst: int) -> Tuple[int, ...]:

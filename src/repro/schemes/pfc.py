@@ -69,7 +69,6 @@ class PfcQueueScheme(CongestionControlScheme):
         #: ``out_port`` is None at an IA stage (an end node has one
         #: uplink, so its pauses are port-wide).
         self._paused: Set[Tuple[object, int]] = set()
-        self.pauses_honoured = 0
 
     # -- data path -------------------------------------------------------
     def on_arrival(self, pkt: Packet) -> None:
@@ -96,7 +95,6 @@ class PfcQueueScheme(CongestionControlScheme):
             key = (msg.out_port, msg.priority)
             if key not in self._paused:
                 self._paused.add(key)
-                self.pauses_honoured += 1
                 self.invalidate_heads()
         elif isinstance(msg, PfcResume):
             key = (msg.out_port, msg.priority)

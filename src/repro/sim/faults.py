@@ -446,9 +446,6 @@ class FaultInjector:
         sw = getattr(tx, "switch", None)
         if sw is not None:  # tx is a switch OutputPort
             sw.policy.on_link_down(tx.index)
-        hook = getattr(self.fabric.topo, "on_link_down", None)
-        if hook is not None:
-            hook(name)
         kind = "link-kill" if permanent else "link-down"
         self._log_action("kill" if permanent else "down", name)
         self._record(kind, name)
@@ -464,9 +461,6 @@ class FaultInjector:
         sw = getattr(tx, "switch", None)
         if sw is not None:
             sw.policy.on_link_up(tx.index)
-        hook = getattr(self.fabric.topo, "on_link_up", None)
-        if hook is not None:
-            hook(name)
         self._log_action("up", name)
         self._record("link-up", name)
         self._topology_changed()
@@ -670,13 +664,14 @@ class FaultInjector:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe fault state: rides on CaseResults, the telemetry
-        bundle and the watchdog dump."""
+        bundle and the watchdog dump.  Like the cache key, it leaves out
+        the plan's cosmetic name, so equal plans give equal bytes."""
         doomed = {
             str(n.id): sorted(n.fault_doomed)
             for n in self.fabric.nodes
             if getattr(n, "fault_doomed", None)
         }
-        snap: Dict[str, Any] = {
+        return {
             "plan": self.plan.to_dict(),
             "applied": list(self.log),
             "links_down": sorted(self.down),
@@ -687,6 +682,3 @@ class FaultInjector:
             "source_drops": self.source_drops(),
             "doomed": doomed,
         }
-        if self.plan.name:
-            snap["name"] = self.plan.name
-        return snap

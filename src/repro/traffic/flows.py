@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 from repro.network.endnode import EndNode
 from repro.network.fabric import Fabric
-from repro.network.packet import alloc_packet, free_packet
+from repro.network.packet import Packet
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:
@@ -83,12 +83,10 @@ class FlowGenerator:
         now = self.sim.now
         if spec.end is not None and now >= spec.end:
             return
-        pkt = alloc_packet(spec.src, spec.dst, spec.packet_size, spec.name, created_at=now)
-        if self.node.offer(pkt):
+        if self.node.offer(Packet(spec.src, spec.dst, spec.packet_size, spec.name)):
             self.offered += 1
         else:
             self.rejected += 1
-            free_packet(pkt)
         self.sim.post(now + spec.interval, self._tick)
 
 
@@ -137,12 +135,10 @@ class UniformGenerator:
         if self.end is not None and now >= self.end:
             return
         dst = self.dests[int(self.rng.integers(len(self.dests)))]
-        pkt = alloc_packet(self.node.id, dst, self.packet_size, self.name, created_at=now)
-        if self.node.offer(pkt):
+        if self.node.offer(Packet(self.node.id, dst, self.packet_size, self.name)):
             self.offered += 1
         else:
             self.rejected += 1
-            free_packet(pkt)
         self.sim.post(now + self.interval, self._tick)
 
 

@@ -75,3 +75,27 @@ def test_ci_workflow_names_things_that_exist():
             name = name.split(" as ")[0].strip()
             if name:
                 assert hasattr(importlib.import_module(module), name), f"from {module} import {name}"
+
+
+def test_per_packet_state_has_a_reader():
+    """Every ``__slots__`` entry of ``Packet`` and of each control
+    message is read (a ``Load`` of the attribute) somewhere in ``src/``
+    or ``tests/`` outside ``network/packet.py``: state carried per
+    packet or per message that nothing reads is deleted, not kept.  An
+    ``x.field += 1`` is a write, not a read."""
+    import ast
+
+    from repro.network import packet
+
+    root = EXAMPLES.parent
+    home = root / "src" / "repro" / "network" / "packet.py"
+    read = set()
+    for path in [*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]:
+        if path != home:
+            read.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    classes = [packet.Packet, *(c for c in vars(packet).values()
+                                if isinstance(c, type) and issubclass(c, packet.ControlMessage))]
+    unread = [f"{c.__name__}.{slot}" for c in classes for slot in c.__slots__ if slot not in read]
+    assert len(classes) > 5
+    assert unread == []

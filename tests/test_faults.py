@@ -132,6 +132,13 @@ class TestInjectorTargets:
         # down/drain hits the switch's incoming links only
         assert set(snap["links_down"]) == {"n0->s0p0", "n1->s0p1", "s2p0->s0p2", "s3p0->s0p3"}
 
+    def test_faulted_run_leaves_its_topology_as_built(self):
+        topo = k_ary_n_tree(4, 3)
+        fabric = build_fabric(topo, faults=FaultPlan.parse("kill:s0p4->s16p0@10us"))
+        fabric.run(until=20_000)
+        assert fabric.faults.snapshot()["killed"] == ["s0p4->s16p0"]
+        assert topo.meta == {"k": 4, "n": 3}
+
     def test_double_arm_rejected(self):
         fabric = tiny_fabric(faults=FaultPlan.parse("down:%s@10us" % UPLINK))
         with pytest.raises(RuntimeError):
@@ -226,6 +233,14 @@ class TestDeterminism:
                 == SimJob("case1", "CCFIT", faults=same_content).key())
         assert (SimJob("case1", "CCFIT", faults=plan).key()
                 != SimJob("case1", "CCFIT", faults=other).key())
+
+    def test_named_plan_shares_key_and_result_bytes_with_its_unnamed_twin(self):
+        flap = "down:s0p4->s16p0@1.2ms;up:s0p4->s16p0@1.5ms"
+        named = SimJob("case4", "CCFIT", faults=FaultPlan.parse(flap, name="flap"), time_scale=0.01)
+        unnamed = SimJob("case4", "CCFIT", faults=FaultPlan.parse(flap), time_scale=0.01)
+        assert named.key() == unnamed.key()
+        assert named.label() != unnamed.label()
+        assert named.run().to_dict() == unnamed.run().to_dict()
 
     def test_label_carries_plan(self):
         plan = FaultPlan.parse("kill:x@1ms", name="kill")

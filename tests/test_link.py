@@ -63,7 +63,6 @@ def test_serialization_and_delivery_times():
     (delivered, at), = rx.delivered
     assert delivered is pkt
     assert at == pytest.approx(819.2 + 20.0)
-    assert delivered.hops == 1
 
 
 def test_send_while_busy_raises():
@@ -115,7 +114,7 @@ def test_forward_control_channel():
 
 def test_reverse_control_channel():
     sim, link, tx, rx = make_link(delay=20.0)
-    msg = CfqStop(destination=4, tree_id=0)
+    msg = CfqStop(destination=4)
     link.send_reverse_control(msg)
     sim.run()
     (got, at), = tx.reverse

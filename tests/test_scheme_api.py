@@ -109,7 +109,7 @@ class TestBaseHooks:
         """A scheme without CAM machinery inherits safe no-op hooks."""
         fab = build_fabric(config1_adhoc(), scheme="1Q", seed=0)
         scheme = fab.switches[0].input_ports[0].scheme
-        scheme.on_control_message(CfqStop(destination=4, tree_id=0))  # no-op
+        scheme.on_control_message(CfqStop(destination=4))  # no-op
         assert scheme.holds_destination(4) is False
         assert scheme.allocated_cfqs() == 0
         assert scheme.cam_alloc_failures() == 0

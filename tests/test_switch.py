@@ -4,7 +4,7 @@ concurrency, FECN marking, BECN forwarding."""
 import pytest
 
 from repro.network.fabric import build_fabric
-from repro.network.packet import Becn, alloc_packet
+from repro.network.packet import Becn, Packet
 from repro.network.topology import SwitchSpec, Topology, config1_adhoc, k_ary_n_tree
 from repro.traffic.flows import FlowSpec, attach_traffic
 
@@ -66,7 +66,7 @@ def test_link_degrade_refreshes_the_slowest_link_prefilter():
     assert sw.quantum == 1.0
     port = sw.input_ports[0]
     for dst in (1, 2):  # two heads in two VOQs of the same input port
-        pkt = alloc_packet(0, dst, 2048, f"to{dst}", created_at=0.0)
+        pkt = Packet(0, dst, 2048, f"to{dst}")
         port.reserve(pkt)
         port.receive_packet(pkt, port.link_in)
     sim.run(until=100.0)
