@@ -123,16 +123,19 @@ def _text(side: Side, value: float) -> str:
 
 def render_claims(rows: Iterable[Tuple[Claim, Mapping[str, CaseResult]]]) -> str:
     """A markdown table of ``(claim, results)`` at one seed: both
-    measured sides, the margin and the verdict, marked where it is not
-    the one expected at paper scale."""
-    lines = ["| claim | paper | a | > margin × | b | verdict |", "|---|---|---|---|---|---|"]
+    measured sides, the margin, the slack ``a / (margin × b)`` (above 1
+    where the claim holds; "-" where ``b`` is 0) and the verdict, marked
+    where it is not the one expected at paper scale."""
+    lines = ["| claim | paper | a | > margin × | b | slack | verdict |",
+             "|---|---|---|---|---|---|---|"]
     for claim, results in rows:
         a, b = claim.sides(results)
         ok = claim_holds([a], [b], claim.margin)
         verdict = ("holds" if ok else "fails") + ("" if ok == claim.expect else " (UNEXPECTED)")
         given = "".join(f", {k}={v:g}" for k, v in claim.params)
+        slack = f"{a / (claim.margin * b):.3f}" if b else "-"
         lines.append(f"| `{claim.id}`{given} | {claim.paper} | {_text(claim.a, a)} "
-                     f"| {claim.margin:g} × | {_text(claim.b, b)} | {verdict} |")
+                     f"| {claim.margin:g} × | {_text(claim.b, b)} | {slack} | {verdict} |")
     return "\n".join(lines)
 
 

@@ -61,7 +61,8 @@ def scheme_cost(
 
     fabric = build_fabric(topo, scheme, params, validate=False)
     ports = [port.scheme for sw in fabric.switches for port in sw.input_ports]
-    queues = max(len(q.queues()) for q in ports)
+    # a VOQnet port models a queue per destination, built only while it holds packets
+    queues = max(getattr(q, "num_destinations", len(q.queues())) for q in ports)
     # only the isolation schemes keep a CAM; an output port's CAM mirrors
     # the CFQs of the input port downstream of it, so it is as deep
     cam = max(q.cam.num_lines if isinstance(q, NfqCfqScheme) else 0 for q in ports)

@@ -9,8 +9,8 @@ One :class:`EndNode` owns both directions of a node's connection:
   packet's source through the switches' prioritised control plane;
 * **Input Adapter (IA)** side (transmitter of the uplink), per Fig. 2:
 
-  - one **AdVOQ** per destination absorbs generated traffic without
-    injection HoL blocking;
+  - one **AdVOQ** per destination (alive while it holds packets)
+    absorbs generated traffic without injection HoL blocking;
   - an **output stage** models the IA's output buffer.  Its layout
     follows the evaluated scheme: FBICM/CCFIT get the full
     NFQ+CFQs+CAM organisation participating in the congestion-tree
@@ -24,7 +24,7 @@ One :class:`EndNode` owns both directions of a node's connection:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.core.cam import OutputCamLine
 from repro.core.isolation import NfqCfqScheme
@@ -43,7 +43,7 @@ from repro.network.packet import (
     PfcPause,
     PfcResume,
 )
-from repro.network.queueing import CongestionControlScheme, OneQScheme
+from repro.network.queueing import CongestionControlScheme, OneQScheme, audit_by_destination
 from repro.sim.engine import Simulator
 
 __all__ = ["EndNode", "IaStage"]
@@ -106,7 +106,7 @@ class EndNode:
     Parameters
     ----------
     sim, node_id, num_nodes:
-        Engine, this node's id, and the network size (AdVOQ count).
+        Engine, this node's id, and the network size.
     params:
         CC parameters.
     staging:
@@ -143,14 +143,10 @@ class EndNode:
         self.uplink: Optional[Link] = None
         self.downlink: Optional[Link] = None
 
-        cap_bytes = params.advoq_cap_packets * params.mtu
-        self.advoqs: List[PacketQueue] = [
-            PacketQueue(f"node{node_id}.advoq{d}", max_bytes=cap_bytes)
-            for d in range(num_nodes)
-        ]
-        #: destinations with a non-empty AdVOQ (the pump and bypass
-        #: arbiters iterate this instead of all ``num_nodes`` queues).
-        self._active_dests: set = set()
+        self._advoq_cap = params.advoq_cap_packets * params.mtu
+        #: the non-empty AdVOQs by destination: an offer that finds none
+        #: makes one, and the arbiter that empties one drops it.
+        self.advoqs: Dict[int, PacketQueue] = {}
 
         self.stage: Optional[IaStage] = None
         self.stage_scheme: Optional[CongestionControlScheme] = None
@@ -219,12 +215,12 @@ class EndNode:
             if hook is not None:
                 hook(self, pkt)
             return True
-        q = self.advoqs[pkt.dst]
+        q = self.advoqs.get(pkt.dst) or PacketQueue(f"node{self.id}.advoq{pkt.dst}", self._advoq_cap)
         if not q.fits(pkt.size):
             self.offers_rejected += 1
             return False
         q.push(pkt)
-        self._active_dests.add(pkt.dst)
+        self.advoqs[pkt.dst] = q
         self.packets_generated += 1
         if self.staging_mode == "bypass":
             self.kick_injection()
@@ -234,7 +230,7 @@ class EndNode:
 
     def advoq_backlog(self) -> int:
         """Total bytes waiting in AdVOQs (generation backlog)."""
-        return sum(q.bytes for q in self.advoqs)
+        return sum(q.bytes for q in self.advoqs.values())
 
     # ------------------------------------------------------------------
     # AdVOQ -> output stage mover (Event #8), gated by the IRD
@@ -254,16 +250,11 @@ class EndNode:
         progressed = True
         while progressed:
             progressed = False
-            if not self._active_dests:
-                break
             # RR over the non-empty AdVOQs, starting at the pointer.
             ptr = self._pump_ptr
-            order = sorted(self._active_dests, key=lambda d: (d < ptr, d))
-            for dest in order:
+            for dest in sorted(self.advoqs, key=lambda d: (d < ptr, d)):
                 q = self.advoqs[dest]
                 pkt = q.head()
-                if pkt is None:
-                    continue
                 if self.throttle is not None:
                     allowed = self.throttle.next_allowed(dest)
                     if now < allowed:
@@ -284,7 +275,7 @@ class EndNode:
                     return
                 q.pop()
                 if q.empty:
-                    self._active_dests.discard(dest)
+                    del self.advoqs[dest]
                 self.stage.pool.reserve(pkt.size)
                 if self.throttle is not None:
                     self.throttle.record_injection(dest, now, pkt.size)
@@ -345,16 +336,16 @@ class EndNode:
     def _inject_bypass(self, link: Link) -> None:
         ptr = self._inject_ptr
         paused = self.paused_priorities
-        for dest in sorted(self._active_dests, key=lambda d: (d < ptr, d)):
+        for dest in sorted(self.advoqs, key=lambda d: (d < ptr, d)):
             if paused and (dest % self._nprios) in paused:
                 continue
             q = self.advoqs[dest]
             pkt = q.head()
-            if pkt is None or not link.can_send(pkt):
+            if not link.can_send(pkt):
                 continue
             q.pop()
             if q.empty:
-                self._active_dests.discard(dest)
+                del self.advoqs[dest]
             pkt.injected_at = self.sim.now
             self.packets_injected += 1
             link.send(pkt)
@@ -428,6 +419,10 @@ class EndNode:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
+    def audit(self) -> None:
+        """Invariant-guard hook over the live AdVOQs."""
+        audit_by_destination(self.advoqs)
+
     def snapshot(self) -> Dict[str, object]:
         """JSON-safe state dump for watchdog diagnostics: AdVOQ backlog,
         stage occupancy, and the throttle table."""
@@ -438,8 +433,7 @@ class EndNode:
             "delivered": self.packets_delivered,
             "advoq_backlog": {
                 str(d): {"packets": len(q), "bytes": q.bytes}
-                for d, q in enumerate(self.advoqs)
-                if len(q)
+                for d, q in sorted(self.advoqs.items())
             },
             "stage_inflight": self._stage_inflight,
         }

@@ -27,7 +27,7 @@ implements.
 
 from __future__ import annotations
 
-from typing import Dict, List, Protocol, Tuple
+from typing import Dict, List, Mapping, Protocol, Tuple
 
 from repro.core.params import CCParams
 from repro.network.buffers import BufferPool, PacketQueue
@@ -39,7 +39,21 @@ __all__ = [
     "OneQScheme",
     "VOQswScheme",
     "VOQnetScheme",
+    "audit_by_destination",
 ]
+
+
+def audit_by_destination(queues: Mapping[int, PacketQueue]) -> None:
+    """Audit a live per-destination map (AdVOQs, VOQnet queues): raise
+    :class:`BufferError` for an empty entry, a packet filed under a
+    destination it does not have, or a drifted counter."""
+    for dest, q in queues.items():
+        if q.empty:
+            raise BufferError(f"queue {q.name} is empty but still live")
+        stray = next((p.dst for p in q if p.dst != dest), None)
+        if stray is not None:
+            raise BufferError(f"queue {q.name} for destination {dest} holds a packet for {stray}")
+        q.audit()
 
 
 class PortHost(Protocol):
@@ -147,10 +161,10 @@ class CongestionControlScheme:
         return self._queues
 
     def total_packets(self) -> int:
-        return sum(len(q) for q in self._queues)
+        return sum(len(q) for q in self.queues())
 
     def total_bytes(self) -> int:
-        return sum(q.bytes for q in self._queues)
+        return sum(q.bytes for q in self.queues())
 
     def allocated_cfqs(self) -> int:
         """Congested-flow queues currently allocated (0 for schemes
@@ -322,36 +336,50 @@ class VOQnetScheme(CongestionControlScheme):
                 f"{host.name}: pool {host.pool.capacity}B cannot back "
                 f"{num_destinations} VOQnet queues of {per_queue}B"
             )
+        self.num_destinations = num_destinations  # the queues the port models
         self.per_queue = per_queue
-        self.voqs = [
-            PacketQueue(f"{host.name}.d{d}", max_bytes=per_queue)
-            for d in range(num_destinations)
-        ]
-        self._queues = list(self.voqs)
-        self._pending = [0] * num_destinations
+        #: the non-empty queues and non-zero in-flight bytes, by destination
+        self.voqs: Dict[int, PacketQueue] = {}
+        self._pending: Dict[int, int] = {}
 
     def can_accept_extra(self, pkt: Packet) -> bool:
-        q = self.voqs[pkt.dst]
-        return q.bytes + self._pending[pkt.dst] + pkt.size <= self.per_queue
+        q = self.voqs.get(pkt.dst)
+        return self._pending.get(pkt.dst, 0) + (q.bytes if q else 0) + pkt.size <= self.per_queue
 
     def reserve_extra(self, pkt: Packet) -> None:
-        self._pending[pkt.dst] += pkt.size
+        self._pending[pkt.dst] = self._pending.get(pkt.dst, 0) + pkt.size
 
     def cancel_extra(self, pkt: Packet) -> None:
-        self._pending[pkt.dst] -= pkt.size
-        assert self._pending[pkt.dst] >= 0, "VOQnet pending accounting broken"
+        left = self._pending.pop(pkt.dst, 0) - pkt.size
+        if left < 0:
+            raise BufferError(f"{self.host.name}: VOQnet pending bytes for {pkt.dst} below zero")
+        if left:
+            self._pending[pkt.dst] = left
 
     def on_arrival(self, pkt: Packet) -> None:
-        self._pending[pkt.dst] -= pkt.size
-        assert self._pending[pkt.dst] >= 0, "VOQnet pending accounting broken"
-        self.voqs[pkt.dst].push(pkt)
+        self.cancel_extra(pkt)  # the reservation becomes queued bytes
+        q = self.voqs.get(pkt.dst) or PacketQueue(f"{self.host.name}.d{pkt.dst}", max_bytes=self.per_queue)
+        q.push(pkt)
+        self.voqs[pkt.dst] = q
         self.invalidate_heads()
         self.host.kick()
 
+    def after_dequeue(self, queue: PacketQueue) -> None:
+        if queue.empty:
+            del self.voqs[next(d for d, q in self.voqs.items() if q is queue)]
+        self.invalidate_heads()
+
     def _build_heads(self) -> List[Tuple[PacketQueue, int, Packet]]:
+        # ascending destination order: the matcher round-robins among
+        # the heads that request one output in this order
         out = []
-        for q in self.voqs:
+        for q in self.queues():
             head = q.head()
-            if head is not None:
-                out.append((q, self.host.route(head), head))
+            out.append((q, self.host.route(head), head))
         return out
+
+    def queues(self) -> List[PacketQueue]:
+        return [self.voqs[d] for d in sorted(self.voqs)]
+
+    def audit(self) -> None:
+        audit_by_destination(self.voqs)

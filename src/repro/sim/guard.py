@@ -276,12 +276,10 @@ class FabricGuard:
         """IA stage accounting and throttle-table sanity per end node."""
         for node in self.fabric.nodes:
             where = f"node{node.id}"
-            for q in node.advoqs:
-                if len(q):
-                    try:
-                        q.audit()
-                    except Exception as exc:
-                        out.append(f"{where}: {exc}")
+            try:
+                node.audit()
+            except Exception as exc:
+                out.append(f"{where}: {exc}")
             if node.stage is not None:
                 try:
                     for q in node.stage_scheme.queues():
@@ -324,7 +322,7 @@ class FabricGuard:
             )
         queued = 0
         for node in f.nodes:
-            queued += sum(len(q) for q in node.advoqs)
+            queued += sum(len(q) for q in node.advoqs.values())
             if node.stage_scheme is not None:
                 queued += node.stage_scheme.total_packets()
         for sw in f.switches:

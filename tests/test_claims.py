@@ -40,6 +40,16 @@ def test_claim_holds_length_mismatch():
         claim_holds([1], [1, 2])
 
 
+def test_render_claims_reports_slack():
+    """The slack column is ``a / (margin × b)``, and "-" where b is 0."""
+    row = claims.Claim("fig7a.x", "p", 3.0, ("1Q", claims.Metric("tail GB/s", float)), 1.5)
+    table = claims.render_claims([(row, {"1Q": 1.0})])
+    zero = claims.render_claims([(row, {"1Q": 0.0})])
+    assert table.splitlines()[0].endswith("| b | slack | verdict |")
+    assert table.splitlines()[2].endswith("| 2.000 | holds |")
+    assert zero.splitlines()[2].endswith("| - | holds |")
+
+
 def test_every_row_names_what_exists():
     """Ids are unique, and each row reads schemes its experiment runs,
     with parameters ``CCParams`` takes; a slice row is one of the

@@ -7,11 +7,13 @@ and a frozen network raises a structured StallError instead of hanging.
 """
 
 import json
+import re
 
 import pytest
 
 from repro import build_fabric, k_ary_n_tree
 from repro.experiments.runner import PAPER_SCHEMES, run_case
+from repro.network.buffers import PacketQueue
 from repro.network.packet import Packet
 from repro.sim.guard import (
     ENV_VALIDATE,
@@ -157,6 +159,25 @@ class TestTamperDetection:
         with pytest.raises(InvariantViolation):
             fabric.guard.check_all()
 
+    @pytest.mark.parametrize("site", ["advoq", "voqnet"])
+    @pytest.mark.parametrize("dsts, problem", [
+        ((), "is empty but still live"),
+        ((2,), "for destination 1 holds a packet for 2"),
+    ])
+    def test_live_queue_map_holds_packets_for_its_key_only(self, site, dsts, problem):
+        if site == "advoq":
+            fabric = tiny_fabric()
+            live, name = fabric.nodes[0].advoqs, "node0.advoq1"
+        else:
+            fabric = tiny_fabric("VOQnet")
+            port = fabric.switches[0].input_ports[0]
+            live, name = port.scheme.voqs, f"{port.name}.d1"
+        live[1] = PacketQueue(name)
+        for d in dsts:
+            live[1].push(Packet(src=0, dst=d, size=2048, flow="F0"))
+        with pytest.raises(InvariantViolation, match=re.escape(f"queue {name} {problem}")):
+            fabric.guard.check_all()
+
     def test_violations_are_collected_not_first_only(self):
         fabric = tiny_fabric()
         fabric.nodes[0].packets_generated += 1
@@ -174,6 +195,7 @@ def strand_packet(fabric):
     """Plant a queued packet with no event to ever move it (a synthetic
     dead network that still satisfies every conservation identity)."""
     node = fabric.nodes[0]
+    node.advoqs[1] = PacketQueue("node0.advoq1")
     node.advoqs[1].push(Packet(src=0, dst=1, size=2048, flow="F0"))
     node.packets_generated += 1
 

@@ -106,7 +106,26 @@ class TestVOQnet:
     def test_per_destination_queues(self):
         host = FakeHost(num_outputs=4, memory=256 * 1024)
         s = VOQnetScheme(host, num_destinations=8)
-        assert len(s.voqs) == 8
+        assert s.queues() == []  # no queue before traffic
+        for d in (5, 1, 5, 6):
+            p = pkt(dst=d)
+            s.reserve_extra(p)
+            s.on_arrival(p)
+        assert sorted(s.voqs) == [1, 5, 6]  # one queue per destination in use
+        assert [q.name for q in s.queues()] == ["fake.d1", "fake.d5", "fake.d6"]
+        while s.eligible_heads():
+            q = s.eligible_heads()[0][0]
+            q.pop()
+            s.after_dequeue(q)
+        assert s.voqs == {} and s._pending == {}  # none once drained
+
+    def test_negative_pending_is_a_buffer_error(self):
+        host = FakeHost(num_outputs=4, memory=256 * 1024)
+        s = VOQnetScheme(host, num_destinations=8)
+        with pytest.raises(BufferError, match="below zero"):
+            s.cancel_extra(pkt(dst=3))
+        with pytest.raises(BufferError, match="below zero"):
+            s.on_arrival(pkt(dst=3))  # no reservation was made
 
     def test_admission_is_per_destination(self):
         host = FakeHost(num_outputs=4, memory=32 * 1024)
