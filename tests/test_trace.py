@@ -1,13 +1,20 @@
 """Protocol-trace tests (and, through them, protocol-dynamics checks)."""
 
+import hashlib
+import json
 import warnings
 
 import pytest
 
+from repro.experiments.runner import run_case
 from repro.metrics.trace import ProtocolTrace, TraceEvent
 from repro.network.fabric import build_fabric
 from repro.network.topology import config1_adhoc
+from repro.telemetry import TelemetryConfig
 from repro.traffic.flows import FlowSpec, attach_traffic
+
+#: the end-to-end benchmark's link flap (benchmarks/e2e/workloads.py)
+FLAP = "down:s0p4->s16p0@1.2ms;up:s0p4->s16p0@1.5ms"
 
 
 def hot_fabric(scheme="CCFIT"):
@@ -146,3 +153,35 @@ def test_event_str_is_readable():
     e = TraceEvent(time=12_345.0, kind="detect", where="sw1.in4", dest=4, detail="cfq0")
     s = str(e)
     assert "detect" in s and "sw1.in4" in s and "dest=4" in s
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("scheme,count,digest", [
+    ("CCFIT", 1032, "49136a5f9fe0982bd0d65f72fe3b0339fe4cacee1adad253c2e80d2ed8e32967"),
+    ("FBICM", 624, "f11d5892bd8bed61221c313789c3443584c1f6df1942cd332ca9cb3c93a09aaf"),
+])
+def test_event_stream_is_pinned(scheme, count, digest):
+    """The full event stream of a hot-spot run, row by row: how the
+    trace hooks into the protocol may change, what it records may not."""
+    fab, trace = hot_fabric(scheme)
+    fab.run(until=3_000_000.0)
+    rows = [[e.time, e.kind, e.where, e.dest, e.detail] for e in trace.events]
+    assert len(rows) == count
+    assert _sha256(rows) == digest
+
+
+def test_faulted_telemetry_bundle_is_pinned():
+    """A Config #3 cell whose link flap interleaves fault events
+    (link-down, reroute, link-up) with detections, CAM misses and
+    Stop/Go: the telemetry bundle built from its trace, byte for byte."""
+    result = run_case(
+        "case4", scheme="CCFIT", num_trees=1, routing="adaptive", faults=FLAP,
+        time_scale=0.01, seed=3, telemetry=TelemetryConfig(interval=5_000.0),
+    )
+    bundle = result.telemetry
+    assert bundle["events"]["counts"]["link-down"] == 1
+    assert bundle["events"]["counts"]["cam-full"] > 0
+    assert _sha256(bundle) == "b5dd9c6a2fca352a36ae099b3f10744e0ffb8e34dac1ebdb79c4e7d49e9e438d"
