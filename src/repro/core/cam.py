@@ -16,7 +16,7 @@ destination.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 __all__ = ["CamLine", "InputCam", "OutputCamLine", "OutputCam", "CamError"]
 
@@ -100,8 +100,14 @@ class CamLine:
 class InputCam:
     """Fixed-capacity CAM of an input port: one line per CFQ."""
 
-    def __init__(self, num_lines: int) -> None:
+    def __init__(self, num_lines: int, name: str = "") -> None:
         self.num_lines = num_lines
+        #: the owning port's name: where traced events happen.
+        self.name = name
+        #: ``recorder(kind, where, dest=None, detail="")``, set by
+        #: :meth:`repro.metrics.trace.ProtocolTrace.attach`; None when
+        #: untraced.
+        self.recorder: Optional[Callable[..., None]] = None
         self._lines: List[Optional[CamLine]] = [None] * num_lines
         #: the allocated lines in CFQ order.  Replaced, never mutated,
         #: by :meth:`allocate`/:meth:`free`: the isolation state machine
@@ -144,17 +150,27 @@ class InputCam:
                 self._live = [ln for ln in self._lines if ln is not None]
                 self._by_dest[dest] = line
                 self.allocations += 1
+                if self.recorder is not None:
+                    self.recorder("detect" if root else "adopt", self.name, dest,
+                                  f"cfq{idx}")
                 return line
         self.alloc_failures += 1
+        if self.recorder is not None:
+            self.recorder("cam-full", self.name, dest)
         return None
 
     def note_full(self) -> None:
         """Record an allocation that was never attempted because every
-        line is known busy (the detection fast path).  Kept as a method
-        so tracing sees these the same as :meth:`allocate` misses."""
+        line is known busy (the detection fast path).  Traced like an
+        :meth:`allocate` miss, but with no destination: the scan that
+        would blame one is skipped."""
+        if self.recorder is not None:
+            self.recorder("cam-full", self.name, None)
         self.alloc_failures += 1
 
     def free(self, line: CamLine) -> None:
+        if self.recorder is not None:
+            self.recorder("dealloc", self.name, line.dest, f"cfq{line.cfq_index}")
         if self._lines[line.cfq_index] is not line:
             raise CamError(f"freeing unallocated line {line!r}")
         self._lines[line.cfq_index] = None

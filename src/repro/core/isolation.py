@@ -36,7 +36,7 @@ counted).
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Tuple
+from typing import Callable, List, Optional, Protocol, Tuple
 
 from repro.core.cam import CamLine, InputCam, OutputCamLine
 from repro.core.params import CCParams
@@ -105,7 +105,9 @@ class NfqCfqScheme(CongestionControlScheme):
         self.cfqs = [
             PacketQueue(f"{host.name}.cfq{i}") for i in range(host.params.num_cfqs)
         ]
-        self.cam = InputCam(host.params.num_cfqs)
+        self.cam = InputCam(host.params.num_cfqs, host.name)
+        #: trace hook, as :attr:`InputCam.recorder`.
+        self.recorder: Optional[Callable[..., None]] = None
         self._queues = [self.nfq, *self.cfqs]
         self._in_update = False
         self._lifetime_recheck: set[int] = set()
@@ -165,6 +167,8 @@ class NfqCfqScheme(CongestionControlScheme):
 
     def tree_stopped(self, dest: int, stopped: bool) -> None:
         """Downstream Stop/Go for the tree towards ``dest``."""
+        if self.recorder is not None:
+            self.recorder("stop" if stopped else "go", self.host.name, dest)
         line = self.cam.lookup(dest)
         if line is None:
             return  # raced with our own deallocation — benign
@@ -488,10 +492,6 @@ class NfqCfqScheme(CongestionControlScheme):
 
     def cam_alloc_failures(self) -> int:
         return self.cam.alloc_failures
-
-    def cfq_occupancy(self, dest: int) -> int:
-        line = self.cam.lookup(dest)
-        return 0 if line is None else self.cfqs[line.cfq_index].bytes
 
     def snapshot(self) -> dict:
         entry = super().snapshot()

@@ -16,14 +16,18 @@ lifetimes) quantitatively:
         print(ev)
     print(trace.tree_lifetimes())
 
-Tracing is entirely optional and costs nothing unless attached (it
-wraps the relevant methods at attach time).
+Tracing is optional.  Attaching sets the ``recorder`` hook of every
+switch input port's isolation scheme, its CAM and its port, of each
+marking switch, of each gated node and of the fault injector; a run
+without a trace pays one ``None`` check where a decision is made.
+The IA stage's CAM, ITh's VOQ congestion state and PFC PAUSE/RESUME
+are not traced (docs/telemetry.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 __all__ = ["TraceEvent", "ProtocolTrace"]
 
@@ -58,8 +62,8 @@ class ProtocolTrace:
 
     # ------------------------------------------------------------------
     def attach(self, fabric) -> "ProtocolTrace":
-        """Instrument every isolation scheme, marker and throttle state
-        of ``fabric``.  Call once, before running."""
+        """Hook this trace into ``fabric``'s isolation schemes, markers,
+        injection gates and fault injector.  Call once, before running."""
         from repro.core.isolation import NfqCfqScheme
 
         if self._fabric is not None:
@@ -83,107 +87,23 @@ class ProtocolTrace:
                     )
                 self.dropped += 1
 
+        # Every traced component reports through the same hook the
+        # fault injector has: link-down/up, fault-drop and reroute
+        # interleave with the protocol's reactions.
         for sw in fabric.switches:
+            if sw.marker is not None:
+                sw.recorder = record
             for port in sw.input_ports:
                 scheme = port.scheme
                 if isinstance(scheme, NfqCfqScheme):
-                    self._wrap_scheme(scheme, port.name, record)
-            self._wrap_marker(sw, record)
+                    port.recorder = scheme.recorder = scheme.cam.recorder = record
         for node in fabric.nodes:
             if node.throttle is not None:
-                self._wrap_throttle(node, record)
-        # An armed fault injector reports its events (link-down/up,
-        # fault-drop, reroute, ...) through the same recorder, so fault
-        # timelines interleave with the protocol's reactions.
+                node.recorder = record
         faults = getattr(fabric, "faults", None)
         if faults is not None:
             faults.recorder = record
         return self
-
-    # -- wrappers ----------------------------------------------------------
-    @staticmethod
-    def _wrap_scheme(scheme, name: str, record: Callable) -> None:
-        cam = scheme.cam
-        orig_alloc = cam.allocate
-        orig_free = cam.free
-        orig_note = cam.note_full
-
-        def allocate(dest, root, now):
-            line = orig_alloc(dest, root, now)
-            if line is None:
-                record("cam-full", name, dest)
-            else:
-                record("detect" if root else "adopt", name, dest,
-                       f"cfq{line.cfq_index}")
-            return line
-
-        def free(line):
-            record("dealloc", name, line.dest, f"cfq{line.cfq_index}")
-            return orig_free(line)
-
-        def note_full():
-            # detection's saturated fast path: the scan (and thus the
-            # blamed destination) is skipped, so no dest to report
-            record("cam-full", name, None)
-            return orig_note()
-
-        cam.allocate = allocate
-        cam.free = free
-        cam.note_full = note_full
-
-        orig_stopped = scheme.tree_stopped
-
-        def tree_stopped(dest, stopped):
-            record("stop" if stopped else "go", name, dest)
-            return orig_stopped(dest, stopped)
-
-        scheme.tree_stopped = tree_stopped
-
-        orig_hot = scheme.host.root_cfq_hot_changed
-
-        def hot_changed(dest, hot):
-            record("cs-enter" if hot else "cs-exit", name, dest)
-            return orig_hot(dest, hot)
-
-        scheme.host.root_cfq_hot_changed = hot_changed
-
-    @staticmethod
-    def _wrap_marker(sw, record: Callable) -> None:
-        # Marking policies may be __slots__-ed; interpose a delegating
-        # proxy on the switch instead of patching the marker itself.
-        inner = sw.marker
-        if inner is None:
-            return  # the scheme never marks
-
-        class _MarkerProxy:
-            def should_mark(self, pkt, queue, out_port):
-                marked = inner.should_mark(pkt, queue, out_port)
-                if marked:
-                    record("fecn", sw.name, pkt.dst, pkt.flow)
-                return marked
-
-            def __getattr__(self, item):
-                return getattr(inner, item)
-
-        sw.marker = _MarkerProxy()
-
-    @staticmethod
-    def _wrap_throttle(node, record: Callable) -> None:
-        ts = node.throttle
-        orig = ts.on_becn
-        # the CCT gate reports its table index; other gates (e.g. the
-        # rate-based RCM one) describe themselves via their snapshot.
-        ccti = getattr(ts, "ccti", None)
-
-        def on_becn(dest):
-            orig(dest)
-            if ccti is not None:
-                detail = f"ccti={ccti(dest)}"
-            else:
-                detail = f"state={ts.snapshot().get(dest)}"
-            record("becn", f"node{node.id}", dest, detail)
-
-        ts.on_becn = on_becn
 
     # ------------------------------------------------------------------
     # queries

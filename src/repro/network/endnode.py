@@ -160,6 +160,8 @@ class EndNode:
             self.stage_scheme = OneQScheme(self.stage)
 
         self.throttle: Optional[InjectionGate] = None
+        #: trace hook, as :attr:`repro.core.cam.InputCam.recorder`.
+        self.recorder: Optional[Callable[..., None]] = None
         if gate_factory is not None:
             self.throttle = gate_factory(sim, params, self.pump)
 
@@ -413,8 +415,17 @@ class EndNode:
 
     def receive_control(self, msg: ControlMessage, link: Link) -> None:
         if isinstance(msg, Becn) and msg.dst == self.id:
-            if self.throttle is not None:
-                self.throttle.on_becn(msg.congested_destination)
+            gate = self.throttle
+            if gate is not None:
+                dest = msg.congested_destination
+                gate.on_becn(dest)
+                if self.recorder is not None:
+                    # the CCT gate reports its table index; other gates
+                    # (e.g. RCM's) describe themselves via their snapshot
+                    ccti = getattr(gate, "ccti", None)
+                    detail = (f"ccti={ccti(dest)}" if ccti is not None
+                              else f"state={gate.snapshot().get(dest)}")
+                    self.recorder("becn", f"node{self.id}", dest, detail)
 
     # ------------------------------------------------------------------
     # introspection

@@ -184,9 +184,6 @@ class Link:
         """True when ``pkt`` could start transmission right now."""
         return self.up and self.idle and self.rx.can_accept(pkt)
 
-    def serialization_time(self, nbytes: int) -> float:
-        return nbytes / self.bandwidth
-
     def send(self, pkt: Packet) -> float:
         """Start transmitting ``pkt``.
 

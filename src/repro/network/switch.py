@@ -78,6 +78,8 @@ class InputPort:
         #: lets one port stream to two outputs concurrently (Table I).
         self.active_rate = 0.0
         self.rr_counter = 0
+        #: trace hook, as :attr:`repro.core.cam.InputCam.recorder`.
+        self.recorder: Optional[Callable[..., None]] = None
 
     @property
     def busy(self) -> bool:
@@ -115,6 +117,8 @@ class InputPort:
         return self.switch.output_ports[out].out_cam.lookup(dest)
 
     def root_cfq_hot_changed(self, dest: int, hot: bool) -> None:
+        if self.recorder is not None:
+            self.recorder("cs-enter" if hot else "cs-exit", self.name, dest)
         out = self.switch.policy.control_port(dest)
         self.switch.output_ports[out].set_hot((self.index, "root", dest), hot)
 
@@ -268,6 +272,8 @@ class Switch:
         self.params = params
         self.crossbar_bw = crossbar_bw
         self.marker = marker
+        #: trace hook, as :attr:`repro.core.cam.InputCam.recorder`.
+        self.recorder: Optional[Callable[..., None]] = None
         self.input_ports = [InputPort(self, i) for i in range(num_ports)]
         self.output_ports = [OutputPort(self, i) for i in range(num_ports)]
         #: how this switch's RAM is carved up (docs/buffers.md).  Built
@@ -440,6 +446,8 @@ class Switch:
         out_port.current = (port, pkt, rate)
         marker = self.marker
         if marker is not None and marker.should_mark(pkt, queue, out_port):
+            if self.recorder is not None:
+                self.recorder("fecn", self.name, pkt.dst, pkt.flow)
             pkt.fecn = True
             self.fecn_marked += 1
         out_port.link_out.send(pkt)

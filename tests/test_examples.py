@@ -98,4 +98,43 @@ def test_per_packet_state_has_a_reader():
                                 if isinstance(c, type) and issubclass(c, packet.ControlMessage))]
     unread = [f"{c.__name__}.{slot}" for c in classes for slot in c.__slots__ if slot not in read]
     assert len(classes) > 5
-    assert unread == []
+    assert unread == [], unread
+
+
+
+#: definitions that ``http.server`` calls by name, so nothing else does.
+CALLED_BY_THE_STDLIB = {"do_GET", "do_POST", "parse_request"}
+
+
+def test_every_definition_has_a_reader():
+    """Every function, method and class defined under ``src/`` is named
+    somewhere besides its own ``def`` or ``class`` line, in ``src/``,
+    ``tests/``, ``scripts/``, ``examples/`` or ``benchmarks/`` (a word
+    match: a call, an import, an ``__all__`` entry or a docstring's
+    cross-reference all count).  Dunder methods, which Python itself
+    calls, are exempt; so are the handler overrides in
+    :data:`CALLED_BY_THE_STDLIB`.  Code that nothing names is deleted,
+    not kept."""
+    import ast
+    import re
+    from collections import Counter
+
+    root = EXAMPLES.parent
+    words = Counter()
+    defs = []
+    for top in ("src", "tests", "scripts", "examples", "benchmarks"):
+        for path in sorted((root / top).rglob("*.py")):
+            text = path.read_text()
+            words.update(re.findall(r"\w+", text))
+            if top == "src":
+                defs += [(path, node) for node in ast.walk(ast.parse(text))
+                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    definitions = Counter(node.name for _path, node in defs)
+    unread = sorted(
+        f"{path.relative_to(root)}:{node.lineno} {node.name}" for path, node in defs
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in CALLED_BY_THE_STDLIB
+        and words[node.name] <= definitions[node.name]
+    )
+    assert len(defs) > 500
+    assert unread == [], unread

@@ -185,3 +185,26 @@ def test_faulted_telemetry_bundle_is_pinned():
     assert bundle["events"]["counts"]["link-down"] == 1
     assert bundle["events"]["counts"]["cam-full"] > 0
     assert _sha256(bundle) == "b5dd9c6a2fca352a36ae099b3f10744e0ffb8e34dac1ebdb79c4e7d49e9e438d"
+
+
+@pytest.mark.parametrize("scheme", ["CCFIT", "ITh"])
+def test_attach_patches_nothing(scheme):
+    """Attaching sets ``recorder`` hooks and nothing else: no switch,
+    input port, scheme, CAM, marker, gate or node gains or rebinds any
+    other instance attribute (so none shadows a method of its class),
+    and each switch keeps its own marker object."""
+    fab = build_fabric(config1_adhoc(), scheme=scheme, seed=5)
+    objs = [fab.switches, fab.nodes, [n.throttle for n in fab.nodes]]
+    for sw in fab.switches:
+        objs += [[sw.marker], sw.input_ports, [p.scheme for p in sw.input_ports],
+                 [getattr(p.scheme, "cam", None) for p in sw.input_ports]]
+    objs = [o for group in objs for o in group if o is not None]
+    markers = [sw.marker for sw in fab.switches]
+    before = [dict(getattr(o, "__dict__", {})) for o in objs]
+    ProtocolTrace().attach(fab)
+    assert any(markers)
+    assert all(sw.marker is m for sw, m in zip(fab.switches, markers))
+    for obj, old in zip(objs, before):
+        new = getattr(obj, "__dict__", {})
+        changed = {k for k in new if k not in old or new[k] is not old[k]}
+        assert changed <= {"recorder"}, (obj, changed)
