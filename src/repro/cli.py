@@ -4,24 +4,19 @@ Commands
 --------
 ``table1``
     Print Table I and the per-scheme hardware-cost comparison.
-``fig 7a|7b|7c|8a|8b|8c|9|10``
-    Regenerate one figure of §IV (series/flow tables to stdout).
-``case 1|2|3 --scheme CCFIT``
-    Run a single traffic case under one scheme and print per-flow
-    bandwidths plus the CC counters.
-``trees N --scheme CCFIT``
-    Run the Case #4 scalability probe with N congestion trees.
 ``sweep NAME``
     Run any registered experiment (``fig7a`` ... ``fig10``,
-    ``case1`` ... ``case4``) through the sweep engine and report the
-    cache hit count.  ``repro sweep --list`` enumerates the names.
+    ``case1`` ... ``case4``) through the sweep engine: the figure's
+    series/flow tables, a one-cell grid's CC counters too
+    (``sweep case1 --schemes CCFIT``), and the cache hit count.
+    ``repro sweep --list`` enumerates the names.
 ``telemetry NAME --scheme CCFIT --out DIR``
     Run one experiment cell with the telemetry sampler attached and
     render the bundle (JSONL / Prometheus text / SVG dashboard — pick
     with ``--format``).  See docs/telemetry.md.
 ``serve --broker DIR --port 8642``
     Long-running service front-end: submit experiments over HTTP
-    (``POST /experiments``), stream cell-level progress as NDJSON/SSE,
+    (``POST /experiments``), stream cell-level progress as NDJSON,
     fetch cached ``CaseResult``\\ s, scrape live Prometheus
     ``/metrics``, and lease cells to pull workers.  See
     docs/service.md.
@@ -40,11 +35,12 @@ Common options: ``--scale`` (time compression, default 0.3),
 ``--seed``, ``--csv PATH`` (dump the throughput series),
 ``--jobs N`` (worker processes for the simulation grid),
 ``--cache-dir PATH`` / ``--no-cache`` (on-disk result cache; ``sweep``
-caches by default, the other commands opt in via ``--cache-dir``), and
-one option per axis of a cell -- ``--routing``, ``--faults``,
-``--buffer-model``, ``--telemetry`` -- generated from the table in
-:mod:`repro.experiments.sweep` (``--help`` lists them).  See
-docs/sweep.md for the job/cache model.
+caches by default, ``telemetry`` opts in via ``--cache-dir``), one
+option per axis of a cell -- ``--routing``, ``--faults``,
+``--buffer-model``, ``--telemetry`` -- and one per case knob --
+``--num-trees``, ``--duration-ms`` -- generated from the ``AXES`` and
+``KNOBS`` tables of :mod:`repro.experiments.sweep` (``--help`` lists
+them).  See docs/sweep.md for the job/cache model.
 
 Resilience options (docs/robustness.md): ``--timeout SECONDS``
 (per-cell wall-clock budget), ``--retries N`` (bounded retries with
@@ -62,11 +58,12 @@ makes it runnable here with no CLI changes.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import signal
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.experiments import registry
 from repro.experiments.configs import CONFIG3, table1
@@ -84,6 +81,7 @@ from repro.experiments.report import (
 from repro.experiments.runner import CaseResult
 from repro.experiments.sweep import (
     AXES,
+    KNOBS,
     SweepOptions,
     SweepReport,
     default_cache_dir,
@@ -95,10 +93,14 @@ from repro.sim.guard import ENV_VALIDATE
 
 __all__ = ["main", "build_parser"]
 
+#: every case knob, each once, whichever cases take it.
+_KNOBS = tuple(dict.fromkeys(name for knobs in KNOBS.values() for name in knobs))
+
 
 def _add_engine_options(p: argparse.ArgumentParser, suppress: bool = False) -> None:
-    """The sweep-engine knobs and the cell axes (one flag per row of
-    ``AXES``, plus what refines it), shared by every simulation command.
+    """The sweep-engine options, the cell axes (one flag per row of
+    ``AXES``, plus what refines it) and the case knobs (one flag per
+    name in ``KNOBS``), shared by every simulation command.
 
     They live on the main parser (before the subcommand) *and*, with
     ``default=SUPPRESS``, on each subparser — so both
@@ -135,10 +137,25 @@ def _add_engine_options(p: argparse.ArgumentParser, suppress: bool = False) -> N
         if axis.refine is not None:
             name, text, kwargs = axis.refine
             p.add_argument(_flag(name), default=d(None), help=text, **kwargs)
+    for name in _KNOBS:  # absent unless given: JSON null is a value too
+        cases = ",".join(case for case, knobs in KNOBS.items() if name in knobs)
+        p.add_argument(_flag(name), type=_json_word, default=sup, metavar="VALUE",
+                       help=f"case knob {name} ({cases}), read as in the 'extra' "
+                            "object of POST /experiments")
 
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
+
+
+def _json_word(word: str) -> Any:
+    """A command-line word as the JSON value it spells (``6`` is 6,
+    ``1.5`` is 1.5), or the word itself: the knob's parser in ``KNOBS``
+    then judges it as it judges the same value in a request."""
+    try:
+        return json.loads(word)
+    except ValueError:
+        return word
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,27 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("table1", help="print Table I + scheme hardware costs")
 
-    fig = sub.add_parser("fig", help="regenerate a figure (7a..7c, 8a..8c, 9, 10)")
-    fig.add_argument("panel", choices=["7a", "7b", "7c", "8a", "8b", "8c", "9", "10"])
-
-    case = sub.add_parser("case", help="run one traffic case under one scheme")
-    case.add_argument("number", type=int, choices=[1, 2, 3])
-    case.add_argument("--scheme", default="CCFIT", metavar="NAME",
-                      help="congestion-management scheme (validated with a "
-                           "did-you-mean hint, exit code 2 on a typo)")
-
-    trees = sub.add_parser("trees", help="Case #4 scalability probe")
-    trees.add_argument("count", type=int)
-    trees.add_argument("--scheme", default="CCFIT", metavar="NAME",
-                      help="congestion-management scheme")
-
     sweep = sub.add_parser(
         "sweep",
         help="run a registered experiment through the parallel sweep engine",
         description="Decompose an experiment into independent (scheme) cells, "
                     "run them across --jobs worker processes, and memoize the "
                     "cells in the on-disk cache so repeated invocations are "
-                    "served without re-simulating.",
+                    "served without re-simulating.  A grid of one cell also "
+                    "prints that cell's CC counters.",
     )
     sweep.add_argument("name", nargs="?", metavar="NAME",
                        help="experiment to run (see --list)")
@@ -215,16 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="output directory for the rendered bundle (default ./telemetry-out)")
     tele.add_argument("--format", default="all", dest="tele_format", metavar="FMT",
                       help="export format: jsonl | prom | html | all (default all)")
-    tele.add_argument("--interval", type=float, default=100_000.0, metavar="NS",
-                      help="sampling period in ns (default 100000)")
 
     serve = sub.add_parser(
         "serve",
         help="run the HTTP service front-end (submit / stream / fetch / metrics)",
         description="Long-running service mode: an HTTP front-end over a shared "
                     "filesystem broker.  Submit experiments (POST /experiments), "
-                    "stream cell-level progress (GET /runs/<id>/events, NDJSON or "
-                    "SSE), fetch cached CaseResults and telemetry bundles, scrape "
+                    "stream cell-level progress (GET /runs/<id>/events, NDJSON), "
+                    "fetch cached CaseResults and telemetry bundles, scrape "
                     "live Prometheus /metrics, and lease cells to `repro worker` "
                     "processes over the /broker/* endpoints (see docs/service.md).",
     )
@@ -316,24 +318,19 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--json", action="store_true", dest="as_json",
                        help="emit machine-readable JSON instead of a table")
 
-    for sp in (fig, case, trees, sweep, tele):
+    for sp in (sweep, tele):
         _add_engine_options(sp, suppress=True)
     return p
 
 
-def _cell(args: argparse.Namespace, command: Optional[str] = None) -> Dict[str, Any]:
-    """The cell fields of a command line, as keywords of
+def _cell(args: argparse.Namespace) -> Dict[str, Any]:
+    """The cell fields and case knobs of a command line, as keywords of
     ``Experiment.run``; a typo raises :class:`CellError` (``main``
-    prints it and exits 2).  A ``command`` that runs one cell takes one
-    value where `sweep` takes a list, and none means the default."""
-    cell = read_axes(vars(args).get)
-    if command is not None:
-        for axis in AXES:
-            if axis.listable:
-                values = cell.setdefault(axis.grid, (axis.default,))
-                if len(values) > 1:
-                    raise CellError(f"`{command}` accepts a single {_flag(axis.name)} value "
-                                    f"(got {','.join(values)})")
+    prints it and exits 2), and so does a knob that the case does not
+    take or a value its parser refuses, when the cells are built."""
+    given = vars(args)
+    cell = read_axes(given.get)
+    cell.update((name, given[name]) for name in _KNOBS if name in given)
     return dict(cell, time_scale=args.scale, seed=args.seed)
 
 
@@ -381,7 +378,7 @@ def _print_case(res: CaseResult) -> None:
 
 
 def _render_results(exp: Experiment, results: Dict[str, CaseResult], args) -> None:
-    """The figure-style rendering, shared by ``fig`` and ``sweep``."""
+    """The figure-style rendering of a sweep's results."""
     if not results:  # every cell failed — the engine report says why
         return
     if exp.kind == "series":
@@ -417,10 +414,7 @@ def _render_results(exp: Experiment, results: Dict[str, CaseResult], args) -> No
 
 
 def _report_engine(
-    report: SweepReport,
-    opts: SweepOptions,
-    args: Optional[argparse.Namespace] = None,
-    always: bool = False,
+    report: SweepReport, opts: SweepOptions, args: argparse.Namespace, always: bool = False
 ) -> int:
     """Print the engine summary and failure details, write the manifest
     when requested, and turn failures into exit code 1."""
@@ -428,10 +422,9 @@ def _report_engine(
         print(f"sweep: {report.summary()}")
     for failure in report.failures:
         print(f"sweep: FAILED {failure.summary()}", file=sys.stderr)
-    manifest = getattr(args, "manifest", None) if args is not None else None
-    if manifest:
-        report.write_manifest(manifest)
-        print(f"wrote {manifest}")
+    if args.manifest:
+        report.write_manifest(args.manifest)
+        print(f"wrote {args.manifest}")
     return 1 if report.failures else 0
 
 
@@ -442,32 +435,6 @@ def _cmd_table1(args) -> int:
     print("Scheme hardware costs on Config #3 (64 nodes):")
     print(render_table(cost_table(CONFIG3.topo())))
     return 0
-
-
-def _cmd_fig(args) -> int:
-    exp = registry.get(f"fig{args.panel}")
-    opts = _options(args, cache_by_default=False)
-    results, report = exp.run(options=opts, **_cell(args))
-    _render_results(exp, results, args)
-    return _report_engine(report, opts, args)
-
-
-def _cmd_case(args, exp_name: Optional[str] = None, **knobs) -> int:
-    exp = registry.get(exp_name or f"case{args.number}")
-    opts = _options(args, cache_by_default=False)
-    results, report = exp.run(
-        schemes=(args.scheme,), options=opts, **_cell(args, args.command), **knobs)
-    for res in results.values():  # the one cell, whatever its axes add to its key
-        _print_case(res)
-        if exp.case == "case4":
-            print(f"burst-window throughput: {res.mean_throughput():.1f} GB/s")
-    if args.csv:
-        _write_csv(args.csv, results)
-    return _report_engine(report, opts, args)
-
-
-def _cmd_trees(args) -> int:
-    return _cmd_case(args, "case4", num_trees=args.count)
 
 
 def _cmd_sweep(args) -> int:
@@ -490,17 +457,25 @@ def _cmd_sweep(args) -> int:
     results, report = exp.run(options=opts, **cell)
     print(exp.title)
     _render_results(exp, results, args)
+    if len(report.jobs) == 1:
+        for res in results.values():  # the one cell, whatever its axes add to its key
+            _print_case(res)
     return _report_engine(report, opts, args, always=True)
 
 
 def _cmd_telemetry(args) -> int:
-    from repro.telemetry import TELEMETRY_FORMATS, TelemetryConfig, write_bundle
+    from repro.telemetry import TELEMETRY_FORMATS, write_bundle
 
     exp = registry.get(registry.REGISTRY.parse(args.name))
     if args.tele_format not in TELEMETRY_FORMATS:
         raise CellError(unknown_name("telemetry format", args.tele_format, TELEMETRY_FORMATS))
+    args.telemetry = True  # the telemetry axis, on; --telemetry-interval sets its period
+    cell = _cell(args)
+    for axis in AXES:  # one cell: one value where `sweep` takes a list
+        if axis.listable and len(cell.setdefault(axis.grid, (axis.default,))) > 1:
+            raise CellError(f"`telemetry` accepts a single {_flag(axis.name)} value "
+                            f"(got {','.join(cell[axis.grid])})")
     opts = _options(args, cache_by_default=False)
-    cell = dict(_cell(args, "telemetry"), telemetry=TelemetryConfig(interval=args.interval))
     results, report = exp.run(schemes=(args.scheme,), options=opts, **cell)
     rc = _report_engine(report, opts, args)
     job, res = report.jobs[0], report.results[0]
@@ -514,7 +489,7 @@ def _cmd_telemetry(args) -> int:
     )
     stats = bundle.get("tree_stats") or {}
     print(
-        f"telemetry: {bundle['ticks']} samples at {args.interval:.0f} ns "
+        f"telemetry: {bundle['ticks']} samples at {job.telemetry.interval:.0f} ns "
         f"({bundle['dropped']} dropped), "
         f"{stats.get('trees', 0)} congestion trees "
         f"(max {stats.get('max_concurrent_trees', 0)} concurrent)"
@@ -680,9 +655,6 @@ def _cmd_cache(args) -> int:
 
 _COMMANDS = {
     "table1": _cmd_table1,
-    "fig": _cmd_fig,
-    "case": _cmd_case,
-    "trees": _cmd_trees,
     "sweep": _cmd_sweep,
     "telemetry": _cmd_telemetry,
     "serve": _cmd_serve,

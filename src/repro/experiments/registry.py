@@ -79,8 +79,8 @@ class Experiment:
         names an axis (``routing="adaptive"``) to give every job that
         one value, a listable axis's grid (``routings=(...)``) to cross
         several, and anything else is a case knob overriding the static
-        ``extra`` (the ``trees`` CLI command overrides ``num_trees``
-        this way).  An axis is crossed over what the caller listed,
+        ``extra`` (``repro sweep case4 --num-trees 6`` overrides
+        ``num_trees`` this way).  An axis is crossed over what the caller listed,
         else over what this experiment declares, else it is the one
         value given (usually none: the default)."""
         grids = []

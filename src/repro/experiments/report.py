@@ -127,7 +127,7 @@ def _recovery_us(res: CaseResult) -> str:
         return "-"
     onsets = [
         rec["time"] for rec in res.faults.get("applied", ())
-        if rec["action"] in ("down", "kill", "fail", "drain", "degrade")
+        if rec["action"] in ("down", "kill", "degrade")
     ]
     if not onsets:
         return "-"

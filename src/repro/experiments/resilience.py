@@ -86,6 +86,15 @@ class JobFailure:
         return f"{self.label}: {self.kind} after {self.attempts} attempt(s) ({self.exception}: {self.message})"
 
 
+#: each retry waits BACKOFF_FACTOR times longer than the one before,
+#: plus up to JITTER of that drawn from the job key (spreading concurrent
+#: retries without a random source, so sweeps replay identically), and
+#: never more than BACKOFF_MAX seconds.
+BACKOFF_FACTOR = 2.0
+JITTER = 0.25
+BACKOFF_MAX = 10.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retries with exponential backoff and deterministic jitter."""
@@ -94,19 +103,12 @@ class RetryPolicy:
     max_retries: int = 2
     #: first backoff delay (seconds).
     backoff_base: float = 0.25
-    backoff_factor: float = 2.0
-    #: extra fraction of the delay added from the job key (spreads
-    #: concurrent retries without a random source, so sweeps replay
-    #: identically).
-    jitter: float = 0.25
-    #: hard cap on one backoff sleep (seconds).
-    backoff_max: float = 10.0
 
     def delay(self, attempt: int, key: str = "") -> float:
         """Backoff before retry number ``attempt`` (1-based)."""
-        base = self.backoff_base * self.backoff_factor ** max(0, attempt - 1)
+        base = self.backoff_base * BACKOFF_FACTOR ** max(0, attempt - 1)
         frac = int(key[:8], 16) / float(0xFFFFFFFF) if key[:8] else 0.0
-        return min(self.backoff_max, base * (1.0 + self.jitter * frac))
+        return min(BACKOFF_MAX, base * (1.0 + JITTER * frac))
 
 
 def execute_job(job, key: str) -> Dict[str, Any]:

@@ -103,18 +103,16 @@ class SweepOptions:
     #: job cannot be interrupted), so with one each attempt runs in a
     #: process of its own (``run_isolated``), ``jobs=1`` included.
     timeout: Optional[float] = None
-    #: bounded retries per failing cell (on top of the first attempt).
+    #: bounded retries per failing cell (on top of the first attempt),
+    #: with the backoff of :class:`~repro.experiments.resilience.RetryPolicy`.
     max_retries: int = 2
-    #: first retry backoff in seconds (doubles per retry, plus
-    #: deterministic per-job jitter — see resilience.RetryPolicy).
-    backoff: float = 0.25
 
     @property
     def cache_enabled(self) -> bool:
         return self.cache_dir is not None
 
     def retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(max_retries=self.max_retries, backoff_base=self.backoff)
+        return RetryPolicy(max_retries=self.max_retries)
 
 
 def _config_descriptor(case: str) -> Dict[str, Any]:

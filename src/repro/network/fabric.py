@@ -133,7 +133,6 @@ def build_fabric(
     collector: Optional[Collector] = None,
     sim: Optional[Simulator] = None,
     validate: Optional[bool] = None,
-    guard_config=None,
     routing: str = "det",
     faults=None,
 ) -> Fabric:
@@ -161,10 +160,9 @@ def build_fabric(
         Attach the runtime invariant guard (:mod:`repro.sim.guard`).
         ``None`` (the default) defers to the ``REPRO_SIM_VALIDATE``
         environment variable; results are bit-identical either way.
-    guard_config:
-        Optional :class:`repro.sim.guard.GuardConfig` tuning the check
-        cadence and watchdog patience (implies nothing unless the
-        guard is enabled).
+        A test that tunes the check cadence or watchdog patience sets
+        ``fabric.guard.config`` or builds a
+        :class:`~repro.sim.guard.FabricGuard` itself.
     faults:
         Optional :class:`repro.sim.faults.FaultPlan`: arms a
         :class:`~repro.sim.faults.FaultInjector` on the built fabric
@@ -287,5 +285,5 @@ def build_fabric(
     if validation_enabled(validate):
         from repro.sim.guard import FabricGuard
 
-        fabric.guard = FabricGuard(fabric, config=guard_config)
+        fabric.guard = FabricGuard(fabric)
     return fabric

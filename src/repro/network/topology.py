@@ -97,9 +97,9 @@ class Topology:
 
         Returns ``("node", node_id, 0)``, ``("switch", other_id,
         other_port)`` or ``None`` for an unused port.  Backed by a
-        prebuilt port index (O(1) per lookup); call
-        :meth:`invalidate_port_index` after editing ``node_attach`` or
-        ``switch_links`` in place.
+        port index built on first use (O(1) per lookup), so the wiring
+        is read once: edit ``node_attach`` or ``switch_links`` before the
+        first lookup, not after.
         """
         index = self._port_index
         if index is None:
@@ -117,12 +117,6 @@ class Topology:
         for nid, (sw, p, _bw) in self.node_attach.items():
             index[(sw, p)] = ("node", nid, 0)
         return index
-
-    def invalidate_port_index(self) -> None:
-        """Drop the cached port/candidate indexes (after in-place
-        wiring edits)."""
-        self._port_index = None
-        self._candidate_index = None
 
     # ------------------------------------------------------------------
     # minimal-path output candidates (adaptive routing)
@@ -143,9 +137,8 @@ class Topology:
         "upward candidate set" of Rocher-Gonzalez et al.
 
         Raises :class:`TopologyError` when ``dst`` is unreachable from
-        ``switch_id``.  The index is built lazily on first use and
-        cached; call :meth:`invalidate_port_index` after editing the
-        wiring in place.
+        ``switch_id``.  The index is built from the wiring on first
+        use and cached, as :meth:`neighbor`'s is.
         """
         index = self._candidates()
         try:

@@ -24,7 +24,7 @@ the machine:
   every core of a host, and behind every local sweep;
 * :mod:`repro.service.server` — ``repro serve``: a stdlib
   ``ThreadingHTTPServer`` front-end to submit experiments
-  (``POST /experiments``), stream cell-level progress as NDJSON/SSE
+  (``POST /experiments``), stream cell-level progress as NDJSON
   (``GET /runs/<id>/events``), fetch cached ``CaseResult``\\ s and
   telemetry bundles, and scrape live Prometheus metrics
   (``GET /metrics``).

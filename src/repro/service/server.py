@@ -13,8 +13,7 @@ that requeues expired leases, and exposes:
 ``GET  /runs/<id>``           one run's status (terminal flag, states);
                               ``?wait=S`` answers when the run ends or
                               after ``S`` seconds, whichever is first
-``GET  /runs/<id>/events``    cell-level progress as NDJSON (or SSE
-                              with ``Accept: text/event-stream``);
+``GET  /runs/<id>/events``    cell-level progress as NDJSON;
                               ``?follow=1`` streams until the run ends
 ``GET  /runs/<id>/manifest``  sweep-manifest-shaped account (workers,
                               per-cell wall-clock, failures, requeues,
@@ -73,6 +72,8 @@ DEFAULT_PORT = 8642
 _DIRECTORY_PROBE = 0.2
 #: the longest one request may wait; clients re-ask.
 _MAX_WAIT = 30.0
+#: the longest an ``events?follow=1`` stream stays open.
+_FOLLOW_TIMEOUT = 3600.0
 #: one header line: a token, a colon, the value.  An obs-fold (a line
 #: that starts with a space) or a line without a colon is not one.
 _FIELD = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+):[ \t]*(.*?)[ \t]*\r?\n")
@@ -411,12 +412,8 @@ class _Handler(BaseHTTPRequestHandler):
         run = broker.run(run_id)
         if run is None:
             return self._error(404, f"unknown run {run_id!r}")
-        sse = "text/event-stream" in self.headers.get("accept", "")
         self.send_response(200)
-        self.send_header(
-            "Content-Type",
-            "text/event-stream" if sse else "application/x-ndjson",
-        )
+        self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Cache-Control", "no-cache")
         # a stream has no length to announce: it ends where the connection does
         self.send_header("Connection", "close")
@@ -426,9 +423,7 @@ class _Handler(BaseHTTPRequestHandler):
         offset = 0
 
         def emit(rec: Dict[str, Any]) -> None:
-            line = json.dumps(rec, separators=(",", ":"))
-            self.wfile.write(f"data: {line}\n\n".encode("utf-8") if sse
-                             else (line + "\n").encode("utf-8"))
+            self.wfile.write((json.dumps(rec, separators=(",", ":")) + "\n").encode("utf-8"))
 
         def pump() -> None:
             """Send what the log has gained since the last call."""
@@ -441,8 +436,6 @@ class _Handler(BaseHTTPRequestHandler):
 
         if not follow:
             pump()
-            if sse:
-                emit({"kind": "end-of-stream", "run": run_id})
             return
 
         def ended() -> bool:
@@ -452,7 +445,7 @@ class _Handler(BaseHTTPRequestHandler):
             pump()
             return bool(status and status["done"])
 
-        svc.wait_for(ended, bool, svc.follow_timeout)
+        svc.wait_for(ended, bool, _FOLLOW_TIMEOUT)
         status = broker.run_status(run_id) or {}
         emit({
             "kind": "end-of-run",
@@ -524,17 +517,12 @@ class ServiceServer:
         port: int = DEFAULT_PORT,
         cache_dir: Optional[str] = None,
         lease_ttl: float = 60.0,
-        reap_interval: Optional[float] = None,
         verbose: bool = False,
-        follow_timeout: float = 3600.0,
     ) -> None:
         self.broker = FsBroker(broker_dir, cache_dir=cache_dir, lease_ttl=lease_ttl)
         self.verbose = verbose
-        self.follow_timeout = follow_timeout
         self.started = time.time()
-        self.reap_interval = (
-            reap_interval if reap_interval is not None else max(0.5, lease_ttl / 4.0)
-        )
+        self.reap_interval = max(0.5, lease_ttl / 4.0)
         self._httpd = _Httpd((host, port), self)
         # what waiting requests sleep on: notified, with the generation
         # bumped, after every broker mutation this process performs

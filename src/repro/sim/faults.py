@@ -11,8 +11,8 @@ them?
 Three pieces:
 
 * :class:`FaultEvent` — one scheduled fault action (``down``/``up``/
-  ``kill``/``degrade``/``restore``/``drain``/``fail``) against a link
-  or a switch at an absolute simulated time;
+  ``kill``/``degrade``/``restore``) against a link or a switch at an
+  absolute simulated time;
 * :class:`FaultPlan` — a frozen, hashable, picklable bundle of events
   plus the fault RNG seed and the control-plane re-route delay.  Plans
   ride on :class:`~repro.experiments.sweep.SimJob` cells into worker
@@ -40,13 +40,13 @@ cells are cacheable exactly like healthy ones.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["FaultEvent", "FaultPlan", "FaultInjector", "FaultPlanError"]
 
 #: recognised fault actions (the spec grammar's verbs).
-ACTIONS = ("down", "up", "kill", "degrade", "restore", "drain", "fail")
+ACTIONS = ("down", "up", "kill", "degrade", "restore")
 
 #: default control-plane re-route latency (ns): how long after a
 #: link-state change the deterministic tables are recomputed (200 µs —
@@ -225,7 +225,7 @@ class FaultPlan:
             clause  := 'seed=' INT
                      | 'reroute=' (TIME | 'none')
                      | ACTION ':' TARGET '@' TIME [':' OPTS]
-            ACTION  := down|up|kill|degrade|restore|drain|fail
+            ACTION  := down|up|kill|degrade|restore
             OPTS    := KEY '=' VALUE (',' KEY '=' VALUE)*   # degrade only
             KEY     := bw (bandwidth factor) | delay (extra, TIME)
                      | drop (probability)
@@ -389,9 +389,9 @@ class FaultInjector:
                 for link in self.fabric.links
                 if getattr(link.tx, "switch", None) is sw
             ]
-            if ev.action in ("down", "drain"):
-                # drain: stop accepting new traffic (incoming links
-                # down); the switch still empties its queues.
+            if ev.action == "down":
+                # stop accepting new traffic (incoming links down);
+                # the switch still empties its queues.
                 return incoming
             return incoming + outgoing
         raise FaultPlanError(
@@ -413,10 +413,9 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def _apply(self, ev: FaultEvent) -> None:
         action = ev.action
-        permanent = action in ("kill", "fail")
         for lk in self._targets(ev):
-            if action in ("down", "drain", "kill", "fail"):
-                self._link_down(lk, permanent=permanent)
+            if action in ("down", "kill"):
+                self._link_down(lk, permanent=action == "kill")
             elif action == "up":
                 self._link_up(lk)
             elif action == "degrade":

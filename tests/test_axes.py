@@ -242,7 +242,7 @@ class TestValidation:
     def test_interval_without_telemetry_is_an_error(self, capsys):
         with pytest.raises(CellError, match="telemetry is not on"):
             read_axes({"telemetry_interval": 50_000}.get)
-        assert cli.main(["case", "1", "--telemetry-interval", "50000"]) == 2
+        assert cli.main(["sweep", "case1", "--telemetry-interval", "50000", "--no-cache"]) == 2
         assert "telemetry is not on" in capsys.readouterr().err
 
     @pytest.mark.parametrize("body, said", [

@@ -1,5 +1,8 @@
 """CLI and cost-accounting tests."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -63,26 +66,87 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Config #3" in out and "256" in out
 
-    def test_case_runs(self, capsys):
-        assert main(["--scale", "0.05", "case", "1", "--scheme", "1Q"]) == 0
+    def test_the_commands(self, capsys):
+        """One command runs an experiment; `telemetry` reads its
+        sampling period from the axis's own flag."""
+        with pytest.raises(SystemExit):
+            main(["--help"])
         out = capsys.readouterr().out
-        assert "F0" in out and "delivered_packets" in out
+        assert "{table1,sweep,telemetry,serve,worker,cache}" in out
+        with pytest.raises(SystemExit):
+            main(["telemetry", "--help"])
+        out = capsys.readouterr().out
+        assert "--telemetry-interval" in out and "--interval " not in out
+
+    def test_case_runs(self, capsys):
+        """A one-cell grid prints the flow table and the cell's counters."""
+        assert main(["--scale", "0.05", "sweep", "case1", "--schemes", "1Q", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "jain" in out and "F0" in out and "delivered_packets" in out
 
     def test_fig9_runs(self, capsys):
-        assert main(["--scale", "0.05", "fig", "9"]) == 0
+        assert main(["--scale", "0.05", "sweep", "fig9", "--no-cache"]) == 0
         out = capsys.readouterr().out
-        assert "jain" in out
+        assert "jain" in out and "delivered_packets" not in out
 
     def test_csv_export(self, tmp_path, capsys):
         csv = tmp_path / "out.csv"
-        assert main(["--scale", "0.05", "--csv", str(csv), "case", "1"]) == 0
+        assert main(["--scale", "0.05", "--csv", str(csv), "sweep", "case1",
+                     "--schemes", "CCFIT", "--no-cache"]) == 0
         text = csv.read_text()
         assert text.startswith("scheme,time_ns,throughput_gbs")
         assert "CCFIT" in text
 
     def test_trees_command(self, capsys):
-        assert main(["--scale", "0.05", "trees", "1", "--scheme", "1Q"]) == 0
-        assert "burst-window throughput" in capsys.readouterr().out
+        """The Case #4 probe at N trees is `sweep case4 --num-trees N`;
+        its burst-window throughput is the `burst` column of the Fig. 8
+        summary."""
+        assert main(["--scale", "0.05", "sweep", "case4", "--schemes", "1Q",
+                     "--num-trees", "1", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert any(line.split(" | ")[:3] == ["scheme", "pre-burst", "burst"]
+                   for line in out.splitlines())
+        assert "delivered_packets" in out
+
+    @pytest.mark.parametrize("flag, value, knob", [
+        ("--num-trees", "2", ("num_trees", 2)),
+        ("--duration-ms", "1.5", ("duration_ms", 1.5)),
+    ])
+    def test_a_knob_flag_runs_the_cell_a_request_names(self, tmp_path, flag, value, knob, capsys):
+        """A knob's flag is the knob's value in a request's `extra`: the
+        cell it runs has the key of the cell `Experiment.jobs` builds
+        with that knob (`trees 2 --scheme 1Q` ran it, before `sweep`
+        took knob flags)."""
+        from repro.experiments import registry
+
+        manifest = tmp_path / "manifest.json"
+        assert main(["--scale", "0.01", "sweep", "case4", "--schemes", "1Q", flag, value,
+                     "--no-cache", "--manifest", str(manifest)]) == 0
+        (job,) = registry.get("case4").jobs(schemes=("1Q",), time_scale=0.01, seed=1,
+                                            **dict([knob]))
+        cells = json.loads(manifest.read_text())["jobs"]
+        assert [cell["key"] for cell in cells] == [job.key()]
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["sweep", "fig7a", "--num-trees", "2"], ("case1", "num_trees", 2)),
+        (["sweep", "case4", "--num-trees", "0"], ("case4", "num_trees", 0)),
+        (["sweep", "case4", "--duration-ms", "fast"], ("case4", "duration_ms", "fast")),
+        (["sweep", "case4", "--num-trees", "null"], ("case4", "num_trees", None)),
+    ])
+    def test_a_bad_knob_exits_2_with_the_text_of_a_400(self, argv, bad, capsys):
+        """A case that does not take the knob, or a value its parser in
+        `KNOBS` refuses, exits 2 saying what `POST /experiments` says."""
+        from repro.experiments.sweep import SimJob
+        from repro.registry import CellError
+        from repro.service.server import _BadRequest, _resolve_submission
+
+        case, name, value = bad
+        with pytest.raises(CellError) as exc:
+            SimJob(case, "CCFIT", extra=((name, value),))
+        assert main([*argv, "--no-cache"]) == 2
+        assert capsys.readouterr().err == f"repro: {exc.value}\n"
+        with pytest.raises(_BadRequest, match=re.escape(str(exc.value))):
+            _resolve_submission({"experiment": argv[1], "extra": {name: value}})
 
     def test_no_cache_leaves_the_cache_dir_empty(self, tmp_path, capsys):
         """``--no-cache`` wins over ``--cache-dir``: twice, nothing is
@@ -96,13 +160,13 @@ class TestCli:
 
     def test_svg_export_fig7(self, tmp_path, capsys):
         svg = tmp_path / "fig7a.svg"
-        assert main(["--scale", "0.05", "--svg", str(svg), "fig", "7a"]) == 0
+        assert main(["--scale", "0.05", "--svg", str(svg), "sweep", "fig7a", "--no-cache"]) == 0
         text = svg.read_text()
         assert text.startswith("<svg") and "CCFIT" in text
 
     def test_svg_export_fig9_panels(self, tmp_path, capsys):
         base = tmp_path / "fig9.svg"
-        assert main(["--scale", "0.05", "--svg", str(base), "fig", "9"]) == 0
+        assert main(["--scale", "0.05", "--svg", str(base), "sweep", "fig9", "--no-cache"]) == 0
         panels = sorted(p.name for p in tmp_path.glob("fig9*.svg"))
         assert panels == ["fig9a.svg", "fig9b.svg", "fig9c.svg", "fig9d.svg"]
 
@@ -112,25 +176,27 @@ class TestCliTelemetry:
         out = tmp_path / "tele"
         rc = main(
             ["--scale", "0.02", "telemetry", "fig7a", "--scheme", "CCFIT",
-             "--out", str(out), "--interval", "20000"]
+             "--out", str(out), "--telemetry-interval", "20000"]
         )
         assert rc == 0
         text = capsys.readouterr().out
-        assert "telemetry:" in text and "samples" in text
+        assert "telemetry:" in text and "samples at 20000 ns" in text
         for name in ("telemetry.jsonl", "metrics.prom", "dashboard.html"):
             assert (out / name).is_file()
+        head = json.loads((out / "telemetry.jsonl").read_text().splitlines()[0])
+        assert head["config"]["interval"] == 20_000.0
 
     def test_telemetry_flag_attaches_sampler_to_options(self):
         from repro.cli import _cell
 
         args = build_parser().parse_args(
             ["--scale", "0.05", "--telemetry", "--telemetry-interval", "40000",
-             "case", "1"]
+             "sweep", "case1"]
         )
         telemetry = _cell(args)["telemetry"]
         assert telemetry is not None
         assert telemetry.interval == 40_000.0
-        plain = build_parser().parse_args(["--scale", "0.05", "case", "1"])
+        plain = build_parser().parse_args(["--scale", "0.05", "sweep", "case1"])
         assert _cell(plain)["telemetry"] is None
 
     def test_unknown_telemetry_format_exits_2(self, tmp_path, capsys):
@@ -148,22 +214,22 @@ class TestCliTelemetry:
 
     def test_scheme_names_match_case_insensitively(self, capsys):
         """The acceptance command spells it `--scheme ccfit`."""
-        assert main(["--scale", "0.05", "case", "1", "--scheme", "ccfit"]) == 0
+        assert main(["--scale", "0.05", "sweep", "case1", "--scheme", "ccfit", "--no-cache"]) == 0
         assert "scheme CCFIT" in capsys.readouterr().out
 
     def test_case_runs_under_adaptive_routing(self, capsys):
-        rc = main(["--scale", "0.05", "case", "1", "--scheme", "CCFIT",
-                   "--routing", "adaptive"])
+        rc = main(["--scale", "0.05", "sweep", "case1", "--scheme", "CCFIT",
+                   "--routing", "adaptive", "--no-cache"])
         assert rc == 0
         assert "scheme CCFIT" in capsys.readouterr().out
 
     def test_unknown_routing_policy_exits_2(self, capsys):
-        assert main(["case", "1", "--routing", "adaptve"]) == 2
+        assert main(["sweep", "case1", "--routing", "adaptve", "--no-cache"]) == 2
         err = capsys.readouterr().err
         assert "adaptve" in err and "did you mean" in err and "adaptive" in err
 
     def test_single_cell_commands_reject_routing_lists(self, capsys):
-        assert main(["case", "1", "--routing", "det,adaptive"]) == 2
+        assert main(["telemetry", "fig7a", "--routing", "det,adaptive", "--no-cache"]) == 2
         assert "single --routing" in capsys.readouterr().err
 
     def test_sweep_list_shows_routing_grid(self, capsys):
@@ -197,8 +263,8 @@ class TestCliErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--kernel", "heap", "case", "1"],
-            ["case", "1", "--kernel", "heap"],
+            ["--kernel", "heap", "sweep", "case1"],
+            ["sweep", "case1", "--kernel", "heap"],
             ["sweep", "fig9", "--kernel", "heap"],
         ],
     )
@@ -211,5 +277,5 @@ class TestCliErrors:
 
     def test_other_parse_errors_keep_argparse_contract(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["--scale", "not-a-float", "case", "1"])
+            main(["--scale", "not-a-float", "sweep", "case1"])
         assert exc.value.code == 2

@@ -106,17 +106,34 @@ def test_per_packet_state_has_a_reader():
 CALLED_BY_THE_STDLIB = {"do_GET", "do_POST", "parse_request"}
 
 
+def _code_words(text):
+    """The words of a Python source but its comments and docstrings (any
+    string that is a statement of its own): code, and the string
+    literals code reads, such as ``getattr(x, "name")``."""
+    import ast
+    import io
+    import re
+    import tokenize
+
+    prose = {(node.lineno, node.col_offset) for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+             and isinstance(node.value.value, str)}
+    return [word for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+            if tok.type != tokenize.COMMENT
+            and not (tok.type == tokenize.STRING and tok.start in prose)
+            for word in re.findall(r"\w+", tok.string)]
+
+
 def test_every_definition_has_a_reader():
     """Every function, method and class defined under ``src/`` is named
-    somewhere besides its own ``def`` or ``class`` line, in ``src/``,
-    ``tests/``, ``scripts/``, ``examples/`` or ``benchmarks/`` (a word
-    match: a call, an import, an ``__all__`` entry or a docstring's
-    cross-reference all count).  Dunder methods, which Python itself
-    calls, are exempt; so are the handler overrides in
-    :data:`CALLED_BY_THE_STDLIB`.  Code that nothing names is deleted,
-    not kept."""
+    somewhere besides its own ``def`` or ``class`` line, in the code of
+    ``src/``, ``tests/``, ``scripts/``, ``examples/`` or ``benchmarks/``
+    (a word match: a call, an import or an ``__all__`` entry counts; a
+    comment or a docstring's cross-reference does not).  Dunder methods,
+    which Python itself calls, are exempt; so are the handler overrides
+    in :data:`CALLED_BY_THE_STDLIB`.  Code that nothing names is
+    deleted, not kept."""
     import ast
-    import re
     from collections import Counter
 
     root = EXAMPLES.parent
@@ -125,7 +142,7 @@ def test_every_definition_has_a_reader():
     for top in ("src", "tests", "scripts", "examples", "benchmarks"):
         for path in sorted((root / top).rglob("*.py")):
             text = path.read_text()
-            words.update(re.findall(r"\w+", text))
+            words.update(_code_words(text))
             if top == "src":
                 defs += [(path, node) for node in ast.walk(ast.parse(text))
                          if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]

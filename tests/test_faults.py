@@ -23,7 +23,6 @@ from repro.network.topology import TopologyError
 from repro.sim.faults import (
     DEFAULT_REROUTE_DELAY,
     FaultEvent,
-    FaultInjector,
     FaultPlan,
     FaultPlanError,
 )
@@ -95,6 +94,13 @@ class TestPlanParsing:
         with pytest.raises(FaultPlanError):
             FaultPlan.parse(spec)
 
+    @pytest.mark.parametrize("verb", ["drain", "fail"])
+    def test_removed_verbs_are_unknown_actions(self, verb):
+        """`drain` and `fail` were `down` and `kill` under other names:
+        gone, they are refused like any typo, naming the actions."""
+        with pytest.raises(FaultPlanError, match=r"action in \('down', 'up', 'kill'"):
+            FaultPlan.parse(f"{verb}:s1@1ms")
+
     def test_roundtrip_and_name_excluded_from_dict(self):
         plan = FaultPlan.parse("seed=3;degrade:L@1ms:bw=0.5,drop=0.1", name="scenario")
         data = plan.to_dict()
@@ -129,7 +135,7 @@ class TestInjectorTargets:
         fabric = tiny_fabric(faults=FaultPlan.parse("down:s0@10us"))
         fabric.run(until=20_000)
         snap = fabric.faults.snapshot()
-        # down/drain hits the switch's incoming links only
+        # down hits the switch's incoming links only
         assert set(snap["links_down"]) == {"n0->s0p0", "n1->s0p1", "s2p0->s0p2", "s3p0->s0p3"}
 
     def test_faulted_run_leaves_its_topology_as_built(self):
@@ -380,13 +386,13 @@ class TestSurfaces:
         assert "CCFIT" in table and "kill" in table
 
     def test_cli_case_prints_faulted_cell(self, capsys):
-        """`case`/`trees` must find the result under its faulted key
+        """A one-cell `sweep` must find the result under its faulted key
         (``SCHEME[@routing]+label``), not print nothing."""
         from repro.cli import main
 
         rc = main(["--scale", "0.02", "--seed", "3",
                    "--faults", f"down:{CASE1_LINK}@1ms;up:{CASE1_LINK}@1.2ms",
-                   "case", "1", "--scheme", "ITh"])
+                   "sweep", "case1", "--scheme", "ITh", "--no-cache"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "delivered_packets" in out

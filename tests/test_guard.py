@@ -77,8 +77,8 @@ class TestGuardAttachment:
         from repro.cli import main
 
         monkeypatch.setenv(ENV_VALIDATE, "0")  # recorded + restored by monkeypatch
-        assert main(["--scale", str(SCALE), "case", "1",
-                     "--scheme", "CCFIT", "--validate"]) == 0
+        assert main(["--scale", str(SCALE), "sweep", "case1",
+                     "--scheme", "CCFIT", "--validate", "--no-cache"]) == 0
         import os
         assert os.environ[ENV_VALIDATE] == "1"
 

@@ -114,7 +114,7 @@ class TestPlumbing:
 class TestCliResolution:
     @staticmethod
     def cell(*flags):
-        return _cell(build_parser().parse_args([*flags, "case", "1"]))
+        return _cell(build_parser().parse_args([*flags, "sweep", "case1"]))
 
     def test_flag_absent_means_none(self):
         assert "buffer_model" not in self.cell()
@@ -124,12 +124,12 @@ class TestCliResolution:
         assert self.cell("--buffer-model", "Static")["buffer_model"] == "static"
 
     def test_typo_exits_2_with_hint(self, capsys):
-        assert main(["case", "1", "--buffer-model", "sharde"]) == 2
+        assert main(["sweep", "case1", "--buffer-model", "sharde", "--no-cache"]) == 2
         err = capsys.readouterr().err
         assert "did you mean shared" in err
 
     def test_end_to_end_flag(self, capsys):
-        rc = main(["--scale", "0.02", "case", "1", "--scheme", "CCFIT",
+        rc = main(["--scale", "0.02", "sweep", "case1", "--scheme", "CCFIT",
                    "--buffer-model", "shared", "--no-cache"])
         assert rc == 0
         assert "delivered_packets" in capsys.readouterr().out

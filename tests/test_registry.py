@@ -94,7 +94,7 @@ class TestCliWiring:
     def test_unknown_scheme_did_you_mean(self, capsys):
         from repro.cli import main
 
-        assert main(["case", "1", "--scheme", "CCFTI"]) == 2
+        assert main(["sweep", "case1", "--scheme", "CCFTI", "--no-cache"]) == 2
         err = capsys.readouterr().err
         assert "did you mean CCFIT" in err
         # names match case-insensitively, so "ITH" is ITh, not a typo
@@ -125,16 +125,3 @@ class TestCliWiring:
         assert "1 simulated" in capsys.readouterr().out
         assert main(argv) == 0
         assert "1 cache hit(s)" in capsys.readouterr().out
-
-    def test_cli_fig_matches_sweep_output(self, tmp_path, capsys):
-        """`repro sweep fig9` reports the same per-flow table as the
-        serial `repro fig 9` path (the acceptance contract)."""
-        from repro.cli import main
-
-        assert main(["--scale", "0.02", "fig", "9"]) == 0
-        fig_out = capsys.readouterr().out
-        assert main(["--scale", "0.02", "sweep", "fig9",
-                     "--cache-dir", str(tmp_path)]) == 0
-        sweep_out = capsys.readouterr().out
-        table = lambda out: [l for l in out.splitlines() if " | " in l]
-        assert table(fig_out) and table(fig_out) == table(sweep_out)

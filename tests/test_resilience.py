@@ -24,17 +24,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.resilience import RetryPolicy, execute_job
+from repro.experiments.resilience import BACKOFF_MAX, RetryPolicy, execute_job
 from repro.experiments.runner import CaseResult, run_case
 from repro.experiments.sweep import ResultCache, SimJob, SweepOptions, run_sweep
 
 from tests.test_sweep import assert_results_equal, canonical
 
 SCALE = 0.02
-
-#: fast-failing options so retry tests don't sleep for real.
-FAST = dict(backoff=0.001)
-
 
 # ---------------------------------------------------------------------------
 # injected-failure jobs (module level so worker processes can unpickle them)
@@ -108,14 +104,14 @@ def small() -> CaseResult:
 # ---------------------------------------------------------------------------
 class TestRetryPolicy:
     def test_exponential_growth(self):
-        p = RetryPolicy(backoff_base=0.25, jitter=0.0)
+        p = RetryPolicy(backoff_base=0.25)
         assert p.delay(1) == pytest.approx(0.25)
         assert p.delay(2) == pytest.approx(0.5)
         assert p.delay(3) == pytest.approx(1.0)
 
     def test_cap(self):
-        p = RetryPolicy(backoff_base=0.25, backoff_max=2.0, jitter=0.0)
-        assert p.delay(50) == 2.0
+        p = RetryPolicy(backoff_base=0.25)
+        assert p.delay(50) == BACKOFF_MAX
 
     def test_jitter_is_deterministic_per_key(self):
         p = RetryPolicy(backoff_base=0.25)
@@ -126,9 +122,8 @@ class TestRetryPolicy:
         assert p.delay(1) == pytest.approx(0.25)              # no key
 
     def test_options_build_policy(self):
-        opts = SweepOptions(max_retries=5, backoff=0.125)
-        p = opts.retry_policy()
-        assert p.max_retries == 5 and p.backoff_base == 0.125
+        p = SweepOptions(max_retries=5).retry_policy()
+        assert p == RetryPolicy(max_retries=5) and p.backoff_base == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +152,7 @@ class TestExecuteJob:
 class TestSerialFailures:
     def test_failed_cell_does_not_abort_the_sweep(self, small):
         jobs = [FailJob(case="case1", scheme="CCFIT", time_scale=SCALE), good_job()]
-        report = run_sweep(jobs, options=SweepOptions(max_retries=1, **FAST))
+        report = run_sweep(jobs, options=SweepOptions(max_retries=1))
         assert report.failed == 1 and report.ok == 1
         assert report.results[0] is None
         assert_results_equal(report.results[1], small)
@@ -172,7 +167,7 @@ class TestSerialFailures:
         marker = str(tmp_path / "attempts")
         job = FlakyJob(case="case1", scheme="1Q", time_scale=SCALE,
                        marker=marker, fails=2)
-        report = run_sweep([job], options=SweepOptions(max_retries=2, **FAST))
+        report = run_sweep([job], options=SweepOptions(max_retries=2))
         assert report.failed == 0 and report.retried == 2
         assert os.path.getsize(marker) == 3  # 2 failures + 1 success
         assert_results_equal(report.results[0], small)
@@ -180,14 +175,14 @@ class TestSerialFailures:
     def test_zero_retries(self):
         report = run_sweep(
             [FailJob(case="case1", scheme="1Q")],
-            options=SweepOptions(max_retries=0, **FAST),
+            options=SweepOptions(max_retries=0),
         )
         assert report.failed == 1 and report.retried == 0
         assert report.failures[0].attempts == 1
 
     def test_manifest_structure(self, tmp_path):
         jobs = [FailJob(case="case1", scheme="CCFIT", time_scale=SCALE), good_job()]
-        report = run_sweep(jobs, options=SweepOptions(max_retries=0, **FAST))
+        report = run_sweep(jobs, options=SweepOptions(max_retries=0))
         m = report.manifest()
         assert m["schema"] == 1 and m["cells"] == 2
         assert m["ok"] == 1 and m["failed"] == 1
@@ -202,7 +197,7 @@ class TestSerialFailures:
         """The manifest reads the keys the sweep derived, once per job,
         and they are each job's key."""
         jobs = [good_job("CCFIT"), good_job()]
-        report = run_sweep(jobs, options=SweepOptions(**FAST))
+        report = run_sweep(jobs, options=SweepOptions())
         monkeypatch.setattr(SimJob, "key", lambda self: pytest.fail("a key derived again"))
         keys = [cell["key"] for cell in report.manifest()["jobs"]]
         monkeypatch.undo()
@@ -212,7 +207,7 @@ class TestSerialFailures:
         """Whoever cleans up after a killed sweep removes only what
         that sweep's pid names, never a live sweep's broker."""
         job = ScratchProbeJob(case="case1", scheme="1Q", time_scale=SCALE)
-        report = run_sweep([job], options=SweepOptions(max_retries=0, **FAST))
+        report = run_sweep([job], options=SweepOptions(max_retries=0))
         assert not report.failures, report.failures[0].message
 
 
@@ -397,7 +392,7 @@ class TestPoolFailures:
             good_job("1Q"),
             good_job("FBICM"),
         ]
-        report = run_sweep(jobs, options=SweepOptions(jobs=2, max_retries=0, **FAST))
+        report = run_sweep(jobs, options=SweepOptions(jobs=2, max_retries=0))
         assert report.failed == 1
         f = report.failures[0]
         assert f.kind == "crash" and f.exception == "WorkerCrash"
@@ -409,7 +404,7 @@ class TestPoolFailures:
     def test_timeout_kills_a_wedged_job(self):
         report = run_sweep(
             [SlowJob(case="case1", scheme="1Q")],
-            options=SweepOptions(timeout=0.75, max_retries=0, **FAST),
+            options=SweepOptions(timeout=0.75, max_retries=0),
         )
         assert report.failed == 1
         f = report.failures[0]
@@ -423,7 +418,7 @@ class TestPoolFailures:
             good_job("FBICM"),
         ]
         report = run_sweep(
-            jobs, options=SweepOptions(jobs=2, timeout=1.5, max_retries=0, **FAST)
+            jobs, options=SweepOptions(jobs=2, timeout=1.5, max_retries=0)
         )
         assert report.failed == 1 and report.failures[0].kind == "timeout"
         assert report.results[0] is None
@@ -441,7 +436,7 @@ class TestPoolFailures:
             good_job("FBICM"),
         ]
         opts = SweepOptions(cache_dir=str(tmp_path), jobs=2,
-                            timeout=1.5, max_retries=0, **FAST)
+                            timeout=1.5, max_retries=0)
         # pre-corrupt the cache entry for the first good job
         run_sweep([jobs[2]], options=SweepOptions(cache_dir=str(tmp_path)))
         ResultCache(tmp_path).path(jobs[2].key()).write_text("{torn")

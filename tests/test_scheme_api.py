@@ -244,7 +244,7 @@ class TestRcmEndToEnd:
 
         rows = cost_table(k_ary_n_tree(2, 3))
         assert any(r["scheme"] == "RCM" for r in rows)
-        assert main(["--scale", "0.02", "case", "1", "--scheme", "RCM"]) == 0
+        assert main(["--scale", "0.02", "sweep", "case1", "--scheme", "RCM", "--no-cache"]) == 0
         assert "RCM" in capsys.readouterr().out
 
 
