@@ -388,6 +388,8 @@ class SimJob:
             knobs = KNOBS.get(self.case, {})
             extra = sorted(dict(self.extra).items())
             for name, _value in extra:
+                if not knobs:
+                    raise CellError(f"{self.case}: unknown knob {name!r} ({self.case} takes no knobs)")
                 if name not in knobs:
                     raise CellError(f"{self.case}: " + unknown_name("knob", name, knobs))
             fix(self, "extra", tuple((name, knobs[name](value)) for name, value in extra))

@@ -17,10 +17,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = json.loads((ROOT / "benchmarks" / "e2e" / "golden.json").read_text())
+#: the digest of the cell these tests run, from the pin table
+PINNED = json.loads((ROOT / "tests" / "golden" / "pins.json").read_text())[
+    "case1/CCFIT ts=0.02 seed=1"]["sha256"]
 
-#: ``python -c`` prelude: the digest a cell's result is recorded under
-#: in ``benchmarks/e2e/golden.json``, and what a process has loaded.
+#: ``python -c`` prelude: the digest a cell's result is pinned under
+#: (tests/pins.py), and what a process has loaded.
 PRELUDE = """
 import hashlib, json, sys
 def digest(result):
@@ -73,7 +75,7 @@ class TestImportWeight:
             "ran = digest(job.run().to_dict())\n"
             "print(json.dumps([before, loaded('numpy'), ran]))"
         )
-        assert out == [{"numpy": False}, {"numpy": True}, GOLDEN["case1/CCFIT ts=0.02 seed=1"]]
+        assert out == [{"numpy": False}, {"numpy": True}, PINNED]
 
     def test_serving_a_run_loads_no_numpy(self, tmp_path):
         """A server and its client in one process, a ``repro worker``
@@ -100,7 +102,7 @@ class TestImportWeight:
             str(tmp_path),
         )
         assert out == [{"numpy": False}, {"done": 1}, "complete", 1, True,
-                       GOLDEN["case1/CCFIT ts=0.02 seed=1"]]
+                       PINNED]
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the platform cannot fork")
