@@ -12,6 +12,7 @@ Run:  python examples/protocol_trace.py
 
 from repro import build_fabric, config1_adhoc
 from repro.metrics.trace import ProtocolTrace
+from repro.telemetry import TreeRecord, TreeTracker
 from repro.traffic.flows import FlowSpec, attach_traffic
 
 MS = 1_000_000.0
@@ -38,15 +39,16 @@ def main() -> None:
     for kind, n in sorted(trace.counts().items()):
         print(f"  {kind:10s} {n}")
 
-    latency = trace.reaction_latency(4)
+    detect, becn = (trace.query(kind=kind, dest=4) for kind in ("detect", "becn"))
+    latency = becn[0].time - detect[0].time
     print(f"\ndetection -> first BECN at a source: {latency / 1e3:.1f} us")
 
-    lifetimes = trace.tree_lifetimes()
-    if lifetimes:
-        longest = max(lifetimes, key=lambda e: e["lifetime"])
+    closed = [r for r in TreeTracker().consume(trace.events).records() if r.drain is not None]
+    if closed:
+        longest = max(closed, key=TreeRecord.lifetime)
         print(
-            f"longest CFQ tenure: {longest['lifetime'] / 1e3:.1f} us at "
-            f"{longest['where']} (dest {longest['dest']})"
+            f"longest congestion tree: {longest.lifetime() / 1e3:.1f} us, rooted at "
+            f"{longest.root or '?'} (dest {longest.dest}), peak extent {longest.peak_extent} ports"
         )
     print(
         "\nNote how Stop/Go cycles at the upstream ports bracket the"

@@ -9,11 +9,10 @@ Commands
     ``case1`` ... ``case4``) through the sweep engine: the figure's
     series/flow tables, a one-cell grid's CC counters too
     (``sweep case1 --schemes CCFIT``), and the cache hit count.
-    ``repro sweep --list`` enumerates the names.
-``telemetry NAME --scheme CCFIT --out DIR``
-    Run one experiment cell with the telemetry sampler attached and
-    render the bundle (JSONL / Prometheus text / SVG dashboard — pick
-    with ``--format``).  See docs/telemetry.md.
+    ``repro sweep --list`` enumerates the names.  With ``--telemetry
+    --out DIR`` it also writes each cell's telemetry bundle (JSONL,
+    Prometheus text, SVG dashboard) into ``DIR/<result key>/``, a
+    cached cell's straight from the cache.  See docs/telemetry.md.
 ``serve --broker DIR --port 8642``
     Long-running service front-end: submit experiments over HTTP
     (``POST /experiments``), stream cell-level progress as NDJSON,
@@ -34,9 +33,8 @@ Commands
 Common options: ``--scale`` (time compression, default 0.3),
 ``--seed``, ``--csv PATH`` (dump the throughput series),
 ``--jobs N`` (worker processes for the simulation grid),
-``--cache-dir PATH`` / ``--no-cache`` (on-disk result cache; ``sweep``
-caches by default, ``telemetry`` opts in via ``--cache-dir``), one
-option per axis of a cell -- ``--routing``, ``--faults``,
+``--cache-dir PATH`` / ``--no-cache`` (on-disk result cache, on by
+default), one option per axis of a cell -- ``--routing``, ``--faults``,
 ``--buffer-model``, ``--telemetry`` -- and one per case knob --
 ``--num-trees``, ``--duration-ms`` -- generated from the ``AXES`` and
 ``KNOBS`` tables of :mod:`repro.experiments.sweep` (``--help`` lists
@@ -100,10 +98,10 @@ _KNOBS = tuple(dict.fromkeys(name for knobs in KNOBS.values() for name in knobs)
 def _add_engine_options(p: argparse.ArgumentParser, suppress: bool = False) -> None:
     """The sweep-engine options, the cell axes (one flag per row of
     ``AXES``, plus what refines it) and the case knobs (one flag per
-    name in ``KNOBS``), shared by every simulation command.
+    name in ``KNOBS``).
 
     They live on the main parser (before the subcommand) *and*, with
-    ``default=SUPPRESS``, on each subparser — so both
+    ``default=SUPPRESS``, on the ``sweep`` subparser — so both
     ``repro --jobs 4 sweep fig9`` and ``repro sweep fig9 --jobs 4``
     work, and a subparser never clobbers a value given up front.
     """
@@ -116,8 +114,7 @@ def _add_engine_options(p: argparse.ArgumentParser, suppress: bool = False) -> N
     p.add_argument("--jobs", type=int, default=d(None), metavar="N",
                    help="worker processes for the simulation grid (default 1 = serial)")
     p.add_argument("--cache-dir", type=str, default=d(None), metavar="PATH",
-                   help="on-disk result cache directory "
-                        "(default: ~/.cache/repro-sweep for `sweep`, off otherwise)")
+                   help="on-disk result cache directory (default: ~/.cache/repro-sweep)")
     p.add_argument("--no-cache", action="store_true", default=d(False),
                    help="disable the on-disk result cache")
     p.add_argument("--timeout", type=float, default=d(None), metavar="SECONDS",
@@ -203,22 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated scheme subset (default: the experiment's "
                             "list); names match case-insensitively")
 
-    tele = sub.add_parser(
-        "telemetry",
-        help="run one experiment cell with the sampler attached and render the bundle",
-        description="Run a single (experiment, scheme) cell with telemetry "
-                    "enabled and export the bundle: fsync'd JSONL samples, "
-                    "Prometheus text exposition and/or a self-contained SVG "
-                    "dashboard (see docs/telemetry.md).",
-    )
-    tele.add_argument("name", metavar="NAME",
-                      help="experiment to instrument (see `repro sweep --list`)")
-    tele.add_argument("--scheme", default="CCFIT", metavar="NAME",
-                      help="congestion-management scheme (default CCFIT)")
-    tele.add_argument("--out", default="telemetry-out", metavar="DIR",
-                      help="output directory for the rendered bundle (default ./telemetry-out)")
-    tele.add_argument("--format", default="all", dest="tele_format", metavar="FMT",
-                      help="export format: jsonl | prom | html | all (default all)")
+    sweep.add_argument("--out", default=None, metavar="DIR",
+                       help="with --telemetry: write each cell's bundle (telemetry.jsonl, "
+                            "metrics.prom, dashboard.html) into DIR/<result key>/")
+    _add_engine_options(sweep, suppress=True)
 
     serve = sub.add_parser(
         "serve",
@@ -318,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--json", action="store_true", dest="as_json",
                        help="emit machine-readable JSON instead of a table")
 
-    for sp in (sweep, tele):
-        _add_engine_options(sp, suppress=True)
     return p
 
 
@@ -334,16 +317,12 @@ def _cell(args: argparse.Namespace) -> Dict[str, Any]:
     return dict(cell, time_scale=args.scale, seed=args.seed)
 
 
-def _options(args: argparse.Namespace, *, cache_by_default: bool) -> SweepOptions:
-    """Build SweepOptions from parsed args.  The cache engages when a
-    directory was given explicitly, or by default for ``sweep``;
-    ``--no-cache`` always wins."""
-    cache_dir = args.cache_dir
-    if cache_dir is None and cache_by_default:
-        cache_dir = default_cache_dir()
+def _options(args: argparse.Namespace) -> SweepOptions:
+    """Build SweepOptions from parsed args.  The cache is
+    ``--cache-dir``, else the default one; ``--no-cache`` always wins."""
     return SweepOptions(
         jobs=args.jobs if args.jobs is not None else 1,
-        cache_dir=None if args.no_cache else cache_dir,
+        cache_dir=None if args.no_cache else args.cache_dir or default_cache_dir(),
         timeout=args.timeout,
         max_retries=max(0, args.retries),
     )
@@ -413,13 +392,10 @@ def _render_results(exp: Experiment, results: Dict[str, CaseResult], args) -> No
             print(f"wrote {args.svg}")
 
 
-def _report_engine(
-    report: SweepReport, opts: SweepOptions, args: argparse.Namespace, always: bool = False
-) -> int:
+def _report_engine(report: SweepReport, args: argparse.Namespace) -> int:
     """Print the engine summary and failure details, write the manifest
     when requested, and turn failures into exit code 1."""
-    if always or opts.jobs > 1 or opts.cache_enabled or report.failures:
-        print(f"sweep: {report.summary()}")
+    print(f"sweep: {report.summary()}")
     for failure in report.failures:
         print(f"sweep: FAILED {failure.summary()}", file=sys.stderr)
     if args.manifest:
@@ -451,52 +427,33 @@ def _cmd_sweep(args) -> int:
         return 2
     exp = registry.get(registry.REGISTRY.parse(args.name))
     cell = _cell(args)
+    if args.out is not None and cell.get("telemetry") is None:
+        raise CellError("--out is given but telemetry is not on")
     if args.schemes:
         cell["schemes"] = parse_names(str, args.schemes)
-    opts = _options(args, cache_by_default=True)
-    results, report = exp.run(options=opts, **cell)
+    results, report = exp.run(options=_options(args), **cell)
     print(exp.title)
     _render_results(exp, results, args)
     if len(report.jobs) == 1:
         for res in results.values():  # the one cell, whatever its axes add to its key
             _print_case(res)
-    return _report_engine(report, opts, args, always=True)
+    if args.out is not None:
+        _write_bundles(exp, report, args.out)
+    return _report_engine(report, args)
 
 
-def _cmd_telemetry(args) -> int:
-    from repro.telemetry import TELEMETRY_FORMATS, write_bundle
+def _write_bundles(exp: Experiment, report: SweepReport, out: str) -> None:
+    """Each finished cell's telemetry bundle, into ``out/<result key>/``
+    (the key ``Experiment.run`` gives it)."""
+    from repro.telemetry import write_bundle
 
-    exp = registry.get(registry.REGISTRY.parse(args.name))
-    if args.tele_format not in TELEMETRY_FORMATS:
-        raise CellError(unknown_name("telemetry format", args.tele_format, TELEMETRY_FORMATS))
-    args.telemetry = True  # the telemetry axis, on; --telemetry-interval sets its period
-    cell = _cell(args)
-    for axis in AXES:  # one cell: one value where `sweep` takes a list
-        if axis.listable and len(cell.setdefault(axis.grid, (axis.default,))) > 1:
-            raise CellError(f"`telemetry` accepts a single {_flag(axis.name)} value "
-                            f"(got {','.join(cell[axis.grid])})")
-    opts = _options(args, cache_by_default=False)
-    results, report = exp.run(schemes=(args.scheme,), options=opts, **cell)
-    rc = _report_engine(report, opts, args)
-    job, res = report.jobs[0], report.results[0]
-    if res is None or res.telemetry is None:
-        print("telemetry: no bundle produced (cell failed?)", file=sys.stderr)
-        return rc or 1
-    bundle = res.telemetry
-    written = write_bundle(
-        bundle, args.out, fmt=args.tele_format,
-        title=f"{exp.title} — {job.scheme} {job.suffix()}".rstrip(),
-    )
-    stats = bundle.get("tree_stats") or {}
-    print(
-        f"telemetry: {bundle['ticks']} samples at {job.telemetry.interval:.0f} ns "
-        f"({bundle['dropped']} dropped), "
-        f"{stats.get('trees', 0)} congestion trees "
-        f"(max {stats.get('max_concurrent_trees', 0)} concurrent)"
-    )
-    for path in written:
-        print(f"wrote {path}")
-    return rc
+    crossed = [axis.name for axis in AXES if exp.grid(axis)]
+    for job, res in zip(report.jobs, report.results):
+        if res is not None:
+            where = os.path.join(out, job.scheme + job.suffix(crossed))
+            title = f"{exp.title} — {job.scheme} {job.suffix()}".rstrip()
+            for path in write_bundle(res.telemetry, where, title=title):
+                print(f"wrote {path}")
 
 
 _AGE_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
@@ -656,7 +613,6 @@ def _cmd_cache(args) -> int:
 _COMMANDS = {
     "table1": _cmd_table1,
     "sweep": _cmd_sweep,
-    "telemetry": _cmd_telemetry,
     "serve": _cmd_serve,
     "worker": _cmd_worker,
     "cache": _cmd_cache,

@@ -170,7 +170,7 @@ def write_atomic(path: Path, data: bytes) -> None:
 def _positive(name: str) -> Callable[[Any], float]:
     def parse(raw: Any) -> float:
         try:
-            value = float(raw)
+            value = math.nan if isinstance(raw, bool) else float(raw)
         except (TypeError, ValueError):
             value = math.nan
         if not 0.0 < value < math.inf:
@@ -194,7 +194,22 @@ def _count(name: str, least: int, most: float = math.inf) -> Callable[[Any], int
     return parse
 
 
-_INTERVAL = _positive("telemetry_interval")
+def _bool(name: str) -> Callable[[Any], bool]:
+    def parse(raw: Any) -> bool:
+        if not isinstance(raw, bool):
+            raise CellError(f"{name} must be true or false, not {raw!r}")
+        return raw
+
+    return parse
+
+
+#: the parser of each ``TelemetryConfig`` field.
+_TELEMETRY_FIELDS = {
+    "interval": _positive("telemetry_interval"),
+    "series_capacity": _count("telemetry series_capacity", 1),
+    "events_limit": _count("telemetry events_limit", 0),
+    "track_trees": _bool("telemetry track_trees"),
+}
 
 
 def _fault_plan(raw: Any) -> Optional[FaultPlan]:
@@ -212,7 +227,9 @@ def _fault_plan(raw: Any) -> Optional[FaultPlan]:
 
 def _telemetry(raw: Any, interval: Any = None) -> Optional[TelemetryConfig]:
     """A config, its ``to_dict()``, or ``True`` for the default one;
-    ``interval`` overrides the sampling period (ns)."""
+    ``interval`` overrides the sampling period (ns).  Each field is
+    checked and made canonical (the period a float), so one cell has
+    one key however its config was spelt."""
     if not raw:
         if interval is not None:
             raise CellError("telemetry_interval is given but telemetry is not on")
@@ -222,8 +239,10 @@ def _telemetry(raw: Any, interval: Any = None) -> Optional[TelemetryConfig]:
             **({} if raw is True else raw))
     except TypeError as exc:
         raise CellError(f"bad telemetry config: {exc}") from None
-    period = _INTERVAL(config.interval if interval is None else interval)
-    return config if interval is None else dataclasses.replace(config, interval=period)
+    if interval is not None:
+        config = dataclasses.replace(config, interval=interval)
+    return TelemetryConfig(**{f.name: _TELEMETRY_FIELDS[f.name](getattr(config, f.name))
+                              for f in dataclasses.fields(config)})
 
 
 def _same(value: Any) -> Any:

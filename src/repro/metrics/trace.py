@@ -4,8 +4,9 @@ A :class:`ProtocolTrace` records the CC state machine's decisions —
 detections, CFQ allocations/deallocations, Stop/Go transitions,
 congestion-state entries, FECN marks, BECN receipts, throttle steps —
 as timestamped structured events.  Attach one to a fabric to debug a
-scenario or to analyse protocol dynamics (reaction latencies, tree
-lifetimes) quantitatively:
+scenario or to analyse protocol dynamics quantitatively; the
+congestion trees are :class:`~repro.telemetry.tracker.TreeTracker`'s
+reading of the events:
 
     trace = ProtocolTrace()
     fabric = build_fabric(topo, scheme="CCFIT", seed=1)
@@ -14,7 +15,7 @@ lifetimes) quantitatively:
     fabric.run(until=...)
     for ev in trace.query(kind="detect"):
         print(ev)
-    print(trace.tree_lifetimes())
+    print(TreeTracker().consume(trace.events).records())
 
 Tracing is optional.  Attaching sets the ``recorder`` hook of every
 switch input port's isolation scheme, its CAM and its port, of each
@@ -130,33 +131,3 @@ class ProtocolTrace:
         for e in self.events:
             out[e.kind] = out.get(e.kind, 0) + 1
         return out
-
-    def tree_lifetimes(self) -> List[Dict[str, float]]:
-        """Pair each CFQ allocation with its deallocation (per port and
-        destination): how long did each congestion tree hold resources?
-        Unclosed allocations (still live at the end) are omitted."""
-        open_allocs: Dict[tuple, float] = {}
-        lifetimes: List[Dict[str, float]] = []
-        for e in self.events:
-            key = (e.where, e.dest)
-            if e.kind in ("detect", "adopt"):
-                open_allocs.setdefault(key, e.time)
-            elif e.kind == "dealloc" and key in open_allocs:
-                start = open_allocs.pop(key)
-                lifetimes.append(
-                    {"where": e.where, "dest": e.dest, "start": start,
-                     "end": e.time, "lifetime": e.time - start}
-                )
-        return lifetimes
-
-    def reaction_latency(self, dest: int) -> Optional[float]:
-        """Time from the first detection of ``dest``'s tree to the
-        first BECN its sources received — the closed-loop reaction
-        time the paper contrasts ITh and CCFIT on."""
-        t_detect = next((e.time for e in self.events
-                         if e.kind == "detect" and e.dest == dest), None)
-        t_becn = next((e.time for e in self.events
-                       if e.kind == "becn" and e.dest == dest), None)
-        if t_detect is None or t_becn is None:
-            return None
-        return t_becn - t_detect

@@ -29,7 +29,6 @@ _EXPORTS = {
     "SeriesRing": "series",
     "TreeTracker": "tracker",
     "TreeRecord": "tracker",
-    "TELEMETRY_FORMATS": "export",
     "write_jsonl": "export",
     "write_bundle": "export",
     "render_prometheus": "export",

@@ -25,16 +25,12 @@ import os
 from typing import Any, Dict, List
 
 __all__ = [
-    "TELEMETRY_FORMATS",
     "write_jsonl",
     "format_exposition",
     "render_prometheus",
     "render_dashboard",
     "write_bundle",
 ]
-
-#: formats understood by :func:`write_bundle` and the CLI.
-TELEMETRY_FORMATS = ("jsonl", "prom", "html", "all")
 
 
 # ----------------------------------------------------------------------
@@ -294,30 +290,15 @@ def render_dashboard(bundle: Dict[str, Any], title: str = "repro telemetry") -> 
 
 
 # ----------------------------------------------------------------------
-def write_bundle(
-    bundle: Dict[str, Any],
-    out_dir,
-    fmt: str = "all",
-    title: str = "repro telemetry",
-) -> List[str]:
-    """Render ``bundle`` into ``out_dir`` in the requested format(s):
-    ``telemetry.jsonl``, ``metrics.prom`` and/or ``dashboard.html``.
-    Returns the written paths.  Unknown formats raise ``KeyError``
-    (the CLI maps that to a did-you-mean hint + exit 2)."""
-    if fmt not in TELEMETRY_FORMATS:
-        raise KeyError(f"unknown telemetry format {fmt!r}; choose from {TELEMETRY_FORMATS}")
+def write_bundle(bundle: Dict[str, Any], out_dir, title: str = "repro telemetry") -> List[str]:
+    """Render ``bundle`` into ``out_dir`` as ``telemetry.jsonl``,
+    ``metrics.prom`` and ``dashboard.html``; returns the three paths."""
     os.makedirs(out_dir, exist_ok=True)
-    written: List[str] = []
-    if fmt in ("jsonl", "all"):
-        written.append(write_jsonl(bundle, os.path.join(out_dir, "telemetry.jsonl")))
-    if fmt in ("prom", "all"):
-        path = os.path.join(out_dir, "metrics.prom")
+    written = [write_jsonl(bundle, os.path.join(out_dir, "telemetry.jsonl"))]
+    for name, text in (("metrics.prom", render_prometheus(bundle)),
+                       ("dashboard.html", render_dashboard(bundle, title=title))):
+        path = os.path.join(out_dir, name)
         with open(path, "w") as fh:
-            fh.write(render_prometheus(bundle))
-        written.append(path)
-    if fmt in ("html", "all"):
-        path = os.path.join(out_dir, "dashboard.html")
-        with open(path, "w") as fh:
-            fh.write(render_dashboard(bundle, title=title))
+            fh.write(text)
         written.append(path)
     return written

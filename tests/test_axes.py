@@ -210,6 +210,13 @@ class TestValidation:
         (dict(case="case4", extra={"num_trees": 0}), "num_trees"),
         (dict(case="case4", extra={"num_trees": 2.5}), "num_trees"),
         (dict(case="case4", extra={"duration_ms": -3}), "duration_ms"),
+        (dict(time_scale=True), "time_scale must be a finite number > 0, not True"),
+        (dict(case="case4", extra={"duration_ms": True}), "duration_ms"),
+        (dict(telemetry={"interval": True}), "telemetry_interval"),
+        (dict(telemetry={"series_capacity": 0}), "telemetry series_capacity must be an integer >= 1"),
+        (dict(telemetry={"series_capacity": 2.5}), "telemetry series_capacity"),
+        (dict(telemetry={"events_limit": -1}), "telemetry events_limit must be an integer >= 0"),
+        (dict(telemetry={"track_trees": "yes"}), "telemetry track_trees must be true or false"),
     ])
     def test_a_cell_that_cannot_be_is_refused(self, kw, said):
         with pytest.raises(CellError, match=re.escape(said)):
@@ -224,6 +231,13 @@ class TestValidation:
         assert spelt.key() == plain.key() and spelt.label() == plain.label()
         assert job_to_spec(spelt) == job_to_spec(plain)
         assert type(spelt.time_scale) is float
+        # a sampling period is one float, however a request spells it
+        sampled = SimJob("case1", "CCFIT", telemetry=TelemetryConfig(interval=50_000.0))
+        for config in ({"interval": 50000}, {"interval": "5e4"}, TelemetryConfig(interval=50000),
+                       read_axes({"telemetry": True, "telemetry_interval": 50000}.get)["telemetry"]):
+            again = SimJob("case1", "CCFIT", telemetry=config)
+            assert again == sampled and again.key() == sampled.key()
+            assert type(again.telemetry.interval) is float
 
     def test_a_static_cell_leaves_the_params_model_alone(self, monkeypatch):
         """``buffer_model="static"`` is the axis at rest, not an

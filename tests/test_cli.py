@@ -67,16 +67,16 @@ class TestCli:
         assert "Config #3" in out and "256" in out
 
     def test_the_commands(self, capsys):
-        """One command runs an experiment; `telemetry` reads its
-        sampling period from the axis's own flag."""
+        """One command runs an experiment, and writes its telemetry
+        bundles too; the sampling period is the axis's own flag."""
         with pytest.raises(SystemExit):
             main(["--help"])
         out = capsys.readouterr().out
-        assert "{table1,sweep,telemetry,serve,worker,cache}" in out
+        assert "{table1,sweep,serve,worker,cache}" in out
         with pytest.raises(SystemExit):
-            main(["telemetry", "--help"])
+            main(["sweep", "--help"])
         out = capsys.readouterr().out
-        assert "--telemetry-interval" in out and "--interval " not in out
+        assert "--telemetry-interval" in out and "--interval " not in out and "--out DIR" in out
 
     def test_case_runs(self, capsys):
         """A one-cell grid prints the flow table and the cell's counters."""
@@ -172,19 +172,31 @@ class TestCli:
 
 
 class TestCliTelemetry:
-    def test_telemetry_command_writes_artifacts(self, tmp_path, capsys):
-        out = tmp_path / "tele"
-        rc = main(
-            ["--scale", "0.02", "telemetry", "fig7a", "--scheme", "CCFIT",
-             "--out", str(out), "--telemetry-interval", "20000"]
-        )
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "telemetry:" in text and "samples at 20000 ns" in text
-        for name in ("telemetry.jsonl", "metrics.prom", "dashboard.html"):
-            assert (out / name).is_file()
-        head = json.loads((out / "telemetry.jsonl").read_text().splitlines()[0])
+    def test_sweep_out_writes_the_bundles_cold_and_warm(self, tmp_path, capsys):
+        """`sweep --telemetry --out DIR` writes each cell's bundle into
+        DIR/<result key>/; run again on the same cache, the cell is a
+        hit and its bundle is exported from the cache, byte for byte."""
+        names = ("telemetry.jsonl", "metrics.prom", "dashboard.html")
+        written = {}
+        for run in ("cold", "warm"):
+            out = tmp_path / run
+            assert main(["--scale", "0.02", "sweep", "fig7a", "--schemes", "CCFIT",
+                         "--telemetry", "--telemetry-interval", "20000",
+                         "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]) == 0
+            text = capsys.readouterr().out
+            assert f"{'1' if run == 'warm' else '0'} cache hit(s)" in text
+            assert sorted(p.name for p in (out / "CCFIT").iterdir()) == sorted(names)
+            written[run] = {name: (out / "CCFIT" / name).read_bytes() for name in names}
+        assert written["warm"] == written["cold"]
+        head = json.loads(written["cold"]["telemetry.jsonl"].splitlines()[0])
         assert head["config"]["interval"] == 20_000.0
+        title = "Fig. 7a — network throughput vs time (Config #1 / Case #1) — CCFIT"
+        assert f"<title>{title}</title>" in written["cold"]["dashboard.html"].decode()
+
+    def test_out_without_telemetry_exits_2(self, tmp_path, capsys):
+        assert main(["sweep", "fig7a", "--no-cache", "--out", str(tmp_path / "t")]) == 2
+        assert capsys.readouterr().err == "repro: --out is given but telemetry is not on\n"
+        assert not (tmp_path / "t").exists()
 
     def test_telemetry_flag_attaches_sampler_to_options(self):
         from repro.cli import _cell
@@ -199,16 +211,8 @@ class TestCliTelemetry:
         plain = build_parser().parse_args(["--scale", "0.05", "sweep", "case1"])
         assert _cell(plain)["telemetry"] is None
 
-    def test_unknown_telemetry_format_exits_2(self, tmp_path, capsys):
-        rc = main(
-            ["telemetry", "fig7a", "--out", str(tmp_path), "--format", "jsnl"]
-        )
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "jsnl" in err and "did you mean" in err
-
     def test_unknown_experiment_name_exits_2(self, capsys):
-        rc = main(["telemetry", "fig7z"])
+        rc = main(["sweep", "fig7z"])
         assert rc == 2
         assert "unknown" in capsys.readouterr().err
 
@@ -227,10 +231,6 @@ class TestCliTelemetry:
         assert main(["sweep", "case1", "--routing", "adaptve", "--no-cache"]) == 2
         err = capsys.readouterr().err
         assert "adaptve" in err and "did you mean" in err and "adaptive" in err
-
-    def test_single_cell_commands_reject_routing_lists(self, capsys):
-        assert main(["telemetry", "fig7a", "--routing", "det,adaptive", "--no-cache"]) == 2
-        assert "single --routing" in capsys.readouterr().err
 
     def test_sweep_list_shows_routing_grid(self, capsys):
         assert main(["sweep", "--list"]) == 0

@@ -863,6 +863,12 @@ class TestService:
         ({"buffer_model": "sharde"}, "did you mean shared"),
         ({"faults": "kil:x@1ms"}, "bad faults spec"),
         ({"telemetry_interval": 50_000}, "telemetry is not on"),
+        ({"time_scale": True}, "time_scale"),
+        ({"extra": {"duration_ms": True}}, "duration_ms"),
+        ({"telemetry": {"interval": True}}, "telemetry_interval"),
+        ({"telemetry": {"series_capacity": 0}}, "series_capacity"),
+        ({"telemetry": {"events_limit": -1}}, "events_limit"),
+        ({"telemetry": {"track_trees": "yes"}}, "track_trees"),
     ])
     def test_a_cell_that_cannot_be_is_400_and_enqueues_nothing(self, srv, client, body, said):
         """Validated where the cell is constructed, as the CLI's are:

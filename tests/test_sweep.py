@@ -398,7 +398,7 @@ class TestRunSweep:
         assert list(hit.telemetry["links"]) != list(fresh.telemetry["links"])  # the premise
         assert list(hit.stats) != list(fresh.stats)
         for name, res in (("fresh", fresh), ("hit", hit)):
-            write_bundle(res.telemetry, tmp_path / name, fmt="all")
+            write_bundle(res.telemetry, tmp_path / name)
         for name in ("telemetry.jsonl", "metrics.prom", "dashboard.html"):
             assert (tmp_path / "hit" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
         # the tables average the flows, and float sums depend on order

@@ -16,7 +16,6 @@ from repro.metrics.trace import ProtocolTrace, TraceEvent
 from repro.network.fabric import build_fabric
 from repro.telemetry import TelemetryConfig, TelemetrySampler, TreeTracker
 from repro.telemetry.export import (
-    TELEMETRY_FORMATS,
     render_dashboard,
     render_prometheus,
     write_bundle,
@@ -287,17 +286,12 @@ class TestExporters:
         assert "Congestion trees" in html
 
     def test_write_bundle_all_formats(self, sampled, tmp_path):
-        written = write_bundle(sampled.telemetry, tmp_path, fmt="all")
+        written = write_bundle(sampled.telemetry, tmp_path)
         assert len(written) == 3
         names = {os.path.basename(p) for p in written}
         assert names == {"telemetry.jsonl", "metrics.prom", "dashboard.html"}
         for p in written:
             assert os.path.getsize(p) > 0
-
-    def test_unknown_format_raises_keyerror(self, sampled, tmp_path):
-        with pytest.raises(KeyError):
-            write_bundle(sampled.telemetry, tmp_path, fmt="jsnl")
-        assert "jsnl" not in TELEMETRY_FORMATS
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from repro.metrics.trace import ProtocolTrace, TraceEvent
 from repro.network.fabric import build_fabric
 from repro.network.topology import config1_adhoc
+from repro.telemetry import TreeTracker
 from repro.traffic.flows import FlowSpec, attach_traffic
 from tests.pins import hot_fabric
 
@@ -37,11 +38,11 @@ def test_trace_query_filters():
 def test_tree_lifetimes_are_positive_and_closed():
     fab, trace = hot_fabric()
     fab.run(until=3_000_000.0)
-    lifetimes = trace.tree_lifetimes()
-    assert lifetimes, "no tree ever completed its lifecycle"
-    for entry in lifetimes:
-        assert entry["lifetime"] > 0
-        assert entry["end"] <= 3_000_000.0
+    closed = [r for r in TreeTracker().consume(trace.events).records() if r.drain is not None]
+    assert closed, "no tree ever completed its lifecycle"
+    for record in closed:
+        assert record.lifetime() > 0
+        assert record.drain <= 3_000_000.0
 
 
 def test_reaction_latency_is_fast_for_ccfit():
@@ -49,9 +50,9 @@ def test_reaction_latency_is_fast_for_ccfit():
     the first source-side BECN within a fraction of a millisecond."""
     fab, trace = hot_fabric()
     fab.run(until=2_000_000.0)
-    latency = trace.reaction_latency(4)
-    assert latency is not None
-    assert 0 < latency < 500_000.0  # well under half a millisecond
+    detect, becn = (trace.query(kind=kind, dest=4) for kind in ("detect", "becn"))
+    assert detect and becn
+    assert 0 < becn[0].time - detect[0].time < 500_000.0  # well under half a millisecond
 
 
 def test_fbicm_traces_have_no_marking():
