@@ -43,10 +43,11 @@ them).  See docs/sweep.md for the job/cache model.
 Resilience options (docs/robustness.md): ``--timeout SECONDS``
 (per-cell wall-clock budget), ``--retries N`` (bounded retries with
 exponential backoff), ``--manifest PATH`` (structured
-ok/retried/failed report), and ``--validate`` (run every simulation
-under the invariant guard, :mod:`repro.sim.guard`).  A sweep with
-failed cells still renders the surviving results and exits 1; run
-again with the same cache, it simulates only what is not cached.
+ok/retried/failed report).  Every simulation runs under the invariant
+guard (:mod:`repro.sim.guard`); a cell that breaks an invariant fails
+with ``InvariantViolation``.  A sweep with failed cells still renders
+the surviving results and exits 1; run again with the same cache, it
+simulates only what is not cached.
 
 Every simulation command dispatches through
 :mod:`repro.experiments.registry`, so registering a new experiment
@@ -87,7 +88,6 @@ from repro.experiments.sweep import (
     read_axes,
 )
 from repro.registry import CellError, unknown_name
-from repro.sim.guard import ENV_VALIDATE
 
 __all__ = ["main", "build_parser"]
 
@@ -125,9 +125,6 @@ def _add_engine_options(p: argparse.ArgumentParser, suppress: bool = False) -> N
                    help="retries per failed cell, with exponential backoff (default 2)")
     p.add_argument("--manifest", type=str, default=d(None), metavar="PATH",
                    help="write a structured ok/retried/failed manifest as JSON")
-    p.add_argument("--validate", action="store_true", default=d(False),
-                   help="run simulations under the runtime invariant guard "
-                        "(sets REPRO_SIM_VALIDATE=1 so workers inherit it)")
     for axis in AXES:
         p.add_argument(_flag(axis.name), dest=axis.field, default=d(None),
                        help=axis.help, **axis.cli)
@@ -621,10 +618,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "validate", False):
-        # environment (not a plumbed flag) so forked sweep workers and
-        # every build_fabric call inherit guard mode (repro.sim.guard).
-        os.environ[ENV_VALIDATE] = "1"
     try:
         return _COMMANDS[args.command](args)
     except CellError as exc:  # a typo'd name, a cell that cannot be: a hint, not a traceback

@@ -59,7 +59,7 @@ def scheme_cost(
     params = params if params is not None else CCParams()
     memory = spec.memory_override(params, topo.num_nodes)
 
-    fabric = build_fabric(topo, scheme, params, validate=False)
+    fabric = build_fabric(topo, scheme, params)
     ports = [port.scheme for sw in fabric.switches for port in sw.input_ports]
     # a VOQnet port models a queue per destination, built only while it holds packets
     queues = max(getattr(q, "num_destinations", len(q.queues())) for q in ports)

@@ -194,7 +194,6 @@ def run_case(
     buffer_model: Optional[str] = None,
     telemetry=None,
     sim_factory=None,
-    validate: Optional[bool] = None,
     **knobs,
 ) -> CaseResult:
     """Run one simulation cell: ``case`` under ``scheme``.
@@ -217,9 +216,9 @@ def run_case(
     ``sim_factory`` is a zero-argument callable returning the
     :class:`repro.sim.engine.Simulator` to run on -- how the golden
     tests inject the heap reference queue and ``benchmarks/e2e`` pins
-    ``profile=``; ``validate`` forces the invariant guard on or off.
-    ``knobs`` are the case's own (Case #4 takes ``num_trees`` and
-    ``duration_ms``).
+    ``profile=``.  The cell runs under the invariant guard
+    (:mod:`repro.sim.guard`), as every fabric does.  ``knobs`` are the
+    case's own (Case #4 takes ``num_trees`` and ``duration_ms``).
     """
     from repro.metrics.collector import Collector
 
@@ -243,7 +242,6 @@ def run_case(
         seed=seed,
         collector=Collector(bin_ns=bin_ns),
         sim=sim_factory() if sim_factory is not None else None,
-        validate=validate,
         routing=routing,
         faults=faults,
     )

@@ -44,6 +44,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import operator
 import os
 import shutil
@@ -169,10 +170,12 @@ def write_atomic(path: Path, data: bytes) -> None:
 
 def _positive(name: str) -> Callable[[Any], float]:
     def parse(raw: Any) -> float:
+        # a number: not a bool, nor text that float() happens to read
+        number = isinstance(raw, numbers.Real) and not isinstance(raw, bool)
         try:
-            value = math.nan if isinstance(raw, bool) else float(raw)
-        except (TypeError, ValueError):
-            value = math.nan
+            value = float(raw) if number else math.nan
+        except OverflowError:  # an int past the float range
+            value = math.inf
         if not 0.0 < value < math.inf:
             raise CellError(f"{name} must be a finite number > 0, not {raw!r}")
         return value

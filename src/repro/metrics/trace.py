@@ -101,7 +101,7 @@ class ProtocolTrace:
         for node in fabric.nodes:
             if node.throttle is not None:
                 node.recorder = record
-        faults = getattr(fabric, "faults", None)
+        faults = fabric.faults
         if faults is not None:
             faults.recorder = record
         return self

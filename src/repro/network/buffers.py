@@ -504,8 +504,12 @@ class SharedBufferModel(BufferModel):
 
     def audit(self) -> None:
         """Shared-pool conservation: the PG decomposition must re-sum to
-        every pool/account counter, caps must hold, and a PG that is
-        not paused must hold no headroom bytes."""
+        every pool/account counter, caps must hold, a PG that is not
+        paused must hold no headroom bytes, and every PAUSE is matched
+        by exactly one RESUME -- the XOFF ledger (pauses - resumes)
+        equals the count of paused (port, priority) pairs; a drifted
+        ledger means a lost or duplicated control message (a
+        deadlocked PG upstream)."""
         shared_sum = 0
         head_sum = 0
         for p, port in enumerate(self.switch.input_ports):
@@ -554,6 +558,14 @@ class SharedBufferModel(BufferModel):
             raise BufferError(
                 f"{self.switch.name}: headroom pool over capacity "
                 f"({self.headroom_used}B > {self.headroom_capacity}B)"
+            )
+        open_pauses = self.pauses_sent - self.resumes_sent
+        paused = len(self.paused_pairs())
+        if open_pauses != paused:
+            raise BufferError(
+                f"PFC ledger drift — {self.pauses_sent} pauses vs "
+                f"{self.resumes_sent} resumes leaves {open_pauses} open, "
+                f"but {paused} pairs are marked paused"
             )
 
 

@@ -9,7 +9,7 @@ API::
     from repro import build_fabric, k_ary_n_tree
     fabric = build_fabric(k_ary_n_tree(2, 3), scheme="CCFIT", seed=1)
     fabric.nodes[0].offer(...)        # or use repro.traffic generators
-    fabric.run(until=10e6)            # 10 ms
+    fabric.run(until=10e6)            # 10 ms, under the invariant guard
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.network.routing import ROUTING_POLICIES, RoutingTable
 from repro.network.switch import Switch
 from repro.network.topology import Topology
 from repro.sim.engine import Simulator
-from repro.sim.guard import validation_enabled
+from repro.sim.guard import FabricGuard
 from repro.sim.rng import RngFactory
 
 __all__ = ["Fabric", "build_fabric"]
@@ -54,9 +54,10 @@ class Fabric:
     buffer_model: str = "static"
     #: generators registered by the traffic layer (kept alive here).
     generators: List[object] = field(default_factory=list)
-    #: invariant guard (see :mod:`repro.sim.guard`); None unless the
-    #: fabric was built with ``validate=True`` / ``REPRO_SIM_VALIDATE``.
-    guard: Optional[object] = None
+    #: invariant guard every run advances through (:mod:`repro.sim.guard`).
+    #: A test that tunes the check cadence or the watchdog's patience
+    #: replaces it with a :class:`FabricGuard` of its own.
+    guard: FabricGuard = field(init=False)
     #: telemetry sampler (see :mod:`repro.telemetry`); None unless one
     #: was attached.  Its periodic ticks are subtracted from the
     #: ``events`` statistic so results are byte-identical either way.
@@ -66,16 +67,15 @@ class Fabric:
     #: :class:`~repro.sim.faults.FaultPlan`.
     faults: Optional[object] = None
 
-    def run(self, until: float) -> None:
-        """Advance the simulation to time ``until`` (ns).
+    def __post_init__(self) -> None:
+        self.guard = FabricGuard(self)
 
-        With a guard attached the run is chunked so conservation
-        invariants are swept between event batches — no events are
-        injected, so results are bit-identical either way."""
-        if self.guard is not None:
-            self.guard.run_guarded(until)
-        else:
-            self.sim.run(until=until)
+    def run(self, until: float) -> None:
+        """Advance the simulation to time ``until`` (ns) through the
+        guard: the run is chunked so conservation invariants are swept
+        between event batches -- no events are injected, so results
+        are those of one unchunked ``sim.run``."""
+        self.guard.run_guarded(until)
 
     # ------------------------------------------------------------------
     # aggregate statistics (used by experiments and tests)
@@ -132,7 +132,6 @@ def build_fabric(
     seed: int = 0,
     collector: Optional[Collector] = None,
     sim: Optional[Simulator] = None,
-    validate: Optional[bool] = None,
     routing: str = "det",
     faults=None,
 ) -> Fabric:
@@ -156,13 +155,6 @@ def build_fabric(
         Root seed — identical seeds give identical simulations.
     collector, sim:
         Inject your own metrics collector / engine if needed.
-    validate:
-        Attach the runtime invariant guard (:mod:`repro.sim.guard`).
-        ``None`` (the default) defers to the ``REPRO_SIM_VALIDATE``
-        environment variable; results are bit-identical either way.
-        A test that tunes the check cadence or watchdog patience sets
-        ``fabric.guard.config`` or builds a
-        :class:`~repro.sim.guard.FabricGuard` itself.
     faults:
         Optional :class:`repro.sim.faults.FaultPlan`: arms a
         :class:`~repro.sim.faults.FaultInjector` on the built fabric
@@ -282,8 +274,4 @@ def build_fabric(
         from repro.sim.faults import FaultInjector
 
         fabric.faults = FaultInjector(fabric, faults).arm()
-    if validation_enabled(validate):
-        from repro.sim.guard import FabricGuard
-
-        fabric.guard = FabricGuard(fabric)
     return fabric

@@ -668,7 +668,7 @@ class FaultInjector:
         doomed = {
             str(n.id): sorted(n.fault_doomed)
             for n in self.fabric.nodes
-            if getattr(n, "fault_doomed", None)
+            if n.fault_doomed
         }
         return {
             "plan": self.plan.to_dict(),

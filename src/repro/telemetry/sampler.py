@@ -138,9 +138,7 @@ class TelemetrySampler:
                 detail = {str(d): v for d, v in gate.snapshot().items()}
                 throttled_total += len(detail)
                 row["gate"] = detail
-                sample = getattr(gate, "telemetry_sample", None)
-                if sample is not None:
-                    row.update(sample())
+                row.update(gate.telemetry_sample())
             self.nodes[node.id].append(row)
 
         for link in fabric.links:
@@ -203,7 +201,7 @@ class TelemetrySampler:
         if self.trace is not None:
             out["events"] = {
                 "recorded": len(self.trace.events),
-                "dropped": getattr(self.trace, "dropped", 0),
+                "dropped": self.trace.dropped,
                 "counts": self.trace.counts(),
             }
             if self.config.track_trees:
@@ -217,7 +215,7 @@ class TelemetrySampler:
         # plus, per congestion tree, whether it was born inside a fault
         # window — separating fault-induced trees from the workload's
         # own.  Absent on fault-free fabrics, keeping bundles identical.
-        faults = getattr(self.fabric, "faults", None)
+        faults = self.fabric.faults
         if faults is not None:
             out["faults"] = faults.snapshot()
             trees = out.get("trees")

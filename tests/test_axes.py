@@ -217,6 +217,11 @@ class TestValidation:
         (dict(telemetry={"series_capacity": 2.5}), "telemetry series_capacity"),
         (dict(telemetry={"events_limit": -1}), "telemetry events_limit must be an integer >= 0"),
         (dict(telemetry={"track_trees": "yes"}), "telemetry track_trees must be true or false"),
+        # a number field takes numbers, as seed does: not text float() reads
+        (dict(time_scale="0.5"), "time_scale must be a finite number > 0, not '0.5'"),
+        (dict(telemetry={"interval": "5e4"}), "telemetry_interval"),
+        (dict(case="case4", extra={"duration_ms": "3"}), "duration_ms"),
+        (dict(time_scale=10**400), "time_scale"),
     ])
     def test_a_cell_that_cannot_be_is_refused(self, kw, said):
         with pytest.raises(CellError, match=re.escape(said)):
@@ -233,7 +238,7 @@ class TestValidation:
         assert type(spelt.time_scale) is float
         # a sampling period is one float, however a request spells it
         sampled = SimJob("case1", "CCFIT", telemetry=TelemetryConfig(interval=50_000.0))
-        for config in ({"interval": 50000}, {"interval": "5e4"}, TelemetryConfig(interval=50000),
+        for config in ({"interval": 50000}, {"interval": 5e4}, TelemetryConfig(interval=50000),
                        read_axes({"telemetry": True, "telemetry_interval": 50000}.get)["telemetry"]):
             again = SimJob("case1", "CCFIT", telemetry=config)
             assert again == sampled and again.key() == sampled.key()

@@ -40,10 +40,10 @@ DOWNLINK = "s1p0->n2"
 CASE1_LINK = "s0p3->s1p4"
 
 
-def tiny_fabric(faults=None, routing="det", validate=None, sim=None, scheme="1Q"):
+def tiny_fabric(faults=None, routing="det", sim=None, scheme="1Q"):
     return build_fabric(
         k_ary_n_tree(2, 2), scheme=scheme, seed=1, sim=sim,
-        validate=validate, routing=routing, faults=faults,
+        routing=routing, faults=faults,
     )
 
 
@@ -162,13 +162,13 @@ class TestInjectorTargets:
 class TestGuardLedger:
     def test_flap_conserves_packets_under_guard(self, sim_cls):
         plan = FaultPlan.parse(f"down:{UPLINK}@30us;up:{UPLINK}@60us;reroute=20us")
-        fabric = tiny_fabric(faults=plan, validate=True, sim=sim_cls())
+        fabric = tiny_fabric(faults=plan, sim=sim_cls())
         attach_traffic(fabric, flows=[
             FlowSpec("f02", src=0, dst=2, rate=2.5),
             FlowSpec("f13", src=1, dst=3, rate=2.5),
         ])
         fabric.run(until=200_000)  # guard sweeps + flap + recovery
-        assert fabric.guard is not None and fabric.guard.checks > 0
+        assert fabric.guard.checks > 0
         snap = fabric.faults.snapshot()
         lost = snap["wire_drops"] + snap["source_drops"]
         generated = sum(n.packets_generated for n in fabric.nodes)
@@ -181,9 +181,9 @@ class TestGuardLedger:
     def test_wire_drop_reconciles_credits(self):
         # packets on the wire when the link fails are dropped and their
         # downstream reservation cancelled; the guard would flag any
-        # credit leak, so just run a kill under validation.
+        # credit leak, so just run a kill under it.
         plan = FaultPlan.parse(f"kill:{UPLINK}@25us")
-        fabric = tiny_fabric(faults=plan, validate=True)
+        fabric = tiny_fabric(faults=plan)
         attach_traffic(fabric, flows=[FlowSpec("f02", src=0, dst=2, rate=2.5)])
         fabric.run(until=150_000)
         snap = fabric.faults.snapshot()
@@ -200,7 +200,7 @@ class TestStallDump:
         # packets already buffered for n2 can never drain -> stall, and
         # the dump must point straight at the fault.
         plan = FaultPlan.parse(f"kill:{DOWNLINK}@30us;reroute=none")
-        fabric = tiny_fabric(faults=plan, validate=True)
+        fabric = tiny_fabric(faults=plan)
         fabric.guard.config = GuardConfig(check_interval=10_000.0, stall_checks=3)
         attach_traffic(fabric, flows=[FlowSpec("f02", src=0, dst=2, rate=2.5)])
         with pytest.raises(StallError) as exc_info:

@@ -1,109 +1,111 @@
 """The runtime invariant guard (repro.sim.guard).
 
-Three properties matter: guard mode never changes results (bit-identical
-with the guard on or off, also on the heap oracle), a corrupted
-simulation state is *detected* (tampering trips the matching check),
-and a frozen network raises a structured StallError instead of hanging.
+Four properties matter: every fabric runs under the guard (a broken
+invariant fails the cell, in process and in a worker pool alike), the
+guard never changes results (a run checked every 100 µs gives the bytes
+of one unchunked run, also on the heap oracle), a corrupted simulation
+state is *detected* (tampering trips the matching check), and a frozen
+network raises a structured StallError instead of hanging.
 """
 
+import functools
 import json
+import math
 import re
+import weakref
 
 import pytest
 
 from repro import build_fabric, k_ary_n_tree
+from repro.core.ccfit import SCHEMES, SchemeSpec
+from repro.core.params import CCParams
 from repro.experiments.runner import PAPER_SCHEMES, run_case
-from repro.network.buffers import PacketQueue
+from repro.experiments.sweep import SimJob, SweepOptions, run_sweep
+from repro.network.buffers import BufferError, PacketQueue
 from repro.network.packet import Packet
+from repro.network.queueing import OneQScheme
+from repro.sim import guard
 from repro.sim.guard import (
-    ENV_VALIDATE,
     FabricGuard,
     GuardConfig,
     InvariantViolation,
     StallError,
-    validation_enabled,
 )
 
 SCALE = 0.02
 
 
-def tiny_fabric(scheme="CCFIT"):
-    return build_fabric(k_ary_n_tree(2, 2), scheme=scheme, seed=1, validate=True)
+def tiny_fabric(scheme="CCFIT", params=None):
+    return build_fabric(k_ary_n_tree(2, 2), scheme=scheme, params=params, seed=1)
 
 
 # ---------------------------------------------------------------------------
-# switch resolution
+# every cell is guarded
 # ---------------------------------------------------------------------------
-class TestValidationEnabled:
-    def test_explicit_flag_wins(self, monkeypatch):
-        monkeypatch.setenv(ENV_VALIDATE, "1")
-        assert validation_enabled(False) is False
-        monkeypatch.delenv(ENV_VALIDATE)
-        assert validation_enabled(True) is True
-
-    def test_default_off(self, monkeypatch):
-        monkeypatch.delenv(ENV_VALIDATE, raising=False)
-        assert validation_enabled() is False
-
-    @pytest.mark.parametrize("value", ["1", "true", "YES", " on "])
-    def test_truthy_env(self, monkeypatch, value):
-        monkeypatch.setenv(ENV_VALIDATE, value)
-        assert validation_enabled() is True
-
-    @pytest.mark.parametrize("value", ["", "0", "no", "off", "garbage"])
-    def test_falsy_env(self, monkeypatch, value):
-        monkeypatch.setenv(ENV_VALIDATE, value)
-        assert validation_enabled() is False
+class _BrokenQueue(OneQScheme):
+    def audit(self) -> None:
+        raise BufferError("audit tripped on purpose")
 
 
 class TestGuardAttachment:
-    def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_VALIDATE, raising=False)
-        assert build_fabric(k_ary_n_tree(2, 2)).guard is None
+    def test_every_fabric_is_guarded(self):
+        assert isinstance(build_fabric(k_ary_n_tree(2, 2)).guard, FabricGuard)
 
-    def test_validate_true_attaches(self):
+    def test_the_guard_does_not_keep_its_fabric_alive(self):
+        """A run fabric is freed with its last reference, not at the next
+        cyclic collection: the guard holds it weakly."""
         fabric = tiny_fabric()
-        assert isinstance(fabric.guard, FabricGuard)
+        fabric.run(until=200_000.0)
+        gone = weakref.ref(fabric)
+        del fabric
+        assert gone() is None
 
-    def test_env_attaches(self, monkeypatch):
-        monkeypatch.setenv(ENV_VALIDATE, "1")
-        assert build_fabric(k_ary_n_tree(2, 2)).guard is not None
-
-    def test_explicit_false_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VALIDATE, "1")
-        assert build_fabric(k_ary_n_tree(2, 2), validate=False).guard is None
-
-    def test_cli_validate_flag_sets_env(self, monkeypatch, capsys):
-        from repro.cli import main
-
-        monkeypatch.setenv(ENV_VALIDATE, "0")  # recorded + restored by monkeypatch
-        assert main(["--scale", str(SCALE), "sweep", "case1",
-                     "--scheme", "CCFIT", "--validate", "--no-cache"]) == 0
-        import os
-        assert os.environ[ENV_VALIDATE] == "1"
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_broken_invariant_fails_the_cell(self, jobs, monkeypatch):
+        """A scheme whose audit trips fails its cell with the guard's
+        exception, whether the cell runs in this process or in a worker
+        pool; no flag or environment variable asks for the check."""
+        broken = SchemeSpec("__broken__", lambda port, _n: _BrokenQueue(port), "fifo")
+        monkeypatch.setitem(SCHEMES, broken.name, broken)
+        cells = [SimJob("case1", broken.name, time_scale=SCALE, seed=seed) for seed in (1, 2)]
+        report = run_sweep(cells, options=SweepOptions(jobs=jobs, max_retries=0))
+        assert report.workers == jobs
+        assert report.results == [None, None]
+        assert [f.exception for f in report.failures] == ["InvariantViolation"] * 2
+        assert all("audit tripped on purpose" in f.message for f in report.failures)
 
 
 # ---------------------------------------------------------------------------
-# guard mode cannot change results
+# the guard cannot change results
 # ---------------------------------------------------------------------------
+@pytest.fixture
+def one_chunk(monkeypatch):
+    """Fabrics built from here on check once, at the end of the run: the
+    whole span is one ``sim.run``, as the pins were recorded."""
+    monkeypatch.setattr(guard, "GuardConfig",
+                        functools.partial(GuardConfig, check_interval=math.inf))
+
+
 class TestBitIdentical:
     @pytest.mark.parametrize("scheme", PAPER_SCHEMES)
-    def test_paper_schemes_clean_and_identical(self, scheme):
+    def test_paper_schemes_clean_and_identical(self, scheme, request):
         """Every paper scheme passes the invariant sweep on Case #1, and
-        the guarded result — including the event count — is bit-identical
-        to the unguarded one (guard mode can never poison the cache)."""
-        plain = run_case("case1", scheme=scheme, time_scale=SCALE)
-        guarded = run_case("case1", scheme=scheme, time_scale=SCALE, validate=True)
-        assert guarded.to_dict() == plain.to_dict()
-        assert guarded.stats["events"] == plain.stats["events"]
+        the result -- the event count included -- is the same whether
+        the run is checked every 100 µs or once at its end."""
+        chunked = run_case("case1", scheme=scheme, time_scale=SCALE)
+        request.getfixturevalue("one_chunk")
+        whole = run_case("case1", scheme=scheme, time_scale=SCALE)
+        assert chunked.to_dict() == whole.to_dict()
+        assert chunked.stats["events"] == whole.stats["events"]
 
-    def test_heap_kernel_identical_under_guard(self):
+    def test_heap_kernel_identical_under_guard(self, request):
         from tests.heap_oracle import HeapSimulator
 
-        plain = run_case("case1", scheme="CCFIT", time_scale=SCALE)
-        guarded = run_case("case1", scheme="CCFIT", time_scale=SCALE, validate=True,
+        chunked = run_case("case1", scheme="CCFIT", time_scale=SCALE,
                            sim_factory=HeapSimulator)
-        assert guarded.to_dict() == plain.to_dict()
+        request.getfixturevalue("one_chunk")
+        whole = run_case("case1", scheme="CCFIT", time_scale=SCALE)
+        assert chunked.to_dict() == whole.to_dict()
 
     def test_guard_actually_ran(self):
         fabric = tiny_fabric()
@@ -176,6 +178,12 @@ class TestTamperDetection:
         for d in dsts:
             live[1].push(Packet(src=0, dst=d, size=2048, flow="F0"))
         with pytest.raises(InvariantViolation, match=re.escape(f"queue {name} {problem}")):
+            fabric.guard.check_all()
+
+    def test_pfc_ledger_drift(self):
+        fabric = tiny_fabric("PFC", params=CCParams(buffer_model="shared"))
+        fabric.switches[0].buffer_model.pauses_sent += 1  # a PAUSE never resumed
+        with pytest.raises(InvariantViolation, match="sw0: PFC ledger drift — 1 pauses vs 0 resumes"):
             fabric.guard.check_all()
 
     def test_violations_are_collected_not_first_only(self):

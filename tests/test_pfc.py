@@ -60,7 +60,7 @@ class TestPfcSchemes:
     def test_pfc_runs_and_pauses_under_guard(self):
         res = run_case(
             "case1", scheme="PFC", time_scale=0.05, params=TIGHT,
-            buffer_model="shared", validate=True,
+            buffer_model="shared",
         )
         assert res.stats["pfc_pauses_sent"] > 0
         assert res.stats["delivered_packets"] > 0

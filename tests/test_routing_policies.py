@@ -125,7 +125,7 @@ class TestCandidates:
 # ----------------------------------------------------------------------
 def _run_incast(k, n, routing=None, duration=400_000.0):
     topo = k_ary_n_tree(k, n)
-    fabric = build_fabric(topo, scheme="CCFIT", seed=5, validate=True,
+    fabric = build_fabric(topo, scheme="CCFIT", seed=5,
                           **({} if routing is None else {"routing": routing}))
     hot = topo.num_nodes - 1
     flows = [

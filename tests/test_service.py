@@ -869,6 +869,9 @@ class TestService:
         ({"telemetry": {"series_capacity": 0}}, "series_capacity"),
         ({"telemetry": {"events_limit": -1}}, "events_limit"),
         ({"telemetry": {"track_trees": "yes"}}, "track_trees"),
+        ({"time_scale": "0.5"}, "time_scale must be a finite number > 0, not '0.5'"),
+        ({"telemetry": {"interval": "5e4"}}, "telemetry_interval"),
+        ({"time_scale": 10**400}, "time_scale"),
     ])
     def test_a_cell_that_cannot_be_is_400_and_enqueues_nothing(self, srv, client, body, said):
         """Validated where the cell is constructed, as the CLI's are:
