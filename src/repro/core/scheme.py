@@ -40,7 +40,7 @@ from repro.core.throttling import FecnMarker
 from repro.network.packet import Packet
 
 if TYPE_CHECKING:
-    import numpy as np
+    from repro.sim.rng import Stream
 
 __all__ = [
     "MarkingPolicy",
@@ -79,7 +79,7 @@ class CongestionStateMarking:
 
     __slots__ = ("fecn",)
 
-    def __init__(self, params: CCParams, rng: np.random.Generator) -> None:
+    def __init__(self, params: CCParams, rng: Stream) -> None:
         self.fecn = FecnMarker(params, rng)
 
     def should_mark(self, pkt: Packet, queue, out_port) -> bool:

@@ -26,7 +26,7 @@ from repro.network.packet import Packet
 from repro.sim.engine import Event, Simulator
 
 if TYPE_CHECKING:
-    import numpy as np
+    from repro.sim.rng import Stream
 
 __all__ = ["FecnMarker", "ThrottleState"]
 
@@ -36,7 +36,7 @@ class FecnMarker:
 
     __slots__ = ("rate", "min_size", "rng", "marked", "considered")
 
-    def __init__(self, params: CCParams, rng: np.random.Generator) -> None:
+    def __init__(self, params: CCParams, rng: Stream) -> None:
         self.rate = params.marking_rate
         self.min_size = params.min_marking_size
         self.rng = rng

@@ -51,7 +51,7 @@ def render_series(
     """Throughput-vs-time, one row per scheme (Figs. 7 and 8)."""
     lines = [f"-- {label}; columns are bin mid-times (ms) --"]
     first = next(iter(results.values()))
-    times = first.throughput[0][::stride] / 1e6
+    times = [t / 1e6 for t in first.throughput[0][::stride]]
     lines.append("t(ms)   " + " ".join(f"{t:6.2f}" for t in times))
     for scheme, res in results.items():
         rates = res.throughput[1][::stride]
@@ -132,7 +132,9 @@ def _recovery_us(res: CaseResult) -> str:
     if not onsets:
         return "-"
     t_fault = min(onsets)
-    times, rates = res.throughput
+    import numpy as np
+
+    times, rates = np.asarray(res.throughput[0]), np.asarray(res.throughput[1])
     pre = (times >= 0.5 * t_fault) & (times < t_fault)
     if not pre.any():
         return "-"

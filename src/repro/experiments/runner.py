@@ -18,7 +18,7 @@ records 1.0x runs.  All runs are deterministic for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.ccfit import FIG8_SCHEMES, PAPER_SCHEMES
 from repro.core.params import CCParams
@@ -34,9 +34,6 @@ from repro.traffic.patterns import (
     case4_traffic,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = [
     "CaseResult",
     "run_case",
@@ -48,14 +45,20 @@ __all__ = [
 
 @dataclass
 class CaseResult:
-    """Everything one simulated scheme contributes to a figure."""
+    """Everything one simulated scheme contributes to a figure.
+
+    The series are plain lists of floats, as the cell's collector built
+    them and as JSON holds them: producing, caching and moving a result
+    loads no numpy.  Code that does array arithmetic on a series wraps
+    it in ``np.asarray`` first (:mod:`repro.metrics.analysis` does).
+    """
 
     scheme: str
     duration: float
     #: (bin mid-times ns, delivered GB/s).
-    throughput: Tuple[np.ndarray, np.ndarray]
+    throughput: Tuple[List[float], List[float]]
     #: flow name -> (times, GB/s) series.
-    flow_series: Dict[str, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    flow_series: Dict[str, Tuple[List[float], List[float]]] = field(default_factory=dict)
     #: flow name -> mean GB/s over the steady tail window.
     flow_bandwidth: Dict[str, float] = field(default_factory=dict)
     #: aggregate counters from Fabric.stats().
@@ -80,7 +83,9 @@ class CaseResult:
     buffer_model: str = "static"
 
     def mean_throughput(self, t0: Optional[float] = None, t1: Optional[float] = None) -> float:
-        times, rates = self.throughput
+        import numpy as np  # numpy's pairwise mean: the tables' digits
+
+        times, rates = np.asarray(self.throughput[0]), np.asarray(self.throughput[1])
         lo = self.window[0] if t0 is None else t0
         hi = self.window[1] if t1 is None else t1
         mask = (times >= lo) & (times < hi)
@@ -99,9 +104,9 @@ class CaseResult:
         out: Dict[str, Any] = {
             "scheme": self.scheme,
             "duration": self.duration,
-            "throughput": [self.throughput[0].tolist(), self.throughput[1].tolist()],
+            "throughput": [list(self.throughput[0]), list(self.throughput[1])],
             "flow_series": {
-                name: [t.tolist(), r.tolist()] for name, (t, r) in self.flow_series.items()
+                name: [list(t), list(r)] for name, (t, r) in self.flow_series.items()
             },
             "flow_bandwidth": dict(self.flow_bandwidth),
             "stats": dict(self.stats),
@@ -119,15 +124,13 @@ class CaseResult:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CaseResult":
-        import numpy as np  # on first use: a process that only moves results never loads it
-
         times, rates = data["throughput"]
         return cls(
             scheme=data["scheme"],
             duration=float(data["duration"]),
-            throughput=(np.asarray(times, dtype=float), np.asarray(rates, dtype=float)),
+            throughput=(list(map(float, times)), list(map(float, rates))),
             flow_series={
-                name: (np.asarray(t, dtype=float), np.asarray(r, dtype=float))
+                name: (list(map(float, t)), list(map(float, r)))
                 for name, (t, r) in data["flow_series"].items()
             },
             flow_bandwidth=dict(data["flow_bandwidth"]),

@@ -612,8 +612,8 @@ class ResultCache:
     def get_dict(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored result dict, digest-verified, its keys in
         canonical (sorted) order: what :meth:`put_dict` was given, for
-        callers that want a part of it without hydrating numpy
-        arrays."""
+        callers that want a part of it without building a
+        :class:`CaseResult`."""
         blob = self.get_bytes(key)
         return json.loads(blob) if blob is not None else None
 

@@ -5,14 +5,13 @@ substrate is a packet-grain simulator, not the authors' testbed): who
 wins, by roughly what factor, where the regime changes.  These helpers
 turn bandwidth series into the comparable quantities EXPERIMENTS.md
 tabulates and the claims (:mod:`repro.experiments.claims`) compare.
+A series may be a list (a :class:`~repro.experiments.runner.CaseResult`
+holds lists) or an array: each helper takes it through ``np.asarray``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Dict, List, Sequence
 
 __all__ = [
     "jain_index",
@@ -45,7 +44,7 @@ def jain_index(rates: Sequence[float]) -> float:
     return float(total**2 / (x.size * np.square(x).sum()))
 
 
-def series_mean(times: np.ndarray, values: np.ndarray) -> float:
+def series_mean(times: Sequence[float], values: Sequence[float]) -> float:
     """Mean of a series (uniform bins)."""
     if len(values) == 0:
         raise ValueError("empty series")
@@ -55,18 +54,19 @@ def series_mean(times: np.ndarray, values: np.ndarray) -> float:
 
 
 def mean_in_window(
-    times: np.ndarray, values: np.ndarray, t0: float, t1: float
+    times: Sequence[float], values: Sequence[float], t0: float, t1: float
 ) -> float:
     """Mean of the series over bins whose mid-time lies in [t0, t1)."""
     import numpy as np
 
+    times, values = np.asarray(times), np.asarray(values)
     mask = (times >= t0) & (times < t1)
     if not np.any(mask):
         raise ValueError(f"no samples in [{t0}, {t1})")
     return float(np.mean(values[mask]))
 
 
-def oscillation_score(values: np.ndarray) -> float:
+def oscillation_score(values: Sequence[float]) -> float:
     """Relative sawtooth-iness of a series: mean absolute first
     difference over the series mean.  The "saw-shape" instability the
     paper attributes to ITh (Fig. 8b) shows up as a higher score."""
@@ -88,8 +88,8 @@ def ordering(throughputs: Dict[str, float]) -> List[str]:
 
 
 def recovery_time(
-    times: np.ndarray,
-    values: np.ndarray,
+    times: Sequence[float],
+    values: Sequence[float],
     t_event: float,
     level: float,
     sustain_bins: int = 3,
@@ -101,6 +101,9 @@ def recovery_time(
     congestion burst ends — the reaction-time axis of the paper's
     ITh-vs-CCFIT comparison.
     """
+    import numpy as np
+
+    times, values = np.asarray(times), np.asarray(values)
     mask = times >= t_event
     t = times[mask]
     v = values[mask]

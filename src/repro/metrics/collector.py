@@ -4,7 +4,10 @@ The paper bases its evaluation on two metrics (§IV-A): *Flow
 Bandwidth* (throughput achieved by each traffic flow over time) and
 *network throughput*.  The :class:`Collector` accumulates delivered
 bytes into fixed time bins per flow; series extraction then gives the
-exact curves of Figs. 7–10.
+exact curves of Figs. 7–10.  A series is a pair of plain float lists
+(bin mid-times, rates): building one loads no NumPy, and the readers
+that do array arithmetic on it (:mod:`repro.metrics.analysis`) take
+what they are given through ``np.asarray``.
 
 Unit convenience: with time in nanoseconds and sizes in bytes,
 **1 byte/ns = 1 GB/s**, so all rates below read directly in GB/s.
@@ -12,15 +15,17 @@ Unit convenience: with time in nanoseconds and sizes in bytes,
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.network.packet import Packet
-
-if TYPE_CHECKING:
-    import numpy as np
+from repro.sim.rng import Stream
 
 __all__ = ["Collector"]
+
+#: (bin mid-times ns, rates GB/s), one float per bin.
+Series = Tuple[List[float], List[float]]
 
 
 class Collector:
@@ -48,9 +53,7 @@ class Collector:
         self._latency_sum: Dict[str, float] = defaultdict(float)
         self._latency_n: Dict[str, int] = defaultdict(int)
         self._latency_samples: Dict[str, list] = defaultdict(list)
-        import numpy as np  # on first use: a process that runs no cell never loads it
-
-        self._latency_rng = np.random.default_rng(latency_seed)
+        self._latency_rng = Stream(latency_seed)
 
     # ------------------------------------------------------------------
     def record_delivery(self, pkt: Packet, now: float) -> None:
@@ -70,7 +73,7 @@ class Collector:
                 samples.append(lat)
             else:
                 # classic uniform reservoir: replace with prob R/(n+1)
-                j = int(self._latency_rng.integers(0, n + 1))
+                j = self._latency_rng.integers(0, n + 1)
                 if j < self.RESERVOIR:
                     samples[j] = lat
 
@@ -80,23 +83,18 @@ class Collector:
     def flows(self) -> List[str]:
         return sorted(self._flow_bins)
 
-    def flow_series(self, flow: str, t_end: float, t_start: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
+    def flow_series(self, flow: str, t_end: float, t_start: float = 0.0) -> Series:
         """(bin mid-times ns, bandwidth GB/s) for one flow."""
         return self._series(self._flow_bins.get(flow, {}), t_end, t_start)
 
-    def throughput_series(self, t_end: float, t_start: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
+    def throughput_series(self, t_end: float, t_start: float = 0.0) -> Series:
         """(bin mid-times ns, aggregate delivered GB/s)."""
         return self._series(self._total_bins, t_end, t_start)
 
-    def _series(self, bins: Dict[int, int], t_end: float, t_start: float) -> Tuple[np.ndarray, np.ndarray]:
-        import numpy as np
-
-        first = int(t_start // self.bin_ns)
-        last = int(np.ceil(t_end / self.bin_ns))
-        idx = np.arange(first, last)
-        times = (idx + 0.5) * self.bin_ns
-        rates = np.array([bins.get(int(i), 0) for i in idx], dtype=float) / self.bin_ns
-        return times, rates
+    def _series(self, bins: Dict[int, int], t_end: float, t_start: float) -> Series:
+        width = self.bin_ns
+        idx = range(int(t_start // width), math.ceil(t_end / width))
+        return [(i + 0.5) * width for i in idx], [bins.get(i, 0) / width for i in idx]
 
     # ------------------------------------------------------------------
     # window aggregates
@@ -117,10 +115,8 @@ class Collector:
     def _window_bytes(self, bins: Dict[int, int], t0: float, t1: float) -> Tuple[int, float]:
         if t1 <= t0:
             raise ValueError(f"empty window [{t0}, {t1})")
-        import numpy as np
-
         b0 = int(t0 // self.bin_ns)
-        b1 = max(int(np.ceil(t1 / self.bin_ns)), b0 + 1)
+        b1 = max(math.ceil(t1 / self.bin_ns), b0 + 1)
         total = sum(bins.get(b, 0) for b in range(b0, b1))
         return total, (b1 - b0) * self.bin_ns
 
@@ -142,18 +138,26 @@ class Collector:
         over a uniform random subsample of all observed latencies —
         deterministic for a fixed ``latency_seed`` (reservoir
         replacement draws come from a dedicated
-        ``np.random.default_rng(latency_seed)`` stream, untouched by
-        the simulation RNGs), but not guaranteed to equal the exact
-        percentile of the full population.
+        :class:`~repro.sim.rng.Stream` seeded ``latency_seed``,
+        untouched by the simulation RNGs), but not guaranteed to equal
+        the exact percentile of the full population.  Interpolates
+        linearly between order statistics, as NumPy's ``percentile``
+        does by default, with the same rounding.
         """
         if not (0.0 <= q <= 100.0):
             raise ValueError(f"percentile must be in [0, 100], got {q}")
         samples = self._latency_samples.get(flow)
         if not samples:
             return None
-        import numpy as np
-
-        return float(np.percentile(np.asarray(samples), q))
+        ordered = sorted(samples)
+        pos = (len(ordered) - 1) * (q / 100)
+        lo = math.floor(pos)
+        if lo >= len(ordered) - 1:
+            return float(ordered[-1])
+        a, b = ordered[lo], ordered[lo + 1]
+        t = pos - lo
+        # from the nearer end, as NumPy's lerp does, so the rounding matches
+        return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
     def fairness(self, flows: Iterable[str], t0: float, t1: float) -> float:
         """Jain index of the given flows' bandwidth over a window.

@@ -191,9 +191,9 @@ def chart_results(results, title: str, per_flow: bool = False) -> LineChart:
         (scheme, res), = results.items()
         chart.title = f"{title} — {scheme}"
         for flow, (times, rates) in sorted(res.flow_series.items()):
-            chart.add_series(flow, times / 1e6, rates)
+            chart.add_series(flow, [t / 1e6 for t in times], rates)
     else:
         for scheme, res in results.items():
             times, rates = res.throughput
-            chart.add_series(scheme, times / 1e6, rates)
+            chart.add_series(scheme, [t / 1e6 for t in times], rates)
     return chart

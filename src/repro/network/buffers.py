@@ -541,22 +541,19 @@ class SharedBufferModel(BufferModel):
                 )
         if shared_sum != self.shared_used:
             raise BufferError(
-                f"{self.switch.name}: shared_used={self.shared_used}B but "
-                f"PG shares sum to {shared_sum}B"
+                f"shared_used={self.shared_used}B but PG shares sum to {shared_sum}B"
             )
         if head_sum != self.headroom_used:
             raise BufferError(
-                f"{self.switch.name}: headroom_used={self.headroom_used}B "
-                f"but PG headrooms sum to {head_sum}B"
+                f"headroom_used={self.headroom_used}B but PG headrooms sum to {head_sum}B"
             )
         if self.shared_used > self.shared_capacity:
             raise BufferError(
-                f"{self.switch.name}: shared pool over capacity "
-                f"({self.shared_used}B > {self.shared_capacity}B)"
+                f"shared pool over capacity ({self.shared_used}B > {self.shared_capacity}B)"
             )
         if self.headroom_used > self.headroom_capacity:
             raise BufferError(
-                f"{self.switch.name}: headroom pool over capacity "
+                "headroom pool over capacity "
                 f"({self.headroom_used}B > {self.headroom_capacity}B)"
             )
         open_pauses = self.pauses_sent - self.resumes_sent

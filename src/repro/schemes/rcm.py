@@ -32,7 +32,7 @@ from repro.network.packet import Packet
 from repro.sim.engine import Event, Simulator
 
 if TYPE_CHECKING:
-    import numpy as np
+    from repro.sim.rng import Stream
 
 __all__ = [
     "QueueDepthMarking",
@@ -68,7 +68,7 @@ class QueueDepthMarking:
     def __init__(
         self,
         params: CCParams,
-        rng: np.random.Generator,
+        rng: Stream,
         kmin_mtus: int = KMIN_MTUS,
         kmax_mtus: int = KMAX_MTUS,
         pmax: float = PMAX,

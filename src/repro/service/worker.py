@@ -305,11 +305,6 @@ def drain(
         except KeyboardInterrupt:
             raise Interrupted(_summary(worker.id, worker.completed, worker.failed, t0)) from None
 
-    if multiprocessing.get_start_method() == "fork":
-        # numpy, which every cell imports and this process may not have
-        # yet: the forked processes share it, and none pays for it on
-        # its first cell (under spawn or forkserver each imports afresh)
-        import numpy.random  # noqa: F401
     name = worker_id or default_worker_id()
     budget = multiprocessing.Semaphore(max(0, max_cells)) if max_cells is not None else None
     totals = multiprocessing.Array("q", 2)  # cells completed, failed

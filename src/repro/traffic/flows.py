@@ -28,7 +28,7 @@ from repro.network.packet import Packet
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:
-    import numpy as np
+    from repro.sim.rng import Stream
 
 __all__ = ["FlowSpec", "FlowGenerator", "UniformGenerator", "attach_traffic"]
 
@@ -98,7 +98,7 @@ class UniformGenerator:
         sim: Simulator,
         node: EndNode,
         rate: float,
-        rng: np.random.Generator,
+        rng: Stream,
         name: Optional[str] = None,
         start: float = 0.0,
         end: Optional[float] = None,

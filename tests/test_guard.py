@@ -186,6 +186,13 @@ class TestTamperDetection:
         with pytest.raises(InvariantViolation, match="sw0: PFC ledger drift — 1 pauses vs 0 resumes"):
             fabric.guard.check_all()
 
+    def test_a_shared_pool_violation_names_its_switch_once(self):
+        fabric = tiny_fabric("PFC", params=CCParams(buffer_model="shared"))
+        fabric.switches[0].buffer_model.shared_used += 64  # bytes no PG holds
+        with pytest.raises(InvariantViolation, match="shared_used=64B but PG shares sum to 0B") as exc:
+            fabric.guard.check_all()
+        assert str(exc.value).count("sw0:") == 1
+
     def test_violations_are_collected_not_first_only(self):
         fabric = tiny_fabric()
         fabric.nodes[0].packets_generated += 1

@@ -1,8 +1,10 @@
 """What a process loads, and that the order it loads it in does not matter.
 
 The package imports on use: a submitter loads the HTTP client and no
-simulator, ``repro`` and ``repro serve`` load no numpy, and numpy
-comes in with the first cell.  The registries fill the same way
+simulator, and nothing that runs or moves a cell loads numpy -- not
+``repro``, ``repro serve``, a ``repro worker`` or a sweep's processes;
+only the code that reads results (the analysis helpers, the report
+tables) does.  The registries fill the same way
 whichever module a process imports first.  This interpreter has
 imported everything already, so every check runs in a fresh one.
 """
@@ -75,7 +77,7 @@ class TestImportWeight:
             "ran = digest(job.run().to_dict())\n"
             "print(json.dumps([before, loaded('numpy'), ran]))"
         )
-        assert out == [{"numpy": False}, {"numpy": True}, PINNED]
+        assert out == [{"numpy": False}, {"numpy": False}, PINNED]
 
     def test_serving_a_run_loads_no_numpy(self, tmp_path):
         """A server and its client in one process, a ``repro worker``
@@ -106,22 +108,42 @@ class TestImportWeight:
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the platform cannot fork")
-    def test_drain_loads_numpy_before_it_forks(self, tmp_path):
-        """Its forked processes share numpy: none imports it on its first cell."""
+    def test_a_sweeps_worker_processes_run_cells_without_numpy(self):
+        """numpy is made unimportable before the sweep forks its two
+        worker processes, which inherit that: a cell that reached for
+        it would fail."""
         out = fresh(
-            "import multiprocessing\n"
+            "import multiprocessing, os\n"
+            "sys.modules['numpy'] = None\n"
             "multiprocessing.set_start_method('fork')\n"
-            "import repro.cli\n"
             "from repro.experiments import registry\n"
-            "from repro.service import FsBroker, drain\n"
-            "broker = FsBroker(sys.argv[1])\n"
-            "broker.submit(registry.get('case1').jobs(schemes=('CCFIT',), time_scale=0.02, seed=1))\n"
-            "before = loaded('numpy.random')\n"
-            "summary = drain(broker, 2, max_cells=1, poll_interval=0.01, idle_exit=0.5)\n"
-            "print(json.dumps([before, loaded('numpy.random'), summary['completed']]))",
-            str(tmp_path),
+            "from repro.experiments.sweep import SweepOptions, run_sweep\n"
+            "jobs = registry.get('case1').jobs(schemes=('CCFIT', '1Q'), time_scale=0.02, seed=1)\n"
+            "report = run_sweep(jobs, options=SweepOptions(jobs=2, max_retries=0))\n"
+            "children = [w.startswith(f'pid{os.getpid()}.') for w in report.cell_workers]\n"
+            "print(json.dumps([report.workers, [f.message for f in report.failures], children,\n"
+            "                  digest(report.results[0].to_dict())]))"
         )
-        assert out == [{"numpy.random": False}, {"numpy.random": True}, 1]
+        assert out == [2, [], [True, True], PINNED]
+
+    def test_the_benchmark_cells_run_where_numpy_cannot_be_imported(self):
+        """The benchmark's three cells (at pinned seeds and scales) and
+        a telemetry-on cell, with ``import numpy`` failing: each result
+        is byte for byte its pin."""
+        names = ["case1/CCFIT", "case4-pfc-shared", "case4-ccfit-adaptive-flap",
+                 "case1/CCFIT ts=0.02 seed=1 telemetry"]
+        out = fresh(
+            "sys.modules['numpy'] = None\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from tests import pins\n"
+            "from repro.sim.engine import Simulator\n"
+            "table = pins.load(pins.TABLE)\n"
+            "print(json.dumps([pins.digest(pins.run_cell(table[name]['cell'], Simulator).to_dict())\n"
+            "                  for name in sys.argv[2:]]))",
+            str(ROOT), *names,
+        )
+        table = json.loads((ROOT / "tests" / "golden" / "pins.json").read_text())
+        assert out == [table[name]["sha256"] for name in names]
 
 
 class TestImportOrder:
