@@ -61,7 +61,6 @@ _EXPORTS = {
     "config1_adhoc": "network.topology",
     "k_ary_n_tree": "network.topology",
     "Simulator": "sim.engine",
-    "TelemetryConfig": "telemetry.sampler",
     "TelemetrySampler": "telemetry.sampler",
     "TreeTracker": "telemetry.tracker",
     "FlowSpec": "traffic.flows",

@@ -10,7 +10,7 @@ Commands
     series/flow tables, a one-cell grid's CC counters too
     (``sweep case1 --schemes CCFIT``), and the cache hit count.
     ``repro sweep --list`` enumerates the names.  With ``--telemetry
-    --out DIR`` it also writes each cell's telemetry bundle (JSONL,
+    true|NS --out DIR`` it also writes each cell's telemetry bundle (JSONL,
     Prometheus text, SVG dashboard) into ``DIR/<result key>/``, a
     cached cell's straight from the cache.  See docs/telemetry.md.
 ``serve --broker DIR --port 8642``
@@ -57,7 +57,6 @@ makes it runnable here with no CLI changes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import signal
@@ -84,6 +83,7 @@ from repro.experiments.sweep import (
     SweepOptions,
     SweepReport,
     default_cache_dir,
+    json_word,
     parse_names,
     read_axes,
 )
@@ -97,8 +97,7 @@ _KNOBS = tuple(dict.fromkeys(name for knobs in KNOBS.values() for name in knobs)
 
 def _add_engine_options(p: argparse.ArgumentParser, suppress: bool = False) -> None:
     """The sweep-engine options, the cell axes (one flag per row of
-    ``AXES``, plus what refines it) and the case knobs (one flag per
-    name in ``KNOBS``).
+    ``AXES``) and the case knobs (one flag per name in ``KNOBS``).
 
     They live on the main parser (before the subcommand) *and*, with
     ``default=SUPPRESS``, on the ``sweep`` subparser — so both
@@ -128,28 +127,15 @@ def _add_engine_options(p: argparse.ArgumentParser, suppress: bool = False) -> N
     for axis in AXES:
         p.add_argument(_flag(axis.name), dest=axis.field, default=d(None),
                        help=axis.help, **axis.cli)
-        if axis.refine is not None:
-            name, text, kwargs = axis.refine
-            p.add_argument(_flag(name), default=d(None), help=text, **kwargs)
     for name in _KNOBS:  # absent unless given: JSON null is a value too
         cases = ",".join(case for case, knobs in KNOBS.items() if name in knobs)
-        p.add_argument(_flag(name), type=_json_word, default=sup, metavar="VALUE",
+        p.add_argument(_flag(name), type=json_word, default=sup, metavar="VALUE",
                        help=f"case knob {name} ({cases}), read as in the 'extra' "
                             "object of POST /experiments")
 
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
-
-
-def _json_word(word: str) -> Any:
-    """A command-line word as the JSON value it spells (``6`` is 6,
-    ``1.5`` is 1.5), or the word itself: the knob's parser in ``KNOBS``
-    then judges it as it judges the same value in a request."""
-    try:
-        return json.loads(word)
-    except ValueError:
-        return word
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "list); names match case-insensitively")
 
     sweep.add_argument("--out", default=None, metavar="DIR",
-                       help="with --telemetry: write each cell's bundle (telemetry.jsonl, "
+                       help="with --telemetry on: write each cell's bundle (telemetry.jsonl, "
                             "metrics.prom, dashboard.html) into DIR/<result key>/")
     _add_engine_options(sweep, suppress=True)
 

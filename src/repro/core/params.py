@@ -161,13 +161,9 @@ class CCParams:
     #: AdVOQ depth at the IA before the generator blocks (packets).
     advoq_cap_packets: int = 32
 
-    # -- buffer models / PFC (repro.network.buffers, docs/buffers.md) ----
-    #: how each switch carves up its RAM: "static" keeps the paper's
-    #: per-port partition (Table I; the golden default), "shared" pools
-    #: the whole switch behind dynamic thresholds + PFC headroom.
-    #: Validated against the registry when the fabric is built (the
-    #: registry lives in the network layer).
-    buffer_model: str = "static"
+    # -- the shared buffer pool / PFC (repro.network.buffers) -----------
+    # Which buffer model a switch runs is the cell's ``buffer_model``
+    # axis, not a parameter (docs/buffers.md); these size "shared".
     #: PFC priority groups per port (802.1Qbb allows up to 8; packets
     #: map by ``dst % pfc_priorities``, like DBBM's bucket hash).
     pfc_priorities: int = 4
@@ -256,8 +252,6 @@ class CCParams:
             raise ParamError(f"flowlet_gap must be >= 0, got {self.flowlet_gap}")
         if self.islip_iterations < 1:
             raise ParamError("iSlip needs at least one iteration")
-        if not self.buffer_model:
-            raise ParamError("buffer_model must be a non-empty name")
         if self.pfc_priorities < 1:
             raise ParamError(f"pfc_priorities must be >= 1, got {self.pfc_priorities}")
         if self.shared_alpha <= 0:

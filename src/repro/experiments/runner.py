@@ -194,8 +194,8 @@ def run_case(
     params: Optional[CCParams] = None,
     routing: str = "det",
     faults=None,
-    buffer_model: Optional[str] = None,
-    telemetry=None,
+    buffer_model: str = "static",
+    telemetry: Optional[float] = None,
     sim_factory=None,
     **knobs,
 ) -> CaseResult:
@@ -209,12 +209,11 @@ def run_case(
     :meth:`FaultPlan.parse`) injecting deterministic link/switch
     failures; plan times are expressed at ``time_scale=1.0`` and scaled
     with the cell (docs/faults.md).  ``buffer_model`` names a
-    registered buffer model and overrides ``params.buffer_model``;
-    ``None`` leaves ``params`` alone (docs/buffers.md).  ``telemetry``
-    is a :class:`repro.telemetry.TelemetryConfig` attaching the
-    sampler: the bundle rides on the result, every other field stays
-    byte-identical (docs/telemetry.md).  With all four at their
-    defaults the cell is the paper's.
+    registered buffer model (docs/buffers.md).  ``telemetry`` is a
+    sampling period in ns attaching the sampler: the bundle rides on
+    the result, every other field stays byte-identical
+    (docs/telemetry.md).  With all four at their defaults the cell is
+    the paper's.
 
     ``sim_factory`` is a zero-argument callable returning the
     :class:`repro.sim.engine.Simulator` to run on -- how the golden
@@ -234,10 +233,6 @@ def run_case(
         faults = FaultPlan.parse(faults)
     if faults is not None:
         faults = faults.scaled(time_scale)
-    if buffer_model is not None:
-        base = params if params is not None else CCParams()
-        if base.buffer_model != buffer_model:
-            params = base.with_overrides(buffer_model=buffer_model)
     fabric: Fabric = build_fabric(
         CASE_CONFIG[case].topo(),
         scheme=scheme,
@@ -246,15 +241,16 @@ def run_case(
         collector=Collector(bin_ns=bin_ns),
         sim=sim_factory() if sim_factory is not None else None,
         routing=routing,
+        buffer_model=buffer_model,
         faults=faults,
     )
     sampler = None
     if telemetry is not None:
         from repro.metrics.trace import ProtocolTrace
-        from repro.telemetry import TelemetrySampler
+        from repro.telemetry.sampler import EVENTS_LIMIT, TelemetrySampler
 
-        trace = ProtocolTrace(limit=telemetry.events_limit).attach(fabric)
-        sampler = TelemetrySampler(fabric, config=telemetry, trace=trace).start()
+        trace = ProtocolTrace(limit=EVENTS_LIMIT).attach(fabric)
+        sampler = TelemetrySampler(fabric, interval=telemetry, trace=trace).start()
         fabric.telemetry = sampler
     attach_traffic(fabric, flows=flows, uniform=uniform)
     fabric.run(until=duration)

@@ -65,7 +65,7 @@ from repro.network.buffers import BUFFER_MODELS
 from repro.network.routing import ROUTING_POLICIES
 from repro.registry import CellError, unknown_name
 from repro.sim.faults import FaultPlan
-from repro.telemetry import TelemetryConfig
+from repro.telemetry.sampler import DEFAULT_INTERVAL
 
 __all__ = [
     "SweepOptions",
@@ -197,22 +197,15 @@ def _count(name: str, least: int, most: float = math.inf) -> Callable[[Any], int
     return parse
 
 
-def _bool(name: str) -> Callable[[Any], bool]:
-    def parse(raw: Any) -> bool:
-        if not isinstance(raw, bool):
-            raise CellError(f"{name} must be true or false, not {raw!r}")
-        return raw
-
-    return parse
-
-
-#: the parser of each ``TelemetryConfig`` field.
-_TELEMETRY_FIELDS = {
-    "interval": _positive("telemetry_interval"),
-    "series_capacity": _count("telemetry series_capacity", 1),
-    "events_limit": _count("telemetry events_limit", 0),
-    "track_trees": _bool("telemetry track_trees"),
-}
+def json_word(word: str) -> Any:
+    """A command-line word as the JSON value it spells (``6`` is 6,
+    ``5e4`` is 50000.0, ``true`` is True), or the word itself: the
+    parser of the knob or axis then judges it as it judges the same
+    value in a request."""
+    try:
+        return json.loads(word)
+    except ValueError:
+        return word
 
 
 def _fault_plan(raw: Any) -> Optional[FaultPlan]:
@@ -228,24 +221,17 @@ def _fault_plan(raw: Any) -> Optional[FaultPlan]:
         raise CellError(f"bad faults spec: {exc}") from None
 
 
-def _telemetry(raw: Any, interval: Any = None) -> Optional[TelemetryConfig]:
-    """A config, its ``to_dict()``, or ``True`` for the default one;
-    ``interval`` overrides the sampling period (ns).  Each field is
-    checked and made canonical (the period a float), so one cell has
-    one key however its config was spelt."""
-    if not raw:
-        if interval is not None:
-            raise CellError("telemetry_interval is given but telemetry is not on")
+_PERIOD = _positive("telemetry (true, or the sampling period in ns)")
+
+
+def _telemetry(raw: Any) -> Optional[float]:
+    """The sampling period in ns, or None for off: ``True`` is the
+    default period, ``False`` is off, a number is the period.  It is a
+    float however it was spelt, so ``50000`` and ``5e4`` are one cell
+    with one key."""
+    if raw is False:
         return None
-    try:
-        config = raw if isinstance(raw, TelemetryConfig) else TelemetryConfig(
-            **({} if raw is True else raw))
-    except TypeError as exc:
-        raise CellError(f"bad telemetry config: {exc}") from None
-    if interval is not None:
-        config = dataclasses.replace(config, interval=interval)
-    return TelemetryConfig(**{f.name: _TELEMETRY_FIELDS[f.name](getattr(config, f.name))
-                              for f in dataclasses.fields(config)})
+    return _PERIOD(DEFAULT_INTERVAL if raw is True else raw)
 
 
 def _same(value: Any) -> Any:
@@ -289,9 +275,6 @@ class Axis:
     #: a request may list several values to cross; it does so under
     #: the ``grid`` name (``routings``), not under ``name``.
     listable: bool = False
-    #: a second request field (and ``--flag``) that refines the value
-    #: and means nothing without it: name, help, argparse keywords.
-    refine: Optional[Tuple[str, str, Mapping[str, Any]]] = None
 
     @property
     def field(self) -> str:
@@ -333,12 +316,10 @@ AXES: Tuple[Axis, ...] = (
     ),
     Axis(
         "telemetry", None, _telemetry,
-        "attach the telemetry sampler to every simulation (results stay "
+        "attach the telemetry sampler to every simulation: true samples every "
+        "100 µs, a number is the sampling period in ns (results stay "
         "byte-identical; bundles ride on the results; docs/telemetry.md)",
-        cli=dict(action="store_true"),
-        key=TelemetryConfig.to_dict, wire=TelemetryConfig.to_dict,
-        refine=("telemetry_interval", "telemetry sampling period in ns (default 100000)",
-                dict(type=float, metavar="NS")),
+        cli=dict(type=json_word, metavar="VALUE"),
     ),
 )
 
@@ -362,14 +343,12 @@ def parse_names(parse: Callable[[Any], Any], raw: Any) -> Tuple[Any, ...]:
 def read_axes(get: Callable[[str], Any]) -> Dict[str, Any]:
     """The axis fields of one request as keywords of
     ``Experiment.jobs``.  ``get(field)`` looks a field up in a parsed
-    command line or a ``POST`` body and is None (or False) where it was
-    not given; values come back canonical, so a typo fails here."""
+    command line or a ``POST`` body and is None where it was not
+    given; values come back canonical, so a typo fails here."""
     out: Dict[str, Any] = {}
     for axis in AXES:
         raw = get(axis.field)
-        if axis.refine is not None:
-            out[axis.field] = axis.parse(raw, get(axis.refine[0]))
-        elif raw:
+        if raw is not None:
             out[axis.field] = parse_names(axis.parse, raw) if axis.listable else axis.parse(raw)
     return out
 
@@ -392,11 +371,11 @@ class SimJob:
     #: the case's knobs (:data:`KNOBS`), sorted: (("num_trees", 4),).
     extra: Tuple[Tuple[str, Any], ...] = ()
     # the axes, one field per row of AXES (None reads as the default)
-    telemetry: Optional[TelemetryConfig] = None
+    #: the telemetry sampling period in ns, or None for off.
+    telemetry: Optional[float] = None
     routing: str = "det"
     #: times are at ``time_scale=1.0``; the runner scales them.
     faults: Optional[FaultPlan] = None
-    #: "static" leaves ``params.buffer_model`` alone.
     buffer_model: str = "static"
 
     def __post_init__(self) -> None:
@@ -515,9 +494,8 @@ class ResultCache:
         <the job: SimJob.preimage(), whose SHA-256 is the key>   (optional)
 
     so a read is one file read and one hash of bytes, and a write
-    serialises the result once.  Entries written before schema 3 -- one
-    JSON document ``{"schema":2,"sha256":...,"result":...,"job":...}``
-    with the same digest -- stay readable; nothing writes them.
+    serialises the result once.  An entry of any other layout is
+    quarantined (no key the code derives names one written before).
 
     Integrity hardening:
 
@@ -592,19 +570,11 @@ class ResultCache:
         except ValueError:
             self._discard(key, "invalid JSON (torn or truncated write)")
             return None
-        if not isinstance(envelope, dict):
-            envelope = {}  # JSON, but no entry: an unrecognized schema below
-        stored = envelope.get("sha256")
-        if envelope.get("schema") == 3:
-            blob = rest.partition(b"\n")[0]
-        elif isinstance(envelope.get("result"), dict):
-            # schema 2: the one line is the whole entry, the result
-            # inside it; to verify it is to serialise it again
-            blob = _canonical(envelope["result"])
-        else:
+        if not isinstance(envelope, dict) or envelope.get("schema") != 3:
             self._discard(key, "unrecognized entry schema")
             return None
-        if hashlib.sha256(blob).hexdigest() != stored:
+        blob = rest.partition(b"\n")[0]
+        if hashlib.sha256(blob).hexdigest() != envelope.get("sha256"):
             self._discard(key, "content digest mismatch")
             return None
         return blob

@@ -234,9 +234,9 @@ class BufferModel:
 
     A model that changes admission shadows the port's
     ``can_accept``/``reserve``/``cancel_reservation``/``release_packet``
-    methods per instance (the same idiom ``Switch.__init__`` uses for
-    ``port.route``), keeping the device layer free of per-packet
-    branches on the model kind.
+    methods per instance (``port.route`` is a per-instance callable
+    too), keeping the device layer free of per-packet branches on the
+    model kind.
     """
 
     name = "static"

@@ -133,6 +133,7 @@ def build_fabric(
     collector: Optional[Collector] = None,
     sim: Optional[Simulator] = None,
     routing: str = "det",
+    buffer_model: str = "static",
     faults=None,
 ) -> Fabric:
     """Instantiate a simulated network.
@@ -151,6 +152,11 @@ def build_fabric(
         ``adaptive``, ``flowlet`` — see :mod:`repro.network.routing`).
         The default ``det`` is the paper's table-based deterministic
         routing and is byte-identical to the pre-policy builder.
+    buffer_model:
+        A registered buffer-model name (``static``, ``shared`` — see
+        :data:`repro.network.buffers.BUFFER_MODELS`): how every
+        switch carves up its RAM.  The default ``static`` is the
+        paper's per-port partition (docs/buffers.md).
     seed:
         Root seed — identical seeds give identical simulations.
     collector, sim:
@@ -165,11 +171,8 @@ def build_fabric(
     spec = SCHEMES[scheme]
     params = params if params is not None else CCParams()
     params.validate()
-    # the buffer-model name is looked up here, not by CCParams.validate
-    # (the registry lives in the network layer): a miss fails before
-    # any device is built
-    BUFFER_MODELS[params.buffer_model]
     policy_spec = ROUTING_POLICIES[routing]
+    buffer_spec = BUFFER_MODELS[buffer_model]
     sim = sim if sim is not None else Simulator()
     rngs = RngFactory(seed)
     collector = collector if collector is not None else Collector()
@@ -208,6 +211,7 @@ def build_fabric(
                 params=switch_params,
             ),
             params=switch_params,
+            buffer_model=buffer_spec,
             scheme_factory=lambda port, _n=num_nodes: spec.switch_scheme(port, _n),
             marker=(
                 spec.marking(switch_params, rngs.stream(f"mark.sw{s.id}"))
@@ -267,7 +271,7 @@ def build_fabric(
         collector=collector,
         rngs=rngs,
         routing=policy_spec.name,
-        buffer_model=params.buffer_model,
+        buffer_model=buffer_spec.name,
     )
     if faults is not None:
         # Deferred import: fault-free fabrics never load the module.

@@ -249,9 +249,9 @@ class RoutingPolicy:
         return out
 
     def route_for(self, port) -> Callable[[Any], int]:
-        """A specialised per-port route callable; installed over
-        ``InputPort.route`` by ``Switch.__init__`` so the per-packet
-        dispatch cost matches the pre-policy direct table lookup."""
+        """A specialised per-port route callable: an input port takes
+        it as its ``route`` when it is built, so the per-packet dispatch
+        cost matches the pre-policy direct table lookup."""
         return lambda pkt: self.route(port, pkt)
 
     def select_output(self, switch, pkt, candidates: Tuple[int, ...]) -> int:

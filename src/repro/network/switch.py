@@ -36,7 +36,7 @@ from repro.core.cam import OutputCam, OutputCamLine
 from repro.core.params import CCParams
 from repro.core.scheme import MarkingPolicy
 from repro.network.arbiter import ISlip
-from repro.network.buffers import BUFFER_MODELS, BufferPool
+from repro.network.buffers import BufferModelSpec, BufferPool
 from repro.network.link import Link
 from repro.network.packet import (
     Becn,
@@ -80,6 +80,11 @@ class InputPort:
         self.rr_counter = 0
         #: trace hook, as :attr:`repro.core.cam.InputCam.recorder`.
         self.recorder: Optional[Callable[..., None]] = None
+        #: ``route(pkt) -> output port``: the policy's callable for this
+        #: port (for det a closure over the table lookup, so the hot
+        #: path costs what it did before the policy layer existed;
+        #: tests/test_routing_policies.py holds that every port has it).
+        self.route: Callable[[Packet], int] = switch.policy.route_for(self)
 
     @property
     def busy(self) -> bool:
@@ -87,13 +92,6 @@ class InputPort:
         return self.active_rate > 0.0
 
     # -- PortHost / IsolationHost ----------------------------------------
-    def route(self, pkt: Packet) -> int:
-        # Generic fallback; Switch.__init__ shadows this per instance
-        # with the policy's specialised callable (RoutingPolicy.route_for)
-        # so the per-packet dispatch cost matches the pre-policy direct
-        # table lookup.
-        return self.switch.policy.route(self, pkt)
-
     def kick(self) -> None:
         self.switch.kick()
 
@@ -231,6 +229,9 @@ class Switch:
         This switch's :class:`repro.network.routing.RoutingPolicy`.
     params:
         CC parameters (thresholds, CFQ counts, marking).
+    buffer_model:
+        The registered buffer model (:data:`repro.network.buffers.BUFFER_MODELS`)
+        that carves up this switch's RAM (docs/buffers.md).
     scheme_factory:
         ``f(input_port) -> CongestionControlScheme`` building each
         port's queues.
@@ -255,6 +256,7 @@ class Switch:
         num_ports: int,
         routing: RoutingPolicy,
         params: CCParams,
+        buffer_model: BufferModelSpec,
         scheme_factory: Callable[[InputPort], CongestionControlScheme],
         marker: Optional[MarkingPolicy] = None,
         crossbar_bw: Optional[float] = None,
@@ -279,7 +281,7 @@ class Switch:
         #: how this switch's RAM is carved up (docs/buffers.md).  Built
         #: and attached before the queue schemes so they see the final
         #: pool capacities (VOQnet sizes its queues off pool.capacity).
-        self.buffer_model = BUFFER_MODELS[params.buffer_model].build(self)
+        self.buffer_model = buffer_model.build(self)
         self.buffer_model.attach()
         self._nprios: int = params.pfc_priorities
         #: count of PFC-paused (output, priority) pairs; the matcher's
@@ -287,12 +289,6 @@ class Switch:
         self._paused_pairs = 0
         for port in self.input_ports:
             port.scheme = scheme_factory(port)
-            # Shadow the generic InputPort.route with the policy's
-            # specialised callable: for det this is a closure over
-            # table.lookup, making the hot path cost what it did before
-            # the policy layer existed (tests/test_routing_policies.py
-            # holds that every port carries it).
-            port.route = routing.route_for(port)
         self.arbiter = ISlip(num_ports, num_ports, params.islip_iterations)
         #: arbitration slot (ns): one MTU at the fastest attached link,
         #: set by the fabric builder once the links exist.

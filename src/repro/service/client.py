@@ -229,7 +229,7 @@ class ServiceClient(_HttpClient):
         """``POST /experiments``: expand ``experiment`` into cells and
         enqueue the ones not already cached.  ``request`` carries the
         grid knobs (``schemes``, ``routings``, ``time_scale``, ``seed``,
-        ``telemetry_interval``, per-case ``extra`` overrides, ...).
+        ``telemetry``, per-case ``extra`` overrides, ...).
         Returns the run record (``run`` id, cell count, cache hits)."""
         return self._request("/experiments", {"experiment": experiment, **request})
 

@@ -86,13 +86,10 @@ class _BadRequest(ValueError):
 
 
 #: every top-level field ``POST /experiments`` reads: the grid's own,
-#: and per axis of the table its request field and what refines it.
-#: Anything else is a typo or a removed knob and is rejected, never
-#: silently ignored.
+#: and per axis of the table its request field.  Anything else is a
+#: typo or a removed knob and is rejected, never silently ignored.
 _SUBMISSION_FIELDS = frozenset(
-    {"experiment", "schemes", "time_scale", "seed", "extra"}
-    | {axis.field for axis in AXES}
-    | {axis.refine[0] for axis in AXES if axis.refine}
+    {"experiment", "schemes", "time_scale", "seed", "extra"} | {axis.field for axis in AXES}
 )
 
 

@@ -14,17 +14,17 @@ a running fabric the way a production fabric manager would:
 * :mod:`~repro.telemetry.export` — fsync'd JSONL, Prometheus text
   exposition, and a self-contained SVG/HTML dashboard.
 
-Enable it on any run with ``TelemetryConfig`` (runner/sweep API) or
-``--telemetry`` (CLI); results stay byte-identical with telemetry on
-or off.  See docs/telemetry.md.
+Enable it on any run with a sampling period in ns -- ``telemetry=``
+of ``run_case`` / ``SimJob``, ``--telemetry`` on the CLI, ``true`` for
+the 100 µs default; results stay byte-identical with telemetry on or
+off.  See docs/telemetry.md.
 """
 
 import importlib
 
 #: name -> the module of this package that defines it; imported on
-#: first use, so a cell without telemetry loads only its config.
+#: first use, so a cell without telemetry loads none of them.
 _EXPORTS = {
-    "TelemetryConfig": "sampler",
     "TelemetrySampler": "sampler",
     "SeriesRing": "series",
     "TreeTracker": "tracker",

@@ -18,38 +18,25 @@ contract the invariant guard keeps).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional
 
 from repro.telemetry.series import SeriesRing
 
-__all__ = ["TelemetryConfig", "TelemetrySampler"]
+__all__ = ["TelemetrySampler", "DEFAULT_INTERVAL", "SERIES_CAPACITY", "EVENTS_LIMIT", "TRACK_TREES"]
 
 #: the bundle schema version stamped on every export.
 BUNDLE_SCHEMA = "repro.telemetry/1"
 
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Sampling knobs, shared by the runner/sweep API and the CLI.
-
-    Frozen (hashable, picklable) so it can ride on
-    :class:`~repro.experiments.sweep.SimJob` cells across worker
-    processes and into cache keys.
-    """
-
-    #: sampling period in simulated nanoseconds (default 100 µs — the
-    #: Collector's bin width, fine enough for the paper's 10 ms plots).
-    interval: float = 100_000.0
-    #: retained samples per ring (older samples are evicted + counted).
-    series_capacity: int = 1024
-    #: ProtocolTrace event limit for the attached structured trace.
-    events_limit: int = 200_000
-    #: reconstruct congestion-tree lifecycles from the trace.
-    track_trees: bool = True
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+#: the default sampling period in simulated ns (100 µs -- the
+#: Collector's bin width, fine enough for the paper's 10 ms plots);
+#: the period is the one thing a cell chooses (its ``telemetry`` axis).
+DEFAULT_INTERVAL = 100_000.0
+#: retained samples per ring (older samples are evicted + counted).
+SERIES_CAPACITY = 1024
+#: ProtocolTrace event limit for the attached structured trace.
+EVENTS_LIMIT = 200_000
+#: reconstruct congestion-tree lifecycles from the trace.
+TRACK_TREES = True
 
 
 class TelemetrySampler:
@@ -70,13 +57,14 @@ class TelemetrySampler:
       lines, throttled destinations, AdVOQ backlog).
     """
 
-    def __init__(self, fabric, config: Optional[TelemetryConfig] = None, trace=None) -> None:
+    def __init__(self, fabric, interval: float = DEFAULT_INTERVAL, trace=None) -> None:
         self.fabric = fabric
-        self.config = config if config is not None else TelemetryConfig()
+        #: sampling period in simulated ns.
+        self.interval = float(interval)
         #: optional ProtocolTrace attached to the same fabric; consumed
         #: by the TreeTracker and the JSONL exporter.
         self.trace = trace
-        cap = self.config.series_capacity
+        cap = SERIES_CAPACITY
         self.times = SeriesRing(cap)
         self.network = SeriesRing(cap)
         self.ports: Dict[str, SeriesRing] = {
@@ -98,7 +86,7 @@ class TelemetrySampler:
         run); the first sample lands one interval in."""
         if self._task is not None:
             raise RuntimeError("sampler already started")
-        self._task = self.fabric.sim.call_every(self.config.interval, self.sample)
+        self._task = self.fabric.sim.call_every(self.interval, self.sample)
         return self
 
     def stop(self) -> None:
@@ -179,7 +167,9 @@ class TelemetrySampler:
         round-trips ``json.dumps``/``loads`` exactly."""
         out: Dict[str, Any] = {
             "schema": BUNDLE_SCHEMA,
-            "config": self.config.to_dict(),
+            # what the sampler ran with
+            "config": {"interval": self.interval, "series_capacity": SERIES_CAPACITY,
+                       "events_limit": EVENTS_LIMIT, "track_trees": TRACK_TREES},
             "duration": float(duration) if duration is not None else float(self.fabric.sim.now),
             "ticks": self.ticks,
             "dropped": self.dropped,
@@ -204,7 +194,7 @@ class TelemetrySampler:
                 "dropped": self.trace.dropped,
                 "counts": self.trace.counts(),
             }
-            if self.config.track_trees:
+            if TRACK_TREES:
                 from repro.telemetry.tracker import TreeTracker
 
                 tracker = TreeTracker(num_cfqs=self.fabric.params.num_cfqs)

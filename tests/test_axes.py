@@ -29,7 +29,6 @@ from repro.network.routing import ROUTING_POLICIES
 from repro.service import api, server
 from repro.service.api import job_from_spec, job_to_spec
 from repro.sim.faults import FaultPlan
-from repro.telemetry import TelemetryConfig
 
 FLAP = "down:s0p4->s16p0@1.2ms;up:s0p4->s16p0@1.5ms"
 
@@ -40,11 +39,7 @@ SAMPLES = {
     "routing": ("adaptive", ["--routing", "ADAPTIVE"], {"routings": ["Adaptive"]}),
     "faults": (FaultPlan.parse(FLAP), ["--faults", FLAP], {"faults": FLAP}),
     "buffer_model": ("shared", ["--buffer-model", "Shared"], {"buffer_model": "SHARED"}),
-    "telemetry": (
-        TelemetryConfig(interval=50_000.0),
-        ["--telemetry", "--telemetry-interval", "50000"],
-        {"telemetry": True, "telemetry_interval": 50000},
-    ),
+    "telemetry": (50_000.0, ["--telemetry", "5e4"], {"telemetry": 50000}),
 }
 
 #: the modules that read the table (each binds ``AXES`` by name).
@@ -158,15 +153,15 @@ class TestEveryAxis:
         (action,) = [a for a in cli.build_parser()._actions
                      if a.option_strings == [cli._flag(axis.name)]]
         assert (action.help, action.dest) == ("changed help", "changes")
-        assert "changes" in read_axes({"changes": next(iter(body.values()))}.get)
+        given = next(iter(body.values()))
+        listed = given if isinstance(given, list) else [given]
+        assert "changes" in read_axes({"changes": listed}.get)
 
 
 def test_the_servers_fields_are_the_tables():
     fields = {"experiment", "schemes", "time_scale", "seed", "extra"}
     for axis in AXES:
         fields.add(axis.grid if axis.listable else axis.name)
-        if axis.refine is not None:
-            fields.add(axis.refine[0])
     assert server._SUBMISSION_FIELDS == fields
     # and each is a destination of the command line's parser
     dests = {action.dest for action in cli.build_parser()._actions}
@@ -203,8 +198,8 @@ class TestValidation:
         (dict(buffer_model="sharde"), "did you mean shared"),
         (dict(faults="kil:x@1ms"), "bad faults spec"),
         (dict(faults=""), "bad faults spec"),
-        (dict(telemetry=TelemetryConfig(interval=0.0)), "telemetry_interval"),
-        (dict(telemetry={"period": 5}), "bad telemetry config"),
+        (dict(telemetry=0), "sampling period in ns"),
+        (dict(telemetry={"interval": 50000}), "{'interval': 50000}"),
         (dict(extra={"num_trees": 4}), "case1: unknown knob 'num_trees' (case1 takes no knobs)"),
         (dict(case="case4", extra={"num_tree": 4}), "did you mean num_trees"),
         (dict(case="case4", extra={"num_trees": 0}), "num_trees"),
@@ -212,14 +207,14 @@ class TestValidation:
         (dict(case="case4", extra={"duration_ms": -3}), "duration_ms"),
         (dict(time_scale=True), "time_scale must be a finite number > 0, not True"),
         (dict(case="case4", extra={"duration_ms": True}), "duration_ms"),
-        (dict(telemetry={"interval": True}), "telemetry_interval"),
-        (dict(telemetry={"series_capacity": 0}), "telemetry series_capacity must be an integer >= 1"),
-        (dict(telemetry={"series_capacity": 2.5}), "telemetry series_capacity"),
-        (dict(telemetry={"events_limit": -1}), "telemetry events_limit must be an integer >= 0"),
-        (dict(telemetry={"track_trees": "yes"}), "telemetry track_trees must be true or false"),
+        (dict(telemetry=-1), "not -1"),
+        (dict(telemetry={"series_capacity": 1024}), "'series_capacity'"),
+        (dict(telemetry=float("inf")), "not inf"),
+        (dict(telemetry=float("nan")), "not nan"),
+        (dict(telemetry=[50000]), "not [50000]"),
         # a number field takes numbers, as seed does: not text float() reads
         (dict(time_scale="0.5"), "time_scale must be a finite number > 0, not '0.5'"),
-        (dict(telemetry={"interval": "5e4"}), "telemetry_interval"),
+        (dict(telemetry="5e4"), "not '5e4'"),
         (dict(case="case4", extra={"duration_ms": "3"}), "duration_ms"),
         (dict(time_scale=10**400), "time_scale"),
     ])
@@ -237,33 +232,49 @@ class TestValidation:
         assert job_to_spec(spelt) == job_to_spec(plain)
         assert type(spelt.time_scale) is float
         # a sampling period is one float, however a request spells it
-        sampled = SimJob("case1", "CCFIT", telemetry=TelemetryConfig(interval=50_000.0))
-        for config in ({"interval": 50000}, {"interval": 5e4}, TelemetryConfig(interval=50000),
-                       read_axes({"telemetry": True, "telemetry_interval": 50000}.get)["telemetry"]):
-            again = SimJob("case1", "CCFIT", telemetry=config)
+        sampled = SimJob("case1", "CCFIT", telemetry=50_000.0)
+        for period in (50000, 5e4, read_axes({"telemetry": 50000}.get)["telemetry"],
+                       cli._cell(cli.build_parser().parse_args(
+                           ["--telemetry", "5e4", "sweep", "case1"]))["telemetry"]):
+            again = SimJob("case1", "CCFIT", telemetry=period)
             assert again == sampled and again.key() == sampled.key()
-            assert type(again.telemetry.interval) is float
+            assert type(again.telemetry) is float
 
-    def test_a_static_cell_leaves_the_params_model_alone(self, monkeypatch):
-        """``buffer_model="static"`` is the axis at rest, not an
-        override: the key says ``params`` decides, and so does the run
-        (the two once disagreed for shared-pool params)."""
-        from repro.core.params import CCParams
-
-        job = SimJob("case1", "CCFIT", params=CCParams(buffer_model="shared"),
-                     buffer_model="static")
-        assert list(job.axes()) == []
-        assert job.payload()["params"]["buffer_model"] == "shared"
-        ran = {}
-        monkeypatch.setattr(sweep, "run_case", lambda case, **kw: ran.update(kw))
-        job.run()
-        assert "buffer_model" not in ran and ran["params"].buffer_model == "shared"
+    def test_true_is_the_default_period(self):
+        """``true`` reads as the sampler's 100 µs, from a cell, a
+        request and a command line alike; ``false`` is off."""
+        on = SimJob("case1", "CCFIT", telemetry=True)
+        assert on.telemetry == 100_000.0 and on == SimJob("case1", "CCFIT", telemetry=1e5)
+        assert read_axes({"telemetry": True}.get)["telemetry"] == 100_000.0
+        args = cli.build_parser().parse_args(["--telemetry", "true", "sweep", "case1"])
+        assert cli._cell(args)["telemetry"] == 100_000.0
+        assert read_axes({"telemetry": False}.get)["telemetry"] is None
+        assert SimJob("case1", "CCFIT", telemetry=False) == SimJob("case1", "CCFIT")
 
     def test_interval_without_telemetry_is_an_error(self, capsys):
-        with pytest.raises(CellError, match="telemetry is not on"):
-            read_axes({"telemetry_interval": 50_000}.get)
-        assert cli.main(["sweep", "case1", "--telemetry-interval", "50000", "--no-cache"]) == 2
-        assert "telemetry is not on" in capsys.readouterr().err
+        """The period is the telemetry value itself: the separate
+        interval field and flag are gone, and giving one is refused,
+        never ignored (a hint over HTTP, exit 2 on the command line)."""
+        with pytest.raises(server._BadRequest, match="did you mean telemetry"):
+            server._resolve_submission({"experiment": "case1", "telemetry_interval": 50_000})
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "case1", "--telemetry-interval", "50000", "--no-cache"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --telemetry-interval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0, -1, "5e4", {"interval": 50000}],
+                             ids=["zero", "negative", "text", "object"])
+    def test_a_bad_period_is_refused_by_cli_and_http(self, value, capsys):
+        """The CLI reads its word as JSON (``'"5e4"'`` is the text) and
+        exits 2; a request answers 400; neither runs anything."""
+        word = json.dumps(value)
+        args = cli.build_parser().parse_args(["--telemetry", word, "sweep", "case1"])
+        with pytest.raises(CellError, match="sampling period in ns"):
+            cli._cell(args)
+        assert cli.main(["sweep", "case1", "--telemetry", word, "--no-cache"]) == 2
+        assert "sampling period in ns" in capsys.readouterr().err
+        with pytest.raises(server._BadRequest, match="sampling period in ns"):
+            server._resolve_submission({"experiment": "case1", "telemetry": value})
 
     @pytest.mark.parametrize("body, said", [
         ({"extra": {"num_tree": 4}}, "did you mean num_trees"),
@@ -272,7 +283,7 @@ class TestValidation:
         ({"schemes": ["CCFTI"]}, "did you mean CCFIT"),
         ({"routings": ["adaptve"]}, "did you mean adaptive"),
         ({"buffer_model": "sharde"}, "did you mean shared"),
-        ({"telemetry_interval": 50_000}, "telemetry is not on"),
+        ({"telemetry_interval": 50_000}, "did you mean telemetry"),
         ({"routing": "adaptive"}, "did you mean routings"),
         ({"experiment": "fig8z"}, "did you mean fig8"),
     ])
@@ -313,8 +324,7 @@ def cells(draw):
         faults=draw(st.none() | st.sampled_from(FAULT_SPECS)
                     | st.builds(FaultPlan.parse, st.sampled_from(FAULT_SPECS),
                                 name=st.sampled_from(["", "flap"]))),
-        telemetry=draw(st.none() | st.just(True)
-                       | st.builds(TelemetryConfig, interval=st.floats(1e3, 1e6))),
+        telemetry=draw(st.none() | st.booleans() | st.floats(1e3, 1e6) | st.integers(1, 10**6)),
     )
 
 
@@ -374,5 +384,3 @@ def test_the_docs_list_every_row():
         assert fields[axis.name] == axis.default  # the row and the field it names agree
         assert f"| `{axis.name}`" in sweep_md and cli._flag(axis.name) in sweep_md
         assert f"| `{axis.field}` |" in service_md
-        if axis.refine is not None:
-            assert f"| `{axis.refine[0]}` |" in service_md

@@ -68,7 +68,7 @@ class TestCli:
 
     def test_the_commands(self, capsys):
         """One command runs an experiment, and writes its telemetry
-        bundles too; the sampling period is the axis's own flag."""
+        bundles too; the sampling period is the telemetry flag's value."""
         with pytest.raises(SystemExit):
             main(["--help"])
         out = capsys.readouterr().out
@@ -76,7 +76,8 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["sweep", "--help"])
         out = capsys.readouterr().out
-        assert "--telemetry-interval" in out and "--interval " not in out and "--out DIR" in out
+        assert "--telemetry VALUE" in out and "--out DIR" in out
+        assert "--telemetry-interval" not in out and "--interval " not in out
 
     def test_case_runs(self, capsys):
         """A one-cell grid prints the flow table and the cell's counters."""
@@ -173,7 +174,7 @@ class TestCli:
 
 class TestCliTelemetry:
     def test_sweep_out_writes_the_bundles_cold_and_warm(self, tmp_path, capsys):
-        """`sweep --telemetry --out DIR` writes each cell's bundle into
+        """`sweep --telemetry NS --out DIR` writes each cell's bundle into
         DIR/<result key>/; run again on the same cache, the cell is a
         hit and its bundle is exported from the cache, byte for byte."""
         names = ("telemetry.jsonl", "metrics.prom", "dashboard.html")
@@ -181,7 +182,7 @@ class TestCliTelemetry:
         for run in ("cold", "warm"):
             out = tmp_path / run
             assert main(["--scale", "0.02", "sweep", "fig7a", "--schemes", "CCFIT",
-                         "--telemetry", "--telemetry-interval", "20000",
+                         "--telemetry", "20000",
                          "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]) == 0
             text = capsys.readouterr().out
             assert f"{'1' if run == 'warm' else '0'} cache hit(s)" in text
@@ -202,14 +203,11 @@ class TestCliTelemetry:
         from repro.cli import _cell
 
         args = build_parser().parse_args(
-            ["--scale", "0.05", "--telemetry", "--telemetry-interval", "40000",
-             "sweep", "case1"]
+            ["--scale", "0.05", "--telemetry", "40000", "sweep", "case1"]
         )
-        telemetry = _cell(args)["telemetry"]
-        assert telemetry is not None
-        assert telemetry.interval == 40_000.0
+        assert _cell(args)["telemetry"] == 40_000.0
         plain = build_parser().parse_args(["--scale", "0.05", "sweep", "case1"])
-        assert _cell(plain)["telemetry"] is None
+        assert "telemetry" not in _cell(plain)  # off: not given, as any axis at rest
 
     def test_unknown_experiment_name_exits_2(self, capsys):
         rc = main(["sweep", "fig7z"])

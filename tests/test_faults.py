@@ -356,10 +356,8 @@ class TestErrorContext:
 # ---------------------------------------------------------------------------
 class TestSurfaces:
     def test_telemetry_bundle_carries_fault_state(self):
-        from repro.telemetry import TelemetryConfig
-
         res = run_case("case1", scheme="CCFIT", time_scale=SCALE, seed=1,
-                       telemetry=TelemetryConfig(interval=50_000.0),
+                       telemetry=50_000.0,
                        faults=f"down:{CASE1_LINK}@100us;up:{CASE1_LINK}@200us")
         assert "faults" in res.telemetry
         for rec in res.telemetry.get("trees", []):

@@ -18,7 +18,6 @@ import pytest
 
 from repro import build_fabric, k_ary_n_tree
 from repro.core.ccfit import SCHEMES, SchemeSpec
-from repro.core.params import CCParams
 from repro.experiments.runner import PAPER_SCHEMES, run_case
 from repro.experiments.sweep import SimJob, SweepOptions, run_sweep
 from repro.network.buffers import BufferError, PacketQueue
@@ -35,8 +34,9 @@ from repro.sim.guard import (
 SCALE = 0.02
 
 
-def tiny_fabric(scheme="CCFIT", params=None):
-    return build_fabric(k_ary_n_tree(2, 2), scheme=scheme, params=params, seed=1)
+def tiny_fabric(scheme="CCFIT", params=None, buffer_model="static"):
+    return build_fabric(k_ary_n_tree(2, 2), scheme=scheme, params=params, seed=1,
+                        buffer_model=buffer_model)
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +181,13 @@ class TestTamperDetection:
             fabric.guard.check_all()
 
     def test_pfc_ledger_drift(self):
-        fabric = tiny_fabric("PFC", params=CCParams(buffer_model="shared"))
+        fabric = tiny_fabric("PFC", buffer_model="shared")
         fabric.switches[0].buffer_model.pauses_sent += 1  # a PAUSE never resumed
         with pytest.raises(InvariantViolation, match="sw0: PFC ledger drift — 1 pauses vs 0 resumes"):
             fabric.guard.check_all()
 
     def test_a_shared_pool_violation_names_its_switch_once(self):
-        fabric = tiny_fabric("PFC", params=CCParams(buffer_model="shared"))
+        fabric = tiny_fabric("PFC", buffer_model="shared")
         fabric.switches[0].buffer_model.shared_used += 64  # bytes no PG holds
         with pytest.raises(InvariantViolation, match="shared_used=64B but PG shares sum to 0B") as exc:
             fabric.guard.check_all()

@@ -175,7 +175,7 @@ class TestImportOrder:
             "exec('from repro import *', star)\n"
             "print(json.dumps([len(names), missing, listed, sorted(set(names) - set(star))]))"
         )
-        assert out[0] >= 23 and out[1:] == [[], [], []]  # 23 names today
+        assert out[0] >= 22 and out[1:] == [[], [], []]  # 22 names today
 
     def test_an_unknown_name_is_an_attribute_error(self):
         import repro

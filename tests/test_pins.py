@@ -3,8 +3,8 @@
 Every pinned output of the simulator is one entry of
 ``tests/golden/pins.json``: Config #1/#2/#3 results, cells on the paths
 the paper's grid never reaches (shared pool, faults, every routing
-policy), the two cells of ``tests/golden/cache_v2/``, three event
-histograms, two protocol-trace streams and a telemetry bundle.  A pin
+policy, telemetry on), three event histograms, two protocol-trace
+streams and a telemetry bundle.  A pin
 that holds on both kernels also says the engine agrees with the heap
 oracle byte for byte.  On a move, the message is the row
 ``scripts/repin.py`` prints: what moved, old → new.

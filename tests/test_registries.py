@@ -9,7 +9,6 @@ unknown name reads the same from every path that resolves one.
 import pytest
 
 from repro.core.ccfit import SCHEMES, SchemeSpec, oneq_queues
-from repro.core.params import CCParams
 from repro.experiments.costs import scheme_cost
 from repro.experiments.registry import REGISTRY, Experiment, get
 from repro.experiments.sweep import SimJob
@@ -101,7 +100,7 @@ LOOKUPS = {
         "routing policy", "adaptiv", lambda: build_fabric(config1_adhoc(), routing="adaptiv")),
     "build_fabric.buffer_model": (
         "buffer model", "sharde",
-        lambda: build_fabric(config1_adhoc(), params=CCParams(buffer_model="sharde"))),
+        lambda: build_fabric(config1_adhoc(), buffer_model="sharde")),
     "scheme_cost": ("scheme", "CCFTI", lambda: scheme_cost("CCFTI", config1_adhoc())),
     "registry.get": ("experiment", "fig9x", lambda: get("fig9x")),
 }

@@ -214,39 +214,18 @@ class TestSerialFailures:
 # ---------------------------------------------------------------------------
 # cache integrity
 # ---------------------------------------------------------------------------
-def write_schema2(cache, key, result, job) -> None:
-    """An entry as the cache wrote it before schema 3: one JSON
-    document, the digest over the canonical result.  Nothing in
-    ``src/`` writes this any more; the reader must go on reading it
-    (``tests/golden/cache_v2/`` holds two that the old writer made)."""
-    result_dict = result.to_dict()
-    cache.path(key).write_text(json.dumps({
-        "schema": 2,
-        "sha256": hashlib.sha256(canonical(result_dict)).hexdigest(),
-        "result": result_dict,
-        "job": job.payload(),
-    }))
-
-
 class TestCacheIntegrity:
-    #: the layout of the entry each case corrupts: 3 is what the cache
-    #: writes, 2 what it still reads (the subclass below).
-    schema = 3
-
     def put_one(self, tmp_path, small):
         cache = ResultCache(tmp_path)
         key = good_job().key()
-        if self.schema == 3:
-            cache.put(key, small, job=good_job())
-        else:
-            write_schema2(cache, key, small, good_job())
+        cache.put(key, small, job=good_job())
         return cache, key
 
     def test_entry_has_the_layout_under_test(self, tmp_path, small):
         cache, key = self.put_one(tmp_path, small)
         lines = cache.path(key).read_bytes().splitlines()
-        assert json.loads(lines[0])["schema"] == self.schema
-        assert len(lines) == (3 if self.schema == 3 else 1)
+        assert json.loads(lines[0])["schema"] == 3
+        assert len(lines) == 3
         assert_results_equal(cache.get(key), small)
         assert cache.discarded == 0
 
@@ -273,19 +252,26 @@ class TestCacheIntegrity:
     def test_truncated_entry_is_quarantined(self, tmp_path, small):
         cache, key = self.put_one(tmp_path, small)
         raw = cache.path(key).read_bytes()
-        # schema 3: cut after line 1; before it: cut inside the one line
-        cut = raw.index(b"\n") + 1 if self.schema == 3 else len(raw) // 2
-        cache.path(key).write_bytes(raw[:cut])
-        with pytest.warns(RuntimeWarning, match="digest mismatch|invalid JSON"):
+        cache.path(key).write_bytes(raw[:raw.index(b"\n") + 1])  # the envelope alone
+        with pytest.warns(RuntimeWarning, match="digest mismatch"):
             assert cache.get(key) is None
         assert cache.discarded == 1
         assert [name for name, _size, _mtime in cache.quarantined()] == [f"{key}.json"]
 
     def test_wrong_schema_is_quarantined(self, tmp_path, small):
+        """Any layout but schema 3 -- another document, or a schema-2
+        entry (one line, the result inside it, digest and all) -- is a
+        loud miss: no key this code derives names an entry written
+        before schema 3."""
         cache, key = self.put_one(tmp_path, small)
-        cache.path(key).write_text(json.dumps({"something": "else"}))
-        with pytest.warns(RuntimeWarning, match="unrecognized entry schema"):
-            assert cache.get(key) is None
+        result = small.to_dict()
+        schema2 = {"schema": 2, "sha256": hashlib.sha256(canonical(result)).hexdigest(),
+                   "result": result}
+        for n, entry in enumerate(({"something": "else"}, schema2), 1):
+            cache.path(key).write_text(json.dumps(entry))
+            with pytest.warns(RuntimeWarning, match="unrecognized entry schema"):
+                assert cache.get(key) is None
+            assert cache.discarded == n
 
     def test_entry_without_digest_is_discarded(self, tmp_path, small):
         """Schema 1 carried no digest: nothing says its result is the
@@ -294,7 +280,7 @@ class TestCacheIntegrity:
         cache = ResultCache(tmp_path)
         key = "ab" * 32
         cache.path(key).write_text(json.dumps({"result": small.to_dict()}))
-        with pytest.warns(RuntimeWarning, match="content digest mismatch"):
+        with pytest.warns(RuntimeWarning, match="unrecognized entry schema"):
             assert cache.get(key) is None
         assert cache.discarded == 1
 
@@ -318,12 +304,6 @@ class TestCacheIntegrity:
         # the recomputed entry is valid again, in the layout the cache writes
         assert_results_equal(ResultCache(tmp_path).get(key), small)
         assert cache.path(key).read_bytes().startswith(b'{"schema":3,')
-
-
-class TestCacheIntegritySchema2(TestCacheIntegrity):
-    """The same corruption cases over entries of the layout before."""
-
-    schema = 2
 
 
 class TestCacheWrites:

@@ -170,10 +170,10 @@ def test_det_policy_matches_default_build():
 
 @pytest.mark.parametrize("config", [CONFIG1, CONFIG3], ids=["config1", "config3"])
 def test_det_ports_carry_the_table_lookup_closure(config):
-    """The det policy costs a table lookup because ``Switch.__init__``
-    hangs ``route_for``'s closure on every input port, over the generic
-    ``InputPort.route`` that dispatches through the policy object -- and
-    the closure answers what the table answers.  (Its cost is held by
+    """The det policy costs a table lookup because every input port is
+    built with ``route_for``'s closure as its ``route``, not a method
+    that dispatches through the policy object -- and the closure
+    answers what the table answers.  (Its cost is held by
     ``pkts_per_s`` on the benchmark's ``case1_ccfit``, a det cell.)"""
     fabric = build_fabric(config.topo(), scheme="CCFIT", seed=0)
     pkts = [_FakePkt(0, dst) for dst in range(fabric.topo.num_nodes)]

@@ -561,11 +561,18 @@ class TestWorker:
         assert job_row["elapsed_s"] > 0
 
     def test_worker_fails_undecodable_spec(self, tmp_path, tiny_job):
-        # a spec queued before ``match_quantum`` left CCParams: it must
-        # fail, not run with the remaining fields at their defaults
-        stale = {**dataclasses.asdict(CCParams()), "match_quantum": -1.0}
+        # specs an older submitter queued: params with ``match_quantum``
+        # or ``buffer_model`` (both left CCParams), a telemetry config
+        # object where the axis is a period.  Each must fail, not run
+        # with the remaining fields at their defaults.
+        params = dataclasses.asdict(CCParams())
+        config = {"interval": 50_000.0, "series_capacity": 1024, "events_limit": 200_000,
+                  "track_trees": True}
         specs = {"schema": {"schema": 999},
-                 "stale-params": {**job_to_spec(tiny_job), "params": stale}}
+                 "stale-params": {**job_to_spec(tiny_job), "params": {**params, "match_quantum": -1.0}},
+                 "params-buffer-model": {**job_to_spec(tiny_job),
+                                         "params": {**params, "buffer_model": "shared"}},
+                 "telemetry-config": {**job_to_spec(tiny_job), "telemetry": config}}
         for name, spec in specs.items():
             b = FsBroker(tmp_path / name)
             run = b.submit([tiny_job], experiment="fig7a")
@@ -862,15 +869,15 @@ class TestService:
         ({"routings": ["adaptve"]}, "did you mean adaptive"),
         ({"buffer_model": "sharde"}, "did you mean shared"),
         ({"faults": "kil:x@1ms"}, "bad faults spec"),
-        ({"telemetry_interval": 50_000}, "telemetry is not on"),
+        ({"telemetry_interval": 50_000}, "did you mean telemetry"),
         ({"time_scale": True}, "time_scale"),
         ({"extra": {"duration_ms": True}}, "duration_ms"),
-        ({"telemetry": {"interval": True}}, "telemetry_interval"),
+        ({"telemetry": -1}, "sampling period in ns"),
         ({"telemetry": {"series_capacity": 0}}, "series_capacity"),
         ({"telemetry": {"events_limit": -1}}, "events_limit"),
         ({"telemetry": {"track_trees": "yes"}}, "track_trees"),
         ({"time_scale": "0.5"}, "time_scale must be a finite number > 0, not '0.5'"),
-        ({"telemetry": {"interval": "5e4"}}, "telemetry_interval"),
+        ({"telemetry": "5e4"}, "not '5e4'"),
         ({"time_scale": 10**400}, "time_scale"),
     ])
     def test_a_cell_that_cannot_be_is_400_and_enqueues_nothing(self, srv, client, body, said):

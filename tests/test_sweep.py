@@ -10,7 +10,6 @@ import hashlib
 import json
 import os
 import pickle
-import shutil
 import time
 from pathlib import Path
 
@@ -27,21 +26,9 @@ from repro.experiments.sweep import (
     run_sweep,
 )
 from repro.sim.faults import FaultPlan
-from repro.telemetry import TelemetryConfig, write_bundle
+from repro.telemetry import write_bundle
 
 SCALE = 0.02
-
-#: two entries as the cache wrote them before schema 3 (made by the
-#: writer of commit 8b5b826, named by their keys), and the cells they
-#: hold: a fixture for the schema-2 reader, not a pin of the results
-#: (tests/golden/pins.json is).  A deliberate move of the keys renames
-#: the files.
-CACHE_V2 = Path(__file__).parent / "golden" / "cache_v2"
-CACHE_V2_JOBS = [
-    SimJob(case="case1", scheme="CCFIT", time_scale=SCALE),
-    SimJob(case="case1", scheme="CCFIT", time_scale=SCALE,
-           telemetry=TelemetryConfig(interval=50_000.0)),
-]
 
 
 @pytest.fixture(scope="module")
@@ -135,18 +122,18 @@ class TestSimJob:
         [
             (
                 dict(case="case1", scheme="CCFIT", time_scale=0.25),
-                "93b194f2231ec49fd011bae283213fcb39effd3dcabf8429d9c637eb2d046c5a",
+                "6a2c1c2122f2342f574a00abf1711dd5332c08918344571ab00fda52989e3908",
             ),
             (
                 dict(case="case4", scheme="PFC+RCM", time_scale=0.025,
                      extra=(("num_trees", 4),), buffer_model="shared"),
-                "4bf147f872000e0fb5ebbfa1b1768185890134493e726bb3ff4ef5e07499ec84",
+                "e5d36fa9e877bde2cac203f0f463afcf17904af112110a82487493df909f384c",
             ),
             (
                 dict(case="case4", scheme="CCFIT", time_scale=0.025,
                      extra=(("num_trees", 1),), routing="adaptive",
                      faults=FaultPlan.parse("down:s0p4->s16p0@1.2ms;up:s0p4->s16p0@1.5ms")),
-                "ebbe48429917a589596203c79c8bfb9b6622099da7d08e81f70366a35af4affb",
+                "a0984a88f15f2636c03f9e6239e212a5cf5b542a40f008ce1fe41b4f71050e4c",
             ),
         ],
         ids=["static-ccfit", "shared-pfc-rcm", "faulted-adaptive"],
@@ -163,21 +150,22 @@ class TestSimJob:
         """The other 312 cells of ``benchmarks/e2e/golden.json`` -- the
         scheme grid at seeds 1-19 and the CCFIT round-trip cells -- in
         one digest, re-recorded when ``match_quantum`` and
-        ``link_jitter`` left ``CCParams`` (docs/sweep.md "The cache
-        key")."""
+        ``link_jitter`` left ``CCParams``, and again when
+        ``buffer_model`` did (docs/sweep.md "The cache key")."""
         case1 = registry.get("case1")
         jobs = [j for seed in range(1, 20) for j in case1.jobs(time_scale=0.02, seed=seed)]
         jobs += [j for seed in range(1001, 1123)
                  for j in case1.jobs(schemes=("CCFIT",), time_scale=0.02, seed=seed)]
         assert len(jobs) == 312
         digest = hashlib.sha256("\n".join(j.key() for j in jobs).encode()).hexdigest()
-        assert digest == "bb8d099d71af08121ef7fa3755cb06456295ab9028f245685bd823b9962dedc1"
+        assert digest == "6d9979d7e7629989f140cac1f8a30a7ffe0ca33851d09ec6280e058c36e48146"
 
     def test_keys_on_every_axis_are_pinned(self):
         """Every registered experiment's cells at seeds 1-2, a cell per
         off-default value of each axis, the case4 knobs and one explicit
-        ``CCParams``, in one digest recorded before the preimage was
-        spliced from a cached default-params fragment: no key moved."""
+        ``CCParams``, in one digest.  Re-recorded when ``buffer_model``
+        left ``CCParams`` and the telemetry axis became a period: each
+        key is the earlier preimage with just those two fields changed."""
         from repro.network.routing import ROUTING_POLICIES
 
         jobs = [j for name in sorted(registry.REGISTRY) for seed in (1, 2)
@@ -189,18 +177,18 @@ class TestSimJob:
             ("kill:s0p4->s16p0@1.2ms", "kill"),
             ("degrade:s16p4->s32p0@1.1ms:bw=0.25,drop=0.01;seed=7", ""))]
         jobs += [SimJob(**base, buffer_model="shared"),
-                 SimJob(**base, telemetry=TelemetryConfig()),
-                 SimJob(**base, telemetry=TelemetryConfig(interval=50_000.0, track_trees=False)),
+                 SimJob(**base, telemetry=True),
+                 SimJob(**base, telemetry=50_000.0),
                  SimJob(case="case4", scheme="ITh", extra=(("duration_ms", 2.5),)),
                  SimJob(case="case4", scheme="ITh", extra=(("duration_ms", 2.5), ("num_trees", 8))),
                  SimJob(case="case2", scheme="FBICM", seed=0, params=CCParams(num_cfqs=4)),
                  SimJob(case="case3", scheme="PFC+RCM", time_scale=0.3, seed=7,
                         routing="flowlet", buffer_model="shared",
                         faults=FaultPlan.parse("kill:s0p4->s16p0@1.2ms"),
-                        telemetry=TelemetryConfig())]
+                        telemetry=True)]
         assert len(jobs) == 2 * 131 + 13
         digest = hashlib.sha256("\n".join(j.key() for j in jobs).encode()).hexdigest()
-        assert digest == "e163e5d365b572fc8e275a3e88898e643b55b8a312dcd4150785455b9baa937e"
+        assert digest == "7f035e7df79e94c4489acd4970c1971aa66f3807e388d83b11068dfc3d965e0e"
 
     def test_params_preimage_equals_asdict(self):
         """The flat walk is ``asdict`` for as long as ``CCParams`` is
@@ -277,32 +265,6 @@ class TestResultCache:
         # without a job there is no third line
         cache.put_dict("cc", small.to_dict())
         assert cache.path("cc").read_bytes().splitlines() == [envelope, result]
-
-    def test_schema2_entries_read_back_identically(self, tmp_path):
-        """An existing cache survives the upgrade: the committed
-        schema-2 entries are found under today's keys, read back as
-        written, and store again under the digest they already carried.
-        (What the cells compute today is pinned in tests/golden/pins.json.)"""
-        old = ResultCache(shutil.copytree(CACHE_V2, tmp_path / "v2"))
-        new = ResultCache(tmp_path / "v3")
-        assert sorted(k for k, _s, _m in old.entries()) == sorted(j.key() for j in CACHE_V2_JOBS)
-        for job in CACHE_V2_JOBS:
-            key = job.key()
-            stored = json.loads(old.path(key).read_text())
-            assert stored["schema"] == 2 and stored["job"] == job.payload()
-            assert ("telemetry" in stored["result"]) == (job.telemetry is not None)
-            assert old.get_dict(key) == stored["result"]
-            assert old.get_bytes(key) == canonical(stored["result"])
-            assert hashlib.sha256(old.get_bytes(key)).hexdigest() == stored["sha256"]
-            assert old.get(key).to_dict() == stored["result"]
-            new.put(key, old.get(key), job=job)
-            assert json.loads(new.path(key).read_bytes().splitlines()[0]) == {
-                "schema": 3, "sha256": stored["sha256"]}
-            assert new.get_bytes(key) == old.get_bytes(key)
-            assert new.get(key).to_dict() == old.get(key).to_dict()
-        report = run_sweep(CACHE_V2_JOBS, options=SweepOptions(cache_dir=str(old.root)))
-        assert (report.hits, report.misses, report.cache_discarded) == (2, 0, 0)
-        assert old.stats()["quarantined"] == 0 and old.stats()["temp_files"] == 0
 
     def test_orphaned_temp_files_are_seen_and_swept(self, tmp_path, small):
         """A writer that died between write and rename leaves
@@ -388,7 +350,7 @@ class TestRunSweep:
         """A hit comes back with its dicts in the stored (sorted) order,
         a fresh cell in the order it filled them; what is exported or
         tabulated from either must be the same bytes."""
-        job = CACHE_V2_JOBS[1]
+        job = SimJob(case="case1", scheme="CCFIT", time_scale=SCALE, telemetry=50_000.0)
         opts = SweepOptions(cache_dir=str(tmp_path / "cache"))
         (fresh,) = run_sweep([job], options=opts).results
         warm = run_sweep([job], options=opts)

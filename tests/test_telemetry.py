@@ -14,7 +14,8 @@ from repro.experiments.runner import run_case
 from repro.experiments.sweep import SimJob, SweepOptions, run_sweep
 from repro.metrics.trace import ProtocolTrace, TraceEvent
 from repro.network.fabric import build_fabric
-from repro.telemetry import TelemetryConfig, TelemetrySampler, TreeTracker
+from repro.telemetry import TelemetrySampler, TreeTracker
+from repro.telemetry import sampler as sampler_module
 from repro.telemetry.export import (
     render_dashboard,
     render_prometheus,
@@ -162,7 +163,7 @@ def sampled():
         scheme="CCFIT",
         time_scale=SCALE,
         seed=1,
-        telemetry=TelemetryConfig(interval=20_000.0),
+        telemetry=20_000.0,
     )
 
 
@@ -185,10 +186,10 @@ class TestSampler:
         # JSON-safe by contract: the dict round-trips exactly
         assert json.loads(json.dumps(bundle)) == bundle
 
-    def test_dropped_counts_ring_evictions(self):
+    def test_dropped_counts_ring_evictions(self, monkeypatch):
+        monkeypatch.setattr(sampler_module, "SERIES_CAPACITY", 8)
         fab = build_fabric(CONFIG3.topo(), scheme="1Q", seed=1)
-        cfg = TelemetryConfig(interval=1_000.0, series_capacity=8)
-        sampler = TelemetrySampler(fab, config=cfg).start()
+        sampler = TelemetrySampler(fab, interval=1_000.0).start()
         fab.run(until=20_000.0)
         assert sampler.ticks == 20
         assert len(sampler.times) == 8
@@ -217,7 +218,7 @@ class TestSampler:
             )
 
         off = run(None).to_dict()
-        on = run(TelemetryConfig(interval=50_000.0)).to_dict()
+        on = run(50_000.0).to_dict()
         assert on.pop("telemetry") is not None
         assert "telemetry" not in off
         assert json.dumps(on, sort_keys=True) == json.dumps(off, sort_keys=True)
@@ -228,7 +229,7 @@ class TestSampler:
             scheme="1Q",
             time_scale=SCALE,
             seed=1,
-            telemetry=TelemetryConfig(interval=50_000.0),
+            telemetry=50_000.0,
         )
         opts = SweepOptions(cache_dir=str(tmp_path))
         first = run_sweep([job], options=opts)
@@ -244,9 +245,10 @@ class TestSampler:
             scheme="1Q",
             time_scale=SCALE,
             seed=1,
-            telemetry=TelemetryConfig(),
+            telemetry=True,
         )
         assert "telemetry" not in base.payload()
+        assert tele.payload()["telemetry"] == 100_000.0
         assert base.key() != tele.key()
 
 
