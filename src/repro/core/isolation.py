@@ -113,7 +113,6 @@ class NfqCfqScheme(CongestionControlScheme):
         self._lifetime_recheck: set[int] = set()
         #: cfq_index -> the CamLine awaiting its congestion-state dwell.
         self._hot_pending: dict[int, CamLine] = {}
-        self.moves = 0
 
     # ------------------------------------------------------------------
     # CongestionControlScheme interface
@@ -257,7 +256,6 @@ class NfqCfqScheme(CongestionControlScheme):
                         line.stopped = rec.stopped
                     nfq.pop()
                     cfqs[line.cfq_index].push(head)
-                    self.moves += 1
                     moved = True
                 # step 2, local detection; it runs again after a pass
                 # that only moved packets

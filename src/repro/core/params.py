@@ -18,7 +18,7 @@ Stop/Go thrash.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Tuple
+from typing import List
 
 __all__ = ["CCParams", "linear_cct", "exponential_cct", "ParamError", "MTU"]
 
@@ -273,20 +273,3 @@ class CCParams:
         p = replace(self, **kw)
         p.validate()
         return p
-
-    # convenience conversions -------------------------------------------
-    def packets(self, nbytes: int) -> float:
-        """Express a byte count in MTU packets (for reports)."""
-        return nbytes / self.mtu
-
-    def thresholds_summary(self) -> Tuple[str, ...]:
-        """Human-readable threshold lines (used by the Table I bench)."""
-        m = self.mtu
-        return (
-            f"detection={self.detection_threshold // m} MTU",
-            f"stop/go={self.cfq_stop // m}/{self.cfq_go // m} MTU",
-            f"high/low={self.cfq_high // m}/{self.cfq_low // m} MTU",
-            f"voq high/low={self.voq_high // m}/{self.voq_low // m} MTU",
-            f"marking_rate={self.marking_rate:.0%}",
-            f"ccti_timer={self.ccti_timer:.0f} ns",
-        )

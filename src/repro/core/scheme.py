@@ -36,7 +36,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Protocol, runtime_checkable
 
 from repro.core.params import CCParams
-from repro.core.throttling import FecnMarker
 from repro.network.packet import Packet
 
 if TYPE_CHECKING:
@@ -70,22 +69,24 @@ class CongestionStateMarking:
     """The paper's marking policy (ITh / CCFIT, §III-B).
 
     Packets are eligible only while their output port is in the
-    congestion state; eligibility then runs through the
-    Packet_Size floor and Marking_Rate lottery of
-    :class:`repro.core.throttling.FecnMarker`.  The lottery draws from
-    its RNG only for packets crossing a congested port, which keeps the
-    random stream identical to the historical switch-inline check.
+    congestion state and only from the ``Packet_Size`` floor
+    (``min_marking_size``) up; an eligible packet is then marked with
+    probability ``Marking_Rate`` (85 % by default, so the BECN storm
+    stays bounded).  The lottery draws from its RNG only for eligible
+    packets: every pinned result depends on that draw order.
     """
 
-    __slots__ = ("fecn",)
+    __slots__ = ("rate", "min_size", "rng")
 
     def __init__(self, params: CCParams, rng: Stream) -> None:
-        self.fecn = FecnMarker(params, rng)
+        self.rate = params.marking_rate
+        self.min_size = params.min_marking_size
+        self.rng = rng
 
     def should_mark(self, pkt: Packet, queue, out_port) -> bool:
-        if not out_port.congested:
+        if not out_port.congested or pkt.size < self.min_size:
             return False
-        return self.fecn.maybe_mark(pkt)
+        return self.rate >= 1.0 or self.rng.random() < self.rate
 
 
 # ----------------------------------------------------------------------

@@ -1,62 +1,24 @@
-"""InfiniBand-style injection throttling (§II, §III-B/D).
+"""InfiniBand-style injection throttling, the source side (§II, §III-D).
 
-Two halves:
-
-* :class:`FecnMarker` — the switch side.  Packets crossing an output
-  port in the *congestion state* are FECN-marked, subject to the
-  ``Packet_Size`` floor and the ``Marking_Rate`` lottery (only 85 % of
-  eligible packets are marked by default, so the BECN storm stays
-  bounded).
-* :class:`ThrottleState` — the source side, owned by each Input
-  Adapter.  Per destination it keeps an index (CCTI) into the
-  Congestion Control Table of Injection Rate Delays; a received BECN
-  raises the index (more delay between consecutive packets to that
-  destination), and the CCTI_Timer lowers it back one step per period,
-  releasing the flow as congestion vanishes.  The *Last Time of
-  Injection* (LTI) array plus the current IRD tell the IA arbiter when
-  the next packet for a destination may be moved into the network.
+:class:`ThrottleState` is owned by each Input Adapter.  Per destination
+it keeps an index (CCTI) into the Congestion Control Table of Injection
+Rate Delays; a received BECN raises the index (more delay between
+consecutive packets to that destination), and the CCTI_Timer lowers it
+back one step per period, releasing the flow as congestion vanishes.
+The *Last Time of Injection* (LTI) array plus the current IRD tell the
+IA arbiter when the next packet for a destination may be moved into
+the network.  The switch side, FECN marking, is
+:class:`repro.core.scheme.CongestionStateMarking`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.params import CCParams
-from repro.network.packet import Packet
 from repro.sim.engine import Event, Simulator
 
-if TYPE_CHECKING:
-    from repro.sim.rng import Stream
-
-__all__ = ["FecnMarker", "ThrottleState"]
-
-
-class FecnMarker:
-    """Decides whether a packet crossing a congested port gets marked."""
-
-    __slots__ = ("rate", "min_size", "rng", "marked", "considered")
-
-    def __init__(self, params: CCParams, rng: Stream) -> None:
-        self.rate = params.marking_rate
-        self.min_size = params.min_marking_size
-        self.rng = rng
-        self.marked = 0
-        self.considered = 0
-
-    def maybe_mark(self, pkt: Packet) -> bool:
-        """Apply the Packet_Size / Marking_Rate rules; set the FECN bit.
-
-        Returns True when the packet was marked.  Call only for packets
-        crossing an output port in the congestion state.
-        """
-        self.considered += 1
-        if pkt.size < self.min_size:
-            return False
-        if self.rate < 1.0 and self.rng.random() >= self.rate:
-            return False
-        pkt.fecn = True
-        self.marked += 1
-        return True
+__all__ = ["ThrottleState"]
 
 
 class ThrottleState:

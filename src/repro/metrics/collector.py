@@ -16,11 +16,11 @@ Unit convenience: with time in nanoseconds and sizes in bytes,
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.network.packet import Packet
-from repro.sim.rng import Stream
 
 __all__ = ["Collector"]
 
@@ -36,13 +36,12 @@ class Collector:
     bin_ns:
         Width of a measurement bin (default 100 µs — fine enough to
         show the staircases and saw-teeth of the paper's 10 ms plots).
+
+    Every delivery's injection→delivery latency is kept, 8 bytes each
+    in its flow's ``array("d")``, so the latency queries are exact.
     """
 
-    #: per-flow latency reservoir size (uniform reservoir sampling keeps
-    #: percentile queries O(1) memory regardless of run length).
-    RESERVOIR = 512
-
-    def __init__(self, bin_ns: float = 100_000.0, latency_seed: int = 0) -> None:
+    def __init__(self, bin_ns: float = 100_000.0) -> None:
         if bin_ns <= 0:
             raise ValueError(f"bin width must be positive, got {bin_ns}")
         self.bin_ns = float(bin_ns)
@@ -50,10 +49,7 @@ class Collector:
         self._total_bins: Dict[int, int] = defaultdict(int)
         self.delivered_packets = 0
         self.delivered_bytes = 0
-        self._latency_sum: Dict[str, float] = defaultdict(float)
-        self._latency_n: Dict[str, int] = defaultdict(int)
-        self._latency_samples: Dict[str, list] = defaultdict(list)
-        self._latency_rng = Stream(latency_seed)
+        self._latencies: Dict[str, array] = defaultdict(lambda: array("d"))
 
     # ------------------------------------------------------------------
     def record_delivery(self, pkt: Packet, now: float) -> None:
@@ -64,18 +60,7 @@ class Collector:
         self.delivered_packets += 1
         self.delivered_bytes += pkt.size
         if pkt.injected_at is not None:
-            lat = now - pkt.injected_at
-            self._latency_sum[pkt.flow] += lat
-            n = self._latency_n[pkt.flow]
-            self._latency_n[pkt.flow] = n + 1
-            samples = self._latency_samples[pkt.flow]
-            if len(samples) < self.RESERVOIR:
-                samples.append(lat)
-            else:
-                # classic uniform reservoir: replace with prob R/(n+1)
-                j = self._latency_rng.integers(0, n + 1)
-                if j < self.RESERVOIR:
-                    samples[j] = lat
+            self._latencies[pkt.flow].append(now - pkt.injected_at)
 
     # ------------------------------------------------------------------
     # series extraction
@@ -122,31 +107,22 @@ class Collector:
 
     def mean_latency(self, flow: str) -> Optional[float]:
         """Mean injection→delivery latency of a flow (ns), if observed."""
-        n = self._latency_n.get(flow, 0)
-        if n == 0:
+        samples = self._latencies.get(flow)
+        if not samples:
             return None
-        return self._latency_sum[flow] / n
+        return math.fsum(samples) / len(samples)
 
     def latency_percentile(self, flow: str, q: float) -> Optional[float]:
-        """Approximate latency percentile (ns) from the flow's
-        reservoir sample (exact while <= RESERVOIR deliveries).
+        """Latency percentile (ns) over every delivery of the flow.
 
         ``q`` in [0, 100].  Congestion's other victim signature: HoL
         blocking shows up as a p99 explosion long before the mean moves.
-
-        Past :attr:`RESERVOIR` deliveries the value is an estimate
-        over a uniform random subsample of all observed latencies —
-        deterministic for a fixed ``latency_seed`` (reservoir
-        replacement draws come from a dedicated
-        :class:`~repro.sim.rng.Stream` seeded ``latency_seed``,
-        untouched by the simulation RNGs), but not guaranteed to equal
-        the exact percentile of the full population.  Interpolates
-        linearly between order statistics, as NumPy's ``percentile``
-        does by default, with the same rounding.
+        Interpolates linearly between order statistics, as NumPy's
+        ``percentile`` does by default, with the same rounding.
         """
         if not (0.0 <= q <= 100.0):
             raise ValueError(f"percentile must be in [0, 100], got {q}")
-        samples = self._latency_samples.get(flow)
+        samples = self._latencies.get(flow)
         if not samples:
             return None
         ordered = sorted(samples)

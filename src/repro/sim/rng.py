@@ -1,12 +1,11 @@
 """Seeded random-number streams.
 
-Every stochastic component (uniform traffic sources, FECN marking
-lottery, the collector's latency reservoir) draws from its own
-:class:`Stream`; the simulation's streams come from one
-:class:`RngFactory`, keyed by a stable string.  Two simulations built
-with the same root seed therefore consume identical random streams
-regardless of component construction order — the property our
-determinism regression test relies on.
+Every stochastic component (uniform traffic sources, the FECN marking
+lottery) draws from its own :class:`Stream`, and all of a simulation's
+streams come from one :class:`RngFactory`, keyed by a stable string.
+Two simulations built with the same root seed therefore consume
+identical random streams regardless of component construction order —
+the property our determinism regression test relies on.
 
 A :class:`Stream` is NumPy's ``random.default_rng(seed)`` — SeedSequence
 pool mixing feeding a PCG64 generator — in plain Python, for the two

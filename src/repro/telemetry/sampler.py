@@ -22,7 +22,7 @@ from typing import Any, Dict, Optional
 
 from repro.telemetry.series import SeriesRing
 
-__all__ = ["TelemetrySampler", "DEFAULT_INTERVAL", "SERIES_CAPACITY", "EVENTS_LIMIT", "TRACK_TREES"]
+__all__ = ["TelemetrySampler", "DEFAULT_INTERVAL", "SERIES_CAPACITY", "EVENTS_LIMIT"]
 
 #: the bundle schema version stamped on every export.
 BUNDLE_SCHEMA = "repro.telemetry/1"
@@ -35,8 +35,6 @@ DEFAULT_INTERVAL = 100_000.0
 SERIES_CAPACITY = 1024
 #: ProtocolTrace event limit for the attached structured trace.
 EVENTS_LIMIT = 200_000
-#: reconstruct congestion-tree lifecycles from the trace.
-TRACK_TREES = True
 
 
 class TelemetrySampler:
@@ -169,7 +167,7 @@ class TelemetrySampler:
             "schema": BUNDLE_SCHEMA,
             # what the sampler ran with
             "config": {"interval": self.interval, "series_capacity": SERIES_CAPACITY,
-                       "events_limit": EVENTS_LIMIT, "track_trees": TRACK_TREES},
+                       "events_limit": EVENTS_LIMIT, "track_trees": True},
             "duration": float(duration) if duration is not None else float(self.fabric.sim.now),
             "ticks": self.ticks,
             "dropped": self.dropped,
@@ -194,13 +192,12 @@ class TelemetrySampler:
                 "dropped": self.trace.dropped,
                 "counts": self.trace.counts(),
             }
-            if TRACK_TREES:
-                from repro.telemetry.tracker import TreeTracker
+            from repro.telemetry.tracker import TreeTracker
 
-                tracker = TreeTracker(num_cfqs=self.fabric.params.num_cfqs)
-                tracker.consume(self.trace.events)
-                out["trees"] = [rec.to_dict() for rec in tracker.records()]
-                out["tree_stats"] = tracker.stats()
+            tracker = TreeTracker(num_cfqs=self.fabric.params.num_cfqs)
+            tracker.consume(self.trace.events)
+            out["trees"] = [rec.to_dict() for rec in tracker.records()]
+            out["tree_stats"] = tracker.stats()
         # Fault attribution (docs/faults.md): the injector's event log
         # plus, per congestion tree, whether it was born inside a fault
         # window — separating fault-induced trees from the workload's

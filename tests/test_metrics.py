@@ -1,5 +1,8 @@
 """Unit tests for the metrics collector and curve analysis."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -150,39 +153,26 @@ class TestLatencyPercentiles:
         assert c.latency_percentile("f", 100) == pytest.approx(198.0)
         assert c.latency_percentile("f", 50) == pytest.approx(99.0)
 
-    def test_reservoir_bounds_memory(self):
-        c = Collector(bin_ns=100.0)
-        for i in range(3000):
-            deliver(c, "f", at=10_000.0, injected=9_000.0)
-        assert len(c._latency_samples["f"]) == Collector.RESERVOIR
-        assert c.latency_percentile("f", 99) == pytest.approx(1000.0)
-
     def test_unknown_flow_is_none(self):
         assert Collector().latency_percentile("ghost", 99) is None
 
-    def test_past_reservoir_is_deterministic_for_fixed_seed(self):
-        """Beyond RESERVOIR deliveries the percentile is an estimate
-        over a random subsample — but the reservoir RNG is seeded by
-        latency_seed, so two identically-fed collectors agree exactly,
-        and a different seed draws a different subsample."""
-        n = 3 * Collector.RESERVOIR
-
-        def fill(seed):
-            c = Collector(bin_ns=100.0, latency_seed=seed)
-            for i in range(n):
-                deliver(c, "f", at=10_000.0 + i, injected=10_000.0 - i)
-            return c
-
-        a, b, other = fill(0), fill(0), fill(7)
-        for q in (50, 90, 99):
-            assert a.latency_percentile("f", q) == b.latency_percentile("f", q)
-        assert any(
-            a.latency_percentile("f", q) != other.latency_percentile("f", q)
-            for q in (50, 90, 99)
-        )
+    def test_exact_over_every_delivery(self):
+        """Every latency is kept: percentiles equal NumPy's over the
+        whole population, whatever the delivery order, and the mean is
+        the correctly rounded one."""
+        n = 3 * 512
+        latencies = [2.0 * i + 0.1 * (i % 7) for i in range(n)]
+        random.Random(5).shuffle(latencies)
+        c = Collector(bin_ns=100.0)
+        for lat in latencies:
+            deliver(c, "f", at=10_000.0 + lat, injected=10_000.0)
+        expected = [10_000.0 + lat - 10_000.0 for lat in latencies]
+        for q in (0, 50, 95, 99, 100):
+            assert c.latency_percentile("f", q) == np.percentile(expected, q)
+        assert c.mean_latency("f") == math.fsum(expected) / n
 
     def test_past_reservoir_estimate_stays_within_population_bounds(self):
-        n = 3 * Collector.RESERVOIR
+        n = 3 * 512
         c = Collector(bin_ns=100.0)
         for i in range(n):
             deliver(c, "f", at=10_000.0 + i, injected=10_000.0 - i)  # latencies 2i
@@ -190,9 +180,8 @@ class TestLatencyPercentiles:
         for q in (0, 50, 95, 100):
             value = c.latency_percentile("f", q)
             assert lo <= value <= hi
-        # documented approximation: the median estimate tracks the true
-        # median of the full population (2i for i < n) loosely
-        assert c.latency_percentile("f", 50) == pytest.approx(n - 1, rel=0.25)
+        # the exact median of the full population (2i for i < n)
+        assert c.latency_percentile("f", 50) == n - 1
 
     def test_bad_percentile_raises(self):
         c = Collector(bin_ns=100.0)

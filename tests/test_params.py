@@ -95,14 +95,6 @@ def test_cct_builders_reject_bad_arguments():
         exponential_cct(base=-1.0)
 
 
-def test_packets_and_summary_helpers():
-    p = CCParams()
-    assert p.packets(4096) == 2.0
-    lines = p.thresholds_summary()
-    assert any("stop/go=10/4" in s for s in lines)
-    assert any("marking_rate=85%" in s for s in lines)
-
-
 def test_no_field_is_a_dead_knob():
     """A field nothing reads is a dead knob: it still enters every cache
     key (the preimage walks ``dataclasses.fields``), so a setting that

@@ -3,7 +3,8 @@
 import numpy as np
 
 from repro.core.params import CCParams, linear_cct
-from repro.core.throttling import FecnMarker, ThrottleState
+from repro.core.scheme import CongestionStateMarking
+from repro.core.throttling import ThrottleState
 from repro.network.packet import Packet
 from repro.sim.engine import Simulator
 
@@ -12,27 +13,52 @@ def pkt(size=2048):
     return Packet(0, 1, size, "f")
 
 
-class TestFecnMarker:
+class _Port:
+    def __init__(self, congested):
+        self.congested = congested
+
+
+class _CountingRng:
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.rng.random()
+
+
+HOT, COLD = _Port(True), _Port(False)
+
+
+class TestCongestionStateMarking:
     def test_marks_at_full_rate(self):
-        m = FecnMarker(CCParams(marking_rate=1.0), np.random.default_rng(0))
+        rng = _CountingRng(0)
+        m = CongestionStateMarking(CCParams(marking_rate=1.0), rng)
         p = pkt()
-        assert m.maybe_mark(p)
-        assert p.fecn
-        assert m.marked == 1 and m.considered == 1
+        assert m.should_mark(p, None, HOT)
+        assert not p.fecn  # the switch sets the bit, and counts it
+        assert rng.draws == 0
 
     def test_packet_size_floor(self):
-        m = FecnMarker(
-            CCParams(marking_rate=1.0, min_marking_size=1024), np.random.default_rng(0)
+        m = CongestionStateMarking(
+            CCParams(marking_rate=1.0, min_marking_size=1024), _CountingRng(0)
         )
-        small = pkt(size=512)
-        assert not m.maybe_mark(small)
-        assert not small.fecn
-        assert m.maybe_mark(pkt(size=2048))
+        assert not m.should_mark(pkt(size=512), None, HOT)
+        assert m.should_mark(pkt(size=2048), None, HOT)
 
     def test_marking_rate_is_statistical(self):
-        m = FecnMarker(CCParams(marking_rate=0.85), np.random.default_rng(1))
-        marked = sum(m.maybe_mark(pkt()) for _ in range(2000))
+        m = CongestionStateMarking(CCParams(marking_rate=0.85), _CountingRng(1))
+        marked = sum(m.should_mark(pkt(), None, HOT) for _ in range(2000))
         assert 0.80 * 2000 < marked < 0.90 * 2000
+
+    def test_uncongested_port_draws_nothing(self):
+        rng = _CountingRng(2)
+        m = CongestionStateMarking(CCParams(marking_rate=0.85), rng)
+        assert not any(m.should_mark(pkt(), None, COLD) for _ in range(200))
+        assert rng.draws == 0
+        m.should_mark(pkt(), None, HOT)
+        assert rng.draws == 1
 
 
 class TestThrottleState:
