@@ -63,7 +63,7 @@ class QueueDepthMarking:
     never below ``Kmin``, always at ``Kmax``, linearly ramping
     probability in between."""
 
-    __slots__ = ("kmin", "kmax", "pmax", "rng", "marked", "considered")
+    __slots__ = ("kmin", "kmax", "pmax", "rng")
 
     def __init__(
         self,
@@ -77,19 +77,13 @@ class QueueDepthMarking:
         self.kmax = kmax_mtus * params.mtu
         self.pmax = pmax
         self.rng = rng
-        self.marked = 0
-        self.considered = 0
 
     def should_mark(self, pkt: Packet, queue, out_port) -> bool:
-        self.considered += 1
         depth = queue.bytes  # backlog left behind by this packet
         if depth < self.kmin:
             return False
         if depth < self.kmax:
-            p = self.pmax * (depth - self.kmin) / (self.kmax - self.kmin)
-            if self.rng.random() >= p:
-                return False
-        self.marked += 1
+            return self.rng.random() < self.pmax * (depth - self.kmin) / (self.kmax - self.kmin)
         return True
 
 

@@ -1,8 +1,8 @@
 """Discrete-event simulation substrate.
 
 The engine in :mod:`repro.sim.engine` is the clock and scheduler every
-other component of the reproduction runs on: one ``heapq`` that fires
-events in ``(time, seq)`` order.  See docs/performance.md.
+other component of the reproduction runs on: one FIFO bucket per
+instant, fired in ``(time, seq)`` order.  See docs/performance.md.
 """
 
 from repro.sim.engine import Event, SimulationError, Simulator

@@ -11,8 +11,8 @@ import pytest
 from repro.sim.engine import Simulator
 from tests.heap_oracle import HeapSimulator
 
-#: the ids predate the engine's own move to a heap (``bucket`` was its
-#: calendar queue); they stay because recorded test ids carry them
+#: the ids are recorded test ids: ``bucket`` is the engine (one FIFO
+#: bucket per timestamp), ``heap`` the one-handle-per-event reference
 SIM_CLASSES = {"bucket": Simulator, "heap": HeapSimulator}
 
 

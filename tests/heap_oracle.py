@@ -1,11 +1,12 @@
 """Reference event queue: a plain ``heapq`` of ``(time, seq, handle)``.
 
-The production :class:`repro.sim.engine.Simulator` pushes handle-free
-tuples for ``post`` / ``schedule_pair``, pops before it looks at
-``until`` and defers its ``pending()`` debit to the end of a run.  This
-class is the obviously-correct implementation of the same contract —
-events fire in ``(time, seq)`` order, ``seq`` allocated in scheduling
-order — with one handle object per event and nothing clever.  Tests
+The production :class:`repro.sim.engine.Simulator` heaps distinct times
+and keeps a FIFO bucket of handle-free entries per time, allocates no
+``seq`` for ``post`` / ``schedule_pair`` and defers its ``pending()``
+debit to the end of a run.  This class is the obviously-correct
+implementation of the same contract — events fire in ``(time, seq)``
+order, ``seq`` allocated in scheduling order — with one handle object
+per event and nothing clever.  Tests
 inject it through ``run_case(sim_factory=HeapSimulator)`` and require
 byte-identical results (tests/conftest.py ``sim_cls``); nothing under
 ``src/`` imports it.
@@ -74,14 +75,14 @@ class HeapSimulator:
         return handle
 
     def schedule(self, time, fn, *args):
-        if time < self.now:
+        if not time >= self.now:  # NaN included
             raise SimulationError(f"cannot schedule at t={time} < now={self.now}")
         seq = self._seq
         self._seq = seq + 1
         return self._push(time, seq, fn, args)
 
     def schedule_in(self, delay, fn, *args):
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative delay {delay}")
         return self.schedule(self.now + delay, fn, *args)
 
@@ -92,9 +93,9 @@ class HeapSimulator:
         self.schedule_in(delay, fn, *args)
 
     def schedule_pair(self, t1, fn1, args1, t2, fn2, args2):
-        if t1 < self.now:
+        if not t1 >= self.now:
             raise SimulationError(f"cannot schedule at t={t1} < now={self.now}")
-        if t2 < t1:
+        if not t2 >= t1:
             raise SimulationError(f"chained firing at t={t2} precedes first at t={t1}")
         seq = self._seq
         self._seq = seq + 2
@@ -124,12 +125,12 @@ class HeapSimulator:
             self.now = t
             self._live -= 1
             handle._queued = False
+            self.events_dispatched += 1  # counted before the call: a raising callback was dispatched
             dispatched += 1
             if self.event_counts is not None:
                 key = _qualname(handle.fn)
                 self.event_counts[key] = self.event_counts.get(key, 0) + 1
             handle.fn(*handle.args)
-        self.events_dispatched += dispatched
         if until is not None and self.now < until and (hit_until or self._live == 0):
             self.now = until
 

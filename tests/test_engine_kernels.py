@@ -2,7 +2,8 @@
 cancellation, and byte-identical figure results.
 
 Every test taking ``sim_cls`` runs on both the production engine (a
-heap of handle-free tuples) and the one-handle-per-event reference
+heap of distinct timestamps, a FIFO bucket of entries per timestamp)
+and the one-handle-per-event reference
 (tests/heap_oracle.py): the two share the ``(time, seq)`` contract, so
 each assertion here holds on either, and the cross-checks at the bottom
 require identical dispatch traces and byte-identical ``CaseResult``s.
@@ -367,6 +368,151 @@ def test_same_instant_seam_matches_the_heap_oracle(ops, fanout, outside, chunk):
     same-instant entries waiting or not."""
     want = _run_seam_script(HeapSimulator(), ops, fanout, outside, chunk)
     assert _run_seam_script(Simulator(), ops, fanout, outside, chunk) == want
+
+
+# ----------------------------------------------------------------------
+# shared future instants: posts, schedules and pairs piled onto two or
+# three timestamps, cancelled from inside the instant, and runs stopped
+# mid-instant (max_events) and exactly on an instant (until)
+# ----------------------------------------------------------------------
+_SHARED_OPS = st.lists(
+    st.tuples(st.sampled_from(["post", "post_in", "sched", "pair", "cancel"]),
+              st.integers(0, 2), st.integers(0, 50)),
+    max_size=80,
+)
+_SHARED_STOPS = st.lists(
+    st.tuples(st.sampled_from(["max_events", "until"]), st.integers(0, 5)), max_size=6
+)
+
+
+def _run_shared_script(sim, ops, instants, fanout, outside, stops):
+    """Feed ``ops`` to ``sim``, each aimed at one of ``instants`` not yet
+    passed: ``outside`` of them before the first run, then ``fanout``
+    from inside every callback.  Runs once per stop, then drains, and
+    returns everything observed."""
+    ops = iter(ops)
+    trace = []
+    handles = []
+    tags = iter(range(10**6))
+
+    def fire(tag):
+        # what a callback sees of the queue: the instant being walked
+        # lists only what it has not dispatched yet
+        trace.append((sim.now, tag, sim.peek_time(), sorted(sim.queue_snapshot().items())))
+        for _ in range(fanout):
+            apply(next(ops, None))
+
+    def apply(op):
+        if op is None:
+            return
+        kind, pick, n = op
+        ahead = [t for t in instants if t >= sim.now] or [sim.now]
+        t = ahead[pick % len(ahead)]
+        if kind == "post":
+            sim.post(t, fire, next(tags))
+        elif kind == "post_in":
+            sim.post_in(t - sim.now, fire, next(tags))
+        elif kind == "sched":
+            handles.append(sim.schedule(t, fire, next(tags)))
+        elif kind == "pair":
+            t2 = max(t, ahead[(pick + n) % len(ahead)])
+            sim.schedule_pair(t, fire, (next(tags),), t2, fire, (next(tags),))
+        elif handles:
+            handles[n % len(handles)].cancel()
+
+    def observe():
+        return (sim.now, sim.pending(), sim.peek_time(),
+                sorted(sim.queue_snapshot().items()), sim.events_dispatched)
+
+    for _ in range(outside):
+        apply(next(ops, None))
+    seen = [observe()]
+    for kind, k in stops:
+        if kind == "max_events":
+            sim.run(max_events=k)
+        else:
+            sim.run(until=instants[k % len(instants)])
+        seen.append(observe())
+    sim.run(max_events=10_000)  # bounded: an engine that re-dispatches fails, not hangs
+    seen.append(observe())
+    return trace, seen
+
+
+def _shared_instants_match_the_heap_oracle(ops, instants, fanout, outside, stops):
+    instants = sorted(float(t) for t in instants)
+    want = _run_shared_script(HeapSimulator(), ops, instants, fanout, outside, stops)
+    assert _run_shared_script(Simulator(), ops, instants, fanout, outside, stops) == want
+
+
+_SHARED_ARGS = (
+    _SHARED_OPS,
+    st.lists(st.integers(1, 40), min_size=2, max_size=3, unique=True),
+    st.integers(1, 3),
+    st.integers(1, 8),
+    _SHARED_STOPS,
+)
+
+
+@given(*_SHARED_ARGS)
+@settings(max_examples=150, deadline=None)
+def test_shared_instants_match_the_heap_oracle(ops, instants, fanout, outside, stops):
+    """Many entries per timestamp, the Config #3 shape: dispatch trace,
+    pending / peek_time / queue_snapshot / events_dispatched after every
+    stop, mid-instant or on one, equal the oracle's."""
+    _shared_instants_match_the_heap_oracle(ops, instants, fanout, outside, stops)
+
+
+@pytest.mark.tier2
+@given(*_SHARED_ARGS)
+@settings(max_examples=2000, deadline=None)
+def test_shared_instants_match_the_heap_oracle_long_run(ops, instants, fanout, outside, stops):
+    """The same property at 2,000 examples."""
+    _shared_instants_match_the_heap_oracle(ops, instants, fanout, outside, stops)
+
+
+# ----------------------------------------------------------------------
+# a raising callback leaves the queue's counts exact
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("times", [(1.0, 2.0, 3.0, 4.0), (1.0, 3.0, 3.0, 3.0)], ids=["apart", "one-instant"])
+def test_raising_callback_leaves_counts_exact(sim_cls, times):
+    sim = sim_cls()
+    fired = []
+
+    def cb(i):
+        fired.append(i)
+        if i == 2:
+            raise ValueError("boom")
+
+    for i, t in enumerate(times):
+        sim.post(t, cb, i)
+    with pytest.raises(ValueError):
+        sim.run()
+    assert fired == [0, 1, 2] and sim.now == 3.0
+    assert sim.pending() == 1 and sim.events_dispatched == 3
+    assert sim.queue_snapshot() == {"test_raising_callback_leaves_counts_exact.<locals>.cb": 1}
+    assert sim.peek_time() == times[3]
+    sim.run()
+    assert fired == [0, 1, 2, 3]
+    assert sim.pending() == 0 and sim.events_dispatched == 4 and sim.peek_time() is None
+
+
+def test_nan_time_raises(sim_cls):
+    sim = sim_cls()
+    nan = float("nan")
+    noop = lambda: None
+    for call in (
+        lambda: sim.schedule(nan, noop),
+        lambda: sim.schedule_in(nan, noop),
+        lambda: sim.post(nan, noop),
+        lambda: sim.post_in(nan, noop),
+        lambda: sim.schedule_pair(nan, noop, (), 5.0, noop, ()),
+        lambda: sim.schedule_pair(1.0, noop, (), nan, noop, ()),
+    ):
+        with pytest.raises(SimulationError):
+            call()
+    assert sim.pending() == 0 and sim.peek_time() is None
+    sim.run()
+    assert sim.events_dispatched == 0
 
 
 # ----------------------------------------------------------------------

@@ -145,7 +145,7 @@ class TestAnalysis:
 
 
 class TestLatencyPercentiles:
-    def test_exact_below_reservoir(self):
+    def test_exact_on_a_small_population(self):
         c = Collector(bin_ns=100.0)
         for i in range(100):
             deliver(c, "f", at=1000.0 + i, injected=1000.0 - i)  # latencies 2i
@@ -171,7 +171,7 @@ class TestLatencyPercentiles:
             assert c.latency_percentile("f", q) == np.percentile(expected, q)
         assert c.mean_latency("f") == math.fsum(expected) / n
 
-    def test_past_reservoir_estimate_stays_within_population_bounds(self):
+    def test_exact_median_of_a_large_population(self):
         n = 3 * 512
         c = Collector(bin_ns=100.0)
         for i in range(n):

@@ -155,7 +155,6 @@ class TestQueueDepthMarking:
         hits = sum(m.should_mark(None, _FakeQueue(mid), None) for _ in range(400))
         # expectation is pmax/2 = 0.25 -> 100 of 400; allow wide slack
         assert 40 < hits < 180
-        assert m.considered == 400 and m.marked == hits
 
 
 # ---------------------------------------------------------------------------
